@@ -715,6 +715,9 @@ func logSlowWave(t dyntc.WaveTraceRecord) {
 		"resims", t.Resims,
 		"trace_records", t.TraceRecords,
 	}
+	if t.ResimReason != "" {
+		attrs = append(attrs, "resim_reason", t.ResimReason)
+	}
 	if t.TraceID != 0 {
 		attrs = append(attrs, "trace", t.TraceID.String())
 	}

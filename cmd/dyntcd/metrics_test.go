@@ -98,6 +98,32 @@ func TestMetricsEndpoint(t *testing.T) {
 	if samples["dyntc_query_join_seconds_count"] != 1 {
 		t.Fatalf("query joins = %v, want 1", samples["dyntc_query_join_seconds_count"])
 	}
+
+	// The grow of a one-leaf tree is below the propagation floor: the one
+	// fallback of this run, and every surface names the same reason.
+	var stats struct {
+		Engine struct {
+			ResimReasons map[string]uint64 `json:"resim_reasons"`
+		} `json:"engine"`
+		LastHeal struct {
+			ResimReason string `json:"resim_reason"`
+		} `json:"last_heal"`
+	}
+	call(t, "GET", tsTree(ts, created.Tree)+"/stats", nil, http.StatusOK, &stats)
+	if len(stats.Engine.ResimReasons) != 1 {
+		t.Fatalf("resim_reasons = %v, want one reason", stats.Engine.ResimReasons)
+	}
+	for reason, n := range stats.Engine.ResimReasons {
+		if n != 1 || (reason != "tiny" && reason != "full_rebuild") {
+			t.Fatalf("resim_reasons = %v, want one tiny or full_rebuild", stats.Engine.ResimReasons)
+		}
+		if got := samples[`dyntc_resimulations_total{reason="`+reason+`"}`]; got != 1 {
+			t.Fatalf("dyntc_resimulations_total{reason=%q} = %v, want 1\n%s", reason, got, body)
+		}
+	}
+	if stats.LastHeal.ResimReason != "" {
+		t.Fatalf("last_heal of a set-leaf wave carries reason %q", stats.LastHeal.ResimReason)
+	}
 }
 
 func TestTraceEndpoint(t *testing.T) {
@@ -136,6 +162,21 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 
 	call(t, "GET", ts.URL+"/v1/trace?n=bogus", nil, http.StatusBadRequest, nil)
+
+	// A wave that fell back to re-simulation says why: growing a one-leaf
+	// tree is below the propagation floor.
+	call(t, "POST", tsTree(ts, created.Tree)+"/grow",
+		map[string]any{"leaf": 0, "op": "add", "left": 3, "right": 4}, http.StatusOK, nil)
+	call(t, "GET", ts.URL+"/v1/trace?n=5", nil, http.StatusOK, &trace)
+	last := len(trace.Traces) - 1 // oldest first
+	if tr := trace.Traces[last]; tr.Resims != 1 || (tr.ResimReason != "tiny" && tr.ResimReason != "full_rebuild") {
+		t.Fatalf("grow wave: resims %d reason %q, want 1 tiny or full_rebuild", tr.Resims, tr.ResimReason)
+	}
+	for _, tr := range trace.Traces[:last] {
+		if tr.Resims != 0 || tr.ResimReason != "" {
+			t.Fatalf("set-leaf wave carries a fallback: resims %d reason %q", tr.Resims, tr.ResimReason)
+		}
+	}
 }
 
 // TestAccessLog checks the middleware's structured line shape: method,

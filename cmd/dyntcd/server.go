@@ -972,6 +972,7 @@ func (s *server) handleTreeStats(w http.ResponseWriter, r *http.Request, en *dyn
 			"struct_records": heal.StructRecords,
 			"total_records":  heal.TotalRecords,
 			"resimulated":    heal.Resimulated,
+			"resim_reason":   heal.ResimReason,
 			"rebuild_leaves": heal.RebuildLeaves,
 		},
 		"pram": map[string]any{"steps": pm.Steps, "work": pm.Work, "max_procs": pm.MaxProcs},

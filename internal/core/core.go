@@ -41,15 +41,25 @@
 //     full paper; the scheme here follows the change-propagation
 //     formulation of Acar et al. (arXiv:2002.05129). A full re-simulation
 //     remains as the fallback (gate off, full PT rebuilds, oversized
-//     wounds); see README "Change propagation" for the design note.
+//     wounds), each one attributed by HealStats.ResimReason; see README
+//     "Change propagation" for the design note.
 //   - Value queries at arbitrary nodes replay the expansion lazily:
 //     val(n) = op_n applied to the values merged into n's two children at
 //     the record that removed n, a well-founded recursion over strict
 //     descendants, memoized per batch.
+//
+// Everything the trace knows per T node — its PT leaf, the record raking
+// it, the record removing it, the head of its touch chain — lives in one
+// flat table indexed by tree.Node.ID (nodeSlot): IDs are dense and never
+// recycled, so a lookup is a bare index and the three or four a
+// re-executed record makes for one node share a cache line. The table
+// grows with T.Nodes, once per wave, before the wave reads it.
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"dyntc/internal/pram"
 	"dyntc/internal/rbsts"
@@ -105,26 +115,39 @@ type Record struct {
 	dead        bool
 }
 
+// nodeSlot is the trace's per-node state, one 32-byte entry per node ID.
+// A slot is all-zero while its ID has no live node.
+type nodeSlot struct {
+	// ptLeaf is the node's PT leaf while it is a leaf of T.
+	ptLeaf *ptNode
+	// rec is the record raking the node (it is a gap's left leaf).
+	rec *Record
+	// removedBy is the record removing the node (it is internal).
+	removedBy *Record
+	// firstTouch is the earliest record reading the node's label.
+	firstTouch *Record
+}
+
 // Contraction is the dynamic parallel tree contraction structure.
 type Contraction struct {
 	T    *tree.Tree
 	ring semiring.Ring
 
 	pt *rbsts.Tree[*tree.Node, struct{}]
-	// ptLeaf maps a T-leaf to its PT leaf.
-	ptLeaf map[*tree.Node]*ptNode
 
-	// recOf maps the raked leaf (the gap's left leaf) to its record.
-	recOf map[*tree.Node]*Record
-	// removedBy maps each removed internal node to the record removing it.
-	removedBy map[*tree.Node]*Record
-	// firstTouch maps a node to the earliest record reading its label.
-	firstTouch map[*tree.Node]*Record
+	// slots is indexed by tree.Node.ID and covers every ID of T.Nodes
+	// (growSlots); records counts its non-nil rec fields.
+	slots   []nodeSlot
+	records int
 
 	rootValue int64
 	survivor  *tree.Node
 
 	machine *pram.Machine
+
+	// pass is the worklist and scratch of the wave being healed, reused
+	// from wave to wave.
+	pass propPass
 
 	// noPropagate disables change propagation for structural updates,
 	// forcing the full re-simulation path (the CorePropagate feature gate,
@@ -153,10 +176,27 @@ type HealStats struct {
 	// Resimulated reports that the whole trace was rebuilt (the structural
 	// fallback path: gate off, full PT rebuild, or oversized wound).
 	Resimulated bool
+	// ResimReason names why, one of ResimReasons; empty when the wave did
+	// not re-simulate.
+	ResimReason string
 	// RebuildLeaves is the total size of PT subtree rebuilds (Theorem 2.2's
 	// random variable S).
 	RebuildLeaves int
 }
+
+// The reasons a structural wave falls back to a full re-simulation.
+const (
+	ResimGate        = "gate"         // change propagation switched off
+	ResimFullRebuild = "full_rebuild" // PT rebuilt from its root
+	ResimTiny        = "tiny"         // fewer than minPropagateLeaves leaves
+	ResimOrder       = "order"        // a record popped before one already executed
+	ResimBudget      = "budget"       // the wound stopped being local
+	ResimSanity      = "sanity"       // a touch chain contradicted itself
+)
+
+// ResimReasons lists every value HealStats.ResimReason takes on a
+// re-simulated wave.
+var ResimReasons = [...]string{ResimGate, ResimFullRebuild, ResimTiny, ResimOrder, ResimBudget, ResimSanity}
 
 // New builds a Contraction over the given expression tree. The seed drives
 // all of PT's randomness. The machine (nil = sequential) meters every
@@ -171,14 +211,31 @@ func New(t *tree.Tree, seed uint64, m *pram.Machine) *Contraction {
 		machine:     m,
 		noPropagate: !CorePropagate,
 	}
-	leaves := t.Leaves()
-	c.pt = rbsts.New[*tree.Node, struct{}](seed, nil, nil, leaves)
-	c.ptLeaf = make(map[*tree.Node]*ptNode, len(leaves))
+	c.pass.c = c
+	c.pt = rbsts.New[*tree.Node, struct{}](seed, nil, nil, t.Leaves())
+	c.growSlots()
 	for l := c.pt.Head(); l != nil; l = l.Next() {
-		c.ptLeaf[l.Payload()] = l
+		c.slot(l.Payload()).ptLeaf = l
 	}
 	c.simulate()
 	return c
+}
+
+// slot returns n's entry of the slot table.
+func (c *Contraction) slot(n *tree.Node) *nodeSlot { return &c.slots[n.ID] }
+
+// growSlots extends the slot table over every ID in T.Nodes. It
+// reallocates only when T.Nodes itself has, and to the same capacity, so
+// the table's memory follows the tree's instead of doubling past it.
+func (c *Contraction) growSlots() {
+	n := len(c.T.Nodes)
+	if n <= cap(c.slots) {
+		c.slots = c.slots[:n] // never shrinks: IDs are not recycled
+		return
+	}
+	grown := make([]nodeSlot, n, cap(c.T.Nodes))
+	copy(grown, c.slots)
+	c.slots = grown
 }
 
 // Machine returns the PRAM machine metering this contraction.
@@ -213,16 +270,18 @@ func (c *Contraction) PTDepth() int {
 }
 
 // Records returns the number of rake records (= leaves - 1).
-func (c *Contraction) Records() int { return len(c.recOf) }
+func (c *Contraction) Records() int { return c.records }
 
 // simulate rebuilds the entire rake trace from the current T and PT: the
 // §4.2 randomized contraction. Records are processed in (round, leaf ID)
 // order; rounds are metered as parallel steps grouped by round.
 func (c *Contraction) simulate() {
 	n := len(c.T.Nodes)
-	c.recOf = make(map[*tree.Node]*Record, c.pt.Len())
-	c.removedBy = make(map[*tree.Node]*Record, c.pt.Len())
-	c.firstTouch = make(map[*tree.Node]*Record, n)
+	for i := range c.slots {
+		s := &c.slots[i]
+		s.rec, s.removedBy, s.firstTouch = nil, nil, nil
+	}
+	c.records = 0
 
 	if c.pt.Len() == 0 {
 		c.rootValue = c.ring.Zero()
@@ -245,36 +304,40 @@ func (c *Contraction) simulate() {
 	}
 	sortRecords(recs)
 
-	// Overlay state of the contracting tree, indexed by node ID.
-	parent := make([]*tree.Node, n)
-	childL := make([]*tree.Node, n)
-	childR := make([]*tree.Node, n)
-	label := make([]semiring.Linear, n)
-	rep := make([]*tree.Node, n)
-	lastTouch := make([]*Record, n)
+	// Overlay state of the contracting tree, one entry per live node;
+	// at maps a node ID to its entry. IDs are never recycled, so after
+	// long churn most of them are dead: per-ID state here would dwarf the
+	// tree it describes.
+	type overlayNode struct {
+		parent, left, right *tree.Node
+		rep                 *tree.Node
+		label               semiring.Linear
+		lastTouch           *Record
+	}
+	at := make([]int32, n)
+	overlay := make([]overlayNode, 0, c.T.Len())
 	for _, nd := range c.T.Nodes {
 		if nd == nil {
 			continue
 		}
-		parent[nd.ID] = nd.Parent
-		childL[nd.ID] = nd.Left
-		childR[nd.ID] = nd.Right
-		rep[nd.ID] = nd
+		at[nd.ID] = int32(len(overlay))
+		o := overlayNode{parent: nd.Parent, left: nd.Left, right: nd.Right, rep: nd}
 		if nd.IsLeaf() {
-			label[nd.ID] = semiring.Const(c.ring, nd.Value)
+			o.label = semiring.Const(c.ring, nd.Value)
 		} else {
-			label[nd.ID] = semiring.Identity(c.ring)
+			o.label = semiring.Identity(c.ring)
 		}
+		overlay = append(overlay, o)
 	}
 
-	touch := func(r *Record, nd *tree.Node) *Record {
-		prev := lastTouch[nd.ID]
-		lastTouch[nd.ID] = r
+	// touch appends r to nd's touch chain and returns the previous toucher.
+	touch := func(r *Record, nd *tree.Node, o *overlayNode) *Record {
+		prev := o.lastTouch
+		o.lastTouch = r
 		if prev != nil {
 			prev.Next = r
-		}
-		if c.firstTouch[nd] == nil {
-			c.firstTouch[nd] = r
+		} else {
+			c.slot(nd).firstTouch = r
 		}
 		return prev
 	}
@@ -289,48 +352,48 @@ func (c *Contraction) simulate() {
 		c.machine.Charge(j - i)
 		for _, r := range recs[i:j] {
 			v := r.V
-			p := parent[v.ID]
-			var w *tree.Node
-			if childL[p.ID] == v {
-				w = childR[p.ID]
-			} else {
-				w = childL[p.ID]
+			ov := &overlay[at[v.ID]]
+			p := ov.parent
+			op := &overlay[at[p.ID]]
+			w := op.left
+			if w == v {
+				w = op.right
 			}
+			ow := &overlay[at[w.ID]]
 			r.P, r.W = p, w
-			r.VPrev = touch(r, v)
-			r.PPrev = touch(r, p)
-			r.WPrev = touch(r, w)
-			r.Lv = label[v.ID]
-			r.LpIn = label[p.ID]
-			r.LwIn = label[w.ID]
+			r.VPrev = touch(r, v, ov)
+			r.PPrev = touch(r, p, op)
+			r.WPrev = touch(r, w, ow)
+			r.Lv, r.LpIn, r.LwIn = ov.label, op.label, ow.label
 			// small-rake then small-compress (§4.2).
 			lpOut := r.LpIn.Compose(c.ring, p.Op.Partial(c.ring, r.Lv.B))
 			r.LwOut = lpOut.Compose(c.ring, r.LwIn)
-			label[w.ID] = r.LwOut
-			r.Wrep = rep[w.ID]
-			r.Prep = rep[p.ID]
-			rep[w.ID] = rep[p.ID]
+			ow.label = r.LwOut
+			r.Wrep, r.Prep = ow.rep, op.rep
+			ow.rep = op.rep
 			// Splice w into p's place.
-			g := parent[p.ID]
-			parent[w.ID] = g
+			g := op.parent
+			ow.parent = g
 			r.G = g
 			if g != nil {
-				if childL[g.ID] == p {
-					childL[g.ID] = w
+				og := &overlay[at[g.ID]]
+				if og.left == p {
+					og.left = w
 					r.WLeft = true
 				} else {
-					childR[g.ID] = w
+					og.right = w
 					r.WLeft = false
 				}
 			}
-			c.recOf[v] = r
-			c.removedBy[p] = r
+			c.slot(v).rec = r
+			c.slot(p).removedBy = r
 		}
 		i = j
 	}
+	c.records = len(recs)
 
 	c.survivor = c.pt.Tail().Payload()
-	final := label[c.survivor.ID]
+	final := overlay[at[c.survivor.ID]].label
 	if final.A != c.ring.Zero() {
 		panic("core: survivor label is not constant")
 	}
@@ -340,15 +403,7 @@ func (c *Contraction) simulate() {
 // sortRecords orders records by (round, raked-leaf ID); the ID tiebreak is
 // arbitrary but deterministic (same-round rakes are independent).
 func sortRecords(recs []*Record) {
-	// Simple in-place sort without reflect overhead.
-	lessRec := func(a, b *Record) bool {
-		if a.Round != b.Round {
-			return a.Round < b.Round
-		}
-		return a.V.ID < b.V.ID
-	}
-	// Standard library sort via interface adapter.
-	sortSlice(recs, lessRec)
+	slices.SortFunc(recs, func(a, b *Record) int { return cmp.Compare(timeKey(a), timeKey(b)) })
 }
 
 // Validate checks trace invariants against the current T and PT (tests).
@@ -366,27 +421,50 @@ func (c *Contraction) Validate() error {
 		if i >= len(tl) || l.Payload() != tl[i] {
 			return fmt.Errorf("core: PT leaf %d does not match T leaf order", i)
 		}
-		if c.ptLeaf[l.Payload()] != l {
-			return fmt.Errorf("core: ptLeaf map stale at %d", i)
+		if c.slot(l.Payload()).ptLeaf != l {
+			return fmt.Errorf("core: ptLeaf slot stale at %d", i)
 		}
 		i++
 	}
-	if len(c.recOf) != maxInt(0, c.pt.Len()-1) {
-		return fmt.Errorf("core: %d records for %d leaves", len(c.recOf), c.pt.Len())
+	// The slot table covers exactly T's IDs, holds nothing for an ID
+	// without a live node, and every entry points back at its own node.
+	if len(c.slots) != len(c.T.Nodes) {
+		return fmt.Errorf("core: %d slots for %d node IDs", len(c.slots), len(c.T.Nodes))
 	}
-	// Every record's labels must recompose.
-	for _, r := range c.recOf {
+	recs := 0
+	for id := range c.slots {
+		s, nd := &c.slots[id], c.T.Nodes[id]
+		if nd == nil {
+			if *s != (nodeSlot{}) {
+				return fmt.Errorf("core: slot %d of a departed node is not zero", id)
+			}
+			continue
+		}
+		if s.ptLeaf != nil && s.ptLeaf.Payload() != nd {
+			return fmt.Errorf("core: slot %d: ptLeaf carries another node", id)
+		}
+		if s.removedBy != nil && s.removedBy.P != nd {
+			return fmt.Errorf("core: slot %d: removedBy removes another node", id)
+		}
+		if s.firstTouch != nil && !touches(s.firstTouch, nd) {
+			return fmt.Errorf("core: slot %d: firstTouch does not touch the node", id)
+		}
+		r := s.rec
+		if r == nil {
+			continue
+		}
+		recs++
+		if r.V != nd {
+			return fmt.Errorf("core: slot %d: rec rakes another node", id)
+		}
+		// Every record's labels must recompose.
 		lpOut := r.LpIn.Compose(c.ring, r.P.Op.Partial(c.ring, r.Lv.B))
 		if lpOut.Compose(c.ring, r.LwIn) != r.LwOut {
-			return fmt.Errorf("core: record labels inconsistent at leaf %d", r.V.ID)
+			return fmt.Errorf("core: record labels inconsistent at leaf %d", id)
 		}
 	}
-	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+	if want := max(0, c.pt.Len()-1); recs != c.records || recs != want {
+		return fmt.Errorf("core: %d records, counter %d, want %d for %d leaves", recs, c.records, want, c.pt.Len())
 	}
-	return b
+	return nil
 }

@@ -152,9 +152,20 @@ func TestHealMatchesResimulation(t *testing.T) {
 }
 
 func snapshotLabels(c *Contraction) map[*tree.Node][4]semiring.Linear {
-	out := make(map[*tree.Node][4]semiring.Linear, len(c.recOf))
-	for v, r := range c.recOf {
-		out[v] = [4]semiring.Linear{r.Lv, r.LpIn, r.LwIn, r.LwOut}
+	out := make(map[*tree.Node][4]semiring.Linear, c.Records())
+	for _, r := range liveRecords(c) {
+		out[r.V] = [4]semiring.Linear{r.Lv, r.LpIn, r.LwIn, r.LwOut}
+	}
+	return out
+}
+
+// liveRecords lists the trace's records in raked-leaf ID order.
+func liveRecords(c *Contraction) []*Record {
+	out := make([]*Record, 0, c.Records())
+	for i := range c.slots {
+		if r := c.slots[i].rec; r != nil {
+			out = append(out, r)
+		}
 	}
 	return out
 }
@@ -318,7 +329,7 @@ func TestScheduleSafety(t *testing.T) {
 		c := New(tr, 113, nil)
 		// Every internal node is removed by exactly one record.
 		seenP := map[*tree.Node]bool{}
-		for _, r := range c.recOf {
+		for _, r := range liveRecords(c) {
 			if r.P.IsLeaf() {
 				t.Fatalf("shape %d: rake removed a leaf", shape)
 			}
@@ -345,7 +356,7 @@ func TestScheduleSafety(t *testing.T) {
 			node  *tree.Node
 		}
 		firstW := map[key]*Record{}
-		for _, r := range c.recOf {
+		for _, r := range liveRecords(c) {
 			k := key{r.Round, r.W}
 			if prev, ok := firstW[k]; ok {
 				// One of the two must reach the other through touch edges.
@@ -380,7 +391,7 @@ func TestHealOrderMatchesSimulateOrder(t *testing.T) {
 	// (where one rake's sibling is another's parent).
 	tr := tree.Generate(testRing, prng.New(151), 800, tree.ShapeRandom)
 	c := New(tr, 157, nil)
-	for _, r := range c.recOf {
+	for _, r := range liveRecords(c) {
 		for _, prev := range []*Record{r.VPrev, r.PPrev, r.WPrev} {
 			if prev == nil {
 				continue
@@ -399,7 +410,7 @@ func TestRoundsEqualPTDepth(t *testing.T) {
 	tr := tree.Generate(testRing, prng.New(127), 1000, tree.ShapeRandom)
 	c := New(tr, 131, nil)
 	maxRound := 0
-	for _, r := range c.recOf {
+	for _, r := range liveRecords(c) {
 		if r.Round > maxRound {
 			maxRound = r.Round
 		}
@@ -421,7 +432,7 @@ func TestQuickRandomTrees(t *testing.T) {
 		// One random update + one random query.
 		leaves := tr.Leaves()
 		c.SetValue(leaves[src.Intn(len(leaves))], src.Int63())
-		if c.RootValue() != tr.Eval() {
+		if c.RootValue() != tr.Eval() || c.Validate() != nil {
 			return false
 		}
 		var live []*tree.Node

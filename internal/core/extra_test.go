@@ -51,6 +51,9 @@ func TestDynamicOverAllSemirings(t *testing.T) {
 				if got, want := c.RootValue(), tr.Eval(); got != want {
 					t.Fatalf("step %d: root %d want %d", step, got, want)
 				}
+				if err := c.Validate(); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
 			}
 		})
 	}
@@ -66,6 +69,9 @@ func TestCombShapeStructuralChurn(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		pairs := c.AddLeaves([]AddOp{{Leaf: cur, Op: semiring.OpAdd(r), LeftVal: 1, RightVal: 1}})
 		cur = pairs[0][0]
+		if err := c.Validate(); err != nil {
+			t.Fatalf("depth %d: %v", i, err)
+		}
 	}
 	if got, want := c.RootValue(), tr.Eval(); got != want {
 		t.Fatalf("comb root %d want %d", got, want)

@@ -1,38 +1,81 @@
 package core
 
 import (
-	"container/heap"
 	"dyntc/internal/rbsts"
-	"sort"
-
 	"dyntc/internal/semiring"
 	"dyntc/internal/tree"
 )
 
-// sortSlice sorts records with the given less function.
-func sortSlice(recs []*Record, less func(a, b *Record) bool) {
-	sort.Slice(recs, func(i, j int) bool { return less(recs[i], recs[j]) })
+// timeKey packs a record's schedule time (Round, V.ID) into one word that
+// compares as the pair does. Node IDs index a slice of pointers, so 32
+// bits hold them with room to spare.
+func timeKey(r *Record) uint64 { return uint64(r.Round)<<32 | uint64(uint32(r.V.ID)) }
+
+// timeLess orders records by schedule time (round, raked-leaf ID).
+func timeLess(a, b *Record) bool { return timeKey(a) < timeKey(b) }
+
+// worklist is a binary min-heap of records ordered by timeKey: the wound
+// is healed in schedule order. The key is packed at push time — rounds
+// are final before a pass pushes anything — so ordering the heap never
+// follows a pointer. The sift steps compare exactly as container/heap's
+// do, which keeps the pop order of the historical heap.
+type worklist []workItem
+
+type workItem struct {
+	key uint64
+	r   *Record
 }
 
-// recHeap is a min-heap of records ordered by (Round, V.ID): the wound is
-// healed in schedule order.
-type recHeap []*Record
-
-func (h recHeap) Len() int { return len(h) }
-func (h recHeap) Less(i, j int) bool {
-	if h[i].Round != h[j].Round {
-		return h[i].Round < h[j].Round
+func (w *worklist) push(r *Record) {
+	h := append(*w, workItem{})
+	it := workItem{timeKey(r), r}
+	j := len(h) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if h[i].key <= it.key {
+			break
+		}
+		h[j] = h[i]
+		j = i
 	}
-	return h[i].V.ID < h[j].V.ID
+	h[j] = it
+	*w = h
 }
-func (h recHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *recHeap) Push(x interface{}) { *h = append(*h, x.(*Record)) }
-func (h *recHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	r := old[n-1]
-	*h = old[:n-1]
-	return r
+
+// pop removes and returns the earliest record with the key it was pushed
+// under; the list must not be empty.
+func (w *worklist) pop() (uint64, *Record) {
+	h := *w
+	n := len(h) - 1
+	top, it := h[0], h[n]
+	h[n] = workItem{} // let go of the record
+	h = h[:n]
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j+1 < n && h[j+1].key < h[j].key {
+			j++
+		}
+		if h[j].key >= it.key {
+			break
+		}
+		h[i] = h[j]
+		i = j
+	}
+	if n > 0 {
+		h[i] = it
+	}
+	*w = h
+	return top.key, top.r
+}
+
+// reset empties the list, keeping its storage for the next wave.
+func (w *worklist) reset() {
+	clear(*w)
+	*w = (*w)[:0]
 }
 
 // SetValue updates a single leaf value and heals the wound: the chain of
@@ -58,8 +101,8 @@ func (c *Contraction) SetValues(leaves []*tree.Node, values []int64) {
 	// Step 1: wound location / processor activation over PT (Thm 2.1).
 	ptLeaves := make([]*ptNode, len(leaves))
 	for i, l := range leaves {
-		pl, ok := c.ptLeaf[l]
-		if !ok {
+		pl := c.slot(l).ptLeaf
+		if pl == nil {
 			panic("core: SetValues on a node that is not a live leaf")
 		}
 		ptLeaves[i] = pl
@@ -71,13 +114,11 @@ func (c *Contraction) SetValues(leaves []*tree.Node, values []int64) {
 		c.T.SetValue(l, values[i])
 	}
 
-	var seeds []*Record
+	pp := c.beginPass()
 	for _, l := range leaves {
-		if r := c.firstTouch[l]; r != nil {
-			seeds = append(seeds, r)
-		}
+		pp.enqueue(c.slot(l).firstTouch, false)
 	}
-	c.heal(seeds)
+	c.heal()
 
 	if c.pt.Len() == 1 {
 		c.rootValue = c.survivor.Value
@@ -98,66 +139,26 @@ func (c *Contraction) SetOps(nodes []*tree.Node, ops []semiring.Op) {
 		panic("core: SetOps length mismatch")
 	}
 	c.lastHeal = HealStats{}
-	var seeds []*Record
+	pp := c.beginPass()
 	for i, n := range nodes {
 		c.T.SetOp(n, ops[i])
-		if r := c.removedBy[n]; r != nil {
-			seeds = append(seeds, r)
-		}
+		pp.enqueue(c.slot(n).removedBy, false)
 	}
-	c.heal(seeds)
+	c.heal()
 }
 
-// heal re-executes the wound: starting from the seed records, each record
-// recomputes its labels from its producers; when its output changes, the
-// consumer joins the worklist. Records are processed in (round, ID) order,
-// so all producers of a record are final before it runs. One parallel step
-// is charged per distinct wound round.
-func (c *Contraction) heal(seeds []*Record) {
-	h := &recHeap{}
-	for _, r := range seeds {
-		if !r.dirty {
-			r.dirty = true
-			heap.Push(h, r)
-		}
+// heal re-executes a label wound: starting from the enqueued seed
+// records, each record recomputes its labels from its producers; when its
+// output changes, the consumer joins the worklist. Records are processed
+// in (round, ID) order, so all producers of a record are final before it
+// runs. One parallel step is charged per distinct wound round. It is the
+// structural pass's drain loop (propPass.run) with nothing marked for
+// structural re-execution and no budget.
+func (c *Contraction) heal() {
+	if reason := c.pass.run(0); reason != "" {
+		panic("core: label heal abandoned: " + reason)
 	}
-	lastRound := -1
-	roundCount := 0
-	for h.Len() > 0 {
-		r := heap.Pop(h).(*Record)
-		r.dirty = false
-		if r.Round != lastRound {
-			roundCount++
-			lastRound = r.Round
-			// The records of one wound round re-execute as one parallel
-			// step; peeking ahead for exact grouping is unnecessary for
-			// the meters (work is charged per record below).
-		}
-		c.machine.ChargeSpan(0, 1, 1)
-		c.lastHeal.WoundRecords++
-
-		r.Lv = c.labelFromProducer(r.VPrev, r.V)
-		r.LpIn = c.labelFromProducer(r.PPrev, r.P)
-		r.LwIn = c.labelFromProducer(r.WPrev, r.W)
-		lpOut := r.LpIn.Compose(c.ring, r.P.Op.Partial(c.ring, r.Lv.B))
-		out := lpOut.Compose(c.ring, r.LwIn)
-		if out == r.LwOut {
-			continue // wound healed locally; nothing propagates
-		}
-		r.LwOut = out
-		if r.Next != nil {
-			if !r.Next.dirty {
-				r.Next.dirty = true
-				heap.Push(h, r.Next)
-			}
-		} else {
-			// The final record of the survivor's chain: refresh the root.
-			c.rootValue = out.B
-		}
-	}
-	c.lastHeal.WoundRounds = roundCount
-	c.machine.ChargeSpan(int64(roundCount), 0, 1)
-	c.lastHeal.TotalRecords = len(c.recOf)
+	c.lastHeal.TotalRecords = c.records
 }
 
 // labelFromProducer returns the node's label as of a record's execution:
@@ -198,8 +199,8 @@ func (c *Contraction) AddLeaves(ops []AddOp) [][2]*tree.Node {
 	insOps := make([]rbsts.InsertOp[*tree.Node], 0, len(ops))
 	oldLeaves := make([]*ptNode, 0, len(ops))
 	for _, op := range ops {
-		pl, ok := c.ptLeaf[op.Leaf]
-		if !ok {
+		pl := c.slot(op.Leaf).ptLeaf
+		if pl == nil {
 			panic("core: AddLeaves on a node that is not a live leaf")
 		}
 		insOps = append(insOps, rbsts.InsertOp[*tree.Node]{Gap: pl.Index(), Payloads: nil})
@@ -211,17 +212,18 @@ func (c *Contraction) AddLeaves(ops []AddOp) [][2]*tree.Node {
 		out[i] = [2]*tree.Node{l, r}
 		insOps[i].Payloads = []*tree.Node{l, r}
 	}
+	c.growSlots()
 	rep := c.pt.BatchInsert(c.machine, insOps)
 	c.lastHeal.RebuildLeaves += rep.RebuildLeaves
 	for i := range ops {
-		c.ptLeaf[out[i][0]] = rep.NewLeaves[2*i]
-		c.ptLeaf[out[i][1]] = rep.NewLeaves[2*i+1]
+		c.slot(out[i][0]).ptLeaf = rep.NewLeaves[2*i]
+		c.slot(out[i][1]).ptLeaf = rep.NewLeaves[2*i+1]
 	}
 	drep := c.pt.BatchDelete(c.machine, oldLeaves)
 	c.lastHeal.RebuildLeaves += drep.RebuildLeaves
 	deleted := make([]*tree.Node, 0, len(ops))
 	for _, op := range ops {
-		delete(c.ptLeaf, op.Leaf)
+		c.slot(op.Leaf).ptLeaf = nil
 		deleted = append(deleted, op.Leaf)
 	}
 	// The expanded leaves left the leaf set (their records die) and their
@@ -250,7 +252,7 @@ func (c *Contraction) RemoveLeaves(ops []RemoveOp) {
 		if n.IsLeaf() || !n.Left.IsLeaf() || !n.Right.IsLeaf() {
 			panic("core: RemoveLeaves requires an internal node with two leaf children")
 		}
-		pl, pr := c.ptLeaf[n.Left], c.ptLeaf[n.Right]
+		pl, pr := c.slot(n.Left).ptLeaf, c.slot(n.Right).ptLeaf
 		if pl == nil || pr == nil {
 			panic("core: RemoveLeaves children not tracked")
 		}
@@ -260,15 +262,15 @@ func (c *Contraction) RemoveLeaves(ops []RemoveOp) {
 	rep := c.pt.BatchInsert(c.machine, insOps)
 	c.lastHeal.RebuildLeaves += rep.RebuildLeaves
 	for i, op := range ops {
-		c.ptLeaf[op.Node] = rep.NewLeaves[i]
+		c.slot(op.Node).ptLeaf = rep.NewLeaves[i]
 	}
 	drep := c.pt.BatchDelete(c.machine, oldLeaves)
 	c.lastHeal.RebuildLeaves += drep.RebuildLeaves
 	deleted := make([]*tree.Node, 0, 2*len(ops))
 	relabeled := make([]*tree.Node, 0, len(ops))
 	for _, op := range ops {
-		delete(c.ptLeaf, op.Node.Left)
-		delete(c.ptLeaf, op.Node.Right)
+		c.slot(op.Node.Left).ptLeaf = nil
+		c.slot(op.Node.Right).ptLeaf = nil
 		deleted = append(deleted, op.Node.Left, op.Node.Right)
 		c.T.DeleteChildren(op.Node, op.NewValue)
 		// The collapsed node's initial label flipped from Identity to

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"container/heap"
-
 	"dyntc/internal/rbsts"
 	"dyntc/internal/tree"
 )
@@ -21,7 +19,9 @@ import (
 // u still carries its initial state from T. Which node occupies a given
 // child slot at time t resolves by walking removedBy from the original T
 // child: each removal splices the removed node's surviving sibling up
-// into its place.
+// into its place. The chain heads (firstTouch), removedBy and the record
+// of each raked leaf are fields of the node's entry in the Contraction's
+// ID-indexed slot table, so resolving one node reads one 32-byte slot.
 //
 // A structural wave seeds the worklist with exactly the records whose
 // schedule inputs changed — the gaps of rebuilt PT subtrees, of surviving
@@ -41,18 +41,25 @@ import (
 //
 // Full re-simulation remains the fallback: the CorePropagate gate, full
 // PT rebuilds, tiny trees, blown budgets and any detected chain
-// inconsistency all divert to simulate(), which rebuilds every map from
-// scratch and is therefore always safe to run mid-repair.
+// inconsistency all divert to simulate() and say which in
+// HealStats.ResimReason. simulate() clears every slot's trace fields and
+// builds fresh records, so it is always safe to run mid-repair.
+//
+// A wave allocates only the records of new gaps: the worklist (a typed
+// heap keyed by the packed schedule time) and the seed scratch belong to
+// the Contraction and are reused from wave to wave.
 
 // minPropagateLeaves is the PT size below which structural waves simply
 // re-simulate: the trace is so small that propagation bookkeeping costs
 // more than it saves.
 const minPropagateLeaves = 8
 
-// propPass is the state of one change-propagation pass over the trace.
+// propPass is the state of one pass over the trace, label-only or
+// structural. The Contraction owns the one instance and beginPass resets
+// it, so the storage of h, toSeed and toWake carries over.
 type propPass struct {
 	c *Contraction
-	h recHeap
+	h worklist
 
 	// steps counts chain-walk and occupant-walk steps; processed counts
 	// executed records. Both are budgeted: a wound that stops looking
@@ -60,17 +67,42 @@ type propPass struct {
 	steps     int
 	maxSteps  int
 	processed int
-	failed    bool
+	// failed names why the pass must be abandoned (a ResimReason), empty
+	// while it is sound.
+	failed string
+
+	// toSeed and toWake hold phase 1's records until every round is
+	// rewritten: a key packed before that could be stale.
+	toSeed, toWake []*Record
 }
 
-func newPropPass(c *Contraction) *propPass { return &propPass{c: c} }
+// beginPass readies the Contraction's pass for a new wave.
+func (c *Contraction) beginPass() *propPass {
+	pp := &c.pass
+	pp.h.reset()
+	clear(pp.toSeed)
+	clear(pp.toWake)
+	pp.toSeed, pp.toWake = pp.toSeed[:0], pp.toWake[:0]
+	pp.steps, pp.maxSteps, pp.processed, pp.failed = 0, 0, 0, ""
+	return pp
+}
 
-// timeLess orders records by schedule time (round, raked-leaf ID).
-func timeLess(a, b *Record) bool {
-	if a.Round != b.Round {
-		return a.Round < b.Round
+// fail abandons the pass; the first reason given stands.
+func (pp *propPass) fail(reason string) {
+	if pp.failed == "" {
+		pp.failed = reason
 	}
-	return a.V.ID < b.V.ID
+}
+
+// step charges one chain-walk step against the pass's budget and reports
+// whether the walk may go on.
+func (pp *propPass) step() bool {
+	pp.steps++
+	if pp.maxSteps > 0 && pp.steps > pp.maxSteps {
+		pp.fail(ResimBudget)
+		return false
+	}
+	return true
 }
 
 // prevIn returns m's predecessor link for participant u.
@@ -115,7 +147,7 @@ func (pp *propPass) enqueue(r *Record, structural bool) {
 	}
 	if !r.dirty {
 		r.dirty = true
-		heap.Push(&pp.h, r)
+		pp.h.push(r)
 	}
 }
 
@@ -130,7 +162,7 @@ func (pp *propPass) findPos(u *tree.Node, at, skip *Record) (prev, next *Record)
 		}
 		return n
 	}
-	cur := pp.c.firstTouch[u]
+	cur := pp.c.slot(u).firstTouch
 	if cur == skip {
 		cur = nextIn(skip, u)
 	}
@@ -138,9 +170,7 @@ func (pp *propPass) findPos(u *tree.Node, at, skip *Record) (prev, next *Record)
 		return nil, cur
 	}
 	for {
-		pp.steps++
-		if pp.maxSteps > 0 && pp.steps > pp.maxSteps {
-			pp.failed = true
+		if !pp.step() {
 			return nil, nil
 		}
 		nxt := step(cur)
@@ -162,12 +192,10 @@ func (pp *propPass) occupant(p *tree.Node, left bool, at *Record) *tree.Node {
 		n = p.Right
 	}
 	for n != nil {
-		pp.steps++
-		if pp.maxSteps > 0 && pp.steps > pp.maxSteps {
-			pp.failed = true
+		if !pp.step() {
 			return nil
 		}
-		rb := pp.c.removedBy[n]
+		rb := pp.c.slot(n).removedBy
 		if rb == nil || rb.dead || rb == at || !timeLess(rb, at) {
 			return n
 		}
@@ -186,7 +214,7 @@ func (pp *propPass) chained(r *Record, u *tree.Node) bool {
 	if prev != nil {
 		return prev.W == u && prev.Next == r
 	}
-	return pp.c.firstTouch[u] == r
+	return pp.c.slot(u).firstTouch == r
 }
 
 // touches reports whether u is a stored participant of m.
@@ -213,10 +241,8 @@ func (pp *propPass) unchain(r *Record) {
 		next := nextIn(r, u)
 		if prev != nil {
 			prev.Next = next
-		} else if next != nil {
-			c.firstTouch[u] = next
 		} else {
-			delete(c.firstTouch, u)
+			c.slot(u).firstTouch = next
 		}
 		if next != nil && touches(next, u) {
 			setPrevIn(next, u, prev)
@@ -227,6 +253,7 @@ func (pp *propPass) unchain(r *Record) {
 // kill removes a record whose gap no longer exists. Successors that
 // lose r as their producer are woken structurally.
 func (pp *propPass) kill(r *Record) {
+	c := pp.c
 	r.dead = true
 	if r.P != nil {
 		for _, u := range [3]*tree.Node{r.V, r.P, r.W} {
@@ -237,10 +264,8 @@ func (pp *propPass) kill(r *Record) {
 			next := nextIn(r, u)
 			if prev != nil {
 				prev.Next = next
-			} else if next != nil {
-				pp.c.firstTouch[u] = next
 			} else {
-				delete(pp.c.firstTouch, u)
+				c.slot(u).firstTouch = next
 			}
 			if next != nil {
 				if touches(next, u) {
@@ -249,12 +274,13 @@ func (pp *propPass) kill(r *Record) {
 				pp.enqueue(next, true)
 			}
 		}
-		if pp.c.removedBy[r.P] == r {
-			delete(pp.c.removedBy, r.P)
+		if s := c.slot(r.P); s.removedBy == r {
+			s.removedBy = nil
 		}
 	}
-	if pp.c.recOf[r.V] == r {
-		delete(pp.c.recOf, r.V)
+	if s := c.slot(r.V); s.rec == r {
+		s.rec = nil
+		c.records--
 	}
 }
 
@@ -263,9 +289,7 @@ func (pp *propPass) kill(r *Record) {
 // forward links still reach within u's old chain must re-resolve.
 func (pp *propPass) wakeTail(m *Record, u *tree.Node) {
 	for m != nil {
-		pp.steps++
-		if pp.maxSteps > 0 && pp.steps > pp.maxSteps {
-			pp.failed = true
+		if !pp.step() {
 			return
 		}
 		pp.enqueue(m, true)
@@ -283,9 +307,7 @@ func (pp *propPass) wakeTail(m *Record, u *tree.Node) {
 func (pp *propPass) enqueueGReader(r *Record) {
 	z := r.Next
 	for z != nil && z.W == r.W {
-		pp.steps++
-		if pp.maxSteps > 0 && pp.steps > pp.maxSteps {
-			pp.failed = true
+		if !pp.step() {
 			return
 		}
 		z = z.Next
@@ -312,7 +334,7 @@ func (pp *propPass) reexec(r *Record) {
 	var vLeft bool
 	if vPrev != nil {
 		if vPrev.W != v {
-			pp.failed = true
+			pp.fail(ResimSanity)
 			return
 		}
 		p = vPrev.G
@@ -322,22 +344,22 @@ func (pp *propPass) reexec(r *Record) {
 		vLeft = p != nil && p.Left == v
 	}
 	if p == nil {
-		pp.failed = true
+		pp.fail(ResimSanity)
 		return
 	}
 	w := pp.occupant(p, !vLeft, r)
 	if w == nil || w == v {
-		pp.failed = true
+		pp.fail(ResimSanity)
 		return
 	}
 	pPrev, pNext := pp.findPos(p, r, r)
 	wPrev, wNext := pp.findPos(w, r, r)
 	if pPrev != nil && pPrev.W != p {
-		pp.failed = true
+		pp.fail(ResimSanity)
 		return
 	}
 	if wPrev != nil && wPrev.W != w {
-		pp.failed = true
+		pp.fail(ResimSanity)
 		return
 	}
 
@@ -351,6 +373,7 @@ func (pp *propPass) reexec(r *Record) {
 		wLeft = g != nil && g.Left == p
 	}
 
+	pSlot := c.slot(p)
 	r.P, r.W, r.G, r.WLeft = p, w, g, wLeft
 	if pPrev != nil {
 		r.Prep = pPrev.Prep
@@ -374,14 +397,14 @@ func (pp *propPass) reexec(r *Record) {
 	if vPrev != nil {
 		vPrev.Next = r
 	} else {
-		c.firstTouch[v] = r
+		c.slot(v).firstTouch = r
 	}
 	pp.wakeTail(vNext, v)
 	r.PPrev = pPrev
 	if pPrev != nil {
 		pPrev.Next = r
 	} else {
-		c.firstTouch[p] = r
+		pSlot.firstTouch = r
 	}
 	pp.wakeTail(pNext, p)
 	// r touches w as survivor, carrying the chain through Next.
@@ -389,7 +412,7 @@ func (pp *propPass) reexec(r *Record) {
 	if wPrev != nil {
 		wPrev.Next = r
 	} else {
-		c.firstTouch[w] = r
+		c.slot(w).firstTouch = r
 	}
 	r.Next = wNext
 	if wNext != nil {
@@ -409,18 +432,20 @@ func (pp *propPass) reexec(r *Record) {
 
 	// Removal bookkeeping: r now removes p. The map always reflects the
 	// newest final knowledge; a displaced stale claimant re-resolves.
-	if wasLinked && oldP != p && c.removedBy[oldP] == r {
-		delete(c.removedBy, oldP)
+	if wasLinked && oldP != p {
+		if s := c.slot(oldP); s.removedBy == r {
+			s.removedBy = nil
+		}
 	}
-	if prior := c.removedBy[p]; prior != nil && prior != r && !prior.dead {
+	if prior := pSlot.removedBy; prior != nil && prior != r && !prior.dead {
 		if timeLess(r, prior) {
 			pp.enqueue(prior, true)
 		} else {
-			pp.failed = true
+			pp.fail(ResimSanity)
 			return
 		}
 	}
-	c.removedBy[p] = r
+	pSlot.removedBy = r
 
 	// Consumer wake-ups for outputs that actually changed.
 	if r.LwOut != oldOut {
@@ -442,7 +467,7 @@ func (pp *propPass) reexec(r *Record) {
 			if q == nil {
 				continue
 			}
-			if rb := c.removedBy[q]; rb != nil && rb != r && !rb.dead && timeLess(r, rb) {
+			if rb := c.slot(q).removedBy; rb != nil && rb != r && !rb.dead && timeLess(r, rb) {
 				pp.enqueue(rb, true)
 			}
 		}
@@ -450,7 +475,7 @@ func (pp *propPass) reexec(r *Record) {
 			if q == nil || (q == oldW && !wasLinked) {
 				continue
 			}
-			if qr := c.recOf[q]; qr != nil && qr != r && !qr.dead && timeLess(r, qr) {
+			if qr := c.slot(q).rec; qr != nil && qr != r && !qr.dead && timeLess(r, qr) {
 				pp.enqueue(qr, true)
 			}
 		}
@@ -478,17 +503,19 @@ func (pp *propPass) healLabels(r *Record) {
 	}
 }
 
-// run drains the worklist in schedule order. It returns false when the
-// pass must be abandoned (inconsistency or blown budget); the caller
-// then falls back to a full re-simulation, which rebuilds all state and
-// is safe after a partial repair.
-func (pp *propPass) run(budget int) bool {
+// run drains the worklist in schedule order, label wounds and structural
+// re-executions alike. It returns "" when the wound is healed, else the
+// reason the pass must be abandoned (inconsistency or blown budget); a
+// structural caller then falls back to a full re-simulation, which
+// rebuilds all state and is safe after a partial repair. budget 0 means
+// none.
+func (pp *propPass) run(budget int) string {
 	c := pp.c
-	var last *Record
+	var lastKey uint64
 	lastRound := -1
 	roundCount := 0
-	for pp.h.Len() > 0 {
-		r := heap.Pop(&pp.h).(*Record)
+	for len(pp.h) > 0 {
+		key, r := pp.h.pop()
 		if !r.dirty {
 			continue
 		}
@@ -497,10 +524,10 @@ func (pp *propPass) run(budget int) bool {
 			r.structDirty = false
 			continue
 		}
-		if last != nil && timeLess(r, last) {
-			return false // final-prefix invariant violated
+		if key < lastKey {
+			return ResimOrder // final-prefix invariant violated
 		}
-		last = r
+		lastKey = key
 		if r.Round != lastRound {
 			roundCount++
 			lastRound = r.Round
@@ -515,26 +542,27 @@ func (pp *propPass) run(budget int) bool {
 		} else {
 			pp.healLabels(r)
 		}
-		if pp.failed {
-			return false
+		if pp.failed != "" {
+			return pp.failed
 		}
 		if budget > 0 && (pp.processed > budget || pp.steps > 16*budget) {
-			return false // wound is not local; re-simulate instead
+			return ResimBudget // wound is not local; re-simulate instead
 		}
 	}
 	c.lastHeal.WoundRounds = roundCount
 	c.machine.ChargeSpan(int64(roundCount), 0, 1)
-	return true
+	return ""
 }
 
 // resimulate is the structural fallback: rebuild the whole trace and
-// account for it in the wave's heal stats.
-func (c *Contraction) resimulate() {
+// account for it, with the reason, in the wave's heal stats.
+func (c *Contraction) resimulate(reason string) {
 	c.simulate()
 	c.lastHeal.Resimulated = true
-	c.lastHeal.WoundRecords = len(c.recOf)
+	c.lastHeal.ResimReason = reason
+	c.lastHeal.WoundRecords = c.records
 	c.lastHeal.StructRecords = 0
-	c.lastHeal.TotalRecords = len(c.recOf)
+	c.lastHeal.TotalRecords = c.records
 }
 
 // attached reports whether x is still reachable from the current PT
@@ -552,6 +580,43 @@ func (c *Contraction) attached(x *ptNode) bool {
 	return a == c.pt.Root()
 }
 
+// seedGap reschedules the gap of PT node x: its record is created if the
+// gap is new, pulled out of its chains if its round moved, and queued for
+// structural re-execution either way.
+func (pp *propPass) seedGap(x *ptNode) {
+	c := pp.c
+	v := x.GapLeaf().Payload()
+	s := c.slot(v)
+	r := s.rec
+	if r == nil {
+		r = &Record{V: v, Round: x.Height()}
+		s.rec = r
+		c.records++
+	} else if r.Round != x.Height() {
+		// Rescheduled: pull r out of its chains now — a record linked
+		// at its old position under a new time key would corrupt every
+		// walk past it — and wake the successor that read its outputs
+		// (it may now precede r's new firing time, so r's own
+		// re-execution could come too late to wake it).
+		pp.unchain(r)
+		r.Round = x.Height()
+		if r.Next != nil {
+			pp.toWake = append(pp.toWake, r.Next)
+		}
+	}
+	pp.toSeed = append(pp.toSeed, r)
+}
+
+// seedSubtree seeds every gap of the PT subtree under x.
+func (pp *propPass) seedSubtree(x *ptNode) {
+	if x.IsLeaf() {
+		return
+	}
+	pp.seedGap(x)
+	pp.seedSubtree(x.Left())
+	pp.seedSubtree(x.Right())
+}
+
 // propagateStructural repairs the trace after PT mutations described by
 // the rebuild reports. deleted lists T nodes removed from PT's leaf set
 // (their records die); relabeled lists T nodes whose initial label
@@ -560,72 +625,46 @@ func (c *Contraction) attached(x *ptNode) bool {
 func (c *Contraction) propagateStructural(reps []rbsts.Report[*tree.Node, struct{}], deleted, relabeled []*tree.Node) {
 	for _, rp := range reps {
 		if rp.FullRebuild {
-			c.resimulate()
+			c.resimulate(ResimFullRebuild)
 			return
 		}
 	}
-	if c.noPropagate || c.pt.Len() < minPropagateLeaves {
-		c.resimulate()
+	if c.noPropagate {
+		c.resimulate(ResimGate)
+		return
+	}
+	if c.pt.Len() < minPropagateLeaves {
+		c.resimulate(ResimTiny)
 		return
 	}
 
-	pp := newPropPass(c)
+	pp := c.beginPass()
 
 	// Phase 1: reschedule every gap whose round or raked leaf changed.
 	// Rounds are final here (PT is fully mutated) and all rewritten
 	// before anything is pushed, so every heap key is stable for the
 	// whole pass.
-	var toSeed, toWake []*Record
-	seedGap := func(x *ptNode) {
-		v := x.GapLeaf().Payload()
-		r := c.recOf[v]
-		if r == nil {
-			r = &Record{V: v, Round: x.Height()}
-			c.recOf[v] = r
-		} else if r.Round != x.Height() {
-			// Rescheduled: pull r out of its chains now — a record linked
-			// at its old position under a new time key would corrupt every
-			// walk past it — and wake the successor that read its outputs
-			// (it may now precede r's new firing time, so r's own
-			// re-execution could come too late to wake it).
-			pp.unchain(r)
-			r.Round = x.Height()
-			if r.Next != nil {
-				toWake = append(toWake, r.Next)
-			}
-		}
-		toSeed = append(toSeed, r)
-	}
-	var walk func(x *ptNode)
-	walk = func(x *ptNode) {
-		if x.IsLeaf() {
-			return
-		}
-		seedGap(x)
-		walk(x.Left())
-		walk(x.Right())
-	}
 	for _, rp := range reps {
 		for _, sub := range rp.Rebuilt {
 			if c.attached(sub) {
-				walk(sub)
+				pp.seedSubtree(sub)
 			}
 		}
 		for _, x := range rp.HeightChanged {
 			if !x.IsLeaf() && c.attached(x) {
-				seedGap(x)
+				pp.seedGap(x)
 			}
 		}
 		for _, x := range rp.GapRelinked {
 			if !x.IsLeaf() && c.attached(x) {
-				seedGap(x)
+				pp.seedGap(x)
 			}
 		}
 	}
-	for _, r := range toSeed {
+	for _, r := range pp.toSeed {
 		pp.enqueue(r, true)
 	}
-	for _, r := range toWake {
+	for _, r := range pp.toWake {
 		pp.enqueue(r, true)
 	}
 
@@ -633,12 +672,12 @@ func (c *Contraction) propagateStructural(reps []rbsts.Report[*tree.Node, struct
 	// records, and the record of a surviving leaf that became the tail
 	// (its right neighborhood was deleted, taking the gap with it).
 	for _, u := range deleted {
-		if r := c.recOf[u]; r != nil {
+		if r := c.slot(u).rec; r != nil {
 			pp.kill(r)
 		}
 	}
 	if t := c.pt.Tail(); t != nil {
-		if r := c.recOf[t.Payload()]; r != nil {
+		if r := c.slot(t.Payload()).rec; r != nil {
 			pp.kill(r)
 		}
 	}
@@ -646,15 +685,13 @@ func (c *Contraction) propagateStructural(reps []rbsts.Report[*tree.Node, struct
 	// Phase 3: label wounds at T nodes whose initial label flipped
 	// between Const and Identity.
 	for _, u := range relabeled {
-		if ft := c.firstTouch[u]; ft != nil {
-			pp.enqueue(ft, true)
-		}
+		pp.enqueue(c.slot(u).firstTouch, true)
 	}
 
 	budget := c.pt.Len()/2 + 64
 	pp.maxSteps = 16*budget + 4096
-	if !pp.run(budget) {
-		c.resimulate()
+	if reason := pp.run(budget); reason != "" {
+		c.resimulate(reason)
 		return
 	}
 
@@ -665,9 +702,9 @@ func (c *Contraction) propagateStructural(reps []rbsts.Report[*tree.Node, struct
 	if c.pt.Len() == 1 {
 		c.rootValue = c.survivor.Value
 	} else {
-		last := c.firstTouch[c.survivor]
+		last := c.slot(c.survivor).firstTouch
 		if last == nil {
-			c.resimulate()
+			c.resimulate(ResimSanity)
 			return
 		}
 		for {
@@ -678,10 +715,10 @@ func (c *Contraction) propagateStructural(reps []rbsts.Report[*tree.Node, struct
 			last = nxt
 		}
 		if last.W != c.survivor || last.LwOut.A != c.ring.Zero() {
-			c.resimulate()
+			c.resimulate(ResimSanity)
 			return
 		}
 		c.rootValue = last.LwOut.B
 	}
-	c.lastHeal.TotalRecords = len(c.recOf)
+	c.lastHeal.TotalRecords = c.records
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"dyntc/internal/prng"
@@ -140,9 +141,13 @@ func TestPropagationTwinOracle(t *testing.T) {
 					if !cA.LastHeal().Resimulated {
 						propagated++
 					}
-					if cB.LastHeal().Resimulated != true {
-						t.Fatalf("step %d: gate-off twin must re-simulate", step)
+					if hB := cB.LastHeal(); !hB.Resimulated || hB.ResimReason != ResimGate {
+						t.Fatalf("step %d: gate-off twin must re-simulate for reason %q, got %+v", step, ResimGate, hB)
 					}
+				}
+				if hA := cA.LastHeal(); hA.Resimulated != slices.Contains(ResimReasons[:], hA.ResimReason) ||
+					(!hA.Resimulated && hA.ResimReason != "") {
+					t.Fatalf("step %d: fallback not attributed: %+v", step, hA)
 				}
 				if got, want := cA.RootValue(), cB.RootValue(); got != want {
 					t.Fatalf("step %d: root %d, twin %d", step, got, want)
@@ -177,6 +182,44 @@ func TestPropagationTwinOracle(t *testing.T) {
 	}
 }
 
+// TestResimReasons pins the attribution of the fallbacks a test can
+// provoke directly: a tree under the propagation floor (where PT may
+// also rebuild from its root) and the gate. order, budget and sanity
+// need a wound that goes wrong.
+func TestResimReasons(t *testing.T) {
+	ring := semiring.MaxPlus{}
+	grow := func(c *Contraction, leaf *tree.Node) HealStats {
+		c.AddLeaves([]AddOp{{Leaf: leaf, Op: semiring.OpAdd(ring), LeftVal: 1, RightVal: 2}})
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return c.LastHeal()
+	}
+
+	tr := tree.New(ring, 1)
+	c := New(tr, 3, nil)
+	for tr.LeafCount() < minPropagateLeaves-1 {
+		hs := grow(c, tr.Leaves()[0])
+		if !hs.Resimulated || (hs.ResimReason != ResimTiny && hs.ResimReason != ResimFullRebuild) {
+			t.Fatalf("%d leaves: %+v", tr.LeafCount(), hs)
+		}
+	}
+
+	big := tree.Generate(ring, prng.New(5), 256, tree.ShapeRandom)
+	c = New(big, 7, nil)
+	if hs := grow(c, big.Leaves()[17]); hs.Resimulated || hs.ResimReason != "" {
+		t.Fatalf("k=1 wave on 256 leaves fell back: %+v", hs)
+	}
+	c.SetPropagate(false)
+	if hs := grow(c, big.Leaves()[40]); hs.ResimReason != ResimGate {
+		t.Fatalf("gate off: %+v", hs)
+	}
+	c.SetValue(big.Leaves()[3], 9)
+	if hs := c.LastHeal(); hs.Resimulated || hs.ResimReason != "" {
+		t.Fatalf("label wave carries a fallback: %+v", hs)
+	}
+}
+
 // TestPropagationDeterminism asserts that two identical propagating runs
 // produce bit-identical traces, heal statistics and PRAM meters.
 func TestPropagationDeterminism(t *testing.T) {
@@ -193,6 +236,9 @@ func TestPropagationDeterminism(t *testing.T) {
 		var log []obs
 		for step := 0; step < 80; step++ {
 			applyStep(t, ring, tr, c, planStep(wrk, tr))
+			if err := c.Validate(); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
 			log = append(log, obs{heal: c.LastHeal(), root: c.RootValue()})
 		}
 		m := c.Machine().Metrics()
@@ -255,12 +301,13 @@ func TestSmallWavePropagatesOnLargeTree(t *testing.T) {
 // bit-identity half of the propagation contract: propagation must leave
 // exactly the trace a full re-simulation would build.
 func (c *Contraction) validateTrace() error {
-	liveRec, liveRem, liveFirst := c.recOf, c.removedBy, c.firstTouch
+	live, liveN := c.slots, c.records
 	liveRoot, liveSurv := c.rootValue, c.survivor
+	c.slots = slices.Clone(live) // simulate rewrites the table in place
 	c.simulate()
-	oraRec, oraRem, oraFirst := c.recOf, c.removedBy, c.firstTouch
+	ora, oraN := c.slots, c.records
 	oraRoot, oraSurv := c.rootValue, c.survivor
-	c.recOf, c.removedBy, c.firstTouch = liveRec, liveRem, liveFirst
+	c.slots, c.records = live, liveN
 	c.rootValue, c.survivor = liveRoot, liveSurv
 
 	key := func(r *Record) int {
@@ -269,48 +316,46 @@ func (c *Contraction) validateTrace() error {
 		}
 		return r.V.ID
 	}
-	if len(liveRec) != len(oraRec) {
-		return fmt.Errorf("%d records want %d", len(liveRec), len(oraRec))
+	if liveN != oraN {
+		return fmt.Errorf("%d records want %d", liveN, oraN)
 	}
-	for v, o := range oraRec {
-		l := liveRec[v]
-		if l == nil {
-			return fmt.Errorf("missing record for leaf %d", v.ID)
+	for id := range ora {
+		l, o := live[id].rec, ora[id].rec
+		if (l == nil) != (o == nil) {
+			return fmt.Errorf("leaf %d: record %v want %v", id, l != nil, o != nil)
 		}
-		if l.Round != o.Round {
-			return fmt.Errorf("leaf %d: round %d want %d", v.ID, l.Round, o.Round)
+		if o != nil {
+			if l.V != o.V || l.Round != o.Round {
+				return fmt.Errorf("leaf %d: round %d want %d", id, l.Round, o.Round)
+			}
+			if l.P != o.P || l.W != o.W {
+				return fmt.Errorf("leaf %d: P/W differ", id)
+			}
+			if l.G != o.G || l.WLeft != o.WLeft {
+				return fmt.Errorf("leaf %d: G/WLeft differ", id)
+			}
+			if l.Prep != o.Prep || l.Wrep != o.Wrep {
+				return fmt.Errorf("leaf %d: Prep/Wrep differ", id)
+			}
+			if l.Lv != o.Lv || l.LpIn != o.LpIn || l.LwIn != o.LwIn || l.LwOut != o.LwOut {
+				return fmt.Errorf("leaf %d: labels differ", id)
+			}
+			if key(l.VPrev) != key(o.VPrev) || key(l.PPrev) != key(o.PPrev) ||
+				key(l.WPrev) != key(o.WPrev) || key(l.Next) != key(o.Next) {
+				return fmt.Errorf("leaf %d: chain links differ", id)
+			}
+			if l.dirty || l.structDirty || l.dead {
+				return fmt.Errorf("leaf %d: record left marked", id)
+			}
 		}
-		if l.P != o.P || l.W != o.W {
-			return fmt.Errorf("leaf %d: P/W differ", v.ID)
+		if key(live[id].removedBy) != key(ora[id].removedBy) {
+			return fmt.Errorf("removedBy[%d] differs", id)
 		}
-		if l.G != o.G || l.WLeft != o.WLeft {
-			return fmt.Errorf("leaf %d: G/WLeft differ", v.ID)
+		if key(live[id].firstTouch) != key(ora[id].firstTouch) {
+			return fmt.Errorf("firstTouch[%d] differs", id)
 		}
-		if l.Prep != o.Prep || l.Wrep != o.Wrep {
-			return fmt.Errorf("leaf %d: Prep/Wrep differ", v.ID)
-		}
-		if l.Lv != o.Lv || l.LpIn != o.LpIn || l.LwIn != o.LwIn || l.LwOut != o.LwOut {
-			return fmt.Errorf("leaf %d: labels differ", v.ID)
-		}
-		if key(l.VPrev) != key(o.VPrev) || key(l.PPrev) != key(o.PPrev) ||
-			key(l.WPrev) != key(o.WPrev) || key(l.Next) != key(o.Next) {
-			return fmt.Errorf("leaf %d: chain links differ", v.ID)
-		}
-	}
-	if len(liveRem) != len(oraRem) {
-		return fmt.Errorf("removedBy size %d want %d", len(liveRem), len(oraRem))
-	}
-	for n, o := range oraRem {
-		if l := liveRem[n]; l == nil || key(l) != key(o) {
-			return fmt.Errorf("removedBy[%d] differs", n.ID)
-		}
-	}
-	if len(liveFirst) != len(oraFirst) {
-		return fmt.Errorf("firstTouch size %d want %d", len(liveFirst), len(oraFirst))
-	}
-	for n, o := range oraFirst {
-		if l := liveFirst[n]; l == nil || key(l) != key(o) {
-			return fmt.Errorf("firstTouch[%d] differs", n.ID)
+		if live[id].ptLeaf != ora[id].ptLeaf {
+			return fmt.Errorf("ptLeaf[%d] moved under simulate", id)
 		}
 	}
 	if liveRoot != oraRoot {

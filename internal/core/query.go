@@ -23,7 +23,7 @@ func (c *Contraction) Value(n *tree.Node) int64 {
 // memo is what makes overlapping query paths cost their union, not their
 // sum).
 func (c *Contraction) ValuesBatch(nodes []*tree.Node) []int64 {
-	memo := make(map[*tree.Node]int64)
+	memo := make(map[int]int64) // by node ID
 	out := make([]int64, len(nodes))
 	work := 0
 	for i, n := range nodes {
@@ -38,7 +38,7 @@ func (c *Contraction) ValuesBatch(nodes []*tree.Node) []int64 {
 
 // value computes val(n) iteratively with an explicit stack so adversarially
 // deep dependency chains cannot overflow the goroutine stack.
-func (c *Contraction) value(n *tree.Node, memo map[*tree.Node]int64, work *int) int64 {
+func (c *Contraction) value(n *tree.Node, memo map[int]int64, work *int) int64 {
 	type frame struct {
 		n    *tree.Node
 		seen bool
@@ -47,14 +47,14 @@ func (c *Contraction) value(n *tree.Node, memo map[*tree.Node]int64, work *int) 
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if _, ok := memo[f.n]; ok {
+		if _, ok := memo[f.n.ID]; ok {
 			continue
 		}
 		if f.n.IsLeaf() {
-			memo[f.n] = f.n.Value
+			memo[f.n.ID] = f.n.Value
 			continue
 		}
-		r := c.removedBy[f.n]
+		r := c.slot(f.n).removedBy
 		if r == nil {
 			panic("core: query on a node outside the trace")
 		}
@@ -69,13 +69,13 @@ func (c *Contraction) value(n *tree.Node, memo map[*tree.Node]int64, work *int) 
 		*work++
 		var wVal int64
 		if dep != nil {
-			wVal = memo[dep]
+			wVal = memo[dep.ID]
 		} else {
 			wVal = r.LwIn.B // w was a leaf: its label is the constant value
 		}
-		memo[f.n] = f.n.Op.Eval(c.ring, r.Lv.B, wVal)
+		memo[f.n.ID] = f.n.Op.Eval(c.ring, r.Lv.B, wVal)
 	}
-	return memo[n]
+	return memo[n.ID]
 }
 
 // wSideDep returns the node whose memoized value feeds the w-side of the

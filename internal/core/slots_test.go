@@ -1,0 +1,215 @@
+package core
+
+// Tests of the flat trace state: the packed-key worklist against a
+// container/heap reference, the slot table across growth of T.Nodes, and
+// the per-record cost benchmark of a structural wave.
+
+import (
+	"container/heap"
+	"fmt"
+	"testing"
+
+	"dyntc/internal/prng"
+	"dyntc/internal/semiring"
+	"dyntc/internal/tree"
+)
+
+// refHeap is the historical worklist: container/heap over records ordered
+// by (Round, V.ID), comparing through the pointers.
+type refHeap []*Record
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].Round != h[j].Round {
+		return h[i].Round < h[j].Round
+	}
+	return h[i].V.ID < h[j].V.ID
+}
+func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(*Record)) }
+func (h *refHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	r := old[n-1]
+	*h = old[:n-1]
+	return r
+}
+
+// TestWorklistMatchesContainerHeap drives the worklist and the reference
+// with the same random interleaving of pushes, pops and re-pushes of
+// popped records, over multisets with many equal rounds. Every pop must
+// return the reference's record, and draining a batch pushed at once must
+// come out in sortRecords order.
+func TestWorklistMatchesContainerHeap(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 3, 4, 5} {
+		src := prng.New(seed)
+		n := 200 + src.Intn(800)
+		recs := make([]*Record, n)
+		for i := range recs {
+			recs[i] = &Record{V: &tree.Node{ID: i}, Round: src.Intn(12)}
+		}
+
+		var w worklist
+		ref := &refHeap{}
+		var popped []*Record
+		pop := func(step int) {
+			key, got := w.pop()
+			want := heap.Pop(ref).(*Record)
+			if got != want {
+				t.Fatalf("seed %d step %d: popped (%d,%d), reference (%d,%d)",
+					seed, step, got.Round, got.V.ID, want.Round, want.V.ID)
+			}
+			if key != timeKey(got) {
+				t.Fatalf("seed %d step %d: key %x, record packs to %x", seed, step, key, timeKey(got))
+			}
+			popped = append(popped, got)
+		}
+		next := 0
+		for step := 0; step < 4*n; step++ {
+			switch c := src.Intn(4); {
+			case c < 2 && next < n:
+				w.push(recs[next])
+				heap.Push(ref, recs[next])
+				next++
+			case c == 2 && len(popped) > 0:
+				// Re-push a record that already ran, as a consumer woken twice is.
+				i := src.Intn(len(popped))
+				r := popped[i]
+				popped[i] = popped[len(popped)-1]
+				popped = popped[:len(popped)-1]
+				w.push(r)
+				heap.Push(ref, r)
+			case len(w) > 0:
+				pop(step)
+			}
+			if len(w) != ref.Len() {
+				t.Fatalf("seed %d step %d: %d queued, reference %d", seed, step, len(w), ref.Len())
+			}
+		}
+		for len(w) > 0 {
+			pop(-1)
+		}
+
+		// One batch, drained: exactly the order simulate() executes in.
+		w.reset()
+		for _, i := range src.Perm(n) {
+			w.push(recs[i])
+		}
+		want := append([]*Record(nil), recs...)
+		sortRecords(want)
+		for i, r := range want {
+			if _, got := w.pop(); got != r {
+				t.Fatalf("seed %d: drain position %d is (%d,%d), sortRecords has (%d,%d)",
+					seed, i, got.Round, got.V.ID, r.Round, r.V.ID)
+			}
+		}
+		if len(w) != 0 || cap(w) == 0 {
+			t.Fatalf("seed %d: drained list has len %d cap %d", seed, len(w), cap(w))
+		}
+		for _, it := range w[:cap(w)] {
+			if it.r != nil {
+				t.Fatalf("seed %d: drained list still holds a record", seed)
+			}
+		}
+	}
+}
+
+// TestSlotTableGrowth churns grow/collapse waves until T.Nodes has
+// outgrown the slot table's allocation at least three times, checking the
+// slot invariants after every wave and the full trace oracle at each
+// reallocation and at the end.
+func TestSlotTableGrowth(t *testing.T) {
+	ring := semiring.NewMod(1_000_003)
+	src := prng.New(77)
+	tr := tree.Generate(ring, src, 64, tree.ShapeRandom)
+	c := New(tr, 78, nil)
+	initial := len(c.slots)
+
+	regrowths, lastCap := 0, cap(c.slots)
+	for wave := 0; regrowths < 3 || len(tr.Nodes) < 4*initial; wave++ {
+		if wave > 5000 {
+			t.Fatalf("no progress: %d node IDs, %d reallocations", len(tr.Nodes), regrowths)
+		}
+		leaves := tr.Leaves()
+		k := 1 + src.Intn(4)
+		ops := make([]AddOp, 0, k)
+		for _, i := range src.Perm(len(leaves))[:k] {
+			ops = append(ops, AddOp{Leaf: leaves[i], Op: semiring.OpAdd(ring),
+				LeftVal: int64(src.Intn(1000)), RightVal: int64(src.Intn(1000))})
+		}
+		pairs := c.AddLeaves(ops)
+		if err := c.Validate(); err != nil {
+			t.Fatalf("wave %d grow: %v", wave, err)
+		}
+		if cap(c.slots) != lastCap {
+			regrowths++
+			lastCap = cap(c.slots)
+			if err := c.validateTrace(); err != nil {
+				t.Fatalf("wave %d, table reallocated to %d: %v", wave, lastCap, err)
+			}
+		}
+		// Collapse what was grown (every second wave leaves one cherry
+		// standing so the live tree drifts too).
+		rm := make([]RemoveOp, 0, k)
+		for i, p := range pairs {
+			if i == 0 && wave%2 == 1 {
+				continue
+			}
+			rm = append(rm, RemoveOp{Node: p[0].Parent, NewValue: int64(src.Intn(1000))})
+		}
+		c.RemoveLeaves(rm)
+		if err := c.Validate(); err != nil {
+			t.Fatalf("wave %d collapse: %v", wave, err)
+		}
+		if got, want := c.RootValue(), tr.Eval(); got != want {
+			t.Fatalf("wave %d: root %d want %d", wave, got, want)
+		}
+	}
+	if len(c.slots) != len(tr.Nodes) || cap(c.slots) > cap(tr.Nodes) {
+		t.Fatalf("table len %d cap %d, T.Nodes len %d cap %d",
+			len(c.slots), cap(c.slots), len(tr.Nodes), cap(tr.Nodes))
+	}
+	if err := c.validateTrace(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkStructuralWave times one AddLeaves + RemoveLeaves pair of k
+// random leaves on a 65 536-leaf random tree: the per-record cost of
+// change propagation and the allocations of a wave, without the 45 s
+// harness. The collapse undoes the grow, so the tree holds its size.
+func BenchmarkStructuralWave(b *testing.B) {
+	const n = 1 << 16
+	ring := semiring.NewMod(1_000_000_007)
+	for _, k := range []int{1, 16, 256} {
+		b.Run(fmt.Sprintf("n=%d/k=%d", n, k), func(b *testing.B) {
+			src := prng.New(uint64(k))
+			tr := tree.Generate(ring, src, n, tree.ShapeRandom)
+			c := New(tr, 97, nil)
+			leaves := tr.Leaves()
+			add := make([]AddOp, k)
+			rm := make([]RemoveOp, k)
+			records := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// k distinct leaves: a partial shuffle of the fixed leaf set.
+				for j := 0; j < k; j++ {
+					x := j + src.Intn(len(leaves)-j)
+					leaves[j], leaves[x] = leaves[x], leaves[j]
+					add[j] = AddOp{Leaf: leaves[j], Op: semiring.OpAdd(ring), LeftVal: int64(i), RightVal: int64(j)}
+					rm[j] = RemoveOp{Node: leaves[j], NewValue: int64(i + j)}
+				}
+				c.AddLeaves(add)
+				records += c.LastHeal().WoundRecords
+				c.RemoveLeaves(rm)
+				records += c.LastHeal().WoundRecords
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
+			if got, want := c.RootValue(), tr.Eval(); got != want {
+				b.Fatalf("root %d want %d", got, want)
+			}
+		})
+	}
+}

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"slices"
 	"time"
 
+	"dyntc/internal/core"
 	"dyntc/internal/obs"
 )
 
@@ -99,8 +101,10 @@ func RegisterStatsFuncs(r *obs.Registry, stats func() Stats) {
 		func() float64 { return float64(stats().Waves) })
 	r.CounterFunc("dyntc_heal_records_total", "trace records re-executed by mutating-wave heals",
 		func() float64 { return float64(stats().HealRecords) })
-	r.CounterFunc("dyntc_resimulations_total", "mutating waves that fell back to full re-simulation",
-		func() float64 { return float64(stats().Resimulations) })
+	for _, reason := range core.ResimReasons {
+		r.CounterFunc("dyntc_resimulations_total", "mutating waves that fell back to full re-simulation, by reason",
+			func() float64 { return float64(stats().ResimReasons[reason]) }, "reason", reason)
+	}
 	r.CounterFunc("dyntc_engine_errors_total", "requests failed by validation",
 		func() float64 { return float64(stats().Errors) })
 	r.CounterFunc("dyntc_engine_dropped_total", "requests discarded unexecuted (closed or poisoned)",
@@ -260,6 +264,7 @@ func (e *Engine) observeFlush(reqs int, coalesceNS, flushNS int64) {
 
 		HealRecords:  sc.healRecords,
 		Resims:       sc.healResims,
+		ResimReason:  sc.healResimReason,
 		TraceRecords: sc.traceRecords,
 	}
 	if sc.spanActive {
@@ -285,6 +290,9 @@ func (e *Engine) noteHeal(executed int) {
 	e.stats.healRecords.Add(uint64(hs.WoundRecords))
 	if hs.Resimulated {
 		e.stats.resims.Add(1)
+		if i := slices.Index(core.ResimReasons[:], hs.ResimReason); i >= 0 {
+			e.stats.resimsBy[i].Add(1)
+		}
 	}
 	if o := e.opts.Obs; o != nil && o.HealRecords != nil {
 		o.HealRecords.Observe(int64(hs.WoundRecords))
@@ -294,6 +302,7 @@ func (e *Engine) noteHeal(executed int) {
 		sc.healRecords += int64(hs.WoundRecords)
 		if hs.Resimulated {
 			sc.healResims++
+			sc.healResimReason = hs.ResimReason
 		}
 		sc.traceRecords = hs.TotalRecords
 	}

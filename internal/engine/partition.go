@@ -178,11 +178,13 @@ type scratch struct {
 
 	// Per-flush heal accumulators (timing-enabled engines with a
 	// heal-reporting host): trace records re-executed across the flush's
-	// mutating waves, waves that fell back to re-simulation, and the
-	// contraction's trace size after the last mutating wave.
-	healRecords  int64
-	healResims   int
-	traceRecords int
+	// mutating waves, waves that fell back to re-simulation with the
+	// reason of the last one, and the contraction's trace size after the
+	// last mutating wave.
+	healRecords     int64
+	healResims      int
+	healResimReason string
+	traceRecords    int
 
 	// Per-flush distributed-trace state (engines with Options.Spans):
 	// spanActive marks a flush sampled into the span log — every
@@ -285,7 +287,7 @@ func (e *Engine) executeFlush(flush []*Future) {
 		}
 		e.sc.stageNS = [numStages]int64{}
 		e.sc.waveN = 0
-		e.sc.healRecords, e.sc.healResims, e.sc.traceRecords = 0, 0, 0
+		e.sc.healRecords, e.sc.healResims, e.sc.healResimReason, e.sc.traceRecords = 0, 0, "", 0
 		e.flushSeq++
 		e.beginFlushSpan(flush, flushStart)
 	}

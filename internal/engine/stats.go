@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dyntc/internal/core"
 	"dyntc/internal/pram"
 )
 
@@ -36,6 +37,7 @@ type statsRec struct {
 	barriers     atomic.Uint64
 	healRecords  atomic.Uint64
 	resims       atomic.Uint64
+	resimsBy     [len(core.ResimReasons)]atomic.Uint64 // same order
 
 	latMu sync.Mutex
 	lat   [latWindow]int64 // recent flush durations, nanoseconds
@@ -177,6 +179,9 @@ type Stats struct {
 	// contraction instead of change propagation.
 	HealRecords   uint64 `json:"heal_records"`
 	Resimulations uint64 `json:"resimulations"`
+	// ResimReasons splits Resimulations by the core's stated reason
+	// (core.ResimReasons); a reason that never occurred is absent.
+	ResimReasons map[string]uint64 `json:"resim_reasons,omitempty"`
 }
 
 // GrainStats is the host machine's current per-kind sequential threshold
@@ -269,6 +274,16 @@ func (s *Stats) Add(other Stats) {
 	s.Barriers += other.Barriers
 	s.HealRecords += other.HealRecords
 	s.Resimulations += other.Resimulations
+	for reason, n := range other.ResimReasons {
+		s.addResims(reason, n)
+	}
+}
+
+func (s *Stats) addResims(reason string, n uint64) {
+	if s.ResimReasons == nil {
+		s.ResimReasons = make(map[string]uint64, len(core.ResimReasons))
+	}
+	s.ResimReasons[reason] += n
 }
 
 // Stats returns a point-in-time snapshot.
@@ -302,6 +317,11 @@ func (e *Engine) Stats() Stats {
 
 		HealRecords:   e.stats.healRecords.Load(),
 		Resimulations: e.stats.resims.Load(),
+	}
+	for i, reason := range core.ResimReasons {
+		if n := e.stats.resimsBy[i].Load(); n > 0 {
+			s.addResims(reason, n)
+		}
 	}
 	if e.grainer != nil {
 		g := e.grainer.StepGrains()

@@ -26,11 +26,14 @@ type WaveTrace struct {
 
 	// Heal cost of the flush's mutating waves: trace records re-executed
 	// (the change-propagation work), waves that fell back to a full
-	// re-simulation, and the contraction's trace size after the last
-	// mutating wave (so records/size ratios read straight off the trace).
-	HealRecords  int64 `json:"heal_records,omitempty"`
-	Resims       int   `json:"resims,omitempty"`
-	TraceRecords int   `json:"trace_records,omitempty"`
+	// re-simulation and why the last of them did (gate, full_rebuild,
+	// tiny, order, budget or sanity), and the contraction's trace size
+	// after the last mutating wave (so records/size ratios read straight
+	// off the trace).
+	HealRecords  int64  `json:"heal_records,omitempty"`
+	Resims       int    `json:"resims,omitempty"`
+	ResimReason  string `json:"resim_reason,omitempty"`
+	TraceRecords int    `json:"trace_records,omitempty"`
 }
 
 // TraceRing is a bounded ring of WaveTrace records: Add keeps the newest
