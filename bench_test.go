@@ -1,7 +1,8 @@
-// Benchmarks, one per experiment of EXPERIMENTS.md (run with
+// Microbenchmarks, one per paper table E1–E11 (run with
 // go test -bench=. -benchmem). Each benchmark isolates the operation whose
-// scaling the corresponding dyntc-bench table sweeps; custom metrics report
-// the PRAM quantities (wound sizes, rounds) alongside wall time.
+// bound the package test named in the README's "Provenance" asserts;
+// custom metrics report the PRAM quantities (wound sizes, rounds)
+// alongside wall time. End-to-end numbers come from benchmark/ only.
 package dyntc
 
 import (
@@ -10,7 +11,6 @@ import (
 	"dyntc/internal/contract"
 	"dyntc/internal/core"
 	"dyntc/internal/euler"
-	"dyntc/internal/linkcut"
 	"dyntc/internal/listprefix"
 	"dyntc/internal/pram"
 	"dyntc/internal/prng"
@@ -237,31 +237,6 @@ func BenchmarkE9LCA(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = e.LCA(live[src.Intn(len(live))], live[src.Intn(len(live))])
-	}
-}
-
-// BenchmarkE9LinkCutLCA is the sequential dynamic-trees comparator.
-func BenchmarkE9LinkCutLCA(b *testing.B) {
-	const n = 1 << 14
-	tr := tree.Generate(benchRing, prng.New(23), n, tree.ShapeRandom)
-	lc := make([]*linkcut.Node, 0, tr.Len())
-	byNode := map[*tree.Node]*linkcut.Node{}
-	for _, nd := range tr.Nodes {
-		if nd != nil {
-			x := linkcut.NewNode(0)
-			byNode[nd] = x
-			lc = append(lc, x)
-		}
-	}
-	for _, nd := range tr.Nodes {
-		if nd != nil && nd.Parent != nil {
-			linkcut.Link(byNode[nd], byNode[nd.Parent])
-		}
-	}
-	src := prng.New(24)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = linkcut.LCA(lc[src.Intn(len(lc))], lc[src.Intn(len(lc))])
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"dyntc"
-	"dyntc/internal/bench"
 )
 
 // startObsServer is startTestServer with the observability bundle wired:
@@ -67,7 +66,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same validation CI's scrape smoke applies: parseable text format,
+	// Same validation as TestScrapeLeaderFollower: parseable text format,
 	// every layer's families present. The pool is nil in this test server,
 	// so sched families are exempt here.
 	required := []string{
@@ -78,12 +77,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"dyntc_replog_appends_total",
 		"dyntc_query_join_seconds",
 	}
-	if err := bench.CheckMetricsText(string(body), required); err != nil {
-		t.Fatalf("metrics check: %v\n%s", err, body)
-	}
-	samples, err := bench.ParseMetricsText(string(body))
+	samples, err := checkMetricsText(string(body), required)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("metrics check: %v\n%s", err, body)
 	}
 	if samples["dyntc_engine_flush_seconds_count"] <= 0 {
 		t.Fatal("flush histogram never observed")

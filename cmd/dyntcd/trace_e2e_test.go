@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -18,7 +19,6 @@ import (
 	"time"
 
 	"dyntc"
-	"dyntc/internal/bench"
 )
 
 // spansResp is the GET /v1/spans response shape.
@@ -189,14 +189,14 @@ func TestDistributedTraceEndToEnd(t *testing.T) {
 
 	// Replication-lag attribution: all three stage histograms non-empty,
 	// on the role that owns each stage.
-	lm, err := bench.ParseMetricsText(string(getBytes(t, leaderSrv.URL+"/metrics", 200)))
+	lm, err := parseMetricsText(string(getBytes(t, leaderSrv.URL+"/metrics", 200)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lm[`dyntc_repl_stage_seconds_count{stage="sealed_appended"}`] < 1 {
 		t.Fatal("leader sealed_appended histogram empty")
 	}
-	fm, err := bench.ParseMetricsText(string(getBytes(t, foSrv.URL+"/metrics", 200)))
+	fm, err := parseMetricsText(string(getBytes(t, foSrv.URL+"/metrics", 200)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +206,10 @@ func TestDistributedTraceEndToEnd(t *testing.T) {
 		}
 	}
 	// Span timestamps and the histograms agree on the fetch-lag magnitude:
-	// the histogram total is at least the traced wave's span duration.
-	if sum := fm[`dyntc_repl_stage_seconds_sum{stage="appended_fetched"}`]; sum*1e9 < float64(fetch[0].Dur) {
+	// the histogram total is at least the traced wave's span duration. The
+	// sum is exported in seconds, so round it back to whole nanoseconds:
+	// 496740ns exports as 0.00049674 and reads back as 496739.99…ns.
+	if sum := fm[`dyntc_repl_stage_seconds_sum{stage="appended_fetched"}`]; math.Round(sum*1e9) < float64(fetch[0].Dur) {
 		t.Fatalf("appended_fetched sum %vs < traced span %dns", sum, fetch[0].Dur)
 	}
 }
@@ -258,19 +260,16 @@ func TestPromotionKeepsObservability(t *testing.T) {
 	// lag stage (every flush is sampled, so waves carry SealedAt).
 	growSome(t, fmt.Sprintf("%s/v1/trees/%d", foSrv.URL, created.Tree), 3, lastLeaf)
 	text := string(getBytes(t, foSrv.URL+"/metrics", 200))
-	if err := bench.CheckMetricsText(text, []string{
+	samples, err := checkMetricsText(text, []string{
 		"dyntc_engine_flush_seconds",
 		"dyntc_engine_requests_total",
 		"dyntc_replog_appends_total",
 		"dyntc_repl_stage_seconds",
 		"dyntc_go_goroutines",
 		"dyntc_build_info",
-	}); err != nil {
-		t.Fatalf("promoted metrics check: %v\n%s", err, text)
-	}
-	samples, err := bench.ParseMetricsText(text)
+	})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("promoted metrics check: %v\n%s", err, text)
 	}
 	if samples["dyntc_engine_flush_seconds_count"] < 3 {
 		t.Fatalf("promoted flush count = %v, want >= 3", samples["dyntc_engine_flush_seconds_count"])

@@ -293,15 +293,6 @@ func (e *Expr) Stats() HealStats { return e.con.LastHeal() }
 // capability expects; the engine folds it into its counters and traces.
 func (e *Expr) LastHeal() HealStats { return e.con.LastHeal() }
 
-// SetPropagate overrides the core.CorePropagate feature gate for this
-// Expr: whether structural updates repair the rake trace by change
-// propagation (true) or re-simulate the contraction from scratch (false).
-// Not safe concurrently with mutations.
-func (e *Expr) SetPropagate(on bool) { e.con.SetPropagate(on) }
-
-// PropagateEnabled reports the Expr's effective change-propagation gate.
-func (e *Expr) PropagateEnabled() bool { return e.con.PropagateEnabled() }
-
 // PRAM returns the accumulated machine metrics.
 func (e *Expr) PRAM() Metrics { return e.mach.Metrics() }
 

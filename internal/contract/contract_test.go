@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dyntc/internal/core"
 	"dyntc/internal/pram"
 	"dyntc/internal/prng"
 	"dyntc/internal/semiring"
@@ -31,13 +32,20 @@ func TestEulerLeafOrder(t *testing.T) {
 	}
 }
 
+// TestKDValueMatchesEval: the Kosaraju–Delcher schedule and the paper's
+// PT-guided contraction (§4.2, internal/core) compute the same value as
+// the naive evaluator on every shape, unbounded-depth combs included.
 func TestKDValueMatchesEval(t *testing.T) {
 	for _, shape := range []tree.Shape{tree.ShapeRandom, tree.ShapeBalanced, tree.ShapeLeftComb, tree.ShapeRightComb} {
-		for _, n := range []int{1, 2, 3, 4, 5, 17, 128, 1000} {
+		for _, n := range []int{1, 2, 3, 4, 5, 17, 128, 1000, 1 << 14} {
 			tr := tree.Generate(testRing, prng.New(uint64(7*n+int(shape))), n, shape)
 			res := KD(pram.Sequential(), tr)
-			if want := tr.Eval(); res.Value != want {
+			want := tr.Eval()
+			if res.Value != want {
 				t.Fatalf("shape %d n=%d: KD=%d eval=%d", shape, n, res.Value, want)
+			}
+			if pt := core.New(tr, uint64(n), nil).RootValue(); pt != want {
+				t.Fatalf("shape %d n=%d: PT root=%d eval=%d", shape, n, pt, want)
 			}
 		}
 	}

@@ -149,9 +149,9 @@ type Contraction struct {
 	// from wave to wave.
 	pass propPass
 
-	// noPropagate disables change propagation for structural updates,
-	// forcing the full re-simulation path (the CorePropagate feature gate,
-	// per instance).
+	// noPropagate forces structural updates down the full re-simulation
+	// path (ResimGate). Only this package's tests set it: the
+	// re-simulating twin is their reference for change propagation.
 	noPropagate bool
 
 	// stats of the most recent operation, for the experiments.
@@ -186,7 +186,7 @@ type HealStats struct {
 
 // The reasons a structural wave falls back to a full re-simulation.
 const (
-	ResimGate        = "gate"         // change propagation switched off
+	ResimGate        = "gate"         // change propagation switched off (tests only)
 	ResimFullRebuild = "full_rebuild" // PT rebuilt from its root
 	ResimTiny        = "tiny"         // fewer than minPropagateLeaves leaves
 	ResimOrder       = "order"        // a record popped before one already executed
@@ -206,10 +206,9 @@ func New(t *tree.Tree, seed uint64, m *pram.Machine) *Contraction {
 		m = pram.Sequential()
 	}
 	c := &Contraction{
-		T:           t,
-		ring:        t.Ring,
-		machine:     m,
-		noPropagate: !CorePropagate,
+		T:       t,
+		ring:    t.Ring,
+		machine: m,
 	}
 	c.pass.c = c
 	c.pt = rbsts.New[*tree.Node, struct{}](seed, nil, nil, t.Leaves())
@@ -243,20 +242,6 @@ func (c *Contraction) Machine() *pram.Machine { return c.machine }
 
 // LastHeal returns cost statistics of the most recent dynamic operation.
 func (c *Contraction) LastHeal() HealStats { return c.lastHeal }
-
-// CorePropagate is the package-wide default for the change-propagation
-// feature gate: when true (the default), structural updates repair the
-// rake trace incrementally; when false they fall back to the historical
-// full re-simulation. Per-instance overrides via SetPropagate win.
-var CorePropagate = true
-
-// SetPropagate overrides the CorePropagate feature gate for this
-// contraction instance.
-func (c *Contraction) SetPropagate(on bool) { c.noPropagate = !on }
-
-// PropagateEnabled reports whether structural waves use change
-// propagation on this instance.
-func (c *Contraction) PropagateEnabled() bool { return !c.noPropagate }
 
 // RootValue returns the value of the whole expression (exactly maintained).
 func (c *Contraction) RootValue() int64 { return c.rootValue }

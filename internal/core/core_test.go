@@ -212,6 +212,57 @@ func TestSingleUpdateWoundLogarithmic(t *testing.T) {
 	if bound := 6 * math.Log(float64(n)); mean > bound {
 		t.Fatalf("mean wound %0.1f records exceeds %0.1f", mean, bound)
 	}
+
+	// Theorem 4.1, batches: a |U|-leaf SetValues wound is O(|U|·log n)
+	// records. Measured 1.51/1.04/0.74·|U|·ln n at |U| = 1/16/128 (the
+	// wounds of a batch share their upper chains); c = 4 leaves ≥ 2.6×
+	// headroom.
+	for _, u := range []int{1, 16, 128} {
+		const trials = 20
+		total := 0
+		for trial := 0; trial < trials; trial++ {
+			ls := make([]*tree.Node, 0, u)
+			vs := make([]int64, 0, u)
+			seen := map[int]bool{}
+			for len(ls) < u {
+				if i := src.Intn(len(leaves)); !seen[i] {
+					seen[i] = true
+					ls = append(ls, leaves[i])
+					vs = append(vs, src.Int63())
+				}
+			}
+			c.SetValues(ls, vs)
+			total += c.LastHeal().WoundRecords
+		}
+		ratio := float64(total) / trials / (float64(u) * math.Log(float64(n)))
+		t.Logf("|U|=%d: mean wound %.2f·|U|·ln n", u, ratio)
+		if ratio > 4 {
+			t.Fatalf("|U|=%d: mean wound %.2f·|U|·ln n records, want ≤ 4", u, ratio)
+		}
+	}
+
+	// Theorem 4.2, queries: a value query on a random tree replays
+	// O(log n) records (PRAM work of Value). Measured 0.17·ln n; c = 1
+	// leaves ≥ 5× headroom. Combs are deliberately absent:
+	// there a query walks the contracted path (ROADMAP item 2).
+	var internals []*tree.Node
+	for _, nd := range tr.Nodes {
+		if nd != nil && !nd.IsLeaf() {
+			internals = append(internals, nd)
+		}
+	}
+	replay := int64(0)
+	const queries = 200
+	for i := 0; i < queries; i++ {
+		before := c.Machine().Metrics().Work
+		c.Value(internals[src.Intn(len(internals))])
+		replay += c.Machine().Metrics().Work - before
+	}
+	ratio := float64(replay) / queries / math.Log(float64(n))
+	t.Logf("value query: mean replay %.3f·ln n", ratio)
+	if ratio > 1 {
+		t.Fatalf("value query replays %.2f·ln n records on average, want ≤ ln n", ratio)
+	}
 }
 
 func TestAddLeaves(t *testing.T) {

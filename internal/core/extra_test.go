@@ -1,15 +1,17 @@
 package core
 
 // Additional coverage: semiring variety under dynamics, comb-shape
-// structural churn, panics on misuse, batch ops healing, and metering
-// sanity.
+// structural churn and updates against path recomputation, panics on
+// misuse, batch ops healing, and metering sanity.
 
 import (
+	"math"
 	"testing"
 
 	"dyntc/internal/pram"
 	"dyntc/internal/prng"
 	"dyntc/internal/semiring"
+	"dyntc/internal/seqdyn"
 	"dyntc/internal/tree"
 )
 
@@ -88,6 +90,41 @@ func TestCombShapeStructuralChurn(t *testing.T) {
 	}
 	if got, want := c.RootValue(), tr.Eval(); got != want {
 		t.Fatalf("after updates: %d want %d", got, want)
+	}
+}
+
+// TestCombUpdatesBeatPathRecompute is the paper's motivating gap (§1.2):
+// on a left comb, the same random leaf updates cost contraction O(log n)
+// records while sequential path recomputation (seqdyn.PathEval) walks
+// Θ(n) ancestors. Measured at n = 4096: contraction 1.9·ln n records per
+// update (c = 4: 2× headroom), path recompute 0.50·n (n/4: 2×).
+func TestCombUpdatesBeatPathRecompute(t *testing.T) {
+	const n = 1 << 12
+	trC := tree.Generate(testRing, prng.New(25), n, tree.ShapeLeftComb)
+	trP := tree.Generate(testRing, prng.New(25), n, tree.ShapeLeftComb)
+	c := New(trC, 26, nil)
+	p := seqdyn.NewPathEval(trP)
+	leavesC, leavesP := trC.Leaves(), trP.Leaves()
+	src := prng.New(27)
+	const updates = 100
+	wound, walked := 0, 0
+	for i := 0; i < updates; i++ {
+		ix, v := src.Intn(len(leavesC)), src.Int63()
+		c.SetValue(leavesC[ix], v)
+		wound += c.LastHeal().WoundRecords
+		walked += p.SetValue(leavesP[ix], v)
+		if c.RootValue() != p.Root() {
+			t.Fatalf("update %d: contraction root %d, path recompute %d", i, c.RootValue(), p.Root())
+		}
+	}
+	meanWound := float64(wound) / updates / math.Log(n)
+	meanWalk := float64(walked) / updates / n
+	t.Logf("contraction %.2f·ln n records/update, path recompute %.2f·n", meanWound, meanWalk)
+	if meanWound > 4 {
+		t.Fatalf("contraction wound %.2f·ln n per comb update, want ≤ 4·ln n", meanWound)
+	}
+	if meanWalk < 0.25 {
+		t.Fatalf("path recompute walked %.2f·n per comb update, want ≥ n/4 (baseline lost its Θ(n))", meanWalk)
 	}
 }
 

@@ -39,10 +39,10 @@ import (
 // record whose chain-predecessor link moved. The result is bit-identical
 // to simulate() while touching O(wound) records instead of Θ(n).
 //
-// Full re-simulation remains the fallback: the CorePropagate gate, full
-// PT rebuilds, tiny trees, blown budgets and any detected chain
-// inconsistency all divert to simulate() and say which in
-// HealStats.ResimReason. simulate() clears every slot's trace fields and
+// Full re-simulation remains the fallback: full PT rebuilds, tiny trees,
+// blown budgets and any detected chain inconsistency all divert to
+// simulate() and say which in HealStats.ResimReason (the tests' noPropagate
+// twin takes it on purpose). simulate() clears every slot's trace fields and
 // builds fresh records, so it is always safe to run mid-repair.
 //
 // A wave allocates only the records of new gaps: the worklist (a typed

@@ -127,8 +127,7 @@ func TestPropagationTwinOracle(t *testing.T) {
 			trB := tree.Generate(ring, prng.New(seed), 96, tree.ShapeRandom)
 			cA := New(trA, seed+100, nil)
 			cB := New(trB, seed+100, nil)
-			cA.SetPropagate(true)
-			cB.SetPropagate(false)
+			cB.noPropagate = true
 
 			wrk := prng.New(seed * 977)
 			propagated, structural := 0, 0
@@ -210,7 +209,7 @@ func TestResimReasons(t *testing.T) {
 	if hs := grow(c, big.Leaves()[17]); hs.Resimulated || hs.ResimReason != "" {
 		t.Fatalf("k=1 wave on 256 leaves fell back: %+v", hs)
 	}
-	c.SetPropagate(false)
+	c.noPropagate = true
 	if hs := grow(c, big.Leaves()[40]); hs.ResimReason != ResimGate {
 		t.Fatalf("gate off: %+v", hs)
 	}
@@ -231,7 +230,6 @@ func TestPropagationDeterminism(t *testing.T) {
 	run := func() ([]obs, int64, int64) {
 		tr := tree.Generate(ring, prng.New(19), 128, tree.ShapeRandom)
 		c := New(tr, 5, nil)
-		c.SetPropagate(true)
 		wrk := prng.New(555)
 		var log []obs
 		for step := 0; step < 80; step++ {
@@ -267,7 +265,6 @@ func TestSmallWavePropagatesOnLargeTree(t *testing.T) {
 	src := prng.New(23)
 	tr := tree.Generate(ring, src, 1<<16, tree.ShapeRandom)
 	c := New(tr, 31, nil)
-	c.SetPropagate(true)
 
 	logN := math.Log2(float64(1 << 16))
 	maxTouched := 0
@@ -293,6 +290,62 @@ func TestSmallWavePropagatesOnLargeTree(t *testing.T) {
 	}
 	if frac := float64(maxTouched) / float64(c.Records()); frac > 0.05 {
 		t.Fatalf("k=1 wave touched %.2f%% of records, want <= 5%%", 100*frac)
+	}
+}
+
+// TestPropagationWorkVsResimulation is E13's claim (arXiv:2002.05129's
+// k·log(1+n/k) against Θ(n)): on a 16k-leaf tree, a k-leaf structural
+// wave charges at least 5× less PRAM work by change propagation than its
+// re-simulating twin (noPropagate) does for the same ops on the same
+// structure, and both land on the same root. Measured work ratios:
+// 157/27/6.7 at k = 1/4/16. The k = 16 margin (1.3×) is thin because
+// every wave also pays its PT rebuild on both sides, and one wave that
+// falls back to re-simulation (budget) pulls the ratio toward 1 — this
+// test is where such a fallback shows up first.
+func TestPropagationWorkVsResimulation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("large tree")
+	}
+	const n, trials = 1 << 14, 6
+	ring := semiring.NewMod(1_000_000_007)
+	src := prng.New(13)
+	for _, k := range []int{1, 4, 16} {
+		// Twin trees from one generator seed: identical structure, so a
+		// leaf index addresses the same logical leaf in both.
+		trP := tree.Generate(ring, prng.New(99), n, tree.ShapeRandom)
+		trR := tree.Generate(ring, prng.New(99), n, tree.ShapeRandom)
+		cP, cR := New(trP, 17, nil), New(trR, 17, nil)
+		cR.noPropagate = true
+		var workP, workR int64
+		for trial := 0; trial < trials; trial++ {
+			leavesP, leavesR := trP.Leaves(), trR.Leaves()
+			opsP, opsR := make([]AddOp, 0, k), make([]AddOp, 0, k)
+			seen := map[int]bool{}
+			for len(opsP) < k {
+				i := src.Intn(len(leavesP))
+				if seen[i] {
+					continue
+				}
+				seen[i] = true
+				lv, rv := src.Int63(), src.Int63()
+				opsP = append(opsP, AddOp{Leaf: leavesP[i], Op: semiring.OpAdd(ring), LeftVal: lv, RightVal: rv})
+				opsR = append(opsR, AddOp{Leaf: leavesR[i], Op: semiring.OpAdd(ring), LeftVal: lv, RightVal: rv})
+			}
+			before := cP.Machine().Metrics().Work
+			cP.AddLeaves(opsP)
+			workP += cP.Machine().Metrics().Work - before
+			before = cR.Machine().Metrics().Work
+			cR.AddLeaves(opsR)
+			workR += cR.Machine().Metrics().Work - before
+			if got, want := cP.RootValue(), cR.RootValue(); got != want {
+				t.Fatalf("k=%d trial %d: root %d, re-simulating twin %d", k, trial, got, want)
+			}
+		}
+		ratio := float64(workR) / float64(workP)
+		t.Logf("k=%d: re-simulation does %.1f× the PRAM work of propagation", k, ratio)
+		if ratio < 5 {
+			t.Fatalf("k=%d: propagation work %d vs re-simulation %d (%.1f×), want ≥ 5×", k, workP, workR, ratio)
+		}
 	}
 }
 

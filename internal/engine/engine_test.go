@@ -181,6 +181,42 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
+// TestCollapseBehindGrowSameFlush: a collapse submitted right behind the
+// grow that makes its node internal lands in the same flush, and must be
+// validated against the grown tree (submission order), not the pre-flush
+// one where the node is still a leaf.
+func TestCollapseBehindGrowSameFlush(t *testing.T) {
+	en, e := newEngine(t, 1, dyntc.BatchOptions{})
+	ring := dyntc.ModRing(mod)
+
+	l, _, err := en.Grow(e.Tree().Root, dyntc.OpAdd(ring), 0, 4)
+	if err != nil {
+		t.Fatalf("Grow: %v", err)
+	}
+
+	// Hold the executor inside a barrier so both requests land in one
+	// flush.
+	release := make(chan struct{})
+	barrier := make(chan struct{})
+	go func() {
+		_ = en.Query(func(*dyntc.Expr) { close(barrier); <-release })
+	}()
+	<-barrier
+
+	fg := en.GrowAsync(l, dyntc.OpMul(ring), 6, 7)
+	fc := en.CollapseAsync(l, 5)
+	close(release)
+	if _, _, err := fg.Pair(); err != nil {
+		t.Fatalf("grow: %v", err)
+	}
+	if err := fc.Wait(); err != nil {
+		t.Fatalf("collapse behind its own grow: %v", err)
+	}
+	if v, _ := en.Root(); v != 5+4 {
+		t.Fatalf("root = %d, want %d", v, 5+4)
+	}
+}
+
 func TestWindowCoalescing(t *testing.T) {
 	en, e := newEngine(t, 1, dyntc.BatchOptions{Window: 20 * time.Millisecond})
 	ring := dyntc.ModRing(mod)

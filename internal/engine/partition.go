@@ -24,10 +24,12 @@ import (
 // writes {node, node.Left, node.Right} (the children are deleted); Value
 // reads {node}; Root reads nothing destructible. A request joins the
 // current wave unless its footprint intersects the wave's footprint or the
-// footprint of an already-deferred request — the second condition keeps
-// same-node requests in submission order. Deferred requests form the next
-// wave's input, so planning always terminates: the earliest pending
-// request always joins (or fails validation).
+// footprint of an already-deferred request. Either way it is deferred
+// before it is validated, so same-node requests keep submission order and
+// each is validated against the tree its predecessors leave behind (a
+// collapse behind its own grow sees an internal node). Deferred requests
+// form the next wave's input, so planning always terminates: the earliest
+// pending request always joins (or fails validation).
 //
 // Barriers seal the flush: a barrier runs alone between waves.
 //
@@ -336,23 +338,22 @@ func (e *Engine) executeFlush(flush []*Future) {
 				}
 				continue
 			}
-			if order := e.footprintAll(f); sc.defFP.conflicts(order) {
-				// A request ahead of f touches f's nodes: preserve
-				// submission order without validating yet (the earlier
-				// request may change f's validity).
+			if order := e.footprintAll(f); sc.defFP.conflicts(order) || sc.waveFP.conflicts(order) {
+				// A request ahead of f — deferred or in this wave — touches
+				// f's nodes: preserve submission order without validating
+				// yet (the earlier request may change f's validity, as a
+				// grow does for a collapse of the same leaf).
 				deferred = append(deferred, f)
 				sc.defFP.add(order)
 				continue
 			}
+			// footprintAll and planOne name the same nodes in the same
+			// mode, so a request that passed the check above cannot
+			// conflict with the wave.
 			fp, err := e.planOne(f)
 			if err != nil {
 				e.stats.fail()
 				f.resolve(0, [2]*NodeT{}, err)
-				continue
-			}
-			if sc.waveFP.conflicts(fp) {
-				deferred = append(deferred, f)
-				sc.defFP.add(fp)
 				continue
 			}
 			sc.wave = append(sc.wave, f)

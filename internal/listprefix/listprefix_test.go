@@ -2,6 +2,7 @@ package listprefix
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -90,17 +91,32 @@ func TestBatchPrefixParallelMachine(t *testing.T) {
 }
 
 func TestBatchPrefixSpan(t *testing.T) {
-	// Theorem 3.1: span O(log(|U| log n)), not Θ(depth). With n = 2^16 and
-	// |U| = 4 the parse tree has ≲ 4·60 nodes, so the tour prefix needs
-	// ~log2(480) ≈ 9 jump rounds; the whole operation should stay well
-	// under 64 rounds while a per-element walk would already cost ~depth
-	// (≈ 30+) rounds for the walk alone plus activation.
-	l := intList(11, 1<<16)
-	elems := []*Elem[int64]{l.At(5), l.At(30000), l.At(30001), l.At(65000)}
-	m := pram.Sequential()
-	l.BatchPrefix(m, elems)
-	if steps := m.Metrics().Steps; steps > 64 {
-		t.Fatalf("batch prefix used %d rounds", steps)
+	// Theorem 3.1: span O(log(|U| log n)), not Θ(|U|·depth). With n = 2^16
+	// a batch of |U| random elements activates a parse tree of ≲ |U|·60
+	// nodes and prefixes it by pointer jumping. Measured 28/35/42 rounds
+	// at |U| = 1/16/256, 7.0/4.4/3.5× log2(|U|·log2 n) (activation's
+	// additive constant dominates at |U| = 1); c = 10 leaves ≥ 1.4×
+	// headroom.
+	const n = 1 << 16
+	l := intList(11, n)
+	src := prng.New(13)
+	for _, u := range []int{1, 16, 256} {
+		var elems []*Elem[int64]
+		seen := map[int]bool{}
+		for len(elems) < u {
+			if i := src.Intn(n); !seen[i] {
+				seen[i] = true
+				elems = append(elems, l.At(i))
+			}
+		}
+		m := pram.Sequential()
+		l.BatchPrefix(m, elems)
+		bound := 10 * math.Log2(float64(u)*math.Log2(n))
+		steps := m.Metrics().Steps
+		t.Logf("|U|=%d: %d rounds (bound %.1f)", u, steps, bound)
+		if float64(steps) > bound {
+			t.Fatalf("|U|=%d: batch prefix used %d rounds > 10·log2(|U|·log2 n) = %.1f", u, steps, bound)
+		}
 	}
 }
 

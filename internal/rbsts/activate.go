@@ -239,7 +239,8 @@ func (t *Tree[P, S]) Activate(m *pram.Machine, leaves []*Node[P, S]) *Activation
 
 // NaiveActivate is the baseline without shortcuts (§2's "the best we can do
 // is follow the parent links"): every leaf walks to the root, Θ(depth)
-// rounds. Used by experiment E11 and as a correctness oracle.
+// rounds. The E11 ablation baseline (TestActivationFasterThanNaive) and a
+// correctness oracle.
 func (t *Tree[P, S]) NaiveActivate(m *pram.Machine, leaves []*Node[P, S]) *Activation[P, S] {
 	if m == nil {
 		m = pram.Sequential()

@@ -74,9 +74,6 @@ func (t *Tree[P, S]) Tail() *Node[P, S] { return t.tail }
 // RebuildEpoch returns a counter incremented on every subtree rebuild.
 func (t *Tree[P, S]) RebuildEpoch() int64 { return t.rebuildEpoch }
 
-// ShortcutMinHeight returns the current shortcut threshold τ.
-func (t *Tree[P, S]) ShortcutMinHeight() int { return t.shortcutMinHeight }
-
 // Leaves returns all leaves in order.
 func (t *Tree[P, S]) Leaves() []*Node[P, S] {
 	out := make([]*Node[P, S], 0, t.count)

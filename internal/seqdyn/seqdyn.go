@@ -106,7 +106,7 @@ func (p *RebuildEval) Value(n *tree.Node) int64 { return p.t.EvalAt(n) }
 
 // NaiveActivationWalk counts the parent-pointer steps the no-shortcut
 // activation of §2 would take for the given update set: the Θ(|U|·depth)
-// baseline of experiment E11.
+// walk the shortcuts avoid.
 func NaiveActivationWalk(leaves []*tree.Node) int {
 	seen := map[*tree.Node]bool{}
 	steps := 0

@@ -7,8 +7,8 @@ import (
 )
 
 // This file is the public face of internal/obs: the metrics registry,
-// instrument bundles and wave tracing that servers (cmd/dyntcd) and
-// benchmarks (cmd/dyntc-bench) attach through BatchOptions. Everything
+// instrument bundles and wave tracing that servers (cmd/dyntcd) attach
+// through BatchOptions. Everything
 // here is optional — a nil registry/bundle costs the engine one boolean
 // check per flush.
 

@@ -16,9 +16,9 @@ import (
 	"dyntc/internal/prng"
 )
 
-// queryMutator drives one tree with the grow/collapse/set discipline of
-// the bench load client (only the top frame's right child grows, so the
-// top frame is always collapsible), addressed by dense node ids.
+// queryMutator drives one tree with a stack-shaped grow/collapse/set
+// discipline (only the top frame's right child grows, so the top frame
+// is always collapsible), addressed by dense node ids.
 type queryMutator struct {
 	en    *dyntc.Engine
 	rng   *prng.Source
