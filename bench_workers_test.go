@@ -24,7 +24,7 @@ func workerSweep() []int {
 
 // benchExpr builds an expression with n leaves fanned out under OpAdd.
 func benchExpr(n, workers int) (*Expr, []*Node) {
-	e := NewExpr(benchRing, 1, WithSeed(42), WithWorkers(workers), WithGrain(256))
+	e := NewExpr(benchRing, 1, WithSeed(42), WithWorkers(workers), withGrain(256))
 	leaves := []*Node{e.Tree().Root}
 	for len(leaves) < n {
 		batch := make([]GrowOp, 0, len(leaves))

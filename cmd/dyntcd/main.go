@@ -19,18 +19,17 @@
 //	dyntcd -addr :8080 -faults 'wal.append:after=100:torn=0.5:times=1' -fault-seed 7
 //
 // The whole process runs on ONE runtime scheduler pool (-sched-workers,
-// default GOMAXPROCS): every tree's wave sub-batches execute as task
-// groups on it, each tree's PRAM steps chunk onto it, the cross-tree
-// query scatter rides it, and in -follow mode replica replay does too —
-// so a 1024-tree forest on a 16-core box runs 16-wide instead of
-// spawning a pool per tree. -workers (default GOMAXPROCS) is the
-// per-tree hint: how many shared workers one tree's wave may recruit; 1
-// forces sequential wave execution. Metered PRAM costs are identical
-// either way. Each engine's flush cap adapts under saturation (adaptive
-// MaxBatch; -maxbatch sets the floor). Pool utilization, steal counts
-// and queue depth are surfaced in GET /v1/stats and /v1/healthz, and
-// per-engine adaptive state (cur_max_batch, per-kind grain) in the
-// engine stats.
+// default GOMAXPROCS): each tree's PRAM steps chunk onto it, the
+// cross-tree query scatter rides it, and in -follow mode replica replay
+// does too — so a 1024-tree forest on a 16-core box runs 16-wide instead
+// of spawning a pool per tree. A tree's wave phases run on its engine's
+// executor goroutine. -workers (default GOMAXPROCS) is the per-tree hint:
+// how many shared workers one tree's PRAM step may recruit; 1 keeps every
+// step on the executor. Metered PRAM costs are identical either way. Each
+// engine's flush cap adapts under saturation (adaptive MaxBatch;
+// -maxbatch sets the floor). Pool utilization, steal counts and queue
+// depth are surfaced in GET /v1/stats and /v1/healthz, and per-engine
+// adaptive state (cur_max_batch) in the engine stats.
 //
 // Durability & replication (internal/replog): every tree's engine taps
 // its executed mutating waves into a change log — an in-memory ring of
@@ -98,7 +97,6 @@ import (
 	"time"
 
 	"dyntc"
-	"dyntc/internal/pram"
 )
 
 // schedSpanSample is the sampling stride for scheduler task spans: pool
@@ -120,8 +118,8 @@ func main() {
 		window   = flag.Duration("window", 0, "batching window (0 = adaptive idle-flush)")
 		maxBatch = flag.Int("maxbatch", 0, "max requests per flush (0 = default 1024)")
 		queue    = flag.Int("queue", 0, "per-tree submit queue capacity (0 = default 4096)")
-		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "PRAM parallelism hint per tree: shared-pool workers one tree's wave may recruit (1 = sequential wave execution)")
-		schedW   = flag.Int("sched-workers", 0, "size of the process-wide runtime scheduler pool shared by waves, queries and replay (0 = GOMAXPROCS)")
+		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "PRAM parallelism hint per tree: shared-pool workers one tree's PRAM step may recruit (1 = every step runs on the tree's executor)")
+		schedW   = flag.Int("sched-workers", 0, "size of the process-wide runtime scheduler pool shared by PRAM steps, queries and replay (0 = GOMAXPROCS)")
 		walDir   = flag.String("wal-dir", "", "directory for append-only per-tree wave logs ('' = in-memory ring only)")
 		logCap   = flag.Int("log-cap", 0, "waves retained in each tree's in-memory log ring (0 = default 4096)")
 		follow   = flag.String("follow", "", "leader base URL: run as a read-only replica of that dyntcd")
@@ -168,9 +166,9 @@ func main() {
 	}
 
 	// One runtime scheduler pool for the whole process: every tree's
-	// waves, the cross-tree query scatter and (in follower mode) replica
-	// replay share its workers, so a 1024-tree forest on a 16-core box
-	// runs 16-wide instead of spawning a pool per tree.
+	// PRAM steps, the cross-tree query scatter and (in follower mode)
+	// replica replay share its workers, so a 1024-tree forest on a
+	// 16-core box runs 16-wide instead of spawning a pool per tree.
 	pool := dyntc.NewSchedPool(*schedW)
 
 	// One registry + trace ring + span log per process; every engine, the
@@ -195,7 +193,7 @@ func main() {
 	defer ob.spans.Close()
 	defer ob.events.Close()
 	// Scheduler task spans ride the same exporter, sparsely sampled.
-	pool.SetSpans(ob.spans, schedSpanSample, pram.StepKindNames)
+	pool.SetSpans(ob.spans, schedSpanSample)
 	// The collapse monitor samples pool utilization every few seconds and
 	// journals a sched.collapse event when workers go idle with tasks
 	// still queued (the starvation signature).

@@ -24,7 +24,6 @@ import (
 
 	"dyntc"
 	"dyntc/internal/obs"
-	"dyntc/internal/pram"
 	"dyntc/internal/replog"
 )
 
@@ -497,7 +496,7 @@ func (s *server) observe(b *obsBundle) {
 		return m
 	}
 	if s.pool != nil {
-		s.pool.Observe(b.reg, pram.StepKindNames)
+		s.pool.Observe(b.reg)
 	}
 	s.forest.SetQueryMetrics(b.query)
 	b.reg.GaugeFunc("dyntc_replog_applied_seq",
@@ -542,7 +541,7 @@ func (s *server) observe(b *obsBundle) {
 func (f *followerServer) observe(b *obsBundle) {
 	f.obs = b
 	if f.pool != nil {
-		f.pool.Observe(b.reg, pram.StepKindNames)
+		f.pool.Observe(b.reg)
 	}
 	f.planner.SetMetrics(b.query)
 	// Replication-lag anomalies snapshot the poll loop's health; the

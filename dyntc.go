@@ -158,12 +158,11 @@ func WithSeed(seed uint64) Option { return func(o *options) { o.seed = seed } }
 // GOMAXPROCS.
 func WithWorkers(w int) Option { return func(o *options) { o.workers = w } }
 
-// WithGrain pins the machine's sequential threshold: parallel steps with
-// fewer than g processors run inline instead of on the worker pool, and
-// the adaptive per-kind grain tuning is disabled. Without it the machine
-// adapts the threshold from measured step cost. Only meaningful together
-// with WithWorkers.
-func WithGrain(g int) Option { return func(o *options) { o.grain = g } }
+// withGrain sets the machine's sequential threshold: parallel steps with
+// fewer than g processors run inline instead of on the worker pool. Tests
+// lower it to force pool execution on small trees; only meaningful
+// together with WithWorkers.
+func withGrain(g int) Option { return func(o *options) { o.grain = g } }
 
 // WithPool directs the Expr's parallel steps to the given shared runtime
 // scheduler instead of the process-wide default pool. Use one pool for a
@@ -302,17 +301,6 @@ func (e *Expr) Workers() int { return e.mach.Workers() }
 // HasTour reports whether the Expr maintains its Eulerian tour (WithTour):
 // the §5 property queries — and cross-tree subtree-size reads — require it.
 func (e *Expr) HasTour() bool { return e.tour != nil }
-
-// SetStepKind labels the machine's subsequent parallel steps with the
-// batch kind issuing them, selecting which adaptive-grain estimate they
-// use and train. The serving engine brackets each wave sub-batch with
-// this; direct library use may ignore it. Not safe concurrently with the
-// batch methods.
-func (e *Expr) SetStepKind(k pram.StepKind) { e.mach.SetKind(k) }
-
-// StepGrains reports the machine's current sequential threshold per step
-// kind (see pram.StepKind) — the adaptive grain surfaced in engine stats.
-func (e *Expr) StepGrains() [pram.NumStepKinds]int { return e.mach.Grains() }
 
 // tourOrPanic guards the §5 application queries.
 func (e *Expr) tourOrPanic() *euler.Tour {

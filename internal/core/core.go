@@ -61,6 +61,7 @@ import (
 	"fmt"
 	"slices"
 
+	"dyntc/internal/core/batch"
 	"dyntc/internal/pram"
 	"dyntc/internal/rbsts"
 	"dyntc/internal/semiring"
@@ -158,45 +159,33 @@ type Contraction struct {
 	lastHeal HealStats
 }
 
-// HealStats reports the cost of the most recent dynamic operation.
-type HealStats struct {
-	// WoundRecords is the number of rake records re-executed (label-only
-	// and structural together). A full re-simulation counts every record.
-	WoundRecords int
-	// WoundRounds is the number of distinct rounds among them (the span of
-	// the healing phase in the PRAM model).
-	WoundRounds int
-	// StructRecords is the number of records structurally re-executed by
-	// change propagation (participants and links recomputed, not just
-	// labels). Zero for label-only waves and for full re-simulations.
-	StructRecords int
-	// TotalRecords is the trace size (leaves-1) after the operation, the
-	// denominator for the records-touched ratio.
-	TotalRecords int
-	// Resimulated reports that the whole trace was rebuilt (the structural
-	// fallback path: gate off, full PT rebuild, or oversized wound).
-	Resimulated bool
-	// ResimReason names why, one of ResimReasons; empty when the wave did
-	// not re-simulate.
-	ResimReason string
-	// RebuildLeaves is the total size of PT subtree rebuilds (Theorem 2.2's
-	// random variable S).
-	RebuildLeaves int
-}
+// The batch request and report types live in internal/core/batch, so the
+// engine can use them without depending on the PRAM machine.
+type (
+	// AddOp grows a leaf into an operation node with two fresh leaf
+	// children (§4.1 "add two new children below a current leaf").
+	AddOp = batch.AddOp
+	// RemoveOp collapses an internal node whose children are both leaves
+	// back into a leaf with the given value (§4.1 "delete two leaf
+	// children").
+	RemoveOp = batch.RemoveOp
+	// HealStats reports the cost of the most recent dynamic operation.
+	HealStats = batch.HealStats
+)
 
 // The reasons a structural wave falls back to a full re-simulation.
 const (
-	ResimGate        = "gate"         // change propagation switched off (tests only)
-	ResimFullRebuild = "full_rebuild" // PT rebuilt from its root
-	ResimTiny        = "tiny"         // fewer than minPropagateLeaves leaves
-	ResimOrder       = "order"        // a record popped before one already executed
-	ResimBudget      = "budget"       // the wound stopped being local
-	ResimSanity      = "sanity"       // a touch chain contradicted itself
+	ResimGate        = batch.ResimGate
+	ResimFullRebuild = batch.ResimFullRebuild
+	ResimTiny        = batch.ResimTiny
+	ResimOrder       = batch.ResimOrder
+	ResimBudget      = batch.ResimBudget
+	ResimSanity      = batch.ResimSanity
 )
 
 // ResimReasons lists every value HealStats.ResimReason takes on a
 // re-simulated wave.
-var ResimReasons = [...]string{ResimGate, ResimFullRebuild, ResimTiny, ResimOrder, ResimBudget, ResimSanity}
+var ResimReasons = batch.ResimReasons
 
 // New builds a Contraction over the given expression tree. The seed drives
 // all of PT's randomness. The machine (nil = sequential) meters every

@@ -173,15 +173,6 @@ func (c *Contraction) labelFromProducer(prev *Record, n *tree.Node) semiring.Lin
 	return semiring.Identity(c.ring)
 }
 
-// AddOp grows a leaf into an operation node with two fresh leaf children
-// (§4.1 "add two new children below a current leaf").
-type AddOp struct {
-	Leaf     *tree.Node
-	Op       semiring.Op
-	LeftVal  int64
-	RightVal int64
-}
-
 // AddLeaves applies a batch of leaf expansions: T mutates, PT replaces each
 // expanded leaf by the two new leaves using the randomized-rebuild
 // insert/delete of Theorems 2.2/2.3, and the rake trace is repaired by
@@ -230,13 +221,6 @@ func (c *Contraction) AddLeaves(ops []AddOp) [][2]*tree.Node {
 	// initial labels flipped from Const to Identity.
 	c.propagateStructural([]rbsts.Report[*tree.Node, struct{}]{rep, drep}, deleted, deleted)
 	return out
-}
-
-// RemoveOp collapses an internal node whose children are both leaves back
-// into a leaf with the given value (§4.1 "delete two leaf children").
-type RemoveOp struct {
-	Node     *tree.Node
-	NewValue int64
 }
 
 // RemoveLeaves applies a batch of leaf-pair deletions, mirroring AddLeaves.

@@ -83,7 +83,6 @@ func TestPoolExecutionMatchesSequential(t *testing.T) {
 		parM := pram.New(4)
 		parM.SetGrain(8) // force pool execution even for tiny rounds
 		parRoots := driveBatches(t, seed, parM)
-		parM.Release()
 
 		if len(seqRoots) != len(parRoots) {
 			t.Fatalf("seed %d: %d sequential roots vs %d parallel", seed, len(seqRoots), len(parRoots))

@@ -35,9 +35,7 @@ import (
 
 	"dyntc/internal/faults"
 	"dyntc/internal/obs"
-	"dyntc/internal/pram"
 	"dyntc/internal/replog"
-	"dyntc/internal/sched"
 )
 
 // Host is the single-writer structure the engine serializes access to.
@@ -82,34 +80,15 @@ type Options struct {
 	// starve under exactly the load shedding exists to survive — they
 	// block on a full queue like on an unshedded engine.
 	Shed bool
-	// Workers is the goroutine parallelism of the host's PRAM machine, on
-	// which a wave's node-disjoint batches execute. The engine itself
-	// stays single-executor; the layer that owns the host applies the
-	// setting to its machine (dyntc.Expr.Serve / dyntc.NewForest do).
-	// Recorded here so Stats can surface it. 0 means leave the host's
-	// machine as configured.
-	Workers int
 	// WaveTap, when set, is called after every executed wave that mutated
 	// the tree, with the wave's sealed change record (dense-ID ops,
 	// assigned grow IDs, post-wave root, checksum). This is the
 	// replication seam: internal/replog logs and ships these. The tap runs
-	// inline on the wave's execution context (the executor goroutine, or
-	// the engine's scheduler lane when Pool is set), serialized with the
-	// engine's waves — it must be fast and must not call back into the
-	// engine. See also Engine.SetWaveTap.
+	// on the executor goroutine, serialized with the engine's waves and
+	// before any of the wave's mutating requests is acknowledged — it must
+	// be fast and must not call back into the engine. See also
+	// Engine.SetWaveTap.
 	WaveTap WaveTap
-	// Pool, when set, is the shared runtime scheduler: each wave's
-	// grow/collapse/set/value sub-batches are scheduled as task groups on
-	// one serial lane of this pool instead of running on the executor
-	// goroutine. One tree's sub-batches still execute in order (the host
-	// is single-writer and metering must stay deterministic), but the
-	// lanes of many engines interleave across the pool's workers, so a
-	// big forest shares a fixed worker set instead of oversubscribing the
-	// host with per-tree execution. Results, metering and the wave log
-	// are byte-identical either way. The layer that owns the host should
-	// point its PRAM machine at the same pool (dyntc.Expr.Serve and
-	// dyntc.NewForest do).
-	Pool *sched.Pool
 	// Obs, when set, receives per-flush wave-pipeline histograms
 	// (flush/coalesce/per-stage seconds — see NewObs). One Obs is shared
 	// by every engine of a forest; nil costs one bool check per flush.
@@ -224,8 +203,7 @@ type Engine struct {
 	tap atomic.Pointer[WaveTap]
 
 	// sc is the executor's reusable flush/partition state (touched only by
-	// the wave execution context: the executor goroutine, plus — between
-	// waveWG.Add and Wait — the chain's worker).
+	// the executor goroutine).
 	sc scratch
 
 	// curMax is the adaptive flush cap (see Options.MaxBatch); underfull
@@ -233,28 +211,9 @@ type Engine struct {
 	curMax    atomic.Int64
 	underfull int
 
-	// chain is the engine's serial lane on the shared scheduler (nil =
-	// waves execute inline on the executor). waveWG joins the lane's task
-	// group per wave; wavePanicked/VAL carry a phase panic back to the
-	// executor (written on the lane, read after Wait — the WaitGroup is
-	// the happens-before edge).
-	chain        *sched.Chain
-	laneWave     bool // current wave takes the lane (chain set, wave big enough)
-	waveWG       sync.WaitGroup
-	wavePanicked bool
-	wavePanicVal any
-	// phaseFns/laneFns are the wave phases and their lane-wrapped forms,
-	// built once so scheduling a wave allocates nothing (a bound method
-	// value or closure built per wave would).
-	phaseFns [numPhases]func()
-	laneFns  [numPhases]func()
-
-	// kinder/grainer/healer are the host's optional tuning and
-	// observability capabilities, cached once (dyntc.Expr implements all
-	// three).
-	kinder  stepKinder
-	grainer grainReporter
-	healer  healReporter
+	// healer is the host's optional heal-reporting capability, cached
+	// once (dyntc.Expr implements it).
+	healer healReporter
 
 	// timing enables the per-flush clock reads (immutable after New): set
 	// when any of Obs / Trace / SlowWave is configured. traceID is the
@@ -270,15 +229,6 @@ type Engine struct {
 
 	done chan struct{}
 }
-
-// stepKinder is the optional host capability the engine uses to label
-// each wave sub-batch with its kind, so the host machine's adaptive grain
-// tunes per (tree, batch kind).
-type stepKinder interface{ SetStepKind(pram.StepKind) }
-
-// grainReporter is the optional host capability exposing the machine's
-// current per-kind grain for Stats.
-type grainReporter interface{ StepGrains() [pram.NumStepKinds]int }
 
 // healReporter is the optional host capability exposing the contraction
 // core's per-wave heal cost (records touched, re-simulation fallbacks),
@@ -297,18 +247,9 @@ func New(host Host, opts Options) *Engine {
 	if e.opts.WaveTap != nil {
 		e.tap.Store(&e.opts.WaveTap)
 	}
-	// A serial lane on a single-worker pool cannot interleave trees — it
-	// only adds hops Go's own scheduler does better — so the lane engages
-	// only when the pool has real width. Machines still chunk their steps
-	// onto the pool either way.
-	if e.opts.Pool != nil && e.opts.Pool.Workers() > 1 {
-		e.chain = e.opts.Pool.NewChain()
-	}
-	e.kinder, _ = host.(stepKinder)
-	e.grainer, _ = host.(grainReporter)
 	e.healer, _ = host.(healReporter)
 	// A host restored from a snapshot carries its leadership term; seed
-	// the wave stamp from it (same capability pattern as kinder).
+	// the wave stamp from it (same capability pattern as healer).
 	if ep, ok := host.(interface{ Epoch() uint64 }); ok {
 		e.epoch.Store(ep.Epoch())
 	} else {
@@ -316,32 +257,6 @@ func New(host Host, opts Options) *Engine {
 	}
 	e.timing = e.opts.Obs != nil || e.opts.Trace != nil || e.opts.SlowWave != nil ||
 		e.opts.Spans != nil || e.opts.FlushSink != nil
-	e.phaseFns = [numPhases]func(){
-		e.phaseGrows, e.phaseCollapses, e.phaseSetLeaves,
-		e.phaseSetOps, e.phaseSealWave, e.phaseValues,
-	}
-	if e.timing {
-		// Wrap each phase with its stage clock before the lane forms are
-		// derived, so lane-dispatched phases are timed identically.
-		for i, fn := range e.phaseFns {
-			e.phaseFns[i] = e.timedPhase(i, fn)
-		}
-	}
-	for i, fn := range e.phaseFns {
-		fn := fn
-		e.laneFns[i] = func() {
-			defer e.waveWG.Done()
-			if e.wavePanicked {
-				return
-			}
-			defer func() {
-				if r := recover(); r != nil {
-					e.wavePanicked, e.wavePanicVal = true, r
-				}
-			}()
-			fn()
-		}
-	}
 	go e.run()
 	return e
 }
@@ -531,8 +446,8 @@ func (e *Engine) Barrier(fn func(Host)) *Future {
 	return e.submit(f)
 }
 
-// run is the executor: the only goroutine that drains the queue and (via
-// its serial lane, when a pool is configured) touches e.host.
+// run is the executor: the only goroutine that drains the queue and
+// touches e.host.
 func (e *Engine) run() {
 	defer close(e.done)
 	for {

@@ -4,7 +4,7 @@ import (
 	"slices"
 	"time"
 
-	"dyntc/internal/core"
+	"dyntc/internal/core/batch"
 	"dyntc/internal/obs"
 )
 
@@ -15,8 +15,7 @@ import (
 // without Obs/Trace/SlowWave configured takes exactly one bool check per
 // flush and nothing per request.
 
-// numStages is the wave phases plus the barrier pseudo-phase (barriers
-// are dispatched directly, outside the phase table).
+// numStages is the wave phases plus the barrier pseudo-phase.
 const numStages = numPhases + 1
 
 // stageBarrierIdx indexes the barrier slot of scratch.stageNS.
@@ -101,7 +100,7 @@ func RegisterStatsFuncs(r *obs.Registry, stats func() Stats) {
 		func() float64 { return float64(stats().Waves) })
 	r.CounterFunc("dyntc_heal_records_total", "trace records re-executed by mutating-wave heals",
 		func() float64 { return float64(stats().HealRecords) })
-	for _, reason := range core.ResimReasons {
+	for _, reason := range batch.ResimReasons {
 		r.CounterFunc("dyntc_resimulations_total", "mutating waves that fell back to full re-simulation, by reason",
 			func() float64 { return float64(stats().ResimReasons[reason]) }, "reason", reason)
 	}
@@ -280,8 +279,8 @@ func (e *Engine) observeFlush(reqs int, coalesceNS, flushNS int64) {
 
 // noteHeal folds the host's last heal report into the engine counters,
 // the per-flush trace accumulators and the records-touched histogram. It
-// runs right after each mutating host call, on the wave's execution
-// context, so the report it reads is the wave's own.
+// runs right after each mutating host call, on the executor, so the
+// report it reads is the wave's own.
 func (e *Engine) noteHeal(executed int) {
 	if e.healer == nil || executed == 0 {
 		return
@@ -290,7 +289,7 @@ func (e *Engine) noteHeal(executed int) {
 	e.stats.healRecords.Add(uint64(hs.WoundRecords))
 	if hs.Resimulated {
 		e.stats.resims.Add(1)
-		if i := slices.Index(core.ResimReasons[:], hs.ResimReason); i >= 0 {
+		if i := slices.Index(batch.ResimReasons[:], hs.ResimReason); i >= 0 {
 			e.stats.resimsBy[i].Add(1)
 		}
 	}
@@ -305,19 +304,5 @@ func (e *Engine) noteHeal(executed int) {
 			sc.healResimReason = hs.ResimReason
 		}
 		sc.traceRecords = hs.TotalRecords
-	}
-}
-
-// timedPhase wraps one phase fn with a stage clock accumulating into the
-// scratch's per-flush stage slot (wave-context-serialized, like every
-// other scratch field).
-func (e *Engine) timedPhase(idx int, fn func()) func() {
-	return func() {
-		t0 := time.Now()
-		if e.sc.spanActive && e.sc.stageStart[idx] < 0 {
-			e.sc.stageStart[idx] = int64(t0.Sub(e.sc.flushT0))
-		}
-		fn()
-		e.sc.stageNS[idx] += int64(time.Since(t0))
 	}
 }

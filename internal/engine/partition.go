@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"dyntc/internal/obs"
-	"dyntc/internal/pram"
 	"dyntc/internal/replog"
 )
 
@@ -164,11 +163,10 @@ type scratch struct {
 	vals    []int64
 	opArgs  []OpT
 
-	// Per-wave execution state shared between the phases of one wave
-	// (chain-serialized; the executor reads it again only after the wave's
-	// task group has joined).
+	// Per-wave execution state shared between the phases of one wave.
 	resolved int         // prefix of order already resolved
-	mutating int         // mutating requests in the wave
+	mutating int         // mutating requests in the wave (order's prefix)
+	pairs    [][2]*NodeT // the grows' new leaves, held until the wave is acked
 	tap      *WaveTap    // tap active for this wave (nil = none)
 	rec      []replog.Op // change record under construction (escapes into the tap)
 
@@ -405,19 +403,14 @@ func (e *Engine) footprintAll(f *Future) footprint {
 }
 
 // runWave executes one conflict-free wave as the core batch calls of
-// §1.4, each scheduled as one entry of the wave's task group: on an
-// engine without a scheduler pool the phases run inline on the executor;
-// with one (Options.Pool) they are submitted to the engine's serial lane,
-// so one tree's sub-batches keep their order (the host is single-writer
-// and metering must stay deterministic) while the grow/set/value phases
-// of different trees' waves interleave freely across the shared workers.
+// §1.4, one phase per request kind, on the executor goroutine.
 //
-// Futures resolve in a fixed order (grows, collapses, set-leaves,
-// set-ops, values); the panic path uses that order to fail exactly the
-// futures not yet resolved — a resolved Future may already have been
-// recycled by its caller and must never be touched again. A phase panic
-// on the lane is carried back to the executor through the task group's
-// join and handled identically to an inline panic.
+// Mutating requests are acknowledged only after the seal phase has handed
+// the wave to the tap (the WAL append), so an acknowledged write is always
+// in the log. Futures resolve in a fixed order (grows, collapses,
+// set-leaves, set-ops, values); the panic path uses that order to fail
+// exactly the futures not yet resolved — a resolved Future may already
+// have been recycled by its caller and must never be touched again.
 func (e *Engine) runWave(wave []*Future) {
 	sc := &e.sc
 	sc.resolved = 0
@@ -428,11 +421,7 @@ func (e *Engine) runWave(wave []*Future) {
 	// wrong futures and strand this wave's callers forever.
 	sc.order = append(sc.order[:0], wave...)
 	defer func() {
-		r := recover()
-		if r == nil && e.wavePanicked {
-			r, e.wavePanicked, e.wavePanicVal = e.wavePanicVal, false, nil
-		}
-		if r != nil {
+		if r := recover(); r != nil {
 			e.poisoned = true
 			err := fmt.Errorf("%w: %v", ErrPoisoned, r)
 			for _, f := range sc.order[sc.resolved:] {
@@ -451,32 +440,16 @@ func (e *Engine) runWave(wave []*Future) {
 	}
 
 	if wave[0].kind == kBarrier {
-		// Barriers execute arbitrary user code (snapshots park on I/O,
-		// tests park on channels): never occupy a shared worker with one —
-		// run it on the executor, like every wave before the lane existed.
-		sc.order = append(sc.order[:0], wave[0])
-		if e.timing {
-			t0 := time.Now()
-			if sc.spanActive && sc.stageStart[stageBarrierIdx] < 0 {
-				sc.stageStart[stageBarrierIdx] = int64(t0.Sub(sc.flushT0))
-			}
-			e.phaseBarrier()
-			sc.stageNS[stageBarrierIdx] += int64(time.Since(t0))
-		} else {
-			e.phaseBarrier()
-		}
+		e.phase(stageBarrierIdx, e.phaseBarrier)
 		return
 	}
-	// Tiny waves are not worth a lane hop: the task-group discipline pays
-	// off when a wave's sub-batches carry real parallel steps, not for a
-	// handful of requests resolved in microseconds.
-	e.laneWave = e.chain != nil && len(wave) >= laneMinWave
 
 	sc.grows = sc.grows[:0]
 	sc.collapses = sc.collapses[:0]
 	sc.setLeaves = sc.setLeaves[:0]
 	sc.setOps = sc.setOps[:0]
 	sc.values = sc.values[:0]
+	sc.pairs = nil
 	for _, f := range wave {
 		switch f.kind {
 		case kGrow:
@@ -499,7 +472,7 @@ func (e *Engine) runWave(wave []*Future) {
 	sc.order = append(sc.order, sc.values...)
 
 	// When a wave tap is attached, the phases build the wave's change
-	// record. Op data must be captured before the corresponding resolve: a
+	// record. Op data is captured from the futures before they resolve: a
 	// resolved Future may already be recycled (and reused) by its caller.
 	// The record slice is freshly allocated per wave — it escapes into the
 	// tap, which may retain it (log rings do).
@@ -511,33 +484,28 @@ func (e *Engine) runWave(wave []*Future) {
 	}
 
 	if len(sc.grows) > 0 {
-		e.phase(phaseGrowsIdx)
+		e.phase(phaseGrowsIdx, e.phaseGrows)
 	}
 	if len(sc.collapses) > 0 {
-		e.phase(phaseCollapsesIdx)
+		e.phase(phaseCollapsesIdx, e.phaseCollapses)
 	}
 	if len(sc.setLeaves) > 0 {
-		e.phase(phaseSetLeavesIdx)
+		e.phase(phaseSetLeavesIdx, e.phaseSetLeaves)
 	}
 	if len(sc.setOps) > 0 {
-		e.phase(phaseSetOpsIdx)
+		e.phase(phaseSetOpsIdx, e.phaseSetOps)
 	}
 	if sc.mutating > 0 {
-		e.phase(phaseSealWaveIdx)
+		e.phase(phaseSealWaveIdx, e.phaseSealWave)
+		e.ackMutations()
 	}
 	if len(sc.values) > 0 {
-		e.phase(phaseValuesIdx)
+		e.phase(phaseValuesIdx, e.phaseValues)
 	}
-	e.joinWave()
 }
 
-// laneMinWave is the wave size below which phases run inline even with a
-// pool configured: the lane hop costs a couple of goroutine switches,
-// worthwhile only when the wave's sub-batches amortize it.
-const laneMinWave = 16
-
-// Wave phase indices into Engine.phaseFns/laneFns (barrier phases are
-// dispatched directly, not through the table).
+// Wave phase indices: each phase's slot in the per-flush stage timings
+// (obs.go adds the barrier's slot after them).
 const (
 	phaseGrowsIdx = iota
 	phaseCollapsesIdx
@@ -548,44 +516,24 @@ const (
 	numPhases
 )
 
-// phase runs one wave phase: inline for small waves or without a pool,
-// or as the next entry of the engine's lane (the lane form skips its
-// body after a panicked phase, so a poisoned wave never executes further
-// host calls). The funcs come from the prebuilt tables — scheduling a
-// wave allocates nothing.
-func (e *Engine) phase(idx int) {
-	if !e.laneWave {
-		e.phaseFns[idx]()
+// phase runs one wave phase; on a timing-enabled engine it accumulates the
+// phase's wall time into the flush's stage slot idx.
+func (e *Engine) phase(idx int, fn func()) {
+	if !e.timing {
+		fn()
 		return
 	}
-	e.waveWG.Add(1)
-	e.chain.Go(e.laneFns[idx])
-}
-
-// joinWave waits for the wave's task group; afterwards the executor owns
-// the scratch state again.
-func (e *Engine) joinWave() {
-	if e.laneWave {
-		e.waveWG.Wait()
+	sc := &e.sc
+	t0 := time.Now()
+	if sc.spanActive && sc.stageStart[idx] < 0 {
+		sc.stageStart[idx] = int64(t0.Sub(sc.flushT0))
 	}
-	if e.wavePanicked {
-		v := e.wavePanicVal
-		e.wavePanicked, e.wavePanicVal = false, nil
-		panic(v)
-	}
-}
-
-// setKind labels the host machine's next steps with the sub-batch kind
-// (per-kind adaptive grain); a no-op for hosts without the capability.
-func (e *Engine) setKind(k pram.StepKind) {
-	if e.kinder != nil {
-		e.kinder.SetStepKind(k)
-	}
+	fn()
+	sc.stageNS[idx] += int64(time.Since(t0))
 }
 
 func (e *Engine) phaseBarrier() {
 	f := e.sc.order[0]
-	e.setKind(pram.KindDefault)
 	f.fn(e.host)
 	e.stats.done(kBarrier)
 	e.sc.resolved++
@@ -595,50 +543,41 @@ func (e *Engine) phaseBarrier() {
 
 func (e *Engine) phaseGrows() {
 	sc := &e.sc
-	e.setKind(pram.KindGrow)
 	sc.growOps = sc.growOps[:0]
 	for _, f := range sc.grows {
 		sc.growOps = append(sc.growOps, GrowOp{Leaf: f.ref.N, Op: f.op, LeftVal: f.a, RightVal: f.b})
 	}
-	pairs := e.host.GrowBatch(sc.growOps)
+	sc.pairs = e.host.GrowBatch(sc.growOps)
 	e.noteHeal(len(sc.grows))
-	for i, f := range sc.grows {
-		if sc.rec != nil {
+	if sc.rec != nil {
+		for i, f := range sc.grows {
 			sc.rec = append(sc.rec, replog.Op{
 				Kind: replog.OpGrow, Node: f.ref.N.ID,
 				A: f.op.A, B: f.op.B, C: f.op.C,
 				Left: f.a, Right: f.b,
-				LeftID: pairs[i][0].ID, RightID: pairs[i][1].ID,
+				LeftID: sc.pairs[i][0].ID, RightID: sc.pairs[i][1].ID,
 			})
 		}
-		e.stats.done(kGrow)
-		sc.resolved++
-		f.resolve(0, pairs[i], nil)
 	}
 }
 
 func (e *Engine) phaseCollapses() {
 	sc := &e.sc
-	e.setKind(pram.KindCollapse)
 	sc.colOps = sc.colOps[:0]
 	for _, f := range sc.collapses {
 		sc.colOps = append(sc.colOps, CollapseOp{Node: f.ref.N, NewValue: f.a})
 	}
 	e.host.CollapseBatch(sc.colOps)
 	e.noteHeal(len(sc.collapses))
-	for _, f := range sc.collapses {
-		if sc.rec != nil {
+	if sc.rec != nil {
+		for _, f := range sc.collapses {
 			sc.rec = append(sc.rec, replog.Op{Kind: replog.OpCollapse, Node: f.ref.N.ID, Value: f.a})
 		}
-		e.stats.done(kCollapse)
-		sc.resolved++
-		f.resolve(0, [2]*NodeT{}, nil)
 	}
 }
 
 func (e *Engine) phaseSetLeaves() {
 	sc := &e.sc
-	e.setKind(pram.KindSet)
 	sc.nodes = sc.nodes[:0]
 	sc.vals = sc.vals[:0]
 	for _, f := range sc.setLeaves {
@@ -647,19 +586,15 @@ func (e *Engine) phaseSetLeaves() {
 	}
 	e.host.SetLeaves(sc.nodes, sc.vals)
 	e.noteHeal(len(sc.setLeaves))
-	for _, f := range sc.setLeaves {
-		if sc.rec != nil {
+	if sc.rec != nil {
+		for _, f := range sc.setLeaves {
 			sc.rec = append(sc.rec, replog.Op{Kind: replog.OpSetLeaf, Node: f.ref.N.ID, Value: f.a})
 		}
-		e.stats.done(kSetLeaf)
-		sc.resolved++
-		f.resolve(0, [2]*NodeT{}, nil)
 	}
 }
 
 func (e *Engine) phaseSetOps() {
 	sc := &e.sc
-	e.setKind(pram.KindSet)
 	sc.nodes = sc.nodes[:0]
 	sc.opArgs = sc.opArgs[:0]
 	for _, f := range sc.setOps {
@@ -668,22 +603,20 @@ func (e *Engine) phaseSetOps() {
 	}
 	e.host.SetOps(sc.nodes, sc.opArgs)
 	e.noteHeal(len(sc.setOps))
-	for _, f := range sc.setOps {
-		if sc.rec != nil {
+	if sc.rec != nil {
+		for _, f := range sc.setOps {
 			sc.rec = append(sc.rec, replog.Op{Kind: replog.OpSetOp, Node: f.ref.N.ID, A: f.op.A, B: f.op.B, C: f.op.C})
 		}
-		e.stats.done(kSetOp)
-		sc.resolved++
-		f.resolve(0, [2]*NodeT{}, nil)
 	}
 }
 
 // phaseSealWave advances the applied sequence for a mutating wave
 // (whether or not a tap is attached — the sequence is the tree state's
 // log position) and, if tapped, emits the sealed change record. It runs
-// before the wave's read phase and before the executor moves on, so a
-// later barrier (snapshots run as barriers) always observes a log
-// position consistent with the tree it reads.
+// before the wave's mutating requests are acknowledged, before its read
+// phase and before the executor moves on, so an acknowledged write is in
+// the log and a later barrier (snapshots run as barriers) always observes
+// a log position consistent with the tree it reads.
 func (e *Engine) phaseSealWave() {
 	seq := e.appliedSeq.Add(1)
 	if e.sc.rec != nil {
@@ -717,9 +650,23 @@ func (e *Engine) phaseSealWave() {
 	}
 }
 
+// ackMutations resolves the wave's mutating futures — order's first
+// mutating entries, grows first — once the seal has logged the wave.
+func (e *Engine) ackMutations() {
+	sc := &e.sc
+	for i, f := range sc.order[:sc.mutating] {
+		var pair [2]*NodeT
+		if i < len(sc.pairs) {
+			pair = sc.pairs[i]
+		}
+		e.stats.done(f.kind)
+		sc.resolved++
+		f.resolve(0, pair, nil)
+	}
+}
+
 func (e *Engine) phaseValues() {
 	sc := &e.sc
-	e.setKind(pram.KindValue)
 	sc.nodes = sc.nodes[:0]
 	for _, f := range sc.values {
 		if f.kind == kValue {

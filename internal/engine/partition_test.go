@@ -183,6 +183,49 @@ func TestMixedKindsOneWave(t *testing.T) {
 	}
 }
 
+// TestAckAfterWaveLogged: a mutating request is acknowledged only after
+// its wave has reached the wave tap (the WAL append), so an acked write is
+// always in the log. The tap runs while the wave is sealed and must still
+// see the wave's futures pending.
+func TestAckAfterWaveLogged(t *testing.T) {
+	en, e := newEngine(t, 1, dyntc.BatchOptions{})
+	ring := dyntc.ModRing(mod)
+	l, r, err := en.Grow(e.Tree().Root, dyntc.OpAdd(ring), 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var fg, fs *dyntc.Future
+	taps := 0
+	en.SetWaveTap(func(w dyntc.Wave) {
+		taps++
+		for _, f := range []*dyntc.Future{fg, fs} {
+			select {
+			case <-f.Done():
+				t.Errorf("wave %d: a mutating future resolved before the tap logged its wave", w.Seq)
+			default:
+			}
+		}
+	})
+	release := holdFlush(t, en)
+	fg = en.GrowAsync(l, dyntc.OpMul(ring), 6, 7)
+	fs = en.SetLeafAsync(r, 5)
+	release()
+
+	if _, _, err := fg.Pair(); err != nil {
+		t.Fatalf("grow: %v", err)
+	}
+	if err := fs.Wait(); err != nil {
+		t.Fatalf("set-leaf: %v", err)
+	}
+	if taps != 1 {
+		t.Fatalf("tap ran %d times, want 1 (grow and set share a wave)", taps)
+	}
+	if v, _ := en.Root(); v != 42+5 {
+		t.Fatalf("root = %d, want %d", v, 42+5)
+	}
+}
+
 // TestCollapseFootprintBlocksChildren: a collapse and a same-flush request
 // on one of its children conflict (the child dies); order is preserved.
 func TestCollapseFootprintBlocksChildren(t *testing.T) {

@@ -6,8 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dyntc/internal/core"
-	"dyntc/internal/pram"
+	"dyntc/internal/core/batch"
 )
 
 // latWindow is the number of recent flush latencies retained for the
@@ -37,7 +36,7 @@ type statsRec struct {
 	barriers     atomic.Uint64
 	healRecords  atomic.Uint64
 	resims       atomic.Uint64
-	resimsBy     [len(core.ResimReasons)]atomic.Uint64 // same order
+	resimsBy     [len(batch.ResimReasons)]atomic.Uint64 // same order
 
 	latMu sync.Mutex
 	lat   [latWindow]int64 // recent flush durations, nanoseconds
@@ -138,21 +137,12 @@ type Stats struct {
 	Dropped  uint64 `json:"dropped"`   // requests discarded unexecuted (closed / poisoned)
 	Shed     uint64 `json:"shed"`      // requests rejected at submit, queue full (Options.Shed)
 	MaxFlush int64  `json:"max_flush"` // largest flush seen
-	Workers  int    `json:"workers"`   // configured PRAM worker parallelism (0 = host default)
 
 	// Adaptive batching: the current flush cap (starts at Options.MaxBatch,
 	// grows while flushes saturate) and how often it moved.
 	CurMaxBatch  int64  `json:"cur_max_batch"`
 	BatchGrows   uint64 `json:"batch_grows"`
 	BatchShrinks uint64 `json:"batch_shrinks"`
-
-	// SharedPool reports whether waves execute on the shared runtime
-	// scheduler (Options.Pool) instead of inline on the executor.
-	SharedPool bool `json:"shared_pool"`
-
-	// Grain is the host machine's current sequential threshold per batch
-	// kind (adaptive unless pinned; zero when the host does not report it).
-	Grain GrainStats `json:"grain"`
 
 	// Backpressure visibility: the submit queue's instantaneous depth and
 	// the executor's recent flush latency distribution.
@@ -180,37 +170,8 @@ type Stats struct {
 	HealRecords   uint64 `json:"heal_records"`
 	Resimulations uint64 `json:"resimulations"`
 	// ResimReasons splits Resimulations by the core's stated reason
-	// (core.ResimReasons); a reason that never occurred is absent.
+	// (batch.ResimReasons); a reason that never occurred is absent.
 	ResimReasons map[string]uint64 `json:"resim_reasons,omitempty"`
-}
-
-// GrainStats is the host machine's current per-kind sequential threshold
-// (see pram.StepKind): how many processors a step needs before it leaves
-// the calling goroutine for the shared pool, tuned from measured cost.
-type GrainStats struct {
-	Default  int `json:"default"`
-	Grow     int `json:"grow"`
-	Collapse int `json:"collapse"`
-	Set      int `json:"set"`
-	Value    int `json:"value"`
-}
-
-func (g *GrainStats) maxWith(other GrainStats) {
-	if other.Default > g.Default {
-		g.Default = other.Default
-	}
-	if other.Grow > g.Grow {
-		g.Grow = other.Grow
-	}
-	if other.Collapse > g.Collapse {
-		g.Collapse = other.Collapse
-	}
-	if other.Set > g.Set {
-		g.Set = other.Set
-	}
-	if other.Value > g.Value {
-		g.Value = other.Value
-	}
 }
 
 // MeanFlush is the mean executed batch size: requests per flush. Under
@@ -230,8 +191,7 @@ func (s Stats) MeanWave() float64 {
 	return float64(s.Requests) / float64(s.Waves)
 }
 
-// Add accumulates other into s: counters and queue depths sum, Workers
-// takes the largest pool. Percentiles cannot be merged from two snapshots,
+// Add accumulates other into s: counters and queue depths sum. Percentiles cannot be merged from two snapshots,
 // so Add keeps the worst engine's values — an upper bound, not the
 // combined distribution; Forest.TotalStats, which can reach the engines'
 // retained latency windows, overwrites them with the true forest-wide
@@ -255,16 +215,11 @@ func (s *Stats) Add(other Stats) {
 	if other.MaxFlush > s.MaxFlush {
 		s.MaxFlush = other.MaxFlush
 	}
-	if other.Workers > s.Workers {
-		s.Workers = other.Workers
-	}
 	if other.CurMaxBatch > s.CurMaxBatch {
 		s.CurMaxBatch = other.CurMaxBatch
 	}
 	s.BatchGrows += other.BatchGrows
 	s.BatchShrinks += other.BatchShrinks
-	s.SharedPool = s.SharedPool || other.SharedPool
-	s.Grain.maxWith(other.Grain)
 	s.Grows += other.Grows
 	s.Collapses += other.Collapses
 	s.SetLeaves += other.SetLeaves
@@ -281,7 +236,7 @@ func (s *Stats) Add(other Stats) {
 
 func (s *Stats) addResims(reason string, n uint64) {
 	if s.ResimReasons == nil {
-		s.ResimReasons = make(map[string]uint64, len(core.ResimReasons))
+		s.ResimReasons = make(map[string]uint64, len(batch.ResimReasons))
 	}
 	s.ResimReasons[reason] += n
 }
@@ -297,11 +252,9 @@ func (e *Engine) Stats() Stats {
 		Dropped:      e.stats.dropped.Load(),
 		Shed:         e.stats.shedded.Load(),
 		MaxFlush:     e.stats.maxFlush.Load(),
-		Workers:      e.opts.Workers,
 		CurMaxBatch:  e.curMax.Load(),
 		BatchGrows:   e.stats.batchGrows.Load(),
 		BatchShrinks: e.stats.batchShrinks.Load(),
-		SharedPool:   e.opts.Pool != nil,
 		QueueDepth:   len(e.ch),
 		QueueCap:     e.opts.Queue,
 		FlushP50US:   p50,
@@ -318,19 +271,9 @@ func (e *Engine) Stats() Stats {
 		HealRecords:   e.stats.healRecords.Load(),
 		Resimulations: e.stats.resims.Load(),
 	}
-	for i, reason := range core.ResimReasons {
+	for i, reason := range batch.ResimReasons {
 		if n := e.stats.resimsBy[i].Load(); n > 0 {
 			s.addResims(reason, n)
-		}
-	}
-	if e.grainer != nil {
-		g := e.grainer.StepGrains()
-		s.Grain = GrainStats{
-			Default:  g[pram.KindDefault],
-			Grow:     g[pram.KindGrow],
-			Collapse: g[pram.KindCollapse],
-			Set:      g[pram.KindSet],
-			Value:    g[pram.KindValue],
 		}
 	}
 	return s

@@ -3,7 +3,9 @@ package engine_test
 // The race-detector stress test: N client goroutines hammer one Engine
 // with mixed grow / collapse / set / value traffic, and the final root
 // value (plus every value-query answer along the way) is asserted against
-// a sequential replay of the same client programs on a plain Expr.
+// a sequential replay of the same client programs on a plain Expr. The
+// live engine serves a bare contraction on a machine the test configures,
+// so a variant can force the machine's steps onto a scheduler pool.
 //
 // Each client owns one region of the tree (the subtree under its assigned
 // leaf) and runs a deterministic seeded program against it. Regions are
@@ -20,7 +22,12 @@ import (
 	"time"
 
 	"dyntc"
+	"dyntc/internal/core"
+	"dyntc/internal/engine"
+	"dyntc/internal/pram"
 	"dyntc/internal/prng"
+	"dyntc/internal/sched"
+	"dyntc/internal/tree"
 )
 
 // applier abstracts "live through the engine" vs "sequential replay".
@@ -33,33 +40,53 @@ type applier interface {
 
 type liveApplier struct {
 	t  *testing.T
-	en *dyntc.Engine
+	en *engine.Engine
 }
 
 func (a liveApplier) grow(leaf *dyntc.Node, op dyntc.Op, lv, rv int64) (*dyntc.Node, *dyntc.Node) {
-	l, r, err := a.en.Grow(leaf, op, lv, rv)
+	f := a.en.Grow(engine.Ref(leaf), op, lv, rv)
+	l, r, err := f.Pair()
+	f.Recycle()
 	if err != nil {
 		a.t.Errorf("live grow: %v", err)
 	}
 	return l, r
 }
 func (a liveApplier) collapse(n *dyntc.Node, v int64) {
-	if err := a.en.Collapse(n, v); err != nil {
-		a.t.Errorf("live collapse: %v", err)
-	}
+	a.wait("collapse", a.en.Collapse(engine.Ref(n), v))
 }
 func (a liveApplier) set(leaf *dyntc.Node, v int64) {
-	if err := a.en.SetLeaf(leaf, v); err != nil {
-		a.t.Errorf("live set: %v", err)
-	}
+	a.wait("set", a.en.SetLeaf(engine.Ref(leaf), v))
 }
 func (a liveApplier) value(n *dyntc.Node) int64 {
-	v, err := a.en.Value(n)
+	f := a.en.Value(engine.Ref(n))
+	v, err := f.Value()
+	f.Recycle()
 	if err != nil {
 		a.t.Errorf("live value: %v", err)
 	}
 	return v
 }
+func (a liveApplier) wait(what string, f *engine.Future) {
+	if err := f.Wait(); err != nil {
+		a.t.Errorf("live %s: %v", what, err)
+	}
+	f.Recycle()
+}
+
+// coreHost serves a bare contraction (no Euler tour) to the engine.
+type coreHost struct {
+	t *tree.Tree
+	c *core.Contraction
+}
+
+func (h coreHost) Tree() *tree.Tree                              { return h.t }
+func (h coreHost) GrowBatch(ops []engine.GrowOp) [][2]*tree.Node { return h.c.AddLeaves(ops) }
+func (h coreHost) CollapseBatch(ops []engine.CollapseOp)         { h.c.RemoveLeaves(ops) }
+func (h coreHost) SetLeaves(ls []*tree.Node, vs []int64)         { h.c.SetValues(ls, vs) }
+func (h coreHost) SetOps(ns []*tree.Node, ops []engine.OpT)      { h.c.SetOps(ns, ops) }
+func (h coreHost) Values(ns []*tree.Node) []int64                { return h.c.ValuesBatch(ns) }
+func (h coreHost) Root() int64                                   { return h.c.RootValue() }
 
 type seqApplier struct{ e *dyntc.Expr }
 
@@ -154,24 +181,30 @@ func (c *clientProgram) step(a applier) {
 
 // fanOut grows the single-leaf expression into n disjoint leaves
 // (deterministically), one region root per client.
-func fanOut(e *dyntc.Expr, ring dyntc.Ring, n int) []*dyntc.Node {
-	leaves := []*dyntc.Node{e.Tree().Root}
+func fanOut(a applier, root *dyntc.Node, ring dyntc.Ring, n int) []*dyntc.Node {
+	leaves := []*dyntc.Node{root}
 	for len(leaves) < n {
-		l, r := e.Grow(leaves[0], dyntc.OpAdd(ring), 1, 1)
+		l, r := a.grow(leaves[0], dyntc.OpAdd(ring), 1, 1)
 		leaves = append(leaves[1:], l, r)
 	}
 	return leaves
 }
 
-func runStress(t *testing.T, clients, opsPerClient int, opts dyntc.BatchOptions, exprOpts ...dyntc.Option) {
+// runStress runs the oracle with the live engine's contraction on mach
+// (nil = a sequential machine).
+func runStress(t *testing.T, clients, opsPerClient int, opts engine.Options, mach *pram.Machine) {
 	t.Helper()
 	const seed = 7
 	ring := dyntc.ModRing(1_000_000_007)
 
 	// Live, concurrent run.
-	live := dyntc.NewExpr(ring, 1, append([]dyntc.Option{dyntc.WithSeed(seed)}, exprOpts...)...)
-	bases := fanOut(live, ring, clients)
-	en := live.Serve(opts)
+	if mach == nil {
+		mach = pram.Sequential()
+	}
+	tr := tree.New(ring, 1)
+	live := coreHost{t: tr, c: core.New(tr, seed, mach)}
+	en := engine.New(live, opts)
+	bases := fanOut(liveApplier{t: t, en: en}, tr.Root, ring, clients)
 	progs := make([]*clientProgram, clients)
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
@@ -196,7 +229,7 @@ func runStress(t *testing.T, clients, opsPerClient int, opts dyntc.BatchOptions,
 	// Sequential replay oracle: same programs, client after client, on a
 	// plain Expr.
 	replay := dyntc.NewExpr(ring, 1, dyntc.WithSeed(seed))
-	rbases := fanOut(replay, ring, clients)
+	rbases := fanOut(seqApplier{e: replay}, replay.Tree().Root, ring, clients)
 	for i := 0; i < clients; i++ {
 		p := newClient(uint64(1000+i), ring, rbases[i])
 		a := seqApplier{e: replay}
@@ -223,41 +256,46 @@ func runStress(t *testing.T, clients, opsPerClient int, opts dyntc.BatchOptions,
 }
 
 func TestStressOracle(t *testing.T) {
-	runStress(t, 8, 200, dyntc.BatchOptions{})
+	runStress(t, 8, 200, engine.Options{}, nil)
 }
 
 // TestStressOracleWorkers4 runs the oracle with waves executing on a
-// 4-worker PRAM pool, with the grain forced low so even small batches
-// take the pool path. Under -race this exercises the persistent pool's
-// chunk claiming against the full engine stack; the sequential replay
-// proves pool execution changes no result.
+// 4-worker PRAM machine, with the grain forced low so even small batches
+// take the pool path. Under -race this exercises the pool's chunk
+// claiming against the full engine stack; the sequential replay proves
+// pool execution changes no result.
 func TestStressOracleWorkers4(t *testing.T) {
-	runStress(t, 8, 200, dyntc.BatchOptions{Workers: 4}, dyntc.WithGrain(8))
+	m := pram.New(4)
+	m.SetGrain(8)
+	runStress(t, 8, 200, engine.Options{}, m)
 }
 
-// TestStressOracleSharedPool4Workers runs the oracle with the full
-// shared-scheduler stack: wave sub-batches scheduled as task groups on a
-// 4-worker pool and the machine's steps chunked onto the same workers.
-// Under -race this drives lane scheduling, chunk claiming and stealing
-// against the whole engine; the sequential replay proves shared-pool
-// execution changes no result.
+// TestStressOracleSharedPool4Workers runs the oracle with the machine's
+// steps chunked onto a dedicated 4-worker scheduler pool, and checks that
+// steps really reached it. Under -race this drives chunk claiming and
+// stealing against the whole engine; the sequential replay proves
+// pool-stepped execution changes no result.
 func TestStressOracleSharedPool4Workers(t *testing.T) {
-	pool := dyntc.NewSchedPool(4)
+	pool := sched.NewPool(4)
 	defer pool.Close()
-	runStress(t, 8, 200, dyntc.BatchOptions{Workers: 4, Pool: pool},
-		dyntc.WithGrain(8), dyntc.WithPool(pool))
+	m := pram.NewOnPool(pool, 4)
+	m.SetGrain(8)
+	runStress(t, 8, 200, engine.Options{}, m)
+	if pool.Stats().Loops == 0 {
+		t.Fatal("no PRAM step reached the pool; the test lost its teeth")
+	}
 }
 
 func TestStressOracleManyClients(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	runStress(t, 32, 150, dyntc.BatchOptions{})
+	runStress(t, 32, 150, engine.Options{}, nil)
 }
 
 func TestStressOracleWindowed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	runStress(t, 16, 100, dyntc.BatchOptions{Window: 200 * time.Microsecond})
+	runStress(t, 16, 100, engine.Options{Window: 200 * time.Microsecond}, nil)
 }

@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"dyntc/internal/core"
+	"dyntc/internal/core/batch"
 	"dyntc/internal/semiring"
 	"dyntc/internal/tree"
 )
@@ -16,9 +16,9 @@ type (
 	// OpT is a symmetric node operation.
 	OpT = semiring.Op
 	// GrowOp is one leaf expansion of a grow batch.
-	GrowOp = core.AddOp
+	GrowOp = batch.AddOp
 	// CollapseOp is one leaf-pair deletion of a collapse batch.
-	CollapseOp = core.RemoveOp
+	CollapseOp = batch.RemoveOp
 	// HealStats is the per-wave heal cost report of the contraction core.
-	HealStats = core.HealStats
+	HealStats = batch.HealStats
 )

@@ -16,7 +16,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"dyntc/internal/sched"
 	"dyntc/internal/sched/schedtest"
@@ -90,55 +89,6 @@ func TestPoolMetricsIdenticalToSequential(t *testing.T) {
 			t.Fatalf("seed %d: executed %d vs %d bodies", seed, a.Load(), b.Load())
 		}
 		p.Close()
-	}
-}
-
-// TestAdaptiveGrainMetricsIdentical pins that adaptive grain tuning (the
-// default for New machines) changes scheduling only, never metering.
-func TestAdaptiveGrainMetricsIdentical(t *testing.T) {
-	seq := Sequential()
-	ad := New(4) // adaptive grain, shared default pool
-	for _, kind := range []StepKind{KindDefault, KindGrow, KindSet, KindValue} {
-		ad.SetKind(kind)
-		for k := 0; k < 30; k++ {
-			n := 100 + 977*k%4000
-			seq.Step(n, func(i int) {})
-			ad.Step(n, func(i int) { time.Sleep(0) })
-		}
-	}
-	if seq.Metrics() != ad.Metrics() {
-		t.Fatalf("adaptive machine metered %+v, sequential %+v", ad.Metrics(), seq.Metrics())
-	}
-}
-
-// TestAdaptiveGrainTracksCost checks the tuner moves the threshold in the
-// right direction: expensive bodies shrink the grain, cheap ones grow it,
-// and kinds tune independently.
-func TestAdaptiveGrainTracksCost(t *testing.T) {
-	m := New(2)
-	m.SetKind(KindGrow)
-	for k := 0; k < 30; k++ {
-		m.Step(512, func(i int) { // expensive body: ~µs each
-			busy := time.Now()
-			for time.Since(busy) < time.Microsecond {
-			}
-		})
-	}
-	m.SetKind(KindValue)
-	var sink atomic.Int64
-	for k := 0; k < 200; k++ {
-		m.Step(100_000, func(i int) { sink.Add(1) }) // cheap body
-	}
-	g := m.Grains()
-	if g[KindGrow] >= g[KindValue] {
-		t.Fatalf("grain(grow expensive)=%d should be below grain(value cheap)=%d", g[KindGrow], g[KindValue])
-	}
-	if g[KindGrow] < tuneMinGrain || g[KindValue] > tuneMaxGrain {
-		t.Fatalf("grains out of clamp range: %v", g)
-	}
-	// KindCollapse never ran: still at the starting default.
-	if g[KindCollapse] != defaultGrain {
-		t.Fatalf("untrained kind grain = %d, want default %d", g[KindCollapse], defaultGrain)
 	}
 }
 

@@ -21,13 +21,6 @@
 // always participates in its own round, so a round makes progress even on
 // a saturated pool and nested rounds cannot deadlock.
 //
-// The grain adapts: unless pinned with SetGrain, the machine keeps an
-// EWMA of measured per-element step cost — separately per step kind (see
-// SetKind; engines label waves grow/collapse/set/value) — and sizes the
-// sequential threshold and chunk so a chunk costs on the order of tens of
-// microseconds, amortizing dispatch for cheap bodies and exposing
-// parallelism for expensive ones.
-//
 // Metering is purely a function of the Step/Charge sequence: a Machine
 // with any worker hint, grain or pool charges exactly the same Steps,
 // Work and MaxProcs as Sequential() for the same computation. Only
@@ -41,7 +34,6 @@ package pram
 import (
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"dyntc/internal/sched"
 )
@@ -62,28 +54,6 @@ func (m *Metrics) Add(other Metrics) {
 	}
 }
 
-// StepKind labels a parallel step with the batch kind that issued it, so
-// the adaptive grain is tuned per (machine, kind): a grow wave's
-// resimulation bodies and a value wave's replay bodies cost very
-// different nanoseconds per element, and one shared threshold would
-// mis-size both.
-type StepKind uint8
-
-// Step kinds. Engines set these around each wave sub-batch; direct
-// library use stays on KindDefault.
-const (
-	KindDefault StepKind = iota
-	KindGrow
-	KindCollapse
-	KindSet
-	KindValue
-	NumStepKinds = 5
-)
-
-// StepKindNames names each StepKind, indexed by kind — the label values
-// for per-kind scheduler metrics (sched.Pool.Observe).
-var StepKindNames = []string{"default", "grow", "collapse", "set", "value"}
-
 // Machine executes metered parallel steps. The zero value is a sequential
 // machine; use New to pick the parallelism hint. Machine is not safe for
 // concurrent use by multiple goroutines (each logical computation should
@@ -93,71 +63,16 @@ type Machine struct {
 	metrics Metrics
 	// grain is the sequential threshold: steps smaller than grain run
 	// inline on the calling goroutine to avoid dispatch overhead. It also
-	// sets the minimum chunk size (grain/2) for chunk claiming. When
-	// pinned (SetGrain / Sequential) it is static; otherwise the tuner
-	// adapts it per step kind from measured cost.
-	grain  int
-	pinned bool
+	// sets the minimum chunk size (grain/2) for chunk claiming.
+	grain int
 	// pool is the scheduler the machine submits chunks to; nil selects
 	// the process-wide sched.Default() at the first parallel step.
 	pool *sched.Pool
-	kind StepKind
-	tune grainTuner
 }
 
-// defaultGrain is the starting parallel threshold: below this many
-// processors a round is assumed cheaper to run inline than to dispatch,
-// until measured cost says otherwise.
+// defaultGrain is the parallel threshold: below this many processors a
+// round is cheaper to run inline than to dispatch.
 const defaultGrain = 1024
-
-// Adaptive-grain tuning constants: a chunk should cost aboutTargetNs so
-// dispatch (a few hundred nanoseconds per chunk) stays amortized without
-// starving the pool of parallelism.
-const (
-	tuneTargetNs = 50_000 // aim: one grain of work ≈ 50µs sequential
-	tuneMinGrain = 64
-	tuneMaxGrain = 1 << 20
-	tuneMinStep  = 64 // don't pay two clock reads on trivial rounds
-)
-
-// grainTuner keeps a per-kind EWMA of measured per-element cost and the
-// grain derived from it. The EWMA is only touched by the machine's
-// execution context; the derived grains are atomics so stats snapshots
-// may read them from any goroutine.
-type grainTuner struct {
-	ewma  [NumStepKinds]float64 // ns per element; 0 = no sample yet
-	grain [NumStepKinds]atomic.Int32
-}
-
-// observe folds one measured step into the kind's EWMA and re-derives
-// its grain. Wall-clock per element is used as the cost estimate for
-// both inline steps (exact) and pool steps — for a well-parallelized
-// round it UNDERestimates the sequential per-element cost by up to the
-// participant count, which makes the derived grain larger, i.e. biases
-// toward inline execution: the safe direction (a busy pool, where the
-// caller did most of the round itself, measures close to the true cost
-// and is not pushed toward even more dispatch).
-func (g *grainTuner) observe(kind StepKind, n int, elapsed time.Duration) {
-	perElem := float64(elapsed) / float64(n)
-	if perElem <= 0 {
-		// A coarse clock can measure a cheap step as zero; folding that in
-		// would zero the EWMA and overflow the grain division below.
-		return
-	}
-	if cur := g.ewma[kind]; cur == 0 {
-		g.ewma[kind] = perElem
-	} else {
-		g.ewma[kind] = 0.8*cur + 0.2*perElem
-	}
-	grain := int32(tuneTargetNs / g.ewma[kind])
-	if grain < tuneMinGrain {
-		grain = tuneMinGrain
-	}
-	if grain > tuneMaxGrain {
-		grain = tuneMaxGrain
-	}
-	g.grain[kind].Store(grain)
-}
 
 // New returns a Machine with the given parallelism hint. workers <= 0
 // selects GOMAXPROCS. Rounds execute on the shared scheduler pool
@@ -181,7 +96,7 @@ func NewOnPool(p *sched.Pool, workers int) *Machine {
 
 // Sequential returns a single-worker machine. Metering is identical to a
 // parallel machine; only wall-clock execution differs.
-func Sequential() *Machine { return &Machine{workers: 1, grain: 1 << 30, pinned: true} }
+func Sequential() *Machine { return &Machine{workers: 1, grain: defaultGrain} }
 
 // Workers returns the machine's parallelism hint.
 func (m *Machine) Workers() int {
@@ -197,76 +112,30 @@ func (m *Machine) SetWorkers(w int) {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w == m.workers {
-		return
-	}
 	m.workers = w
-	if m.grain >= 1<<30 && w > 1 {
-		// A Sequential() machine being upgraded: give it the real
-		// threshold so parallelism can actually engage, and let it adapt.
-		m.grain = defaultGrain
-		m.pinned = false
-	}
 }
 
 // SetPool directs the machine's rounds to p (nil restores the shared
 // default pool). Not safe concurrently with Step.
 func (m *Machine) SetPool(p *sched.Pool) { m.pool = p }
 
-// SetGrain pins the sequential threshold: steps with fewer than g
-// processors run inline on the calling goroutine, and adaptive tuning is
-// disabled. Lower values exercise the pool on smaller rounds (more
-// dispatch overhead, more parallelism). Metering is unaffected. Not safe
+// SetGrain sets the sequential threshold: steps with fewer than g
+// processors run inline on the calling goroutine. Lower values exercise
+// the pool on smaller rounds (more dispatch overhead, more parallelism);
+// tests use it to force pool execution. Metering is unaffected. Not safe
 // concurrently with Step.
 func (m *Machine) SetGrain(g int) {
 	if g < 1 {
 		g = 1
 	}
 	m.grain = g
-	m.pinned = true
 }
-
-// SetKind labels subsequent steps with the issuing batch kind, selecting
-// which adaptive-grain estimate they use and train. Engines bracket each
-// wave sub-batch with this; plain library use may ignore it.
-func (m *Machine) SetKind(k StepKind) {
-	if k < NumStepKinds {
-		m.kind = k
-	}
-}
-
-// Grains reports the current sequential threshold per step kind: the
-// pinned grain everywhere when SetGrain was used, otherwise each kind's
-// adapted value (the starting default until that kind has a sample).
-// Safe to call from any goroutine.
-func (m *Machine) Grains() [NumStepKinds]int {
-	var out [NumStepKinds]int
-	for k := range out {
-		out[k] = m.grainFor(StepKind(k))
-	}
-	return out
-}
-
-// grainFor returns the active sequential threshold for kind.
-func (m *Machine) grainFor(kind StepKind) int {
-	if m.pinned {
-		return m.grain
-	}
-	if g := m.tune.grain[kind].Load(); g > 0 {
-		return int(g)
-	}
-	return m.grain
-}
-
-// Release is a no-op kept for API compatibility: machines own no
-// goroutines — workers belong to the shared scheduler pool.
-func (m *Machine) Release() {}
 
 // Metrics returns the accumulated cost so far.
 func (m *Machine) Metrics() Metrics { return m.metrics }
 
-// Reset clears the accumulated metrics. The adaptive-grain estimates are
-// kept: a Machine is reusable across computations.
+// Reset clears the accumulated metrics: a Machine is reusable across
+// computations.
 func (m *Machine) Reset() { m.metrics = Metrics{} }
 
 // Charge adds a round of n processors to the meters without executing
@@ -305,20 +174,10 @@ func (m *Machine) Step(n int, body func(i int)) {
 		return
 	}
 	m.Charge(n)
-	kind := m.kind
-	grain := m.grainFor(kind)
-	if m.workers <= 1 || n < grain || n < m.workers*2 {
-		if m.pinned || n < tuneMinStep {
-			for i := 0; i < n; i++ {
-				body(i)
-			}
-			return
-		}
-		start := time.Now()
+	if m.workers <= 1 || n < m.grain || n < m.workers*2 {
 		for i := 0; i < n; i++ {
 			body(i)
 		}
-		m.tune.observe(kind, n, time.Since(start))
 		return
 	}
 	if m.pool == nil {
@@ -327,19 +186,13 @@ func (m *Machine) Step(n int, body func(i int)) {
 	// Chunk for ~4 chunks per recruited worker so uneven bodies
 	// load-balance, but never below grain/2 so dispatch stays amortized.
 	chunk := n / (m.workers * 4)
-	if min := grain / 2; chunk < min {
+	if min := m.grain / 2; chunk < min {
 		chunk = min
 	}
 	if chunk < 1 {
 		chunk = 1
 	}
-	if m.pinned {
-		m.pool.ParallelForKind(uint8(kind), n, chunk, m.workers, body)
-		return
-	}
-	start := time.Now()
-	m.pool.ParallelForKind(uint8(kind), n, chunk, m.workers, body)
-	m.tune.observe(kind, n, time.Since(start))
+	m.pool.ParallelFor(n, chunk, m.workers, body)
 }
 
 // TestAndSet implements an arbitrary-winner CRCW write to a flag: it sets

@@ -28,7 +28,6 @@ type loopJob struct {
 	n     int
 	chunk int64
 	body  func(int)
-	kind  uint8 // step kind for per-kind task-latency histograms (see Pool.Observe)
 
 	next    atomic.Int64 // next unclaimed index
 	done    atomic.Int64 // iterations accounted for (executed or drained)
@@ -76,14 +75,6 @@ func (p *Pool) putJob(j *loopJob) {
 // stays usable. On a nil or closed pool, or when width <= 1 or the round
 // fits in one chunk, the loop runs inline.
 func (p *Pool) ParallelFor(n, chunk, width int, body func(int)) {
-	p.ParallelForKind(0, n, chunk, width, body)
-}
-
-// ParallelForKind is ParallelFor with a task kind attached to the round's
-// helper tasks, so per-kind latency histograms (Pool.Observe) can tell a
-// grow wave's chunks from a value read's. Kinds at or above MaxTaskKinds
-// are folded to 0.
-func (p *Pool) ParallelForKind(kind uint8, n, chunk, width int, body func(int)) {
 	if n <= 0 {
 		return
 	}
@@ -121,12 +112,8 @@ func (p *Pool) ParallelForKind(kind uint8, n, chunk, width int, body func(int)) 
 		return
 	}
 
-	if kind >= MaxTaskKinds {
-		kind = 0
-	}
 	j := p.getJob()
 	j.n, j.chunk, j.body = n, int64(chunk), body
-	j.kind = kind
 	j.next.Store(0)
 	j.done.Store(0)
 	j.aborted.Store(false)

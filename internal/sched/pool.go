@@ -2,17 +2,17 @@
 // goroutine pool that every CPU-hungry layer of the system shares.
 //
 // The paper's PRAM model assumes a single fixed processor set executing
-// every contraction wave. The codebase had drifted into three disjoint
-// pools — each tree's PRAM worker pool, the cross-tree query scatter pool
-// and per-engine flush goroutines — so a large forest on a small box
-// oversubscribed wildly while a single busy tree underused it. This
-// package restores the paper's discipline the way modern batch-dynamic
-// tree systems do (Acar et al. 2020's processor-oblivious change
-// propagation, Ikram et al. 2025's batch-query scheduling): a single
-// shared pool of workers, with per-worker deques and work stealing, that
-// waves, cross-tree queries and follower replay all submit to.
+// every contraction wave. The codebase had drifted into disjoint pools —
+// each tree's PRAM worker pool and the cross-tree query scatter pool — so
+// a large forest on a small box oversubscribed wildly while a single busy
+// tree underused it. This package restores the paper's discipline the way
+// modern batch-dynamic tree systems do (Acar et al. 2020's
+// processor-oblivious change propagation, Ikram et al. 2025's batch-query
+// scheduling): a single shared pool of workers, with per-worker deques and
+// work stealing, that PRAM steps, cross-tree queries and follower replay
+// all submit to.
 //
-// Three submission shapes cover every consumer:
+// Two submission shapes cover every consumer:
 //
 //   - ParallelFor: a data-parallel round over [0, n), distributed by
 //     atomic chunk claiming (the steal path is a chunk, not an item, so
@@ -20,16 +20,11 @@
 //     always makes progress even on a saturated pool, and nested rounds
 //     (a pool task running a PRAM step) cannot deadlock. Panics in bodies
 //     abort the round and re-panic on the caller; the pool survives.
-//   - Chain: a serial lane multiplexed onto the pool. Tasks of one chain
-//     run in submission order, one at a time — the single-writer discipline
-//     an engine's wave needs — while tasks of different chains interleave
-//     freely across workers.
-//   - Submit / TrySubmitBlocking: free-standing async tasks. Tasks that
-//     may block (a query gather waiting on engine futures, a follower
-//     catch-up doing I/O) must use TrySubmitBlocking, which caps them at
-//     workers-1 so compute tasks always have a worker left and the pool
-//     cannot deadlock on its own futures; when no slot is free the caller
-//     runs the task inline.
+//   - TrySubmitBlocking: free-standing async tasks that may block (a query
+//     gather waiting on engine futures, a follower catch-up doing I/O).
+//     They are capped at workers-1 so compute tasks always have a worker
+//     left and the pool cannot deadlock on its own futures; when no slot
+//     is free the caller runs the task inline.
 //
 // A Pool is safe for concurrent use. Close is for owned pools in tests
 // and benchmarks; the process-wide Default() pool is never closed.
@@ -95,15 +90,13 @@ type Pool struct {
 
 	start time.Time
 
-	// taskHists, when set by Observe, receives one latency sample per pool
-	// task, indexed by the task's kind (loop helpers carry their round's
-	// kind; free-standing tasks are kind 0). One atomic pointer load per
-	// task when unset.
-	taskHists atomic.Pointer[[MaxTaskKinds]*obs.Histogram]
+	// taskHist, when set by Observe, receives one latency sample per pool
+	// task. One atomic pointer load per task when unset.
+	taskHist atomic.Pointer[obs.Histogram]
 
 	// spanTap, when set by SetSpans, samples pool tasks into a span log
-	// (one sched.<kind> span per sampled task). One atomic pointer load
-	// per task when unset; spanSeq counts tasks for the sampling gate.
+	// (one sched.task span per sampled task). One atomic pointer load per
+	// task when unset; spanSeq counts tasks for the sampling gate.
 	spanTap atomic.Pointer[spanTap]
 	spanSeq atomic.Uint64
 
@@ -165,8 +158,8 @@ func (p *Pool) Workers() int { return len(p.workers) }
 
 // Close stops the pool: queued tasks drain, workers exit, and Close
 // returns once they have. Submissions racing Close are not supported —
-// quiesce submitters first. After Close, Submit and Chain tasks run
-// inline on the caller and ParallelFor degrades to a sequential loop.
+// quiesce submitters first. After Close, TrySubmitBlocking refuses and
+// ParallelFor degrades to a sequential loop.
 func (p *Pool) Close() {
 	if p == nil {
 		return
@@ -176,29 +169,6 @@ func (p *Pool) Close() {
 	p.parkCond.Broadcast()
 	p.parkMu.Unlock()
 	p.wg.Wait()
-}
-
-// Submit enqueues a free-standing task. The task must not block waiting
-// for other pool work to be scheduled (use TrySubmitBlocking for that);
-// panics are contained and counted. On a nil or closed pool the task
-// runs inline.
-func (p *Pool) Submit(fn func()) {
-	if p == nil {
-		runContained(fn)
-		return
-	}
-	if p.stopped.Load() || len(p.workers) == 0 {
-		p.runTask(fn)
-		return
-	}
-	p.push(task{fn: fn})
-}
-
-// runContained executes fn swallowing panics — the nil-pool inline path,
-// where there is no stats receiver to count them on.
-func runContained(fn func()) {
-	defer func() { _ = recover() }()
-	fn()
 }
 
 // TrySubmitBlocking enqueues a task that may block (on futures, locks or
@@ -403,9 +373,7 @@ func (w *worker) run() {
 			return
 		}
 		begin := time.Now()
-		var kind uint8
 		if t.job != nil {
-			kind = t.job.kind // read before unref: the job may be recycled after
 			p.pendingHelp.Add(-1)
 			t.job.help()
 			t.job.unref()
@@ -414,15 +382,15 @@ func (w *worker) run() {
 		}
 		d := int64(time.Since(begin))
 		p.busyNS.Add(d)
-		if hs := p.taskHists.Load(); hs != nil {
-			hs[kind].Observe(d)
+		if h := p.taskHist.Load(); h != nil {
+			h.Observe(d)
 		}
 		if st := p.spanTap.Load(); st != nil {
 			if p.spanSeq.Add(1)%st.sample == 0 {
 				st.log.Add(obs.Span{
 					Trace: obs.NewTraceID(),
 					Span:  obs.NewSpanID(),
-					Name:  "sched." + st.names[kind],
+					Name:  "sched.task",
 					Start: begin.UnixNano(),
 					Dur:   d,
 				})
@@ -469,17 +437,12 @@ func (w *worker) next() (task, bool) {
 	}
 }
 
-// MaxTaskKinds bounds the task-kind space for per-kind latency
-// histograms; internal/pram's StepKind values fit well inside it.
-const MaxTaskKinds = 8
-
 // Observe registers the pool's metric families on reg: utilization,
 // queue depth and idle workers as gauges; tasks, steals, loops and
-// contained panics as counters; and per-kind task-latency histograms
-// labeled by kindNames (index = the kind passed to ParallelForKind;
-// missing names render as "kindN"). Safe to call once at wiring time;
-// re-registering on the same registry replaces the gauge closures.
-func (p *Pool) Observe(reg *obs.Registry, kindNames []string) {
+// contained panics as counters; and a task-latency histogram. Safe to
+// call once at wiring time; re-registering on the same registry replaces
+// the gauge closures.
+func (p *Pool) Observe(reg *obs.Registry) {
 	if p == nil || reg == nil {
 		return
 	}
@@ -501,32 +464,22 @@ func (p *Pool) Observe(reg *obs.Registry, kindNames []string) {
 		func() float64 { return float64(p.loops.Load()) })
 	reg.CounterFunc("dyntc_sched_task_panics_total", "pool tasks that panicked (contained)",
 		func() float64 { return float64(p.taskPanics.Load()) })
-	hs := new([MaxTaskKinds]*obs.Histogram)
-	for k := range hs {
-		name := "kind" + string(rune('0'+k))
-		if k < len(kindNames) && kindNames[k] != "" {
-			name = kindNames[k]
-		}
-		hs[k] = reg.Seconds("dyntc_sched_task_seconds", "pool task latency, by step kind", "kind", name)
-	}
-	p.taskHists.Store(hs)
+	p.taskHist.Store(reg.Seconds("dyntc_sched_task_seconds", "pool task latency"))
 }
 
 // spanTap is the installed task-span configuration (see SetSpans).
 type spanTap struct {
 	log    *obs.SpanLog
 	sample uint64
-	names  [MaxTaskKinds]string
 }
 
 // SetSpans samples pool tasks into log: every sample-th task (1 records
-// all) emits a standalone sched.<kind> span carrying the task's start
-// and duration. Pool tasks belong to no particular request trace — the
-// shared workers interleave every tree's waves — so task spans get fresh
+// all) emits a standalone sched.task span carrying the task's start and
+// duration. Pool tasks belong to no particular request trace — the
+// shared workers interleave every tree's steps — so task spans get fresh
 // trace IDs and serve as a sampled task-latency stream next to the
-// dyntc_sched_task_seconds histogram. kindNames follows Observe; nil log
-// removes the tap.
-func (p *Pool) SetSpans(log *obs.SpanLog, sample uint64, kindNames []string) {
+// dyntc_sched_task_seconds histogram. A nil log removes the tap.
+func (p *Pool) SetSpans(log *obs.SpanLog, sample uint64) {
 	if p == nil {
 		return
 	}
@@ -537,14 +490,7 @@ func (p *Pool) SetSpans(log *obs.SpanLog, sample uint64, kindNames []string) {
 	if sample == 0 {
 		sample = 1
 	}
-	st := &spanTap{log: log, sample: sample}
-	for k := range st.names {
-		st.names[k] = "kind" + string(rune('0'+k))
-		if k < len(kindNames) && kindNames[k] != "" {
-			st.names[k] = kindNames[k]
-		}
-	}
-	p.spanTap.Store(st)
+	p.spanTap.Store(&spanTap{log: log, sample: sample})
 }
 
 // Stats is a point-in-time snapshot of pool activity.

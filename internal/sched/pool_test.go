@@ -15,6 +15,11 @@ import (
 	"dyntc/internal/sched/schedtest"
 )
 
+// submit enqueues a free-standing task straight onto the deques — what
+// TrySubmitBlocking does minus its blocking cap — so the tests can load
+// the pool with more tasks than it has workers.
+func (p *Pool) submit(fn func()) { p.push(task{fn: fn}) }
+
 func TestParallelForExecutesEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		p := NewPool(workers)
@@ -67,7 +72,7 @@ func TestParallelForNested(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
-		p.Submit(func() {
+		p.submit(func() {
 			defer wg.Done()
 			p.ParallelFor(1000, 32, 3, func(i int) { total.Add(1) })
 		})
@@ -124,7 +129,7 @@ func TestSubmitAndStealDistribution(t *testing.T) {
 	var ran atomic.Int64
 	for i := 0; i < 2000; i++ {
 		wg.Add(1)
-		p.Submit(func() {
+		p.submit(func() {
 			defer wg.Done()
 			ran.Add(1)
 		})
@@ -147,14 +152,14 @@ func TestSubmitPanicContained(t *testing.T) {
 	defer p.Close()
 	var wg sync.WaitGroup
 	wg.Add(1)
-	p.Submit(func() {
+	p.submit(func() {
 		defer wg.Done()
 		panic("contained")
 	})
 	wg.Wait()
 	var ok atomic.Bool
 	wg.Add(1)
-	p.Submit(func() {
+	p.submit(func() {
 		defer wg.Done()
 		ok.Store(true)
 	})
@@ -164,55 +169,6 @@ func TestSubmitPanicContained(t *testing.T) {
 	}
 	if p.Stats().TaskPanics == 0 {
 		t.Fatal("task panic not counted")
-	}
-}
-
-func TestChainOrderingAndInterleaving(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	const perChain = 500
-	chains := make([]*Chain, 8)
-	outs := make([][]int, len(chains))
-	for i := range chains {
-		chains[i] = p.NewChain()
-	}
-	var wg sync.WaitGroup
-	for ci := range chains {
-		ci := ci
-		for k := 0; k < perChain; k++ {
-			k := k
-			wg.Add(1)
-			chains[ci].Go(func() {
-				defer wg.Done()
-				outs[ci] = append(outs[ci], k) // safe: chain serializes its own tasks
-			})
-		}
-	}
-	wg.Wait()
-	for ci, out := range outs {
-		if len(out) != perChain {
-			t.Fatalf("chain %d ran %d tasks, want %d", ci, len(out), perChain)
-		}
-		for k, v := range out {
-			if v != k {
-				t.Fatalf("chain %d task %d ran out of order (saw %d)", ci, k, v)
-			}
-		}
-	}
-}
-
-func TestChainSurvivesPanickingTask(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	c := p.NewChain()
-	var wg sync.WaitGroup
-	var after atomic.Bool
-	wg.Add(2)
-	c.Go(func() { defer wg.Done(); panic("chained boom") })
-	c.Go(func() { defer wg.Done(); after.Store(true) })
-	wg.Wait()
-	if !after.Load() {
-		t.Fatal("chain stopped draining after a panic")
 	}
 }
 
@@ -237,7 +193,7 @@ func TestTrySubmitBlockingCap(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(1)
 	done := make(chan struct{})
-	p.Submit(func() { defer wg.Done(); close(done) })
+	p.submit(func() { defer wg.Done(); close(done) })
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
@@ -271,7 +227,7 @@ func TestCloseDrainsAndReclaimsWorkers(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 100; i++ {
 		wg.Add(1)
-		p.Submit(func() { defer wg.Done(); ran.Add(1) })
+		p.submit(func() { defer wg.Done(); ran.Add(1) })
 	}
 	wg.Wait()
 	p.Close()
@@ -280,11 +236,6 @@ func TestCloseDrainsAndReclaimsWorkers(t *testing.T) {
 	}
 	schedtest.WaitForGoroutines(t, base)
 	// A closed pool degrades to inline execution instead of dropping work.
-	var inline atomic.Bool
-	p.Submit(func() { inline.Store(true) })
-	if !inline.Load() {
-		t.Fatal("submit on closed pool did not run inline")
-	}
 	var n atomic.Int64
 	p.ParallelFor(100, 8, 4, func(i int) { n.Add(1) })
 	if n.Load() != 100 {
@@ -301,7 +252,7 @@ func TestStatsStealsUnderImbalance(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 5000; i++ {
 		wg.Add(1)
-		p.Submit(func() { defer wg.Done() })
+		p.submit(func() { defer wg.Done() })
 	}
 	wg.Wait()
 	if p.Stats().Steals == 0 {
@@ -326,17 +277,4 @@ func BenchmarkParallelFor(b *testing.B) {
 			}
 		})
 	}
-}
-
-func BenchmarkChainThroughput(b *testing.B) {
-	p := NewPool(4)
-	defer p.Close()
-	c := p.NewChain()
-	var wg sync.WaitGroup
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		wg.Add(1)
-		c.Go(func() { wg.Done() })
-	}
-	wg.Wait()
 }

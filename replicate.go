@@ -109,9 +109,9 @@ func (e *Expr) AdoptEpoch(epoch uint64) {
 // RestoreExpr rebuilds an Expr from a snapshot and returns it with the
 // snapshot's applied-wave sequence number. The seed and tour setting come
 // from the snapshot (WithSeed / WithTour options are overridden — a
-// replica must contract deterministically like its leader); WithWorkers /
-// WithGrain / WithPool apply normally, so follower replay rides the same
-// shared scheduler as leader waves.
+// replica must contract deterministically like its leader); WithWorkers
+// and WithPool apply normally, so follower replay rides the same shared
+// scheduler as leader waves.
 func RestoreExpr(data []byte, opts ...Option) (*Expr, uint64, error) {
 	snap, err := replog.Decode(data)
 	if err != nil {
@@ -245,7 +245,7 @@ type Follower struct {
 }
 
 // NewFollower bootstraps a replica from a leader snapshot. Options pass
-// through to RestoreExpr (WithWorkers / WithGrain; seed and tour come from
+// through to RestoreExpr (WithWorkers / WithPool; seed and tour come from
 // the snapshot).
 func NewFollower(snapshot []byte, opts ...Option) (*Follower, error) {
 	e, seq, err := RestoreExpr(snapshot, opts...)

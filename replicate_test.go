@@ -256,7 +256,7 @@ func TestFollowerMeteringDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fpool, err := NewFollower(snap0, WithWorkers(4), WithGrain(8))
+	fpool, err := NewFollower(snap0, WithWorkers(4), withGrain(8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,12 @@
 package dyntc
 
 // The shared-scheduler metering oracle: the same deterministic request
-// program is executed three ways — sequential machine on the executor
-// (the reference), per-tree private scheduler pools (the pre-refactor
-// architecture), and the shared pool with wave task groups — and every
-// observable must be bit-identical: per-request answers and sequence
-// stamps, grow-assigned node IDs, the final root, the machine's metered
-// PRAM cost, the applied-wave sequence, and the wave change-log bytes.
+// program is executed twice — on a sequential machine (the reference) and
+// on a 4-worker machine whose steps chunk onto a scheduler pool — and
+// every observable must be bit-identical: per-request answers and
+// sequence stamps, grow-assigned node IDs, the final root, the machine's
+// metered PRAM cost, the applied-wave sequence, and the wave change-log
+// bytes.
 //
 // Determinism is forced with a barrier gate: a QueryAsync barrier parks
 // the executor, the round's requests are enqueued while it is parked, and
@@ -16,8 +16,8 @@ package dyntc
 // collapse, set-leaf, set-op, value and root requests, including
 // same-node pairs that force multi-wave flushes.
 //
-// Run with -race: under the shared pool this drives chunk-claimed steps,
-// lane-scheduled wave phases and the wave tap across pool workers.
+// Run with -race: under the pool this drives chunk-claimed steps across
+// pool workers beneath the engine's waves and wave tap.
 
 import (
 	"encoding/json"
@@ -38,22 +38,20 @@ type oracleObs struct {
 type oracleFrame struct{ parent, left, right *Node }
 
 // runOracle executes the deterministic program against one configuration.
-func runOracle(t *testing.T, seed uint64, workers int, machPool, wavePool *SchedPool) oracleObs {
+// A nil pool runs the sequential machine; a pool runs a 4-worker machine
+// on it with the grain forced low, so even small steps dispatch.
+func runOracle(t *testing.T, seed uint64, pool *SchedPool) oracleObs {
 	t.Helper()
 	ring := ModRing(1_000_000_007)
 	opts := []Option{WithSeed(seed)}
-	if workers > 1 {
-		opts = append(opts, WithWorkers(workers), WithGrain(8))
-	}
-	if machPool != nil {
-		opts = append(opts, WithPool(machPool))
+	workers := 0
+	if pool != nil {
+		workers = 4
+		opts = append(opts, WithWorkers(workers), withGrain(8))
 	}
 	e := NewExpr(ring, 1, opts...)
 
 	// Deterministic fan-out into disjoint per-client regions, pre-serve.
-	// 24 clients keep most rounds above the engine's lane threshold, so
-	// the shared-pool configuration genuinely executes waves as lane task
-	// groups (tiny waves run inline and would not exercise the lane).
 	const clients = 24
 	bases := []*Node{e.Tree().Root}
 	for len(bases) < clients {
@@ -64,7 +62,7 @@ func runOracle(t *testing.T, seed uint64, workers int, machPool, wavePool *Sched
 	var waves []Wave
 	en := e.Serve(BatchOptions{
 		Workers: workers,
-		Pool:    wavePool,
+		Pool:    pool,
 		WaveTap: func(w Wave) { waves = append(waves, w) },
 	})
 
@@ -225,25 +223,23 @@ func assertOracleEqual(t *testing.T, label string, want, got oracleObs) {
 	}
 }
 
-// TestSharedPoolOracleBitIdentical is the acceptance oracle: shared-pool
-// wave execution produces identical roots, metrics, answers and wave-log
-// bytes to the sequential machine and to per-tree private pools, across
-// seeds, including mixed grow∥set∥value waves.
+// TestSharedPoolOracleBitIdentical is the acceptance oracle: pool-stepped
+// execution produces identical roots, metrics, answers and wave-log bytes
+// to the sequential machine, across seeds, including mixed grow∥set∥value
+// waves.
 func TestSharedPoolOracleBitIdentical(t *testing.T) {
 	for _, seed := range []uint64{3, 17, 1009} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			ref := runOracle(t, seed, 0, nil, nil) // sequential machine, inline waves
+			ref := runOracle(t, seed, nil)
 
-			private := NewSchedPool(4) // the pre-refactor shape: one pool per tree
-			got := runOracle(t, seed, 4, private, nil)
-			assertOracleEqual(t, "private-pool", ref, got)
-			private.Close()
-
-			shared := NewSchedPool(4) // the shared pool: machine steps + wave task groups
-			got = runOracle(t, seed, 4, shared, shared)
+			pool := NewSchedPool(4)
+			got := runOracle(t, seed, pool)
+			pool.Close()
 			assertOracleEqual(t, "shared-pool", ref, got)
-			shared.Close()
+			if pool.Stats().Loops == 0 {
+				t.Fatal("no PRAM step reached the pool; the oracle lost its teeth")
+			}
 		})
 	}
 }

@@ -1,6 +1,6 @@
 package dyntc
 
-// One sched.Pool serving all three consumers at once — engine waves,
+// One sched.Pool serving all three consumers at once — engine PRAM steps,
 // cross-tree query scatter, and follower replay — under live mutation
 // traffic, with -race watching. At the end the follower must have
 // converged byte-identically to the leader (snapshot comparison at the
@@ -33,10 +33,10 @@ func TestSharedPoolServesWavesQueriesAndReplay(t *testing.T) {
 	logs := make(map[TreeID]*WaveLog, trees)
 	leaves := make(map[TreeID][]*Node, trees)
 	for i := 0; i < trees; i++ {
-		id, en := forest.Create(ring, int64(i+1), WithSeed(uint64(100+i)), WithGrain(8))
-		// Pre-grow so write waves exceed the engine's lane threshold and
-		// genuinely execute as task groups on the shared pool. The tap is
-		// attached after the deterministic setup, like a fresh leader.
+		id, en := forest.Create(ring, int64(i+1), WithSeed(uint64(100+i)), withGrain(8))
+		// Pre-grow so write waves are big enough for their steps to reach
+		// the shared pool. The tap is attached after the deterministic
+		// setup, like a fresh leader.
 		if err := en.Query(func(e *Expr) {
 			ls := []*Node{e.Tree().Root}
 			for len(ls) < 32 {
@@ -76,8 +76,8 @@ func TestSharedPoolServesWavesQueriesAndReplay(t *testing.T) {
 	var writersWG, auxWG sync.WaitGroup
 
 	// Writers: batched mutation traffic across all trees — 32 pipelined
-	// sets over distinct leaves per round, so flushes coalesce into waves
-	// big enough for the lane.
+	// sets over distinct leaves per round, so flushes coalesce into big
+	// waves.
 	for w := 0; w < writers; w++ {
 		writersWG.Add(1)
 		go func(w int) {

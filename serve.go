@@ -12,8 +12,8 @@ import (
 )
 
 // SchedPool is the shared runtime scheduler: one work-stealing worker
-// pool (internal/sched) that engine waves, cross-tree query scatter and
-// follower replay all submit to. Create one per process (NewSchedPool)
+// pool (internal/sched) that the trees' PRAM steps, cross-tree query
+// scatter and follower replay all submit to. Create one per process (NewSchedPool)
 // and pass it through BatchOptions.Pool / NewForest / WithPool so a
 // forest of trees shares a fixed worker set instead of pooling per tree;
 // leave it nil to use the process-wide default pool.
@@ -85,12 +85,11 @@ type BatchOptions struct {
 	// shared-pool workers one wave's steps may recruit. Metering is
 	// unaffected. Use a negative value for GOMAXPROCS.
 	Workers int
-	// Pool, when set, is the shared runtime scheduler the engine and the
-	// Expr's machine run on: wave sub-batches are scheduled as task
-	// groups on one serial lane per engine, and the machine's parallel
-	// steps chunk onto the same workers, so any number of engines share
-	// one fixed worker set. Nil keeps wave execution on the executor
-	// goroutine (the machine still chunks onto the process-default pool).
+	// Pool, when set, is the shared runtime scheduler the Expr's machine
+	// chunks its parallel steps onto, so any number of engines share one
+	// fixed worker set; a Forest's cross-tree query scatter runs on it
+	// too. Nil selects the process-default pool. Wave phases themselves
+	// always run on the engine's executor goroutine.
 	Pool *SchedPool
 	// WaveTap, when set, receives the sealed change record of every
 	// executed mutating wave, on the executor goroutine — the durability
@@ -157,7 +156,6 @@ type BatchOptions struct {
 func (e *Expr) Serve(opts BatchOptions) *Engine {
 	if opts.Workers != 0 {
 		e.mach.SetWorkers(opts.Workers)
-		opts.Workers = e.mach.Workers()
 	}
 	if opts.Pool != nil {
 		e.mach.SetPool(opts.Pool)
@@ -169,9 +167,7 @@ func (e *Expr) Serve(opts BatchOptions) *Engine {
 			Window:            opts.Window,
 			Queue:             opts.Queue,
 			Shed:              opts.Shed,
-			Workers:           opts.Workers,
 			WaveTap:           opts.WaveTap,
-			Pool:              opts.Pool,
 			Obs:               opts.Metrics,
 			Trace:             opts.Trace,
 			Spans:             opts.Spans,
@@ -602,8 +598,8 @@ type Forest struct {
 
 // NewForest creates an empty forest; opts configures every tree's engine,
 // opts.Workers the per-tree PRAM parallelism hint, and opts.Pool the
-// shared scheduler every tree's waves — and the forest's cross-tree query
-// scatter — run on.
+// shared scheduler every tree's PRAM steps — and the forest's cross-tree
+// query scatter — run on.
 func NewForest(opts BatchOptions) *Forest {
 	if opts.Workers < 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
@@ -614,8 +610,6 @@ func NewForest(opts BatchOptions) *Forest {
 			Window:            opts.Window,
 			Queue:             opts.Queue,
 			Shed:              opts.Shed,
-			Workers:           opts.Workers,
-			Pool:              opts.Pool,
 			Obs:               opts.Metrics,
 			Trace:             opts.Trace,
 			Spans:             opts.Spans,
