@@ -794,7 +794,7 @@ func (f *followerServer) handleSnapshot(w http.ResponseWriter, r *http.Request, 
 		writeErr(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(data)
 }

@@ -78,7 +78,7 @@
 //	curl -X POST localhost:8080/v1/trees -d '{"root":1}'
 //	curl -X POST localhost:8080/v1/trees/1/grow -d '{"leaf":0,"op":"add","left":3,"right":4}'
 //	curl localhost:8080/v1/trees/1/value
-//	curl localhost:8080/v1/trees/1/snapshot
+//	curl -o tree-1.snap localhost:8080/v1/trees/1/snapshot   # binary
 //	curl 'localhost:8080/v1/trees/1/log?since=0'
 //	curl localhost:8080/v1/healthz
 package main

@@ -11,11 +11,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"dyntc"
+	"dyntc/internal/replog"
 )
 
 // growSome issues n grows against tree id, always expanding the latest
@@ -50,6 +53,33 @@ func getBytes(t *testing.T, url string, wantStatus int) []byte {
 	return data
 }
 
+// putBytes PUTs a raw body, as `curl --data-binary` does, and decodes
+// the JSON response into out.
+func putBytes(t *testing.T, url string, body []byte, wantStatus int, out any) {
+	t.Helper()
+	req, err := http.NewRequest("PUT", url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != wantStatus {
+		t.Fatalf("PUT %s: status %d (want %d): %s", url, resp.StatusCode, wantStatus, data)
+	}
+	if out != nil {
+		if err := json.Unmarshal(data, out); err != nil {
+			t.Fatalf("PUT %s: decode: %v", url, err)
+		}
+	}
+}
+
 func TestSnapshotLogEndpoints(t *testing.T) {
 	ts, _ := startTestServer(t)
 
@@ -80,12 +110,20 @@ func TestSnapshotLogEndpoints(t *testing.T) {
 	}
 
 	// Snapshot → restore under a fresh id → equal state.
+	resp, err := http.Get(base + "/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+		t.Fatalf("snapshot Content-Type %q, want application/octet-stream", ct)
+	}
 	snap := getBytes(t, base+"/snapshot", 200)
 	var restored struct {
 		Tree uint64 `json:"tree"`
 		Seq  uint64 `json:"seq"`
 	}
-	call(t, "PUT", ts.URL+"/v1/trees/77/snapshot", json.RawMessage(snap), 201, &restored)
+	putBytes(t, ts.URL+"/v1/trees/77/snapshot", snap, 201, &restored)
 	if restored.Seq != 8 {
 		t.Fatalf("restored seq = %d, want 8", restored.Seq)
 	}
@@ -108,9 +146,12 @@ func TestSnapshotLogEndpoints(t *testing.T) {
 		t.Fatalf("restored tree log at %d, want 9", tail77.LastSeq)
 	}
 	// Restoring over a live id conflicts.
-	call(t, "PUT", ts.URL+"/v1/trees/77/snapshot", json.RawMessage(snap), 409, nil)
+	putBytes(t, ts.URL+"/v1/trees/77/snapshot", snap, 409, nil)
 	// A corrupt snapshot is rejected.
-	call(t, "PUT", ts.URL+"/v1/trees/88/snapshot", json.RawMessage(`{"version":1}`), 400, nil)
+	putBytes(t, ts.URL+"/v1/trees/88/snapshot", []byte(`{"version":1}`), 400, nil)
+	flipped := bytes.Clone(snap)
+	flipped[len(flipped)/2] ^= 1
+	putBytes(t, ts.URL+"/v1/trees/88/snapshot", flipped, 400, nil)
 
 	// Healthz reports both trees' applied sequences.
 	var health struct {
@@ -306,5 +347,70 @@ func TestWALPersistsAcrossRestart(t *testing.T) {
 	}
 	if !bytes.Equal(snap, finalSnap) {
 		t.Fatal("replayed state differs from pre-shutdown snapshot")
+	}
+}
+
+// TestRecoverLegacySnapshotAnchor: a -wal-dir whose tree-N.snap is a
+// version-2 JSON snapshot, written before the binary codec, plus the WAL
+// continuing it, recovers to the state it was shut down in and is
+// re-anchored on a current snapshot. A JSON PUT body is upgraded before it
+// is persisted.
+func TestRecoverLegacySnapshotAnchor(t *testing.T) {
+	v2, err := os.ReadFile(filepath.Join("..", "..", "internal", "replog", "testdata", "snapshot-v2.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := replog.Decode(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := -1
+	for _, n := range snap.Nodes {
+		if n.Left == -1 {
+			leaf = n.ID
+			break
+		}
+	}
+
+	dir := t.TempDir()
+	anchor := filepath.Join(dir, "tree-5.snap")
+	s := newServerWAL(dyntc.BatchOptions{}, dir, 0)
+	ts := httptest.NewServer(s.routes())
+	var restored struct {
+		Seq uint64 `json:"seq"`
+	}
+	putBytes(t, ts.URL+"/v1/trees/5/snapshot", v2, 201, &restored)
+	if restored.Seq != snap.Seq {
+		t.Fatalf("restored at seq %d, fixture is at %d", restored.Seq, snap.Seq)
+	}
+	if data, err := os.ReadFile(anchor); err != nil || !replog.IsCurrent(data) {
+		t.Fatalf("PUT of a v2 body persisted a non-current anchor (err %v)", err)
+	}
+	base := ts.URL + "/v1/trees/5"
+	growSome(t, base, 3, leaf)
+	final := getBytes(t, base+"/snapshot", 200)
+	ts.Close()
+	s.forest.Close()
+	s.closeLogs()
+
+	// Put the v2 bytes back as the anchor: the WAL continues from its seq.
+	if err := os.WriteFile(anchor, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2 := newServerWAL(dyntc.BatchOptions{}, dir, 0)
+	if err := s2.recover(); err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(s2.routes())
+	t.Cleanup(func() {
+		ts2.Close()
+		s2.forest.Close()
+		s2.closeLogs()
+	})
+	if got := getBytes(t, ts2.URL+"/v1/trees/5/snapshot", 200); !bytes.Equal(got, final) {
+		t.Fatal("recovery from a v2 anchor did not reproduce the pre-shutdown state")
+	}
+	if data, err := os.ReadFile(anchor); err != nil || !replog.IsCurrent(data) {
+		t.Fatalf("recovery did not re-anchor on a current snapshot (err %v)", err)
 	}
 }

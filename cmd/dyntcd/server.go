@@ -46,8 +46,10 @@ import (
 // Durability & replication (see internal/replog):
 //
 //	GET    /v1/healthz                  -> per-engine liveness + applied seq
-//	GET    /v1/trees/{id}/snapshot      -> versioned snapshot (tree + seed + seq)
-//	PUT    /v1/trees/{id}/snapshot      restore a tree under this id
+//	GET    /v1/trees/{id}/snapshot      -> versioned binary snapshot (tree + seed + seq),
+//	                                       application/octet-stream
+//	PUT    /v1/trees/{id}/snapshot      restore a tree under this id (any version
+//	                                       replog.Decode reads)
 //	GET    /v1/trees/{id}/log?since=SEQ -> waves after SEQ (410 = truncated,
 //	                                       re-bootstrap from a snapshot)
 //
@@ -1007,7 +1009,7 @@ func (s *server) handleGetSnapshot(w http.ResponseWriter, r *http.Request, en *d
 		return
 	}
 	s.obs.snapshotDone(len(data), time.Since(t0))
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(data)
 }
@@ -1042,9 +1044,17 @@ func (s *server) handlePutSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.rings.Store(id, ring)
-	// Anchor first (the restored snapshot bytes are already the canonical
-	// encoding at seq), then attach the WAL that will continue it.
-	if err := s.persistSnapshot(id, body); err != nil {
+	// Anchor first, then attach the WAL that will continue it. A current
+	// body is already the canonical encoding at seq; one an older build
+	// wrote is re-encoded, so every persisted snapshot is current.
+	anchor := body
+	if !replog.IsCurrent(body) {
+		anchor, _, err = en.SnapshotAt()
+	}
+	if err == nil {
+		err = s.persistSnapshot(id, anchor)
+	}
+	if err != nil {
 		s.forest.Drop(id)
 		s.rings.Delete(id)
 		writeErr(w, err)

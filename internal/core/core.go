@@ -268,116 +268,134 @@ func (c *Contraction) simulate() {
 		return
 	}
 
-	// Gather the gap records in schedule order.
-	recs := make([]*Record, 0, c.pt.Len()-1)
-	for l := c.pt.Head(); l.Next() != nil; l = l.Next() {
-		recs = append(recs, &Record{
-			V:     l.Payload(),
-			Round: l.GapNode().Height(),
-		})
-	}
-	sortRecords(recs)
-
-	// Overlay state of the contracting tree, one entry per live node;
-	// at maps a node ID to its entry. IDs are never recycled, so after
-	// long churn most of them are dead: per-ID state here would dwarf the
-	// tree it describes.
-	type overlayNode struct {
-		parent, left, right *tree.Node
-		rep                 *tree.Node
+	// Overlay state of the contracting tree: one entry per live node, in
+	// ID order, linked to each other by entry index (-1 = none); at maps
+	// a node ID to its entry. IDs are never recycled, so after long churn
+	// most of them are dead: per-ID state here would dwarf the tree it
+	// describes. Each entry copies what the contraction reads of its node,
+	// so the loop below follows int32 links through one array instead of
+	// pointers through the heap.
+	type entry struct {
+		node, rep           *tree.Node
+		id                  int32
+		parent, left, right int32
+		op                  semiring.Op
 		label               semiring.Linear
 		lastTouch           *Record
 	}
 	at := make([]int32, n)
-	overlay := make([]overlayNode, 0, c.T.Len())
+	live := 0
+	for id, nd := range c.T.Nodes {
+		if nd != nil {
+			at[id] = int32(live)
+			live++
+		}
+	}
+	index := func(nd *tree.Node) int32 {
+		if nd == nil {
+			return -1
+		}
+		return at[nd.ID]
+	}
+	ents := make([]entry, 0, live)
 	for _, nd := range c.T.Nodes {
 		if nd == nil {
 			continue
 		}
-		at[nd.ID] = int32(len(overlay))
-		o := overlayNode{parent: nd.Parent, left: nd.Left, right: nd.Right, rep: nd}
+		e := entry{node: nd, rep: nd, id: int32(nd.ID),
+			parent: index(nd.Parent), left: index(nd.Left), right: index(nd.Right), op: nd.Op}
 		if nd.IsLeaf() {
-			o.label = semiring.Const(c.ring, nd.Value)
+			e.label = semiring.Const(c.ring, nd.Value)
 		} else {
-			o.label = semiring.Identity(c.ring)
+			e.label = semiring.Identity(c.ring)
 		}
-		overlay = append(overlay, o)
+		ents = append(ents, e)
 	}
 
-	// touch appends r to nd's touch chain and returns the previous toucher.
-	touch := func(r *Record, nd *tree.Node, o *overlayNode) *Record {
-		prev := o.lastTouch
-		o.lastTouch = r
+	// Gather the gap records and order them by schedule time (round, then
+	// raked-leaf ID; the tiebreak is arbitrary but deterministic, as
+	// same-round rakes are independent). The key is packed once, so the
+	// sort never follows a pointer.
+	type item struct {
+		key uint64
+		r   *Record
+		v   int32 // V's entry
+	}
+	items := make([]item, 0, c.pt.Len()-1)
+	for l := c.pt.Head(); l.Next() != nil; l = l.Next() {
+		r := &Record{V: l.Payload(), Round: l.GapNode().Height()}
+		items = append(items, item{timeKey(r), r, at[r.V.ID]})
+	}
+	slices.SortFunc(items, func(a, b item) int { return cmp.Compare(a.key, b.key) })
+
+	// touch appends r to e's touch chain and returns the previous toucher.
+	touch := func(r *Record, e *entry) *Record {
+		prev := e.lastTouch
+		e.lastTouch = r
 		if prev != nil {
 			prev.Next = r
 		} else {
-			c.slot(nd).firstTouch = r
+			c.slots[e.id].firstTouch = r
 		}
 		return prev
 	}
 
 	// Execute rounds in order, metering one parallel step per round.
 	i := 0
-	for i < len(recs) {
+	for i < len(items) {
+		round := items[i].key >> 32
 		j := i
-		for j < len(recs) && recs[j].Round == recs[i].Round {
+		for j < len(items) && items[j].key>>32 == round {
 			j++
 		}
 		c.machine.Charge(j - i)
-		for _, r := range recs[i:j] {
-			v := r.V
-			ov := &overlay[at[v.ID]]
-			p := ov.parent
-			op := &overlay[at[p.ID]]
-			w := op.left
-			if w == v {
-				w = op.right
+		for _, it := range items[i:j] {
+			r := it.r
+			ev := &ents[it.v]
+			pi := ev.parent
+			ep := &ents[pi]
+			wi := ep.left
+			if wi == it.v {
+				wi = ep.right
 			}
-			ow := &overlay[at[w.ID]]
-			r.P, r.W = p, w
-			r.VPrev = touch(r, v, ov)
-			r.PPrev = touch(r, p, op)
-			r.WPrev = touch(r, w, ow)
-			r.Lv, r.LpIn, r.LwIn = ov.label, op.label, ow.label
+			ew := &ents[wi]
+			r.P, r.W = ep.node, ew.node
+			r.VPrev = touch(r, ev)
+			r.PPrev = touch(r, ep)
+			r.WPrev = touch(r, ew)
+			r.Lv, r.LpIn, r.LwIn = ev.label, ep.label, ew.label
 			// small-rake then small-compress (§4.2).
-			lpOut := r.LpIn.Compose(c.ring, p.Op.Partial(c.ring, r.Lv.B))
+			lpOut := r.LpIn.Compose(c.ring, ep.op.Partial(c.ring, r.Lv.B))
 			r.LwOut = lpOut.Compose(c.ring, r.LwIn)
-			ow.label = r.LwOut
-			r.Wrep, r.Prep = ow.rep, op.rep
-			ow.rep = op.rep
+			ew.label = r.LwOut
+			r.Wrep, r.Prep = ew.rep, ep.rep
+			ew.rep = ep.rep
 			// Splice w into p's place.
-			g := op.parent
-			ow.parent = g
-			r.G = g
-			if g != nil {
-				og := &overlay[at[g.ID]]
-				if og.left == p {
-					og.left = w
+			gi := ep.parent
+			ew.parent = gi
+			if gi >= 0 {
+				eg := &ents[gi]
+				r.G = eg.node
+				if eg.left == pi {
+					eg.left = wi
 					r.WLeft = true
 				} else {
-					og.right = w
-					r.WLeft = false
+					eg.right = wi
 				}
 			}
-			c.slot(v).rec = r
-			c.slot(p).removedBy = r
+			c.slots[ev.id].rec = r
+			c.slots[ep.id].removedBy = r
 		}
 		i = j
 	}
-	c.records = len(recs)
+	c.records = len(items)
 
 	c.survivor = c.pt.Tail().Payload()
-	final := overlay[at[c.survivor.ID]].label
+	final := ents[at[c.survivor.ID]].label
 	if final.A != c.ring.Zero() {
 		panic("core: survivor label is not constant")
 	}
 	c.rootValue = final.B
-}
-
-// sortRecords orders records by (round, raked-leaf ID); the ID tiebreak is
-// arbitrary but deterministic (same-round rakes are independent).
-func sortRecords(recs []*Record) {
-	slices.SortFunc(recs, func(a, b *Record) int { return cmp.Compare(timeKey(a), timeKey(b)) })
 }
 
 // Validate checks trace invariants against the current T and PT (tests).

@@ -353,11 +353,16 @@ func TestPropagationWorkVsResimulation(t *testing.T) {
 // freshly simulated oracle trace over the same T and PT. It is the
 // bit-identity half of the propagation contract: propagation must leave
 // exactly the trace a full re-simulation would build.
-func (c *Contraction) validateTrace() error {
+func (c *Contraction) validateTrace() error { return c.traceDiff(c.simulate) }
+
+// traceDiff rebuilds the trace with rebuild, on a copy of the slot table,
+// and compares it with the live trace field by field; the live trace is
+// left in place.
+func (c *Contraction) traceDiff(rebuild func()) error {
 	live, liveN := c.slots, c.records
 	liveRoot, liveSurv := c.rootValue, c.survivor
-	c.slots = slices.Clone(live) // simulate rewrites the table in place
-	c.simulate()
+	c.slots = slices.Clone(live) // rebuild rewrites the table in place
+	rebuild()
 	ora, oraN := c.slots, c.records
 	oraRoot, oraSurv := c.rootValue, c.survivor
 	c.slots, c.records = live, liveN

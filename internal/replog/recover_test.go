@@ -1,6 +1,7 @@
 package replog
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -227,12 +228,12 @@ func TestAppendRejectsStaleEpoch(t *testing.T) {
 	}
 }
 
-// TestSnapshotEpochRoundTrip: version-2 snapshots carry the epoch; the
-// checksum covers it; version-1 bytes (no epoch) still decode and
-// default to epoch 1.
+// TestSnapshotEpochRoundTrip: snapshots carry the epoch; the checksum
+// covers it; version-1 bytes (no epoch) still decode and default to
+// epoch 1.
 func TestSnapshotEpochRoundTrip(t *testing.T) {
-	s := &Snapshot{Version: SnapshotVersion, Ring: RingSpec{Kind: "minplus"}, Seq: 9, Epoch: 4}
-	s.Sum = s.checksum()
+	leaf := []SnapNode{{ID: 0, Parent: -1, Left: -1, Right: -1, Value: 3}}
+	s := &Snapshot{Ring: RingSpec{Kind: "minplus"}, Seq: 9, Epoch: 4, Slots: 1, Nodes: leaf}
 	data, err := s.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -244,22 +245,39 @@ func TestSnapshotEpochRoundTrip(t *testing.T) {
 	if dec.Epoch != 4 || dec.EpochOrDefault() != 4 {
 		t.Fatalf("epoch = %d", dec.Epoch)
 	}
-	// Tampering with the epoch breaks the seal.
-	s2 := *s
-	s2.Epoch = 5
-	data2, _ := s2.Encode()
-	if _, err := Decode(data2); !errors.Is(err, ErrSnapshotCorrupt) {
+	// Tampering with the epoch breaks the seal: the epoch-5 encoding
+	// differs from this one in the epoch byte alone, and carrying that
+	// byte over without its trailer must fail.
+	s5 := *s
+	s5.Epoch = 5
+	data5, _ := s5.Encode()
+	at := -1
+	for i := range data[:len(data)-8] {
+		if data[i] != data5[i] {
+			if at >= 0 {
+				t.Fatalf("epochs 4 and 5 differ in bytes %d and %d", at, i)
+			}
+			at = i
+		}
+	}
+	if at < 0 {
+		t.Fatal("epoch is not encoded")
+	}
+	tampered := bytes.Clone(data)
+	tampered[at] = data5[at]
+	if _, err := Decode(tampered); !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Fatalf("tampered epoch decode err = %v", err)
 	}
-	// Version-1 layout: no epoch field, checksum without it.
-	v1 := &Snapshot{Version: 1, Ring: RingSpec{Kind: "minplus"}, Seq: 9}
-	v1.Sum = v1.checksum()
-	d1, _ := v1.Encode()
-	dec1, err := Decode(d1)
-	if err != nil {
-		t.Fatalf("v1 decode: %v", err)
-	}
-	if dec1.EpochOrDefault() != 1 {
-		t.Fatalf("v1 default epoch = %d", dec1.EpochOrDefault())
+	// Version-1 layout: no epoch field, checksum without it — so an epoch
+	// slipped into v1 bytes is unverified and ignored.
+	v1 := readFixture(t, "snapshot-v1.json")
+	for _, data := range [][]byte{v1, bytes.Replace(v1, []byte(`"seq":3,`), []byte(`"seq":3,"epoch":7,`), 1)} {
+		dec1, err := Decode(data)
+		if err != nil {
+			t.Fatalf("v1 decode: %v", err)
+		}
+		if dec1.Version != 1 || dec1.Epoch != 0 || dec1.EpochOrDefault() != 1 {
+			t.Fatalf("v1: version %d, epoch %d, default epoch %d", dec1.Version, dec1.Epoch, dec1.EpochOrDefault())
+		}
 	}
 }

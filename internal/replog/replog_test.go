@@ -348,26 +348,59 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsTampering: every flipped byte and every truncation of
+// a binary snapshot fails as ErrSnapshotCorrupt; an unknown version that
+// carries a valid checksum fails as ErrVersion; and a tampered or
+// unknown-version JSON snapshot fails the same way.
 func TestSnapshotRejectsTampering(t *testing.T) {
 	src := prng.New(1)
 	orig := tree.Generate(semiring.NewMod(97), src, 10, tree.ShapeBalanced)
 	snap, _ := Capture(orig, 1, false, 0, 1)
 	data, _ := snap.Encode()
-	tampered := bytes.Replace(data, []byte(`"seq":0`), []byte(`"seq":5`), 1)
-	if !bytes.Contains(data, []byte(`"seq":0`)) {
-		t.Fatal("test assumption: encoded snapshot contains seq field")
+	if _, err := Decode(data); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Decode(tampered); !errors.Is(err, ErrSnapshotCorrupt) {
-		t.Fatalf("tampered decode err = %v, want ErrSnapshotCorrupt", err)
+	for i := range data {
+		for _, mask := range []byte{0x01, 0x80, 0xff} {
+			bad := bytes.Clone(data)
+			bad[i] ^= mask
+			if _, err := Decode(bad); !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("byte %d ^ %#x: err = %v, want ErrSnapshotCorrupt", i, mask, err)
+			}
+		}
 	}
-	if _, err := Decode(data[:len(data)/2]); err == nil {
-		t.Fatal("half a snapshot decoded")
+	for n := range data {
+		if _, err := Decode(data[:n]); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Fatalf("first %d of %d bytes: err = %v, want ErrSnapshotCorrupt", n, len(data), err)
+		}
 	}
-	bad := *snap
-	bad.Version = 99
-	bad.Sum = bad.checksum()
-	bdata, _ := bad.Encode()
-	if _, err := Decode(bdata); !errors.Is(err, ErrVersion) {
-		t.Fatalf("version err = %v, want ErrVersion", err)
+	// The version follows the magic; 99 fits one uvarint byte like 3 does.
+	v99 := bytes.Clone(data)
+	v99[len(snapMagic)] = 99
+	if _, err := Decode(reseal(v99)); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version 99: err = %v, want ErrVersion", err)
+	}
+	// A byte slipped in before the trailer leaves bytes after the last node.
+	long := append(bytes.Clone(data[:len(data)-8]), 0)
+	if _, err := Decode(reseal(append(long, make([]byte, 8)...))); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("trailing byte: err = %v, want ErrSnapshotCorrupt", err)
+	}
+
+	v1 := readFixture(t, "snapshot-v1.json")
+	if !bytes.Contains(v1, []byte(`"seq":3`)) {
+		t.Fatal("test assumption: the v1 fixture is at seq 3")
+	}
+	if _, err := Decode(bytes.Replace(v1, []byte(`"seq":3`), []byte(`"seq":5`), 1)); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("tampered v1: err = %v, want ErrSnapshotCorrupt", err)
+	}
+	var l legacySnapshot
+	if err := json.Unmarshal(v1, &l); err != nil {
+		t.Fatal(err)
+	}
+	l.Version = 99
+	l.Sum = l.checksum()
+	j99, _ := json.Marshal(&l)
+	if _, err := Decode(j99); !errors.Is(err, ErrVersion) {
+		t.Fatalf("JSON version 99: err = %v, want ErrVersion", err)
 	}
 }

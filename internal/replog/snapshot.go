@@ -2,28 +2,63 @@ package replog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
 
 	"dyntc/internal/semiring"
 	"dyntc/internal/tree"
 )
 
-// SnapshotVersion is the current snapshot codec version. Decoders accept
-// exactly the versions they know; bumping the codec means bumping this and
-// teaching Decode the old layout. Version 2 added the leadership Epoch
+// SnapshotVersion is the snapshot codec version Encode writes: the binary
+// layout below. Decode also reads the JSON layouts of versions 1 and 2, so
+// snapshots already on disk or sent by an older leader still restore;
+// nothing writes those any more. Version 2 added the leadership Epoch
 // (absent in version 1, which decodes as epoch 0 = default epoch 1).
-const SnapshotVersion = 2
+//
+// The version-3 layout. Unsigned integers are uvarints and signed ones
+// zigzag varints, both as encoding/binary writes them:
+//
+//	magic    "\x89DTS"
+//	version  3
+//	ring     kind length, kind bytes, modulus (signed)
+//	header   seed, tour (one byte, 0 or 1), seq, epoch, slots, node count
+//	nodes    per live node, in ascending ID order: the ID's distance from
+//	         the previous ID minus one (the first node: its ID); parent,
+//	         left and right as ID+1 (0 = none); then a leaf's value, or an
+//	         internal node's A, B and C (signed). A node is a leaf when it
+//	         has no left child.
+//	sum      FNV-1a 64 of every byte before it, 8 bytes little-endian
+//
+// Every binary version ends in that trailer, so Decode checks it before it
+// reads the version: a failed checksum is always corruption, and a version
+// it cannot read is ErrVersion.
+const SnapshotVersion = 3
+
+// snapMagic opens every binary snapshot. Its first byte is not valid
+// UTF-8, so no JSON snapshot starts with it.
+var snapMagic = []byte("\x89DTS")
+
+// minNodeBytes is the smallest encoding of one node (ID delta, three
+// links, a value): Decode bounds the node count by it before allocating.
+const minNodeBytes = 5
+
+// maxSlots bounds a snapshot's declared ID slots. Core packs node IDs into
+// 32 bits of its schedule keys, so no larger tree can be contracted, and
+// Tree allocates a pointer per slot: unbounded, a 200-byte snapshot could
+// ask for terabytes.
+const maxSlots = 1 << 32
 
 // Snapshot errors.
 var (
 	// ErrVersion reports a snapshot codec version this build cannot read.
 	ErrVersion = errors.New("replog: unsupported snapshot version")
-	// ErrSnapshotCorrupt reports a snapshot whose checksum does not match.
-	ErrSnapshotCorrupt = errors.New("replog: snapshot checksum mismatch")
+	// ErrSnapshotCorrupt reports snapshot bytes that fail verification: a
+	// checksum mismatch, a truncated or malformed layout, or a field out
+	// of range.
+	ErrSnapshotCorrupt = errors.New("replog: corrupt snapshot")
 )
 
 // RingSpec names a semiring in the wire format. Kind uses the same names
@@ -73,6 +108,7 @@ func (s RingSpec) Ring() (semiring.Ring, error) {
 
 // SnapNode is one live node of a snapshot. Links are node IDs; -1 means
 // none. Internal nodes carry the operation coefficients, leaves the value.
+// The JSON tags are the version-1/2 layout's.
 type SnapNode struct {
 	ID     int   `json:"id"`
 	Parent int   `json:"parent"`
@@ -90,29 +126,31 @@ type SnapNode struct {
 // maintained, and the applied-wave sequence number the tree state
 // reflects.
 //
-// Encoding is byte-deterministic: live nodes are sorted by ID and the JSON
-// field order is fixed by the struct, so two equal tree states always
-// encode to identical bytes — the property the replication tests pin.
+// Encoding is byte-deterministic: live nodes are in ascending ID order and
+// every field has one encoding, so two equal tree states always encode to
+// identical bytes — the property the replication tests pin.
 type Snapshot struct {
-	Version int      `json:"version"`
-	Ring    RingSpec `json:"ring"`
-	Seed    uint64   `json:"seed"`
-	Tour    bool     `json:"tour,omitempty"`
-	Seq     uint64   `json:"seq"`
+	// Version is the codec version the snapshot was decoded from; Capture
+	// sets SnapshotVersion, and Encode always writes SnapshotVersion.
+	Version int
+	Ring    RingSpec
+	Seed    uint64
+	Tour    bool
+	Seq     uint64
 	// Epoch is the leadership term the captured state was produced under;
 	// a follower restored from this snapshot rejects waves from older
 	// epochs. Zero (version-1 snapshots) reads as the initial epoch 1.
-	Epoch uint64 `json:"epoch,omitempty"`
+	Epoch uint64
 	// Slots is len(tree.Nodes) including deleted (nil) slots: restoring it
 	// exactly keeps future grow ID assignment identical to the leader's.
-	Slots int        `json:"slots"`
-	Nodes []SnapNode `json:"nodes"`
-	Sum   uint64     `json:"sum"`
+	Slots int
+	// Nodes lists the live nodes in strictly ascending ID order.
+	Nodes []SnapNode
 }
 
 // Capture serializes t (plus seed / tour / seq / epoch metadata) into a
-// sealed snapshot. The caller must hold the single-writer right to t
-// (direct owner, or inside an engine barrier).
+// snapshot. The caller must hold the single-writer right to t (direct
+// owner, or inside an engine barrier).
 func Capture(t *tree.Tree, seed uint64, tour bool, seq, epoch uint64) (*Snapshot, error) {
 	spec, err := SpecOfRing(t.Ring)
 	if err != nil {
@@ -134,6 +172,7 @@ func Capture(t *tree.Tree, seed uint64, tour bool, seq, epoch uint64) (*Snapshot
 		}
 		return n.ID
 	}
+	// t.Nodes is indexed by ID, so this walk emits IDs in ascending order.
 	for _, n := range t.Nodes {
 		if n == nil {
 			continue
@@ -151,19 +190,230 @@ func Capture(t *tree.Tree, seed uint64, tour bool, seq, epoch uint64) (*Snapshot
 		}
 		s.Nodes = append(s.Nodes, sn)
 	}
-	sort.Slice(s.Nodes, func(i, j int) bool { return s.Nodes[i].ID < s.Nodes[j].ID })
-	s.Sum = s.checksum()
 	return s, nil
 }
 
+// check verifies what Encode and Tree rely on: the slot count in range,
+// live IDs strictly ascending inside it, and every link -1 or inside it.
+func (s *Snapshot) check() error {
+	if s.Slots < 0 || uint64(s.Slots) >= maxSlots {
+		return fmt.Errorf("%w: %d slots, limit %d", ErrSnapshotCorrupt, s.Slots, uint64(maxSlots-1))
+	}
+	if len(s.Nodes) > s.Slots {
+		return fmt.Errorf("%w: %d nodes in %d slots", ErrSnapshotCorrupt, len(s.Nodes), s.Slots)
+	}
+	prev := -1
+	for i := range s.Nodes {
+		n := &s.Nodes[i]
+		if n.ID <= prev || n.ID >= s.Slots {
+			return fmt.Errorf("%w: node ID %d after %d in %d slots", ErrSnapshotCorrupt, n.ID, prev, s.Slots)
+		}
+		prev = n.ID
+		for _, l := range [3]int{n.Parent, n.Left, n.Right} {
+			if l < -1 || l >= s.Slots {
+				return fmt.Errorf("%w: node %d links to %d", ErrSnapshotCorrupt, n.ID, l)
+			}
+		}
+	}
+	return nil
+}
+
+// fnv1a is the checksum of the binary layout.
+func fnv1a(b []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
+}
+
+// Encode marshals the snapshot to its canonical byte form, the current
+// binary version.
+func (s *Snapshot) Encode() ([]byte, error) {
+	if err := s.check(); err != nil {
+		return nil, err
+	}
+	b := make([]byte, 0, 64+len(s.Ring.Kind)+14*len(s.Nodes))
+	b = append(b, snapMagic...)
+	b = binary.AppendUvarint(b, SnapshotVersion)
+	b = binary.AppendUvarint(b, uint64(len(s.Ring.Kind)))
+	b = append(b, s.Ring.Kind...)
+	b = binary.AppendVarint(b, s.Ring.Mod)
+	b = binary.AppendUvarint(b, s.Seed)
+	var tour byte
+	if s.Tour {
+		tour = 1
+	}
+	b = append(b, tour)
+	b = binary.AppendUvarint(b, s.Seq)
+	b = binary.AppendUvarint(b, s.Epoch)
+	b = binary.AppendUvarint(b, uint64(s.Slots))
+	b = binary.AppendUvarint(b, uint64(len(s.Nodes)))
+	prev := -1
+	for i := range s.Nodes {
+		n := &s.Nodes[i]
+		b = binary.AppendUvarint(b, uint64(n.ID-prev-1))
+		prev = n.ID
+		b = binary.AppendUvarint(b, uint64(n.Parent+1))
+		b = binary.AppendUvarint(b, uint64(n.Left+1))
+		b = binary.AppendUvarint(b, uint64(n.Right+1))
+		if n.Left == -1 {
+			b = binary.AppendVarint(b, n.Value)
+		} else {
+			b = binary.AppendVarint(b, n.A)
+			b = binary.AppendVarint(b, n.B)
+			b = binary.AppendVarint(b, n.C)
+		}
+	}
+	return binary.LittleEndian.AppendUint64(b, fnv1a(b)), nil
+}
+
+// Decode parses and verifies a snapshot of any version this build reads:
+// the binary layout when the bytes open with its magic, JSON (versions 1
+// and 2) when they open with an object.
+func Decode(data []byte) (*Snapshot, error) {
+	if bytes.HasPrefix(data, snapMagic) {
+		return decodeBinary(data)
+	}
+	if rest := bytes.TrimLeft(data, " \t\r\n"); len(rest) > 0 && rest[0] == '{' {
+		return decodeJSON(data)
+	}
+	return nil, fmt.Errorf("%w: neither a binary nor a JSON snapshot", ErrSnapshotCorrupt)
+}
+
+// IsCurrent reports whether snapshot bytes that Decode accepted are in the
+// layout Encode writes, as opposed to an older JSON version.
+func IsCurrent(data []byte) bool { return bytes.HasPrefix(data, snapMagic) }
+
+// snapReader consumes the binary layout. The first malformed field sets
+// err and empties b, so every later read fails too and the caller checks
+// err once.
+type snapReader struct {
+	b   []byte
+	err error
+}
+
+func (r *snapReader) fail(what string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: bad %s", ErrSnapshotCorrupt, what)
+	}
+	r.b = nil
+}
+
+func (r *snapReader) uvarint(what string) uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail(what)
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *snapReader) varint(what string) int64 {
+	v, n := binary.Varint(r.b)
+	if n <= 0 {
+		r.fail(what)
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// id reads an ID-sized unsigned field: anything at or past maxSlots is
+// out of range for every snapshot, which keeps the int arithmetic on it
+// from overflowing.
+func (r *snapReader) id(what string) int {
+	v := r.uvarint(what)
+	if v >= maxSlots {
+		r.fail(what)
+		return 0
+	}
+	return int(v)
+}
+
+func decodeBinary(data []byte) (*Snapshot, error) {
+	if len(data) < len(snapMagic)+8 {
+		return nil, fmt.Errorf("%w: %d bytes", ErrSnapshotCorrupt, len(data))
+	}
+	body := data[:len(data)-8]
+	if fnv1a(body) != binary.LittleEndian.Uint64(data[len(body):]) {
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrSnapshotCorrupt)
+	}
+	r := &snapReader{b: body[len(snapMagic):]}
+	if v := r.uvarint("version"); r.err == nil && v != SnapshotVersion {
+		return nil, fmt.Errorf("%w: binary version %d (this build reads %d)", ErrVersion, v, SnapshotVersion)
+	}
+	s := &Snapshot{Version: SnapshotVersion}
+	if k := r.uvarint("ring kind"); k <= uint64(len(r.b)) {
+		s.Ring.Kind = string(r.b[:k])
+		r.b = r.b[k:]
+	} else {
+		r.fail("ring kind")
+	}
+	s.Ring.Mod = r.varint("modulus")
+	s.Seed = r.uvarint("seed")
+	if len(r.b) > 0 && r.b[0] <= 1 {
+		s.Tour = r.b[0] == 1
+		r.b = r.b[1:]
+	} else {
+		r.fail("tour flag")
+	}
+	s.Seq = r.uvarint("seq")
+	s.Epoch = r.uvarint("epoch")
+	s.Slots = r.id("slots")
+	count := r.uvarint("node count")
+	if r.err != nil {
+		return nil, r.err
+	}
+	if count > uint64(len(r.b)/minNodeBytes) {
+		return nil, fmt.Errorf("%w: %d nodes in %d bytes", ErrSnapshotCorrupt, count, len(r.b))
+	}
+	s.Nodes = make([]SnapNode, count)
+	prev := -1
+	for i := range s.Nodes {
+		n := &s.Nodes[i]
+		n.ID = prev + 1 + r.id("node ID")
+		prev = n.ID
+		n.Parent = r.id("parent") - 1
+		n.Left = r.id("left") - 1
+		n.Right = r.id("right") - 1
+		if n.Left == -1 {
+			n.Value = r.varint("value")
+		} else {
+			n.A, n.B, n.C = r.varint("A"), r.varint("B"), r.varint("C")
+		}
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	if len(r.b) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, len(r.b))
+	}
+	if err := s.check(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// legacySnapshot is the JSON layout of versions 1 and 2. Its Sum hashes
+// the decoded fields (checksum), not the bytes.
+type legacySnapshot struct {
+	Version int        `json:"version"`
+	Ring    RingSpec   `json:"ring"`
+	Seed    uint64     `json:"seed"`
+	Tour    bool       `json:"tour,omitempty"`
+	Seq     uint64     `json:"seq"`
+	Epoch   uint64     `json:"epoch,omitempty"`
+	Slots   int        `json:"slots"`
+	Nodes   []SnapNode `json:"nodes"`
+	Sum     uint64     `json:"sum"`
+}
+
 // checksum is the FNV-1a 64-bit hash of everything except Sum.
-func (s *Snapshot) checksum() uint64 {
+func (s *legacySnapshot) checksum() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	u64 := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
+		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
 	i64 := func(v int64) { u64(uint64(v)) }
@@ -198,29 +448,45 @@ func (s *Snapshot) checksum() uint64 {
 	return h.Sum64()
 }
 
-// Encode marshals the snapshot to its canonical byte form.
-func (s *Snapshot) Encode() ([]byte, error) {
-	var b bytes.Buffer
-	enc := json.NewEncoder(&b)
-	if err := enc.Encode(s); err != nil {
-		return nil, fmt.Errorf("replog: encode snapshot: %w", err)
+func decodeJSON(data []byte) (*Snapshot, error) {
+	var l legacySnapshot
+	if err := json.Unmarshal(data, &l); err != nil {
+		return nil, fmt.Errorf("replog: decode JSON snapshot: %w", err)
 	}
-	return b.Bytes(), nil
-}
-
-// Decode parses and verifies a snapshot.
-func Decode(data []byte) (*Snapshot, error) {
-	var s Snapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("replog: decode snapshot: %w", err)
+	if l.Version < 1 || l.Version > 2 {
+		return nil, fmt.Errorf("%w: JSON version %d (JSON is versions 1 and 2)", ErrVersion, l.Version)
 	}
-	if s.Version < 1 || s.Version > SnapshotVersion {
-		return nil, fmt.Errorf("%w: %d (this build reads 1..%d)", ErrVersion, s.Version, SnapshotVersion)
+	if l.Sum != l.checksum() {
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrSnapshotCorrupt)
 	}
-	if s.Sum != s.checksum() {
-		return nil, ErrSnapshotCorrupt
+	if l.Version == 1 {
+		l.Epoch = 0 // not covered by a version-1 checksum
 	}
-	return &s, nil
+	// JSON let a leaf carry coefficients and an internal node a value, and
+	// nothing reads them. Clear them, so that re-encoding in the binary
+	// layout, which stores only what is read, keeps the snapshot equal.
+	for i := range l.Nodes {
+		n := &l.Nodes[i]
+		if n.Left == -1 {
+			n.A, n.B, n.C = 0, 0, 0
+		} else {
+			n.Value = 0
+		}
+	}
+	s := &Snapshot{
+		Version: l.Version,
+		Ring:    l.Ring,
+		Seed:    l.Seed,
+		Tour:    l.Tour,
+		Seq:     l.Seq,
+		Epoch:   l.Epoch,
+		Slots:   l.Slots,
+		Nodes:   l.Nodes,
+	}
+	if err := s.check(); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // EpochOrDefault returns the snapshot's epoch, mapping the zero value
@@ -235,6 +501,9 @@ func (s *Snapshot) EpochOrDefault() uint64 {
 // Tree materializes the snapshot's expression tree: exact node IDs, exact
 // slot count (holes included), validated structure.
 func (s *Snapshot) Tree() (*tree.Tree, error) {
+	if err := s.check(); err != nil {
+		return nil, err
+	}
 	r, err := s.Ring.Ring()
 	if err != nil {
 		return nil, err

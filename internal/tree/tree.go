@@ -277,6 +277,11 @@ func (t *Tree) Validate() error {
 		if n.Right == nil {
 			return fmt.Errorf("tree: half-internal node %d", n.ID)
 		}
+		// Without this check a chain of nodes whose two links name the same
+		// child would be walked 2^depth times before the count fails.
+		if n.Left == n.Right {
+			return fmt.Errorf("tree: node %d has one child twice", n.ID)
+		}
 		if n.Left.Parent != n || n.Right.Parent != n {
 			return fmt.Errorf("tree: bad parent links under node %d", n.ID)
 		}

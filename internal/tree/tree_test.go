@@ -173,3 +173,18 @@ func TestSetValueSetOp(t *testing.T) {
 		t.Fatalf("10*3 = %d", tr.Eval())
 	}
 }
+
+// TestRestoreRejectsChildTwice: a serialized chain in which every internal
+// node names one child as both its left and its right is refused at once.
+// Walking it would visit the last node 2^depth times.
+func TestRestoreRejectsChildTwice(t *testing.T) {
+	const depth = 64
+	nodes := make([]RestoreNode, depth+1)
+	for i := range nodes {
+		nodes[i] = RestoreNode{ID: i, Parent: i - 1, Left: i + 1, Right: i + 1}
+	}
+	nodes[depth].Left, nodes[depth].Right = -1, -1
+	if _, err := Restore(semiring.Bool{}, depth+1, nodes); err == nil {
+		t.Fatal("restored a node with one child twice")
+	}
+}
