@@ -141,13 +141,10 @@ func TestChaosFailover(t *testing.T) {
 			// RPCs stall 1ms) — chaos without losing determinism.
 			in := dyntc.NewFaultInjector(seed)
 			in.Add(dyntc.FaultRule{Site: "follower.rpc", P: 0.2, Latency: time.Millisecond})
-			fo := newFollower(ts.URL, 2*time.Millisecond)
-			fo.walDir = dirF
+			fo := newServerWAL(dyntc.BatchOptions{}, dirF, 0)
+			fo.follow(ts.URL, 2*time.Millisecond)
 			fo.setFaults(in, seed)
-			go fo.run()
-			t.Cleanup(fo.Close)
-			foSrv := httptest.NewServer(fo.handler())
-			t.Cleanup(foSrv.Close)
+			foSrv := serveFollower(t, fo)
 
 			// Live traffic against the old leader until it stops accepting
 			// writes (the fence's 403, or the shutdown).
@@ -196,8 +193,7 @@ func TestChaosFailover(t *testing.T) {
 			if !promoted.Promoted || promoted.Trees != 2 || promoted.Epoch != 2 {
 				t.Fatalf("promote response: %+v, want 2 trees at epoch 2", promoted)
 			}
-			// The promote endpoint vanished with the follower mux: this
-			// process is a leader now and leaders don't promote.
+			// This process is a leader now, and leaders don't promote.
 			if status := postStatus(t, foSrv.URL+"/v1/promote", nil, nil); status != 404 {
 				t.Fatalf("second promote: status %d, want 404", status)
 			}
@@ -336,12 +332,10 @@ func TestChaosDegradedFollower(t *testing.T) {
 	growSome(t, base, 5, 0)
 
 	in := dyntc.NewFaultInjector(7)
-	fo := newFollower(ts.URL, 2*time.Millisecond)
+	fo := newServer(dyntc.BatchOptions{})
+	fo.follow(ts.URL, 2*time.Millisecond)
 	fo.setFaults(in, 7)
-	go fo.run()
-	t.Cleanup(fo.Close)
-	foSrv := httptest.NewServer(fo.handler())
-	t.Cleanup(foSrv.Close)
+	foSrv := serveFollower(t, fo)
 
 	// Converge first, then drop the partition in.
 	waitHealthz(t, foSrv.URL, func(status int, h healthTrees) bool {
@@ -502,7 +496,7 @@ func TestChaosCleanRestartIdentity(t *testing.T) {
 
 // TestPromoteAbortIsRetryable: a promotion that fails part-way through
 // its prepare phase (here: the new term's WAL directory does not exist,
-// so attaching the first tree's log fails) must leave the follower fully
+// so opening the first tree's log fails) must leave the follower fully
 // live — poll loop tailing, replicas applying, reads flowing — so a
 // retried POST /v1/promote succeeds once the cause is fixed. Pins the
 // all-or-nothing promotion contract.
@@ -515,12 +509,10 @@ func TestPromoteAbortIsRetryable(t *testing.T) {
 	base := fmt.Sprintf("%s/v1/trees/%d", leaderSrv.URL, created.Tree)
 	leaf := growSome(t, base, 5, 0)
 
-	fo := newFollower(leaderSrv.URL, 2*time.Millisecond)
-	fo.walDir = filepath.Join(t.TempDir(), "missing", "wal") // parent absent: attachLog fails
-	go fo.run()
-	t.Cleanup(fo.Close)
-	foSrv := httptest.NewServer(fo.handler())
-	t.Cleanup(foSrv.Close)
+	// The wal dir's parent is absent, so opening the first tree's log fails.
+	fo := newServerWAL(dyntc.BatchOptions{}, filepath.Join(t.TempDir(), "missing", "wal"), 0)
+	fo.follow(leaderSrv.URL, 2*time.Millisecond)
+	foSrv := serveFollower(t, fo)
 	waitHealthz(t, foSrv.URL, func(status int, h healthTrees) bool {
 		return len(h.Trees) == 1 && h.Trees[0].AppliedSeq == 5
 	})
@@ -530,7 +522,7 @@ func TestPromoteAbortIsRetryable(t *testing.T) {
 	}
 
 	// Aborted, not wedged: still a follower, and the poll loop still
-	// applies new leader waves (no replica was marked promoted).
+	// applies new leader waves (no replica moved to the new term).
 	leaf = growSome(t, base, 2, leaf)
 	waitHealthz(t, foSrv.URL, func(status int, h healthTrees) bool {
 		return status == 200 && h.Role == "follower" &&

@@ -107,13 +107,10 @@ func TestEventJournalFailoverSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fo := newFollower(ts.URL, 2*time.Millisecond)
-	fo.walDir = t.TempDir()
+	fo := newServerWAL(dyntc.BatchOptions{}, t.TempDir(), 0)
+	fo.follow(ts.URL, 2*time.Millisecond)
 	fo.observe(fb)
-	go fo.run()
-	t.Cleanup(fo.Close)
-	foSrv := httptest.NewServer(fo.handler())
-	t.Cleanup(foSrv.Close)
+	foSrv := serveFollower(t, fo)
 
 	waitHealthz(t, foSrv.URL, func(status int, h healthTrees) bool {
 		return len(h.Trees) == 1 && h.Trees[0].AppliedSeq >= 4
@@ -178,13 +175,11 @@ func TestEventJournalDegradedSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := dyntc.NewFaultInjector(7)
-	fo := newFollower(ts.URL, 2*time.Millisecond)
+	fo := newServer(dyntc.BatchOptions{})
+	fo.follow(ts.URL, 2*time.Millisecond)
 	fo.setFaults(in, 7)
 	fo.observe(fb)
-	go fo.run()
-	t.Cleanup(fo.Close)
-	foSrv := httptest.NewServer(fo.handler())
-	t.Cleanup(foSrv.Close)
+	foSrv := serveFollower(t, fo)
 
 	waitHealthz(t, foSrv.URL, func(status int, h healthTrees) bool {
 		return len(h.Trees) == 1 && h.Trees[0].AppliedSeq >= 3
@@ -467,13 +462,11 @@ func TestIncidentFlightRecorderFollower(t *testing.T) {
 		t.Fatal(err)
 	}
 	fin := dyntc.NewFaultInjector(9)
-	fo := newFollower(ts.URL, 2*time.Millisecond)
+	fo := newServer(dyntc.BatchOptions{})
+	fo.follow(ts.URL, 2*time.Millisecond)
 	fo.setFaults(fin, 9)
 	fo.observe(fb)
-	go fo.run()
-	t.Cleanup(fo.Close)
-	foSrv := httptest.NewServer(fo.handler())
-	t.Cleanup(foSrv.Close)
+	foSrv := serveFollower(t, fo)
 
 	waitHealthz(t, foSrv.URL, func(status int, h healthTrees) bool {
 		return len(h.Trees) == 1 && h.Trees[0].AppliedSeq >= 2

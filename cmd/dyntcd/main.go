@@ -14,14 +14,14 @@
 //	dyntcd -addr :8080 -workers 8          # per-tree parallelism hint
 //	dyntcd -addr :8080 -wal-dir /var/lib/dyntcd   # durable wave log
 //	dyntcd -addr :8080 -wal-dir d -compact-every 10000  # + log compaction
-//	dyntcd -addr :8081 -follow http://leader:8080 # read replica (serves /v1/query)
-//	dyntcd -addr :8081 -follow http://leader:8080 -wal-dir d   # promotable replica
+//	dyntcd -addr :8081 -follow http://leader:8080 # read replica, same read API
+//	dyntcd -addr :8081 -follow http://leader:8080 -wal-dir d   # promotes with a WAL
 //	dyntcd -addr :8080 -faults 'wal.append:after=100:torn=0.5:times=1' -fault-seed 7
 //
 // The whole process runs on ONE runtime scheduler pool (-sched-workers,
 // default GOMAXPROCS): each tree's PRAM steps chunk onto it, the
-// cross-tree query scatter rides it, and in -follow mode replica replay
-// does too — so a 1024-tree forest on a 16-core box runs 16-wide instead
+// cross-tree query scatter rides it, and in -follow mode replica
+// catch-up does too — so a 1024-tree forest on a 16-core box runs 16-wide instead
 // of spawning a pool per tree. A tree's wave phases run on its engine's
 // executor goroutine. -workers (default GOMAXPROCS) is the per-tree hint:
 // how many shared workers one tree's PRAM step may recruit; 1 keeps every
@@ -36,16 +36,18 @@
 // -log-cap waves serving GET /v1/trees/{id}/log?since=SEQ, plus, with
 // -wal-dir set, an append-only <dir>/tree-<id>.wal file. Snapshots
 // (GET/PUT /v1/trees/{id}/snapshot) capture a tree's exact state through
-// an engine barrier. In -follow mode the process serves read-only
-// replicas of every leader tree: snapshot bootstrap, then verified
-// in-order wave replay, re-bootstrapping automatically when it falls
-// behind the leader's ring. GET /v1/healthz reports per-tree applied
-// sequence numbers (and, on a follower, lag).
+// an engine barrier. In -follow mode the same server serves read-only
+// replicas of every leader tree as engines in its forest: snapshot
+// bootstrap, then verified in-order wave replay (Engine.ApplyWave),
+// re-bootstrapping automatically when it falls behind the leader's ring.
+// Every read endpoint is shared by both roles; writes answer 403 while
+// following. GET /v1/healthz reports per-tree applied sequence numbers
+// (and, on a follower, lag).
 //
 // Failover: every wave and snapshot is stamped with a leadership epoch.
-// POST /v1/promote on a follower ends its replica life — each replica is
-// promoted to epoch+1 and served by a full leader mux on the same
-// listener — and the old leader, once it observes the newer term (via
+// POST /v1/promote on a follower flips it to leading in place — each
+// replica engine moves to epoch+1 and gets its wave log, under the same
+// mux — and the old leader, once it observes the newer term (via
 // the demote call the promotion fires, an explicit POST /v1/demote, or a
 // follower's X-Dyntc-Epoch header on log fetches), fences itself
 // read-only: writes 403, reads and the log tail keep flowing. Waves from
@@ -66,8 +68,8 @@
 // explicit ids, an id range, or every tree — and joins the answers with a
 // combiner (sum/min/max/count or a semiring add/mul), reporting each
 // tree's applied-wave sequence. Followers serve the same endpoint from
-// their replicas unless -query-endpoint=false, so dashboards can offload
-// cross-tree reads entirely onto replicas. With -compact-every N each
+// their replicas, so dashboards can offload cross-tree reads entirely
+// onto replicas. With -compact-every N each
 // tree's change log is compacted every N waves: the tree is snapshotted
 // (to <wal-dir>/tree-<id>.snap when -wal-dir is set) and the ring + WAL
 // are trimmed; followers that fall behind a trimmed log re-bootstrap via
@@ -124,7 +126,6 @@ func main() {
 		logCap   = flag.Int("log-cap", 0, "waves retained in each tree's in-memory log ring (0 = default 4096)")
 		follow   = flag.String("follow", "", "leader base URL: run as a read-only replica of that dyntcd")
 		poll     = flag.Duration("poll", 50*time.Millisecond, "follower mode: leader poll interval")
-		queryEP  = flag.Bool("query-endpoint", true, "follower mode: serve POST /v1/query against the local replicas (read offload)")
 		compact  = flag.Int("compact-every", 0, "compact each tree's log every N waves: snapshot to <wal-dir>/tree-N.snap and trim the ring + WAL (0 = off)")
 		degAfter = flag.Duration("degraded-after", 2*time.Second, "follower mode: staleness bound before reporting degraded (0 = only the consecutive-error threshold)")
 
@@ -239,22 +240,20 @@ func main() {
 		opts.SlowWaveThreshold = *slowWave
 	}
 
-	if *follow != "" {
-		runFollower(*addr, *follow, *poll, *queryEP, pool, ob, *accessLog, followerConfig{
-			opts: opts, walDir: *walDir, logCap: *logCap,
-			degradedAfter: *degAfter, faults: faults, faultSeed: *faultSeed,
-		})
-		return
-	}
-
 	s := newServerWAL(opts, *walDir, *logCap)
 	s.compactEvery = *compact
-	s.faults = faults
+	if *follow != "" {
+		s.follow(*follow, *poll).degradedAfter = *degAfter
+	}
+	s.setFaults(faults, *faultSeed)
 	// Observe before recovering: startup recovery journals its lifecycle
 	// events (torn tails, epoch adoptions) and the recovered trees' WALs
-	// pick up their instruments as attachLog re-attaches them.
+	// pick up their instruments as attachLog re-attaches them. A follower
+	// recovers nothing: its trees come from the leader.
 	s.observe(ob)
-	if err := s.recover(); err != nil {
+	if f := s.following.Load(); f != nil {
+		f.start()
+	} else if err := s.recover(); err != nil {
 		fatal("startup recovery", "err", err)
 	}
 	var handler http.Handler = s.routes()
@@ -278,77 +277,17 @@ func main() {
 		_ = srv.Shutdown(shutdownCtx)
 	}()
 
-	slog.Info("dyntcd listening", "addr", *addr, "window", *window, "maxbatch", *maxBatch,
-		"workers", *workers, "sched_workers", pool.Workers(), "wal", *walDir)
+	slog.Info("dyntcd listening", "addr", *addr, "role", s.role(), "follow", *follow, "window", *window,
+		"maxbatch", *maxBatch, "workers", *workers, "sched_workers", pool.Workers(), "wal", *walDir)
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal("serve", "err", err)
 	}
 	// ListenAndServe returns as soon as Shutdown *starts*; wait for it to
-	// finish draining in-flight handlers, then drain every engine's queue
-	// and flush the wave logs — the graceful path loses no acknowledged
-	// write and no logged wave.
+	// finish draining in-flight handlers, then stop the poll loop, drain
+	// every engine's queue and flush the wave logs — the graceful path
+	// loses no acknowledged write and no logged wave.
 	stop()
 	<-shutdownDone
-	s.forest.Close()
-	s.closeLogs()
+	s.close()
 	slog.Info("drained and stopped")
-}
-
-// followerConfig carries the failover-relevant settings into follower
-// mode: the engine options and WAL placement the process adopts if it is
-// promoted to leader, the degraded-mode staleness bound, and the fault
-// schedule.
-type followerConfig struct {
-	opts          dyntc.BatchOptions
-	walDir        string
-	logCap        int
-	degradedAfter time.Duration
-	faults        *dyntc.FaultInjector
-	faultSeed     uint64
-}
-
-// runFollower serves read-only replicas of a leader's trees.
-func runFollower(addr, leader string, poll time.Duration, queryEndpoint bool, pool *dyntc.SchedPool, ob *obsBundle, accessLog bool, cfg followerConfig) {
-	f := newFollowerOn(leader, poll, pool)
-	f.queryEndpoint = queryEndpoint
-	f.opts = cfg.opts
-	f.walDir = cfg.walDir
-	f.logCap = cfg.logCap
-	f.degradedAfter = cfg.degradedAfter
-	if cfg.faults != nil {
-		f.setFaults(cfg.faults, cfg.faultSeed)
-	}
-	f.observe(ob)
-	go f.run()
-	// handler() switches to the promoted leader's mux atomically when
-	// POST /v1/promote lands.
-	var handler http.Handler = f.handler()
-	if accessLog {
-		handler = withAccessLog(handler)
-	}
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	shutdownDone := make(chan struct{})
-	go func() {
-		defer close(shutdownDone)
-		<-ctx.Done()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(shutdownCtx)
-	}()
-
-	slog.Info("dyntcd following", "leader", leader, "addr", addr, "poll", poll)
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatal("serve", "err", err)
-	}
-	stop()
-	<-shutdownDone
-	f.Close()
-	slog.Info("follower stopped")
 }

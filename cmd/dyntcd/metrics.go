@@ -3,12 +3,12 @@ package main
 // Observability wiring: one metrics registry per process (GET /metrics,
 // Prometheus text format, zero external deps), a sampled wave-trace ring
 // (GET /v1/trace), an opt-in access log, a structured slow-wave log and
-// an optional pprof listener. Leader and follower share all of it; the
-// per-layer instrument bundles live with their layers (internal/obs,
+// an optional pprof listener. Both roles share all of it; the per-layer
+// instrument bundles live with their layers (internal/obs,
 // internal/engine, internal/sched, internal/replog, internal/query) —
 // this file only composes them and adds the cross-layer gauges (lag,
-// applied sequence) that need to see engines, logs and replicas side by
-// side.
+// applied sequence) that need to see engines, logs and the poll loop side
+// by side.
 
 import (
 	"errors"
@@ -461,18 +461,21 @@ func (c *statsCache) get() dyntc.EngineStats {
 	return c.st
 }
 
-// observe registers the leader's cross-layer families: engine counters
-// over a cached forest aggregate, scheduler gauges, and the replication
-// gauges that pair engines with their wave logs.
+// observe registers the server's cross-layer families once, for both
+// roles: engine counters over a cached forest aggregate, scheduler
+// gauges, and the replication gauges, whose closures read the server's
+// current role (a leader pairs engines with their wave logs, a follower
+// with its leader's last observed log position).
 func (s *server) observe(b *obsBundle) {
 	s.obs = b
 	cache := &statsCache{fn: s.forest.Stats, ttl: 250 * time.Millisecond}
 	dyntc.RegisterEngineStats(b.reg, cache.get)
 	// Anomaly events carry a snapshot of the engine aggregate at trip
-	// time; the debug bundle carries the same plus scheduler state.
+	// time, plus the poll loop's health while following; the debug bundle
+	// carries the same plus scheduler state.
 	b.anomaly.SetSnapshot(func() map[string]any {
 		st := cache.get()
-		return map[string]any{
+		m := map[string]any{
 			"queue_depth":   st.QueueDepth,
 			"flushes":       st.Flushes,
 			"waves":         st.Waves,
@@ -481,6 +484,10 @@ func (s *server) observe(b *obsBundle) {
 			"flush_p50_us":  st.FlushP50US,
 			"flush_p99_us":  st.FlushP99US,
 		}
+		if f := s.following.Load(); f != nil {
+			f.healthFields(m)
+		}
+		return m
 	})
 	b.bundleExtra = func() map[string]any {
 		m := map[string]any{
@@ -489,6 +496,11 @@ func (s *server) observe(b *obsBundle) {
 			"engine":          cache.get(),
 			"epoch":           s.maxEpoch(),
 			"fenced_at_epoch": s.fenced.Load(),
+		}
+		if f := s.following.Load(); f != nil {
+			m["role"] = "follower"
+			m["leader"] = f.leader
+			f.healthFields(m)
 		}
 		if s.pool != nil {
 			m["sched"] = s.pool.Stats()
@@ -500,9 +512,13 @@ func (s *server) observe(b *obsBundle) {
 	}
 	s.forest.SetQueryMetrics(b.query)
 	b.reg.GaugeFunc("dyntc_replog_applied_seq",
-		"sum over trees of the wave change-log position (leader: last logged wave)",
+		"sum over trees of the wave change-log position (leader: last logged wave, follower: last applied wave)",
 		func() float64 {
 			var sum float64
+			if s.following.Load() != nil {
+				s.forest.Each(func(_ dyntc.TreeID, en *dyntc.Engine) { sum += float64(en.AppliedSeq()) })
+				return sum
+			}
 			s.logs.Range(func(_, v any) bool {
 				sum += float64(v.(*dyntc.WaveLog).LastSeq())
 				return true
@@ -512,13 +528,16 @@ func (s *server) observe(b *obsBundle) {
 	b.reg.GaugeFunc("dyntc_replog_lag",
 		"max waves behind: leader reports applied-but-unlogged (normally 0), follower reports leader_seq - applied_seq",
 		func() float64 {
+			f := s.following.Load()
 			var max float64
 			s.forest.Each(func(id dyntc.TreeID, en *dyntc.Engine) {
-				v, ok := s.logs.Load(id)
-				if !ok {
-					return
+				var d float64
+				if f != nil {
+					d = float64(f.treeHealth(id, en.AppliedSeq()).Lag)
+				} else if v, ok := s.logs.Load(id); ok {
+					d = float64(en.AppliedSeq()) - float64(v.(*dyntc.WaveLog).LastSeq())
 				}
-				if d := float64(en.AppliedSeq()) - float64(v.(*dyntc.WaveLog).LastSeq()); d > max {
+				if d > max {
 					max = d
 				}
 			})
@@ -532,106 +551,22 @@ func (s *server) observe(b *obsBundle) {
 		func() float64 { return float64(s.fenced.Load()) })
 	b.reg.GaugeFunc("dyntc_degraded",
 		"1 when serving in degraded mode (follower cut off from its leader), else 0",
-		func() float64 { return 0 })
-}
-
-// observe registers the follower's cross-layer families: scheduler
-// gauges, query metrics on the replica planner, and replication lag
-// against the leader's last observed log position.
-func (f *followerServer) observe(b *obsBundle) {
-	f.obs = b
-	if f.pool != nil {
-		f.pool.Observe(b.reg)
-	}
-	f.planner.SetMetrics(b.query)
-	// Replication-lag anomalies snapshot the poll loop's health; the
-	// debug bundle carries the same plus scheduler state.
-	b.anomaly.SetSnapshot(func() map[string]any {
-		degraded, staleness, consecErrs, backoff := f.health()
-		return map[string]any{
-			"degraded":           degraded,
-			"staleness_ms":       staleness.Milliseconds(),
-			"consecutive_errors": consecErrs,
-			"backoff_ms":         backoff.Milliseconds(),
-		}
-	})
-	b.bundleExtra = func() map[string]any {
-		degraded, staleness, consecErrs, backoff := f.health()
-		m := map[string]any{
-			"role":               "follower",
-			"leader":             f.leader,
-			"degraded":           degraded,
-			"staleness_ms":       staleness.Milliseconds(),
-			"consecutive_errors": consecErrs,
-			"backoff_ms":         backoff.Milliseconds(),
-		}
-		if f.pool != nil {
-			m["sched"] = f.pool.Stats()
-		}
-		return m
-	}
-	snap := func(fn func(rep *replica) uint64, fold func(acc, v float64) float64) float64 {
-		f.mu.Lock()
-		reps := make([]*replica, 0, len(f.reps))
-		for _, rep := range f.reps {
-			reps = append(reps, rep)
-		}
-		f.mu.Unlock()
-		var acc float64
-		for _, rep := range reps {
-			acc = fold(acc, float64(fn(rep)))
-		}
-		return acc
-	}
-	b.reg.GaugeFunc("dyntc_replog_applied_seq",
-		"sum over trees of the wave change-log position (leader: last logged wave)",
 		func() float64 {
-			return snap(func(rep *replica) uint64 { return rep.fo.Seq() },
-				func(acc, v float64) float64 { return acc + v })
-		})
-	b.reg.GaugeFunc("dyntc_replog_lag",
-		"max waves behind: leader reports applied-but-unlogged (normally 0), follower reports leader_seq - applied_seq",
-		func() float64 {
-			return snap(func(rep *replica) uint64 {
-				rep.mu.Lock()
-				leader := rep.leaderSeq
-				rep.mu.Unlock()
-				applied := rep.fo.Seq()
-				if leader > applied {
-					return leader - applied
+			if f := s.following.Load(); f != nil {
+				if degraded, _, _, _ := f.health(); degraded {
+					return 1
 				}
-				return 0
-			}, func(acc, v float64) float64 {
-				if v > acc {
-					return v
-				}
-				return acc
-			})
-		})
-	b.reg.GaugeFunc("dyntc_epoch",
-		"highest leadership epoch across served trees (follower: trusted term)",
-		func() float64 {
-			return snap(func(rep *replica) uint64 { return rep.fo.Epoch() },
-				func(acc, v float64) float64 {
-					if v > acc {
-						return v
-					}
-					return acc
-				})
-		})
-	b.reg.GaugeFunc("dyntc_degraded",
-		"1 when serving in degraded mode (follower cut off from its leader), else 0",
-		func() float64 {
-			if degraded, _, _, _ := f.health(); degraded {
-				return 1
 			}
 			return 0
 		})
 	b.reg.GaugeFunc("dyntc_follower_backoff_seconds",
 		"current leader-poll backoff after consecutive failed rounds (0 = healthy cadence)",
 		func() float64 {
-			_, _, _, backoff := f.health()
-			return backoff.Seconds()
+			if f := s.following.Load(); f != nil {
+				_, _, _, backoff := f.health()
+				return backoff.Seconds()
+			}
+			return 0
 		})
 }
 
@@ -662,8 +597,7 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 
 // withAccessLog logs one structured line per request — method, path,
 // status, bytes written, duration, and the distributed trace the request
-// joined (when it carried or was assigned one) — shared by leader and
-// follower muxes.
+// joined (when it carried or was assigned one).
 func withAccessLog(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()

@@ -4,9 +4,9 @@ package main
 // names a set of trees, a per-tree read and a combiner, and gets back the
 // combined value plus (with "detail") each tree's value and the
 // applied-wave sequence it answered at — replacing N per-tree GET
-// round-trips with one. Leaders scatter across the forest's coalescing
-// engines (internal/query); followers serve the identical surface against
-// their local replica set, the read-offload path.
+// round-trips with one. The server scatters across its forest's
+// coalescing engines (internal/query) in either role, so followers serve
+// the identical surface from their replicas, the read-offload path.
 //
 // Request body:
 //
@@ -25,10 +25,8 @@ package main
 
 import (
 	"net/http"
-	"sort"
 	"time"
 
-	"dyntc"
 	"dyntc/internal/query"
 )
 
@@ -124,10 +122,14 @@ func writeQueryResult(w http.ResponseWriter, res query.Result, detail bool) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// serveQuery is the shared endpoint body: parse the wire spec, run it
-// through the given planner over the given reader, render the result.
-// Leader and follower differ only in what they scatter over.
-func serveQuery(w http.ResponseWriter, r *http.Request, run func(query.Spec) (query.Result, error)) {
+// handleQuery parses the wire spec, scatters it over the forest's
+// engines — a follower's are its replicas, the read-offload path — and
+// renders the result. The whole scatter-gather's wall time feeds the
+// flight recorder's query.join signal.
+func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	defer func(t0 time.Time) {
+		s.obs.recorder().Observe(sigQueryJoin, int64(time.Since(t0)))
+	}(time.Now())
 	var req queryReq
 	if err := decode(r, &req); err != nil {
 		writeErr(w, err)
@@ -139,63 +141,10 @@ func serveQuery(w http.ResponseWriter, r *http.Request, run func(query.Spec) (qu
 		return
 	}
 	spec.Detail = req.Detail
-	res, err := run(spec)
+	res, err := s.forest.Query(spec)
 	if err != nil {
 		writeErr(w, apiError{http.StatusBadRequest, err.Error()})
 		return
 	}
 	writeQueryResult(w, res, req.Detail)
-}
-
-// handleQuery is the leader endpoint: scatter over the forest's engines.
-// The whole scatter-gather's wall time feeds the flight recorder's
-// query.join signal.
-func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	serveQuery(w, r, s.forest.Query)
-	s.obs.recorder().Observe(sigQueryJoin, int64(time.Since(t0)))
-}
-
-// --- follower side: the same endpoint against the local replica set ---
-
-// replicaReader adapts the follower's replicas to the query engine's
-// Reader contract. Start never blocks; the locked replica read happens in
-// Wait (the gather phase), so a chunk of replicas is read back-to-back
-// without holding more than one replica lock at a time.
-type replicaReader struct{ f *followerServer }
-
-func (rr replicaReader) Trees() []uint64 {
-	rr.f.mu.Lock()
-	ids := make([]uint64, 0, len(rr.f.reps))
-	for id := range rr.f.reps {
-		ids = append(ids, uint64(id))
-	}
-	rr.f.mu.Unlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-func (rr replicaReader) Start(id uint64, r query.Read) query.Handle {
-	rep := rr.f.getReplica(dyntc.TreeID(id))
-	if rep == nil {
-		return nil
-	}
-	return replicaHandle{rep: rep, r: r}
-}
-
-type replicaHandle struct {
-	rep *replica
-	r   query.Read
-}
-
-func (h replicaHandle) Wait() (int64, uint64, error) { return h.rep.fo.ReadQuery(h.r) }
-
-// handleQuery is the follower endpoint: identical wire surface, served
-// from the local replicas — the read-offload path. Every per-tree result
-// reports the replica's applied sequence, so callers can see how far
-// behind the leader each answer is.
-func (f *followerServer) handleQuery(w http.ResponseWriter, r *http.Request) {
-	serveQuery(w, r, func(spec query.Spec) (query.Result, error) {
-		return f.planner.Run(replicaReader{f: f}, spec)
-	})
 }

@@ -4,7 +4,9 @@ package main
 // compaction, and load shedding.
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -144,11 +146,13 @@ func TestCompactionTrimsLogAndFollowerRebootstraps(t *testing.T) {
 
 	// Follower bootstraps at seq 6 (driven manually: no background loop,
 	// so the race between traffic and polls is under test control).
-	fo := newFollower(ts.URL, time.Millisecond)
-	fo.syncOnce()
-	rep := fo.getReplica(created.Tree)
-	if rep == nil || rep.fo.Seq() != 6 {
-		t.Fatalf("follower bootstrap: %+v", rep)
+	fo := newServer(dyntc.BatchOptions{})
+	f := fo.follow(ts.URL, time.Millisecond)
+	t.Cleanup(fo.close)
+	f.syncOnce()
+	rep, ok := fo.forest.Get(created.Tree)
+	if !ok || rep.AppliedSeq() != 6 {
+		t.Fatalf("follower bootstrap: served=%v", ok)
 	}
 
 	// 14 more waves; compactEvery=5 kicks the compactor past seq 6.
@@ -189,22 +193,22 @@ func TestCompactionTrimsLogAndFollowerRebootstraps(t *testing.T) {
 
 	// The next sync hits 410 and re-bootstraps; one more sync drains any
 	// tail. The replica must land exactly on the leader's applied seq.
-	fo.syncOnce()
-	fo.syncOnce()
-	rep = fo.getReplica(created.Tree)
-	if rep == nil {
+	f.syncOnce()
+	f.syncOnce()
+	rep, ok = fo.forest.Get(created.Tree)
+	if !ok {
 		t.Fatal("replica lost after re-bootstrap")
 	}
 	en, _ := s.forest.Get(created.Tree)
-	if rep.fo.Seq() != en.AppliedSeq() {
-		t.Fatalf("follower at %d, leader at %d", rep.fo.Seq(), en.AppliedSeq())
+	if rep.AppliedSeq() != en.AppliedSeq() {
+		t.Fatalf("follower at %d, leader at %d", rep.AppliedSeq(), en.AppliedSeq())
 	}
 	var lv struct {
 		Value int64 `json:"value"`
 	}
 	call(t, "GET", base+"/value", nil, 200, &lv)
-	if got := rep.fo.Root(); got != lv.Value {
-		t.Fatalf("follower root %d, leader %d", got, lv.Value)
+	if got, err := rep.Root(); err != nil || got != lv.Value {
+		t.Fatalf("follower root %d (err %v), leader %d", got, err, lv.Value)
 	}
 }
 
@@ -291,7 +295,9 @@ func TestShed429(t *testing.T) {
 }
 
 // TestLeaderFollowerQueryEquivalence is the read-offload smoke: after
-// convergence, POST /v1/query answers identically on leader and follower.
+// convergence both roles answer every read the same way — POST /v1/query,
+// the tree list, root and node values, and byte-identical snapshots — the
+// follower serves per-tree stats, and every write route answers 403 there.
 func TestLeaderFollowerQueryEquivalence(t *testing.T) {
 	leaderSrv, s := startTestServer(t)
 
@@ -304,18 +310,16 @@ func TestLeaderFollowerQueryEquivalence(t *testing.T) {
 		growSome(t, fmt.Sprintf("%s/v1/trees/%d", leaderSrv.URL, created.Tree), i%4, 0)
 	}
 
-	fo := newFollower(leaderSrv.URL, time.Millisecond)
-	go fo.run()
-	t.Cleanup(fo.Close)
-	foSrv := httptest.NewServer(fo.routes())
-	t.Cleanup(foSrv.Close)
+	fo := newServer(dyntc.BatchOptions{})
+	fo.follow(leaderSrv.URL, time.Millisecond)
+	foSrv := serveFollower(t, fo)
 
 	// Wait until every replica matches its leader engine's applied seq.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		caught := 0
 		s.forest.Each(func(id dyntc.TreeID, en *dyntc.Engine) {
-			if rep := fo.getReplica(id); rep != nil && rep.fo.Seq() == en.AppliedSeq() {
+			if rep, ok := fo.forest.Get(id); ok && rep.AppliedSeq() == en.AppliedSeq() {
 				caught++
 			}
 		})
@@ -352,17 +356,106 @@ func TestLeaderFollowerQueryEquivalence(t *testing.T) {
 		}
 	}
 
-	// The endpoint can be disabled on followers.
-	fo2 := newFollower(leaderSrv.URL, time.Millisecond)
-	fo2.queryEndpoint = false
-	fo2Srv := httptest.NewServer(fo2.routes())
-	t.Cleanup(func() { fo2Srv.Close(); close(fo2.stop) })
-	resp, err := http.Post(fo2Srv.URL+"/v1/query", "application/json", strings.NewReader("{}"))
-	if err != nil {
-		t.Fatal(err)
+	// Every read answers byte for byte the same on both roles, errors
+	// included (node 1 does not exist on trees that never grew).
+	get := func(url string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, data
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("disabled query endpoint: status %d, want 404", resp.StatusCode)
+	paths := []string{"/v1/trees"}
+	for id := 1; id <= n; id++ {
+		tree := fmt.Sprintf("/v1/trees/%d", id)
+		paths = append(paths, tree+"/value", tree+"/value?node=0", tree+"/value?node=1", tree+"/snapshot")
+	}
+	for _, path := range paths {
+		ls, lb := get(leaderSrv.URL + path)
+		fs, fb := get(foSrv.URL + path)
+		if ls != fs || !bytes.Equal(lb, fb) {
+			t.Fatalf("GET %s: leader %d %q, follower %d %q", path, ls, lb, fs, fb)
+		}
+	}
+	if st, body := get(foSrv.URL + "/v1/trees/1/stats"); st != 200 {
+		t.Fatalf("follower tree stats: status %d: %s", st, body)
+	}
+
+	// Every write route is refused on the follower.
+	for _, w := range []struct{ method, path string }{
+		{"POST", "/v1/trees"},
+		{"DELETE", "/v1/trees/1"},
+		{"POST", "/v1/trees/1/grow"},
+		{"POST", "/v1/trees/1/collapse"},
+		{"POST", "/v1/trees/1/set-leaf"},
+		{"POST", "/v1/trees/1/set-op"},
+		{"POST", "/v1/trees/1/batch"},
+		{"PUT", "/v1/trees/1/snapshot"},
+	} {
+		req, err := http.NewRequest(w.method, foSrv.URL+w.path, strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusForbidden {
+			t.Fatalf("%s %s on follower: status %d, want 403", w.method, w.path, resp.StatusCode)
+		}
+	}
+}
+
+// TestFollowerStopsWithoutPollLoop: a follower whose poll loop never ran
+// (rounds driven by hand) still closes and promotes promptly.
+func TestFollowerStopsWithoutPollLoop(t *testing.T) {
+	leaderSrv, _ := startTestServer(t)
+	call(t, "POST", leaderSrv.URL+"/v1/trees", map[string]any{"root": 3}, 201, nil)
+
+	within := func(what string, fn func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			fn()
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s hung with no poll loop running", what)
+		}
+	}
+
+	closing := newServer(dyntc.BatchOptions{})
+	if !closing.follow(leaderSrv.URL, time.Millisecond).syncOnce() {
+		t.Fatal("sync round failed")
+	}
+	within("close", closing.close)
+
+	promoting := newServer(dyntc.BatchOptions{})
+	if !promoting.follow(leaderSrv.URL, time.Millisecond).syncOnce() {
+		t.Fatal("sync round failed")
+	}
+	ts := httptest.NewServer(promoting.routes())
+	t.Cleanup(func() {
+		ts.Close()
+		promoting.close()
+	})
+	status := 0
+	within("promote", func() {
+		if resp, err := http.Post(ts.URL+"/v1/promote", "application/json", nil); err == nil {
+			status = resp.StatusCode
+			resp.Body.Close()
+		}
+	})
+	if status != http.StatusOK {
+		t.Fatalf("promote: status %d, want 200", status)
 	}
 }

@@ -36,6 +36,19 @@ func growSome(t *testing.T, base string, n int, leaf int) int {
 	return leaf
 }
 
+// serveFollower starts s's poll loop and serves its routes; cleanup
+// stops the listener, then the loop, the engines and any promoted logs.
+func serveFollower(t *testing.T, s *server) *httptest.Server {
+	t.Helper()
+	s.following.Load().start()
+	ts := httptest.NewServer(s.routes())
+	t.Cleanup(func() {
+		ts.Close()
+		s.close()
+	})
+	return ts
+}
+
 func getBytes(t *testing.T, url string, wantStatus int) []byte {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -222,11 +235,9 @@ func TestFollowerCatchupSmoke(t *testing.T) {
 	startLeaf := map[string]int{base1: growSome(t, base1, 5, 0), base2: 0}
 
 	// Follower starts mid-history and polls fast.
-	fo := newFollower(leaderSrv.URL, 2*time.Millisecond)
-	go fo.run()
-	t.Cleanup(fo.Close)
-	foSrv := httptest.NewServer(fo.routes())
-	t.Cleanup(foSrv.Close)
+	fo := newServer(dyntc.BatchOptions{})
+	fo.follow(leaderSrv.URL, 2*time.Millisecond)
+	foSrv := serveFollower(t, fo)
 
 	// Live traffic while the follower tails.
 	var wg sync.WaitGroup

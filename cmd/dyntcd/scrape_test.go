@@ -134,12 +134,10 @@ func TestScrapeLeaderFollower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fo := newFollowerOn(leaderURL, 20*time.Millisecond, fpool)
+	fo := newServer(dyntc.BatchOptions{Pool: fpool})
+	fo.follow(leaderURL, 20*time.Millisecond)
 	fo.observe(fob)
-	go fo.run()
-	t.Cleanup(fo.Close)
-	foSrv := httptest.NewServer(fo.routes())
-	t.Cleanup(foSrv.Close)
+	foSrv := serveFollower(t, fo)
 
 	scrapeLeader(t, leaderURL, 300)
 	scrapeFollower(t, leaderURL, foSrv.URL)
@@ -364,8 +362,8 @@ func scrapeFollower(t *testing.T, leaderURL, base string) {
 // serve: the lifecycle event journal, the hot-tree attribution and the
 // one-shot debug bundle. wantRole pins the bundle's role field; wantHot
 // additionally requires the hot-tree cost dimension to have absorbed
-// traffic (true on a leader that just served load, false on a follower
-// whose engines never flush).
+// traffic (true on a leader that just served load, false on a follower,
+// whose engines only replay).
 func checkObsEndpoints(t *testing.T, base, wantRole string, wantHot bool) {
 	t.Helper()
 	var ev struct {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -40,8 +41,7 @@ import (
 //	GET    /v1/trees/{id}/value[?node=N] -> {value}
 //	GET    /v1/trees/{id}/stats        -> engine + tree stats
 //	GET    /v1/stats                   -> forest-wide aggregate
-//	POST   /v1/query                   cross-tree scatter-gather read
-//	                                   (see query.go; also served by followers)
+//	POST   /v1/query                   cross-tree scatter-gather read (see query.go)
 //
 // Durability & replication (see internal/replog):
 //
@@ -52,9 +52,16 @@ import (
 //	                                       replog.Decode reads)
 //	GET    /v1/trees/{id}/log?since=SEQ -> waves after SEQ (410 = truncated,
 //	                                       re-bootstrap from a snapshot)
+//	POST   /v1/promote                  following only: lead a new term
+//	POST   /v1/demote                   {epoch}: leading only: fence writes
 //
 // Nodes are addressed by their dense, lifetime-stable IDs (tree.Node.ID);
 // a new tree's root is node 0.
+//
+// A server leads or follows. Following (see follower.go), its trees are
+// replicas of a leader's, fed by the poll loop; the same handlers serve
+// them and every write answers 403 until POST /v1/promote flips the
+// server to leading in place.
 type server struct {
 	forest  *dyntc.Forest
 	start   time.Time
@@ -92,9 +99,22 @@ type server struct {
 	fenced atomic.Uint64
 
 	// faults, when set, is the deterministic fault schedule: it rides into
-	// every tree's WAL ("wal.append"/"wal.sync") here and into the engines
-	// ("engine.wave") via BatchOptions.Faults in main.
+	// every tree's WAL ("wal.append"/"wal.sync") here, into the engines
+	// ("engine.wave") via BatchOptions.Faults in main, and onto a
+	// follower's leader transport ("follower.rpc"); see setFaults.
 	faults *dyntc.FaultInjector
+
+	// following is the replication state while the server follows a
+	// leader, nil while it leads. Promotion stores nil: the role flip.
+	following atomic.Pointer[follower]
+}
+
+// role names the server's current role in healthz and debug bundles.
+func (s *server) role() string {
+	if s.following.Load() != nil {
+		return "follower"
+	}
+	return "leader"
 }
 
 // fence records a newer leadership epoch, flipping the server read-only.
@@ -126,9 +146,14 @@ func (s *server) maxEpoch() uint64 {
 	return max
 }
 
-// writable guards a mutating handler behind the epoch fence.
+// writable guards a mutating handler: a follower is a read replica, and
+// a leader behind the epoch fence is read-only.
 func (s *server) writable(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		if f := s.following.Load(); f != nil {
+			writeErr(w, apiError{http.StatusForbidden, "read-only replica: write on the leader " + f.leader})
+			return
+		}
 		if ep := s.fenced.Load(); ep != 0 {
 			writeErr(w, apiError{http.StatusForbidden,
 				fmt.Sprintf("demoted at epoch %d: fenced read-only", ep)})
@@ -262,13 +287,24 @@ func newServerWAL(opts dyntc.BatchOptions, walDir string, logCap int) *server {
 // Attach happens before the engine sees traffic, so the log is gapless
 // from the tree's (or restore's) first wave.
 func (s *server) attachLog(id dyntc.TreeID, en *dyntc.Engine) error {
+	wl, err := s.openLog(id)
+	if err != nil {
+		return err
+	}
+	s.tapLog(id, en, wl)
+	return nil
+}
+
+// openLog creates tree id's wave log: the in-memory ring and, with a WAL
+// directory, <walDir>/tree-<id>.wal.
+func (s *server) openLog(id dyntc.TreeID) (*dyntc.WaveLog, error) {
 	path := ""
 	if s.walDir != "" {
 		path = filepath.Join(s.walDir, fmt.Sprintf("tree-%d.wal", id))
 	}
 	wl, err := dyntc.NewWaveLog(s.logCap, path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if s.obs != nil {
 		wl.SetMetrics(s.obs.replog)
@@ -277,6 +313,12 @@ func (s *server) attachLog(id dyntc.TreeID, en *dyntc.Engine) error {
 	if s.faults != nil {
 		wl.SetFaults(s.faults)
 	}
+	return wl, nil
+}
+
+// tapLog registers wl as tree id's log, taps en into it and starts the
+// tree's compactor.
+func (s *server) tapLog(id dyntc.TreeID, en *dyntc.Engine, wl *dyntc.WaveLog) {
 	s.logs.Store(id, wl)
 	var c *compactor
 	if s.compactEvery > 0 {
@@ -306,7 +348,6 @@ func (s *server) attachLog(id dyntc.TreeID, en *dyntc.Engine) error {
 			}
 		}
 	})
-	return nil
 }
 
 // persistSnapshot writes tree id's snapshot next to its WAL (no-op
@@ -348,13 +389,12 @@ func (s *server) recover() error {
 			slog.Error("read snapshot failed, skipping tree", "tree", idStr, "err", rerr)
 			continue
 		}
-		en, seq, rerr := s.forest.Restore(id, data)
+		en, _, rerr := s.forest.Restore(id, data)
 		if rerr != nil {
 			slog.Error("restore snapshot failed, skipping tree", "tree", idStr, "err", rerr)
 			continue
 		}
-		epoch := en.Epoch()
-		snapEpoch := epoch
+		snapEpoch := en.Epoch()
 		walPath := filepath.Join(s.walDir, fmt.Sprintf("tree-%d.wal", id))
 		if _, serr := os.Stat(walPath); serr == nil {
 			waves, dropped, werr := dyntc.RecoverWaveLog(walPath)
@@ -364,29 +404,17 @@ func (s *server) recover() error {
 				if dropped > 0 {
 					slog.Warn("wal recover truncated torn tail", "tree", id, "bytes", dropped)
 				}
-				// Replay contiguously past the snapshot. The engine is
-				// untapped here, so mutating inside Query is legal and the
-				// replayed waves are not re-logged.
+				// Replay contiguously past the snapshot through the verified
+				// apply path. The engine is untapped here, so the replayed
+				// waves are not re-logged.
 				for _, wv := range waves {
-					if wv.Seq <= seq {
-						continue
-					}
-					if wv.Seq != seq+1 {
-						slog.Warn("wal gap, stopping replay", "tree", id, "wave", wv.Seq, "recovered_to", seq)
+					if aerr := en.ApplyWave(wv); aerr != nil {
+						if errors.Is(aerr, dyntc.ErrWaveGap) {
+							slog.Warn("wal gap, stopping replay", "tree", id, "wave", wv.Seq, "recovered_to", en.AppliedSeq())
+						} else {
+							slog.Error("wal replay failed, stopping replay", "tree", id, "wave", wv.Seq, "err", aerr)
+						}
 						break
-					}
-					wv := wv
-					var aerr error
-					if qerr := en.Query(func(e *dyntc.Expr) { aerr = e.ApplyWave(wv) }); qerr != nil {
-						aerr = qerr
-					}
-					if aerr != nil {
-						slog.Error("wal replay failed, stopping replay", "tree", id, "wave", wv.Seq, "err", aerr)
-						break
-					}
-					seq = wv.Seq
-					if ep := wv.EpochOrDefault(); ep > epoch {
-						epoch = ep
 					}
 				}
 				if dropped > 0 {
@@ -394,12 +422,11 @@ func (s *server) recover() error {
 					// tree actually serves from, not the snapshot anchor.
 					s.obs.journal().EmitTree(obs.EvWALTorn, id,
 						"wal recover truncated a torn tail",
-						map[string]any{"bytes": dropped, "recovered_to": seq})
+						map[string]any{"bytes": dropped, "recovered_to": en.AppliedSeq()})
 				}
 			}
 		}
-		en.SetAppliedSeq(seq)
-		en.SetEpoch(epoch)
+		epoch := en.Epoch()
 		if epoch > snapEpoch {
 			s.obs.journal().EmitTree(obs.EvEpochAdopt, id,
 				"adopted a newer leadership epoch from the wal tail",
@@ -437,6 +464,16 @@ func (s *server) recover() error {
 	return nil
 }
 
+// close is the graceful shutdown path: stop the poll loop while
+// following, drain every engine, then flush and close the wave logs.
+func (s *server) close() {
+	if f := s.following.Load(); f != nil {
+		f.halt()
+	}
+	s.forest.Close()
+	s.closeLogs()
+}
+
 // closeLogs stops the compactors and flushes and closes every tree's WAL
 // (shutdown path; call after the forest has drained).
 func (s *server) closeLogs() {
@@ -455,7 +492,11 @@ func (s *server) closeLogs() {
 func (s *server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true, "uptime_s": time.Since(s.start).Seconds()})
+		body := map[string]any{"ok": true, "role": s.role(), "uptime_s": time.Since(s.start).Seconds()}
+		if f := s.following.Load(); f != nil {
+			body["leader"] = f.leader
+		}
+		writeJSON(w, http.StatusOK, body)
 	})
 	mux.HandleFunc("POST /v1/trees", s.writable(s.handleCreate))
 	mux.HandleFunc("GET /v1/trees", s.handleList)
@@ -474,6 +515,7 @@ func (s *server) routes() *http.ServeMux {
 	mux.HandleFunc("PUT /v1/trees/{id}/snapshot", s.writable(s.handlePutSnapshot))
 	mux.HandleFunc("GET /v1/trees/{id}/log", s.treeHandler(s.handleLog))
 	mux.HandleFunc("POST /v1/demote", s.handleDemote)
+	mux.HandleFunc("POST /v1/promote", s.handlePromote)
 	if s.obs != nil {
 		mux.HandleFunc("GET /metrics", s.obs.handleMetrics)
 		mux.HandleFunc("GET /v1/trace", s.obs.handleTrace)
@@ -567,7 +609,9 @@ func decode(r *http.Request, v any) error {
 	return nil
 }
 
-// treeHandler resolves the {id} path segment to an engine.
+// treeHandler resolves the {id} path segment to an engine. A degraded
+// follower keeps serving reads but says so: X-Dyntc-Staleness-Ms carries
+// the time since its last successful leader contact.
 func (s *server) treeHandler(h func(http.ResponseWriter, *http.Request, *dyntc.Engine)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
@@ -579,6 +623,11 @@ func (s *server) treeHandler(h func(http.ResponseWriter, *http.Request, *dyntc.E
 		if !ok {
 			writeErr(w, apiError{http.StatusNotFound, fmt.Sprintf("no tree %d", id)})
 			return
+		}
+		if f := s.following.Load(); f != nil {
+			if degraded, staleness, _, _ := f.health(); degraded {
+				w.Header().Set("X-Dyntc-Staleness-Ms", strconv.FormatInt(staleness.Milliseconds(), 10))
+			}
 		}
 		h(w, r, en)
 	}
@@ -690,6 +739,7 @@ func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
 			infos = append(infos, ti)
 		}
 	})
+	sort.Slice(infos, func(i, j int) bool { return infos[i].Tree < infos[j].Tree })
 	writeJSON(w, http.StatusOK, map[string]any{"trees": infos})
 }
 
@@ -1074,6 +1124,13 @@ func (s *server) handlePutSnapshot(w http.ResponseWriter, r *http.Request) {
 // re-bootstrap from a snapshot.
 func (s *server) handleLog(w http.ResponseWriter, r *http.Request, en *dyntc.Engine) {
 	id, _ := strconv.ParseUint(r.PathValue("id"), 10, 64)
+	v, ok := s.logs.Load(dyntc.TreeID(id))
+	if !ok {
+		// Followers keep no logs.
+		writeErr(w, apiError{http.StatusNotFound, fmt.Sprintf("no log for tree %d", id)})
+		return
+	}
+	wl := v.(*dyntc.WaveLog)
 	// Followers advertise the leadership epoch they trust. Seeing a higher
 	// term than any wave we sealed means a promotion happened elsewhere:
 	// fence writes immediately, but keep serving the tail — the new term
@@ -1091,12 +1148,6 @@ func (s *server) handleLog(w http.ResponseWriter, r *http.Request, en *dyntc.Eng
 			return
 		}
 	}
-	v, ok := s.logs.Load(dyntc.TreeID(id))
-	if !ok {
-		writeErr(w, apiError{http.StatusNotFound, fmt.Sprintf("no log for tree %d", id)})
-		return
-	}
-	wl := v.(*dyntc.WaveLog)
 	waves, err := wl.Since(since)
 	if err != nil {
 		if errors.Is(err, replog.ErrTruncated) {
@@ -1122,8 +1173,12 @@ func (s *server) handleLog(w http.ResponseWriter, r *http.Request, en *dyntc.Eng
 // handleDemote tells this leader a newer leadership term exists — the
 // promotion path's explicit fencing call (a promoted follower posts it
 // best-effort; operators can too). The epoch must exceed every term this
-// process has sealed waves for, else 409.
+// process has sealed waves for, else 409. A follower answers 404.
 func (s *server) handleDemote(w http.ResponseWriter, r *http.Request) {
+	if s.following.Load() != nil {
+		http.NotFound(w, r)
+		return
+	}
 	var req struct {
 		Epoch uint64 `json:"epoch"`
 	}
@@ -1144,6 +1199,10 @@ func (s *server) handleDemote(w http.ResponseWriter, r *http.Request) {
 // leadership epoch, queue depth against capacity, and drop counts — the
 // signals a load balancer or replication monitor needs. A fenced
 // (demoted) leader reports 503 so balancers stop routing writes at it.
+// While following it adds each tree's lag behind the leader's last
+// observed log position and the poll loop's health; a degraded follower
+// (unreachable leader) reports 503 — load balancers should prefer fresher
+// replicas — while reads keep flowing.
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	type treeHealth struct {
 		Tree       dyntc.TreeID `json:"tree"`
@@ -1154,7 +1213,9 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		QueueCap   int          `json:"queue_cap"`
 		Dropped    uint64       `json:"dropped"`
 		WALError   string       `json:"wal_error,omitempty"`
+		*replicaHealth
 	}
+	f := s.following.Load()
 	trees := []treeHealth{}
 	s.forest.Each(func(id dyntc.TreeID, en *dyntc.Engine) {
 		st := en.Stats()
@@ -1173,6 +1234,9 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 				th.WALError = err.Error()
 			}
 		}
+		if f != nil {
+			th.replicaHealth = f.treeHealth(id, th.AppliedSeq)
+		}
 		trees = append(trees, th)
 	})
 	status := http.StatusOK
@@ -1181,6 +1245,14 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"role":     "leader",
 		"uptime_s": time.Since(s.start).Seconds(),
 		"trees":    trees,
+	}
+	if f != nil {
+		body["role"] = "follower"
+		body["leader"] = f.leader
+		if f.healthFields(body) {
+			status = http.StatusServiceUnavailable
+			body["ok"] = false
+		}
 	}
 	if ep := s.fenced.Load(); ep != 0 {
 		status = http.StatusServiceUnavailable

@@ -4,8 +4,8 @@ package main
 // ingest → engine flush → wave stages → WAL append on the leader and
 // fetch → verified apply on an in-process follower, stitched through
 // the deterministic (epoch, seq) wave span ID; plus the promotion test
-// proving the observability surface survives the follower→leader mux
-// swap.
+// proving the observability surface survives the in-place
+// follower→leader flip.
 
 import (
 	"bytes"
@@ -66,12 +66,10 @@ func TestDistributedTraceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fo := newFollower(leaderSrv.URL, 2*time.Millisecond)
+	fo := newServer(dyntc.BatchOptions{})
+	fo.follow(leaderSrv.URL, 2*time.Millisecond)
 	fo.observe(fob)
-	go fo.run()
-	t.Cleanup(fo.Close)
-	foSrv := httptest.NewServer(fo.routes())
-	t.Cleanup(foSrv.Close)
+	foSrv := serveFollower(t, fo)
 
 	// The follower must bootstrap before the traced wave is sealed, so the
 	// wave reaches it through the log tail (the replicated path under
@@ -214,11 +212,10 @@ func TestDistributedTraceEndToEnd(t *testing.T) {
 	}
 }
 
-// TestPromotionKeepsObservability is the mux-swap regression test: after
-// POST /v1/promote replaces the follower mux with a full leader mux on
-// the same listener, /metrics, /v1/trace and /v1/spans must keep
-// serving, and write traffic through the promoted leader must move the
-// leader-side families on the same registry.
+// TestPromotionKeepsObservability: after POST /v1/promote flips the
+// follower to leading in place, /metrics, /v1/trace and /v1/spans must
+// keep serving, and write traffic through the promoted leader must move
+// the leader-side families on the same registry.
 func TestPromotionKeepsObservability(t *testing.T) {
 	leaderSrv, _ := startTestServer(t)
 	var created struct {
@@ -232,31 +229,27 @@ func TestPromotionKeepsObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fo := newFollower(leaderSrv.URL, 2*time.Millisecond)
-	// The engine options the promoted leader will serve with: every flush
-	// sampled, spans into the same bundle the follower already exports.
-	fo.opts = dyntc.BatchOptions{
+	// The engine options the replicas, and so the promoted leader, serve
+	// with: every flush sampled, spans into the bundle the follower exports.
+	fo := newServer(dyntc.BatchOptions{
 		Metrics: fob.engine, Trace: fob.trace, TraceSample: 1, Spans: fob.spans,
-	}
+	})
+	fo.follow(leaderSrv.URL, 2*time.Millisecond)
 	fo.observe(fob)
-	go fo.run()
-	t.Cleanup(fo.Close)
-	// handler(), not routes(): promotion swaps the leader mux in behind it.
-	foSrv := httptest.NewServer(fo.handler())
-	t.Cleanup(foSrv.Close)
+	foSrv := serveFollower(t, fo)
 
 	waitHealthz(t, foSrv.URL, func(_ int, h healthTrees) bool {
 		return len(h.Trees) == 1 && h.Trees[0].AppliedSeq == 5
 	})
 	call(t, "POST", foSrv.URL+"/v1/promote", nil, 200, nil)
 
-	// The observability surface survives the swap.
+	// The observability surface survives the flip.
 	for _, path := range []string{"/metrics", "/v1/trace", "/v1/spans"} {
 		getBytes(t, foSrv.URL+path, 200)
 	}
 
-	// Writes through the promoted leader move the re-registered leader
-	// families: engine flush timing, WAL appends, and the sealed→appended
+	// Writes through the promoted leader move the leader-side families:
+	// engine flush timing, WAL appends, and the sealed→appended
 	// lag stage (every flush is sampled, so waves carry SealedAt).
 	growSome(t, fmt.Sprintf("%s/v1/trees/%d", foSrv.URL, created.Tree), 3, lastLeaf)
 	text := string(getBytes(t, foSrv.URL+"/metrics", 200))

@@ -168,70 +168,6 @@ func TestPromoteFailover(t *testing.T) {
 	}
 }
 
-// TestPreparePromoteTwoPhase: PreparePromote serializes the next term
-// without committing anything — the replica still trusts its old epoch
-// and keeps applying waves — and MarkPromoted is the separate commit
-// point. This is the two-phase contract behind dyntcd's all-or-nothing
-// POST /v1/promote.
-func TestPreparePromoteTwoPhase(t *testing.T) {
-	ring := ModRing(97)
-	log, _ := NewWaveLog(1024, "")
-	leader := NewExpr(ring, 1, WithSeed(11))
-	en := leader.Serve(BatchOptions{WaveTap: func(w Wave) { _ = log.Append(w) }})
-	snap0, err := en.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := newReplicaProgram(303, ring, leader.Tree().Root)
-	prog.runLive(t, en, 30)
-	en.Close()
-	waves, err := log.Since(0)
-	if err != nil || len(waves) < 2 {
-		t.Fatalf("waves: %d (%v)", len(waves), err)
-	}
-
-	fo, err := NewFollower(snap0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	half := len(waves) / 2
-	if err := fo.ApplyAll(waves[:half]); err != nil {
-		t.Fatal(err)
-	}
-	psnap, pseq, pepoch, err := fo.PreparePromote()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pepoch != 2 || pseq != fo.Seq() {
-		t.Fatalf("prepared seq %d epoch %d, want %d/2", pseq, pepoch, fo.Seq())
-	}
-	// Nothing committed: the replica still trusts epoch 1 and keeps
-	// applying the old leader's waves.
-	if fo.Epoch() != 1 {
-		t.Fatalf("epoch after prepare = %d, want 1", fo.Epoch())
-	}
-	if err := fo.ApplyAll(waves[half:]); err != nil {
-		t.Fatalf("apply after prepare: %v", err)
-	}
-	// The prepared snapshot is the next term: restoring it yields epoch 2
-	// at the prepared sequence.
-	e, seq, err := RestoreExpr(psnap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != pseq || e.Epoch() != 2 {
-		t.Fatalf("restored seq=%d epoch=%d, want %d/2", seq, e.Epoch(), pseq)
-	}
-	// MarkPromoted commits: further waves and prepares are refused.
-	fo.MarkPromoted()
-	if err := fo.Apply(Wave{Seq: fo.Seq() + 1}); !errors.Is(err, ErrPromoted) {
-		t.Fatalf("apply after commit err = %v, want ErrPromoted", err)
-	}
-	if _, _, _, err := fo.PreparePromote(); !errors.Is(err, ErrPromoted) {
-		t.Fatalf("prepare after commit err = %v, want ErrPromoted", err)
-	}
-}
-
 // TestEngineFaultInjection: an injected engine.wave error poisons the
 // engine deterministically — the library face of "leader killed
 // mid-traffic".

@@ -191,8 +191,9 @@ type Engine struct {
 	stats statsRec
 
 	// appliedSeq numbers the mutating waves this engine has executed; it
-	// is the tree state's position in the wave change-log. Restored
-	// followers seed it with their snapshot's sequence (SetAppliedSeq).
+	// is the tree state's position in the wave change-log. Restored trees
+	// seed it with their snapshot's sequence, and replicas advance it as
+	// they replay waves (SetAppliedSeq).
 	appliedSeq atomic.Uint64
 	// epoch is the leadership term stamped into every sealed wave: 1 for
 	// a fresh engine, the host's term when the host reports one (a tree
@@ -303,6 +304,15 @@ func (e *Engine) SetEpoch(epoch uint64) {
 	}
 }
 
+// SetHost swaps the host the engine serves. Call it only from inside a
+// Barrier callback, on the executor: requests ahead of the barrier ran
+// against the old host and requests behind it run against the new one.
+// Reseeding the applied sequence and epoch is the caller's job.
+func (e *Engine) SetHost(host Host) {
+	e.host = host
+	e.healer, _ = host.(healReporter)
+}
+
 // Close stops accepting requests, waits for the executor to drain every
 // pending request, and returns. Close is idempotent.
 func (e *Engine) Close() {
@@ -353,44 +363,36 @@ func (e *Engine) submit(f *Future) *Future {
 
 // Grow submits a leaf expansion: ref becomes an op node with two fresh
 // leaves holding (leftVal, rightVal). Future.Pair returns the new leaves.
+// Grow and the other plain submits are their …Ctx forms with a zero
+// SpanContext.
 func (e *Engine) Grow(ref NodeRef, op OpT, leftVal, rightVal int64) *Future {
-	f := newFuture(kGrow)
-	f.ref, f.op, f.a, f.b = ref, op, leftVal, rightVal
-	return e.submit(f)
+	return e.GrowCtx(obs.SpanContext{}, ref, op, leftVal, rightVal)
 }
 
 // Collapse submits a leaf-pair deletion: ref's two leaf children are
 // removed and ref becomes a leaf holding newValue.
 func (e *Engine) Collapse(ref NodeRef, newValue int64) *Future {
-	f := newFuture(kCollapse)
-	f.ref, f.a = ref, newValue
-	return e.submit(f)
+	return e.CollapseCtx(obs.SpanContext{}, ref, newValue)
 }
 
 // SetLeaf submits a leaf value update.
 func (e *Engine) SetLeaf(ref NodeRef, value int64) *Future {
-	f := newFuture(kSetLeaf)
-	f.ref, f.a = ref, value
-	return e.submit(f)
+	return e.SetLeafCtx(obs.SpanContext{}, ref, value)
 }
 
 // SetOp submits an internal-operation update.
 func (e *Engine) SetOp(ref NodeRef, op OpT) *Future {
-	f := newFuture(kSetOp)
-	f.ref, f.op = ref, op
-	return e.submit(f)
+	return e.SetOpCtx(obs.SpanContext{}, ref, op)
 }
 
 // Value submits a subexpression value query. Future.Value returns it.
 func (e *Engine) Value(ref NodeRef) *Future {
-	f := newFuture(kValue)
-	f.ref = ref
-	return e.submit(f)
+	return e.ValueCtx(obs.SpanContext{}, ref)
 }
 
 // Root submits a root value query. Future.Value returns it.
 func (e *Engine) Root() *Future {
-	return e.submit(newFuture(kRoot))
+	return e.RootCtx(obs.SpanContext{})
 }
 
 // GrowCtx is Grow carrying a distributed-trace context: the flush that

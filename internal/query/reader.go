@@ -7,10 +7,9 @@ import (
 	"dyntc/internal/tree"
 )
 
-// Reader is the per-tree read surface a planner scatters over. Two
-// implementations exist: ForestReader (below) submits asynchronous reads
-// into the leader's coalescing engines, and cmd/dyntcd's follower adapts
-// its replica set so read offload serves the identical query surface.
+// Reader is the per-tree read surface a planner scatters over.
+// ForestReader (below) submits asynchronous reads into a forest's
+// coalescing engines — a leader's trees or a follower's replicas alike.
 type Reader interface {
 	// Trees returns a snapshot of the served tree ids, sorted ascending.
 	Trees() []uint64

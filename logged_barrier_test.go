@@ -54,6 +54,10 @@ func TestLoggedBarrierRejectsMutation(t *testing.T) {
 			t.Fatalf("%s in tapped barrier: err %v, want ErrLoggedBarrier", name, err)
 		}
 	}
+	// Replaying a wave onto a tapped engine is refused the same way.
+	if err := en.ApplyWave(dyntc.Wave{Seq: seqBefore + 1}); !errors.Is(err, dyntc.ErrLoggedBarrier) {
+		t.Fatalf("ApplyWave on tapped engine: err %v, want ErrLoggedBarrier", err)
+	}
 	if root, _ := en.Root(); root != 7 {
 		t.Fatalf("tree mutated through tapped barrier: root %d", root)
 	}

@@ -6,8 +6,8 @@ import (
 	"sync"
 
 	"dyntc/internal/core"
+	"dyntc/internal/engine"
 	"dyntc/internal/euler"
-	"dyntc/internal/query"
 	"dyntc/internal/replog"
 )
 
@@ -146,7 +146,8 @@ func RestoreExpr(data []byte, opts ...Option) (*Expr, uint64, error) {
 // detected at the wave that introduces it, not at the end of the log.
 //
 // ApplyWave does not check sequence contiguity (the Expr does not track a
-// sequence number); use a Follower for tracked, in-order catch-up.
+// sequence number); Follower.Apply and Engine.ApplyWave add in-order
+// tracking.
 func (e *Expr) ApplyWave(w Wave) error {
 	if !w.Verify() {
 		return fmt.Errorf("%w: wave %d checksum mismatch", ErrDiverged, w.Seq)
@@ -227,7 +228,7 @@ func (e *Expr) ApplyWave(w Wave) error {
 	}
 	// A verified wave from a newer leadership term moves the replica into
 	// that term (epoch fencing rejects the reverse direction; see
-	// Follower.Apply). Contiguity checks are the Follower's job.
+	// applyNext, which also checks contiguity).
 	e.AdoptEpoch(w.EpochOrDefault())
 	return nil
 }
@@ -255,33 +256,70 @@ func NewFollower(snapshot []byte, opts ...Option) (*Follower, error) {
 	return &Follower{e: e, seq: seq}, nil
 }
 
-// Apply replays one wave. Waves at or before the follower's sequence are
-// skipped (idempotent re-delivery); a skipped-ahead sequence is ErrWaveGap
-// — fetch the missing range or re-bootstrap from a snapshot. A wave
-// stamped with an epoch below the follower's is ErrStaleEpoch — the
-// fence against a demoted leader's late writes; a higher epoch is
-// adopted. A promoted follower refuses all further waves (ErrPromoted).
+// Apply replays one wave under the rules of applyNext. A promoted
+// follower refuses all further waves (ErrPromoted).
 func (f *Follower) Apply(w Wave) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.promoted {
 		return ErrPromoted
 	}
-	if w.Seq <= f.seq {
-		return nil
+	seq, err := applyNext(f.e, f.seq, w)
+	f.seq = seq
+	return err
+}
+
+// applyNext applies w to e, which sits at applied-wave sequence seq, and
+// returns the sequence e sits at afterwards. It holds the rules every
+// replica shares: a wave at or before seq is skipped (idempotent
+// re-delivery); a wave stamped with an epoch below e's is ErrStaleEpoch —
+// the fence against a demoted leader's late writes — while a higher epoch
+// is adopted; a skipped-ahead sequence is ErrWaveGap — fetch the missing
+// range or re-bootstrap from a snapshot.
+func applyNext(e *Expr, seq uint64, w Wave) (uint64, error) {
+	if w.Seq <= seq {
+		return seq, nil
 	}
-	if ep := w.EpochOrDefault(); ep < f.e.Epoch() {
-		return fmt.Errorf("%w: follower at epoch %d, wave %d carries epoch %d",
-			ErrStaleEpoch, f.e.Epoch(), w.Seq, ep)
+	if ep := w.EpochOrDefault(); ep < e.Epoch() {
+		return seq, fmt.Errorf("%w: replica at epoch %d, wave %d carries epoch %d",
+			ErrStaleEpoch, e.Epoch(), w.Seq, ep)
 	}
-	if w.Seq != f.seq+1 {
-		return fmt.Errorf("%w: at %d, got wave %d", ErrWaveGap, f.seq, w.Seq)
+	if w.Seq != seq+1 {
+		return seq, fmt.Errorf("%w: at %d, got wave %d", ErrWaveGap, seq, w.Seq)
 	}
-	if err := f.e.ApplyWave(w); err != nil {
-		return err
+	if err := e.ApplyWave(w); err != nil {
+		return seq, err
 	}
-	f.seq = w.Seq
-	return nil
+	return w.Seq, nil
+}
+
+// ApplyWave replays one logged wave onto the served tree through an
+// engine barrier, under the same rules as Follower.Apply: waves at or
+// before AppliedSeq are skipped, an older epoch is ErrStaleEpoch, a hole
+// is ErrWaveGap, and a verified wave advances AppliedSeq and the engine's
+// epoch. It is how a replica engine catches up with its leader and how
+// startup recovery replays a WAL tail. A wave-tapped engine refuses it
+// with ErrLoggedBarrier, the way Query refuses mutations there: its own
+// waves are the log.
+func (en *Engine) ApplyWave(w Wave) error {
+	var err error
+	f := en.inner.Barrier(func(engine.Host) {
+		if en.inner.Tapped() {
+			err = ErrLoggedBarrier
+			return
+		}
+		var seq uint64
+		if seq, err = applyNext(en.expr, en.inner.AppliedSeq(), w); err == nil {
+			en.inner.SetAppliedSeq(seq)
+			en.inner.SetEpoch(en.expr.Epoch())
+		}
+	})
+	werr := f.Wait()
+	f.Recycle()
+	if werr != nil {
+		return werr
+	}
+	return err
 }
 
 // ApplyAll replays a batch of waves in order (Since output ships here).
@@ -313,62 +351,6 @@ func (f *Follower) Root() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.e.Root()
-}
-
-// ValueID returns the value of the subexpression rooted at node id.
-func (f *Follower) ValueID(id int) (int64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if id < 0 || id >= len(f.e.t.Nodes) || f.e.t.Nodes[id] == nil {
-		return 0, fmt.Errorf("dyntc: follower has no live node %d", id)
-	}
-	return f.e.Value(f.e.t.Nodes[id]), nil
-}
-
-// ReadQuery executes one cross-tree per-tree read against the replica,
-// returning the value together with the replica's applied-wave sequence —
-// both taken under one lock, so the sequence names exactly the state that
-// answered. This is the follower side of the query engine's Reader
-// contract: read replicas serve the same POST /v1/query surface the
-// leader does (read offload).
-func (f *Follower) ReadQuery(r QueryRead) (value int64, seq uint64, err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	node := func(id int) (*Node, error) {
-		if id < 0 || id >= len(f.e.t.Nodes) || f.e.t.Nodes[id] == nil {
-			return nil, fmt.Errorf("dyntc: follower has no live node %d", id)
-		}
-		return f.e.t.Nodes[id], nil
-	}
-	switch r.Kind {
-	case query.ReadRoot:
-		return f.e.Root(), f.seq, nil
-	case query.ReadValue:
-		n, err := node(r.Node)
-		if err != nil {
-			return 0, 0, err
-		}
-		return f.e.Value(n), f.seq, nil
-	case query.ReadSubtree:
-		if !f.e.HasTour() {
-			return 0, 0, query.ErrNoTour
-		}
-		n, err := node(r.Node)
-		if err != nil {
-			return 0, 0, err
-		}
-		return int64(f.e.SubtreeSize(n)), f.seq, nil
-	}
-	return 0, 0, fmt.Errorf("%w: unknown read kind %d", query.ErrBadSpec, r.Kind)
-}
-
-// Query runs fn with exclusive access to the replica's Expr. fn must
-// treat the Expr as read-only: mutating a follower outside Apply breaks
-// replay determinism.
-func (f *Follower) Query(fn func(*Expr)) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	fn(f.e)
 }
 
 // Snapshot re-serializes the replica at its current sequence — a follower
@@ -414,37 +396,6 @@ func (f *Follower) Promote() (snapshot []byte, seq, epoch uint64, err error) {
 	}
 	f.promoted = true
 	return data, f.seq, f.e.Epoch(), nil
-}
-
-// PreparePromote serializes the replica's state re-stamped with the next
-// leadership term (epoch+1) without committing anything: the replica's
-// own epoch is untouched and Apply keeps working, so a caller promoting
-// many trees can restore every prepared snapshot first and only then
-// commit each follower with MarkPromoted — a failure part-way leaves all
-// replicas live and a retry can succeed (all-or-nothing promotion).
-func (f *Follower) PreparePromote() (snapshot []byte, seq, epoch uint64, err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.promoted {
-		return nil, 0, 0, ErrPromoted
-	}
-	prev := f.e.epoch
-	next := f.e.Epoch() + 1
-	f.e.AdoptEpoch(next)
-	data, err := f.e.Snapshot(f.seq)
-	f.e.epoch = prev
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return data, f.seq, next, nil
-}
-
-// MarkPromoted commits a prepared promotion: further Apply calls fail
-// with ErrPromoted. Idempotent. See PreparePromote.
-func (f *Follower) MarkPromoted() {
-	f.mu.Lock()
-	f.promoted = true
-	f.mu.Unlock()
 }
 
 // Promote turns a caught-up Follower into the seed of a new leadership

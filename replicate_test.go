@@ -7,6 +7,7 @@ package dyntc
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -270,10 +271,7 @@ func TestFollowerMeteringDeterministic(t *testing.T) {
 	if err := fpool.ApplyAll(waves); err != nil {
 		t.Fatal(err)
 	}
-	var mseq, mpool Metrics
-	fseq.Query(func(e *Expr) { mseq = e.PRAM() })
-	fpool.Query(func(e *Expr) { mpool = e.PRAM() })
-	if mseq != mpool {
+	if mseq, mpool := fseq.e.PRAM(), fpool.e.PRAM(); mseq != mpool {
 		t.Fatalf("metering diverged: sequential %+v, 4-worker pool %+v", mseq, mpool)
 	}
 	s1, err := fseq.Snapshot()
@@ -403,10 +401,11 @@ func TestRaceSnapshotMidTraffic(t *testing.T) {
 	}
 }
 
-// TestFollowerGapAndDivergence covers the failure modes: out-of-order
-// waves report ErrWaveGap, stale re-delivery is idempotent, and a wave
-// whose recorded root disagrees with the replayed state reports
-// divergence (after which the replica must re-bootstrap).
+// TestFollowerGapAndDivergence covers the failure modes, for a library
+// Follower and a served replica engine alike: out-of-order waves report
+// ErrWaveGap, stale re-delivery is idempotent, and a wave whose recorded
+// root disagrees with the replayed state reports divergence (after which
+// the replica must re-bootstrap).
 func TestFollowerGapAndDivergence(t *testing.T) {
 	ring := ModRing(97)
 	log, _ := NewWaveLog(1024, "")
@@ -431,19 +430,105 @@ func TestFollowerGapAndDivergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fo.Apply(waves[1]); !errors.Is(err, ErrWaveGap) {
-		t.Fatalf("gap err = %v, want ErrWaveGap", err)
-	}
-	if err := fo.Apply(waves[0]); err != nil {
+	forest := NewForest(BatchOptions{})
+	defer forest.Close()
+	replica, _, err := forest.Restore(1, snap0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fo.Apply(waves[0]); err != nil { // idempotent re-delivery
-		t.Fatalf("re-delivery err = %v", err)
+	for name, apply := range map[string]func(Wave) error{"follower": fo.Apply, "engine": replica.ApplyWave} {
+		if err := apply(waves[1]); !errors.Is(err, ErrWaveGap) {
+			t.Fatalf("%s: gap err = %v, want ErrWaveGap", name, err)
+		}
+		if err := apply(waves[0]); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := apply(waves[0]); err != nil { // idempotent re-delivery
+			t.Fatalf("%s: re-delivery err = %v", name, err)
+		}
+		bad := waves[1]
+		bad.Root++
+		bad.Seal()
+		if err := apply(bad); !errors.Is(err, ErrDiverged) {
+			t.Fatalf("%s: diverged err = %v, want ErrDiverged", name, err)
+		}
 	}
-	bad := waves[1]
-	bad.Root++
-	bad.Seal()
-	if err := fo.Apply(bad); !errors.Is(err, ErrDiverged) {
-		t.Fatalf("diverged err = %v, want ErrDiverged", err)
+	if got := replica.AppliedSeq(); got != waves[0].Seq {
+		t.Fatalf("replica engine at seq %d, want %d", got, waves[0].Seq)
+	}
+}
+
+// TestForestReplaceUnderReads: re-bootstrapping a served tree swaps it
+// inside its engine's barrier, so readers racing the swaps always find
+// the tree and read either the old state or the new one. A wave-tapped
+// engine refuses the swap.
+func TestForestReplaceUnderReads(t *testing.T) {
+	ring := ModRing(97)
+	a := NewExpr(ring, 3, WithSeed(1))
+	snapA, err := a.Snapshot(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewExpr(ring, 5, WithSeed(1))
+	b.Grow(b.Tree().Root, OpAdd(ring), 4, 6)
+	snapB, err := b.Snapshot(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forest := NewForest(BatchOptions{})
+	defer forest.Close()
+	if _, _, err := forest.Replace(1, snapA); err != nil { // a free id restores
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	errs := make(chan error, 4)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				en, ok := forest.Get(1)
+				if !ok {
+					errs <- errors.New("tree 1 missing mid-swap")
+					return
+				}
+				if v, err := en.Root(); err != nil || (v != 3 && v != 10) {
+					errs <- fmt.Errorf("root %d, err %v: neither state", v, err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		snap, want := snapA, uint64(0)
+		if i%2 == 0 {
+			snap, want = snapB, 7
+		}
+		en, seq, err := forest.Replace(1, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seq != want || en.AppliedSeq() != want {
+			t.Fatalf("replace %d: seq %d, engine at %d, want %d", i, seq, en.AppliedSeq(), want)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	en, _ := forest.Get(1)
+	en.SetWaveTap(func(Wave) {})
+	if _, _, err := forest.Replace(1, snapB); !errors.Is(err, ErrLoggedBarrier) {
+		t.Fatalf("replace on a tapped engine: err %v, want ErrLoggedBarrier", err)
 	}
 }

@@ -195,21 +195,13 @@ func (en *Engine) AppliedSeq() uint64 { return en.inner.AppliedSeq() }
 
 // Epoch returns the leadership term stamped into the engine's sealed
 // waves (1 for a fresh tree; a restored tree carries its snapshot's
-// epoch, so promotion flows the bumped term in via Forest.Restore).
+// epoch, and ApplyWave adopts a newer one from the log).
 func (en *Engine) Epoch() uint64 { return en.inner.Epoch() }
 
-// SetEpoch advances the wave-stamp epoch (never backwards). Startup
-// recovery calls it after replaying a WAL tail that crossed a failover;
-// normal promotion does not need it.
+// SetEpoch advances the wave-stamp epoch (never backwards). Promotion
+// calls it after moving the Expr to the next term inside a barrier
+// (Expr.AdoptEpoch), so the tree and its sealed waves agree.
 func (en *Engine) SetEpoch(epoch uint64) { en.inner.SetEpoch(epoch) }
-
-// SetAppliedSeq seeds the engine's wave change-log position. It exists
-// for startup recovery: after a snapshot restore the engine already sits
-// at the snapshot's sequence (Forest.Restore seeds it), but replaying a
-// recovered WAL tail on top of the restore advances the tree past that
-// point, and the next sealed wave must continue the sequence. Call it
-// only before the engine receives traffic.
-func (en *Engine) SetAppliedSeq(seq uint64) { en.inner.SetAppliedSeq(seq) }
 
 // SetWaveTap installs (nil removes) the engine's wave tap: every executed
 // mutating wave's sealed change record is passed to tap on the executor
@@ -407,74 +399,57 @@ func (en *Engine) LCA(u, v *Node) (*Node, error) {
 
 // --- ID-addressed API, for callers that cannot hold node handles ---
 // (cmd/dyntcd resolves wire-format node IDs through these; IDs are the
-// dense, lifetime-stable tree.Node.ID values.)
+// dense, lifetime-stable tree.Node.ID values.) Each is its TracedEngine
+// form on the untraced view, a zero TraceContext.
 
 // GrowID is Grow addressed by node ID, returning the new leaves' IDs.
 func (en *Engine) GrowID(leafID int, op Op, leftVal, rightVal int64) (lID, rID int, err error) {
-	f := en.inner.Grow(engine.RefID(leafID), op, leftVal, rightVal)
-	l, r, err := f.Pair()
-	f.Recycle()
-	if err != nil {
-		return 0, 0, err
-	}
-	return l.ID, r.ID, nil
+	return en.Traced(TraceContext{}).GrowID(leafID, op, leftVal, rightVal)
 }
 
 // CollapseID is Collapse addressed by node ID.
 func (en *Engine) CollapseID(nodeID int, newValue int64) error {
-	f := en.inner.Collapse(engine.RefID(nodeID), newValue)
-	err := f.Wait()
-	f.Recycle()
-	return err
+	return en.Traced(TraceContext{}).CollapseID(nodeID, newValue)
 }
 
 // SetLeafID is SetLeaf addressed by node ID.
 func (en *Engine) SetLeafID(leafID int, v int64) error {
-	f := en.inner.SetLeaf(engine.RefID(leafID), v)
-	err := f.Wait()
-	f.Recycle()
-	return err
+	return en.Traced(TraceContext{}).SetLeafID(leafID, v)
 }
 
 // SetOpID is SetOp addressed by node ID.
 func (en *Engine) SetOpID(nodeID int, op Op) error {
-	f := en.inner.SetOp(engine.RefID(nodeID), op)
-	err := f.Wait()
-	f.Recycle()
-	return err
+	return en.Traced(TraceContext{}).SetOpID(nodeID, op)
 }
 
 // ValueID is Value addressed by node ID.
 func (en *Engine) ValueID(nodeID int) (int64, error) {
-	f := en.inner.Value(engine.RefID(nodeID))
-	v, err := f.Value()
-	f.Recycle()
-	return v, err
+	return en.Traced(TraceContext{}).ValueID(nodeID)
 }
 
 // GrowIDAsync is GrowAsync addressed by node ID.
 func (en *Engine) GrowIDAsync(leafID int, op Op, leftVal, rightVal int64) *Future {
-	return en.inner.Grow(engine.RefID(leafID), op, leftVal, rightVal)
+	return en.Traced(TraceContext{}).GrowIDAsync(leafID, op, leftVal, rightVal)
 }
 
 // CollapseIDAsync is CollapseAsync addressed by node ID.
 func (en *Engine) CollapseIDAsync(nodeID int, newValue int64) *Future {
-	return en.inner.Collapse(engine.RefID(nodeID), newValue)
+	return en.Traced(TraceContext{}).CollapseIDAsync(nodeID, newValue)
 }
 
 // SetLeafIDAsync is SetLeafAsync addressed by node ID.
 func (en *Engine) SetLeafIDAsync(leafID int, v int64) *Future {
-	return en.inner.SetLeaf(engine.RefID(leafID), v)
+	return en.Traced(TraceContext{}).SetLeafIDAsync(leafID, v)
 }
 
 // SetOpIDAsync is SetOpAsync addressed by node ID.
 func (en *Engine) SetOpIDAsync(nodeID int, op Op) *Future {
-	return en.inner.SetOp(engine.RefID(nodeID), op)
+	return en.Traced(TraceContext{}).SetOpIDAsync(nodeID, op)
 }
 
 // ValueIDAsync is ValueAsync addressed by node ID.
 func (en *Engine) ValueIDAsync(nodeID int) *Future {
-	return en.inner.Value(engine.RefID(nodeID))
+	return en.Traced(TraceContext{}).ValueIDAsync(nodeID)
 }
 
 // --- traced API: the ID-addressed methods carrying a trace context ---
@@ -677,6 +652,43 @@ func (f *Forest) Restore(id TreeID, snapshot []byte, opts ...Option) (*Engine, u
 	f.mu.Lock()
 	f.exprs[id] = en
 	f.mu.Unlock()
+	return en, seq, nil
+}
+
+// Replace serves a snapshot under id in place of the tree id serves now —
+// the replica re-bootstrap path — or adds it like Restore when id is free.
+// The swap runs inside the serving engine's barrier, so a concurrent
+// reader sees the old tree or the new one, never a missing id; the engine
+// continues at the snapshot's applied-wave sequence and epoch. A
+// wave-tapped engine refuses with ErrLoggedBarrier: its tree is the log's.
+func (f *Forest) Replace(id TreeID, snapshot []byte) (*Engine, uint64, error) {
+	en, ok := f.Get(id)
+	if !ok {
+		return f.Restore(id, snapshot)
+	}
+	expr, seq, err := RestoreExpr(snapshot, f.treeOptions(nil)...)
+	if err != nil {
+		return nil, 0, err
+	}
+	var rerr error
+	b := en.inner.Barrier(func(engine.Host) {
+		if en.inner.Tapped() {
+			rerr = ErrLoggedBarrier
+			return
+		}
+		en.expr = expr
+		en.inner.SetHost(expr)
+		en.inner.SetAppliedSeq(seq)
+		en.inner.SetEpoch(expr.Epoch())
+	})
+	err = b.Wait()
+	b.Recycle()
+	if err == nil {
+		err = rerr
+	}
+	if err != nil {
+		return nil, 0, err
+	}
 	return en, seq, nil
 }
 
