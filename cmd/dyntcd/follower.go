@@ -23,6 +23,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -270,24 +271,26 @@ func (f *follower) syncOnce() bool {
 		slog.Warn("follower: list trees failed", "err", err)
 		return false
 	}
-	// Per-tree catch-up rides the shared scheduler: each tree's log tail
-	// fetch + verified replay is one blocking task, so many replicas catch
-	// up in parallel without spawning a goroutine per tree; whatever the
-	// pool cannot absorb runs inline on the poll loop.
+	// Per-tree catch-up (log tail fetch + verified replay) fans out to at
+	// most GOMAXPROCS goroutines, so many replicas catch up in parallel
+	// without a goroutine per tree.
 	live := make(map[dyntc.TreeID]bool, len(list.Trees))
+	ids := make(chan dyntc.TreeID)
 	var wg sync.WaitGroup
-	for _, ti := range list.Trees {
-		id := ti.Tree
-		live[id] = true
-		task := func() {
-			defer wg.Done()
-			f.syncTree(id)
-		}
+	for range min(runtime.GOMAXPROCS(0), len(list.Trees)) {
 		wg.Add(1)
-		if f.s.pool == nil || !f.s.pool.TrySubmitBlocking(task) {
-			task()
-		}
+		go func() {
+			defer wg.Done()
+			for id := range ids {
+				f.syncTree(id)
+			}
+		}()
 	}
+	for _, ti := range list.Trees {
+		live[ti.Tree] = true
+		ids <- ti.Tree
+	}
+	close(ids)
 	wg.Wait()
 	// Drop replicas of trees the leader no longer serves.
 	var gone []dyntc.TreeID

@@ -10,26 +10,19 @@
 //
 //	dyntcd -addr :8080
 //	dyntcd -addr :8080 -window 200us -maxbatch 2048
-//	dyntcd -addr :8080 -sched-workers 16   # size the shared scheduler pool
-//	dyntcd -addr :8080 -workers 8          # per-tree parallelism hint
 //	dyntcd -addr :8080 -wal-dir /var/lib/dyntcd   # durable wave log
 //	dyntcd -addr :8080 -wal-dir d -compact-every 10000  # + log compaction
 //	dyntcd -addr :8081 -follow http://leader:8080 # read replica, same read API
 //	dyntcd -addr :8081 -follow http://leader:8080 -wal-dir d   # promotes with a WAL
 //	dyntcd -addr :8080 -faults 'wal.append:after=100:torn=0.5:times=1' -fault-seed 7
 //
-// The whole process runs on ONE runtime scheduler pool (-sched-workers,
-// default GOMAXPROCS): each tree's PRAM steps chunk onto it, the
-// cross-tree query scatter rides it, and in -follow mode replica
-// catch-up does too — so a 1024-tree forest on a 16-core box runs 16-wide instead
-// of spawning a pool per tree. A tree's wave phases run on its engine's
-// executor goroutine. -workers (default GOMAXPROCS) is the per-tree hint:
-// how many shared workers one tree's PRAM step may recruit; 1 keeps every
-// step on the executor. Metered PRAM costs are identical either way. Each
+// A tree's wave phases run on its engine's executor goroutine, and its
+// PRAM steps run inline there: the PRAM machine meters rounds, work and
+// processors, it does not schedule. Cross-tree query scatter and, in
+// -follow mode, replica catch-up fan out on plain goroutines. Each
 // engine's flush cap adapts under saturation (adaptive MaxBatch;
-// -maxbatch sets the floor). Pool utilization, steal counts and queue
-// depth are surfaced in GET /v1/stats and /v1/healthz, and per-engine
-// adaptive state (cur_max_batch) in the engine stats.
+// -maxbatch sets the floor); its adaptive state (cur_max_batch) is in the
+// engine stats.
 //
 // Durability & replication (internal/replog): every tree's engine taps
 // its executed mutating waves into a change log — an in-memory ring of
@@ -94,18 +87,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
 	"dyntc"
 )
-
-// schedSpanSample is the sampling stride for scheduler task spans: pool
-// tasks run orders of magnitude more often than flushes, so they are
-// sampled far more sparsely to keep the span ring dominated by wave
-// lifecycles rather than task noise.
-const schedSpanSample = 256
 
 // fatal logs one structured error line and exits, the slog replacement
 // for log.Fatalf.
@@ -120,8 +106,6 @@ func main() {
 		window   = flag.Duration("window", 0, "batching window (0 = adaptive idle-flush)")
 		maxBatch = flag.Int("maxbatch", 0, "max requests per flush (0 = default 1024)")
 		queue    = flag.Int("queue", 0, "per-tree submit queue capacity (0 = default 4096)")
-		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "PRAM parallelism hint per tree: shared-pool workers one tree's PRAM step may recruit (1 = every step runs on the tree's executor)")
-		schedW   = flag.Int("sched-workers", 0, "size of the process-wide runtime scheduler pool shared by PRAM steps, queries and replay (0 = GOMAXPROCS)")
 		walDir   = flag.String("wal-dir", "", "directory for append-only per-tree wave logs ('' = in-memory ring only)")
 		logCap   = flag.Int("log-cap", 0, "waves retained in each tree's in-memory log ring (0 = default 4096)")
 		follow   = flag.String("follow", "", "leader base URL: run as a read-only replica of that dyntcd")
@@ -166,15 +150,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	// One runtime scheduler pool for the whole process: every tree's
-	// PRAM steps, the cross-tree query scatter and (in follower mode)
-	// replica replay share its workers, so a 1024-tree forest on a
-	// 16-core box runs 16-wide instead of spawning a pool per tree.
-	pool := dyntc.NewSchedPool(*schedW)
-
 	// One registry + trace ring + span log per process; every engine, the
-	// scheduler, the wave logs and the query planner report into it
-	// (GET /metrics, /v1/trace, /v1/spans).
+	// wave logs and the query planner report into it (GET /metrics,
+	// /v1/trace, /v1/spans).
 	proc := "leader"
 	if *follow != "" {
 		proc = "follower"
@@ -193,18 +171,6 @@ func main() {
 	}
 	defer ob.spans.Close()
 	defer ob.events.Close()
-	// Scheduler task spans ride the same exporter, sparsely sampled.
-	pool.SetSpans(ob.spans, schedSpanSample)
-	// The collapse monitor samples pool utilization every few seconds and
-	// journals a sched.collapse event when workers go idle with tasks
-	// still queued (the starvation signature).
-	go func() {
-		t := time.NewTicker(2 * time.Second)
-		defer t.Stop()
-		for range t.C {
-			pool.CheckCollapse(ob.events)
-		}
-	}()
 	if *pprofAddr != "" {
 		startPprof(*pprofAddr)
 	}
@@ -230,7 +196,7 @@ func main() {
 		}
 	}
 	opts := dyntc.BatchOptions{
-		MaxBatch: *maxBatch, Window: *window, Queue: *queue, Workers: *workers, Pool: pool,
+		MaxBatch: *maxBatch, Window: *window, Queue: *queue,
 		Metrics: ob.engine, Trace: ob.trace, TraceSample: *traceSample, Faults: faults,
 		Spans: ob.spans,
 	}
@@ -278,7 +244,7 @@ func main() {
 	}()
 
 	slog.Info("dyntcd listening", "addr", *addr, "role", s.role(), "follow", *follow, "window", *window,
-		"maxbatch", *maxBatch, "workers", *workers, "sched_workers", pool.Workers(), "wal", *walDir)
+		"maxbatch", *maxBatch, "wal", *walDir)
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal("serve", "err", err)
 	}

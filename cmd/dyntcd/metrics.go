@@ -5,7 +5,7 @@ package main
 // (GET /v1/trace), an opt-in access log, a structured slow-wave log and
 // an optional pprof listener. Both roles share all of it; the per-layer
 // instrument bundles live with their layers (internal/obs,
-// internal/engine, internal/sched, internal/replog, internal/query) —
+// internal/engine, internal/replog, internal/query) —
 // this file only composes them and adds the cross-layer gauges (lag,
 // applied sequence) that need to see engines, logs and the poll loop side
 // by side.
@@ -462,17 +462,17 @@ func (c *statsCache) get() dyntc.EngineStats {
 }
 
 // observe registers the server's cross-layer families once, for both
-// roles: engine counters over a cached forest aggregate, scheduler
-// gauges, and the replication gauges, whose closures read the server's
-// current role (a leader pairs engines with their wave logs, a follower
-// with its leader's last observed log position).
+// roles: engine counters over a cached forest aggregate and the
+// replication gauges, whose closures read the server's current role (a
+// leader pairs engines with their wave logs, a follower with its leader's
+// last observed log position).
 func (s *server) observe(b *obsBundle) {
 	s.obs = b
 	cache := &statsCache{fn: s.forest.Stats, ttl: 250 * time.Millisecond}
 	dyntc.RegisterEngineStats(b.reg, cache.get)
 	// Anomaly events carry a snapshot of the engine aggregate at trip
 	// time, plus the poll loop's health while following; the debug bundle
-	// carries the same plus scheduler state.
+	// carries the same plus role and epoch.
 	b.anomaly.SetSnapshot(func() map[string]any {
 		st := cache.get()
 		m := map[string]any{
@@ -502,13 +502,7 @@ func (s *server) observe(b *obsBundle) {
 			m["leader"] = f.leader
 			f.healthFields(m)
 		}
-		if s.pool != nil {
-			m["sched"] = s.pool.Stats()
-		}
 		return m
-	}
-	if s.pool != nil {
-		s.pool.Observe(b.reg)
 	}
 	s.forest.SetQueryMetrics(b.query)
 	b.reg.GaugeFunc("dyntc_replog_applied_seq",

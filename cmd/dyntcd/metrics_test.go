@@ -67,8 +67,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same validation as TestScrapeLeaderFollower: parseable text format,
-	// every layer's families present. The pool is nil in this test server,
-	// so sched families are exempt here.
+	// every layer's families present.
 	required := []string{
 		"dyntc_engine_flush_seconds",
 		"dyntc_engine_coalesce_wait_seconds",

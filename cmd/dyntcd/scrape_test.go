@@ -88,8 +88,6 @@ var requiredLeaderFamilies = []string{
 	"dyntc_engine_flush_seconds",
 	"dyntc_engine_coalesce_wait_seconds",
 	"dyntc_engine_requests_total",
-	"dyntc_sched_utilization",
-	"dyntc_sched_task_seconds",
 	"dyntc_replog_lag",
 	"dyntc_replog_appends_total",
 	"dyntc_repl_stage_seconds",
@@ -122,19 +120,17 @@ var requiredFollowerFamilies = []string{
 }
 
 // TestScrapeLeaderFollower wires a leader and a follower the way main
-// does — one scheduler pool and one observability bundle per process,
+// does — one observability bundle per process,
 // every flush trace-sampled on the leader (CI's -trace-sample 1) — and
 // validates both processes' observability surface after real traffic.
 func TestScrapeLeaderFollower(t *testing.T) {
 	leaderURL := startScrapeLeader(t)
 
-	fpool := dyntc.NewSchedPool(2)
-	t.Cleanup(fpool.Close)
 	fob, err := newObsBundle(obsConfig{proc: "follower"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fo := newServer(dyntc.BatchOptions{Pool: fpool})
+	fo := newServer(dyntc.BatchOptions{})
 	fo.follow(leaderURL, 20*time.Millisecond)
 	fo.observe(fob)
 	foSrv := serveFollower(t, fo)
@@ -143,17 +139,16 @@ func TestScrapeLeaderFollower(t *testing.T) {
 	scrapeFollower(t, leaderURL, foSrv.URL)
 }
 
-// startScrapeLeader serves a leader wired like main's: shared pool,
-// obs bundle with its engine hooks, every flush trace-sampled.
+// startScrapeLeader serves a leader wired like main's: obs bundle with
+// its engine hooks, every flush trace-sampled.
 func startScrapeLeader(t *testing.T) string {
 	t.Helper()
-	pool := dyntc.NewSchedPool(2)
 	ob, err := newObsBundle(obsConfig{proc: "leader"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := dyntc.BatchOptions{
-		Pool: pool, Metrics: ob.engine, Trace: ob.trace, TraceSample: 1, Spans: ob.spans,
+		Metrics: ob.engine, Trace: ob.trace, TraceSample: 1, Spans: ob.spans,
 	}
 	ob.engineHooks(&opts)
 	s := newServer(opts)
@@ -162,7 +157,6 @@ func startScrapeLeader(t *testing.T) string {
 	t.Cleanup(func() {
 		ts.Close()
 		s.forest.Close()
-		pool.Close()
 	})
 	return ts.URL
 }

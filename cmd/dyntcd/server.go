@@ -63,10 +63,8 @@ import (
 // them and every write answers 403 until POST /v1/promote flips the
 // server to leading in place.
 type server struct {
-	forest  *dyntc.Forest
-	start   time.Time
-	workers int              // PRAM parallelism hint applied to every tree
-	pool    *dyntc.SchedPool // the process-wide runtime scheduler (nil in tests)
+	forest *dyntc.Forest
+	start  time.Time
 	// rings remembers each tree's ring so op names ("add"/"mul") can be
 	// parsed per request.
 	rings sync.Map // dyntc.TreeID -> dyntc.Ring
@@ -274,12 +272,10 @@ func newServerWAL(opts dyntc.BatchOptions, walDir string, logCap int) *server {
 	// HTTP handler goroutine on engine backpressure.
 	opts.Shed = true
 	return &server{
-		forest:  dyntc.NewForest(opts),
-		start:   time.Now(),
-		workers: opts.Workers,
-		pool:    opts.Pool,
-		walDir:  walDir,
-		logCap:  logCap,
+		forest: dyntc.NewForest(opts),
+		start:  time.Now(),
+		walDir: walDir,
+		logCap: logCap,
 	}
 }
 
@@ -1259,9 +1255,6 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		body["ok"] = false
 		body["fenced_at_epoch"] = ep
 	}
-	if s.pool != nil {
-		body["sched"] = s.pool.Stats()
-	}
 	if s.obs != nil {
 		body["anomaly_active"] = s.obs.anomaly.Active()
 		if ev, ok := s.obs.events.LastEvent(); ok {
@@ -1276,13 +1269,9 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	body := map[string]any{
 		"trees":      s.forest.Len(),
 		"uptime_s":   time.Since(s.start).Seconds(),
-		"workers":    s.workers,
 		"engine":     st,
 		"mean_batch": st.MeanFlush(),
 		"mean_wave":  st.MeanWave(),
-	}
-	if s.pool != nil {
-		body["sched"] = s.pool.Stats()
 	}
 	writeJSON(w, http.StatusOK, body)
 }

@@ -40,7 +40,6 @@ import (
 	"dyntc/internal/euler"
 	"dyntc/internal/listprefix"
 	"dyntc/internal/pram"
-	"dyntc/internal/sched"
 	"dyntc/internal/semiring"
 	"dyntc/internal/tree"
 )
@@ -125,50 +124,11 @@ type Option func(*options)
 
 type options struct {
 	seed     uint64
-	workers  int
-	grain    int
-	pool     *sched.Pool
 	withTour bool
-}
-
-// newMachine builds the Expr's PRAM machine from the parsed options.
-func (o *options) newMachine() *pram.Machine {
-	var m *pram.Machine
-	if o.workers != 0 {
-		m = pram.New(o.workers)
-	} else {
-		m = pram.Sequential()
-	}
-	if o.grain > 0 {
-		m.SetGrain(o.grain)
-	}
-	if o.pool != nil {
-		m.SetPool(o.pool)
-	}
-	return m
 }
 
 // WithSeed fixes the seed of all randomized structure (default 1).
 func WithSeed(seed uint64) Option { return func(o *options) { o.seed = seed } }
-
-// WithWorkers sets the goroutine parallelism of the PRAM machine executing
-// batch phases (default: sequential execution; metering is identical).
-// Workers run on a persistent pool — spawned once, parked between steps —
-// so parallel steps cost no goroutine creation. Negative selects
-// GOMAXPROCS.
-func WithWorkers(w int) Option { return func(o *options) { o.workers = w } }
-
-// withGrain sets the machine's sequential threshold: parallel steps with
-// fewer than g processors run inline instead of on the worker pool. Tests
-// lower it to force pool execution on small trees; only meaningful
-// together with WithWorkers.
-func withGrain(g int) Option { return func(o *options) { o.grain = g } }
-
-// WithPool directs the Expr's parallel steps to the given shared runtime
-// scheduler instead of the process-wide default pool. Use one pool for a
-// whole forest (NewForest and dyntcd do this for you) so every tree's
-// waves share a fixed worker set.
-func WithPool(p *SchedPool) Option { return func(o *options) { o.pool = p } }
 
 // WithTour additionally maintains the Eulerian tour and the derived tree
 // properties (Preorder, Ancestors, SubtreeSize, LCA, EulerTour).
@@ -181,7 +141,7 @@ func NewExpr(r Ring, rootValue int64, opts ...Option) *Expr {
 	for _, f := range opts {
 		f(&o)
 	}
-	m := o.newMachine()
+	m := pram.Sequential()
 	t := tree.New(r, rootValue)
 	e := &Expr{
 		t:     t,
@@ -294,9 +254,6 @@ func (e *Expr) LastHeal() HealStats { return e.con.LastHeal() }
 
 // PRAM returns the accumulated machine metrics.
 func (e *Expr) PRAM() Metrics { return e.mach.Metrics() }
-
-// Workers returns the goroutine parallelism of the Expr's PRAM machine.
-func (e *Expr) Workers() int { return e.mach.Workers() }
 
 // HasTour reports whether the Expr maintains its Eulerian tour (WithTour):
 // the §5 property queries — and cross-tree subtree-size reads — require it.

@@ -88,7 +88,7 @@ func TestKDRoundsLogarithmic(t *testing.T) {
 
 func TestKDParallelMachine(t *testing.T) {
 	tr := tree.Generate(testRing, prng.New(4), 2000, tree.ShapeRandom)
-	if got, want := KD(pram.New(4), tr).Value, tr.Eval(); got != want {
+	if got, want := KD(pram.Sequential(), tr).Value, tr.Eval(); got != want {
 		t.Fatalf("parallel KD=%d eval=%d", got, want)
 	}
 }

@@ -502,7 +502,7 @@ func TestQuickRandomTrees(t *testing.T) {
 
 func TestParallelMachineContraction(t *testing.T) {
 	tr := tree.Generate(testRing, prng.New(137), 2000, tree.ShapeRandom)
-	c := New(tr, 139, pram.New(4))
+	c := New(tr, 139, pram.Sequential())
 	if got, want := c.RootValue(), tr.Eval(); got != want {
 		t.Fatalf("root %d want %d", got, want)
 	}

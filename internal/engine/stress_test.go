@@ -4,8 +4,7 @@ package engine_test
 // with mixed grow / collapse / set / value traffic, and the final root
 // value (plus every value-query answer along the way) is asserted against
 // a sequential replay of the same client programs on a plain Expr. The
-// live engine serves a bare contraction on a machine the test configures,
-// so a variant can force the machine's steps onto a scheduler pool.
+// live engine serves a bare contraction.
 //
 // Each client owns one region of the tree (the subtree under its assigned
 // leaf) and runs a deterministic seeded program against it. Regions are
@@ -26,7 +25,6 @@ import (
 	"dyntc/internal/engine"
 	"dyntc/internal/pram"
 	"dyntc/internal/prng"
-	"dyntc/internal/sched"
 	"dyntc/internal/tree"
 )
 
@@ -190,19 +188,15 @@ func fanOut(a applier, root *dyntc.Node, ring dyntc.Ring, n int) []*dyntc.Node {
 	return leaves
 }
 
-// runStress runs the oracle with the live engine's contraction on mach
-// (nil = a sequential machine).
-func runStress(t *testing.T, clients, opsPerClient int, opts engine.Options, mach *pram.Machine) {
+// runStress runs the oracle with the given engine options.
+func runStress(t *testing.T, clients, opsPerClient int, opts engine.Options) {
 	t.Helper()
 	const seed = 7
 	ring := dyntc.ModRing(1_000_000_007)
 
 	// Live, concurrent run.
-	if mach == nil {
-		mach = pram.Sequential()
-	}
 	tr := tree.New(ring, 1)
-	live := coreHost{t: tr, c: core.New(tr, seed, mach)}
+	live := coreHost{t: tr, c: core.New(tr, seed, pram.Sequential())}
 	en := engine.New(live, opts)
 	bases := fanOut(liveApplier{t: t, en: en}, tr.Root, ring, clients)
 	progs := make([]*clientProgram, clients)
@@ -256,46 +250,19 @@ func runStress(t *testing.T, clients, opsPerClient int, opts engine.Options, mac
 }
 
 func TestStressOracle(t *testing.T) {
-	runStress(t, 8, 200, engine.Options{}, nil)
-}
-
-// TestStressOracleWorkers4 runs the oracle with waves executing on a
-// 4-worker PRAM machine, with the grain forced low so even small batches
-// take the pool path. Under -race this exercises the pool's chunk
-// claiming against the full engine stack; the sequential replay proves
-// pool execution changes no result.
-func TestStressOracleWorkers4(t *testing.T) {
-	m := pram.New(4)
-	m.SetGrain(8)
-	runStress(t, 8, 200, engine.Options{}, m)
-}
-
-// TestStressOracleSharedPool4Workers runs the oracle with the machine's
-// steps chunked onto a dedicated 4-worker scheduler pool, and checks that
-// steps really reached it. Under -race this drives chunk claiming and
-// stealing against the whole engine; the sequential replay proves
-// pool-stepped execution changes no result.
-func TestStressOracleSharedPool4Workers(t *testing.T) {
-	pool := sched.NewPool(4)
-	defer pool.Close()
-	m := pram.NewOnPool(pool, 4)
-	m.SetGrain(8)
-	runStress(t, 8, 200, engine.Options{}, m)
-	if pool.Stats().Loops == 0 {
-		t.Fatal("no PRAM step reached the pool; the test lost its teeth")
-	}
+	runStress(t, 8, 200, engine.Options{})
 }
 
 func TestStressOracleManyClients(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	runStress(t, 32, 150, engine.Options{}, nil)
+	runStress(t, 32, 150, engine.Options{})
 }
 
 func TestStressOracleWindowed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	runStress(t, 16, 100, engine.Options{Window: 200 * time.Microsecond}, nil)
+	runStress(t, 16, 100, engine.Options{Window: 200 * time.Microsecond})
 }

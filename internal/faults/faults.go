@@ -250,6 +250,9 @@ func ParseSpec(spec string) ([]Rule, error) {
 			switch strings.TrimSpace(key) {
 			case "p":
 				r.P, err = strconv.ParseFloat(val, 64)
+				if err == nil && !(r.P >= 0 && r.P <= 1) { // NaN fails both
+					err = fmt.Errorf("p must be in [0,1]")
+				}
 			case "after":
 				r.After, err = strconv.ParseUint(val, 10, 64)
 			case "every":
@@ -266,7 +269,7 @@ func ParseSpec(spec string) ([]Rule, error) {
 				r.Latency, err = time.ParseDuration(val)
 			case "torn":
 				r.Torn, err = strconv.ParseFloat(val, 64)
-				if err == nil && (r.Torn <= 0 || r.Torn >= 1) {
+				if err == nil && !(r.Torn > 0 && r.Torn < 1) {
 					err = fmt.Errorf("torn must be in (0,1)")
 				}
 			case "crash":

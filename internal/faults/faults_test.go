@@ -193,3 +193,73 @@ func TestParseSpec(t *testing.T) {
 		}
 	}
 }
+
+// TestParseSpecRejectsOutOfRange: p must be a probability and torn a
+// fraction strictly inside the record. Before the check, p=-0.5 or p=NaN
+// parsed, and since Check only samples when P > 0 such a rule fired on
+// every pass.
+func TestParseSpecRejectsOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		ok   bool
+	}{
+		{"s:p=0", true},
+		{"s:p=1", true},
+		{"s:p=0.25", true},
+		{"s:p=-0.5", false},
+		{"s:p=-1", false},
+		{"s:p=1.0001", false},
+		{"s:p=NaN", false},
+		{"s:p=Inf", false},
+		{"s:p=-Inf", false},
+		{"s:torn=NaN", false},
+		{"s:torn=0", false},
+		{"s:torn=1", false},
+		{"s:torn=0.5", true},
+		{"a:times=1;wal.append:p=2", false},
+	} {
+		_, err := ParseSpec(tc.spec)
+		if (err == nil) != tc.ok {
+			t.Fatalf("ParseSpec(%q): err %v, want ok=%v", tc.spec, err, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "rule") {
+			t.Fatalf("ParseSpec(%q): error %q does not name the rule", tc.spec, err)
+		}
+	}
+	if _, err := ParseSpec("ok:times=1;bad.site:p=-0.5"); err == nil || !strings.Contains(err.Error(), "bad.site:p=-0.5") {
+		t.Fatalf("error %v does not name the offending rule", err)
+	}
+}
+
+// FuzzParseSpec: ParseSpec never panics, and every rule it accepts has a
+// site, a probability in [0, 1] and a torn fraction that is 0 (off) or
+// strictly inside (0, 1).
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []string{
+		"wal.append:after=100:torn=0.5:times=1;follower.rpc:p=0.2:err=partition",
+		"engine.wave:every=7:crash",
+		"follower.rpc:p=1:latency=5ms:err",
+		"s:p=-1",
+		"s:p=NaN:torn=NaN",
+		";;  ; x:",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		rules, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		for _, r := range rules {
+			if r.Site == "" {
+				t.Fatalf("spec %q: accepted a rule with no site", spec)
+			}
+			if !(r.P >= 0 && r.P <= 1) {
+				t.Fatalf("spec %q: accepted p=%v", spec, r.P)
+			}
+			if r.Torn != 0 && !(r.Torn > 0 && r.Torn < 1) {
+				t.Fatalf("spec %q: accepted torn=%v", spec, r.Torn)
+			}
+		}
+	})
+}

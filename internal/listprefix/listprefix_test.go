@@ -81,7 +81,7 @@ func TestBatchPrefixParallelMachine(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		elems = append(elems, l.At((i*13)%4096))
 	}
-	m := pram.New(4)
+	m := pram.Sequential()
 	got := l.BatchPrefix(m, elems)
 	for i, e := range elems {
 		if want := l.PrefixAt(e); got[i] != want {

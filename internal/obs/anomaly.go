@@ -153,7 +153,7 @@ func NewRecorder(cfg AnomalyConfig, j *Journal, b *TraceBoost) *Recorder {
 }
 
 // SetSnapshot installs the closure whose result rides along in every
-// anomaly event — typically engine/sched/replication stats gathered by
+// anomaly event — typically engine/replication stats gathered by
 // the server, which can see all the layers at once.
 func (r *Recorder) SetSnapshot(fn func() map[string]any) {
 	if r == nil {

@@ -47,9 +47,6 @@ const (
 	// EvBatchGrow / EvBatchShrink mark the adaptive flush cap moving.
 	EvBatchGrow   = "engine.maxbatch.grow"
 	EvBatchShrink = "engine.maxbatch.shrink"
-	// EvSchedCollapse marks scheduler utilization collapsing while work
-	// is still queued — the starvation signature.
-	EvSchedCollapse = "sched.collapse"
 	// EvAnomaly marks an anomaly detector tripping; the concrete type is
 	// EvAnomaly + "." + signal name (e.g. "anomaly.engine.flush").
 	EvAnomaly = "anomaly"

@@ -205,3 +205,27 @@ func TestSpanLogRotation(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseTraceHeader: ParseTraceHeader never panics, and whatever it
+// returns survives a format/parse round trip unchanged.
+func FuzzParseTraceHeader(f *testing.F) {
+	for _, s := range []string{
+		"00000000deadbeef-0000000000000001",
+		"deadbeef",
+		"DEADBEEF-ff",
+		" 1-2 ",
+		"1-2-3",
+		"-",
+		"ffffffffffffffff-ffffffffffffffff",
+		"10000000000000000-1",
+		"zz-1",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		sc := ParseTraceHeader(v)
+		if back := ParseTraceHeader(FormatTraceHeader(sc)); back != sc {
+			t.Fatalf("header %q parsed as %+v, which round-trips to %+v", v, sc, back)
+		}
+	})
+}

@@ -11,32 +11,19 @@
 //   - Work     — total processor-steps (sum of active processors per step),
 //   - MaxProcs — the largest number of processors active in any one step.
 //
-// Steps large enough to go parallel execute on the shared work-stealing
-// scheduler (internal/sched): a Machine is a thin façade that submits
-// grain-sized chunks of each round to one process-wide pool, so a forest
-// of machines shares a fixed worker set instead of spawning a pool per
-// tree. Workers() and the grain are per-machine *hints* — they cap how
-// many pool workers one machine's round may recruit and where it switches
-// to inline execution — not dedicated goroutines. The calling goroutine
-// always participates in its own round, so a round makes progress even on
-// a saturated pool and nested rounds cannot deadlock.
-//
-// Metering is purely a function of the Step/Charge sequence: a Machine
-// with any worker hint, grain or pool charges exactly the same Steps,
-// Work and MaxProcs as Sequential() for the same computation. Only
-// wall-clock differs — which is what the experiments report.
+// A Machine is a cost meter, not a scheduler: Step runs its bodies inline
+// on the calling goroutine, in index order, and charges the round to the
+// meters. The theorems bound rounds, work and processors, and those are a
+// function of the Step/Charge sequence alone, so they read the same
+// whatever executes the bodies.
 //
 // Concurrent-write (CRCW) semantics inside a step are expressed with the
-// atomic helpers in this package (arbitrary-winner test-and-set, priority
-// max-combine) so that pool execution stays race-free.
+// helpers in this package (arbitrary-winner test-and-set, priority
+// max-combine), so a step body states the model's write rule and does not
+// depend on the order indices run in.
 package pram
 
-import (
-	"runtime"
-	"sync/atomic"
-
-	"dyntc/internal/sched"
-)
+import "sync/atomic"
 
 // Metrics accumulates the PRAM cost of a computation.
 type Metrics struct {
@@ -54,82 +41,15 @@ func (m *Metrics) Add(other Metrics) {
 	}
 }
 
-// Machine executes metered parallel steps. The zero value is a sequential
-// machine; use New to pick the parallelism hint. Machine is not safe for
-// concurrent use by multiple goroutines (each logical computation should
-// own one Machine), but any number of Machines share one scheduler pool.
+// Machine meters parallel steps. The zero value is ready to use. A
+// Machine is not safe for concurrent use: each logical computation owns
+// one.
 type Machine struct {
-	workers int
 	metrics Metrics
-	// grain is the sequential threshold: steps smaller than grain run
-	// inline on the calling goroutine to avoid dispatch overhead. It also
-	// sets the minimum chunk size (grain/2) for chunk claiming.
-	grain int
-	// pool is the scheduler the machine submits chunks to; nil selects
-	// the process-wide sched.Default() at the first parallel step.
-	pool *sched.Pool
 }
 
-// defaultGrain is the parallel threshold: below this many processors a
-// round is cheaper to run inline than to dispatch.
-const defaultGrain = 1024
-
-// New returns a Machine with the given parallelism hint. workers <= 0
-// selects GOMAXPROCS. Rounds execute on the shared scheduler pool
-// (sched.Default() unless SetPool chooses another); the hint caps how
-// many of its workers one round recruits.
-func New(workers int) *Machine {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Machine{workers: workers, grain: defaultGrain}
-}
-
-// NewOnPool returns a Machine that submits its rounds to the given pool
-// (useful for dedicated pools in tests and benchmarks; nil means the
-// shared default).
-func NewOnPool(p *sched.Pool, workers int) *Machine {
-	m := New(workers)
-	m.pool = p
-	return m
-}
-
-// Sequential returns a single-worker machine. Metering is identical to a
-// parallel machine; only wall-clock execution differs.
-func Sequential() *Machine { return &Machine{workers: 1, grain: defaultGrain} }
-
-// Workers returns the machine's parallelism hint.
-func (m *Machine) Workers() int {
-	if m.workers <= 0 {
-		return 1
-	}
-	return m.workers
-}
-
-// SetWorkers reconfigures the parallelism hint (w <= 0 selects
-// GOMAXPROCS). Metering is unaffected. Not safe concurrently with Step.
-func (m *Machine) SetWorkers(w int) {
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	m.workers = w
-}
-
-// SetPool directs the machine's rounds to p (nil restores the shared
-// default pool). Not safe concurrently with Step.
-func (m *Machine) SetPool(p *sched.Pool) { m.pool = p }
-
-// SetGrain sets the sequential threshold: steps with fewer than g
-// processors run inline on the calling goroutine. Lower values exercise
-// the pool on smaller rounds (more dispatch overhead, more parallelism);
-// tests use it to force pool execution. Metering is unaffected. Not safe
-// concurrently with Step.
-func (m *Machine) SetGrain(g int) {
-	if g < 1 {
-		g = 1
-	}
-	m.grain = g
-}
+// Sequential returns a new Machine.
+func Sequential() *Machine { return &Machine{} }
 
 // Metrics returns the accumulated cost so far.
 func (m *Machine) Metrics() Metrics { return m.metrics }
@@ -166,33 +86,14 @@ func (m *Machine) ChargeSpan(steps, work, procs int64) {
 // Step executes body(i) for every i in [0, n) as one synchronous parallel
 // round and charges n processors. Bodies must not assume any ordering
 // between indices and must use the CRCW helpers for writes that can race.
-// A panic in any body aborts the round (remaining chunks are skipped) and
-// re-panics on the calling goroutine; the Machine and the shared pool
-// stay usable.
 func (m *Machine) Step(n int, body func(i int)) {
 	if n <= 0 {
 		return
 	}
 	m.Charge(n)
-	if m.workers <= 1 || n < m.grain || n < m.workers*2 {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
+	for i := 0; i < n; i++ {
+		body(i)
 	}
-	if m.pool == nil {
-		m.pool = sched.Default()
-	}
-	// Chunk for ~4 chunks per recruited worker so uneven bodies
-	// load-balance, but never below grain/2 so dispatch stays amortized.
-	chunk := n / (m.workers * 4)
-	if min := m.grain / 2; chunk < min {
-		chunk = min
-	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	m.pool.ParallelFor(n, chunk, m.workers, body)
 }
 
 // TestAndSet implements an arbitrary-winner CRCW write to a flag: it sets

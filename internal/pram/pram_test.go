@@ -1,12 +1,9 @@
 package pram
 
-import (
-	"sync/atomic"
-	"testing"
-)
+import "testing"
 
 func TestStepMetersWorkAndSpan(t *testing.T) {
-	m := New(4)
+	m := Sequential()
 	m.Step(100, func(i int) {})
 	m.Step(50, func(i int) {})
 	got := m.Metrics()
@@ -22,21 +19,19 @@ func TestStepMetersWorkAndSpan(t *testing.T) {
 }
 
 func TestStepExecutesEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		m := New(workers)
-		const n = 10000
-		counts := make([]int32, n)
-		m.Step(n, func(i int) { atomic.AddInt32(&counts[i], 1) })
-		for i, c := range counts {
-			if c != 1 {
-				t.Fatalf("workers=%d index %d executed %d times", workers, i, c)
-			}
+	m := Sequential()
+	const n = 10000
+	counts := make([]int32, n)
+	m.Step(n, func(i int) { counts[i]++ })
+	for i, c := range counts {
+		if c != 1 {
+			t.Fatalf("index %d executed %d times", i, c)
 		}
 	}
 }
 
 func TestStepZeroAndNegative(t *testing.T) {
-	m := New(2)
+	m := Sequential()
 	ran := false
 	m.Step(0, func(i int) { ran = true })
 	m.Step(-5, func(i int) { ran = true })
@@ -83,7 +78,7 @@ func TestMetricsAdd(t *testing.T) {
 }
 
 func TestTestAndSetArbitraryWinner(t *testing.T) {
-	m := New(8)
+	m := Sequential()
 	var flag int32
 	var winners int64
 	m.Step(1000, func(i int) {
@@ -104,7 +99,7 @@ func TestTestAndSetArbitraryWinner(t *testing.T) {
 }
 
 func TestWriteMaxMinCombining(t *testing.T) {
-	m := New(8)
+	m := Sequential()
 	maxv := int64(-1 << 62)
 	minv := int64(1 << 62)
 	m.Step(5000, func(i int) {
@@ -119,9 +114,21 @@ func TestWriteMaxMinCombining(t *testing.T) {
 	}
 }
 
-func TestNewDefaultsWorkers(t *testing.T) {
-	m := New(0)
-	if m.workers < 1 {
-		t.Fatal("New(0) produced no workers")
+func TestMachineReuseAfterReset(t *testing.T) {
+	m := Sequential()
+	var sum int64
+	m.Step(500, func(i int) { sum += int64(i) })
+	first := m.Metrics()
+	m.Reset()
+	if m.Metrics() != (Metrics{}) {
+		t.Fatal("Reset did not clear metrics")
+	}
+	sum = 0
+	m.Step(500, func(i int) { sum += int64(i) })
+	if m.Metrics() != first {
+		t.Fatalf("reused machine metered %+v, first run %+v", m.Metrics(), first)
+	}
+	if want := int64(500*499) / 2; sum != want {
+		t.Fatalf("sum = %d, want %d", sum, want)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"dyntc/internal/obs"
-	"dyntc/internal/sched"
 )
 
 // Metrics is the query engine's instrument bundle (Planner.SetMetrics).
@@ -32,18 +31,14 @@ func NewMetrics(r *obs.Registry) *Metrics {
 	}
 }
 
-// Planner scatters cross-tree queries over the shared runtime scheduler
-// (internal/sched). One planner serves any number of concurrent queries;
-// it owns no goroutines of its own — chunk tasks are submitted to the
-// pool's blocking lane (a gather waits on engine futures, so it must
-// never occupy the pool's last worker), and whatever the pool cannot
-// absorb runs inline on the querying goroutine. The width is the scatter
-// parallelism hint: how many chunks a query is split into.
+// Planner scatters cross-tree queries: each query is split into
+// contiguous id chunks, every chunk but the last runs on its own goroutine
+// and the querying goroutine runs the last. One planner serves any number
+// of concurrent queries and owns no goroutines between them. The width is
+// the scatter parallelism hint: how many chunks a query is split into.
 type Planner struct {
-	pool   *sched.Pool // nil = the process-wide default pool
-	width  int
-	closed atomic.Bool
-	m      atomic.Pointer[Metrics] // optional instruments (SetMetrics)
+	width int
+	m     atomic.Pointer[Metrics] // optional instruments (SetMetrics)
 }
 
 // SetMetrics attaches (or, with nil, detaches) the metrics bundle;
@@ -51,48 +46,22 @@ type Planner struct {
 func (p *Planner) SetMetrics(m *Metrics) { p.m.Store(m) }
 
 // NewPlanner creates a planner with the given scatter parallelism
-// (GOMAXPROCS when <= 0) on the process-wide default pool.
-func NewPlanner(workers int) *Planner { return NewPlannerOn(nil, workers) }
-
-// NewPlannerOn creates a planner that scatters on the given pool (nil
-// selects the process-wide default).
-func NewPlannerOn(p *sched.Pool, workers int) *Planner {
+// (GOMAXPROCS when <= 0).
+func NewPlanner(workers int) *Planner {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Planner{pool: p, width: workers}
-}
-
-// Workers returns the planner's scatter parallelism hint.
-func (p *Planner) Workers() int { return p.width }
-
-// Close retires the planner: later queries run their scatter inline on
-// the calling goroutine. The underlying pool is shared and unaffected.
-// Idempotent.
-func (p *Planner) Close() { p.closed.Store(true) }
-
-// dispatch hands fn to the pool's blocking lane, reporting false when the
-// planner is closed or no blocking slot is free — the caller runs fn
-// inline.
-func (p *Planner) dispatch(fn func()) bool {
-	if p.closed.Load() {
-		return false
-	}
-	pool := p.pool
-	if pool == nil {
-		pool = sched.Default()
-	}
-	return pool.TrySubmitBlocking(fn)
+	return &Planner{width: workers}
 }
 
 // Run executes one cross-tree query: resolve the selector against the
-// reader's served trees, scatter the per-tree reads across the pool in
-// contiguous id chunks, and gather the partial folds into one Result.
+// reader's served trees, scatter the per-tree reads in contiguous id
+// chunks, and gather the partial folds into one Result.
 //
 // Within a chunk every read is submitted asynchronously before any is
 // waited on, so reads join the target engines' in-flight coalescing
-// windows instead of serializing round-trips; across chunks the pool
-// overlaps submission and collection. There is no cross-tree barrier of
+// windows instead of serializing round-trips; across chunks the
+// goroutines overlap submission and collection. There is no cross-tree barrier of
 // any kind — each tree answers at whatever applied-wave sequence its
 // engine had reached, and that sequence is reported per tree.
 func (p *Planner) Run(r Reader, spec Spec) (Result, error) {
@@ -174,8 +143,10 @@ func (p *Planner) Run(r Reader, spec Spec) (Result, error) {
 			partials[c] = acc
 		}
 		wg.Add(1)
-		if !p.dispatch(task) {
+		if c == nchunks-1 {
 			task()
+		} else {
+			go task()
 		}
 	}
 	wg.Wait()

@@ -11,7 +11,7 @@
 // all, or an ID range), a per-tree read (root value, node value, subtree
 // size) and a combiner (sum / min / max / count, or a semiring combine
 // over the existing Ring algebra), and the Planner scatters the reads
-// across a persistent worker pool and gathers the partial results.
+// over a few goroutines and gathers the partial results.
 //
 // Scatter rides each engine's coalescing window: root and node-value
 // reads are submitted asynchronously and join whatever wave the target

@@ -57,7 +57,6 @@ func ids(n int) []uint64 {
 
 func TestPlannerCombiners(t *testing.T) {
 	p := NewPlanner(4)
-	defer p.Close()
 	r := &fakeReader{ids: ids(100)}
 
 	// sum of 10*(1..100) = 10*5050
@@ -108,7 +107,6 @@ func TestPlannerCombiners(t *testing.T) {
 
 func TestPlannerSelectors(t *testing.T) {
 	p := NewPlanner(3)
-	defer p.Close()
 	r := &fakeReader{ids: ids(50)}
 
 	res, err := p.Run(r, Spec{Select: Range(10, 19), Read: Root(), Combine: Count()})
@@ -146,7 +144,6 @@ func TestPlannerSelectors(t *testing.T) {
 
 func TestPlannerErrorsAndValidation(t *testing.T) {
 	p := NewPlanner(2)
-	defer p.Close()
 	boom := fmt.Errorf("boom")
 	r := &fakeReader{ids: ids(10), failOn: map[uint64]error{4: boom, 8: boom}}
 
@@ -171,26 +168,8 @@ func TestPlannerErrorsAndValidation(t *testing.T) {
 	}
 }
 
-func TestPlannerClosedRunsInline(t *testing.T) {
-	p := NewPlanner(2)
-	r := &fakeReader{ids: ids(20)}
-	if _, err := p.Run(r, Spec{Read: Root(), Combine: Sum()}); err != nil {
-		t.Fatal(err)
-	}
-	p.Close()
-	// After Close, queries still complete (scatter runs inline).
-	res, err := p.Run(r, Spec{Read: Root(), Combine: Sum()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trees != 20 {
-		t.Fatalf("closed planner: %+v", res)
-	}
-	p.Close() // idempotent
-}
-
 // TestPlannerUnalignedChunks pins the chunking math: id counts that do
-// not divide evenly across the pool (e.g. 9 ids on 8 workers, where ceil
+// not divide evenly across the chunks (e.g. 9 ids on 8 workers, where ceil
 // division would produce empty trailing chunks) must still visit every
 // tree exactly once.
 func TestPlannerUnalignedChunks(t *testing.T) {
@@ -206,13 +185,11 @@ func TestPlannerUnalignedChunks(t *testing.T) {
 				t.Fatalf("workers=%d n=%d: %+v", workers, n, res)
 			}
 		}
-		p.Close()
 	}
 }
 
 func TestPlannerManyChunksOneWorker(t *testing.T) {
 	p := NewPlanner(1)
-	defer p.Close()
 	r := &fakeReader{ids: ids(257)}
 	res, err := p.Run(r, Spec{Read: Root(), Combine: Count()})
 	if err != nil {

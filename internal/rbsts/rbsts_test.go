@@ -296,7 +296,7 @@ func TestActivateParallelMachine(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		leaves = append(leaves, tr.LeafAt(i*20))
 	}
-	m := pram.New(4)
+	m := pram.Sequential()
 	act := tr.Activate(m, leaves)
 	checkActivation(t, tr, act, leaves)
 	act.Release(m)

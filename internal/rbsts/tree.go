@@ -13,8 +13,8 @@ import (
 // type S by a monoid (leaf, merge) pair. The zero value is not usable; use
 // New.
 //
-// Tree is not safe for concurrent mutation; batch operations internally use
-// goroutine parallelism through the pram.Machine they are given.
+// Tree is not safe for concurrent mutation; batch operations run as
+// metered parallel steps on the pram.Machine they are given.
 type Tree[P, S any] struct {
 	root *Node[P, S]
 	src  *prng.Source

@@ -8,6 +8,7 @@ import (
 	"dyntc/internal/core"
 	"dyntc/internal/engine"
 	"dyntc/internal/euler"
+	"dyntc/internal/pram"
 	"dyntc/internal/replog"
 )
 
@@ -108,11 +109,9 @@ func (e *Expr) AdoptEpoch(epoch uint64) {
 
 // RestoreExpr rebuilds an Expr from a snapshot and returns it with the
 // snapshot's applied-wave sequence number. The seed and tour setting come
-// from the snapshot (WithSeed / WithTour options are overridden — a
-// replica must contract deterministically like its leader); WithWorkers
-// and WithPool apply normally, so follower replay rides the same shared
-// scheduler as leader waves.
-func RestoreExpr(data []byte, opts ...Option) (*Expr, uint64, error) {
+// from the snapshot, so the options are ignored: a replica must contract
+// deterministically like its leader.
+func RestoreExpr(data []byte, _ ...Option) (*Expr, uint64, error) {
 	snap, err := replog.Decode(data)
 	if err != nil {
 		return nil, 0, err
@@ -121,11 +120,7 @@ func RestoreExpr(data []byte, opts ...Option) (*Expr, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	o := options{}
-	for _, f := range opts {
-		f(&o)
-	}
-	m := o.newMachine()
+	m := pram.Sequential()
 	e := &Expr{
 		t:     t,
 		con:   core.New(t, snap.Seed, m),
@@ -246,8 +241,7 @@ type Follower struct {
 }
 
 // NewFollower bootstraps a replica from a leader snapshot. Options pass
-// through to RestoreExpr (WithWorkers / WithPool; seed and tour come from
-// the snapshot).
+// through to RestoreExpr, which takes the seed and tour from the snapshot.
 func NewFollower(snapshot []byte, opts ...Option) (*Follower, error) {
 	e, seq, err := RestoreExpr(snapshot, opts...)
 	if err != nil {

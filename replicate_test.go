@@ -237,9 +237,8 @@ func TestSnapshotReplayByteIdentical(t *testing.T) {
 }
 
 // TestFollowerMeteringDeterministic pins replay determinism of the PRAM
-// metering: two followers of the same snapshot + log — one sequential, one
-// on a 4-worker pool with a low grain — must report identical metered
-// costs (the pool invariant) and identical snapshots.
+// metering: two followers of the same snapshot + log must report
+// identical metered costs and identical snapshots.
 func TestFollowerMeteringDeterministic(t *testing.T) {
 	ring := ModRing(1_000_000_007)
 	log, _ := NewWaveLog(1<<16, "")
@@ -253,11 +252,11 @@ func TestFollowerMeteringDeterministic(t *testing.T) {
 	prog.runLive(t, en, 300)
 	en.Close()
 
-	fseq, err := NewFollower(snap0)
+	fa, err := NewFollower(snap0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fpool, err := NewFollower(snap0, WithWorkers(4), withGrain(8))
+	fb, err := NewFollower(snap0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,25 +264,25 @@ func TestFollowerMeteringDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fseq.ApplyAll(waves); err != nil {
+	if err := fa.ApplyAll(waves); err != nil {
 		t.Fatal(err)
 	}
-	if err := fpool.ApplyAll(waves); err != nil {
+	if err := fb.ApplyAll(waves); err != nil {
 		t.Fatal(err)
 	}
-	if mseq, mpool := fseq.e.PRAM(), fpool.e.PRAM(); mseq != mpool {
-		t.Fatalf("metering diverged: sequential %+v, 4-worker pool %+v", mseq, mpool)
+	if ma, mb := fa.e.PRAM(), fb.e.PRAM(); ma != mb {
+		t.Fatalf("metering diverged: first follower %+v, second %+v", ma, mb)
 	}
-	s1, err := fseq.Snapshot()
+	s1, err := fa.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := fpool.Snapshot()
+	s2, err := fb.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(s1, s2) {
-		t.Fatal("pooled follower snapshot differs from sequential follower")
+		t.Fatal("second follower's snapshot differs from the first's")
 	}
 }
 

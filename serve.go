@@ -2,35 +2,12 @@ package dyntc
 
 import (
 	"errors"
-	"runtime"
 	"sync"
 	"time"
 
 	"dyntc/internal/engine"
 	"dyntc/internal/query"
-	"dyntc/internal/sched"
 )
-
-// SchedPool is the shared runtime scheduler: one work-stealing worker
-// pool (internal/sched) that the trees' PRAM steps, cross-tree query
-// scatter and follower replay all submit to. Create one per process (NewSchedPool)
-// and pass it through BatchOptions.Pool / NewForest / WithPool so a
-// forest of trees shares a fixed worker set instead of pooling per tree;
-// leave it nil to use the process-wide default pool.
-type SchedPool = sched.Pool
-
-// SchedStats is a point-in-time snapshot of a scheduler pool's activity
-// (workers, steals, queue depth, utilization).
-type SchedStats = sched.Stats
-
-// NewSchedPool starts a shared runtime scheduler with the given number of
-// workers (GOMAXPROCS when <= 0). Close it only after everything
-// submitting to it has quiesced.
-func NewSchedPool(workers int) *SchedPool { return sched.NewPool(workers) }
-
-// DefaultSchedPool returns the process-wide shared scheduler pool, which
-// everything without an explicit pool uses. It is never closed.
-func DefaultSchedPool() *SchedPool { return sched.Default() }
 
 // This file is the concurrent face of the package: Expr.Serve wraps an
 // Expr in a request-coalescing engine (internal/engine) that makes it safe
@@ -62,8 +39,7 @@ type EngineStats = engine.Stats
 
 // BatchOptions tunes the adaptive batching window. The zero value gives
 // defaults: flush whenever the executor goes idle (no added latency),
-// batches capped at 1024, queue capacity 4096, wave execution on the
-// Expr's machine as configured.
+// batches capped at 1024, queue capacity 4096.
 type BatchOptions struct {
 	// MaxBatch caps requests per flush.
 	MaxBatch int
@@ -80,16 +56,9 @@ type BatchOptions struct {
 	// callers that want backpressure leave it false. Shed requests are
 	// counted in EngineStats.Shed.
 	Shed bool
-	// Workers, when positive, sets the goroutine parallelism hint of the
-	// PRAM machine executing each wave's node-disjoint batches: how many
-	// shared-pool workers one wave's steps may recruit. Metering is
-	// unaffected. Use a negative value for GOMAXPROCS.
+	// Deprecated: Workers is ignored; PRAM steps run on the executor.
 	Workers int
-	// Pool, when set, is the shared runtime scheduler the Expr's machine
-	// chunks its parallel steps onto, so any number of engines share one
-	// fixed worker set; a Forest's cross-tree query scatter runs on it
-	// too. Nil selects the process-default pool. Wave phases themselves
-	// always run on the engine's executor goroutine.
+	// Deprecated: Pool is ignored; there is no scheduler pool.
 	Pool *SchedPool
 	// WaveTap, when set, receives the sealed change record of every
 	// executed mutating wave, on the executor goroutine — the durability
@@ -150,16 +119,8 @@ type BatchOptions struct {
 }
 
 // Serve starts an engine over e and returns it. Close the engine to drain
-// pending requests and reclaim the Expr for direct use. A non-zero
-// opts.Workers reconfigures the Expr's PRAM machine before the executor
-// starts.
+// pending requests and reclaim the Expr for direct use.
 func (e *Expr) Serve(opts BatchOptions) *Engine {
-	if opts.Workers != 0 {
-		e.mach.SetWorkers(opts.Workers)
-	}
-	if opts.Pool != nil {
-		e.mach.SetPool(opts.Pool)
-	}
 	return &Engine{
 		expr: e,
 		inner: engine.New(e, engine.Options{
@@ -563,22 +524,14 @@ type TreeID = uint64
 // parallel. All methods are safe for concurrent use.
 type Forest struct {
 	inner   *engine.Forest
-	workers int        // PRAM worker parallelism applied to every tree
-	pool    *SchedPool // shared scheduler applied to every tree (nil = default pool)
 	planner *query.Planner
 
 	mu    sync.Mutex
 	exprs map[TreeID]*Engine
 }
 
-// NewForest creates an empty forest; opts configures every tree's engine,
-// opts.Workers the per-tree PRAM parallelism hint, and opts.Pool the
-// shared scheduler every tree's PRAM steps — and the forest's cross-tree
-// query scatter — run on.
+// NewForest creates an empty forest; opts configures every tree's engine.
 func NewForest(opts BatchOptions) *Forest {
-	if opts.Workers < 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
 	return &Forest{
 		inner: engine.NewForest(engine.Options{
 			MaxBatch:          opts.MaxBatch,
@@ -597,34 +550,15 @@ func NewForest(opts BatchOptions) *Forest {
 			FlushSink:         opts.FlushSink,
 			ShedSink:          opts.ShedSink,
 		}),
-		workers: opts.Workers,
-		pool:    opts.Pool,
-		planner: query.NewPlannerOn(opts.Pool, 0),
+		planner: query.NewPlanner(0),
 		exprs:   make(map[TreeID]*Engine),
 	}
 }
 
-// treeOptions prepends the forest-wide machine settings so per-tree
-// options can still override them.
-func (f *Forest) treeOptions(opts []Option) []Option {
-	var pre []Option
-	if f.workers != 0 {
-		pre = append(pre, WithWorkers(f.workers))
-	}
-	if f.pool != nil {
-		pre = append(pre, WithPool(f.pool))
-	}
-	if len(pre) == 0 {
-		return opts
-	}
-	return append(pre, opts...)
-}
-
 // Create adds a new single-leaf expression tree over ring r and returns
-// its id and serving engine. The forest's Workers and Pool settings apply
-// unless the given options override them.
+// its id and serving engine.
 func (f *Forest) Create(r Ring, rootValue int64, opts ...Option) (TreeID, *Engine) {
-	expr := NewExpr(r, rootValue, f.treeOptions(opts)...)
+	expr := NewExpr(r, rootValue, opts...)
 	id, inner := f.inner.Add(expr)
 	en := &Engine{expr: expr, inner: inner}
 	f.mu.Lock()
@@ -639,7 +573,7 @@ func (f *Forest) Create(r Ring, rootValue int64, opts ...Option) (TreeID, *Engin
 // which is returned alongside it. Restore fails when the id is already
 // served.
 func (f *Forest) Restore(id TreeID, snapshot []byte, opts ...Option) (*Engine, uint64, error) {
-	expr, seq, err := RestoreExpr(snapshot, f.treeOptions(opts)...)
+	expr, seq, err := RestoreExpr(snapshot, opts...)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -666,7 +600,7 @@ func (f *Forest) Replace(id TreeID, snapshot []byte) (*Engine, uint64, error) {
 	if !ok {
 		return f.Restore(id, snapshot)
 	}
-	expr, seq, err := RestoreExpr(snapshot, f.treeOptions(nil)...)
+	expr, seq, err := RestoreExpr(snapshot)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -728,10 +662,9 @@ func (f *Forest) Each(fn func(id TreeID, en *Engine)) {
 // Stats aggregates the engine stats of every live tree.
 func (f *Forest) Stats() EngineStats { return f.inner.TotalStats() }
 
-// Close drains and closes every tree's engine and parks the query pool.
+// Close drains and closes every tree's engine.
 func (f *Forest) Close() {
 	f.inner.Close()
-	f.planner.Close()
 	f.mu.Lock()
 	f.exprs = make(map[TreeID]*Engine)
 	f.mu.Unlock()
