@@ -59,7 +59,7 @@ func BenchmarkEngineFlush(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j, l := range leaves {
-			futs[j] = en.SetLeafAsync(l, int64(i+j))
+			futs[j] = en.SetLeafIDAsync(l.ID, int64(i+j))
 		}
 		for _, f := range futs {
 			if err := f.Wait(); err != nil {

@@ -262,28 +262,19 @@ func TestChaosFailover(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				oracle, err := dyntc.NewFollower(gen)
+				oracle, oseq := replayWAL(t, gen, waves, S[id])
+				if oseq != S[id] {
+					t.Fatalf("tree %d: oracle reached seq %d, want %d", id, oseq, S[id])
+				}
+				// Promotion: the next epoch, re-serialized at the promoted
+				// sequence.
+				oracle.AdoptEpoch(oracle.Epoch() + 1)
+				if oracle.Epoch() != 2 {
+					t.Fatalf("tree %d: oracle promoted to epoch %d, want 2", id, oracle.Epoch())
+				}
+				osnap, err := oracle.Snapshot(oseq)
 				if err != nil {
 					t.Fatal(err)
-				}
-				upto := waves[:0:0]
-				for _, w := range waves {
-					if w.Seq <= S[id] {
-						upto = append(upto, w)
-					}
-				}
-				if err := oracle.ApplyAll(upto); err != nil {
-					t.Fatalf("tree %d: oracle replay: %v", id, err)
-				}
-				if oracle.Seq() != S[id] {
-					t.Fatalf("tree %d: oracle reached seq %d, want %d", id, oracle.Seq(), S[id])
-				}
-				osnap, oseq, oep, err := oracle.Promote()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if oseq != S[id] || oep != 2 {
-					t.Fatalf("tree %d: oracle promoted at seq %d epoch %d, want %d/2", id, oseq, oep, S[id])
 				}
 				if !bytes.Equal(osnap, snapNew[id]) {
 					t.Fatalf("tree %d: promoted state differs from sequential replay oracle", id)
@@ -401,13 +392,7 @@ func TestChaosLeaderStartupRecovery(t *testing.T) {
 	if err != nil || dropped != 0 || len(waves) != 10 {
 		t.Fatalf("intact wal: %d waves, %d dropped, err=%v; want 10/0/nil", len(waves), dropped, err)
 	}
-	oracle, err := dyntc.NewFollower(genesis)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := oracle.ApplyAll(waves[:9]); err != nil {
-		t.Fatal(err)
-	}
+	oracle, oseq := replayWAL(t, genesis, waves, 9)
 
 	// Tear the tail mid-record and restart.
 	if err := os.WriteFile(walPath, wal[:len(wal)-15], 0o644); err != nil {
@@ -438,7 +423,7 @@ func TestChaosLeaderStartupRecovery(t *testing.T) {
 	if v.Value != oracle.Root() {
 		t.Fatalf("recovered root %d, oracle %d", v.Value, oracle.Root())
 	}
-	osnap, err := oracle.Snapshot()
+	osnap, err := oracle.Snapshot(oseq)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -34,6 +35,31 @@ func growSome(t *testing.T, base string, n int, leaf int) int {
 		leaf = grown.Left
 	}
 	return leaf
+}
+
+// replayWAL is the sequential replay oracle: snap restored with
+// dyntc.RestoreExpr, then every wave past the snapshot's sequence, up to
+// upto, applied in order with Expr.ApplyWave. It returns the replica and
+// the sequence it reached.
+func replayWAL(t *testing.T, snap []byte, waves []dyntc.Wave, upto uint64) (*dyntc.Expr, uint64) {
+	t.Helper()
+	e, seq, err := dyntc.RestoreExpr(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range waves {
+		if w.Seq <= seq || w.Seq > upto {
+			continue
+		}
+		if w.Seq != seq+1 {
+			t.Fatalf("replay: at %d, got wave %d", seq, w.Seq)
+		}
+		if err := e.ApplyWave(w); err != nil {
+			t.Fatalf("replay wave %d: %v", w.Seq, err)
+		}
+		seq = w.Seq
+	}
+	return e, seq
 }
 
 // serveFollower starts s's poll loop and serves its routes; cleanup
@@ -335,24 +361,21 @@ func TestWALPersistsAcrossRestart(t *testing.T) {
 	s.forest.Close()
 	s.closeLogs() // graceful shutdown flushes the WAL
 
-	waves, err := dyntc.ReadWaveLog(fmt.Sprintf("%s/tree-%d.wal", dir, created.Tree))
+	waves, err := replog.ReadWAL(fmt.Sprintf("%s/tree-%d.wal", dir, created.Tree))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(waves) != 9 {
 		t.Fatalf("WAL has %d waves, want 9", len(waves))
 	}
-	fo, err := dyntc.NewFollower(snap0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fo.ApplyAll(waves); err != nil { // waves 1..6 skip idempotently
-		t.Fatal(err)
+	fo, seq := replayWAL(t, snap0, waves, math.MaxUint64) // waves 1..6 predate snap0
+	if seq != 9 {
+		t.Fatalf("replayed to seq %d, want 9", seq)
 	}
 	if fo.Root() != finalRoot.Value {
 		t.Fatalf("replayed root %d, want %d", fo.Root(), finalRoot.Value)
 	}
-	snap, err := fo.Snapshot()
+	snap, err := fo.Snapshot(seq)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -773,6 +773,149 @@ func (s *server) ringOf(r *http.Request) (dyntc.Ring, error) {
 	return nil, apiError{http.StatusNotFound, "tree ring unknown"}
 }
 
+// The operation routes share one op decoder (parseOps) and one submitter
+// (submitOps): a single-op route is a one-op batch with its own body
+// shape, so validation, submission and future recycling are the same for
+// every route.
+
+// maxBatchOps bounds the op list of one /batch request.
+const maxBatchOps = 4096
+
+// wireOp is one operation as a /batch body lists it.
+type wireOp struct {
+	Kind  string   `json:"kind"` // grow|collapse|set-leaf|set-op|value|root
+	Node  int      `json:"node"`
+	Op    string   `json:"op"`
+	Value int64    `json:"value"`
+	Left  int64    `json:"left"`
+	Right int64    `json:"right"`
+	op    dyntc.Op // Op bound to the tree's ring by parseOps
+}
+
+// opResult is one op's outcome, in /batch's per-op JSON shape; err keeps
+// the raw error for the single-op routes' status mapping.
+type opResult struct {
+	Error string `json:"error,omitempty"`
+	Left  *int   `json:"left,omitempty"`
+	Right *int   `json:"right,omitempty"`
+	Value *int64 `json:"value,omitempty"`
+	err   error
+}
+
+// decodeBatch reads a /batch body: strict JSON of at most maxBatchOps ops.
+func decodeBatch(r *http.Request) ([]wireOp, error) {
+	var req struct {
+		Ops []wireOp `json:"ops"`
+	}
+	if err := decode(r, &req); err != nil {
+		return nil, err
+	}
+	if len(req.Ops) > maxBatchOps {
+		return nil, apiError{http.StatusBadRequest, fmt.Sprintf("batch too large (max %d)", maxBatchOps)}
+	}
+	return req.Ops, nil
+}
+
+// parseOps validates every op before any is submitted, so an invalid op
+// rejects the whole list rather than leaving it partially executed. On
+// failure it returns the index of the first invalid op. Only grow and
+// set-op consult ring.
+func parseOps(ops []wireOp, ring dyntc.Ring) (int, error) {
+	for i := range ops {
+		var err error
+		switch ops[i].Kind {
+		case "grow", "set-op":
+			ops[i].op, err = parseOp(ops[i].Op, ring)
+		case "collapse", "set-leaf", "value", "root":
+		default:
+			err = apiError{http.StatusBadRequest, fmt.Sprintf("unknown kind %q", ops[i].Kind)}
+		}
+		if err != nil {
+			return i, err
+		}
+	}
+	return 0, nil
+}
+
+// submitOps submits ops in order — back to back, so they coalesce into
+// one (or few) engine flushes — then redeems and recycles every future.
+func submitOps(ten dyntc.TracedEngine, ops []wireOp) []opResult {
+	futs := make([]*dyntc.Future, len(ops))
+	for i, op := range ops {
+		switch op.Kind {
+		case "grow":
+			futs[i] = ten.GrowIDAsync(op.Node, op.op, op.Left, op.Right)
+		case "collapse":
+			futs[i] = ten.CollapseIDAsync(op.Node, op.Value)
+		case "set-leaf":
+			futs[i] = ten.SetLeafIDAsync(op.Node, op.Value)
+		case "set-op":
+			futs[i] = ten.SetOpIDAsync(op.Node, op.op)
+		case "value":
+			futs[i] = ten.ValueIDAsync(op.Node)
+		case "root":
+			futs[i] = ten.RootAsync()
+		}
+	}
+	results := make([]opResult, len(ops))
+	for i, f := range futs {
+		res := &results[i]
+		switch ops[i].Kind {
+		case "grow":
+			l, r, err := f.Pair()
+			if res.err = err; err == nil {
+				lid, rid := l.ID, r.ID
+				res.Left, res.Right = &lid, &rid
+			}
+		case "value", "root":
+			v, err := f.Value()
+			if res.err = err; err == nil {
+				res.Value = &v
+			}
+		default:
+			res.err = f.Wait()
+		}
+		if res.err != nil {
+			res.Error = res.err.Error()
+		}
+		f.Recycle()
+	}
+	return results
+}
+
+// oneOp serves a single-op route as a one-op batch: validate op (looking
+// up the tree's ring only for grow and set-op), open the route's trace
+// span, submit, and answer reply(result) or the error's status.
+func (s *server) oneOp(w http.ResponseWriter, r *http.Request, en *dyntc.Engine, op wireOp, reply func(opResult) any) {
+	ops := []wireOp{op}
+	var ring dyntc.Ring
+	var err error
+	if op.Kind == "grow" || op.Kind == "set-op" {
+		ring, err = s.ringOf(r)
+	}
+	if err == nil {
+		_, err = parseOps(ops, ring)
+	}
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	ten, finish := s.tracedOp(w, r, en, op.Kind)
+	defer finish()
+	answerOne(w, ten, ops, reply)
+}
+
+// answerOne submits a one-op list through ten and answers reply(result)
+// or the error's status.
+func answerOne(w http.ResponseWriter, ten dyntc.TracedEngine, ops []wireOp, reply func(opResult) any) {
+	res := submitOps(ten, ops)[0]
+	if res.err != nil {
+		writeErr(w, res.err)
+		return
+	}
+	writeJSON(w, http.StatusOK, reply(res))
+}
+
 func (s *server) handleGrow(w http.ResponseWriter, r *http.Request, en *dyntc.Engine) {
 	var req struct {
 		Leaf  int    `json:"leaf"`
@@ -784,24 +927,8 @@ func (s *server) handleGrow(w http.ResponseWriter, r *http.Request, en *dyntc.En
 		writeErr(w, err)
 		return
 	}
-	ring, err := s.ringOf(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	op, err := parseOp(req.Op, ring)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	ten, finish := s.tracedOp(w, r, en, "grow")
-	defer finish()
-	lID, rID, err := ten.GrowID(req.Leaf, op, req.Left, req.Right)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"left": lID, "right": rID})
+	s.oneOp(w, r, en, wireOp{Kind: "grow", Node: req.Leaf, Op: req.Op, Left: req.Left, Right: req.Right},
+		func(res opResult) any { return map[string]any{"left": res.Left, "right": res.Right} })
 }
 
 func (s *server) handleCollapse(w http.ResponseWriter, r *http.Request, en *dyntc.Engine) {
@@ -813,13 +940,8 @@ func (s *server) handleCollapse(w http.ResponseWriter, r *http.Request, en *dynt
 		writeErr(w, err)
 		return
 	}
-	ten, finish := s.tracedOp(w, r, en, "collapse")
-	defer finish()
-	if err := ten.CollapseID(req.Node, req.Value); err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"node": req.Node})
+	s.oneOp(w, r, en, wireOp{Kind: "collapse", Node: req.Node, Value: req.Value},
+		func(opResult) any { return map[string]any{"node": req.Node} })
 }
 
 func (s *server) handleSetLeaf(w http.ResponseWriter, r *http.Request, en *dyntc.Engine) {
@@ -831,13 +953,8 @@ func (s *server) handleSetLeaf(w http.ResponseWriter, r *http.Request, en *dyntc
 		writeErr(w, err)
 		return
 	}
-	ten, finish := s.tracedOp(w, r, en, "set-leaf")
-	defer finish()
-	if err := ten.SetLeafID(req.Leaf, req.Value); err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"leaf": req.Leaf})
+	s.oneOp(w, r, en, wireOp{Kind: "set-leaf", Node: req.Leaf, Value: req.Value},
+		func(opResult) any { return map[string]any{"leaf": req.Leaf} })
 }
 
 func (s *server) handleSetOp(w http.ResponseWriter, r *http.Request, en *dyntc.Engine) {
@@ -849,23 +966,8 @@ func (s *server) handleSetOp(w http.ResponseWriter, r *http.Request, en *dyntc.E
 		writeErr(w, err)
 		return
 	}
-	ring, err := s.ringOf(r)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	op, err := parseOp(req.Op, ring)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	ten, finish := s.tracedOp(w, r, en, "set-op")
-	defer finish()
-	if err := ten.SetOpID(req.Node, op); err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"node": req.Node})
+	s.oneOp(w, r, en, wireOp{Kind: "set-op", Node: req.Node, Op: req.Op},
+		func(opResult) any { return map[string]any{"node": req.Node} })
 }
 
 func (s *server) handleValue(w http.ResponseWriter, r *http.Request, en *dyntc.Engine) {
@@ -873,12 +975,7 @@ func (s *server) handleValue(w http.ResponseWriter, r *http.Request, en *dyntc.E
 	ten, finish := s.tracedOp(w, r, en, "value")
 	defer finish()
 	if q == "" {
-		v, err := ten.Root()
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"value": v})
+		answerOne(w, ten, []wireOp{{Kind: "root"}}, func(res opResult) any { return map[string]any{"value": res.Value} })
 		return
 	}
 	nodeID, err := strconv.Atoi(q)
@@ -886,34 +983,18 @@ func (s *server) handleValue(w http.ResponseWriter, r *http.Request, en *dyntc.E
 		writeErr(w, apiError{http.StatusBadRequest, "bad node id"})
 		return
 	}
-	v, err := ten.ValueID(nodeID)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"node": nodeID, "value": v})
+	answerOne(w, ten, []wireOp{{Kind: "value", Node: nodeID}},
+		func(res opResult) any { return map[string]any{"node": nodeID, "value": res.Value} })
 }
 
-// handleBatch submits a mixed operation list concurrently — one HTTP call
-// becomes one (or few) coalesced engine flushes — and reports per-op
-// results in order.
+// handleBatch submits a mixed operation list — one HTTP call becomes one
+// (or few) coalesced engine flushes — and reports per-op results in
+// order. A list with any invalid op is rejected whole, before anything
+// is submitted.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request, en *dyntc.Engine) {
-	var req struct {
-		Ops []struct {
-			Kind  string `json:"kind"` // grow|collapse|set-leaf|set-op|value|root
-			Node  int    `json:"node"`
-			Op    string `json:"op"`
-			Value int64  `json:"value"`
-			Left  int64  `json:"left"`
-			Right int64  `json:"right"`
-		} `json:"ops"`
-	}
-	if err := decode(r, &req); err != nil {
+	ops, err := decodeBatch(r)
+	if err != nil {
 		writeErr(w, err)
-		return
-	}
-	if len(req.Ops) > 4096 {
-		writeErr(w, apiError{http.StatusBadRequest, "batch too large (max 4096)"})
 		return
 	}
 	ring, err := s.ringOf(r)
@@ -921,78 +1002,13 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request, en *dyntc.E
 		writeErr(w, err)
 		return
 	}
-	type result struct {
-		Error string `json:"error,omitempty"`
-		Left  *int   `json:"left,omitempty"`
-		Right *int   `json:"right,omitempty"`
-		Value *int64 `json:"value,omitempty"`
-	}
 	ten, finish := s.tracedOp(w, r, en, "batch")
 	defer finish()
-	// Validate every op before submitting any, so a malformed batch is
-	// rejected whole rather than partially executed.
-	submits := make([]func() *dyntc.Future, len(req.Ops))
-	kinds := make([]string, len(req.Ops))
-	for i, op := range req.Ops {
-		op := op
-		kinds[i] = op.Kind
-		switch op.Kind {
-		case "grow":
-			parsed, err := parseOp(op.Op, ring)
-			if err != nil {
-				writeErr(w, apiError{http.StatusBadRequest, fmt.Sprintf("op %d: %v", i, err)})
-				return
-			}
-			submits[i] = func() *dyntc.Future { return ten.GrowIDAsync(op.Node, parsed, op.Left, op.Right) }
-		case "collapse":
-			submits[i] = func() *dyntc.Future { return ten.CollapseIDAsync(op.Node, op.Value) }
-		case "set-leaf":
-			submits[i] = func() *dyntc.Future { return ten.SetLeafIDAsync(op.Node, op.Value) }
-		case "set-op":
-			parsed, err := parseOp(op.Op, ring)
-			if err != nil {
-				writeErr(w, apiError{http.StatusBadRequest, fmt.Sprintf("op %d: %v", i, err)})
-				return
-			}
-			submits[i] = func() *dyntc.Future { return ten.SetOpIDAsync(op.Node, parsed) }
-		case "value":
-			submits[i] = func() *dyntc.Future { return ten.ValueIDAsync(op.Node) }
-		case "root":
-			submits[i] = func() *dyntc.Future { return ten.RootAsync() }
-		default:
-			writeErr(w, apiError{http.StatusBadRequest, fmt.Sprintf("op %d: unknown kind %q", i, op.Kind)})
-			return
-		}
+	if i, err := parseOps(ops, ring); err != nil {
+		writeErr(w, apiError{http.StatusBadRequest, fmt.Sprintf("op %d: %v", i, err)})
+		return
 	}
-	futs := make([]*dyntc.Future, len(submits))
-	for i, submit := range submits {
-		futs[i] = submit()
-	}
-	results := make([]result, len(futs))
-	for i, f := range futs {
-		switch kinds[i] {
-		case "grow":
-			l, rr, err := f.Pair()
-			if err != nil {
-				results[i].Error = err.Error()
-			} else {
-				lid, rid := l.ID, rr.ID
-				results[i].Left, results[i].Right = &lid, &rid
-			}
-		case "value", "root":
-			v, err := f.Value()
-			if err != nil {
-				results[i].Error = err.Error()
-			} else {
-				results[i].Value = &v
-			}
-		default:
-			if err := f.Wait(); err != nil {
-				results[i].Error = err.Error()
-			}
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": results})
+	writeJSON(w, http.StatusOK, map[string]any{"results": submitOps(ten, ops)})
 }
 
 // --- stats ---

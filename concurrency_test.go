@@ -1,10 +1,10 @@
 package dyntc
 
-// Engine waves, cross-tree query scatter and follower replay running at
+// Engine waves, cross-tree query scatter and replica replay running at
 // once under live mutation traffic, with -race watching. At the end every
-// follower must have converged byte-identically to its leader (snapshot
-// comparison at the same applied sequence): concurrency may change
-// timing, never results.
+// replica engine must have converged byte-identically to its leader
+// (snapshot comparison at the same applied sequence): concurrency may
+// change timing, never results.
 
 import (
 	"bytes"
@@ -51,20 +51,34 @@ func TestConcurrentWavesQueriesAndReplay(t *testing.T) {
 		ids = append(ids, id)
 	}
 
-	// Followers bootstrap from the initial snapshots and tail the logs
-	// while the leaders' waves run.
-	followers := make(map[TreeID]*Follower, trees)
+	// Replica engines, in a forest of their own, bootstrap from the
+	// initial snapshots and tail the logs while the leaders' waves run.
+	replicas := NewForest(BatchOptions{})
+	defer replicas.Close()
+	followers := make(map[TreeID]*Engine, trees)
 	for _, id := range ids {
 		en, _ := forest.Get(id)
 		snap, err := en.Snapshot()
 		if err != nil {
 			t.Fatalf("tree %d snapshot: %v", id, err)
 		}
-		fo, err := NewFollower(snap)
+		fo, _, err := replicas.Restore(id, snap)
 		if err != nil {
-			t.Fatalf("tree %d follower: %v", id, err)
+			t.Fatalf("tree %d replica: %v", id, err)
 		}
 		followers[id] = fo
+	}
+	catchUp := func(id TreeID) error {
+		waves, err := logs[id].Since(followers[id].AppliedSeq())
+		if err != nil {
+			return err
+		}
+		for _, w := range waves {
+			if err := followers[id].ApplyWave(w); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 
 	var stop atomic.Bool
@@ -87,7 +101,7 @@ func TestConcurrentWavesQueriesAndReplay(t *testing.T) {
 				ls := leaves[id]
 				futs := make([]*Future, 0, len(ls))
 				for _, leaf := range ls {
-					futs = append(futs, en.SetLeafAsync(leaf, int64(rng.Intn(1000))))
+					futs = append(futs, en.SetLeafIDAsync(leaf.ID, int64(rng.Intn(1000))))
 				}
 				for _, f := range futs {
 					if err := f.Wait(); err != nil {
@@ -118,18 +132,13 @@ func TestConcurrentWavesQueriesAndReplay(t *testing.T) {
 		}
 	}()
 
-	// Replay: followers tail their logs concurrently with everything else.
+	// Replay: replicas tail their logs concurrently with everything else.
 	auxWG.Add(1)
 	go func() {
 		defer auxWG.Done()
 		for i := 0; i < 10 || !stop.Load(); i++ {
 			for _, id := range ids {
-				waves, err := logs[id].Since(followers[id].Seq())
-				if err != nil {
-					t.Errorf("tree %d log: %v", id, err)
-					return
-				}
-				if err := followers[id].ApplyAll(waves); err != nil {
+				if err := catchUp(id); err != nil {
 					t.Errorf("tree %d replay: %v", id, err)
 					return
 				}
@@ -142,30 +151,26 @@ func TestConcurrentWavesQueriesAndReplay(t *testing.T) {
 	stop.Store(true)
 	auxWG.Wait()
 
-	// Final catch-up, then the follower must be byte-identical to the
+	// Final catch-up, then the replica must be byte-identical to the
 	// leader at the same applied sequence.
 	for _, id := range ids {
 		en, _ := forest.Get(id)
-		waves, err := logs[id].Since(followers[id].Seq())
-		if err != nil {
-			t.Fatalf("tree %d final log: %v", id, err)
-		}
-		if err := followers[id].ApplyAll(waves); err != nil {
+		if err := catchUp(id); err != nil {
 			t.Fatalf("tree %d final replay: %v", id, err)
 		}
 		leaderSnap, seq, err := en.SnapshotAt()
 		if err != nil {
 			t.Fatalf("tree %d leader snapshot: %v", id, err)
 		}
-		if got := followers[id].Seq(); got != seq {
-			t.Fatalf("tree %d: follower at seq %d, leader snapshot at %d", id, got, seq)
-		}
-		followerSnap, err := followers[id].Snapshot()
+		followerSnap, fseq, err := followers[id].SnapshotAt()
 		if err != nil {
-			t.Fatalf("tree %d follower snapshot: %v", id, err)
+			t.Fatalf("tree %d replica snapshot: %v", id, err)
+		}
+		if fseq != seq {
+			t.Fatalf("tree %d: replica at seq %d, leader snapshot at %d", id, fseq, seq)
 		}
 		if !bytes.Equal(leaderSnap, followerSnap) {
-			t.Fatalf("tree %d: follower snapshot diverged from leader at seq %d", id, seq)
+			t.Fatalf("tree %d: replica snapshot diverged from leader at seq %d", id, seq)
 		}
 	}
 }

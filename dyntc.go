@@ -96,8 +96,8 @@ type Expr struct {
 
 	// epoch is the leadership term this tree's waves are stamped with:
 	// 1 for a fresh tree, the snapshot's epoch for a restored one,
-	// bumped by promotion (see Promote in replicate.go). Touched only by
-	// the owner / engine executor, like seed.
+	// bumped by promotion (see AdoptEpoch in replicate.go). Touched only
+	// by the owner / engine executor, like seed.
 	epoch uint64
 
 	// frozen is set while an Engine.Query barrier runs on a wave-tapped

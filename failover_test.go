@@ -1,7 +1,7 @@
 package dyntc
 
-// Failover tests at the library level: epoch stamping, the Promote
-// handshake, the stale-epoch fence, and fault injection through
+// Failover tests at the library level: epoch stamping, promotion to the
+// next epoch, the stale-epoch fence, and fault injection through
 // BatchOptions.Faults.
 
 import (
@@ -41,11 +41,11 @@ func TestWaveEpochStamping(t *testing.T) {
 }
 
 // TestPromoteFailover is the library-level failover walk-through: a
-// leader dies (its engine is simply closed), a caught-up follower is
+// leader dies (its engine is simply closed), a caught-up replica is
 // promoted to epoch 2, a forest restores the promoted snapshot into a
 // serving engine, new waves carry the new epoch — and the demoted
 // leader's late wave is rejected by the fence at both a wave log and a
-// second replica.
+// replica engine that lived through the failover.
 func TestPromoteFailover(t *testing.T) {
 	ring := ModRing(1_000_000_007)
 	log, _ := NewWaveLog(1<<14, "")
@@ -58,50 +58,38 @@ func TestPromoteFailover(t *testing.T) {
 	prog := newReplicaProgram(202, ring, leader.Tree().Root)
 	prog.runLive(t, en, 80)
 
-	// Follower catches up fully, then the leader "dies".
-	fo, err := NewFollower(snap0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A replica catches up fully, then the leader "dies".
 	waves, err := log.Since(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fo.ApplyAll(waves); err != nil {
-		t.Fatal(err)
-	}
+	fo, pseq := replayExpr(t, snap0, waves)
 	en.Close()
 
-	// A second replica that will live through the failover.
-	fo2, err := NewFollower(snap0)
+	// A second replica, served, that will live through the failover.
+	forest := NewForest(BatchOptions{})
+	defer forest.Close()
+	fo2, _, err := forest.Restore(2, snap0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fo2.ApplyAll(waves); err != nil {
-		t.Fatal(err)
+	for _, w := range waves {
+		if err := fo2.ApplyWave(w); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	// Promote: epoch 2, point of no return for fo.
-	psnap, pseq, pepoch, err := fo.Promote()
+	// Promotion: the replica moves to epoch 2 and is re-serialized.
+	fo.AdoptEpoch(fo.Epoch() + 1)
+	if fo.Epoch() != 2 {
+		t.Fatalf("promoted epoch = %d, want 2", fo.Epoch())
+	}
+	psnap, err := fo.Snapshot(pseq)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if pepoch != 2 {
-		t.Fatalf("promoted epoch = %d, want 2", pepoch)
-	}
-	if pseq != fo.Seq() {
-		t.Fatalf("promoted seq %d != follower seq %d", pseq, fo.Seq())
-	}
-	if err := fo.Apply(Wave{Seq: pseq + 1}); !errors.Is(err, ErrPromoted) {
-		t.Fatalf("apply after promote err = %v, want ErrPromoted", err)
-	}
-	if _, _, _, err := Promote(fo); !errors.Is(err, ErrPromoted) {
-		t.Fatalf("second promote err = %v, want ErrPromoted", err)
 	}
 
 	// The promoted snapshot seeds a serving leader at the new epoch.
-	forest := NewForest(BatchOptions{})
-	defer forest.Close()
 	en2, seq2, err := forest.Restore(1, psnap)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +104,7 @@ func TestPromoteFailover(t *testing.T) {
 	if err := en2.Query(func(e *Expr) { leafID = e.Tree().Leaves()[0].ID }); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := en2.GrowID(leafID, OpAdd(ring), 7, 9); err != nil {
+	if _, _, err := en2.GrowIDAsync(leafID, OpAdd(ring), 7, 9).Pair(); err != nil {
 		t.Fatal(err)
 	}
 	// The grow future resolves before the seal phase taps the wave; a
@@ -134,12 +122,15 @@ func TestPromoteFailover(t *testing.T) {
 	// The fence: a late wave from the demoted leader (epoch 1, the old
 	// continuation sequence) is refused by the log and by the replica
 	// that has adopted epoch 2.
-	if err := fo2.Apply(epoch2[0]); err != nil {
+	if err := fo2.ApplyWave(epoch2[0]); err != nil {
 		t.Fatal(err)
+	}
+	if fo2.Epoch() != 2 {
+		t.Fatalf("replica engine epoch = %d after an epoch-2 wave, want 2", fo2.Epoch())
 	}
 	late := Wave{Seq: pseq + 2, Epoch: 1, Root: 123}
 	late.Seal()
-	if err := fo2.Apply(late); !errors.Is(err, ErrStaleEpoch) {
+	if err := fo2.ApplyWave(late); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("late wave err = %v, want ErrStaleEpoch", err)
 	}
 	log2, _ := NewWaveLog(64, "")
@@ -158,13 +149,13 @@ func TestPromoteFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := fo2.Snapshot()
+	fs, fseq, err := fo2.SnapshotAt()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq3 != fo2.Seq() || !bytes.Equal(s2, fs) {
+	if seq3 != fseq || !bytes.Equal(s2, fs) {
 		t.Fatalf("post-failover replica diverged (seq %d vs %d, bytes equal %v)",
-			seq3, fo2.Seq(), bytes.Equal(s2, fs))
+			seq3, fseq, bytes.Equal(s2, fs))
 	}
 }
 

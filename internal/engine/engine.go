@@ -361,78 +361,48 @@ func (e *Engine) submit(f *Future) *Future {
 	return f
 }
 
-// Grow submits a leaf expansion: ref becomes an op node with two fresh
+// GrowCtx submits a leaf expansion: ref becomes an op node with two fresh
 // leaves holding (leftVal, rightVal). Future.Pair returns the new leaves.
-// Grow and the other plain submits are their …Ctx forms with a zero
-// SpanContext.
-func (e *Engine) Grow(ref NodeRef, op OpT, leftVal, rightVal int64) *Future {
-	return e.GrowCtx(obs.SpanContext{}, ref, op, leftVal, rightVal)
-}
-
-// Collapse submits a leaf-pair deletion: ref's two leaf children are
-// removed and ref becomes a leaf holding newValue.
-func (e *Engine) Collapse(ref NodeRef, newValue int64) *Future {
-	return e.CollapseCtx(obs.SpanContext{}, ref, newValue)
-}
-
-// SetLeaf submits a leaf value update.
-func (e *Engine) SetLeaf(ref NodeRef, value int64) *Future {
-	return e.SetLeafCtx(obs.SpanContext{}, ref, value)
-}
-
-// SetOp submits an internal-operation update.
-func (e *Engine) SetOp(ref NodeRef, op OpT) *Future {
-	return e.SetOpCtx(obs.SpanContext{}, ref, op)
-}
-
-// Value submits a subexpression value query. Future.Value returns it.
-func (e *Engine) Value(ref NodeRef) *Future {
-	return e.ValueCtx(obs.SpanContext{}, ref)
-}
-
-// Root submits a root value query. Future.Value returns it.
-func (e *Engine) Root() *Future {
-	return e.RootCtx(obs.SpanContext{})
-}
-
-// GrowCtx is Grow carrying a distributed-trace context: the flush that
+//
+// Every submit carries a distributed-trace context: the flush that
 // executes the request adopts sc's trace (and is force-sampled into the
-// span log). The zero SpanContext degrades to plain Grow at no cost.
+// span log). A zero SpanContext submits untraced, at no cost.
 func (e *Engine) GrowCtx(sc obs.SpanContext, ref NodeRef, op OpT, leftVal, rightVal int64) *Future {
 	f := newFuture(kGrow)
 	f.ref, f.op, f.a, f.b, f.span = ref, op, leftVal, rightVal, sc
 	return e.submit(f)
 }
 
-// CollapseCtx is Collapse carrying a distributed-trace context.
+// CollapseCtx submits a leaf-pair deletion: ref's two leaf children are
+// removed and ref becomes a leaf holding newValue.
 func (e *Engine) CollapseCtx(sc obs.SpanContext, ref NodeRef, newValue int64) *Future {
 	f := newFuture(kCollapse)
 	f.ref, f.a, f.span = ref, newValue, sc
 	return e.submit(f)
 }
 
-// SetLeafCtx is SetLeaf carrying a distributed-trace context.
+// SetLeafCtx submits a leaf value update.
 func (e *Engine) SetLeafCtx(sc obs.SpanContext, ref NodeRef, value int64) *Future {
 	f := newFuture(kSetLeaf)
 	f.ref, f.a, f.span = ref, value, sc
 	return e.submit(f)
 }
 
-// SetOpCtx is SetOp carrying a distributed-trace context.
+// SetOpCtx submits an internal-operation update.
 func (e *Engine) SetOpCtx(sc obs.SpanContext, ref NodeRef, op OpT) *Future {
 	f := newFuture(kSetOp)
 	f.ref, f.op, f.span = ref, op, sc
 	return e.submit(f)
 }
 
-// ValueCtx is Value carrying a distributed-trace context.
+// ValueCtx submits a subexpression value query. Future.Value returns it.
 func (e *Engine) ValueCtx(sc obs.SpanContext, ref NodeRef) *Future {
 	f := newFuture(kValue)
 	f.ref, f.span = ref, sc
 	return e.submit(f)
 }
 
-// RootCtx is Root carrying a distributed-trace context.
+// RootCtx submits a root value query. Future.Value returns it.
 func (e *Engine) RootCtx(sc obs.SpanContext) *Future {
 	f := newFuture(kRoot)
 	f.span = sc

@@ -81,10 +81,10 @@ func TestValidationErrors(t *testing.T) {
 	if err := en.Collapse(l, 0); !errors.Is(err, engine.ErrNotInternal) {
 		t.Fatalf("collapse leaf: %v", err)
 	}
-	if _, err := en.ValueID(99); !errors.Is(err, engine.ErrDeadNode) {
+	if _, err := en.ValueIDAsync(99).Value(); !errors.Is(err, engine.ErrDeadNode) {
 		t.Fatalf("value bad id: %v", err)
 	}
-	if _, err := en.ValueID(-1); !errors.Is(err, engine.ErrDeadNode) {
+	if _, err := en.ValueIDAsync(-1).Value(); !errors.Is(err, engine.ErrDeadNode) {
 		t.Fatalf("value negative id: %v", err)
 	}
 	// Collapse deletes l's sibling pair; the dead node is then rejected.
@@ -113,24 +113,24 @@ func TestIDAddressedAPI(t *testing.T) {
 	en, e := newEngine(t, 1, dyntc.BatchOptions{})
 	ring := dyntc.ModRing(mod)
 
-	lID, rID, err := en.GrowID(e.Tree().Root.ID, dyntc.OpAdd(ring), 3, 4)
+	l, r, err := en.GrowIDAsync(e.Tree().Root.ID, dyntc.OpAdd(ring), 3, 4).Pair()
 	if err != nil {
-		t.Fatalf("GrowID: %v", err)
+		t.Fatalf("GrowIDAsync: %v", err)
 	}
-	if err := en.SetLeafID(lID, 10); err != nil {
-		t.Fatalf("SetLeafID: %v", err)
+	if err := en.SetLeafIDAsync(l.ID, 10).Wait(); err != nil {
+		t.Fatalf("SetLeafIDAsync: %v", err)
 	}
-	if v, err := en.ValueID(rID); err != nil || v != 4 {
-		t.Fatalf("ValueID(r) = %d, %v", v, err)
+	if v, err := en.ValueIDAsync(r.ID).Value(); err != nil || v != 4 {
+		t.Fatalf("ValueIDAsync(r) = %d, %v", v, err)
 	}
-	if err := en.SetOpID(e.Tree().Root.ID, dyntc.OpMul(ring)); err != nil {
-		t.Fatalf("SetOpID: %v", err)
+	if err := en.SetOpIDAsync(e.Tree().Root.ID, dyntc.OpMul(ring)).Wait(); err != nil {
+		t.Fatalf("SetOpIDAsync: %v", err)
 	}
-	if v, _ := en.Root(); v != 40 {
+	if v, _ := en.RootAsync().Value(); v != 40 {
 		t.Fatalf("10*4 = %d", v)
 	}
-	if err := en.CollapseID(e.Tree().Root.ID, 3); err != nil {
-		t.Fatalf("CollapseID: %v", err)
+	if err := en.CollapseIDAsync(e.Tree().Root.ID, 3).Wait(); err != nil {
+		t.Fatalf("CollapseIDAsync: %v", err)
 	}
 	if v, _ := en.Root(); v != 3 {
 		t.Fatalf("root = %d", v)
@@ -161,7 +161,7 @@ func TestCoalescing(t *testing.T) {
 	const n = 256
 	futs := make([]*dyntc.Future, 0, n)
 	for i := 0; i < n; i++ {
-		futs = append(futs, en.SetLeafAsync(l, int64(i)))
+		futs = append(futs, en.SetLeafIDAsync(l.ID, int64(i)))
 	}
 	close(release)
 	for _, f := range futs {
@@ -203,8 +203,8 @@ func TestCollapseBehindGrowSameFlush(t *testing.T) {
 	}()
 	<-barrier
 
-	fg := en.GrowAsync(l, dyntc.OpMul(ring), 6, 7)
-	fc := en.CollapseAsync(l, 5)
+	fg := en.GrowIDAsync(l.ID, dyntc.OpMul(ring), 6, 7)
+	fc := en.CollapseIDAsync(l.ID, 5)
 	close(release)
 	if _, _, err := fg.Pair(); err != nil {
 		t.Fatalf("grow: %v", err)
@@ -225,8 +225,8 @@ func TestWindowCoalescing(t *testing.T) {
 		t.Fatalf("Grow: %v", err)
 	}
 	before := en.Stats().Flushes
-	f1 := en.SetLeafAsync(l, 3)
-	f2 := en.SetLeafAsync(r, 4)
+	f1 := en.SetLeafIDAsync(l.ID, 3)
+	f2 := en.SetLeafIDAsync(r.ID, 4)
 	if err := f1.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -280,13 +280,12 @@ func TestTourQueriesLinearized(t *testing.T) {
 	en := e.Serve(dyntc.BatchOptions{})
 	t.Cleanup(en.Close)
 
-	if p, err := en.Preorder(root); err != nil || p != 1 {
-		t.Fatalf("Preorder(root) = %d, %v", p, err)
+	var p, s int
+	var a *dyntc.Node
+	if err := en.Query(func(e *dyntc.Expr) { p, s, a = e.Preorder(root), e.SubtreeSize(root), e.LCA(l, r) }); err != nil {
+		t.Fatal(err)
 	}
-	if s, err := en.SubtreeSize(root); err != nil || s != 3 {
-		t.Fatalf("SubtreeSize(root) = %d, %v", s, err)
-	}
-	if a, err := en.LCA(l, r); err != nil || a != root {
-		t.Fatalf("LCA = %v, %v", a, err)
+	if p != 1 || s != 3 || a != root {
+		t.Fatalf("Preorder(root) = %d, SubtreeSize(root) = %d, LCA = %v", p, s, a)
 	}
 }

@@ -38,21 +38,20 @@ func TestForestIsolation(t *testing.T) {
 			rootID := 0
 			cur := int64(i)
 			for r := 0; r < rounds; r++ {
-				lID, rID, err := en.GrowID(rootID, dyntc.OpAdd(ring), cur, 1)
+				_, r, err := en.GrowIDAsync(rootID, dyntc.OpAdd(ring), cur, 1).Pair()
 				if err != nil {
 					t.Errorf("grow: %v", err)
 					return
 				}
-				if err := en.SetLeafID(rID, 2); err != nil {
+				if err := en.SetLeafIDAsync(r.ID, 2).Wait(); err != nil {
 					t.Errorf("set: %v", err)
 					return
 				}
 				cur += 2
-				if err := en.CollapseID(rootID, cur); err != nil {
+				if err := en.CollapseIDAsync(rootID, cur).Wait(); err != nil {
 					t.Errorf("collapse: %v", err)
 					return
 				}
-				_ = lID
 			}
 		}(i, id)
 	}

@@ -33,10 +33,10 @@ func TestSameNodeOrdering(t *testing.T) {
 
 	release := holdFlush(t, en)
 	before := en.Stats().Waves // the holding barrier's wave is counted
-	f1 := en.SetLeafAsync(l, 5)
-	f2 := en.ValueAsync(l)
-	f3 := en.SetLeafAsync(l, 9)
-	f4 := en.ValueAsync(l)
+	f1 := en.SetLeafIDAsync(l.ID, 5)
+	f2 := en.ValueIDAsync(l.ID)
+	f3 := en.SetLeafIDAsync(l.ID, 9)
+	f4 := en.ValueIDAsync(l.ID)
 	release()
 
 	if err := f1.Wait(); err != nil {
@@ -70,10 +70,10 @@ func TestStructuralOrdering(t *testing.T) {
 	}
 
 	release := holdFlush(t, en)
-	fg := en.GrowAsync(l, dyntc.OpMul(ring), 6, 7)
-	fs := en.SetLeafAsync(l, 1) // l is internal by the time this runs
-	fv := en.ValueAsync(l)      // subtree value: 6*7
-	fc := en.CollapseAsync(l, 2)
+	fg := en.GrowIDAsync(l.ID, dyntc.OpMul(ring), 6, 7)
+	fs := en.SetLeafIDAsync(l.ID, 1) // l is internal by the time this runs
+	fv := en.ValueIDAsync(l.ID)      // subtree value: 6*7
+	fc := en.CollapseIDAsync(l.ID, 2)
 	release()
 
 	if _, _, err := fg.Pair(); err != nil {
@@ -113,7 +113,7 @@ func TestDisjointRequestsShareWave(t *testing.T) {
 	before := en.Stats().Waves // the holding barrier's wave is counted
 	var futs []*dyntc.Future
 	for i, l := range leaves {
-		futs = append(futs, en.SetLeafAsync(l, int64(i+1)))
+		futs = append(futs, en.SetLeafIDAsync(l.ID, int64(i+1)))
 	}
 	release()
 	for _, f := range futs {
@@ -162,10 +162,10 @@ func TestMixedKindsOneWave(t *testing.T) {
 
 	release := holdFlush(t, en)
 	before := en.Stats().Waves // the holding barrier's wave is counted
-	fg := en.GrowAsync(g, dyntc.OpMul(ring), 4, 5)
-	fc := en.CollapseAsync(c, 9)
-	fs := en.SetLeafAsync(s, 7)
-	fo := en.SetOpAsync(o, dyntc.OpAdd(ring))
+	fg := en.GrowIDAsync(g.ID, dyntc.OpMul(ring), 4, 5)
+	fc := en.CollapseIDAsync(c.ID, 9)
+	fs := en.SetLeafIDAsync(s.ID, 7)
+	fo := en.SetOpIDAsync(o.ID, dyntc.OpAdd(ring))
 	fv := en.RootAsync()
 	release()
 
@@ -208,8 +208,8 @@ func TestAckAfterWaveLogged(t *testing.T) {
 		}
 	})
 	release := holdFlush(t, en)
-	fg = en.GrowAsync(l, dyntc.OpMul(ring), 6, 7)
-	fs = en.SetLeafAsync(r, 5)
+	fg = en.GrowIDAsync(l.ID, dyntc.OpMul(ring), 6, 7)
+	fs = en.SetLeafIDAsync(r.ID, 5)
 	release()
 
 	if _, _, err := fg.Pair(); err != nil {
@@ -238,9 +238,9 @@ func TestCollapseFootprintBlocksChildren(t *testing.T) {
 	_ = r
 
 	release := holdFlush(t, en)
-	fv := en.ValueAsync(l) // reads l before the collapse kills it
-	fc := en.CollapseAsync(e.Tree().Root, 9)
-	fs := en.SetLeafAsync(l, 8) // after the collapse: dead node
+	fv := en.ValueIDAsync(l.ID) // reads l before the collapse kills it
+	fc := en.CollapseIDAsync(e.Tree().Root.ID, 9)
+	fs := en.SetLeafIDAsync(l.ID, 8) // after the collapse: dead node
 	release()
 
 	if v, err := fv.Value(); err != nil || v != 3 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dyntc/internal/engine"
+	"dyntc/internal/obs"
 	"dyntc/internal/tree"
 )
 
@@ -54,9 +55,9 @@ func (fr ForestReader) Start(id uint64, r Read) Handle {
 	}
 	switch r.Kind {
 	case ReadRoot:
-		return futureHandle{f: e.Root()}
+		return futureHandle{f: e.RootCtx(obs.SpanContext{})}
 	case ReadValue:
-		return futureHandle{f: e.Value(engine.RefID(r.Node))}
+		return futureHandle{f: e.ValueCtx(obs.SpanContext{}, engine.RefID(r.Node))}
 	case ReadSubtree:
 		h := &barrierHandle{}
 		h.f = e.Barrier(func(host engine.Host) {

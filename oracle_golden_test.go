@@ -9,7 +9,7 @@ package dyntc
 // program gave the same values on one worker and on four; a change that
 // moves any of them changes results or metering.
 //
-// Determinism is forced with a barrier gate: a QueryAsync barrier parks
+// Determinism is forced with a barrier gate: an engine barrier parks
 // the executor, the round's requests are enqueued while it is parked, and
 // releasing the gate makes the executor collect exactly that round as one
 // flush — so wave partitioning (and therefore the wave log) is a pure
@@ -24,6 +24,7 @@ import (
 	"strings"
 	"testing"
 
+	"dyntc/internal/engine"
 	"dyntc/internal/prng"
 )
 
@@ -66,7 +67,7 @@ func runOracle(t *testing.T, seed uint64) oracleObs {
 		// Park the executor so the whole round coalesces into one flush.
 		entered := make(chan struct{})
 		gate := make(chan struct{})
-		bf := en.QueryAsync(func(*Expr) { close(entered); <-gate })
+		bf := en.inner.Barrier(func(engine.Host) { close(entered); <-gate })
 		<-entered
 
 		type pending struct {
@@ -89,17 +90,17 @@ func runOracle(t *testing.T, seed uint64) oracleObs {
 					op = OpMul(ring)
 				}
 				futs = append(futs, pending{"grow", i,
-					en.GrowAsync(target, op, int64(rng.Intn(1000)), int64(rng.Intn(1000)))})
+					en.GrowIDAsync(target.ID, op, int64(rng.Intn(1000)), int64(rng.Intn(1000)))})
 			case c < 45 && len(stack) > 0:
 				fr := stack[len(stack)-1]
 				stacks[i] = stack[:len(stack)-1]
-				futs = append(futs, pending{"collapse", i, en.CollapseAsync(fr.parent, int64(rng.Intn(1000)))})
+				futs = append(futs, pending{"collapse", i, en.CollapseIDAsync(fr.parent.ID, int64(rng.Intn(1000)))})
 			case c < 60:
 				// Same-node set→value pair: conflicts force a second wave,
 				// so multi-wave flush partitioning is exercised too.
 				leaf := target
-				futs = append(futs, pending{"set", i, en.SetLeafAsync(leaf, int64(rng.Intn(1000)))})
-				futs = append(futs, pending{"value", i, en.ValueAsync(leaf)})
+				futs = append(futs, pending{"set", i, en.SetLeafIDAsync(leaf.ID, int64(rng.Intn(1000)))})
+				futs = append(futs, pending{"value", i, en.ValueIDAsync(leaf.ID)})
 			case c < 75:
 				leaf := target
 				if k := len(stack); k > 0 {
@@ -107,7 +108,7 @@ func runOracle(t *testing.T, seed uint64) oracleObs {
 						leaf = stack[j].left
 					}
 				}
-				futs = append(futs, pending{"set", i, en.SetLeafAsync(leaf, int64(rng.Intn(1000)))})
+				futs = append(futs, pending{"set", i, en.SetLeafIDAsync(leaf.ID, int64(rng.Intn(1000)))})
 			case c < 90:
 				n := target
 				if k := len(stack); k > 0 {
@@ -121,7 +122,7 @@ func runOracle(t *testing.T, seed uint64) oracleObs {
 						n = fr.right
 					}
 				}
-				futs = append(futs, pending{"value", i, en.ValueAsync(n)})
+				futs = append(futs, pending{"value", i, en.ValueIDAsync(n.ID)})
 			default:
 				futs = append(futs, pending{"root", i, en.RootAsync()})
 			}

@@ -24,14 +24,12 @@ func buildQueryForest(t *testing.T, n int, opts dyntc.BatchOptions, tour bool) (
 		ids = append(ids, id)
 		// A couple of structural waves so applied seqs are non-trivial.
 		for j := 0; j < i%3; j++ {
-			l, _, err := en.GrowID(0, dyntc.OpAdd(ring), 0, 0)
-			if err != nil {
+			if _, _, err := en.GrowIDAsync(0, dyntc.OpAdd(ring), 0, 0).Pair(); err != nil {
 				t.Fatalf("tree %d grow: %v", id, err)
 			}
-			if err := en.CollapseID(0, int64(i)); err != nil {
+			if err := en.CollapseIDAsync(0, int64(i)).Wait(); err != nil {
 				t.Fatalf("tree %d collapse: %v", id, err)
 			}
-			_ = l
 		}
 	}
 	return f, ids

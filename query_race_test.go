@@ -33,17 +33,17 @@ func (m *queryMutator) step(t *testing.T) {
 		if k := len(m.stack); k > 0 {
 			target = m.stack[k-1][2]
 		}
-		l, rt, err := m.en.GrowID(target, dyntc.OpAdd(dyntc.ModRing(1_000_000_007)),
-			int64(m.rng.Intn(1000)), int64(m.rng.Intn(1000)))
+		l, rt, err := m.en.GrowIDAsync(target, dyntc.OpAdd(dyntc.ModRing(1_000_000_007)),
+			int64(m.rng.Intn(1000)), int64(m.rng.Intn(1000))).Pair()
 		if err != nil {
 			t.Errorf("grow: %v", err)
 			return
 		}
-		m.stack = append(m.stack, [3]int{target, l, rt})
+		m.stack = append(m.stack, [3]int{target, l.ID, rt.ID})
 	case r < 55 && len(m.stack) > 0:
 		f := m.stack[len(m.stack)-1]
 		m.stack = m.stack[:len(m.stack)-1]
-		if err := m.en.CollapseID(f[0], int64(m.rng.Intn(1000))); err != nil {
+		if err := m.en.CollapseIDAsync(f[0], int64(m.rng.Intn(1000))).Wait(); err != nil {
 			t.Errorf("collapse: %v", err)
 		}
 	default:
@@ -55,7 +55,7 @@ func (m *queryMutator) step(t *testing.T) {
 				leaf = m.stack[i][1]
 			}
 		}
-		if err := m.en.SetLeafID(leaf, int64(m.rng.Intn(1000))); err != nil {
+		if err := m.en.SetLeafIDAsync(leaf, int64(m.rng.Intn(1000))).Wait(); err != nil {
 			t.Errorf("set-leaf: %v", err)
 		}
 	}
@@ -127,14 +127,16 @@ func TestRaceForestQueryOracle(t *testing.T) {
 			}
 			results = append(results, final)
 
-			// Oracle: per tree, a follower replays the wave log to each
+			// Oracle: per tree, a replica engine replays the wave log to each
 			// reported sequence — the value must match exactly. Queries ran
 			// sequentially, so per-tree sequences are non-decreasing and one
-			// follower per tree advances monotonically.
-			followers := make(map[dyntc.TreeID]*dyntc.Follower, trees)
+			// replica per tree advances monotonically.
+			replicas := dyntc.NewForest(dyntc.BatchOptions{})
+			defer replicas.Close()
+			followers := make(map[dyntc.TreeID]*dyntc.Engine, trees)
 			waves := make(map[dyntc.TreeID][]dyntc.Wave, trees)
 			for i := 0; i < trees; i++ {
-				fo, err := dyntc.NewFollower(genesis[i])
+				fo, _, err := replicas.Restore(ids[i], genesis[i])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -151,25 +153,25 @@ func TestRaceForestQueryOracle(t *testing.T) {
 				var sum int64
 				for _, tr := range res.Detail {
 					fo := followers[tr.Tree]
-					if fo.Seq() > tr.Seq {
-						t.Fatalf("query %d tree %d: seq %d went backwards (follower at %d)",
-							qi, tr.Tree, tr.Seq, fo.Seq())
+					if fo.AppliedSeq() > tr.Seq {
+						t.Fatalf("query %d tree %d: seq %d went backwards (replica at %d)",
+							qi, tr.Tree, tr.Seq, fo.AppliedSeq())
 					}
 					for _, w := range waves[tr.Tree] {
 						if w.Seq > tr.Seq {
 							break
 						}
-						if err := fo.Apply(w); err != nil {
+						if err := fo.ApplyWave(w); err != nil {
 							t.Fatalf("query %d tree %d: replay to %d: %v", qi, tr.Tree, tr.Seq, err)
 						}
 					}
-					if fo.Seq() != tr.Seq {
-						t.Fatalf("query %d tree %d: log has no wave %d (follower at %d)",
-							qi, tr.Tree, tr.Seq, fo.Seq())
+					if fo.AppliedSeq() != tr.Seq {
+						t.Fatalf("query %d tree %d: log has no wave %d (replica at %d)",
+							qi, tr.Tree, tr.Seq, fo.AppliedSeq())
 					}
-					if got := fo.Root(); got != tr.Value {
-						t.Fatalf("query %d tree %d at seq %d: reported %d, oracle replay says %d",
-							qi, tr.Tree, tr.Seq, tr.Value, got)
+					if got, err := fo.Root(); err != nil || got != tr.Value {
+						t.Fatalf("query %d tree %d at seq %d: reported %d, oracle replay says %d (%v)",
+							qi, tr.Tree, tr.Seq, tr.Value, got, err)
 					}
 					sum += tr.Value
 				}

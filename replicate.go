@@ -3,7 +3,6 @@ package dyntc
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"dyntc/internal/core"
 	"dyntc/internal/engine"
@@ -14,15 +13,16 @@ import (
 
 // This file is the durability and replication face of the package
 // (internal/replog): tree snapshots, the executed-wave change log, and
-// deterministic replay into followers.
+// deterministic replay into replicas.
 //
 // The engine's executed waves are conflict-free, ordered batches — a
 // ready-made change log. A snapshot captures the whole tree (structure +
 // labels + PRNG seed + applied-wave sequence number) in a versioned,
-// byte-deterministic codec; a follower restores the snapshot and applies
-// the waves after it in order, verifying the recorded grow IDs and the
+// byte-deterministic codec; a replica restores the snapshot (RestoreExpr,
+// or Forest.Restore for a served replica) and applies the waves after it
+// in order (Engine.ApplyWave), verifying the recorded grow IDs and the
 // post-wave root value at every step. Replay is exact: a restored tree
-// re-assigns the same dense node IDs the leader did, so follower and
+// re-assigns the same dense node IDs the leader did, so replica and
 // leader states are structurally identical, not just value-equal.
 
 // Wave is one executed mutating wave: the unit of the change log.
@@ -46,11 +46,6 @@ var ErrDiverged = errors.New("dyntc: replica diverged from wave log")
 // receiver's: a late write from a demoted leader, rejected by the fence.
 var ErrStaleEpoch = replog.ErrStaleEpoch
 
-// ErrPromoted reports an operation on a Follower that has been promoted
-// to leader: its replica state was handed to the new leadership term and
-// must not keep replaying the old leader's waves.
-var ErrPromoted = errors.New("dyntc: follower has been promoted")
-
 // NewWaveLog creates a wave change-log retaining up to capacity waves in
 // memory (a default when <= 0); a non-empty path mirrors every append to
 // an append-only JSONL file. Attach it to an engine with
@@ -59,15 +54,12 @@ func NewWaveLog(capacity int, path string) (*WaveLog, error) {
 	return replog.NewLog(capacity, path)
 }
 
-// ReadWaveLog replays an append-only wave file written by a WaveLog.
-func ReadWaveLog(path string) ([]Wave, error) { return replog.ReadWAL(path) }
-
 // RecoverWaveLog reads a wave file, truncating a torn or corrupt tail —
 // the record a crash cut mid-append, and everything after it — down to
 // the last valid wave. It returns the surviving waves and how many bytes
-// were dropped; the truncation is durable, so a subsequent ReadWaveLog
-// accepts the file. Use it on the startup path where ReadWaveLog's
-// strict refusal would turn one torn record into an unbootable store.
+// were dropped; the truncation is durable, so a later strict read accepts
+// the file. Use it on the startup path, where refusing a torn record
+// would turn one crash into an unbootable store.
 func RecoverWaveLog(path string) ([]Wave, int64, error) { return replog.RecoverWAL(path) }
 
 // Snapshot serializes the expression — structure, labels, PRNG seed,
@@ -99,8 +91,9 @@ func (e *Expr) Epoch() uint64 {
 // AdoptEpoch advances the Expr's epoch (it never goes backwards). Like
 // Snapshot, it requires the single-writer right: call it directly only
 // when no Engine serves the Expr, or inside an engine barrier. Normal
-// code never needs it — epochs move via Promote and replayed waves —
-// but startup recovery replaying a WAL that spans a failover does.
+// code never needs it — epochs move via replayed waves — but promoting a
+// replica to the next term (epoch+1, then Engine.SetEpoch) and startup
+// recovery replaying a WAL that spans a failover do.
 func (e *Expr) AdoptEpoch(epoch uint64) {
 	if epoch > e.Epoch() {
 		e.epoch = epoch
@@ -141,8 +134,7 @@ func RestoreExpr(data []byte, _ ...Option) (*Expr, uint64, error) {
 // detected at the wave that introduces it, not at the end of the log.
 //
 // ApplyWave does not check sequence contiguity (the Expr does not track a
-// sequence number); Follower.Apply and Engine.ApplyWave add in-order
-// tracking.
+// sequence number); Engine.ApplyWave adds in-order tracking.
 func (e *Expr) ApplyWave(w Wave) error {
 	if !w.Verify() {
 		return fmt.Errorf("%w: wave %d checksum mismatch", ErrDiverged, w.Seq)
@@ -228,41 +220,6 @@ func (e *Expr) ApplyWave(w Wave) error {
 	return nil
 }
 
-// Follower is a replica of a served expression tree: it bootstraps from a
-// leader snapshot and applies shipped waves in order, tracking the applied
-// sequence number. All methods are safe for concurrent use (reads and
-// applies serialize on one mutex — a follower is a read replica, not a
-// second writer).
-type Follower struct {
-	mu       sync.Mutex
-	e        *Expr
-	seq      uint64
-	promoted bool
-}
-
-// NewFollower bootstraps a replica from a leader snapshot. Options pass
-// through to RestoreExpr, which takes the seed and tour from the snapshot.
-func NewFollower(snapshot []byte, opts ...Option) (*Follower, error) {
-	e, seq, err := RestoreExpr(snapshot, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return &Follower{e: e, seq: seq}, nil
-}
-
-// Apply replays one wave under the rules of applyNext. A promoted
-// follower refuses all further waves (ErrPromoted).
-func (f *Follower) Apply(w Wave) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.promoted {
-		return ErrPromoted
-	}
-	seq, err := applyNext(f.e, f.seq, w)
-	f.seq = seq
-	return err
-}
-
 // applyNext applies w to e, which sits at applied-wave sequence seq, and
 // returns the sequence e sits at afterwards. It holds the rules every
 // replica shares: a wave at or before seq is skipped (idempotent
@@ -288,13 +245,13 @@ func applyNext(e *Expr, seq uint64, w Wave) (uint64, error) {
 }
 
 // ApplyWave replays one logged wave onto the served tree through an
-// engine barrier, under the same rules as Follower.Apply: waves at or
-// before AppliedSeq are skipped, an older epoch is ErrStaleEpoch, a hole
-// is ErrWaveGap, and a verified wave advances AppliedSeq and the engine's
-// epoch. It is how a replica engine catches up with its leader and how
-// startup recovery replays a WAL tail. A wave-tapped engine refuses it
-// with ErrLoggedBarrier, the way Query refuses mutations there: its own
-// waves are the log.
+// engine barrier, under applyNext's rules: waves at or before AppliedSeq
+// are skipped (idempotent re-delivery), an older epoch is ErrStaleEpoch,
+// a hole is ErrWaveGap, and a verified wave (Expr.ApplyWave) advances
+// AppliedSeq and the engine's epoch. It is how a replica engine catches
+// up with its leader and how startup recovery replays a WAL tail. A
+// wave-tapped engine refuses it with ErrLoggedBarrier, the way Query
+// refuses mutations there: its own waves are the log.
 func (en *Engine) ApplyWave(w Wave) error {
 	var err error
 	f := en.inner.Barrier(func(engine.Host) {
@@ -308,92 +265,8 @@ func (en *Engine) ApplyWave(w Wave) error {
 			en.inner.SetEpoch(en.expr.Epoch())
 		}
 	})
-	werr := f.Wait()
-	f.Recycle()
-	if werr != nil {
+	if werr := wait(f); werr != nil {
 		return werr
 	}
 	return err
-}
-
-// ApplyAll replays a batch of waves in order (Since output ships here).
-func (f *Follower) ApplyAll(ws []Wave) error {
-	for i := range ws {
-		if err := f.Apply(ws[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Seq returns the applied-wave sequence number.
-func (f *Follower) Seq() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.seq
-}
-
-// Epoch returns the leadership term the replica currently trusts.
-func (f *Follower) Epoch() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.e.Epoch()
-}
-
-// Root returns the replica's root value.
-func (f *Follower) Root() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.e.Root()
-}
-
-// Snapshot re-serializes the replica at its current sequence — a follower
-// can seed further followers (fan-out) or persist its own checkpoint.
-func (f *Follower) Snapshot() ([]byte, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.e.Snapshot(f.seq)
-}
-
-// Promote ends the follower's replica life and begins a new leadership
-// term: the epoch advances by one and the state is re-serialized as a
-// snapshot of the new term, which the caller restores into a serving
-// Engine (Forest.Restore / RestoreExpr) to take writes. Every wave the
-// new leader seals carries the bumped epoch, so the per-wave
-// verification every replica already performs doubles as the fence: any
-// late wave from the demoted leader arrives with the old epoch and is
-// rejected (ErrStaleEpoch) by logs and followers that have seen the new
-// term.
-//
-// Promote is the point of no return for this Follower — further Apply
-// calls fail with ErrPromoted. The caller is responsible for promoting
-// only a caught-up follower (compare Seq against the last leader
-// sequence it can observe): waves the old leader acknowledged past the
-// promotion point are lost, exactly as in any asynchronous-replication
-// failover.
-func (f *Follower) Promote() (snapshot []byte, seq, epoch uint64, err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.promoted {
-		return nil, 0, 0, ErrPromoted
-	}
-	// Capture the raw prior epoch so the error path restores it exactly:
-	// a decrement would bypass AdoptEpoch's never-backwards invariant and
-	// the zero-maps-to-one convention.
-	prev := f.e.epoch
-	f.e.AdoptEpoch(f.e.Epoch() + 1)
-	data, err := f.e.Snapshot(f.seq)
-	if err != nil {
-		// Leave the follower usable: nothing observed the new epoch.
-		f.e.epoch = prev
-		return nil, 0, 0, err
-	}
-	f.promoted = true
-	return data, f.seq, f.e.Epoch(), nil
-}
-
-// Promote turns a caught-up Follower into the seed of a new leadership
-// term at epoch+1. See Follower.Promote.
-func Promote(f *Follower) (snapshot []byte, seq, epoch uint64, err error) {
-	return f.Promote()
 }

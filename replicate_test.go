@@ -1,7 +1,7 @@
 package dyntc
 
 // Durability & replication tests: the snapshot codec, the wave change-log,
-// and follower catch-up, pinned to the strongest available oracles —
+// and replica catch-up, pinned to the strongest available oracles —
 // byte-identical snapshots and the sequential replay of the same programs.
 
 import (
@@ -147,6 +147,31 @@ func (p *replicaProgram) runSeq(e *Expr, steps int) {
 	}
 }
 
+// replayExpr is the sequential replay oracle: snap restored with
+// RestoreExpr, then every wave past the snapshot's sequence applied in
+// order with Expr.ApplyWave. It returns the replica and the sequence it
+// reached.
+func replayExpr(t *testing.T, snap []byte, waves []Wave) (*Expr, uint64) {
+	t.Helper()
+	e, seq, err := RestoreExpr(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range waves {
+		if w.Seq <= seq {
+			continue
+		}
+		if w.Seq != seq+1 {
+			t.Fatalf("replay: at %d, got wave %d", seq, w.Seq)
+		}
+		if err := e.ApplyWave(w); err != nil {
+			t.Fatalf("replay wave %d: %v", w.Seq, err)
+		}
+		seq = w.Seq
+	}
+	return e, seq
+}
+
 // replicaFanOut grows the single leaf into n disjoint region roots.
 func replicaFanOut(e *Expr, ring Ring, n int) []*Node {
 	leaves := []*Node{e.Tree().Root}
@@ -160,7 +185,7 @@ func replicaFanOut(e *Expr, ring Ring, n int) []*Node {
 // TestSnapshotReplayByteIdentical is the acceptance pin: for several PRNG
 // seeds, a single deterministic program runs (a) through an engine with a
 // wave log and (b) directly on a bare Expr (the sequential replay oracle).
-// The leader's final snapshot, a follower built from the initial snapshot
+// The leader's final snapshot, a replica built from the initial snapshot
 // plus the full log, and the oracle's snapshot must be byte-identical.
 func TestSnapshotReplayByteIdentical(t *testing.T) {
 	for _, seed := range []uint64{3, 17, 99} {
@@ -193,24 +218,18 @@ func TestSnapshotReplayByteIdentical(t *testing.T) {
 			t.Fatalf("seed %d: log at %d, engine applied %d", seed, got, finalSeq)
 		}
 
-		// Follower: initial snapshot + full log.
-		fo, err := NewFollower(snap0)
+		// Replica: initial snapshot + full log.
+		waves, err := log.Since(0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		waves, err := log.Since(fo.Seq())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fo.ApplyAll(waves); err != nil {
-			t.Fatalf("seed %d: follower replay: %v", seed, err)
-		}
-		foSnap, err := fo.Snapshot()
+		fo, seq := replayExpr(t, snap0, waves)
+		foSnap, err := fo.Snapshot(seq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(foSnap, finalSnap) {
-			t.Fatalf("seed %d: follower snapshot differs from leader's", seed)
+			t.Fatalf("seed %d: replica snapshot differs from leader's", seed)
 		}
 
 		// Sequential replay oracle: the same program applied directly to a
@@ -237,7 +256,7 @@ func TestSnapshotReplayByteIdentical(t *testing.T) {
 }
 
 // TestFollowerMeteringDeterministic pins replay determinism of the PRAM
-// metering: two followers of the same snapshot + log must report
+// metering: two replicas of the same snapshot + log must report
 // identical metered costs and identical snapshots.
 func TestFollowerMeteringDeterministic(t *testing.T) {
 	ring := ModRing(1_000_000_007)
@@ -252,45 +271,34 @@ func TestFollowerMeteringDeterministic(t *testing.T) {
 	prog.runLive(t, en, 300)
 	en.Close()
 
-	fa, err := NewFollower(snap0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, err := NewFollower(snap0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	waves, err := log.Since(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fa.ApplyAll(waves); err != nil {
-		t.Fatal(err)
+	fa, seq := replayExpr(t, snap0, waves)
+	fb, _ := replayExpr(t, snap0, waves)
+	if ma, mb := fa.PRAM(), fb.PRAM(); ma != mb {
+		t.Fatalf("metering diverged: first replica %+v, second %+v", ma, mb)
 	}
-	if err := fb.ApplyAll(waves); err != nil {
-		t.Fatal(err)
-	}
-	if ma, mb := fa.e.PRAM(), fb.e.PRAM(); ma != mb {
-		t.Fatalf("metering diverged: first follower %+v, second %+v", ma, mb)
-	}
-	s1, err := fa.Snapshot()
+	s1, err := fa.Snapshot(seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := fb.Snapshot()
+	s2, err := fb.Snapshot(seq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(s1, s2) {
-		t.Fatal("second follower's snapshot differs from the first's")
+		t.Fatal("second replica's snapshot differs from the first's")
 	}
 }
 
 // TestRaceSnapshotMidTraffic is the race-detector replication test: many
 // client goroutines hammer one logged engine while snapshots are taken
-// mid-traffic; every mid-traffic snapshot, restored and fed the tail of
-// the log, must converge to the leader's exact final state, and the final
-// root must match the sequential replay of the same client programs.
+// mid-traffic; every mid-traffic snapshot, restored into a replica engine
+// and fed the tail of the log, must converge to the leader's exact final
+// state, and the final root must match the sequential replay of the same
+// client programs.
 func TestRaceSnapshotMidTraffic(t *testing.T) {
 	const (
 		clients = 6
@@ -354,27 +362,31 @@ func TestRaceSnapshotMidTraffic(t *testing.T) {
 	}
 
 	// Every mid-traffic snapshot + log tail converges to the leader.
+	replicas := NewForest(BatchOptions{})
+	defer replicas.Close()
 	for i, snap := range midSnaps {
-		fo, err := NewFollower(snap)
+		fo, seq, err := replicas.Restore(TreeID(i+1), snap)
 		if err != nil {
 			t.Fatalf("snapshot %d: %v", i, err)
 		}
-		waves, err := log.Since(fo.Seq())
+		waves, err := log.Since(seq)
 		if err != nil {
-			t.Fatalf("snapshot %d (seq %d): %v", i, fo.Seq(), err)
+			t.Fatalf("snapshot %d (seq %d): %v", i, seq, err)
 		}
-		if err := fo.ApplyAll(waves); err != nil {
-			t.Fatalf("snapshot %d: catch-up: %v", i, err)
+		for _, w := range waves {
+			if err := fo.ApplyWave(w); err != nil {
+				t.Fatalf("snapshot %d: catch-up: %v", i, err)
+			}
 		}
-		if fo.Root() != leaderRoot {
-			t.Fatalf("snapshot %d: follower root %d, leader %d", i, fo.Root(), leaderRoot)
+		if root, err := fo.Root(); err != nil || root != leaderRoot {
+			t.Fatalf("snapshot %d: replica root %d (%v), leader %d", i, root, err, leaderRoot)
 		}
 		foSnap, err := fo.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(foSnap, finalSnap) {
-			t.Fatalf("snapshot %d: follower final state differs from leader's", i)
+			t.Fatalf("snapshot %d: replica final state differs from leader's", i)
 		}
 	}
 
@@ -400,11 +412,12 @@ func TestRaceSnapshotMidTraffic(t *testing.T) {
 	}
 }
 
-// TestFollowerGapAndDivergence covers the failure modes, for a library
-// Follower and a served replica engine alike: out-of-order waves report
-// ErrWaveGap, stale re-delivery is idempotent, and a wave whose recorded
-// root disagrees with the replayed state reports divergence (after which
-// the replica must re-bootstrap).
+// TestFollowerGapAndDivergence covers a served replica engine's failure
+// modes under Engine.ApplyWave: out-of-order waves report ErrWaveGap,
+// stale re-delivery is idempotent, and a wave whose recorded root
+// disagrees with the replayed state reports divergence (after which the
+// replica must re-bootstrap). TestPromoteFailover covers the stale-epoch
+// fence.
 func TestFollowerGapAndDivergence(t *testing.T) {
 	ring := ModRing(97)
 	log, _ := NewWaveLog(1024, "")
@@ -425,32 +438,26 @@ func TestFollowerGapAndDivergence(t *testing.T) {
 	if len(waves) < 3 {
 		t.Fatalf("only %d waves", len(waves))
 	}
-	fo, err := NewFollower(snap0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	forest := NewForest(BatchOptions{})
 	defer forest.Close()
 	replica, _, err := forest.Restore(1, snap0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, apply := range map[string]func(Wave) error{"follower": fo.Apply, "engine": replica.ApplyWave} {
-		if err := apply(waves[1]); !errors.Is(err, ErrWaveGap) {
-			t.Fatalf("%s: gap err = %v, want ErrWaveGap", name, err)
-		}
-		if err := apply(waves[0]); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := apply(waves[0]); err != nil { // idempotent re-delivery
-			t.Fatalf("%s: re-delivery err = %v", name, err)
-		}
-		bad := waves[1]
-		bad.Root++
-		bad.Seal()
-		if err := apply(bad); !errors.Is(err, ErrDiverged) {
-			t.Fatalf("%s: diverged err = %v, want ErrDiverged", name, err)
-		}
+	if err := replica.ApplyWave(waves[1]); !errors.Is(err, ErrWaveGap) {
+		t.Fatalf("gap err = %v, want ErrWaveGap", err)
+	}
+	if err := replica.ApplyWave(waves[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := replica.ApplyWave(waves[0]); err != nil { // idempotent re-delivery
+		t.Fatalf("re-delivery err = %v", err)
+	}
+	bad := waves[1]
+	bad.Root++
+	bad.Seal()
+	if err := replica.ApplyWave(bad); !errors.Is(err, ErrDiverged) {
+		t.Fatalf("diverged err = %v, want ErrDiverged", err)
 	}
 	if got := replica.AppliedSeq(); got != waves[0].Seq {
 		t.Fatalf("replica engine at seq %d, want %d", got, waves[0].Seq)

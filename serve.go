@@ -121,26 +121,30 @@ type BatchOptions struct {
 // Serve starts an engine over e and returns it. Close the engine to drain
 // pending requests and reclaim the Expr for direct use.
 func (e *Expr) Serve(opts BatchOptions) *Engine {
-	return &Engine{
-		expr: e,
-		inner: engine.New(e, engine.Options{
-			MaxBatch:          opts.MaxBatch,
-			Window:            opts.Window,
-			Queue:             opts.Queue,
-			Shed:              opts.Shed,
-			WaveTap:           opts.WaveTap,
-			Obs:               opts.Metrics,
-			Trace:             opts.Trace,
-			Spans:             opts.Spans,
-			TraceSample:       opts.TraceSample,
-			SlowWave:          opts.SlowWave,
-			SlowWaveThreshold: opts.SlowWaveThreshold,
-			Faults:            opts.Faults,
-			Events:            opts.Events,
-			Boost:             opts.Boost,
-			FlushSink:         opts.FlushSink,
-			ShedSink:          opts.ShedSink,
-		}),
+	eo := opts.engineOptions()
+	eo.WaveTap = opts.WaveTap
+	return &Engine{expr: e, inner: engine.New(e, eo)}
+}
+
+// engineOptions maps opts onto the engine's options, all but WaveTap:
+// a forest's engines are tapped per tree (Engine.SetWaveTap).
+func (opts BatchOptions) engineOptions() engine.Options {
+	return engine.Options{
+		MaxBatch:          opts.MaxBatch,
+		Window:            opts.Window,
+		Queue:             opts.Queue,
+		Shed:              opts.Shed,
+		Obs:               opts.Metrics,
+		Trace:             opts.Trace,
+		Spans:             opts.Spans,
+		TraceSample:       opts.TraceSample,
+		SlowWave:          opts.SlowWave,
+		SlowWaveThreshold: opts.SlowWaveThreshold,
+		Faults:            opts.Faults,
+		Events:            opts.Events,
+		Boost:             opts.Boost,
+		FlushSink:         opts.FlushSink,
+		ShedSink:          opts.ShedSink,
 	}
 }
 
@@ -188,51 +192,19 @@ func (en *Engine) SnapshotAt() ([]byte, uint64, error) {
 		seq = en.inner.AppliedSeq()
 		data, err = en.expr.Snapshot(seq)
 	})
-	if werr := f.Wait(); werr != nil {
-		f.Recycle()
+	if werr := wait(f); werr != nil {
 		return nil, 0, werr
 	}
-	f.Recycle()
 	return data, seq, err
 }
 
-// --- asynchronous API: submit now, redeem the Future later ---
-
-// GrowAsync submits a leaf expansion; Future.Pair returns the new leaves.
-func (en *Engine) GrowAsync(leaf *Node, op Op, leftVal, rightVal int64) *Future {
-	return en.inner.Grow(engine.Ref(leaf), op, leftVal, rightVal)
-}
-
-// CollapseAsync submits a leaf-pair deletion.
-func (en *Engine) CollapseAsync(n *Node, newValue int64) *Future {
-	return en.inner.Collapse(engine.Ref(n), newValue)
-}
-
-// SetLeafAsync submits a leaf value update.
-func (en *Engine) SetLeafAsync(leaf *Node, v int64) *Future {
-	return en.inner.SetLeaf(engine.Ref(leaf), v)
-}
-
-// SetOpAsync submits an internal-operation update.
-func (en *Engine) SetOpAsync(n *Node, op Op) *Future {
-	return en.inner.SetOp(engine.Ref(n), op)
-}
-
-// ValueAsync submits a subexpression value query.
-func (en *Engine) ValueAsync(n *Node) *Future {
-	return en.inner.Value(engine.Ref(n))
-}
-
-// RootAsync submits a root value query.
-func (en *Engine) RootAsync() *Future { return en.inner.Root() }
-
-// --- synchronous API: one blocking call per request ---
-// Each wrapper fully consumes its Future and recycles it, so the blocking
+// --- synchronous API: one blocking call per request, by node handle ---
+// Each call fully consumes its Future and recycles it, so the blocking
 // call path allocates nothing per request in steady state.
 
 // Grow expands leaf into an op node with two fresh leaves and returns them.
 func (en *Engine) Grow(leaf *Node, op Op, leftVal, rightVal int64) (l, r *Node, err error) {
-	f := en.GrowAsync(leaf, op, leftVal, rightVal)
+	f := en.inner.GrowCtx(TraceContext{}, engine.Ref(leaf), op, leftVal, rightVal)
 	l, r, err = f.Pair()
 	f.Recycle()
 	return l, r, err
@@ -240,39 +212,36 @@ func (en *Engine) Grow(leaf *Node, op Op, leftVal, rightVal int64) (l, r *Node, 
 
 // Collapse deletes n's two leaf children, making n a leaf with newValue.
 func (en *Engine) Collapse(n *Node, newValue int64) error {
-	f := en.CollapseAsync(n, newValue)
-	err := f.Wait()
-	f.Recycle()
-	return err
+	return wait(en.inner.CollapseCtx(TraceContext{}, engine.Ref(n), newValue))
 }
 
 // SetLeaf updates one leaf value.
 func (en *Engine) SetLeaf(leaf *Node, v int64) error {
-	f := en.SetLeafAsync(leaf, v)
-	err := f.Wait()
-	f.Recycle()
-	return err
+	return wait(en.inner.SetLeafCtx(TraceContext{}, engine.Ref(leaf), v))
 }
 
 // SetOp updates the operation at an internal node.
 func (en *Engine) SetOp(n *Node, op Op) error {
-	f := en.SetOpAsync(n, op)
+	return wait(en.inner.SetOpCtx(TraceContext{}, engine.Ref(n), op))
+}
+
+// Value returns the value of the subexpression rooted at n.
+func (en *Engine) Value(n *Node) (int64, error) {
+	return value(en.inner.ValueCtx(TraceContext{}, engine.Ref(n)))
+}
+
+// Root returns the value of the whole expression.
+func (en *Engine) Root() (int64, error) { return value(en.RootAsync()) }
+
+// wait redeems a Future for its error and recycles it.
+func wait(f *Future) error {
 	err := f.Wait()
 	f.Recycle()
 	return err
 }
 
-// Value returns the value of the subexpression rooted at n.
-func (en *Engine) Value(n *Node) (int64, error) {
-	f := en.ValueAsync(n)
-	v, err := f.Value()
-	f.Recycle()
-	return v, err
-}
-
-// Root returns the value of the whole expression.
-func (en *Engine) Root() (int64, error) {
-	f := en.RootAsync()
+// value redeems a Future for its scalar result and recycles it.
+func value(f *Future) (int64, error) {
 	v, err := f.Value()
 	f.Recycle()
 	return v, err
@@ -288,7 +257,8 @@ var ErrLoggedBarrier = errors.New("dyntc: mutation inside Query on a replicated 
 
 // Query runs fn with exclusive, linearized access to the Expr: fn sees a
 // quiescent tree and may call any Expr method. Use it for the §5 tour
-// queries and anything else without a dedicated Engine method.
+// queries (Preorder, SubtreeSize, LCA, …) and anything else without a
+// dedicated Engine method.
 //
 // On a wave-tapped engine (one feeding a change log) fn must not mutate
 // the tree: mutation attempts are refused — Grow returns nil leaves, the
@@ -308,118 +278,52 @@ func (en *Engine) Query(fn func(*Expr)) error {
 			qerr = ErrLoggedBarrier
 		}
 	})
-	err := f.Wait()
-	f.Recycle()
-	if err != nil {
+	if err := wait(f); err != nil {
 		return err
 	}
 	return qerr
 }
 
-// QueryAsync submits fn for exclusive, linearized execution against a
-// quiescent Expr and returns immediately; Future.Wait blocks until fn has
-// run. It is the asynchronous form of Query. On a wave-tapped
-// (replicated) engine the same logged-barrier guard applies: mutation
-// attempts inside fn are refused — the tree is untouched, so followers
-// cannot silently diverge — but, the future having no error channel for
-// it, the violation is not reported; use Query when you need
-// ErrLoggedBarrier surfaced.
-func (en *Engine) QueryAsync(fn func(*Expr)) *Future {
-	return en.inner.Barrier(func(engine.Host) {
-		if !en.inner.Tapped() {
-			fn(en.expr)
-			return
-		}
-		en.expr.frozen = true
-		fn(en.expr)
-		en.expr.frozen, en.expr.frozenViolated = false, false
-	})
-}
+// --- asynchronous API, by node ID: submit now, redeem the Future later ---
+// For callers that cannot hold node handles or that pipeline requests.
+// IDs are the dense, lifetime-stable tree.Node.ID values. Each is its
+// TracedEngine form on the untraced view, a zero TraceContext.
 
-// Preorder returns n's 1-based preorder number (requires WithTour on the
-// underlying Expr), linearized against concurrent updates.
-func (en *Engine) Preorder(n *Node) (int, error) {
-	var v int
-	err := en.Query(func(e *Expr) { v = e.Preorder(n) })
-	return v, err
-}
-
-// SubtreeSize returns the node count of n's subtree (requires WithTour).
-func (en *Engine) SubtreeSize(n *Node) (int, error) {
-	var v int
-	err := en.Query(func(e *Expr) { v = e.SubtreeSize(n) })
-	return v, err
-}
-
-// LCA returns the least common ancestor of u and v (requires WithTour).
-func (en *Engine) LCA(u, v *Node) (*Node, error) {
-	var n *Node
-	err := en.Query(func(e *Expr) { n = e.LCA(u, v) })
-	return n, err
-}
-
-// --- ID-addressed API, for callers that cannot hold node handles ---
-// (cmd/dyntcd resolves wire-format node IDs through these; IDs are the
-// dense, lifetime-stable tree.Node.ID values.) Each is its TracedEngine
-// form on the untraced view, a zero TraceContext.
-
-// GrowID is Grow addressed by node ID, returning the new leaves' IDs.
-func (en *Engine) GrowID(leafID int, op Op, leftVal, rightVal int64) (lID, rID int, err error) {
-	return en.Traced(TraceContext{}).GrowID(leafID, op, leftVal, rightVal)
-}
-
-// CollapseID is Collapse addressed by node ID.
-func (en *Engine) CollapseID(nodeID int, newValue int64) error {
-	return en.Traced(TraceContext{}).CollapseID(nodeID, newValue)
-}
-
-// SetLeafID is SetLeaf addressed by node ID.
-func (en *Engine) SetLeafID(leafID int, v int64) error {
-	return en.Traced(TraceContext{}).SetLeafID(leafID, v)
-}
-
-// SetOpID is SetOp addressed by node ID.
-func (en *Engine) SetOpID(nodeID int, op Op) error {
-	return en.Traced(TraceContext{}).SetOpID(nodeID, op)
-}
-
-// ValueID is Value addressed by node ID.
-func (en *Engine) ValueID(nodeID int) (int64, error) {
-	return en.Traced(TraceContext{}).ValueID(nodeID)
-}
-
-// GrowIDAsync is GrowAsync addressed by node ID.
+// GrowIDAsync submits a leaf expansion; Future.Pair returns the new leaves.
 func (en *Engine) GrowIDAsync(leafID int, op Op, leftVal, rightVal int64) *Future {
 	return en.Traced(TraceContext{}).GrowIDAsync(leafID, op, leftVal, rightVal)
 }
 
-// CollapseIDAsync is CollapseAsync addressed by node ID.
+// CollapseIDAsync submits a leaf-pair deletion.
 func (en *Engine) CollapseIDAsync(nodeID int, newValue int64) *Future {
 	return en.Traced(TraceContext{}).CollapseIDAsync(nodeID, newValue)
 }
 
-// SetLeafIDAsync is SetLeafAsync addressed by node ID.
+// SetLeafIDAsync submits a leaf value update.
 func (en *Engine) SetLeafIDAsync(leafID int, v int64) *Future {
 	return en.Traced(TraceContext{}).SetLeafIDAsync(leafID, v)
 }
 
-// SetOpIDAsync is SetOpAsync addressed by node ID.
+// SetOpIDAsync submits an internal-operation update.
 func (en *Engine) SetOpIDAsync(nodeID int, op Op) *Future {
 	return en.Traced(TraceContext{}).SetOpIDAsync(nodeID, op)
 }
 
-// ValueIDAsync is ValueAsync addressed by node ID.
+// ValueIDAsync submits a subexpression value query; Future.Value returns it.
 func (en *Engine) ValueIDAsync(nodeID int) *Future {
 	return en.Traced(TraceContext{}).ValueIDAsync(nodeID)
 }
 
-// --- traced API: the ID-addressed methods carrying a trace context ---
+// RootAsync submits a root value query; Future.Value returns it.
+func (en *Engine) RootAsync() *Future { return en.Traced(TraceContext{}).RootAsync() }
+
+// --- traced API: the asynchronous submits carrying a trace context ---
 
 // TracedEngine is an Engine view whose submits carry a distributed-trace
 // context: the flush that executes a traced request adopts its trace and
 // is always recorded into the engine's SpanLog, regardless of sampling.
 // The view is a value — obtaining one allocates nothing — and a zero
-// TraceContext makes every method behave exactly like its plain form.
+// TraceContext makes every method behave exactly like its Engine form.
 type TracedEngine struct {
 	en *Engine
 	sc TraceContext
@@ -428,57 +332,6 @@ type TracedEngine struct {
 // Traced returns a view of the engine whose submits carry sc.
 func (en *Engine) Traced(sc TraceContext) TracedEngine {
 	return TracedEngine{en: en, sc: sc}
-}
-
-// GrowID is Engine.GrowID carrying the view's trace context.
-func (t TracedEngine) GrowID(leafID int, op Op, leftVal, rightVal int64) (lID, rID int, err error) {
-	f := t.en.inner.GrowCtx(t.sc, engine.RefID(leafID), op, leftVal, rightVal)
-	l, r, err := f.Pair()
-	f.Recycle()
-	if err != nil {
-		return 0, 0, err
-	}
-	return l.ID, r.ID, nil
-}
-
-// CollapseID is Engine.CollapseID carrying the view's trace context.
-func (t TracedEngine) CollapseID(nodeID int, newValue int64) error {
-	f := t.en.inner.CollapseCtx(t.sc, engine.RefID(nodeID), newValue)
-	err := f.Wait()
-	f.Recycle()
-	return err
-}
-
-// SetLeafID is Engine.SetLeafID carrying the view's trace context.
-func (t TracedEngine) SetLeafID(leafID int, v int64) error {
-	f := t.en.inner.SetLeafCtx(t.sc, engine.RefID(leafID), v)
-	err := f.Wait()
-	f.Recycle()
-	return err
-}
-
-// SetOpID is Engine.SetOpID carrying the view's trace context.
-func (t TracedEngine) SetOpID(nodeID int, op Op) error {
-	f := t.en.inner.SetOpCtx(t.sc, engine.RefID(nodeID), op)
-	err := f.Wait()
-	f.Recycle()
-	return err
-}
-
-// ValueID is Engine.ValueID carrying the view's trace context.
-func (t TracedEngine) ValueID(nodeID int) (int64, error) {
-	f := t.en.inner.ValueCtx(t.sc, engine.RefID(nodeID))
-	v, err := f.Value()
-	f.Recycle()
-	return v, err
-}
-
-// Root is Engine.Root carrying the view's trace context.
-func (t TracedEngine) Root() (int64, error) {
-	f := t.en.inner.RootCtx(t.sc)
-	v, err := f.Value()
-	f.Recycle()
-	return v, err
 }
 
 // GrowIDAsync is Engine.GrowIDAsync carrying the view's trace context.
@@ -533,23 +386,7 @@ type Forest struct {
 // NewForest creates an empty forest; opts configures every tree's engine.
 func NewForest(opts BatchOptions) *Forest {
 	return &Forest{
-		inner: engine.NewForest(engine.Options{
-			MaxBatch:          opts.MaxBatch,
-			Window:            opts.Window,
-			Queue:             opts.Queue,
-			Shed:              opts.Shed,
-			Obs:               opts.Metrics,
-			Trace:             opts.Trace,
-			Spans:             opts.Spans,
-			TraceSample:       opts.TraceSample,
-			SlowWave:          opts.SlowWave,
-			SlowWaveThreshold: opts.SlowWaveThreshold,
-			Faults:            opts.Faults,
-			Events:            opts.Events,
-			Boost:             opts.Boost,
-			FlushSink:         opts.FlushSink,
-			ShedSink:          opts.ShedSink,
-		}),
+		inner:   engine.NewForest(opts.engineOptions()),
 		planner: query.NewPlanner(0),
 		exprs:   make(map[TreeID]*Engine),
 	}
@@ -569,11 +406,11 @@ func (f *Forest) Create(r Ring, rootValue int64, opts ...Option) (TreeID, *Engin
 
 // Restore rebuilds a tree from a leader snapshot and serves it under the
 // caller-chosen id (the replication path: a replica keeps the leader's
-// tree id). The engine starts at the snapshot's applied-wave sequence,
-// which is returned alongside it. Restore fails when the id is already
-// served.
-func (f *Forest) Restore(id TreeID, snapshot []byte, opts ...Option) (*Engine, uint64, error) {
-	expr, seq, err := RestoreExpr(snapshot, opts...)
+// tree id). The seed and tour setting come from the snapshot. The engine
+// starts at the snapshot's applied-wave sequence, which is returned
+// alongside it. Restore fails when the id is already served.
+func (f *Forest) Restore(id TreeID, snapshot []byte) (*Engine, uint64, error) {
+	expr, seq, err := RestoreExpr(snapshot)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -615,9 +452,7 @@ func (f *Forest) Replace(id TreeID, snapshot []byte) (*Engine, uint64, error) {
 		en.inner.SetAppliedSeq(seq)
 		en.inner.SetEpoch(expr.Epoch())
 	})
-	err = b.Wait()
-	b.Recycle()
-	if err == nil {
+	if err = wait(b); err == nil {
 		err = rerr
 	}
 	if err != nil {
