@@ -285,7 +285,7 @@ func TestEventJournalTornTailRecovery(t *testing.T) {
 func TestIncidentFlightRecorderLeader(t *testing.T) {
 	b, err := newObsBundle(obsConfig{
 		proc: "leader",
-		anomaly: dyntc.AnomalyConfig{
+		anomaly: obs.AnomalyConfig{
 			Warmup:   8,
 			Window:   16,
 			MinNS:    float64(10 * time.Millisecond),
@@ -299,7 +299,6 @@ func TestIncidentFlightRecorderLeader(t *testing.T) {
 	in := dyntc.NewFaultInjector(42)
 	opts := dyntc.BatchOptions{
 		Metrics:     b.engine,
-		Trace:       b.trace,
 		Spans:       b.spans,
 		TraceSample: 1 << 30, // cadence effectively off: only the boost samples
 		Faults:      in,
@@ -450,7 +449,7 @@ func TestIncidentFlightRecorderFollower(t *testing.T) {
 
 	fb, err := newObsBundle(obsConfig{
 		proc: "follower",
-		anomaly: dyntc.AnomalyConfig{
+		anomaly: obs.AnomalyConfig{
 			Warmup:   8,
 			Window:   16,
 			MinNS:    float64(40 * time.Millisecond),

@@ -119,22 +119,11 @@ func main() {
 		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address ('' = off)")
 		slowWave    = flag.Duration("slow-wave", 0, "log a structured trace of every wave flush at least this long (0 = off)")
 		accessLog   = flag.Bool("access-log", false, "log every HTTP request: method, path, status, bytes, duration")
-		traceCap    = flag.Int("trace-cap", 0, "wave trace records retained for GET /v1/trace (0 = default 256)")
-		traceSample = flag.Int("trace-sample", 0, "trace every Nth wave flush (0 = default 16)")
-		spanCap     = flag.Int("span-cap", 0, "distributed-trace spans retained for GET /v1/spans (0 = default 4096)")
+		traceSample = flag.Int("trace-sample", 0, "record every Nth wave flush as spans on GET /v1/spans (0 = default 16)")
 		spanLog     = flag.String("span-log", "", "mirror every recorded span to this append-only JSONL file ('' = off)")
 		spanLogMax  = flag.Int64("span-log-max-bytes", 0, "rotate the -span-log file before it exceeds this size (0 = no rotation)")
 		spanLogKeep = flag.Int("span-log-keep", 3, "rotated -span-log generations to keep (<file>.1 .. <file>.N)")
-		eventCap    = flag.Int("event-cap", 0, "lifecycle events retained for GET /v1/events (0 = default 1024)")
 		eventLog    = flag.String("event-log", "", "mirror every lifecycle event to this append-only JSONL file ('' = off)")
-		hotK        = flag.Int("hot-k", 0, "trees tracked per hot-spot dimension for GET /v1/hot (0 = default 16)")
-
-		anomGate     = flag.Float64("anomaly-gate", 0, "anomaly cheap gate: sample must exceed EWMA + this many sigma (0 = default 4)")
-		anomMad      = flag.Float64("anomaly-mad", 0, "anomaly robust confirm: sample must exceed median + this many scaled MADs (0 = default 5)")
-		anomWarmup   = flag.Int("anomaly-warmup", 0, "samples a signal needs before it may trip (0 = default 64)")
-		anomMin      = flag.Duration("anomaly-min", 0, "absolute floor: samples at or below this never trip (0 = default 1ms)")
-		anomCooldown = flag.Duration("anomaly-cooldown", 0, "per-signal holdoff between anomaly trips (0 = default 10s)")
-		anomBoost    = flag.Duration("anomaly-boost", 0, "how long each anomaly trip boosts trace sampling (0 = default 3s)")
 
 		logFormat = flag.String("log-format", "text", "structured log format: text or json")
 	)
@@ -150,21 +139,17 @@ func main() {
 		os.Exit(2)
 	}
 
-	// One registry + trace ring + span log per process; every engine, the
-	// wave logs and the query planner report into it (GET /metrics,
-	// /v1/trace, /v1/spans).
+	// One registry + span log + event journal per process; every engine,
+	// the wave logs and the query planner report into it (GET /metrics,
+	// /v1/spans, /v1/events).
 	proc := "leader"
 	if *follow != "" {
 		proc = "follower"
 	}
 	ob, err := newObsBundle(obsConfig{
-		traceCap: *traceCap, spanCap: *spanCap, proc: proc,
+		proc:     proc,
 		spanPath: *spanLog, spanMaxBytes: *spanLogMax, spanKeep: *spanLogKeep,
-		eventCap: *eventCap, eventPath: *eventLog, hotK: *hotK,
-		anomaly: dyntc.AnomalyConfig{
-			GateK: *anomGate, MadK: *anomMad, Warmup: *anomWarmup,
-			MinNS: float64(*anomMin), Cooldown: *anomCooldown, Boost: *anomBoost,
-		},
+		eventPath: *eventLog, slowWave: *slowWave,
 	})
 	if err != nil {
 		fatal("observability init", "err", err)
@@ -197,14 +182,9 @@ func main() {
 	}
 	opts := dyntc.BatchOptions{
 		MaxBatch: *maxBatch, Window: *window, Queue: *queue,
-		Metrics: ob.engine, Trace: ob.trace, TraceSample: *traceSample, Faults: faults,
-		Spans: ob.spans,
+		Metrics: ob.engine, Spans: ob.spans, TraceSample: *traceSample, Faults: faults,
 	}
 	ob.engineHooks(&opts)
-	if *slowWave > 0 {
-		opts.SlowWave = logSlowWave
-		opts.SlowWaveThreshold = *slowWave
-	}
 
 	s := newServerWAL(opts, *walDir, *logCap)
 	s.compactEvery = *compact

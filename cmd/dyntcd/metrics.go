@@ -1,20 +1,21 @@
 package main
 
 // Observability wiring: one metrics registry per process (GET /metrics,
-// Prometheus text format, zero external deps), a sampled wave-trace ring
-// (GET /v1/trace), an opt-in access log, a structured slow-wave log and
-// an optional pprof listener. Both roles share all of it; the per-layer
-// instrument bundles live with their layers (internal/obs,
-// internal/engine, internal/replog, internal/query) —
-// this file only composes them and adds the cross-layer gauges (lag,
-// applied sequence) that need to see engines, logs and the poll loop side
-// by side.
+// Prometheus text format, zero external deps), a span log whose sampled
+// engine.flush spans are the wave traces (GET /v1/spans), an opt-in
+// access log, a structured slow-wave log and an optional pprof listener.
+// Both roles share all of it; the per-layer instrument bundles live with
+// their layers (internal/obs, internal/engine, internal/replog,
+// internal/query) — this file only composes them and adds the
+// cross-layer gauges (lag, applied sequence) that need to see engines,
+// logs and the poll loop side by side.
 
 import (
 	"errors"
 	"log/slog"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof/* on http.DefaultServeMux
+	"net/url"
 	"os"
 	"runtime"
 	"strconv"
@@ -50,7 +51,6 @@ const hotRanks = 8
 type obsBundle struct {
 	reg    *dyntc.MetricsRegistry
 	engine *dyntc.EngineMetrics
-	trace  *dyntc.WaveTraceRing
 	replog *replog.Metrics
 	query  *dyntc.QueryMetrics
 
@@ -71,12 +71,15 @@ type obsBundle struct {
 	// anomaly is the flight recorder: streaming latency detectors that,
 	// on a confirmed outlier, journal an anomaly event with a runtime
 	// snapshot and arm the boost.
-	anomaly *dyntc.AnomalyRecorder
+	anomaly *obs.Recorder
 	// Per-tree hot-spot sketches (GET /v1/hot): wave cost in flush
 	// nanoseconds, request counts, and shed counts.
-	hotCost *dyntc.TopK
-	hotReqs *dyntc.TopK
-	hotShed *dyntc.TopK
+	hotCost *obs.TopK
+	hotReqs *obs.TopK
+	hotShed *obs.TopK
+	// slowWave, when positive, logs every flush at least this long
+	// (-slow-wave).
+	slowWave time.Duration
 
 	// proc labels this process's spans, events and debug bundles.
 	proc string
@@ -95,34 +98,33 @@ type obsBundle struct {
 	promotions *obs.Counter
 }
 
-// obsConfig sizes the process-wide observability state: ring capacities,
-// the span/event JSONL mirrors (with size-based rotation for spans), the
-// hot-spot sketch width and the anomaly detector tuning. The zero value
-// of every field means "default".
+// obsConfig configures the process-wide observability state: the
+// span/event JSONL mirrors (with size-based rotation for spans) and the
+// slow-wave log threshold. Ring capacities, the hot-spot sketch width and
+// the anomaly detector tuning are fixed at their internal/obs defaults;
+// anomaly exists only so tests can trip the detectors quickly (its zero
+// value means "defaults").
 type obsConfig struct {
-	traceCap, spanCap int
-	proc              string
-	spanPath          string
-	spanMaxBytes      int64
-	spanKeep          int
-	eventCap          int
-	eventPath         string
-	hotK              int
-	anomaly           dyntc.AnomalyConfig
+	proc         string
+	spanPath     string
+	spanMaxBytes int64
+	spanKeep     int
+	eventPath    string
+	slowWave     time.Duration
+	anomaly      obs.AnomalyConfig
 }
 
 // newObsBundle builds the registry and every process-level family. The
-// engine histogram bundle, the trace ring, the span log, the event
-// journal and the anomaly flight recorder are created here and passed
-// into BatchOptions (engineHooks), so all trees share one set of
-// instruments. cfg.proc labels this process's spans and events
-// ("leader", "follower").
+// engine histogram bundle, the span log, the event journal and the
+// anomaly flight recorder are created here and passed into BatchOptions
+// (engineHooks), so all trees share one set of instruments. cfg.proc
+// labels this process's spans and events ("leader", "follower").
 func newObsBundle(cfg obsConfig) (*obsBundle, error) {
-	spans, err := dyntc.NewSpanLogRotating(cfg.spanCap, cfg.proc, cfg.spanPath, cfg.spanMaxBytes, cfg.spanKeep)
+	spans, err := dyntc.NewSpanLogRotating(0, cfg.proc, cfg.spanPath, cfg.spanMaxBytes, cfg.spanKeep)
 	if err != nil {
 		return nil, err
 	}
-	events, err := dyntc.NewEventJournal(cfg.eventCap, cfg.proc, cfg.eventPath)
+	events, err := dyntc.NewEventJournal(0, cfg.proc, cfg.eventPath)
 	if err != nil {
 		spans.Close()
 		return nil, err
@@ -130,19 +132,19 @@ func newObsBundle(cfg obsConfig) (*obsBundle, error) {
 	reg := dyntc.NewMetricsRegistry()
 	boost := &dyntc.TraceBoost{}
 	b := &obsBundle{
-		reg:     reg,
-		engine:  dyntc.NewEngineMetrics(reg),
-		trace:   dyntc.NewWaveTraceRing(cfg.traceCap),
-		replog:  replog.NewMetrics(reg),
-		query:   dyntc.NewQueryMetrics(reg),
-		spans:   spans,
-		events:  events,
-		boost:   boost,
-		anomaly: dyntc.NewAnomalyRecorder(cfg.anomaly, events, boost),
-		hotCost: dyntc.NewTopK(cfg.hotK),
-		hotReqs: dyntc.NewTopK(cfg.hotK),
-		hotShed: dyntc.NewTopK(cfg.hotK),
-		proc:    cfg.proc,
+		reg:      reg,
+		engine:   dyntc.NewEngineMetrics(reg),
+		replog:   replog.NewMetrics(reg),
+		query:    dyntc.NewQueryMetrics(reg),
+		spans:    spans,
+		events:   events,
+		boost:    boost,
+		anomaly:  obs.NewRecorder(cfg.anomaly, events, boost),
+		hotCost:  obs.NewTopK(0),
+		hotReqs:  obs.NewTopK(0),
+		hotShed:  obs.NewTopK(0),
+		slowWave: cfg.slowWave,
+		proc:     cfg.proc,
 		snapshotBytes: reg.HistogramWith("dyntc_replog_snapshot_bytes",
 			"size of one tree snapshot encode or download", obs.SizeBuckets, 1),
 		snapshotSeconds: reg.Seconds("dyntc_replog_snapshot_seconds",
@@ -161,7 +163,7 @@ func newObsBundle(cfg obsConfig) (*obsBundle, error) {
 	// sketch entries per dimension, as (tree id, weight) gauge pairs.
 	for _, dim := range []struct {
 		name string
-		t    *dyntc.TopK
+		t    *obs.TopK
 	}{{"cost_ns", b.hotCost}, {"reqs", b.hotReqs}, {"shed", b.hotShed}} {
 		t := dim.t
 		for rank := 0; rank < hotRanks; rank++ {
@@ -206,9 +208,9 @@ func newObsBundle(cfg obsConfig) (*obsBundle, error) {
 
 // engineHooks wires the bundle's engine-facing callbacks into
 // BatchOptions: the lifecycle journal, the anomaly boost, and the
-// per-flush / per-shed sinks feeding hot-spot attribution and the
-// flush-latency anomaly detector. Nil-safe, so servers built without
-// observability skip it all.
+// per-flush / per-shed sinks feeding hot-spot attribution, the
+// flush-latency anomaly detector and the slow-wave log. Nil-safe, so
+// servers built without observability skip it all.
 func (b *obsBundle) engineHooks(opts *dyntc.BatchOptions) {
 	if b == nil {
 		return
@@ -221,11 +223,15 @@ func (b *obsBundle) engineHooks(opts *dyntc.BatchOptions) {
 
 // flushDone is the BatchOptions.FlushSink: every flush charges its wall
 // time and request count to its tree's hot-spot sketches and feeds the
-// flush-latency anomaly detector.
-func (b *obsBundle) flushDone(tree uint64, reqs int, flushNS int64) {
-	b.hotCost.Add(tree, uint64(flushNS))
-	b.hotReqs.Add(tree, uint64(reqs))
-	b.anomaly.Observe(sigEngineFlush, flushNS)
+// flush-latency anomaly detector; a flush at least -slow-wave long is
+// also logged.
+func (b *obsBundle) flushDone(t dyntc.WaveTraceRecord) {
+	b.hotCost.Add(t.Tree, uint64(t.Flush))
+	b.hotReqs.Add(t.Tree, uint64(t.Reqs))
+	b.anomaly.Observe(sigEngineFlush, t.Flush)
+	if b.slowWave > 0 && t.Flush >= int64(b.slowWave) {
+		logSlowWave(t)
+	}
 }
 
 // shedDone is the BatchOptions.ShedSink: shed requests are attributed to
@@ -244,7 +250,7 @@ func (b *obsBundle) journal() *dyntc.EventJournal {
 }
 
 // recorder returns the anomaly flight recorder, nil-safely.
-func (b *obsBundle) recorder() *dyntc.AnomalyRecorder {
+func (b *obsBundle) recorder() *obs.Recorder {
 	if b == nil {
 		return nil
 	}
@@ -268,32 +274,26 @@ func (b *obsBundle) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_, _ = b.reg.WriteTo(w)
 }
 
-// handleTrace dumps the wave-trace ring, oldest first; ?n= limits to the
-// most recent n records.
-func (b *obsBundle) handleTrace(w http.ResponseWriter, r *http.Request) {
-	n := 0
-	if q := r.URL.Query().Get("n"); q != "" {
-		v, err := strconv.Atoi(q)
+// lastN parses the ?n= cap shared by /v1/spans and /v1/events: absent
+// or 0 means every retained record, a negative or non-numeric n answers
+// 400 (ok=false, the error already written).
+func lastN(w http.ResponseWriter, q url.Values) (n int, ok bool) {
+	if s := q.Get("n"); s != "" {
+		v, err := strconv.Atoi(s)
 		if err != nil || v < 0 {
 			writeErr(w, apiError{http.StatusBadRequest, "bad n"})
-			return
+			return 0, false
 		}
 		n = v
 	}
-	traces := b.trace.Last(n)
-	if traces == nil {
-		traces = []dyntc.WaveTraceRecord{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"total":  b.trace.Total(),
-		"traces": traces,
-	})
+	return n, true
 }
 
 // handleSpans serves the span log. ?trace=<16 hex> returns one
 // distributed trace's spans, ?seq=N returns the spans of wave sequence N
-// (the cross-process join key), ?n=N the most recent N; with no filter,
-// everything retained. Always oldest first.
+// (the cross-process join key), ?n=N the most recent N (lastN); with no
+// filter, everything retained. Always oldest first. Sampled flushes are
+// the engine.flush spans, carrying the flush's waves and heal cost.
 func (b *obsBundle) handleSpans(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	var spans []dyntc.SpanRecord
@@ -313,14 +313,9 @@ func (b *obsBundle) handleSpans(w http.ResponseWriter, r *http.Request) {
 		}
 		spans = b.spans.BySeq(seq)
 	default:
-		n := b.spans.Len()
-		if s := q.Get("n"); s != "" {
-			v, err := strconv.Atoi(s)
-			if err != nil || v < 0 {
-				writeErr(w, apiError{http.StatusBadRequest, "bad n"})
-				return
-			}
-			n = v
+		n, ok := lastN(w, q)
+		if !ok {
+			return
 		}
 		spans = b.spans.Last(n)
 	}
@@ -337,7 +332,7 @@ func (b *obsBundle) handleSpans(w http.ResponseWriter, r *http.Request) {
 // ?type=X filters to one event type (a trailing dot matches the prefix:
 // type=anomaly. returns every anomaly signal), ?since=SEQ returns events
 // after that journal sequence number, ?n=N caps the result to the most
-// recent N.
+// recent N (lastN).
 func (b *obsBundle) handleEvents(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	var since uint64
@@ -349,14 +344,9 @@ func (b *obsBundle) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		since = v
 	}
-	n := 0
-	if s := q.Get("n"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 0 {
-			writeErr(w, apiError{http.StatusBadRequest, "bad n"})
-			return
-		}
-		n = v
+	n, ok := lastN(w, q)
+	if !ok {
+		return
 	}
 	events := b.events.Query(q.Get("type"), since, n)
 	if events == nil {
@@ -368,47 +358,34 @@ func (b *obsBundle) handleEvents(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// hotDim renders one hot-spot sketch dimension: total weight observed
-// and the ranked entries, each bracketing the true weight within its err.
-func hotDim(t *dyntc.TopK) map[string]any {
-	items := t.Snapshot()
-	if items == nil {
-		items = []dyntc.TopKItem{}
+// hot renders per-tree hot-spot attribution: which trees are consuming
+// wave execution time, which are receiving the requests, and which are
+// shedding. Each dimension carries the total weight observed and the
+// ranked entries, each bracketing the true weight within its err.
+func (b *obsBundle) hot() map[string]any {
+	dim := func(t *obs.TopK) map[string]any {
+		items := t.Snapshot()
+		if items == nil {
+			items = []obs.TopKItem{}
+		}
+		return map[string]any{"total": t.Total(), "trees": items}
 	}
-	return map[string]any{"total": t.Total(), "trees": items}
+	return map[string]any{"cost": dim(b.hotCost), "reqs": dim(b.hotReqs), "shed": dim(b.hotShed)}
 }
 
-// handleHot serves per-tree hot-spot attribution: which trees are
-// consuming wave execution time, which are receiving the requests, and
-// which are shedding.
+// handleHot serves the hot-spot attribution (hot).
 func (b *obsBundle) handleHot(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"cost": hotDim(b.hotCost),
-		"reqs": hotDim(b.hotReqs),
-		"shed": hotDim(b.hotShed),
-	})
+	writeJSON(w, http.StatusOK, b.hot())
 }
 
 // handleBundle serves the one-shot debug bundle: everything a first
 // responder pastes into an incident channel — build and process info,
-// the full metrics text, recent lifecycle events, recent spans and wave
-// traces, hot-spot attribution, the flight recorder's state, and the
-// serving role's live stats — as one JSON document.
+// the full metrics text, recent lifecycle events, recent spans (sampled
+// flushes among them), hot-spot attribution, the flight recorder's state,
+// and the serving role's live stats — as one JSON document.
 func (b *obsBundle) handleBundle(w http.ResponseWriter, r *http.Request) {
 	var metrics strings.Builder
 	_, _ = b.reg.WriteTo(&metrics)
-	events := b.events.Last(256)
-	if events == nil {
-		events = []dyntc.Event{}
-	}
-	spans := b.spans.Last(256)
-	if spans == nil {
-		spans = []dyntc.SpanRecord{}
-	}
-	traces := b.trace.Last(64)
-	if traces == nil {
-		traces = []dyntc.WaveTraceRecord{}
-	}
 	bundle := map[string]any{
 		"generated_at": time.Now().UTC().Format(time.RFC3339Nano),
 		"proc":         b.proc,
@@ -416,14 +393,9 @@ func (b *obsBundle) handleBundle(w http.ResponseWriter, r *http.Request) {
 		"go":           runtime.Version(),
 		"goroutines":   runtime.NumGoroutine(),
 		"args":         os.Args,
-		"events":       events,
-		"spans":        spans,
-		"traces":       traces,
-		"hot": map[string]any{
-			"cost": hotDim(b.hotCost),
-			"reqs": hotDim(b.hotReqs),
-			"shed": hotDim(b.hotShed),
-		},
+		"events":       b.events.Last(256),
+		"spans":        b.spans.Last(256),
+		"hot":          b.hot(),
 		"anomaly": map[string]any{
 			"trips":          b.anomaly.Trips(),
 			"active":         b.anomaly.Active(),
@@ -618,8 +590,8 @@ func withAccessLog(h http.Handler) http.Handler {
 
 // --- slow-wave log (-slow-wave) ---
 
-// logSlowWave is the BatchOptions.SlowWave hook: one structured line per
-// wave flush that crossed the threshold, carrying the per-stage
+// logSlowWave logs one structured line per wave flush that crossed the
+// -slow-wave threshold (flushDone), carrying the per-stage
 // breakdown and, when the flush was span-sampled, the trace ID to look
 // the full span tree up with (/v1/spans?trace=).
 func logSlowWave(t dyntc.WaveTraceRecord) {

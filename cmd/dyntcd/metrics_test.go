@@ -2,28 +2,32 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"log"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"dyntc"
 )
 
 // startObsServer is startTestServer with the observability bundle wired:
-// metrics registry, engine histograms, trace ring (sampled every flush)
-// and the /metrics + /v1/trace routes.
+// metrics registry, engine histograms, span log (every flush sampled)
+// and the /metrics + /v1/spans + /v1/events routes.
 func startObsServer(t *testing.T) (*httptest.Server, *server, *obsBundle) {
 	t.Helper()
-	ob, err := newObsBundle(obsConfig{traceCap: 16, proc: "leader"})
+	ob, err := newObsBundle(obsConfig{proc: "leader"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := newServer(dyntc.BatchOptions{
-		Metrics: ob.engine, Trace: ob.trace, TraceSample: 1, Spans: ob.spans,
+		Metrics: ob.engine, TraceSample: 1, Spans: ob.spans,
 	})
 	s.observe(ob)
 	ts := httptest.NewServer(s.routes())
@@ -121,8 +125,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestTraceEndpoint reads the sampled flush records off /v1/spans: with
+// every flush sampled, each engine.flush span names its tree, lasts a
+// positive time, parents its stage spans, and carries a re-simulation
+// fallback (with its reason) only on the grow wave.
 func TestTraceEndpoint(t *testing.T) {
-	ts, _, ob := startObsServer(t)
+	ts, _, _ := startObsServer(t)
 
 	var created struct {
 		Tree uint64 `json:"tree"`
@@ -133,43 +141,204 @@ func TestTraceEndpoint(t *testing.T) {
 			map[string]any{"leaf": 0, "value": int64(i)}, http.StatusOK, nil)
 	}
 
-	var trace struct {
-		Total  int                     `json:"total"`
-		Traces []dyntc.WaveTraceRecord `json:"traces"`
-	}
-	call(t, "GET", ts.URL+"/v1/trace?n=5", nil, http.StatusOK, &trace)
-	if trace.Total < 30 {
-		t.Fatalf("trace total = %d, want >= 30 (sampling every flush)", trace.Total)
-	}
-	if len(trace.Traces) != 5 {
-		t.Fatalf("len(traces) = %d, want 5", len(trace.Traces))
-	}
-	for _, tr := range trace.Traces {
-		if tr.Tree != created.Tree {
-			t.Fatalf("trace tree = %d, want %d", tr.Tree, created.Tree)
-		}
-		if tr.Flush <= 0 {
-			t.Fatalf("trace flush ns = %d, want > 0", tr.Flush)
+	// A flush records its spans after acking its requests, so the last
+	// response can outrun its flush span: poll for want flush spans.
+	flushes := func(want int) []dyntc.SpanRecord {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			var sp spansResp
+			call(t, "GET", ts.URL+"/v1/spans", nil, http.StatusOK, &sp)
+			if fl := bySpanName(sp.Spans, "engine.flush"); len(fl) >= want {
+				return fl
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("spans: fewer than %d engine.flush spans: %+v", want, sp.Spans)
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
 	}
-	if ob.trace.Total() != trace.Total {
-		t.Fatalf("ring total %d != endpoint total %d", ob.trace.Total(), trace.Total)
+	fl := flushes(30)
+	for _, sp := range fl {
+		if sp.Tree != created.Tree {
+			t.Fatalf("flush span tree = %d, want %d", sp.Tree, created.Tree)
+		}
+		if sp.Dur <= 0 || sp.Reqs < 1 || sp.Waves < 1 {
+			t.Fatalf("flush span dur_ns %d reqs %d waves %d, want all > 0", sp.Dur, sp.Reqs, sp.Waves)
+		}
 	}
-
-	call(t, "GET", ts.URL+"/v1/trace?n=bogus", nil, http.StatusBadRequest, nil)
+	var stages spansResp
+	last := fl[len(fl)-1]
+	call(t, "GET", ts.URL+"/v1/spans?trace="+last.Trace.String(), nil, http.StatusOK, &stages)
+	if st := bySpanName(stages.Spans, "stage.set-leaf"); len(st) != 1 || st[0].Parent != last.Span || st[0].Dur <= 0 {
+		t.Fatalf("set-leaf flush: stage spans %+v, want one stage.set-leaf child of %s", stages.Spans, last.Span)
+	}
 
 	// A wave that fell back to re-simulation says why: growing a one-leaf
 	// tree is below the propagation floor.
 	call(t, "POST", tsTree(ts, created.Tree)+"/grow",
 		map[string]any{"leaf": 0, "op": "add", "left": 3, "right": 4}, http.StatusOK, nil)
-	call(t, "GET", ts.URL+"/v1/trace?n=5", nil, http.StatusOK, &trace)
-	last := len(trace.Traces) - 1 // oldest first
-	if tr := trace.Traces[last]; tr.Resims != 1 || (tr.ResimReason != "tiny" && tr.ResimReason != "full_rebuild") {
-		t.Fatalf("grow wave: resims %d reason %q, want 1 tiny or full_rebuild", tr.Resims, tr.ResimReason)
+	fl = flushes(len(fl) + 1)
+	grow := fl[len(fl)-1] // oldest first
+	if grow.Resims != 1 || (grow.ResimReason != "tiny" && grow.ResimReason != "full_rebuild") {
+		t.Fatalf("grow wave: resims %d reason %q, want 1 tiny or full_rebuild", grow.Resims, grow.ResimReason)
 	}
-	for _, tr := range trace.Traces[:last] {
-		if tr.Resims != 0 || tr.ResimReason != "" {
-			t.Fatalf("set-leaf wave carries a fallback: resims %d reason %q", tr.Resims, tr.ResimReason)
+	if grow.TraceRecords <= 0 {
+		t.Fatalf("grow wave: trace_records %d, want > 0", grow.TraceRecords)
+	}
+	for _, sp := range fl[:len(fl)-1] {
+		if sp.Resims != 0 || sp.ResimReason != "" {
+			t.Fatalf("set-leaf wave carries a fallback: resims %d reason %q", sp.Resims, sp.ResimReason)
+		}
+	}
+}
+
+// TestLastNRule pins the one ?n= rule of /v1/spans and /v1/events: n
+// absent or 0 returns every retained record, n > 0 the newest n, and a
+// negative or non-numeric n answers 400.
+func TestLastNRule(t *testing.T) {
+	ts, _, _ := startObsServer(t)
+	var created struct {
+		Tree uint64 `json:"tree"`
+	}
+	call(t, "POST", ts.URL+"/v1/trees", map[string]any{"root": 1}, http.StatusCreated, &created)
+	for i := 0; i < 5; i++ {
+		call(t, "POST", tsTree(ts, created.Tree)+"/set-leaf",
+			map[string]any{"leaf": 0, "value": int64(i)}, http.StatusOK, nil)
+	}
+	count := func(route, n string) int {
+		t.Helper()
+		var out map[string]any
+		call(t, "GET", ts.URL+route+n, nil, http.StatusOK, &out)
+		for _, key := range []string{"spans", "events"} {
+			if list, ok := out[key].([]any); ok {
+				return len(list)
+			}
+		}
+		t.Fatalf("GET %s%s: no record list in %v", route, n, out)
+		return 0
+	}
+	for _, route := range []string{"/v1/spans", "/v1/events"} {
+		all := count(route, "")
+		if all < 1 {
+			t.Fatalf("GET %s: empty", route)
+		}
+		if got := count(route, "?n=0"); got < all {
+			t.Fatalf("GET %s?n=0: %d records, want all retained (>= %d)", route, got, all)
+		}
+		if got := count(route, "?n=1"); got != 1 {
+			t.Fatalf("GET %s?n=1: %d records, want 1", route, got)
+		}
+		for _, bad := range []string{"-1", "x", "1.5"} {
+			call(t, "GET", ts.URL+route+"?n="+bad, nil, http.StatusBadRequest, nil)
+		}
+	}
+}
+
+// slogCapture is a slog.Handler recording every record, so a test can
+// read structured attributes instead of parsing text.
+type slogCapture struct {
+	mu   sync.Mutex
+	recs []slog.Record
+}
+
+func (h *slogCapture) Enabled(context.Context, slog.Level) bool { return true }
+func (h *slogCapture) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *slogCapture) WithGroup(string) slog.Handler            { return h }
+func (h *slogCapture) Handle(_ context.Context, r slog.Record) error {
+	h.mu.Lock()
+	h.recs = append(h.recs, r.Clone())
+	h.mu.Unlock()
+	return nil
+}
+
+// messages returns the attributes of every captured record with msg.
+func (h *slogCapture) messages(msg string) []map[string]slog.Value {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var out []map[string]slog.Value
+	for _, r := range h.recs {
+		if r.Message != msg {
+			continue
+		}
+		attrs := map[string]slog.Value{}
+		r.Attrs(func(a slog.Attr) bool {
+			attrs[a.Key] = a.Value
+			return true
+		})
+		out = append(out, attrs)
+	}
+	return out
+}
+
+// TestSlowWaveLog drives dyntcd's -slow-wave path: with the threshold
+// below every flush, each flush — sampled into spans or not — logs one
+// "slow wave" line carrying its duration, per-stage times and heal cost;
+// with the threshold off, none does.
+func TestSlowWaveLog(t *testing.T) {
+	for _, threshold := range []time.Duration{time.Nanosecond, 0} {
+		h := &slogCapture{}
+		old := slog.Default()
+		slog.SetDefault(slog.New(h))
+
+		ob, err := newObsBundle(obsConfig{proc: "leader", slowWave: threshold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := dyntc.BatchOptions{Metrics: ob.engine, Spans: ob.spans, TraceSample: 1 << 30}
+		ob.engineHooks(&opts)
+		s := newServer(opts)
+		s.observe(ob)
+		ts := httptest.NewServer(s.routes())
+		var created struct {
+			Tree uint64 `json:"tree"`
+		}
+		call(t, "POST", ts.URL+"/v1/trees", map[string]any{"root": 1}, http.StatusCreated, &created)
+		call(t, "POST", tsTree(ts, created.Tree)+"/grow",
+			map[string]any{"leaf": 0, "op": "add", "left": 3, "right": 4}, http.StatusOK, nil)
+		for i := 0; i < 4; i++ {
+			call(t, "POST", tsTree(ts, created.Tree)+"/set-leaf",
+				map[string]any{"leaf": 1, "value": int64(i)}, http.StatusOK, nil)
+		}
+		ts.Close()
+		en, _ := s.forest.Get(dyntc.TreeID(created.Tree))
+		s.forest.Close() // drains the executors: every flush hook has run
+		slog.SetDefault(old)
+		flushes := en.Stats().Flushes
+
+		lines := h.messages("slow wave")
+		if threshold == 0 {
+			if len(lines) != 0 {
+				t.Fatalf("-slow-wave off: %d slow wave lines logged", len(lines))
+			}
+			continue
+		}
+		if flushes < 5 || uint64(len(lines)) != flushes {
+			t.Fatalf("-slow-wave %v: %d slow wave lines for %d flushes", threshold, len(lines), flushes)
+		}
+		grows := 0
+		for _, l := range lines {
+			for _, key := range []string{"tree", "flush_ns", "coalesce_ns", "grow_ns", "set_leaf_ns",
+				"seal_ns", "heal_records", "resims", "trace_records"} {
+				if _, ok := l[key]; !ok {
+					t.Fatalf("slow wave line missing %q: %v", key, l)
+				}
+			}
+			if l["tree"].Uint64() != created.Tree || l["flush_ns"].Int64() <= 0 {
+				t.Fatalf("slow wave line tree %v flush_ns %v", l["tree"], l["flush_ns"])
+			}
+			if l["grow_ns"].Int64() > 0 {
+				grows++
+				if l["resims"].Int64() != 1 || l["resim_reason"].String() == "" {
+					t.Fatalf("grow flush line: resims %v reason %v, want one with a reason", l["resims"], l["resim_reason"])
+				}
+				if l["trace_records"].Int64() <= 0 {
+					t.Fatalf("grow flush line: trace_records %v, want > 0", l["trace_records"])
+				}
+			}
+		}
+		if grows != 1 {
+			t.Fatalf("%d slow wave lines with grow_ns > 0, want 1 (the grow flush)", grows)
 		}
 	}
 }

@@ -2,8 +2,8 @@ package main
 
 // The scrape contract of a leader+follower pair, driven in process
 // through the real handlers: /metrics parses as Prometheus text and
-// carries every instrumented layer's families, /v1/trace and /v1/spans
-// answer for an explicitly traced batch, both follower-side lag stages
+// carries every instrumented layer's families, /v1/spans holds sampled
+// flush records and answers for an explicitly traced batch, both follower-side lag stages
 // fill once a wave has replicated, and the self-diagnosis surface
 // (/v1/events, /v1/hot, /v1/debug/bundle) returns well-formed JSON on
 // both roles. CI's scrape smoke only curls the same endpoints of two
@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"dyntc"
+	"dyntc/internal/obs"
 )
 
 // parseMetricsText parses Prometheus text exposition format into
@@ -121,7 +122,7 @@ var requiredFollowerFamilies = []string{
 
 // TestScrapeLeaderFollower wires a leader and a follower the way main
 // does — one observability bundle per process,
-// every flush trace-sampled on the leader (CI's -trace-sample 1) — and
+// every flush span-sampled on the leader (CI's -trace-sample 1) — and
 // validates both processes' observability surface after real traffic.
 func TestScrapeLeaderFollower(t *testing.T) {
 	leaderURL := startScrapeLeader(t)
@@ -140,7 +141,7 @@ func TestScrapeLeaderFollower(t *testing.T) {
 }
 
 // startScrapeLeader serves a leader wired like main's: obs bundle with
-// its engine hooks, every flush trace-sampled.
+// its engine hooks, every flush span-sampled.
 func startScrapeLeader(t *testing.T) string {
 	t.Helper()
 	ob, err := newObsBundle(obsConfig{proc: "leader"})
@@ -148,7 +149,7 @@ func startScrapeLeader(t *testing.T) string {
 		t.Fatal(err)
 	}
 	opts := dyntc.BatchOptions{
-		Metrics: ob.engine, Trace: ob.trace, TraceSample: 1, Spans: ob.spans,
+		Metrics: ob.engine, TraceSample: 1, Spans: ob.spans,
 	}
 	ob.engineHooks(&opts)
 	s := newServer(opts)
@@ -181,7 +182,8 @@ func getText(base, path string) (string, error) {
 
 // scrapeLeader drives a tree through ops batched set/value requests, one
 // cross-tree query and one explicitly traced batch, then validates the
-// leader's spans, /metrics, /v1/trace and self-diagnosis endpoints.
+// leader's spans (sampled flush records among them), /metrics and
+// self-diagnosis endpoints.
 func scrapeLeader(t *testing.T, base string, ops int) {
 	t.Helper()
 	var created struct {
@@ -284,12 +286,17 @@ func scrapeLeader(t *testing.T, base string, ops int) {
 		}
 	}
 
-	var ring struct {
-		Total int `json:"total"`
+	// Every flush is sampled: the flush spans carry the wave records.
+	var recent spansResp
+	call(t, "GET", base+"/v1/spans", nil, http.StatusOK, &recent)
+	sampled := 0
+	for _, sp := range bySpanName(recent.Spans, "engine.flush") {
+		if sp.Waves > 0 && sp.Dur > 0 {
+			sampled++
+		}
 	}
-	call(t, "GET", base+"/v1/trace?n=4", nil, http.StatusOK, &ring)
-	if ring.Total <= 0 {
-		t.Fatalf("trace: no waves sampled after %d ops", ops)
+	if sampled == 0 {
+		t.Fatalf("spans: no sampled flush record after %d ops", ops)
 	}
 	checkObsEndpoints(t, base, "leader", true)
 }
@@ -375,8 +382,8 @@ func checkObsEndpoints(t *testing.T, base, wantRole string, wantHot bool) {
 	}
 
 	var hot map[string]struct {
-		Total uint64           `json:"total"`
-		Trees []dyntc.TopKItem `json:"trees"`
+		Total uint64         `json:"total"`
+		Trees []obs.TopKItem `json:"trees"`
 	}
 	call(t, "GET", base+"/v1/hot", nil, http.StatusOK, &hot)
 	for _, dim := range []string{"cost", "reqs", "shed"} {

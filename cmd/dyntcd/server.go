@@ -83,8 +83,8 @@ type server struct {
 	compactEvery int
 	compactors   sync.Map // dyntc.TreeID -> *compactor
 
-	// obs, when set (server.observe), adds GET /metrics and GET /v1/trace
-	// to the routes and feeds the snapshot instruments. Nil in tests that
+	// obs, when set (server.observe), adds GET /metrics, /v1/spans,
+	// /v1/events, /v1/hot and /v1/debug/bundle to the routes and feeds the snapshot instruments. Nil in tests that
 	// don't exercise observability.
 	obs *obsBundle
 
@@ -514,7 +514,6 @@ func (s *server) routes() *http.ServeMux {
 	mux.HandleFunc("POST /v1/promote", s.handlePromote)
 	if s.obs != nil {
 		mux.HandleFunc("GET /metrics", s.obs.handleMetrics)
-		mux.HandleFunc("GET /v1/trace", s.obs.handleTrace)
 		mux.HandleFunc("GET /v1/spans", s.obs.handleSpans)
 		mux.HandleFunc("GET /v1/events", s.obs.handleEvents)
 		mux.HandleFunc("GET /v1/hot", s.obs.handleHot)

@@ -46,12 +46,12 @@ func bySpanName(spans []dyntc.SpanRecord, name string) []dyntc.SpanRecord {
 // boundary — the follower's fetch and apply, with the three lag-stage
 // histograms non-empty and consistent with the span timestamps.
 func TestDistributedTraceEndToEnd(t *testing.T) {
-	lob, err := newObsBundle(obsConfig{traceCap: 64, proc: "leader"})
+	lob, err := newObsBundle(obsConfig{proc: "leader"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := newServer(dyntc.BatchOptions{
-		Metrics: lob.engine, Trace: lob.trace, TraceSample: 1 << 20, Spans: lob.spans,
+		Metrics: lob.engine, TraceSample: 1 << 20, Spans: lob.spans,
 	})
 	s.observe(lob)
 	leaderSrv := httptest.NewServer(s.routes())
@@ -62,7 +62,7 @@ func TestDistributedTraceEndToEnd(t *testing.T) {
 	}
 	call(t, "POST", leaderSrv.URL+"/v1/trees", map[string]any{"root": 1}, 201, &created)
 
-	fob, err := newObsBundle(obsConfig{traceCap: 64, proc: "follower"})
+	fob, err := newObsBundle(obsConfig{proc: "follower"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestDistributedTraceEndToEnd(t *testing.T) {
 }
 
 // TestPromotionKeepsObservability: after POST /v1/promote flips the
-// follower to leading in place, /metrics, /v1/trace and /v1/spans must
+// follower to leading in place, /metrics, /v1/spans and /v1/events must
 // keep serving, and write traffic through the promoted leader must move
 // the leader-side families on the same registry.
 func TestPromotionKeepsObservability(t *testing.T) {
@@ -225,14 +225,14 @@ func TestPromotionKeepsObservability(t *testing.T) {
 	base := fmt.Sprintf("%s/v1/trees/%d", leaderSrv.URL, created.Tree)
 	lastLeaf := growSome(t, base, 5, 0)
 
-	fob, err := newObsBundle(obsConfig{traceCap: 16, proc: "follower"})
+	fob, err := newObsBundle(obsConfig{proc: "follower"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The engine options the replicas, and so the promoted leader, serve
 	// with: every flush sampled, spans into the bundle the follower exports.
 	fo := newServer(dyntc.BatchOptions{
-		Metrics: fob.engine, Trace: fob.trace, TraceSample: 1, Spans: fob.spans,
+		Metrics: fob.engine, TraceSample: 1, Spans: fob.spans,
 	})
 	fo.follow(leaderSrv.URL, 2*time.Millisecond)
 	fo.observe(fob)
@@ -244,7 +244,7 @@ func TestPromotionKeepsObservability(t *testing.T) {
 	call(t, "POST", foSrv.URL+"/v1/promote", nil, 200, nil)
 
 	// The observability surface survives the flip.
-	for _, path := range []string{"/metrics", "/v1/trace", "/v1/spans"} {
+	for _, path := range []string{"/metrics", "/v1/spans", "/v1/events"} {
 		getBytes(t, foSrv.URL+path, 200)
 	}
 

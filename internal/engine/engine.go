@@ -93,11 +93,7 @@ type Options struct {
 	// (flush/coalesce/per-stage seconds — see NewObs). One Obs is shared
 	// by every engine of a forest; nil costs one bool check per flush.
 	Obs *Obs
-	// Trace, when set, receives a WaveTrace record for every
-	// TraceSample-th flush: the sampled wave-lifecycle trace dyntcd dumps
-	// via GET /v1/trace.
-	Trace *obs.TraceRing
-	// TraceSample is the flush sampling period for Trace (default 16;
+	// TraceSample is the flush sampling period for Spans (default 16;
 	// 1 records every flush).
 	TraceSample int
 	// Spans, when set, receives distributed-trace spans for sampled
@@ -107,33 +103,26 @@ type Options struct {
 	// (obs.WaveSpanID) lets follower-side spans stitch to it by
 	// (epoch, seq). Flushes are sampled at the TraceSample period; a flush
 	// containing an explicitly traced request is always recorded. Setting
-	// Spans enables timing like Obs/Trace do.
+	// Spans enables timing like Obs does.
 	Spans *obs.SpanLog
-	// SlowWave, when set, is called — on the executor, so keep it cheap —
-	// with the trace record of every flush at least SlowWaveThreshold
-	// slow, regardless of Trace sampling. dyntcd's -slow-wave structured
-	// log rides on this.
-	SlowWave func(obs.WaveTrace)
-	// SlowWaveThreshold is the flush duration that counts as slow
-	// (default 25ms when SlowWave is set).
-	SlowWaveThreshold time.Duration
 	// Events, when set, receives the engine's lifecycle events: shed
 	// bursts (rate-limited to one event per second per engine) and
 	// adaptive flush-cap shifts. Shared with the server's journal; nil
 	// costs one pointer check on the rare paths that emit.
 	Events *obs.Journal
 	// Boost, when set, is the anomaly flight recorder's sampling
-	// override: while active, every flush is trace- and span-sampled
-	// regardless of TraceSample, so the slow period around a detector
-	// trip is densely traced. Checking it costs the unsampled flush path
+	// override: while active, every flush is span-sampled regardless of
+	// TraceSample, so the slow period around a detector trip is densely
+	// traced. Checking it costs the unsampled flush path
 	// one atomic load — no allocation.
 	Boost *obs.TraceBoost
-	// FlushSink, when set, receives every flush's cost sample — the
-	// engine's forest tree id, request count and flush duration — on the
-	// executor. This feeds the anomaly detectors and the per-tree
-	// hot-spot sketch; it must be fast and must not call back into the
-	// engine. Setting FlushSink enables timing like Obs/Trace/Spans do.
-	FlushSink func(tree uint64, reqs int, flushNS int64)
+	// FlushSink, when set, receives every flush's record — tree id,
+	// request and wave counts, coalesce wait, flush and per-stage
+	// durations, heal cost — by value, on the executor. This feeds the
+	// anomaly detectors, the per-tree hot-spot sketch and the slow-wave
+	// log; it must be fast and must not call back into the engine.
+	// Setting FlushSink enables timing like Obs/Spans do.
+	FlushSink func(obs.WaveTrace)
 	// ShedSink, when set, receives per-tree load-shed counts (the
 	// hot-spot sketch's shed dimension). Called on the submitting
 	// goroutine, only when a request is actually shed.
@@ -169,9 +158,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TraceSample <= 0 {
 		o.TraceSample = 16
-	}
-	if o.SlowWave != nil && o.SlowWaveThreshold <= 0 {
-		o.SlowWaveThreshold = 25 * time.Millisecond
 	}
 	return o
 }
@@ -217,9 +203,9 @@ type Engine struct {
 	healer healReporter
 
 	// timing enables the per-flush clock reads (immutable after New): set
-	// when any of Obs / Trace / SlowWave is configured. traceID is the
-	// forest tree id stamped into trace records (SetTraceID); flushSeq
-	// counts flushes for trace sampling (executor only).
+	// when any of Obs / Spans / FlushSink is configured. traceID is the
+	// forest tree id stamped into flush records (SetTraceID); flushSeq
+	// counts flushes for span sampling (executor only).
 	timing   bool
 	traceID  atomic.Uint64
 	flushSeq uint64
@@ -233,7 +219,7 @@ type Engine struct {
 
 // healReporter is the optional host capability exposing the contraction
 // core's per-wave heal cost (records touched, re-simulation fallbacks),
-// folded into Stats, the wave traces and the heal histograms.
+// folded into Stats, the flush records and the heal histograms.
 type healReporter interface{ LastHeal() HealStats }
 
 // New starts an engine (and its executor goroutine) over host.
@@ -256,8 +242,7 @@ func New(host Host, opts Options) *Engine {
 	} else {
 		e.epoch.Store(1)
 	}
-	e.timing = e.opts.Obs != nil || e.opts.Trace != nil || e.opts.SlowWave != nil ||
-		e.opts.Spans != nil || e.opts.FlushSink != nil
+	e.timing = e.opts.Obs != nil || e.opts.Spans != nil || e.opts.FlushSink != nil
 	go e.run()
 	return e
 }

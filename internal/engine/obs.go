@@ -10,10 +10,10 @@ import (
 
 // This file is the engine layer's observability wiring: histogram
 // instruments over the wave pipeline (submit → coalesce wait → flush →
-// per-kind phase → seal/tap → ack), sampled per-flush trace records, and
-// the slow-wave hook. All of it is opt-in through Options; an engine
-// without Obs/Trace/SlowWave configured takes exactly one bool check per
-// flush and nothing per request.
+// per-kind phase → seal/tap → ack), the per-flush record handed to
+// FlushSink, and the sampled flush span tree. All of it is opt-in
+// through Options; an engine without Obs/Spans/FlushSink configured
+// takes exactly one bool check per flush and nothing per request.
 
 // numStages is the wave phases plus the barrier pseudo-phase.
 const numStages = numPhases + 1
@@ -122,7 +122,7 @@ func RegisterStatsFuncs(r *obs.Registry, stats func() Stats) {
 		func() float64 { return stats().FlushP99US / 1e6 })
 }
 
-// SetTraceID sets the tree id stamped into this engine's trace records —
+// SetTraceID sets the tree id stamped into this engine's flush records —
 // forests set it to the tree's forest id right after Add/AddAt.
 func (e *Engine) SetTraceID(id uint64) { e.traceID.Store(id) }
 
@@ -164,38 +164,43 @@ func (e *Engine) beginFlushSpan(flush []*Future, flushStart time.Time) {
 }
 
 // emitFlushSpans records the sampled flush's span tree: the flush span
-// (parented on the adopting request's ingest span, when one exists), an
+// (parented on the adopting request's ingest span, when one exists)
+// carrying the flush record's wave count and heal cost, an
 // engine.coalesce span for the batching wait, and one child span per
 // stage that ran, timestamped from the stage's first start within the
 // flush. Wave anchor spans were already emitted by phaseSealWave.
-func (e *Engine) emitFlushSpans(reqs int, coalesceNS, flushNS int64) {
+func (e *Engine) emitFlushSpans(tr *obs.WaveTrace) {
 	sc := &e.sc
 	sl := e.opts.Spans
-	tree := e.traceID.Load()
-	epoch := e.epoch.Load()
 	t0 := sc.flushT0.UnixNano()
 	sl.Add(obs.Span{
 		Trace:  sc.spanTrace,
 		Span:   sc.spanFlush,
 		Parent: sc.spanParent,
 		Name:   "engine.flush",
-		Tree:   tree,
-		Seq:    e.appliedSeq.Load(),
-		Epoch:  epoch,
+		Tree:   tr.Tree,
+		Seq:    tr.Seq,
+		Epoch:  tr.Epoch,
 		Start:  t0,
-		Dur:    flushNS,
-		Reqs:   reqs,
+		Dur:    tr.Flush,
+		Reqs:   tr.Reqs,
+
+		Waves:        tr.Waves,
+		HealRecords:  tr.HealRecords,
+		Resims:       tr.Resims,
+		ResimReason:  tr.ResimReason,
+		TraceRecords: tr.TraceRecords,
 	})
-	if coalesceNS > 0 {
+	if tr.Coalesce > 0 {
 		sl.Add(obs.Span{
 			Trace:  sc.spanTrace,
 			Span:   obs.NewSpanID(),
 			Parent: sc.spanFlush,
 			Name:   "engine.coalesce",
-			Tree:   tree,
-			Epoch:  epoch,
-			Start:  t0 - coalesceNS,
-			Dur:    coalesceNS,
+			Tree:   tr.Tree,
+			Epoch:  tr.Epoch,
+			Start:  t0 - tr.Coalesce,
+			Dur:    tr.Coalesce,
 		})
 	}
 	for i := range sc.stageNS {
@@ -205,8 +210,8 @@ func (e *Engine) emitFlushSpans(reqs int, coalesceNS, flushNS int64) {
 				Span:   obs.NewSpanID(),
 				Parent: sc.spanFlush,
 				Name:   "stage." + stageNames[i],
-				Tree:   tree,
-				Epoch:  epoch,
+				Tree:   tr.Tree,
+				Epoch:  tr.Epoch,
 				Start:  t0 + sc.stageStart[i],
 				Dur:    sc.stageNS[i],
 			})
@@ -215,9 +220,9 @@ func (e *Engine) emitFlushSpans(reqs int, coalesceNS, flushNS int64) {
 }
 
 // observeFlush runs at the end of every flush on a timing-enabled engine:
-// it feeds the histograms, emits the flush's span tree when span-sampled,
-// and, when the flush is trace-sampled (every TraceSample-th) or slow
-// (SlowWaveThreshold), assembles the WaveTrace.
+// it feeds the histograms, completes the flush record, emits it as the
+// flush's span tree when span-sampled, and hands it by value to
+// FlushSink, so an unsampled flush allocates nothing.
 func (e *Engine) observeFlush(reqs int, coalesceNS, flushNS int64) {
 	sc := &e.sc
 	if o := e.opts.Obs; o != nil {
@@ -229,57 +234,35 @@ func (e *Engine) observeFlush(reqs int, coalesceNS, flushNS int64) {
 			}
 		}
 	}
-	if sc.spanActive {
-		e.emitFlushSpans(reqs, coalesceNS, flushNS)
-	}
-	if sink := e.opts.FlushSink; sink != nil {
-		sink(e.traceID.Load(), reqs, flushNS)
-	}
-	ring, slow := e.opts.Trace, e.opts.SlowWave
-	if ring == nil && slow == nil {
+	if !sc.spanActive && e.opts.FlushSink == nil {
 		return
 	}
-	sampled := ring != nil && (e.flushSeq%uint64(e.opts.TraceSample) == 0 ||
-		e.opts.Boost.Active(sc.flushT0.UnixNano()))
-	isSlow := slow != nil && flushNS >= int64(e.opts.SlowWaveThreshold)
-	if !sampled && !isSlow {
-		return
-	}
-	tr := obs.WaveTrace{
-		Tree:     e.traceID.Load(),
-		Seq:      e.appliedSeq.Load(),
-		Epoch:    e.epoch.Load(),
-		Reqs:     reqs,
-		Waves:    sc.waveN,
-		Coalesce: coalesceNS,
-		Flush:    flushNS,
-		Grow:     sc.stageNS[phaseGrowsIdx],
-		Collapse: sc.stageNS[phaseCollapsesIdx],
-		SetLeaf:  sc.stageNS[phaseSetLeavesIdx],
-		SetOp:    sc.stageNS[phaseSetOpsIdx],
-		Seal:     sc.stageNS[phaseSealWaveIdx],
-		Value:    sc.stageNS[phaseValuesIdx],
-		Barrier:  sc.stageNS[stageBarrierIdx],
-
-		HealRecords:  sc.healRecords,
-		Resims:       sc.healResims,
-		ResimReason:  sc.healResimReason,
-		TraceRecords: sc.traceRecords,
-	}
+	tr := &sc.flushRec
+	tr.Tree = e.traceID.Load()
+	tr.Seq = e.appliedSeq.Load()
+	tr.Epoch = e.epoch.Load()
+	tr.Reqs = reqs
+	tr.Coalesce = coalesceNS
+	tr.Flush = flushNS
+	tr.Grow = sc.stageNS[phaseGrowsIdx]
+	tr.Collapse = sc.stageNS[phaseCollapsesIdx]
+	tr.SetLeaf = sc.stageNS[phaseSetLeavesIdx]
+	tr.SetOp = sc.stageNS[phaseSetOpsIdx]
+	tr.Seal = sc.stageNS[phaseSealWaveIdx]
+	tr.Value = sc.stageNS[phaseValuesIdx]
+	tr.Barrier = sc.stageNS[stageBarrierIdx]
 	if sc.spanActive {
 		tr.TraceID = sc.spanTrace
+		e.emitFlushSpans(tr)
 	}
-	if sampled {
-		ring.Add(tr)
-	}
-	if isSlow {
-		slow(tr)
+	if sink := e.opts.FlushSink; sink != nil {
+		sink(*tr)
 	}
 }
 
 // noteHeal folds the host's last heal report into the engine counters,
-// the per-flush trace accumulators and the records-touched histogram. It
-// runs right after each mutating host call, on the executor, so the
+// the flush record under construction and the records-touched histogram.
+// It runs right after each mutating host call, on the executor, so the
 // report it reads is the wave's own.
 func (e *Engine) noteHeal(executed int) {
 	if e.healer == nil || executed == 0 {
@@ -297,12 +280,12 @@ func (e *Engine) noteHeal(executed int) {
 		o.HealRecords.Observe(int64(hs.WoundRecords))
 	}
 	if e.timing {
-		sc := &e.sc
-		sc.healRecords += int64(hs.WoundRecords)
+		tr := &e.sc.flushRec
+		tr.HealRecords += int64(hs.WoundRecords)
 		if hs.Resimulated {
-			sc.healResims++
-			sc.healResimReason = hs.ResimReason
+			tr.Resims++
+			tr.ResimReason = hs.ResimReason
 		}
-		sc.traceRecords = hs.TotalRecords
+		tr.TraceRecords = hs.TotalRecords
 	}
 }

@@ -171,20 +171,11 @@ type scratch struct {
 	rec      []replog.Op // change record under construction (escapes into the tap)
 
 	// Per-flush observability accumulators (timing-enabled engines only):
-	// per-stage nanoseconds and the flush's wave count, reset at flush
-	// start, read by observeFlush after the last wave joins.
-	stageNS [numStages]int64
-	waveN   int
-
-	// Per-flush heal accumulators (timing-enabled engines with a
-	// heal-reporting host): trace records re-executed across the flush's
-	// mutating waves, waves that fell back to re-simulation with the
-	// reason of the last one, and the contraction's trace size after the
-	// last mutating wave.
-	healRecords     int64
-	healResims      int
-	healResimReason string
-	traceRecords    int
+	// per-stage nanoseconds and the flush record under construction (its
+	// wave count and heal cost accumulate wave by wave), reset at flush
+	// start and completed by observeFlush after the last wave joins.
+	stageNS  [numStages]int64
+	flushRec obs.WaveTrace
 
 	// Per-flush distributed-trace state (engines with Options.Spans):
 	// spanActive marks a flush sampled into the span log — every
@@ -286,8 +277,7 @@ func (e *Engine) executeFlush(flush []*Future) {
 			coalesceNS = int64(flushStart.Sub(at))
 		}
 		e.sc.stageNS = [numStages]int64{}
-		e.sc.waveN = 0
-		e.sc.healRecords, e.sc.healResims, e.sc.healResimReason, e.sc.traceRecords = 0, 0, "", 0
+		e.sc.flushRec = obs.WaveTrace{}
 		e.flushSeq++
 		e.beginFlushSpan(flush, flushStart)
 	}
@@ -430,7 +420,7 @@ func (e *Engine) runWave(wave []*Future) {
 		}
 	}()
 	e.stats.wave()
-	sc.waveN++
+	sc.flushRec.Waves++
 
 	// Fault-injection crash point for the flush path: an injected error
 	// rides the wave's own panic recovery into a poisoned engine — every

@@ -106,6 +106,35 @@ func TestBeginFlushSpanBoostSamples(t *testing.T) {
 	}
 }
 
+// TestObserveFlushSinkZeroAlloc: every flush of a timing engine hands
+// its record to FlushSink by value, so an unsampled flush with a sink
+// attached still allocates nothing.
+func TestObserveFlushSinkZeroAlloc(t *testing.T) {
+	sl, err := obs.NewSpanLog(16, "test", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got obs.WaveTrace
+	f := NewForest(Options{Spans: sl, TraceSample: 1 << 30, FlushSink: func(tr obs.WaveTrace) { got = tr }})
+	defer f.Close()
+	_, en := f.Add(stubHost{})
+	en.flushSeq = 5
+	en.beginFlushSpan([]*Future{{}}, time.Now())
+	en.sc.flushRec.Waves = 2
+	allocs := testing.AllocsPerRun(200, func() {
+		en.observeFlush(3, 10, 1000)
+	})
+	if allocs != 0 {
+		t.Fatalf("observeFlush allocated %v per unsampled flush, want 0", allocs)
+	}
+	if got.Reqs != 3 || got.Waves != 2 || got.Coalesce != 10 || got.Flush != 1000 {
+		t.Fatalf("sink record = %+v, want reqs 3 waves 2 coalesce 10 flush 1000", got)
+	}
+	if sl.Total() != 0 {
+		t.Fatalf("unsampled flush recorded %d spans", sl.Total())
+	}
+}
+
 // BenchmarkBeginFlushSpanUnsampled pins the unsampled flush-path span
 // check; run with -benchmem to watch the 0 allocs/op column.
 func BenchmarkBeginFlushSpanUnsampled(b *testing.B) {

@@ -19,7 +19,7 @@ import (
 )
 
 // TraceBoost is the flight recorder's sampling override: while active,
-// engines treat every flush as trace-sampled. The zero value is inactive.
+// engines treat every flush as span-sampled. The zero value is inactive.
 type TraceBoost struct {
 	deadline atomic.Int64 // UnixNano; 0 or past = inactive
 }

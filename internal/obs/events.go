@@ -2,7 +2,7 @@
 // aggregate and spans sample, the journal records the rare, discrete
 // state transitions an operator asks about first — who promoted, when a
 // follower went degraded, why the WAL was truncated — as structured
-// events in a lock-cheap bounded ring with an optional JSONL sink.
+// events in a bounded ring (ring.go) with an optional JSONL sink.
 // Every subsystem emits into one shared Journal; the server serves it at
 // GET /v1/events and counts emissions per type in /metrics
 // (dyntc_events_total{type=...}).
@@ -80,10 +80,7 @@ const DefaultJournalCap = 1024
 // *Journal without guarding every call site.
 type Journal struct {
 	mu   sync.Mutex
-	buf  []Event
-	next int
-	n    int
-	seq  uint64
+	ring ring[Event]
 	proc string
 
 	sink *rotatingFile
@@ -97,10 +94,7 @@ type Journal struct {
 // emitting process's role. A non-empty path mirrors every event to an
 // append-only JSONL file.
 func NewJournal(capacity int, proc, path string) (*Journal, error) {
-	if capacity <= 0 {
-		capacity = DefaultJournalCap
-	}
-	j := &Journal{buf: make([]Event, capacity), proc: proc}
+	j := &Journal{ring: newRing[Event](capacity, DefaultJournalCap), proc: proc}
 	if path != "" {
 		sink, err := openRotatingFile(path, 0, 1)
 		if err != nil {
@@ -138,13 +132,8 @@ func (j *Journal) Record(e Event) {
 		e.Proc = j.proc
 	}
 	j.mu.Lock()
-	j.seq++
-	e.Seq = j.seq
-	j.buf[j.next] = e
-	j.next = (j.next + 1) % len(j.buf)
-	if j.n < len(j.buf) {
-		j.n++
-	}
+	e.Seq = j.ring.total() + 1
+	j.ring.add(e)
 	if j.reg != nil {
 		c, ok := j.counters[e.Type]
 		if !ok {
@@ -156,8 +145,7 @@ func (j *Journal) Record(e Event) {
 	}
 	if j.sink != nil {
 		if b, err := json.Marshal(e); err == nil {
-			j.sink.Write(b)
-			j.sink.Write(nl)
+			j.sink.Write(append(b, '\n'))
 			j.sink.Flush() // events are rare and precious: push each one down
 		}
 	}
@@ -174,19 +162,6 @@ func (j *Journal) EmitTree(typ string, tree uint64, msg string, fields map[strin
 	j.Record(Event{Type: typ, Tree: tree, Msg: msg, Fields: fields})
 }
 
-// snapshot copies the retained events oldest-first under the lock.
-func (j *Journal) snapshot() []Event {
-	out := make([]Event, 0, j.n)
-	start := j.next - j.n
-	if start < 0 {
-		start += len(j.buf)
-	}
-	for i := 0; i < j.n; i++ {
-		out = append(out, j.buf[(start+i)%len(j.buf)])
-	}
-	return out
-}
-
 // Last returns up to n of the most recent events, oldest first
 // (n <= 0 means all retained).
 func (j *Journal) Last(n int) []Event {
@@ -195,11 +170,7 @@ func (j *Journal) Last(n int) []Event {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	all := j.snapshot()
-	if n > 0 && len(all) > n {
-		all = all[len(all)-n:]
-	}
-	return all
+	return j.ring.last(n)
 }
 
 // Query returns up to n retained events with Seq > since, oldest first,
@@ -211,18 +182,11 @@ func (j *Journal) Query(typ string, since uint64, n int) []Event {
 		return nil
 	}
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	var out []Event
-	for _, e := range j.snapshot() {
-		if e.Seq <= since {
-			continue
-		}
-		if typ != "" && e.Type != typ &&
-			!(strings.HasSuffix(typ, ".") && strings.HasPrefix(e.Type, typ)) {
-			continue
-		}
-		out = append(out, e)
-	}
+	out := j.ring.filter(func(e Event) bool {
+		return e.Seq > since && (typ == "" || e.Type == typ ||
+			strings.HasSuffix(typ, ".") && strings.HasPrefix(e.Type, typ))
+	})
+	j.mu.Unlock()
 	if n > 0 && len(out) > n {
 		out = out[len(out)-n:]
 	}
@@ -231,19 +195,10 @@ func (j *Journal) Query(typ string, since uint64, n int) []Event {
 
 // LastEvent returns the most recent event (ok=false when none yet).
 func (j *Journal) LastEvent() (Event, bool) {
-	if j == nil {
-		return Event{}, false
+	if last := j.Last(1); len(last) == 1 {
+		return last[0], true
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.n == 0 {
-		return Event{}, false
-	}
-	i := j.next - 1
-	if i < 0 {
-		i += len(j.buf)
-	}
-	return j.buf[i], true
+	return Event{}, false
 }
 
 // Len returns the number of retained events.
@@ -253,7 +208,7 @@ func (j *Journal) Len() int {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.n
+	return j.ring.len()
 }
 
 // Total returns the number of events ever journaled (including evicted).
@@ -263,7 +218,7 @@ func (j *Journal) Total() uint64 {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.seq
+	return j.ring.total()
 }
 
 // Close flushes and closes the JSONL sink, if any.

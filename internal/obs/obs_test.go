@@ -126,57 +126,85 @@ func TestPrometheusGolden(t *testing.T) {
 	}
 }
 
-// TestTraceRingEviction fills a ring past capacity and checks exactly N
-// records are retained, the oldest evicted, newest last.
+// TestTraceRingEviction fills the bounded ring behind the span log and
+// the event journal past capacity and checks exactly N values are
+// retained, the oldest evicted, newest last.
 func TestTraceRingEviction(t *testing.T) {
 	const capacity = 8
-	ring := NewTraceRing(capacity)
+	r := newRing[Span](capacity, DefaultSpanCap)
+	if got := r.last(0); len(got) != 0 {
+		t.Fatalf("empty ring last(0) = %+v", got)
+	}
 	for i := 1; i <= 20; i++ {
-		ring.Add(WaveTrace{Seq: uint64(i)})
+		r.add(Span{Seq: uint64(i)})
 	}
-	if got := ring.Len(); got != capacity {
-		t.Fatalf("Len = %d, want %d", got, capacity)
+	if got := r.len(); got != capacity {
+		t.Fatalf("len = %d, want %d", got, capacity)
 	}
-	if got := ring.Total(); got != 20 {
-		t.Fatalf("Total = %d, want 20", got)
+	if got := r.total(); got != 20 {
+		t.Fatalf("total = %d, want 20", got)
 	}
-	all := ring.Last(0)
+	all := r.last(0)
 	if len(all) != capacity {
-		t.Fatalf("Last(0) returned %d records, want %d", len(all), capacity)
+		t.Fatalf("last(0) returned %d values, want %d", len(all), capacity)
 	}
-	for i, tr := range all {
-		if want := uint64(13 + i); tr.Seq != want {
-			t.Fatalf("record %d has seq %d, want %d (oldest must be evicted)", i, tr.Seq, want)
+	for i, s := range all {
+		if want := uint64(13 + i); s.Seq != want {
+			t.Fatalf("value %d has seq %d, want %d (oldest must be evicted)", i, s.Seq, want)
 		}
 	}
-	last3 := ring.Last(3)
+	last3 := r.last(3)
 	if len(last3) != 3 || last3[0].Seq != 18 || last3[2].Seq != 20 {
-		t.Fatalf("Last(3) = %+v, want seqs 18,19,20", last3)
+		t.Fatalf("last(3) = %+v, want seqs 18,19,20", last3)
 	}
-	if got := ring.Last(100); len(got) != capacity {
-		t.Fatalf("Last(100) returned %d records, want %d", len(got), capacity)
+	if got := r.last(100); len(got) != capacity {
+		t.Fatalf("last(100) returned %d values, want %d", len(got), capacity)
+	}
+	odd := r.filter(func(s Span) bool { return s.Seq%2 == 1 })
+	if len(odd) != 4 || odd[0].Seq != 13 || odd[3].Seq != 19 {
+		t.Fatalf("filter(odd) = %+v, want seqs 13,15,17,19", odd)
+	}
+	if d := newRing[Event](0, DefaultJournalCap); len(d.buf) != DefaultJournalCap {
+		t.Fatalf("default capacity = %d, want %d", len(d.buf), DefaultJournalCap)
 	}
 }
 
-// TestTraceRingConcurrent hammers Add/Last together for the race detector.
+// TestTraceRingConcurrent hammers both ring owners — the span log and
+// the event journal, each locking its own ring — for the race detector.
 func TestTraceRingConcurrent(t *testing.T) {
-	ring := NewTraceRing(32)
+	spans, err := NewSpanLog(32, "leader", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := NewJournal(32, "leader", "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 2_000; i++ {
-				ring.Add(WaveTrace{Seq: uint64(i)})
+				spans.Add(Span{Seq: uint64(i + 1)})
+				events.Emit("test", "", nil)
 				if i%64 == 0 {
-					ring.Last(8)
+					spans.Last(8)
+					spans.BySeq(uint64(i + 1))
+					events.Query("test", uint64(i), 8)
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	if ring.Total() != 8_000 {
-		t.Fatalf("Total = %d, want 8000", ring.Total())
+	if spans.Total() != 8_000 || spans.Len() != 32 {
+		t.Fatalf("span log total/len = %d/%d, want 8000/32", spans.Total(), spans.Len())
+	}
+	if events.Total() != 8_000 || events.Len() != 32 {
+		t.Fatalf("journal total/len = %d/%d, want 8000/32", events.Total(), events.Len())
+	}
+	if last, ok := events.LastEvent(); !ok || last.Seq != 8_000 {
+		t.Fatalf("last event = %+v, want seq 8000", last)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package obs is the process-wide observability layer: a dependency-free,
 // lock-cheap metrics registry (atomic counters, scrape-time gauge
-// functions, fixed-bucket histograms with an Observe(ns) fast path) plus a
-// wave-lifecycle trace ring (trace.go). Instruments are created once at
+// functions, fixed-bucket histograms with an Observe(ns) fast path) plus
+// the span log and event journal (span.go, events.go), both bounded rings
+// (ring.go). Instruments are created once at
 // wiring time and cached by their callers; the hot path is one or two
 // atomic adds with no map lookups and no locks. The registry renders
 // itself in the Prometheus text exposition format (version 0.0.4) with a

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"os"
 )
@@ -15,10 +16,6 @@ import (
 //
 // Callers serialize access (the span log and journal both write under
 // their own mutex), so rotatingFile itself is not locked.
-//
-// nl is the shared record terminator for the JSONL sinks.
-var nl = []byte{'\n'}
-
 type rotatingFile struct {
 	path     string
 	maxBytes int64
@@ -59,36 +56,39 @@ func (r *rotatingFile) open() error {
 }
 
 // rotate shifts the rotated-file chain and reopens a fresh current file.
-// A rename failure aborts the rotation but keeps the current file
-// writable — losing rotation is better than losing the sink.
+// A failed close or rename aborts the rotation, but path is reopened for
+// append either way: losing rotation is better than losing the sink.
 func (r *rotatingFile) rotate() error {
 	if err := r.bw.Flush(); err != nil {
 		return err
 	}
-	if err := r.f.Close(); err != nil {
-		return err
+	err := r.f.Close()
+	if err == nil {
+		os.Remove(fmt.Sprintf("%s.%d", r.path, r.keep))
+		for i := r.keep - 1; i >= 1; i-- {
+			os.Rename(fmt.Sprintf("%s.%d", r.path, i), fmt.Sprintf("%s.%d", r.path, i+1))
+		}
+		if err = os.Rename(r.path, r.path+".1"); os.IsNotExist(err) {
+			err = nil
+		}
 	}
-	os.Remove(fmt.Sprintf("%s.%d", r.path, r.keep))
-	for i := r.keep - 1; i >= 1; i-- {
-		os.Rename(fmt.Sprintf("%s.%d", r.path, i), fmt.Sprintf("%s.%d", r.path, i+1))
-	}
-	if err := os.Rename(r.path, r.path+".1"); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return r.open()
+	return errors.Join(err, r.open())
 }
 
 // Write appends b, rotating first when the write would push the current
 // file past maxBytes. A record larger than maxBytes still lands whole in
-// its own fresh file — records are never split across rotations.
+// its own fresh file — records are never split across rotations — and a
+// failed rotation still lands it, in the current file.
 func (r *rotatingFile) Write(b []byte) (int, error) {
+	var rerr error
 	if r.maxBytes > 0 && r.size > 0 && r.size+int64(len(b)) > r.maxBytes {
-		if err := r.rotate(); err != nil {
-			return 0, err
-		}
+		rerr = r.rotate()
 	}
 	n, err := r.bw.Write(b)
 	r.size += int64(n)
+	if err == nil {
+		err = rerr
+	}
 	return n, err
 }
 

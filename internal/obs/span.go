@@ -7,9 +7,9 @@
 // (epoch, seq), so the follower's spans parent onto the leader's wave
 // span and one trace ID covers both processes.
 //
-// The exporter is a SpanLog: a lock-cheap bounded ring plus an optional
-// buffered JSONL file, same shape as the WaveTrace ring (trace.go). Spans
-// are only materialised for sampled flushes (or requests that carry an
+// The exporter is a SpanLog: a bounded ring (ring.go) plus an optional
+// buffered JSONL file, the same shape as the event journal. Spans are
+// only materialised for sampled flushes (or requests that carry an
 // explicit trace header), so the unsampled hot path never allocates.
 package obs
 
@@ -151,11 +151,54 @@ type Span struct {
 	Start  int64  `json:"start"`
 	Dur    int64  `json:"dur_ns"`
 	Reqs   int    `json:"reqs,omitempty"`
+
+	// The rest is set on engine.flush spans only: the conflict-free waves
+	// the flush split into and its heal cost (see WaveTrace).
+	Waves        int    `json:"waves,omitempty"`
+	HealRecords  int64  `json:"heal_records,omitempty"`
+	Resims       int    `json:"resims,omitempty"`
+	ResimReason  string `json:"resim_reason,omitempty"`
+	TraceRecords int    `json:"trace_records,omitempty"`
 }
 
-// DefaultSpanCap is the span ring capacity when none is given. Spans are
-// finer-grained than wave traces (several per flush plus one per wave),
-// so the default ring is deeper than the trace ring's.
+// WaveTrace is one flush of one engine's wave pipeline: how long the
+// oldest request coalesced, how long each phase ran summed over the
+// flush's waves, and the whole flush-start→all-acked span. The engine
+// fills one per flush and hands it by value to Options.FlushSink; a
+// span-sampled flush also records it as its engine.flush span, with the
+// stage times as stage.* children and the coalesce wait as
+// engine.coalesce.
+type WaveTrace struct {
+	Tree     uint64 // forest tree id (0 for a lone engine)
+	Seq      uint64 // applied-wave sequence after the flush
+	Epoch    uint64 // leadership term the flush ran under
+	TraceID  SpanID // the flush span's trace, when span-sampled
+	Reqs     int    // requests in the flush
+	Waves    int    // conflict-free waves the flush split into
+	Coalesce int64  // oldest request's submit→flush-start wait, ns
+	Flush    int64  // flush-start→all-acked span, ns
+	Grow     int64  // per-phase execution ns, summed over waves
+	Collapse int64
+	SetLeaf  int64
+	SetOp    int64
+	Seal     int64 // wave seal: change-log record build + tap/WAL append
+	Value    int64
+	Barrier  int64
+
+	// Heal cost of the flush's mutating waves: trace records re-executed
+	// (the change-propagation work), waves that fell back to a full
+	// re-simulation and why the last of them did (gate, full_rebuild,
+	// tiny, order, budget or sanity), and the contraction's trace size
+	// after the last mutating wave (so records/size ratios read straight
+	// off the trace).
+	HealRecords  int64
+	Resims       int
+	ResimReason  string
+	TraceRecords int
+}
+
+// DefaultSpanCap is the span ring capacity when none is given: several
+// spans per sampled flush plus one per wave.
 const DefaultSpanCap = 4096
 
 // SpanLog collects finished spans: a bounded ring for the /v1/spans
@@ -163,12 +206,9 @@ const DefaultSpanCap = 4096
 // spans are emitted once per sampled flush/wave, never per request, so
 // the lock is off the hot path.
 type SpanLog struct {
-	mu    sync.Mutex
-	buf   []Span
-	next  int
-	n     int
-	total uint64
-	proc  string
+	mu   sync.Mutex
+	ring ring[Span]
+	proc string
 
 	sink *rotatingFile
 }
@@ -187,10 +227,7 @@ func NewSpanLog(capacity int, proc, path string) (*SpanLog, error) {
 // oldest dropped) and a fresh file continues the stream. maxBytes <= 0
 // disables rotation.
 func NewSpanLogRotating(capacity int, proc, path string, maxBytes int64, keep int) (*SpanLog, error) {
-	if capacity <= 0 {
-		capacity = DefaultSpanCap
-	}
-	l := &SpanLog{buf: make([]Span, capacity), proc: proc}
+	l := &SpanLog{ring: newRing[Span](capacity, DefaultSpanCap), proc: proc}
 	if path != "" {
 		sink, err := openRotatingFile(path, maxBytes, keep)
 		if err != nil {
@@ -201,7 +238,8 @@ func NewSpanLogRotating(capacity int, proc, path string, maxBytes int64, keep in
 	return l, nil
 }
 
-// Add records a finished span, stamping the log's process label.
+// Add records a finished span, stamping the log's process label. The
+// JSONL mirror is buffered; Flush or Close pushes it down.
 func (l *SpanLog) Add(s Span) {
 	if l == nil {
 		return
@@ -211,17 +249,10 @@ func (l *SpanLog) Add(s Span) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.buf[l.next] = s
-	l.next = (l.next + 1) % len(l.buf)
-	if l.n < len(l.buf) {
-		l.n++
-	}
-	l.total++
+	l.ring.add(s)
 	if l.sink != nil {
-		b, err := json.Marshal(s)
-		if err == nil {
-			l.sink.Write(b)
-			l.sink.Write(nl)
+		if b, err := json.Marshal(s); err == nil {
+			l.sink.Write(append(b, '\n'))
 		}
 	}
 }
@@ -233,7 +264,7 @@ func (l *SpanLog) Total() uint64 {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.total
+	return l.ring.total()
 }
 
 // Len returns the number of spans currently retained.
@@ -243,68 +274,46 @@ func (l *SpanLog) Len() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.n
+	return l.ring.len()
 }
 
-// snapshot copies the retained spans oldest-first while holding the lock.
-func (l *SpanLog) snapshot() []Span {
-	out := make([]Span, 0, l.n)
-	start := l.next - l.n
-	if start < 0 {
-		start += len(l.buf)
-	}
-	for i := 0; i < l.n; i++ {
-		out = append(out, l.buf[(start+i)%len(l.buf)])
-	}
-	return out
-}
-
-// Last returns up to n of the most recent spans, oldest first.
+// Last returns up to n of the most recent spans, oldest first (n <= 0
+// means every retained span).
 func (l *SpanLog) Last(n int) []Span {
-	if l == nil || n <= 0 {
+	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	all := l.snapshot()
-	if len(all) > n {
-		all = all[len(all)-n:]
+	return l.ring.last(n)
+}
+
+// filter returns the retained spans keep accepts, oldest first.
+func (l *SpanLog) filter(keep func(Span) bool) []Span {
+	if l == nil {
+		return nil
 	}
-	return all
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.ring.filter(keep)
 }
 
 // ByTrace returns every retained span of the trace, oldest first.
 func (l *SpanLog) ByTrace(trace SpanID) []Span {
-	if l == nil || trace == 0 {
+	if trace == 0 {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []Span
-	for _, s := range l.snapshot() {
-		if s.Trace == trace {
-			out = append(out, s)
-		}
-	}
-	return out
+	return l.filter(func(s Span) bool { return s.Trace == trace })
 }
 
 // BySeq returns every retained span stamped with the wave sequence
 // number, oldest first — the cross-process join key when no trace ID is
 // at hand.
 func (l *SpanLog) BySeq(seq uint64) []Span {
-	if l == nil || seq == 0 {
+	if seq == 0 {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []Span
-	for _, s := range l.snapshot() {
-		if s.Seq == seq {
-			out = append(out, s)
-		}
-	}
-	return out
+	return l.filter(func(s Span) bool { return s.Seq == seq })
 }
 
 // Flush forces buffered JSONL output to the file.

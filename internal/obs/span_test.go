@@ -106,6 +106,9 @@ func TestSpanLogRingAndFilters(t *testing.T) {
 	if len(last) != 4 || last[0].Seq != 3 || last[3].Seq != 6 {
 		t.Fatalf("Last = %+v", last)
 	}
+	if all := l.Last(0); len(all) != 4 || all[0].Seq != 3 {
+		t.Fatalf("Last(0) = %+v, want every retained span", all)
+	}
 	for _, s := range last {
 		if s.Proc != "leader" {
 			t.Fatalf("proc = %q, want leader", s.Proc)
@@ -203,6 +206,45 @@ func TestSpanLogRotation(t *testing.T) {
 				t.Fatalf("%s: bad line %q: %v", p, line, err)
 			}
 		}
+	}
+}
+
+// TestSpanLogRotationFailureKeepsSink blocks rotation (path.1 is a
+// non-empty directory, so the rename fails) and checks that the sink
+// survives: every span lands in the current file and Flush succeeds.
+func TestSpanLogRotationFailureKeepsSink(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "spans.jsonl")
+	if err := os.MkdirAll(filepath.Join(path+".1", "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	l, err := NewSpanLogRotating(8, "leader", path, 200, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 50
+	for i := 0; i < n; i++ {
+		l.Add(Span{Trace: SpanID(i + 1), Span: SpanID(i + 1), Name: "engine.flush", Start: int64(i), Dur: 1})
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatalf("Flush after a failed rotation: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) != n {
+		t.Fatalf("%d spans in %s (%d bytes), want all %d", len(lines), path, len(data), n)
+	}
+	for i, line := range lines {
+		var s Span
+		if err := json.Unmarshal([]byte(line), &s); err != nil || s.Start != int64(i) {
+			t.Fatalf("line %d = %q (%v), want span %d", i, line, err, i)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 }
 

@@ -31,19 +31,11 @@ type EngineMetrics = engine.Obs
 // returns the bundle to pass as BatchOptions.Metrics.
 func NewEngineMetrics(r *MetricsRegistry) *EngineMetrics { return engine.NewObs(r) }
 
-// WaveTraceRecord is one sampled (or slow) wave's lifecycle breakdown:
-// request count, coalesce wait and per-stage nanoseconds. Records land
-// in a WaveTraceRing and in the BatchOptions.SlowWave callback.
+// WaveTraceRecord is one flush's lifecycle breakdown: request and wave
+// counts, coalesce wait, per-stage nanoseconds and heal cost. Every
+// flush hands one to the BatchOptions.FlushSink hook; a span-sampled
+// flush also records it as its engine.flush span.
 type WaveTraceRecord = obs.WaveTrace
-
-// WaveTraceRing is a fixed-capacity ring of sampled WaveTraceRecords,
-// shared by every engine it is attached to (BatchOptions.Trace).
-// cmd/dyntcd dumps it at GET /v1/trace.
-type WaveTraceRing = obs.TraceRing
-
-// NewWaveTraceRing creates a trace ring retaining the last capacity
-// records (a default capacity when <= 0).
-func NewWaveTraceRing(capacity int) *WaveTraceRing { return obs.NewTraceRing(capacity) }
 
 // SpanID is a 64-bit trace or span identifier, rendered as 16 hex
 // digits in JSON and in the X-Dyntc-Trace header.
@@ -98,41 +90,10 @@ func NewEventJournal(capacity int, proc, path string) (*EventJournal, error) {
 }
 
 // TraceBoost is the flight recorder's sampling override: a single atomic
-// deadline that, while in the future, makes every flush span-sampled and
-// trace-sampled regardless of cadence. Trigger extends it; it decays by
-// doing nothing. The inactive check is one atomic load.
+// deadline that, while in the future, makes every flush span-sampled
+// regardless of cadence. Trigger extends it; it decays by doing nothing.
+// The inactive check is one atomic load.
 type TraceBoost = obs.TraceBoost
-
-// AnomalyConfig tunes the anomaly detectors: EWMA gate, robust
-// (median+MAD) confirmation, warmup, absolute floor, per-signal cooldown
-// and the boost window applied on a trip.
-type AnomalyConfig = obs.AnomalyConfig
-
-// AnomalyRecorder is the anomaly-triggered flight recorder: streaming
-// latency detectors per signal that, on a confirmed outlier, journal an
-// anomaly event carrying a runtime snapshot and boost trace sampling for
-// a bounded window.
-type AnomalyRecorder = obs.Recorder
-
-// NewAnomalyRecorder builds a recorder journaling trips to j and arming
-// boost b. Zero-value cfg fields take defaults.
-func NewAnomalyRecorder(cfg AnomalyConfig, j *EventJournal, b *TraceBoost) *AnomalyRecorder {
-	return obs.NewRecorder(cfg, j, b)
-}
-
-// TopK is a space-saving (Metwally) top-k sketch: fixed memory, every
-// key whose true count exceeds total/k is guaranteed present, and each
-// reported count brackets the truth within its Err. Used for per-tree
-// hot-spot attribution, served at GET /v1/hot.
-type TopK = obs.TopK
-
-// TopKItem is one sketch entry: key, estimated count, and the maximum
-// overestimate Err (truth is within [Count-Err, Count]).
-type TopKItem = obs.TopKItem
-
-// NewTopK creates a sketch tracking the k heaviest keys (a default
-// when <= 0).
-func NewTopK(k int) *TopK { return obs.NewTopK(k) }
 
 // NewTraceID returns a fresh process-unique trace ID.
 func NewTraceID() SpanID { return obs.NewTraceID() }

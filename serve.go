@@ -72,27 +72,18 @@ type BatchOptions struct {
 	// it is passed to. Nil keeps the timing path disabled: the engine
 	// pays one boolean check per flush and nothing else.
 	Metrics *EngineMetrics
-	// Trace, when set, samples every TraceSample-th flush into the ring
-	// as a WaveTraceRecord (full stage breakdown). Like Metrics it turns
-	// on wave timing; the ring is shared across engines.
-	Trace *WaveTraceRing
 	// Spans, when set, records distributed-trace spans for sampled
 	// flushes (every TraceSample-th, plus every flush carrying a request
 	// submitted through the Traced view): a flush span, per-stage child
 	// spans, and a deterministic wave anchor span per sealed wave that
 	// WAL appends and follower replays stitch to by (epoch, seq). One
 	// SpanLog (NewSpanLog) is shared by every engine it is passed to.
-	// Like Metrics it turns on wave timing.
+	// The flush span carries the flush's WaveTraceRecord fields. Like
+	// Metrics it turns on wave timing.
 	Spans *SpanLog
-	// TraceSample is the flush sampling stride for Trace (default 16; 1
+	// TraceSample is the flush sampling stride for Spans (default 16; 1
 	// records every flush).
 	TraceSample int
-	// SlowWave, when set, receives (on the executor goroutine) the trace
-	// record of every flush at least SlowWaveThreshold long, sampled or
-	// not — the structured slow-wave log hook. Keep it cheap or hand off.
-	SlowWave func(WaveTraceRecord)
-	// SlowWaveThreshold is the SlowWave latency floor (default 25ms).
-	SlowWaveThreshold time.Duration
 	// Faults, when set, is a deterministic fault-injection schedule
 	// (NewFaultInjector): the engine checks site "engine.wave" once per
 	// executed wave, and an injected error crashes the wave into a
@@ -104,15 +95,15 @@ type BatchOptions struct {
 	// /v1/events. One EventJournal is shared by every subsystem.
 	Events *EventJournal
 	// Boost, when set, is the anomaly flight recorder's sampling
-	// override: while active, every flush is trace- and span-sampled
-	// regardless of TraceSample. Checking it costs the unsampled flush
-	// path one atomic load.
+	// override: while active, every flush is span-sampled regardless of
+	// TraceSample. Checking it costs the unsampled flush path one atomic
+	// load.
 	Boost *TraceBoost
-	// FlushSink, when set, receives every flush's cost sample (forest
-	// tree id, request count, duration) on the executor — the feed for
-	// anomaly detectors and per-tree hot-spot attribution. Setting it
-	// turns on wave timing like Metrics/Trace/Spans do. Keep it cheap.
-	FlushSink func(tree uint64, reqs int, flushNS int64)
+	// FlushSink, when set, receives every flush's WaveTraceRecord by
+	// value on the executor — the feed for anomaly detectors, per-tree
+	// hot-spot attribution and slow-wave logging. Setting it turns on
+	// wave timing like Metrics/Spans do. Keep it cheap or hand off.
+	FlushSink func(WaveTraceRecord)
 	// ShedSink, when set, receives per-tree load-shed counts on the
 	// shedding submitter's goroutine.
 	ShedSink func(tree uint64, n int)
@@ -130,21 +121,18 @@ func (e *Expr) Serve(opts BatchOptions) *Engine {
 // a forest's engines are tapped per tree (Engine.SetWaveTap).
 func (opts BatchOptions) engineOptions() engine.Options {
 	return engine.Options{
-		MaxBatch:          opts.MaxBatch,
-		Window:            opts.Window,
-		Queue:             opts.Queue,
-		Shed:              opts.Shed,
-		Obs:               opts.Metrics,
-		Trace:             opts.Trace,
-		Spans:             opts.Spans,
-		TraceSample:       opts.TraceSample,
-		SlowWave:          opts.SlowWave,
-		SlowWaveThreshold: opts.SlowWaveThreshold,
-		Faults:            opts.Faults,
-		Events:            opts.Events,
-		Boost:             opts.Boost,
-		FlushSink:         opts.FlushSink,
-		ShedSink:          opts.ShedSink,
+		MaxBatch:    opts.MaxBatch,
+		Window:      opts.Window,
+		Queue:       opts.Queue,
+		Shed:        opts.Shed,
+		Obs:         opts.Metrics,
+		Spans:       opts.Spans,
+		TraceSample: opts.TraceSample,
+		Faults:      opts.Faults,
+		Events:      opts.Events,
+		Boost:       opts.Boost,
+		FlushSink:   opts.FlushSink,
+		ShedSink:    opts.ShedSink,
 	}
 }
 
