@@ -12,10 +12,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -80,6 +84,41 @@ func checkMetricsText(text string, required []string) (map[string]float64, error
 		}
 	}
 	return samples, nil
+}
+
+// update rewrites the metrics family goldens:
+//
+//	go test -run TestScrapeLeaderFollower -update ./cmd/dyntcd/
+var update = flag.Bool("update", false, "rewrite testdata/metrics_{leader,follower}.golden")
+
+// checkFamilyGolden pins a role's whole scrape surface: the sorted
+// "# TYPE <family> <type>" lines of text must equal
+// testdata/metrics_<role>.golden byte for byte, so a family that appears,
+// disappears or changes type is a reviewed diff, not a silent drift.
+func checkFamilyGolden(t *testing.T, role, text string) {
+	t.Helper()
+	var types []string
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			types = append(types, line)
+		}
+	}
+	sort.Strings(types)
+	got := strings.Join(types, "\n") + "\n"
+	golden := filepath.Join("testdata", "metrics_"+role+".golden")
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s metric families differ from %s; if the change is intended, rerun with -update\ngot:\n%s", role, golden, got)
+	}
 }
 
 // requiredLeaderFamilies is what a leader's /metrics must export — one
@@ -276,6 +315,7 @@ func scrapeLeader(t *testing.T, base string, ops int) {
 	if err != nil {
 		t.Fatalf("leader metrics: %v\n%s", err, text)
 	}
+	checkFamilyGolden(t, "leader", text)
 	for _, name := range []string{
 		"dyntc_engine_flush_seconds_count",
 		"dyntc_query_join_seconds_count",
@@ -356,6 +396,7 @@ func scrapeFollower(t *testing.T, leaderURL, base string) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
+	checkFamilyGolden(t, "follower", string(getBytes(t, base+"/metrics", http.StatusOK)))
 	checkObsEndpoints(t, base, "follower", false)
 }
 
