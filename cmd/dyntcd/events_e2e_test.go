@@ -21,11 +21,11 @@ import (
 )
 
 // eventsOf fetches /v1/events with the given raw query string.
-func eventsOf(t *testing.T, base, query string) []dyntc.Event {
+func eventsOf(t *testing.T, base, query string) []obs.Event {
 	t.Helper()
 	var out struct {
-		Total  uint64        `json:"total"`
-		Events []dyntc.Event `json:"events"`
+		Total  uint64      `json:"total"`
+		Events []obs.Event `json:"events"`
 	}
 	status, _ := getStatus(t, base+"/v1/events"+query, &out)
 	if status != 200 {
@@ -35,7 +35,7 @@ func eventsOf(t *testing.T, base, query string) []dyntc.Event {
 }
 
 // waitEvents polls /v1/events?type=typ until at least n events match.
-func waitEvents(t *testing.T, base, typ string, n int) []dyntc.Event {
+func waitEvents(t *testing.T, base, typ string, n int) []obs.Event {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -54,7 +54,7 @@ func waitEvents(t *testing.T, base, typ string, n int) []dyntc.Event {
 func countSpans(t *testing.T, base, name string) int {
 	t.Helper()
 	var out struct {
-		Spans []dyntc.SpanRecord `json:"spans"`
+		Spans []obs.Span `json:"spans"`
 	}
 	if status, _ := getStatus(t, base+"/v1/spans", &out); status != 200 {
 		t.Fatalf("GET /v1/spans: status %d", status)
@@ -68,7 +68,7 @@ func countSpans(t *testing.T, base, name string) int {
 	return n
 }
 
-func fieldNum(t *testing.T, ev dyntc.Event, key string) float64 {
+func fieldNum(t *testing.T, ev obs.Event, key string) float64 {
 	t.Helper()
 	v, ok := ev.Fields[key].(float64)
 	if !ok {
@@ -84,12 +84,7 @@ func fieldNum(t *testing.T, ev dyntc.Event, key string) float64 {
 // leader.demote when the fence lands. healthz on both roles surfaces
 // the journal's last event.
 func TestEventJournalFailoverSequence(t *testing.T) {
-	lb, err := newObsBundle(obsConfig{proc: "leader"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newServerWAL(dyntc.BatchOptions{}, t.TempDir(), 0)
-	s.observe(lb)
+	s := newServerWAL(dyntc.BatchOptions{Obs: testObs(t, dyntc.ObsConfig{Proc: "leader"})}, t.TempDir(), 0)
 	ts := httptest.NewServer(s.routes())
 	t.Cleanup(func() {
 		ts.Close()
@@ -103,13 +98,8 @@ func TestEventJournalFailoverSequence(t *testing.T) {
 	call(t, "POST", ts.URL+"/v1/trees", map[string]any{"root": 1, "seed": 3}, 201, &created)
 	growSome(t, fmt.Sprintf("%s/v1/trees/%d", ts.URL, created.Tree), 4, 0)
 
-	fb, err := newObsBundle(obsConfig{proc: "follower"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fo := newServerWAL(dyntc.BatchOptions{}, t.TempDir(), 0)
+	fo := newServerWAL(dyntc.BatchOptions{Obs: testObs(t, dyntc.ObsConfig{Proc: "follower"})}, t.TempDir(), 0)
 	fo.follow(ts.URL, 2*time.Millisecond)
-	fo.observe(fb)
 	foSrv := serveFollower(t, fo)
 
 	waitHealthz(t, foSrv.URL, func(status int, h healthTrees) bool {
@@ -146,8 +136,8 @@ func TestEventJournalFailoverSequence(t *testing.T) {
 		t.Fatalf("demote event epoch = %v, want 2", got)
 	}
 	var h struct {
-		LastEvent     *dyntc.Event `json:"last_event"`
-		AnomalyActive *bool        `json:"anomaly_active"`
+		LastEvent     *obs.Event `json:"last_event"`
+		AnomalyActive *bool      `json:"anomaly_active"`
 	}
 	getStatus(t, ts.URL+"/v1/healthz", &h)
 	if h.LastEvent == nil || h.LastEvent.Type != obs.EvDemote {
@@ -170,15 +160,10 @@ func TestEventJournalDegradedSequence(t *testing.T) {
 	call(t, "POST", ts.URL+"/v1/trees", map[string]any{"root": 1, "seed": 5}, 201, &created)
 	growSome(t, fmt.Sprintf("%s/v1/trees/%d", ts.URL, created.Tree), 3, 0)
 
-	fb, err := newObsBundle(obsConfig{proc: "follower"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	in := dyntc.NewFaultInjector(7)
-	fo := newServer(dyntc.BatchOptions{})
+	fo := newServer(dyntc.BatchOptions{Obs: testObs(t, dyntc.ObsConfig{Proc: "follower"})})
 	fo.follow(ts.URL, 2*time.Millisecond)
 	fo.setFaults(in, 7)
-	fo.observe(fb)
 	foSrv := serveFollower(t, fo)
 
 	waitHealthz(t, foSrv.URL, func(status int, h healthTrees) bool {
@@ -232,12 +217,9 @@ func TestEventJournalTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b, err := newObsBundle(obsConfig{proc: "leader"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := newServerWAL(dyntc.BatchOptions{}, dir, 0)
-	s2.observe(b) // before recover: recovery itself must journal
+	// The hub is wired at construction, before recover: recovery itself
+	// must journal.
+	s2 := newServerWAL(dyntc.BatchOptions{Obs: testObs(t, dyntc.ObsConfig{Proc: "leader"})}, dir, 0)
 	if err := s2.recover(); err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +246,7 @@ func TestEventJournalTornTailRecovery(t *testing.T) {
 	}
 
 	var h struct {
-		LastEvent *dyntc.Event `json:"last_event"`
+		LastEvent *obs.Event `json:"last_event"`
 	}
 	getStatus(t, ts2.URL+"/v1/healthz", &h)
 	if h.LastEvent == nil {
@@ -283,9 +265,10 @@ func TestEventJournalTornTailRecovery(t *testing.T) {
 // after it, and one debug-bundle fetch captures the whole incident —
 // the event, a densely-traced slow wave, and the metrics text.
 func TestIncidentFlightRecorderLeader(t *testing.T) {
-	b, err := newObsBundle(obsConfig{
-		proc: "leader",
-		anomaly: obs.AnomalyConfig{
+	b := testObs(t, dyntc.ObsConfig{
+		Proc:        "leader",
+		TraceSample: 1 << 30, // cadence effectively off: only the boost samples
+		Anomaly: obs.AnomalyConfig{
 			Warmup:   8,
 			Window:   16,
 			MinNS:    float64(10 * time.Millisecond),
@@ -293,19 +276,8 @@ func TestIncidentFlightRecorderLeader(t *testing.T) {
 			Boost:    time.Second,
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	in := dyntc.NewFaultInjector(42)
-	opts := dyntc.BatchOptions{
-		Metrics:     b.engine,
-		Spans:       b.spans,
-		TraceSample: 1 << 30, // cadence effectively off: only the boost samples
-		Faults:      in,
-	}
-	b.engineHooks(&opts)
-	s := newServer(opts)
-	s.observe(b)
+	s := newServer(dyntc.BatchOptions{Faults: in, Obs: b})
 	ts := httptest.NewServer(s.routes())
 	t.Cleanup(func() {
 		ts.Close()
@@ -330,7 +302,7 @@ func TestIncidentFlightRecorderLeader(t *testing.T) {
 	call(t, "POST", base+"/set-leaf", map[string]any{"leaf": leaf, "value": 100}, 200, nil)
 	call(t, "POST", base+"/set-leaf", map[string]any{"leaf": leaf, "value": 101}, 200, nil)
 
-	anoms := waitEvents(t, ts.URL, obs.EvAnomaly+"."+sigEngineFlush, 1)
+	anoms := waitEvents(t, ts.URL, obs.EvAnomaly+"."+obs.SigEngineFlush, 1)
 	ev := anoms[0]
 	if got := fieldNum(t, ev, "value_ms"); got < 40 {
 		t.Fatalf("anomaly value_ms = %v, want >= 40 (the injected stall)", got)
@@ -360,7 +332,7 @@ func TestIncidentFlightRecorderLeader(t *testing.T) {
 	}
 
 	// Decay: past the deadline, traffic adds no flush spans.
-	deadline := time.Unix(0, b.boost.Deadline())
+	deadline := time.Unix(0, b.Boost().Deadline())
 	time.Sleep(time.Until(deadline) + 50*time.Millisecond)
 	after := countSpans(t, ts.URL, "engine.flush")
 	for i := 0; i < 5; i++ {
@@ -372,11 +344,11 @@ func TestIncidentFlightRecorderLeader(t *testing.T) {
 
 	// One debug-bundle fetch carries the whole incident.
 	var bundle struct {
-		Role    string             `json:"role"`
-		Proc    string             `json:"proc"`
-		Metrics string             `json:"metrics"`
-		Events  []dyntc.Event      `json:"events"`
-		Spans   []dyntc.SpanRecord `json:"spans"`
+		Role    string      `json:"role"`
+		Proc    string      `json:"proc"`
+		Metrics string      `json:"metrics"`
+		Events  []obs.Event `json:"events"`
+		Spans   []obs.Span  `json:"spans"`
 		Anomaly struct {
 			Trips  uint64 `json:"trips"`
 			Active bool   `json:"active"`
@@ -398,7 +370,7 @@ func TestIncidentFlightRecorderLeader(t *testing.T) {
 	}
 	foundAnom, foundSlowSpan := false, false
 	for _, e := range bundle.Events {
-		if e.Type == obs.EvAnomaly+"."+sigEngineFlush {
+		if e.Type == obs.EvAnomaly+"."+obs.SigEngineFlush {
 			foundAnom = true
 		}
 	}
@@ -428,13 +400,7 @@ func TestIncidentFlightRecorderFollower(t *testing.T) {
 	// The leader must span-sample every flush: only span-sampled waves
 	// carry the SealedAt/AppendedAt stamps the follower's lag detectors
 	// feed on.
-	lb, err := newObsBundle(obsConfig{proc: "leader"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lopts := dyntc.BatchOptions{Metrics: lb.engine, Spans: lb.spans, TraceSample: 1}
-	s := newServer(lopts)
-	s.observe(lb)
+	s := newServer(dyntc.BatchOptions{Obs: testObs(t, dyntc.ObsConfig{Proc: "leader", TraceSample: 1})})
 	ts := httptest.NewServer(s.routes())
 	t.Cleanup(func() {
 		ts.Close()
@@ -447,9 +413,9 @@ func TestIncidentFlightRecorderFollower(t *testing.T) {
 	base := fmt.Sprintf("%s/v1/trees/%d", ts.URL, created.Tree)
 	leaf := growSome(t, base, 2, 0)
 
-	fb, err := newObsBundle(obsConfig{
-		proc: "follower",
-		anomaly: obs.AnomalyConfig{
+	fb := testObs(t, dyntc.ObsConfig{
+		Proc: "follower",
+		Anomaly: obs.AnomalyConfig{
 			Warmup:   8,
 			Window:   16,
 			MinNS:    float64(40 * time.Millisecond),
@@ -457,14 +423,10 @@ func TestIncidentFlightRecorderFollower(t *testing.T) {
 			Boost:    time.Second,
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	fin := dyntc.NewFaultInjector(9)
-	fo := newServer(dyntc.BatchOptions{})
+	fo := newServer(dyntc.BatchOptions{Obs: fb})
 	fo.follow(ts.URL, 2*time.Millisecond)
 	fo.setFaults(fin, 9)
-	fo.observe(fb)
 	foSrv := serveFollower(t, fo)
 
 	waitHealthz(t, foSrv.URL, func(status int, h healthTrees) bool {
@@ -497,8 +459,8 @@ func TestIncidentFlightRecorderFollower(t *testing.T) {
 	if _, ok := anoms[0].Fields["snapshot"].(map[string]any); !ok {
 		t.Fatalf("replica anomaly missing snapshot: %v", anoms[0].Fields)
 	}
-	if fb.anomaly.Trips() < 1 {
-		t.Fatalf("follower recorder trips = %d, want >= 1", fb.anomaly.Trips())
+	if fb.Anomaly().Trips() < 1 {
+		t.Fatalf("follower recorder trips = %d, want >= 1", fb.Anomaly().Trips())
 	}
 
 	var bundle struct {
@@ -515,8 +477,8 @@ func TestIncidentFlightRecorderFollower(t *testing.T) {
 		t.Fatalf("follower bundle = %+v", bundle)
 	}
 	var h struct {
-		LastEvent     *dyntc.Event `json:"last_event"`
-		AnomalyActive *bool        `json:"anomaly_active"`
+		LastEvent     *obs.Event `json:"last_event"`
+		AnomalyActive *bool      `json:"anomaly_active"`
 	}
 	getStatus(t, foSrv.URL+"/v1/healthz", &h)
 	if h.LastEvent == nil || h.AnomalyActive == nil {

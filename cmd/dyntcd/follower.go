@@ -201,11 +201,11 @@ func (f *follower) noteRound(ok bool) time.Duration {
 	consec := f.consecErrs
 	f.errMu.Unlock()
 	if nowDegraded && !wasDegraded {
-		f.s.obs.journal().Emit(obs.EvDegradedEnter,
+		f.s.obs.Events().Emit(obs.EvDegradedEnter,
 			"leader unreachable: serving reads in degraded mode",
 			map[string]any{"consecutive_errors": consec, "staleness_ms": outage.Milliseconds()})
 	} else if wasDegraded && !nowDegraded {
-		f.s.obs.journal().Emit(obs.EvDegradedExit,
+		f.s.obs.Events().Emit(obs.EvDegradedExit,
 			"leader contact restored",
 			map[string]any{"outage_ms": outage.Milliseconds()})
 	}
@@ -341,14 +341,14 @@ func (f *follower) bootstrap(id dyntc.TreeID) (*dyntc.Engine, error) {
 		return nil, err
 	}
 	f.s.rings.Store(id, ring)
-	f.s.obs.snapshotDone(len(data), time.Since(t0))
+	f.s.snapshotDone(len(data), time.Since(t0))
 	f.mu.Lock()
 	_, rebootstrap := f.reps[id]
 	f.reps[id] = &replica{leaderSeq: seq}
 	f.mu.Unlock()
-	if rebootstrap && f.s.obs != nil {
-		f.s.obs.rebootstraps.Inc()
-		f.s.obs.journal().EmitTree(obs.EvRebootstrap, uint64(id),
+	if rebootstrap {
+		f.s.inst.rebootstraps.Inc()
+		f.s.obs.Events().EmitTree(obs.EvRebootstrap, uint64(id),
 			"replica rebuilt from a fresh snapshot",
 			map[string]any{"seq": seq, "bytes": len(data)})
 	}
@@ -444,8 +444,7 @@ func (f *follower) syncTree(id dyntc.TreeID) {
 // (TraceID set), parented on the deterministic (epoch, seq) wave span ID
 // both processes derive independently.
 func (f *follower) observeApply(wv dyntc.Wave, fetched time.Time) {
-	b := f.s.obs
-	if b == nil || wv.AppendedAt == 0 {
+	if wv.AppendedAt == 0 {
 		return
 	}
 	fetchedNS := fetched.UnixNano()
@@ -455,25 +454,26 @@ func (f *follower) observeApply(wv dyntc.Wave, fetched time.Time) {
 		fetchLag = 0
 	}
 	applyLag := time.Now().UnixNano() - fetchedNS
-	b.replog.AppendedFetched.Observe(fetchLag)
-	b.replog.FetchedApplied.Observe(applyLag)
+	f.s.inst.repl.AppendedFetched.Observe(fetchLag)
+	f.s.inst.repl.FetchedApplied.Observe(applyLag)
 	// Replication-lag stages feed the flight recorder: a leader whose WAL
 	// or network stalls shows up as a replica.fetch anomaly, a replica
 	// whose verified replay slows down as replica.apply.
-	b.anomaly.Observe(sigReplicaFetch, fetchLag)
-	b.anomaly.Observe(sigReplicaApply, applyLag)
-	if wv.TraceID == 0 || b.spans == nil {
+	f.s.obs.Anomaly().Observe(sigReplicaFetch, fetchLag)
+	f.s.obs.Anomaly().Observe(sigReplicaApply, applyLag)
+	if wv.TraceID == 0 {
 		return
 	}
 	epoch := wv.EpochOrDefault()
-	anchor := dyntc.WaveSpanID(epoch, wv.Seq)
-	b.spans.Add(dyntc.SpanRecord{
-		Trace: dyntc.SpanID(wv.TraceID), Span: dyntc.NewSpanID(), Parent: anchor,
+	anchor := obs.WaveSpanID(epoch, wv.Seq)
+	spans := f.s.obs.Spans()
+	spans.Add(obs.Span{
+		Trace: obs.SpanID(wv.TraceID), Span: obs.NewSpanID(), Parent: anchor,
 		Name: "replica.fetch", Seq: wv.Seq, Epoch: epoch,
 		Start: wv.AppendedAt, Dur: fetchLag,
 	})
-	b.spans.Add(dyntc.SpanRecord{
-		Trace: dyntc.SpanID(wv.TraceID), Span: dyntc.NewSpanID(), Parent: anchor,
+	spans.Add(obs.Span{
+		Trace: obs.SpanID(wv.TraceID), Span: obs.NewSpanID(), Parent: anchor,
 		Name: "replica.apply", Seq: wv.Seq, Epoch: epoch,
 		Start: fetchedNS, Dur: applyLag,
 	})
@@ -573,11 +573,9 @@ func (s *server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.following.Store(nil)
-	if s.obs != nil {
-		s.obs.promotions.Inc()
-	}
+	s.inst.promotions.Inc()
 	failoverMS := time.Since(t0).Milliseconds()
-	s.obs.journal().Emit(obs.EvPromote, "promoted to leader",
+	s.obs.Events().Emit(obs.EvPromote, "promoted to leader",
 		map[string]any{"trees": len(logs), "epoch": epoch, "failover_ms": failoverMS})
 
 	// Tell the old leader it is demoted. Best-effort and asynchronous: if

@@ -139,23 +139,22 @@ func main() {
 		os.Exit(2)
 	}
 
-	// One registry + span log + event journal per process; every engine,
-	// the wave logs and the query planner report into it (GET /metrics,
-	// /v1/spans, /v1/events).
+	// One observability hub per process; every engine, the wave logs and
+	// the query planner report into it (GET /metrics, /v1/spans,
+	// /v1/events, /v1/hot).
 	proc := "leader"
 	if *follow != "" {
 		proc = "follower"
 	}
-	ob, err := newObsBundle(obsConfig{
-		proc:     proc,
-		spanPath: *spanLog, spanMaxBytes: *spanLogMax, spanKeep: *spanLogKeep,
-		eventPath: *eventLog, slowWave: *slowWave,
+	hub, err := dyntc.NewObs(dyntc.ObsConfig{
+		Proc: proc, TraceSample: *traceSample,
+		SpanPath: *spanLog, SpanMaxBytes: *spanLogMax, SpanKeep: *spanLogKeep,
+		EventPath: *eventLog, SlowWave: *slowWave,
 	})
 	if err != nil {
 		fatal("observability init", "err", err)
 	}
-	defer ob.spans.Close()
-	defer ob.events.Close()
+	defer hub.Close()
 	if *pprofAddr != "" {
 		startPprof(*pprofAddr)
 	}
@@ -182,9 +181,8 @@ func main() {
 	}
 	opts := dyntc.BatchOptions{
 		MaxBatch: *maxBatch, Window: *window, Queue: *queue,
-		Metrics: ob.engine, Spans: ob.spans, TraceSample: *traceSample, Faults: faults,
+		Faults: faults, Obs: hub,
 	}
-	ob.engineHooks(&opts)
 
 	s := newServerWAL(opts, *walDir, *logCap)
 	s.compactEvery = *compact
@@ -192,11 +190,7 @@ func main() {
 		s.follow(*follow, *poll).degradedAfter = *degAfter
 	}
 	s.setFaults(faults, *faultSeed)
-	// Observe before recovering: startup recovery journals its lifecycle
-	// events (torn tails, epoch adoptions) and the recovered trees' WALs
-	// pick up their instruments as attachLog re-attaches them. A follower
-	// recovers nothing: its trees come from the leader.
-	s.observe(ob)
+	// A follower recovers nothing: its trees come from the leader.
 	if f := s.following.Load(); f != nil {
 		f.start()
 	} else if err := s.recover(); err != nil {

@@ -15,31 +15,35 @@ import (
 	"time"
 
 	"dyntc"
+	"dyntc/internal/obs"
 )
 
-// startObsServer is startTestServer with the observability bundle wired:
-// metrics registry, engine histograms, span log (every flush sampled)
-// and the /metrics + /v1/spans + /v1/events routes.
-func startObsServer(t *testing.T) (*httptest.Server, *server, *obsBundle) {
+// testObs builds an in-memory observability hub for a test server.
+func testObs(t testing.TB, cfg dyntc.ObsConfig) *dyntc.Obs {
 	t.Helper()
-	ob, err := newObsBundle(obsConfig{proc: "leader"})
+	h, err := dyntc.NewObs(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return h
+}
+
+// startObsServer is startTestServer with every flush span-sampled.
+func startObsServer(t *testing.T) (*httptest.Server, *server) {
+	t.Helper()
 	s := newServer(dyntc.BatchOptions{
-		Metrics: ob.engine, TraceSample: 1, Spans: ob.spans,
+		Obs: testObs(t, dyntc.ObsConfig{Proc: "leader", TraceSample: 1}),
 	})
-	s.observe(ob)
 	ts := httptest.NewServer(s.routes())
 	t.Cleanup(func() {
 		ts.Close()
 		s.forest.Close()
 	})
-	return ts, s, ob
+	return ts, s
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	ts, _, _ := startObsServer(t)
+	ts, _ := startObsServer(t)
 
 	// Drive enough traffic for every engine family to move.
 	var created struct {
@@ -130,7 +134,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // positive time, parents its stage spans, and carries a re-simulation
 // fallback (with its reason) only on the grow wave.
 func TestTraceEndpoint(t *testing.T) {
-	ts, _, _ := startObsServer(t)
+	ts, _ := startObsServer(t)
 
 	var created struct {
 		Tree uint64 `json:"tree"`
@@ -143,7 +147,7 @@ func TestTraceEndpoint(t *testing.T) {
 
 	// A flush records its spans after acking its requests, so the last
 	// response can outrun its flush span: poll for want flush spans.
-	flushes := func(want int) []dyntc.SpanRecord {
+	flushes := func(want int) []obs.Span {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
 		for {
@@ -197,7 +201,7 @@ func TestTraceEndpoint(t *testing.T) {
 // absent or 0 returns every retained record, n > 0 the newest n, and a
 // negative or non-numeric n answers 400.
 func TestLastNRule(t *testing.T) {
-	ts, _, _ := startObsServer(t)
+	ts, _ := startObsServer(t)
 	var created struct {
 		Tree uint64 `json:"tree"`
 	}
@@ -281,14 +285,9 @@ func TestSlowWaveLog(t *testing.T) {
 		old := slog.Default()
 		slog.SetDefault(slog.New(h))
 
-		ob, err := newObsBundle(obsConfig{proc: "leader", slowWave: threshold})
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := dyntc.BatchOptions{Metrics: ob.engine, Spans: ob.spans, TraceSample: 1 << 30}
-		ob.engineHooks(&opts)
-		s := newServer(opts)
-		s.observe(ob)
+		s := newServer(dyntc.BatchOptions{Obs: testObs(t, dyntc.ObsConfig{
+			Proc: "leader", TraceSample: 1 << 30, SlowWave: threshold,
+		})})
 		ts := httptest.NewServer(s.routes())
 		var created struct {
 			Tree uint64 `json:"tree"`
@@ -347,7 +346,7 @@ func TestSlowWaveLog(t *testing.T) {
 // path, status and duration attributes (slog's default handler routes
 // through the log package, so capturing its writer sees the line).
 func TestAccessLog(t *testing.T) {
-	_, s, _ := startObsServer(t)
+	_, s := startObsServer(t)
 	h := withAccessLog(s.routes())
 
 	var buf bytes.Buffer

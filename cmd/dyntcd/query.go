@@ -128,7 +128,7 @@ func writeQueryResult(w http.ResponseWriter, res query.Result, detail bool) {
 // flight recorder's query.join signal.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer func(t0 time.Time) {
-		s.obs.recorder().Observe(sigQueryJoin, int64(time.Since(t0)))
+		s.obs.Anomaly().Observe(sigQueryJoin, int64(time.Since(t0)))
 	}(time.Now())
 	var req queryReq
 	if err := decode(r, &req); err != nil {

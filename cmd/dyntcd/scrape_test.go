@@ -160,39 +160,27 @@ var requiredFollowerFamilies = []string{
 }
 
 // TestScrapeLeaderFollower wires a leader and a follower the way main
-// does — one observability bundle per process,
+// does — one observability hub per process,
 // every flush span-sampled on the leader (CI's -trace-sample 1) — and
 // validates both processes' observability surface after real traffic.
 func TestScrapeLeaderFollower(t *testing.T) {
 	leaderURL := startScrapeLeader(t)
 
-	fob, err := newObsBundle(obsConfig{proc: "follower"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fo := newServer(dyntc.BatchOptions{})
+	fo := newServer(dyntc.BatchOptions{Obs: testObs(t, dyntc.ObsConfig{Proc: "follower"})})
 	fo.follow(leaderURL, 20*time.Millisecond)
-	fo.observe(fob)
 	foSrv := serveFollower(t, fo)
 
 	scrapeLeader(t, leaderURL, 300)
 	scrapeFollower(t, leaderURL, foSrv.URL)
 }
 
-// startScrapeLeader serves a leader wired like main's: obs bundle with
-// its engine hooks, every flush span-sampled.
+// startScrapeLeader serves a leader wired like main's: one hub, every
+// flush span-sampled.
 func startScrapeLeader(t *testing.T) string {
 	t.Helper()
-	ob, err := newObsBundle(obsConfig{proc: "leader"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := dyntc.BatchOptions{
-		Metrics: ob.engine, TraceSample: 1, Spans: ob.spans,
-	}
-	ob.engineHooks(&opts)
-	s := newServer(opts)
-	s.observe(ob)
+	s := newServer(dyntc.BatchOptions{
+		Obs: testObs(t, dyntc.ObsConfig{Proc: "leader", TraceSample: 1}),
+	})
 	ts := httptest.NewServer(s.routes())
 	t.Cleanup(func() {
 		ts.Close()
@@ -271,8 +259,8 @@ func scrapeLeader(t *testing.T, base string, ops int) {
 
 	// One explicitly traced batch: the header comes back with the server's
 	// ingest span, and the leader-side span tree is readable by trace.
-	trace := dyntc.NewTraceID()
-	hdr := dyntc.FormatTraceHeader(dyntc.TraceContext{Trace: trace, Span: dyntc.NewSpanID()})
+	trace := obs.NewTraceID()
+	hdr := obs.FormatTraceHeader(dyntc.TraceContext{Trace: trace, Span: obs.NewSpanID()})
 	body, _ := json.Marshal(map[string]any{"ops": []batchOp{{Kind: "set-leaf", Node: leaves[0], Value: 42}}})
 	req, err := http.NewRequest(http.MethodPost, tree+"/batch", bytes.NewReader(body))
 	if err != nil {
@@ -377,7 +365,7 @@ func scrapeFollower(t *testing.T, leaderURL, base string) {
 			return fmt.Errorf("spans: bad body: %v", err)
 		}
 		for _, sp := range bySpanName(spans.Spans, "replica.apply") {
-			if sp.Proc == "follower" && sp.Parent == dyntc.WaveSpanID(sp.Epoch, sp.Seq) {
+			if sp.Proc == "follower" && sp.Parent == obs.WaveSpanID(sp.Epoch, sp.Seq) {
 				return nil
 			}
 		}
@@ -409,8 +397,8 @@ func scrapeFollower(t *testing.T, leaderURL, base string) {
 func checkObsEndpoints(t *testing.T, base, wantRole string, wantHot bool) {
 	t.Helper()
 	var ev struct {
-		Total  uint64        `json:"total"`
-		Events []dyntc.Event `json:"events"`
+		Total  uint64      `json:"total"`
+		Events []obs.Event `json:"events"`
 	}
 	call(t, "GET", base+"/v1/events?n=64", nil, http.StatusOK, &ev)
 	if ev.Total == 0 || len(ev.Events) == 0 {
@@ -439,7 +427,7 @@ func checkObsEndpoints(t *testing.T, base, wantRole string, wantHot bool) {
 	var bundle struct {
 		Role    string          `json:"role"`
 		Metrics string          `json:"metrics"`
-		Events  []dyntc.Event   `json:"events"`
+		Events  []obs.Event     `json:"events"`
 		Anomaly map[string]any  `json:"anomaly"`
 		Hot     json.RawMessage `json:"hot"`
 	}

@@ -83,10 +83,15 @@ type server struct {
 	compactEvery int
 	compactors   sync.Map // dyntc.TreeID -> *compactor
 
-	// obs, when set (server.observe), adds GET /metrics, /v1/spans,
-	// /v1/events, /v1/hot and /v1/debug/bundle to the routes and feeds the snapshot instruments. Nil in tests that
-	// don't exercise observability.
-	obs *obsBundle
+	// obs is the process's observability hub, shared with every engine
+	// (BatchOptions.Obs), wave log (SetObs) and the query planner; it
+	// backs GET /metrics, /v1/spans, /v1/events, /v1/hot and
+	// /v1/debug/bundle. inst holds the serving layer's own instruments and
+	// stats the cached forest aggregate the scrape and bundle read
+	// (observe).
+	obs   *dyntc.Obs
+	inst  instruments
+	stats *statsCache
 
 	// fenced, when non-zero, is the newer leadership epoch this leader has
 	// observed: a promoted follower is serving writes for a term above any
@@ -125,7 +130,7 @@ func (s *server) fence(epoch uint64) {
 		}
 		if s.fenced.CompareAndSwap(cur, epoch) {
 			slog.Warn("fenced read-only: observed leadership epoch above ours", "epoch", epoch)
-			s.obs.journal().Emit(obs.EvDemote,
+			s.obs.Events().Emit(obs.EvDemote,
 				"fenced read-only: observed leadership epoch above ours",
 				map[string]any{"epoch": epoch})
 			return
@@ -189,7 +194,7 @@ func (s *server) compactLoop(id dyntc.TreeID, en *dyntc.Engine, wl *dyntc.WaveLo
 				slog.Error("compact snapshot failed", "tree", id, "err", err)
 				continue
 			}
-			s.obs.snapshotDone(len(data), time.Since(t0))
+			s.snapshotDone(len(data), time.Since(t0))
 			path := filepath.Join(s.walDir, fmt.Sprintf("tree-%d.snap", id))
 			if err := writeFileSync(path, data); err != nil {
 				// Keep the log intact: without the persisted snapshot the
@@ -266,17 +271,26 @@ func newServer(opts dyntc.BatchOptions) *server {
 	return newServerWAL(opts, "", 0)
 }
 
+// newServerWAL builds a server over opts. Without opts.Obs it builds an
+// in-memory hub labelled "leader", so every server is observed.
 func newServerWAL(opts dyntc.BatchOptions, walDir string, logCap int) *server {
 	// The server sheds rather than blocks: a request against a tree whose
 	// submit queue is full gets 429 + Retry-After instead of parking an
 	// HTTP handler goroutine on engine backpressure.
 	opts.Shed = true
-	return &server{
+	if opts.Obs == nil {
+		// An in-memory hub opens no files, so it cannot fail.
+		opts.Obs, _ = dyntc.NewObs(dyntc.ObsConfig{Proc: "leader"})
+	}
+	s := &server{
 		forest: dyntc.NewForest(opts),
 		start:  time.Now(),
 		walDir: walDir,
 		logCap: logCap,
+		obs:    opts.Obs,
 	}
+	s.observe()
+	return s
 }
 
 // attachLog creates the tree's wave log and taps the engine into it.
@@ -302,10 +316,7 @@ func (s *server) openLog(id dyntc.TreeID) (*dyntc.WaveLog, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.obs != nil {
-		wl.SetMetrics(s.obs.replog)
-		wl.SetEvents(s.obs.events)
-	}
+	wl.SetObs(s.obs)
 	if s.faults != nil {
 		wl.SetFaults(s.faults)
 	}
@@ -334,7 +345,7 @@ func (s *server) tapLog(id dyntc.TreeID, en *dyntc.Engine, wl *dyntc.WaveLog) {
 		// The append's wall time feeds the flight recorder: a stalling
 		// disk shows up as a wal.append anomaly before it backs the
 		// executor up far enough to shed.
-		s.obs.recorder().Observe(sigWALAppend, int64(time.Since(t0)))
+		s.obs.Anomaly().Observe(sigWALAppend, int64(time.Since(t0)))
 		// Kick the compactor every compactEvery waves; the send is
 		// non-blocking (the tap runs on the executor) and coalesces.
 		if c != nil && w.Seq%uint64(s.compactEvery) == 0 {
@@ -416,7 +427,7 @@ func (s *server) recover() error {
 				if dropped > 0 {
 					// Journaled after replay so recovered_to is the seq the
 					// tree actually serves from, not the snapshot anchor.
-					s.obs.journal().EmitTree(obs.EvWALTorn, id,
+					s.obs.Events().EmitTree(obs.EvWALTorn, id,
 						"wal recover truncated a torn tail",
 						map[string]any{"bytes": dropped, "recovered_to": en.AppliedSeq()})
 				}
@@ -424,7 +435,7 @@ func (s *server) recover() error {
 		}
 		epoch := en.Epoch()
 		if epoch > snapEpoch {
-			s.obs.journal().EmitTree(obs.EvEpochAdopt, id,
+			s.obs.Events().EmitTree(obs.EvEpochAdopt, id,
 				"adopted a newer leadership epoch from the wal tail",
 				map[string]any{"epoch": epoch, "from": snapEpoch})
 		}
@@ -512,13 +523,11 @@ func (s *server) routes() *http.ServeMux {
 	mux.HandleFunc("GET /v1/trees/{id}/log", s.treeHandler(s.handleLog))
 	mux.HandleFunc("POST /v1/demote", s.handleDemote)
 	mux.HandleFunc("POST /v1/promote", s.handlePromote)
-	if s.obs != nil {
-		mux.HandleFunc("GET /metrics", s.obs.handleMetrics)
-		mux.HandleFunc("GET /v1/spans", s.obs.handleSpans)
-		mux.HandleFunc("GET /v1/events", s.obs.handleEvents)
-		mux.HandleFunc("GET /v1/hot", s.obs.handleHot)
-		mux.HandleFunc("GET /v1/debug/bundle", s.obs.handleBundle)
-	}
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /v1/spans", s.handleSpans)
+	mux.HandleFunc("GET /v1/events", s.handleEvents)
+	mux.HandleFunc("GET /v1/hot", s.handleHot)
+	mux.HandleFunc("GET /v1/debug/bundle", s.handleBundle)
 	return mux
 }
 
@@ -527,19 +536,19 @@ func (s *server) routes() *http.ServeMux {
 // opened for the handler's duration, the returned engine view submits
 // under that span — which forces the executing flush into the sampled
 // span path — and the response echoes "<trace>-<ingest span>" so the
-// client can stitch its own spans on. A request without the header (or
-// a server without a span log) gets an untraced view and a no-op
-// finish; engine-side sampling then decides alone.
+// client can stitch its own spans on. A request without the header gets
+// an untraced view and a no-op finish; engine-side sampling then decides
+// alone.
 func (s *server) tracedOp(w http.ResponseWriter, r *http.Request, en *dyntc.Engine, op string) (dyntc.TracedEngine, func()) {
-	sc := dyntc.ParseTraceHeader(r.Header.Get("X-Dyntc-Trace"))
-	if !sc.Valid() || s.obs == nil || s.obs.spans == nil {
+	sc := obs.ParseTraceHeader(r.Header.Get("X-Dyntc-Trace"))
+	if !sc.Valid() {
 		return en.Traced(dyntc.TraceContext{}), func() {}
 	}
-	ingest := dyntc.TraceContext{Trace: sc.Trace, Span: dyntc.NewSpanID()}
-	w.Header().Set("X-Dyntc-Trace", dyntc.FormatTraceHeader(ingest))
+	ingest := dyntc.TraceContext{Trace: sc.Trace, Span: obs.NewSpanID()}
+	w.Header().Set("X-Dyntc-Trace", obs.FormatTraceHeader(ingest))
 	t0 := time.Now()
 	return en.Traced(ingest), func() {
-		s.obs.spans.Add(dyntc.SpanRecord{
+		s.obs.Spans().Add(obs.Span{
 			Trace:  sc.Trace,
 			Span:   ingest.Span,
 			Parent: sc.Span,
@@ -1069,7 +1078,7 @@ func (s *server) handleGetSnapshot(w http.ResponseWriter, r *http.Request, en *d
 		writeErr(w, err)
 		return
 	}
-	s.obs.snapshotDone(len(data), time.Since(t0))
+	s.snapshotDone(len(data), time.Since(t0))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(data)
@@ -1270,11 +1279,9 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		body["ok"] = false
 		body["fenced_at_epoch"] = ep
 	}
-	if s.obs != nil {
-		body["anomaly_active"] = s.obs.anomaly.Active()
-		if ev, ok := s.obs.events.LastEvent(); ok {
-			body["last_event"] = ev
-		}
+	body["anomaly_active"] = s.obs.Anomaly().Active()
+	if ev, ok := s.obs.Events().LastEvent(); ok {
+		body["last_event"] = ev
 	}
 	writeJSON(w, status, body)
 }

@@ -19,17 +19,18 @@ import (
 	"time"
 
 	"dyntc"
+	"dyntc/internal/obs"
 )
 
 // spansResp is the GET /v1/spans response shape.
 type spansResp struct {
-	Total uint64             `json:"total"`
-	Spans []dyntc.SpanRecord `json:"spans"`
+	Total uint64     `json:"total"`
+	Spans []obs.Span `json:"spans"`
 }
 
 // bySpanName returns the retained spans with the given name, in order.
-func bySpanName(spans []dyntc.SpanRecord, name string) []dyntc.SpanRecord {
-	var out []dyntc.SpanRecord
+func bySpanName(spans []obs.Span, name string) []obs.Span {
+	var out []obs.Span
 	for _, s := range spans {
 		if s.Name == name {
 			out = append(out, s)
@@ -46,14 +47,9 @@ func bySpanName(spans []dyntc.SpanRecord, name string) []dyntc.SpanRecord {
 // boundary — the follower's fetch and apply, with the three lag-stage
 // histograms non-empty and consistent with the span timestamps.
 func TestDistributedTraceEndToEnd(t *testing.T) {
-	lob, err := newObsBundle(obsConfig{proc: "leader"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := newServer(dyntc.BatchOptions{
-		Metrics: lob.engine, TraceSample: 1 << 20, Spans: lob.spans,
+		Obs: testObs(t, dyntc.ObsConfig{Proc: "leader", TraceSample: 1 << 20}),
 	})
-	s.observe(lob)
 	leaderSrv := httptest.NewServer(s.routes())
 	t.Cleanup(func() { leaderSrv.Close(); s.forest.Close() })
 
@@ -62,13 +58,8 @@ func TestDistributedTraceEndToEnd(t *testing.T) {
 	}
 	call(t, "POST", leaderSrv.URL+"/v1/trees", map[string]any{"root": 1}, 201, &created)
 
-	fob, err := newObsBundle(obsConfig{proc: "follower"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fo := newServer(dyntc.BatchOptions{})
+	fo := newServer(dyntc.BatchOptions{Obs: testObs(t, dyntc.ObsConfig{Proc: "follower"})})
 	fo.follow(leaderSrv.URL, 2*time.Millisecond)
-	fo.observe(fob)
 	foSrv := serveFollower(t, fo)
 
 	// The follower must bootstrap before the traced wave is sealed, so the
@@ -78,9 +69,9 @@ func TestDistributedTraceEndToEnd(t *testing.T) {
 
 	// One traced batch: a grow (mutating → sealed wave → WAL → follower)
 	// plus a root read, under a client-minted trace context.
-	clientTrace := dyntc.NewTraceID()
-	clientSpan := dyntc.NewSpanID()
-	hdr := dyntc.FormatTraceHeader(dyntc.TraceContext{Trace: clientTrace, Span: clientSpan})
+	clientTrace := obs.NewTraceID()
+	clientSpan := obs.NewSpanID()
+	hdr := obs.FormatTraceHeader(dyntc.TraceContext{Trace: clientTrace, Span: clientSpan})
 	body, _ := json.Marshal(map[string]any{"ops": []map[string]any{
 		{"kind": "grow", "node": 0, "op": "add", "left": 2, "right": 3},
 		{"kind": "root"},
@@ -113,7 +104,7 @@ func TestDistributedTraceEndToEnd(t *testing.T) {
 	if len(ingest) != 1 || ingest[0].Parent != clientSpan || ingest[0].Proc != "leader" {
 		t.Fatalf("ingest spans = %+v, want one parented on the client span", ingest)
 	}
-	var flush dyntc.SpanRecord
+	var flush obs.Span
 	for _, f := range bySpanName(ls.Spans, "engine.flush") {
 		if f.Parent == ingest[0].Span {
 			flush = f
@@ -140,7 +131,7 @@ func TestDistributedTraceEndToEnd(t *testing.T) {
 	}
 	wave := waves[0]
 	if wave.Parent != flush.Span || wave.Seq == 0 ||
-		wave.Span != dyntc.WaveSpanID(wave.Epoch, wave.Seq) {
+		wave.Span != obs.WaveSpanID(wave.Epoch, wave.Seq) {
 		t.Fatalf("wave span %+v, want parent=flush and span=WaveSpanID(%d,%d)",
 			wave, wave.Epoch, wave.Seq)
 	}
@@ -164,7 +155,7 @@ func TestDistributedTraceEndToEnd(t *testing.T) {
 	if len(fetch) != 1 || len(apply) != 1 {
 		t.Fatalf("follower spans = %+v, want one replica.fetch and one replica.apply", fs.Spans)
 	}
-	for _, sp := range []dyntc.SpanRecord{fetch[0], apply[0]} {
+	for _, sp := range []obs.Span{fetch[0], apply[0]} {
 		if sp.Proc != "follower" || sp.Parent != wave.Span || sp.Seq != wave.Seq {
 			t.Fatalf("follower span %+v, want proc=follower parented on wave %v seq %d",
 				sp, wave.Span, wave.Seq)
@@ -225,17 +216,12 @@ func TestPromotionKeepsObservability(t *testing.T) {
 	base := fmt.Sprintf("%s/v1/trees/%d", leaderSrv.URL, created.Tree)
 	lastLeaf := growSome(t, base, 5, 0)
 
-	fob, err := newObsBundle(obsConfig{proc: "follower"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The engine options the replicas, and so the promoted leader, serve
-	// with: every flush sampled, spans into the bundle the follower exports.
+	// The hub the replicas, and so the promoted leader, serve with: every
+	// flush sampled, spans into the log the follower exports.
 	fo := newServer(dyntc.BatchOptions{
-		Metrics: fob.engine, TraceSample: 1, Spans: fob.spans,
+		Obs: testObs(t, dyntc.ObsConfig{Proc: "follower", TraceSample: 1}),
 	})
 	fo.follow(leaderSrv.URL, 2*time.Millisecond)
-	fo.observe(fob)
 	foSrv := serveFollower(t, fo)
 
 	waitHealthz(t, foSrv.URL, func(_ int, h healthTrees) bool {

@@ -89,44 +89,17 @@ type Options struct {
 	// be fast and must not call back into the engine. See also
 	// Engine.SetWaveTap.
 	WaveTap WaveTap
-	// Obs, when set, receives per-flush wave-pipeline histograms
-	// (flush/coalesce/per-stage seconds — see NewObs). One Obs is shared
-	// by every engine of a forest; nil costs one bool check per flush.
-	Obs *Obs
-	// TraceSample is the flush sampling period for Spans (default 16;
-	// 1 records every flush).
-	TraceSample int
-	// Spans, when set, receives distributed-trace spans for sampled
-	// flushes: a flush span parented on the ingest span of the first
-	// traced request (when one carries a SpanContext), per-stage child
-	// spans, and one wave span per sealed wave whose deterministic ID
-	// (obs.WaveSpanID) lets follower-side spans stitch to it by
-	// (epoch, seq). Flushes are sampled at the TraceSample period; a flush
-	// containing an explicitly traced request is always recorded. Setting
-	// Spans enables timing like Obs does.
-	Spans *obs.SpanLog
-	// Events, when set, receives the engine's lifecycle events: shed
-	// bursts (rate-limited to one event per second per engine) and
-	// adaptive flush-cap shifts. Shared with the server's journal; nil
-	// costs one pointer check on the rare paths that emit.
-	Events *obs.Journal
-	// Boost, when set, is the anomaly flight recorder's sampling
-	// override: while active, every flush is span-sampled regardless of
-	// TraceSample, so the slow period around a detector trip is densely
-	// traced. Checking it costs the unsampled flush path
-	// one atomic load — no allocation.
-	Boost *obs.TraceBoost
-	// FlushSink, when set, receives every flush's record — tree id,
-	// request and wave counts, coalesce wait, flush and per-stage
-	// durations, heal cost — by value, on the executor. This feeds the
-	// anomaly detectors, the per-tree hot-spot sketch and the slow-wave
-	// log; it must be fast and must not call back into the engine.
-	// Setting FlushSink enables timing like Obs/Spans do.
-	FlushSink func(obs.WaveTrace)
-	// ShedSink, when set, receives per-tree load-shed counts (the
-	// hot-spot sketch's shed dimension). Called on the submitting
-	// goroutine, only when a request is actually shed.
-	ShedSink func(tree uint64, n int)
+	// Obs, when set, is the process's observability hub. The engine
+	// registers its histogram families (flush, coalesce wait, per-stage,
+	// heal records) on the hub's registry, times every flush, samples
+	// flushes into the hub's span log — at the hub's period, while its
+	// anomaly boost is active, and whenever a flush carries an explicitly
+	// traced request — and hands every flush record to the hub (hot-spot
+	// sketches, flush anomaly detector, slow-wave log) on the executor.
+	// Sheds are reported to the hub on the shedding submitter, and shed
+	// bursts (at most one event per second per engine) and adaptive
+	// flush-cap shifts are journaled. Nil costs one bool check per flush.
+	Obs *obs.Hub
 	// Faults, when set, is the deterministic fault-injection schedule:
 	// site "engine.wave" is checked once per executed wave on the
 	// executor. An injected error panics the wave, which the engine's
@@ -155,9 +128,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBatchCeil < o.MaxBatch {
 		o.MaxBatchCeil = o.MaxBatch
-	}
-	if o.TraceSample <= 0 {
-		o.TraceSample = 16
 	}
 	return o
 }
@@ -203,10 +173,11 @@ type Engine struct {
 	healer healReporter
 
 	// timing enables the per-flush clock reads (immutable after New): set
-	// when any of Obs / Spans / FlushSink is configured. traceID is the
+	// when Obs is configured, whose histograms inst holds. traceID is the
 	// forest tree id stamped into flush records (SetTraceID); flushSeq
 	// counts flushes for span sampling (executor only).
 	timing   bool
+	inst     *instruments
 	traceID  atomic.Uint64
 	flushSeq uint64
 
@@ -224,9 +195,16 @@ type healReporter interface{ LastHeal() HealStats }
 
 // New starts an engine (and its executor goroutine) over host.
 func New(host Host, opts Options) *Engine {
+	return newEngine(host, opts, newInstruments(opts.Obs))
+}
+
+// newEngine is New over already-registered instruments: a forest
+// registers its engines' families once and shares them.
+func newEngine(host Host, opts Options, inst *instruments) *Engine {
 	e := &Engine{
 		host: host,
 		opts: opts.withDefaults(),
+		inst: inst,
 		done: make(chan struct{}),
 	}
 	e.ch = make(chan *Future, e.opts.Queue)
@@ -242,7 +220,7 @@ func New(host Host, opts Options) *Engine {
 	} else {
 		e.epoch.Store(1)
 	}
-	e.timing = e.opts.Obs != nil || e.opts.Spans != nil || e.opts.FlushSink != nil
+	e.timing = e.opts.Obs != nil
 	go e.run()
 	return e
 }
@@ -333,10 +311,10 @@ func (e *Engine) submit(f *Future) *Future {
 		default:
 			e.mu.RUnlock()
 			e.stats.shed(1)
-			if sink := e.opts.ShedSink; sink != nil {
-				sink(e.traceID.Load(), 1)
+			if h := e.opts.Obs; h != nil {
+				h.Shed(e.traceID.Load(), 1)
+				e.noteShedBurst(h.Events())
 			}
-			e.noteShedBurst()
 			f.resolve(0, [2]*NodeT{}, ErrOverloaded)
 		}
 		return f
@@ -421,13 +399,9 @@ func (e *Engine) run() {
 
 // noteShedBurst journals that the engine is shedding, rate-limited to
 // one event per second per engine: individual rejections are counted by
-// stats and the ShedSink; the journal records that a burst is happening
-// at all, with the running total for scale.
-func (e *Engine) noteShedBurst() {
-	j := e.opts.Events
-	if j == nil {
-		return
-	}
+// stats and the hub's shed sketch; the journal records that a burst is
+// happening at all, with the running total for scale.
+func (e *Engine) noteShedBurst(j *obs.Journal) {
 	now := time.Now().UnixNano()
 	last := e.shedEventAt.Load()
 	if now-last < int64(time.Second) || !e.shedEventAt.CompareAndSwap(last, now) {
@@ -453,8 +427,8 @@ func (e *Engine) adaptBatch(flushLen int) {
 		}
 		e.curMax.Store(int64(next))
 		e.stats.batchGrows.Add(1)
-		if j := e.opts.Events; j != nil {
-			j.EmitTree(obs.EvBatchGrow, e.traceID.Load(),
+		if h := e.opts.Obs; h != nil {
+			h.Events().EmitTree(obs.EvBatchGrow, e.traceID.Load(),
 				"adaptive flush cap doubled under saturation",
 				map[string]any{"from": cur, "to": next})
 		}
@@ -467,8 +441,8 @@ func (e *Engine) adaptBatch(flushLen int) {
 			}
 			e.curMax.Store(int64(next))
 			e.stats.batchShrinks.Add(1)
-			if j := e.opts.Events; j != nil {
-				j.EmitTree(obs.EvBatchShrink, e.traceID.Load(),
+			if h := e.opts.Obs; h != nil {
+				h.Events().EmitTree(obs.EvBatchShrink, e.traceID.Load(),
 					"adaptive flush cap decayed after underfull flushes",
 					map[string]any{"from": cur, "to": next})
 			}

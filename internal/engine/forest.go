@@ -13,6 +13,7 @@ import (
 // Get path uncontended under many concurrent clients.
 type Forest struct {
 	opts Options
+	inst *instruments // shared by every engine (nil without Options.Obs)
 
 	next   sync.Mutex // guards nextID
 	nextID uint64
@@ -27,9 +28,11 @@ type forestShard struct {
 	engines map[uint64]*Engine
 }
 
-// NewForest creates an empty forest; opts configures every engine it adds.
+// NewForest creates an empty forest; opts configures every engine it
+// adds. The engine families are registered on opts.Obs here, once, so an
+// empty forest already exports them.
 func NewForest(opts Options) *Forest {
-	f := &Forest{opts: opts, nextID: 1}
+	f := &Forest{opts: opts, inst: newInstruments(opts.Obs), nextID: 1}
 	for i := range f.shards {
 		f.shards[i].engines = make(map[uint64]*Engine)
 	}
@@ -46,7 +49,7 @@ func (f *Forest) shard(id uint64) *forestShard {
 // occupancy is re-checked under the shard lock and a taken id is simply
 // skipped.
 func (f *Forest) Add(host Host) (uint64, *Engine) {
-	e := New(host, f.opts)
+	e := newEngine(host, f.opts, f.inst)
 	for {
 		f.next.Lock()
 		id := f.nextID
@@ -82,7 +85,7 @@ func (f *Forest) AddAt(id uint64, host Host) (*Engine, error) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w (tree %d)", ErrTreeExists, id)
 	}
-	e := New(host, f.opts)
+	e := newEngine(host, f.opts, f.inst)
 	e.SetTraceID(id)
 	s.engines[id] = e
 	s.mu.Unlock()

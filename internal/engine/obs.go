@@ -10,10 +10,10 @@ import (
 
 // This file is the engine layer's observability wiring: histogram
 // instruments over the wave pipeline (submit → coalesce wait → flush →
-// per-kind phase → seal/tap → ack), the per-flush record handed to
-// FlushSink, and the sampled flush span tree. All of it is opt-in
-// through Options; an engine without Obs/Spans/FlushSink configured
-// takes exactly one bool check per flush and nothing per request.
+// per-kind phase → seal/tap → ack), the per-flush record handed to the
+// hub, and the sampled flush span tree. All of it is opt-in through
+// Options.Obs; an engine without a hub takes exactly one bool check per
+// flush and nothing per request.
 
 // numStages is the wave phases plus the barrier pseudo-phase.
 const numStages = numPhases + 1
@@ -26,11 +26,11 @@ var stageNames = [numStages]string{
 	"grow", "collapse", "set-leaf", "set-op", "seal", "value", "barrier",
 }
 
-// Obs bundles the engine layer's metric instruments. One Obs is shared by
-// every engine of a forest — the instruments are atomic, and per-tree
-// label cardinality would make a 10k-tree forest unscrapeable — so the
-// histograms describe the whole forest's wave pipeline.
-type Obs struct {
+// instruments bundles the engine layer's metric instruments. One bundle
+// is shared by every engine of a forest — the instruments are atomic, and
+// per-tree label cardinality would make a 10k-tree forest unscrapeable —
+// so the histograms describe the whole forest's wave pipeline.
+type instruments struct {
 	// FlushSeconds is the wall time of one coalesced flush: flush start to
 	// every request of the flush acked.
 	FlushSeconds *obs.Histogram
@@ -53,10 +53,15 @@ type Obs struct {
 // big tree), so the buckets must span six orders of magnitude cheaply.
 var healRecordBuckets = []int64{1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576}
 
-// NewObs registers the engine histogram families on reg and returns the
-// instrument bundle to put in Options.Obs.
-func NewObs(r *obs.Registry) *Obs {
-	o := &Obs{
+// newInstruments registers the engine histogram families on the hub's
+// registry (nil without a hub). Registration is idempotent, so every
+// engine and forest built over one hub feeds the same instruments.
+func newInstruments(h *obs.Hub) *instruments {
+	if h == nil {
+		return nil
+	}
+	r := h.Registry()
+	o := &instruments{
 		FlushSeconds: r.Seconds("dyntc_engine_flush_seconds",
 			"wall time of one coalesced flush, start to all requests acked"),
 		CoalesceSeconds: r.Seconds("dyntc_engine_coalesce_wait_seconds",
@@ -127,22 +132,18 @@ func RegisterStatsFuncs(r *obs.Registry, stats func() Stats) {
 func (e *Engine) SetTraceID(id uint64) { e.traceID.Store(id) }
 
 // beginFlushSpan decides, at flush start, whether this flush is recorded
-// into the span log: every TraceSample-th flush, any flush while the
-// anomaly flight recorder's boost is active, or any flush carrying a
-// request with an explicit trace context (the first such request's trace
-// is adopted, so an X-Dyntc-Trace header forces end-to-end tracing). The
-// unsampled path is allocation-free: one counter compare, one atomic
-// boost load, plus one span field compare per request.
+// into the hub's span log: a flush the hub samples (its cadence, or its
+// anomaly boost while active), or any flush carrying a request with an
+// explicit trace context (the first such request's trace is adopted, so
+// an X-Dyntc-Trace header forces end-to-end tracing). The unsampled path
+// is allocation-free: one counter compare, one atomic boost load, plus
+// one span field compare per request.
 func (e *Engine) beginFlushSpan(flush []*Future, flushStart time.Time) {
 	sc := &e.sc
 	sc.spanActive = false
 	sc.spanTrace, sc.spanParent, sc.spanFlush = 0, 0, 0
 	sc.flushT0 = flushStart
-	if e.opts.Spans == nil {
-		return
-	}
-	sampled := e.flushSeq%uint64(e.opts.TraceSample) == 0 ||
-		e.opts.Boost.Active(flushStart.UnixNano())
+	sampled := e.opts.Obs.Sampled(e.flushSeq, flushStart.UnixNano())
 	for _, f := range flush {
 		if f.span.Valid() {
 			sc.spanTrace, sc.spanParent = f.span.Trace, f.span.Span
@@ -171,7 +172,7 @@ func (e *Engine) beginFlushSpan(flush []*Future, flushStart time.Time) {
 // flush. Wave anchor spans were already emitted by phaseSealWave.
 func (e *Engine) emitFlushSpans(tr *obs.WaveTrace) {
 	sc := &e.sc
-	sl := e.opts.Spans
+	sl := e.opts.Obs.Spans()
 	t0 := sc.flushT0.UnixNano()
 	sl.Add(obs.Span{
 		Trace:  sc.spanTrace,
@@ -221,21 +222,17 @@ func (e *Engine) emitFlushSpans(tr *obs.WaveTrace) {
 
 // observeFlush runs at the end of every flush on a timing-enabled engine:
 // it feeds the histograms, completes the flush record, emits it as the
-// flush's span tree when span-sampled, and hands it by value to
-// FlushSink, so an unsampled flush allocates nothing.
+// flush's span tree when span-sampled, and hands it by value to the hub,
+// so an unsampled flush allocates nothing.
 func (e *Engine) observeFlush(reqs int, coalesceNS, flushNS int64) {
 	sc := &e.sc
-	if o := e.opts.Obs; o != nil {
-		o.FlushSeconds.Observe(flushNS)
-		o.CoalesceSeconds.Observe(coalesceNS)
-		for i := range sc.stageNS {
-			if ns := sc.stageNS[i]; ns > 0 {
-				o.Stage[i].Observe(ns)
-			}
+	o := e.inst
+	o.FlushSeconds.Observe(flushNS)
+	o.CoalesceSeconds.Observe(coalesceNS)
+	for i := range sc.stageNS {
+		if ns := sc.stageNS[i]; ns > 0 {
+			o.Stage[i].Observe(ns)
 		}
-	}
-	if !sc.spanActive && e.opts.FlushSink == nil {
-		return
 	}
 	tr := &sc.flushRec
 	tr.Tree = e.traceID.Load()
@@ -255,9 +252,7 @@ func (e *Engine) observeFlush(reqs int, coalesceNS, flushNS int64) {
 		tr.TraceID = sc.spanTrace
 		e.emitFlushSpans(tr)
 	}
-	if sink := e.opts.FlushSink; sink != nil {
-		sink(*tr)
-	}
+	e.opts.Obs.FlushDone(*tr)
 }
 
 // noteHeal folds the host's last heal report into the engine counters,
@@ -276,10 +271,8 @@ func (e *Engine) noteHeal(executed int) {
 			e.stats.resimsBy[i].Add(1)
 		}
 	}
-	if o := e.opts.Obs; o != nil && o.HealRecords != nil {
-		o.HealRecords.Observe(int64(hs.WoundRecords))
-	}
 	if e.timing {
+		e.inst.HealRecords.Observe(int64(hs.WoundRecords))
 		tr := &e.sc.flushRec
 		tr.HealRecords += int64(hs.WoundRecords)
 		if hs.Resimulated {

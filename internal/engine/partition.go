@@ -177,9 +177,9 @@ type scratch struct {
 	stageNS  [numStages]int64
 	flushRec obs.WaveTrace
 
-	// Per-flush distributed-trace state (engines with Options.Spans):
-	// spanActive marks a flush sampled into the span log — every
-	// TraceSample-th flush, or any flush carrying an explicitly traced
+	// Per-flush distributed-trace state (engines with Options.Obs):
+	// spanActive marks a flush sampled into the hub's span log — by the
+	// hub's cadence or boost, or because it carries an explicitly traced
 	// request. spanTrace/spanParent are the adopted trace and ingest-span
 	// parent; spanFlush is the flush span's own ID (parent of stage and
 	// wave spans). flushT0 anchors span timestamps; stageStart holds each
@@ -621,19 +621,17 @@ func (e *Engine) phaseSealWave() {
 			// without any span ID crossing the wire.
 			w.TraceID = uint64(e.sc.spanTrace)
 			w.SealedAt = time.Now().UnixNano()
-			if sl := e.opts.Spans; sl != nil {
-				sl.Add(obs.Span{
-					Trace:  e.sc.spanTrace,
-					Span:   obs.WaveSpanID(epoch, seq),
-					Parent: e.sc.spanFlush,
-					Name:   "wave",
-					Tree:   e.traceID.Load(),
-					Seq:    seq,
-					Epoch:  epoch,
-					Start:  w.SealedAt,
-					Reqs:   e.sc.mutating,
-				})
-			}
+			e.opts.Obs.Spans().Add(obs.Span{
+				Trace:  e.sc.spanTrace,
+				Span:   obs.WaveSpanID(epoch, seq),
+				Parent: e.sc.spanFlush,
+				Name:   "wave",
+				Tree:   e.traceID.Load(),
+				Seq:    seq,
+				Epoch:  epoch,
+				Start:  w.SealedAt,
+				Reqs:   e.sc.mutating,
+			})
 		}
 		w.Seal()
 		(*e.sc.tap)(w)

@@ -7,17 +7,17 @@ import (
 	"dyntc/internal/obs"
 )
 
-// newSpanEngine builds an in-package engine with a span log attached, a
-// sampling period large enough that no flush is cadence-sampled, and a
-// (never-triggered) anomaly boost, so the zero-alloc guard covers the
-// boost check too.
+// newSpanEngine builds an in-package engine with an observability hub
+// attached whose sampling period is large enough that no flush is
+// cadence-sampled; the hub's (never-triggered) anomaly boost keeps the
+// boost check inside the zero-alloc guard.
 func newSpanEngine(t testing.TB) (*Forest, *Engine) {
 	t.Helper()
-	sl, err := obs.NewSpanLog(16, "test", "")
+	h, err := obs.NewHub(obs.HubConfig{Proc: "test", TraceSample: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewForest(Options{Spans: sl, TraceSample: 1 << 30, Boost: &obs.TraceBoost{}})
+	f := NewForest(Options{Obs: h})
 	_, en := f.Add(stubHost{})
 	t.Cleanup(func() { f.Close() })
 	return f, en
@@ -83,7 +83,7 @@ func TestBeginFlushSpanBoostSamples(t *testing.T) {
 	en.flushSeq = 5 // cadence miss
 	futs := []*Future{{}, {}}
 
-	en.opts.Boost.Trigger(time.Hour)
+	en.opts.Obs.Boost().Trigger(time.Hour)
 	en.beginFlushSpan(futs, time.Now())
 	if !en.sc.spanActive {
 		t.Fatal("flush during an active boost not sampled")
@@ -94,7 +94,7 @@ func TestBeginFlushSpanBoostSamples(t *testing.T) {
 
 	// Decay: a flush timestamped past the boost deadline is unsampled
 	// again — and allocation-free, boost present or not.
-	past := time.Unix(0, en.opts.Boost.Deadline()+1)
+	past := time.Unix(0, en.opts.Obs.Boost().Deadline()+1)
 	allocs := testing.AllocsPerRun(200, func() {
 		en.beginFlushSpan(futs, past)
 	})
@@ -107,17 +107,11 @@ func TestBeginFlushSpanBoostSamples(t *testing.T) {
 }
 
 // TestObserveFlushSinkZeroAlloc: every flush of a timing engine hands
-// its record to FlushSink by value, so an unsampled flush with a sink
-// attached still allocates nothing.
+// its record to the hub by value, so an unsampled flush still allocates
+// nothing.
 func TestObserveFlushSinkZeroAlloc(t *testing.T) {
-	sl, err := obs.NewSpanLog(16, "test", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got obs.WaveTrace
-	f := NewForest(Options{Spans: sl, TraceSample: 1 << 30, FlushSink: func(tr obs.WaveTrace) { got = tr }})
-	defer f.Close()
-	_, en := f.Add(stubHost{})
+	_, en := newSpanEngine(t)
+	sl := en.opts.Obs.Spans()
 	en.flushSeq = 5
 	en.beginFlushSpan([]*Future{{}}, time.Now())
 	en.sc.flushRec.Waves = 2
@@ -127,7 +121,7 @@ func TestObserveFlushSinkZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("observeFlush allocated %v per unsampled flush, want 0", allocs)
 	}
-	if got.Reqs != 3 || got.Waves != 2 || got.Coalesce != 10 || got.Flush != 1000 {
+	if got := en.sc.flushRec; got.Reqs != 3 || got.Waves != 2 || got.Coalesce != 10 || got.Flush != 1000 {
 		t.Fatalf("sink record = %+v, want reqs 3 waves 2 coalesce 10 flush 1000", got)
 	}
 	if sl.Total() != 0 {

@@ -45,11 +45,6 @@ func (b *TraceBoost) Active(nowNano int64) bool {
 	return b != nil && nowNano < b.deadline.Load()
 }
 
-// ActiveNow reports whether the boost is active at the current time.
-func (b *TraceBoost) ActiveNow() bool {
-	return b != nil && time.Now().UnixNano() < b.deadline.Load()
-}
-
 // Deadline returns the boost's current expiry (UnixNano, 0 = never set).
 func (b *TraceBoost) Deadline() int64 {
 	if b == nil {
@@ -127,7 +122,7 @@ type detector struct {
 
 // Recorder owns the per-signal detectors and the trip side effects:
 // journal an anomaly event with a snapshot, boost tracing, and expose
-// Active() for health probes.
+// Active() — the boost's own clock — for health probes.
 type Recorder struct {
 	cfg     AnomalyConfig
 	journal *Journal
@@ -137,8 +132,7 @@ type Recorder struct {
 	detectors map[string]*detector
 	snapshot  func() map[string]any
 
-	activeUntil atomic.Int64
-	trips       atomic.Uint64
+	trips atomic.Uint64
 }
 
 // NewRecorder creates a recorder journaling trips into j and boosting
@@ -164,18 +158,11 @@ func (r *Recorder) SetSnapshot(fn func() map[string]any) {
 	r.mu.Unlock()
 }
 
-// Boost returns the recorder's sampling override.
-func (r *Recorder) Boost() *TraceBoost {
-	if r == nil {
-		return nil
-	}
-	return r.boost
-}
-
 // Active reports whether any signal tripped within its boost window —
-// the "anomaly_active" health bit.
+// the "anomaly_active" health bit. A trip arms the boost for exactly
+// that window, so the boost's deadline is the one clock both read.
 func (r *Recorder) Active() bool {
-	return r != nil && time.Now().UnixNano() < r.activeUntil.Load()
+	return r != nil && r.boost.Active(time.Now().UnixNano())
 }
 
 // Trips returns the total number of detector trips.
@@ -251,12 +238,6 @@ func (r *Recorder) Observe(signal string, ns int64) {
 	}
 	r.trips.Add(1)
 	boostUntil := now + int64(r.cfg.Boost)
-	for {
-		cur := r.activeUntil.Load()
-		if cur >= boostUntil || r.activeUntil.CompareAndSwap(cur, boostUntil) {
-			break
-		}
-	}
 	r.boost.Trigger(r.cfg.Boost)
 	fields := map[string]any{
 		"signal":      signal,

@@ -34,7 +34,7 @@ func TestRecorderTripsOnSpike(t *testing.T) {
 	if !r.Active() {
 		t.Fatal("recorder not active after trip")
 	}
-	if !r.Boost().ActiveNow() {
+	if !r.boost.Active(time.Now().UnixNano()) {
 		t.Fatal("trace boost not active after trip")
 	}
 	// A trip journals the anomaly, then the boost announcement.
@@ -63,10 +63,10 @@ func TestRecorderTripsOnSpike(t *testing.T) {
 
 	// Decay: the boost and the active bit expire with the burst window.
 	deadline := time.Now().Add(2 * time.Second)
-	for (r.Active() || r.Boost().ActiveNow()) && time.Now().Before(deadline) {
+	for (r.Active() || r.boost.Active(time.Now().UnixNano())) && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if r.Active() || r.Boost().ActiveNow() {
+	if r.Active() || r.boost.Active(time.Now().UnixNano()) {
 		t.Fatal("boost did not decay")
 	}
 }
@@ -90,12 +90,12 @@ func TestRecorderNilSafe(t *testing.T) {
 	var r *Recorder
 	r.Observe("x", 1)
 	r.SetSnapshot(nil)
-	if r.Active() || r.Trips() != 0 || r.Boost() != nil {
+	if r.Active() || r.Trips() != 0 {
 		t.Fatal("nil recorder not inert")
 	}
 	var b *TraceBoost
 	b.Trigger(time.Second)
-	if b.Active(time.Now().UnixNano()) || b.ActiveNow() || b.Deadline() != 0 {
+	if b.Active(time.Now().UnixNano()) || b.Deadline() != 0 {
 		t.Fatal("nil boost not inert")
 	}
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,7 +15,10 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 // TestCounterHistogramConcurrent hammers one counter and one histogram
 // from many goroutines; run under -race this proves the record paths are
-// synchronization-clean, and the totals prove no increment is lost.
+// synchronization-clean, and the totals prove no increment is lost. A
+// scraper renders the registry while the workers observe: every scrape
+// must show each histogram's _count equal to its +Inf bucket, the
+// Prometheus exposition invariant.
 func TestCounterHistogramConcurrent(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_ops_total", "ops")
@@ -35,7 +39,23 @@ func TestCounterHistogramConcurrent(t *testing.T) {
 			}
 		}(w)
 	}
-	wg.Wait()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for scrapes := 0; ; scrapes++ {
+		var buf bytes.Buffer
+		if _, err := r.WriteTo(&buf); err != nil {
+			t.Fatalf("WriteTo: %v", err)
+		}
+		if err := infMatchesCount(buf.String()); err != nil {
+			t.Fatalf("scrape %d: %v", scrapes, err)
+		}
+		select {
+		case <-done:
+		default:
+			continue
+		}
+		break
+	}
 
 	if got := c.Value(); got != workers*perWorker {
 		t.Fatalf("counter = %d, want %d", got, workers*perWorker)
@@ -54,6 +74,24 @@ func TestCounterHistogramConcurrent(t *testing.T) {
 	if !strings.Contains(buf.String(), `test_op_seconds_bucket{le="+Inf"} 80000`) {
 		t.Fatalf("rendered output missing cumulative +Inf bucket:\n%s", buf.String())
 	}
+}
+
+// infMatchesCount checks every unlabeled histogram in a rendered scrape:
+// its _count sample must equal its le="+Inf" bucket.
+func infMatchesCount(text string) error {
+	inf := make(map[string]string)
+	for _, line := range strings.Split(text, "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if base, isInf := strings.CutSuffix(name, `_bucket{le="+Inf"}`); isInf {
+			inf[base] = val
+		} else if base, isCount := strings.CutSuffix(name, "_count"); isCount && inf[base] != val {
+			return fmt.Errorf("%s_count = %s, +Inf bucket = %s", base, val, inf[base])
+		}
+	}
+	return nil
 }
 
 // TestRegistryIdempotent checks that re-registering the same instrument
@@ -172,7 +210,7 @@ func TestTraceRingEviction(t *testing.T) {
 // TestTraceRingConcurrent hammers both ring owners — the span log and
 // the event journal, each locking its own ring — for the race detector.
 func TestTraceRingConcurrent(t *testing.T) {
-	spans, err := NewSpanLog(32, "leader", "")
+	spans, err := NewSpanLog(32, "leader", "", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

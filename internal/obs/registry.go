@@ -2,12 +2,14 @@
 // lock-cheap metrics registry (atomic counters, scrape-time gauge
 // functions, fixed-bucket histograms with an Observe(ns) fast path) plus
 // the span log and event journal (span.go, events.go), both bounded rings
-// (ring.go). Instruments are created once at
-// wiring time and cached by their callers; the hot path is one or two
-// atomic adds with no map lookups and no locks. The registry renders
-// itself in the Prometheus text exposition format (version 0.0.4) with a
-// hand-rolled writer — no external dependencies, so every internal package
-// may import obs without dragging anything in.
+// (ring.go), and the Hub (hub.go) that bundles them, the anomaly flight
+// recorder and the hot-spot sketches into one handle per process.
+// Instruments are created once at wiring time and cached by their
+// callers; the hot path is one or two atomic adds with no map lookups and
+// no locks. The registry renders itself in the Prometheus text exposition
+// format (version 0.0.4) with a hand-rolled writer — no external
+// dependencies, so every internal package may import obs without
+// dragging anything in.
 package obs
 
 import (
@@ -38,12 +40,14 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 // Histogram is a fixed-bucket histogram. Values are recorded as int64 —
 // nanoseconds for time histograms, plain magnitudes otherwise — and
 // divided by the family's scale only at scrape time, so the Observe fast
-// path is a short bounds scan plus three atomic adds, lock-free.
+// path is a short bounds scan plus two atomic adds, lock-free. There is no
+// separate count: it is the sum of the bucket counts, so a scrape that
+// reads each bucket once renders a _count equal to its +Inf bucket even
+// while observations land.
 type Histogram struct {
 	bounds []int64         // ascending upper bounds; +Inf is implicit
 	counts []atomic.Uint64 // len(bounds)+1, non-cumulative per bucket
 	sum    atomic.Int64
-	count  atomic.Uint64
 }
 
 // Observe records one value (nanoseconds for *_seconds histograms).
@@ -55,14 +59,16 @@ func (h *Histogram) Observe(v int64) {
 	}
 	h.counts[i].Add(1)
 	h.sum.Add(v)
-	h.count.Add(1)
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of observed values (pre-scale, e.g. nanoseconds).
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
 
 // DurationBuckets are the default bounds for time-valued histograms, in
 // nanoseconds: 1µs to 10s, roughly 1-2.5-5 per decade. Rendered in
@@ -308,7 +314,7 @@ func writeChild(w io.Writer, f *family, k *child) {
 		cum += h.counts[len(h.bounds)].Load()
 		fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, braced(joinLabels(k.labels, `le="+Inf"`)), cum)
 		fmt.Fprintf(w, "%s_sum%s %s\n", f.name, braced(k.labels), fmtFloat(float64(h.sum.Load())/f.scale))
-		fmt.Fprintf(w, "%s_count%s %d\n", f.name, braced(k.labels), h.count.Load())
+		fmt.Fprintf(w, "%s_count%s %d\n", f.name, braced(k.labels), cum)
 	}
 }
 

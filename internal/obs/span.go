@@ -164,7 +164,7 @@ type Span struct {
 // WaveTrace is one flush of one engine's wave pipeline: how long the
 // oldest request coalesced, how long each phase ran summed over the
 // flush's waves, and the whole flush-start→all-acked span. The engine
-// fills one per flush and hands it by value to Options.FlushSink; a
+// fills one per flush and hands it by value to Hub.FlushDone; a
 // span-sampled flush also records it as its engine.flush span, with the
 // stage times as stage.* children and the coalesce wait as
 // engine.coalesce.
@@ -217,16 +217,10 @@ type SpanLog struct {
 // (DefaultSpanCap when <= 0). proc is stamped on every span recorded
 // here ("leader", "follower", ...), identifying the process in merged
 // traces. A non-empty path mirrors every span to an append-only JSONL
-// file that grows without bound; use NewSpanLogRotating to cap it.
-func NewSpanLog(capacity int, proc, path string) (*SpanLog, error) {
-	return NewSpanLogRotating(capacity, proc, path, 0, 1)
-}
-
-// NewSpanLogRotating is NewSpanLog with a bounded JSONL sink: once the
-// file would exceed maxBytes it is rotated aside (path.1 … path.keep,
-// oldest dropped) and a fresh file continues the stream. maxBytes <= 0
-// disables rotation.
-func NewSpanLogRotating(capacity int, proc, path string, maxBytes int64, keep int) (*SpanLog, error) {
+// file; once the file would exceed maxBytes it is rotated aside (path.1 …
+// path.keep, oldest dropped) and a fresh file continues the stream.
+// maxBytes <= 0 disables rotation.
+func NewSpanLog(capacity int, proc, path string, maxBytes int64, keep int) (*SpanLog, error) {
 	l := &SpanLog{ring: newRing[Span](capacity, DefaultSpanCap), proc: proc}
 	if path != "" {
 		sink, err := openRotatingFile(path, maxBytes, keep)

@@ -87,7 +87,7 @@ func TestTraceHeaderRoundTrip(t *testing.T) {
 }
 
 func TestSpanLogRingAndFilters(t *testing.T) {
-	l, err := NewSpanLog(4, "leader", "")
+	l, err := NewSpanLog(4, "leader", "", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestSpanLogRingAndFilters(t *testing.T) {
 
 func TestSpanLogJSONLFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "spans.jsonl")
-	l, err := NewSpanLog(8, "leader", path)
+	l, err := NewSpanLog(8, "leader", path, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestSpanLogRotation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "spans.jsonl")
 	// Each span record is ~120 bytes; a 1 KiB cap forces rotations fast.
-	l, err := NewSpanLogRotating(8, "leader", path, 1024, 2)
+	l, err := NewSpanLog(8, "leader", path, 1024, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestSpanLogRotationFailureKeepsSink(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(path+".1", "blocker"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	l, err := NewSpanLogRotating(8, "leader", path, 200, 1)
+	l, err := NewSpanLog(8, "leader", path, 200, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

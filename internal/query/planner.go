@@ -3,13 +3,13 @@ package query
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dyntc/internal/obs"
 )
 
-// Metrics is the query engine's instrument bundle (Planner.SetMetrics).
+// Metrics is the query engine's instrument bundle, registered on the hub
+// a planner is built with (NewPlanner).
 type Metrics struct {
 	// Queries counts completed Run calls.
 	Queries *obs.Counter
@@ -38,20 +38,21 @@ func NewMetrics(r *obs.Registry) *Metrics {
 // the scatter parallelism hint: how many chunks a query is split into.
 type Planner struct {
 	width int
-	m     atomic.Pointer[Metrics] // optional instruments (SetMetrics)
+	m     *Metrics // nil without a hub
 }
 
-// SetMetrics attaches (or, with nil, detaches) the metrics bundle;
-// swappable at runtime so servers can instrument a serving planner.
-func (p *Planner) SetMetrics(m *Metrics) { p.m.Store(m) }
-
 // NewPlanner creates a planner with the given scatter parallelism
-// (GOMAXPROCS when <= 0).
-func NewPlanner(workers int) *Planner {
+// (GOMAXPROCS when <= 0). A non-nil hub gets the query families
+// registered on its registry, and every query feeds them.
+func NewPlanner(workers int, h *obs.Hub) *Planner {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Planner{width: workers}
+	p := &Planner{width: workers}
+	if h != nil {
+		p.m = NewMetrics(h.Registry())
+	}
+	return p
 }
 
 // Run executes one cross-tree query: resolve the selector against the
@@ -88,7 +89,7 @@ func (p *Planner) Run(r Reader, spec Spec) (Result, error) {
 	// workers → 5 chunks of 2); walk by offset so every chunk is non-empty.
 	nchunks = (len(ids) + chunkLen - 1) / chunkLen
 
-	if m := p.m.Load(); m != nil {
+	if m := p.m; m != nil {
 		t0 := time.Now()
 		defer func() {
 			m.Queries.Inc()

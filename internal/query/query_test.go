@@ -56,7 +56,7 @@ func ids(n int) []uint64 {
 }
 
 func TestPlannerCombiners(t *testing.T) {
-	p := NewPlanner(4)
+	p := NewPlanner(4, nil)
 	r := &fakeReader{ids: ids(100)}
 
 	// sum of 10*(1..100) = 10*5050
@@ -106,7 +106,7 @@ func TestPlannerCombiners(t *testing.T) {
 }
 
 func TestPlannerSelectors(t *testing.T) {
-	p := NewPlanner(3)
+	p := NewPlanner(3, nil)
 	r := &fakeReader{ids: ids(50)}
 
 	res, err := p.Run(r, Spec{Select: Range(10, 19), Read: Root(), Combine: Count()})
@@ -143,7 +143,7 @@ func TestPlannerSelectors(t *testing.T) {
 }
 
 func TestPlannerErrorsAndValidation(t *testing.T) {
-	p := NewPlanner(2)
+	p := NewPlanner(2, nil)
 	boom := fmt.Errorf("boom")
 	r := &fakeReader{ids: ids(10), failOn: map[uint64]error{4: boom, 8: boom}}
 
@@ -174,7 +174,7 @@ func TestPlannerErrorsAndValidation(t *testing.T) {
 // tree exactly once.
 func TestPlannerUnalignedChunks(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 7, 8, 16} {
-		p := NewPlanner(workers)
+		p := NewPlanner(workers, nil)
 		for _, n := range []int{1, 2, 5, 8, 9, 13, 31, 100} {
 			r := &fakeReader{ids: ids(n)}
 			res, err := p.Run(r, Spec{Read: Root(), Combine: Count(), Detail: true})
@@ -189,7 +189,7 @@ func TestPlannerUnalignedChunks(t *testing.T) {
 }
 
 func TestPlannerManyChunksOneWorker(t *testing.T) {
-	p := NewPlanner(1)
+	p := NewPlanner(1, nil)
 	r := &fakeReader{ids: ids(257)}
 	res, err := p.Run(r, Spec{Read: Root(), Combine: Count()})
 	if err != nil {

@@ -73,22 +73,30 @@ type Log struct {
 
 	appendErr error // first file-append error, surfaced on later calls
 
-	// m is the optional metrics bundle (SetMetrics); swappable at runtime
-	// so servers can attach instruments to already-serving logs.
-	m atomic.Pointer[Metrics]
-
-	// ev is the optional lifecycle event journal (SetEvents): compactions
-	// are rare, operator-relevant transitions, so the log journals them
-	// itself rather than leaving every caller to.
-	ev atomic.Pointer[obs.Journal]
+	// o is the optional observability attachment (SetObs); swappable at
+	// runtime so servers can instrument already-serving logs.
+	o atomic.Pointer[logObs]
 }
 
-// SetMetrics attaches (or, with nil, detaches) the metrics bundle.
-func (l *Log) SetMetrics(m *Metrics) { l.m.Store(m) }
+// logObs is a log's observability attachment: the replog instruments on
+// the hub's registry, plus the hub itself for wal.append spans and
+// compaction events. Compactions are rare, operator-relevant transitions,
+// so the log journals them itself rather than leaving every caller to.
+type logObs struct {
+	*Metrics
+	hub *obs.Hub
+}
 
-// SetEvents attaches (or, with nil, detaches) the lifecycle event
-// journal compactions are recorded into.
-func (l *Log) SetEvents(j *obs.Journal) { l.ev.Store(j) }
+// SetObs attaches (or, with nil, detaches) the observability hub: the
+// log registers the replog families on the hub's registry, and its
+// appends, compactions and traced waves report there.
+func (l *Log) SetObs(h *obs.Hub) {
+	if h == nil {
+		l.o.Store(nil)
+		return
+	}
+	l.o.Store(&logObs{NewMetrics(h.Registry()), h})
+}
 
 // SetFaults attaches (or, with nil, detaches) a fault-injection
 // schedule to the WAL I/O path.
@@ -148,11 +156,12 @@ func NewLog(capacity int, path string) (*Log, error) {
 // degrades durability, it must not silently freeze replication while the
 // leader keeps acknowledging writes.
 func (l *Log) Append(w Wave) error {
-	if m := l.m.Load(); m != nil {
+	o := l.o.Load()
+	if o != nil {
 		t0 := time.Now()
 		defer func() {
-			m.Appends.Inc()
-			m.AppendSeconds.Observe(int64(time.Since(t0)))
+			o.Appends.Inc()
+			o.AppendSeconds.Observe(int64(time.Since(t0)))
 		}()
 	}
 	if !w.Verify() {
@@ -175,14 +184,14 @@ func (l *Log) Append(w Wave) error {
 	// pre-tracing output.
 	if w.SealedAt != 0 {
 		w.AppendedAt = time.Now().UnixNano()
-		if m := l.m.Load(); m != nil {
+		if o != nil {
 			lag := w.AppendedAt - w.SealedAt
 			if lag < 0 {
 				lag = 0
 			}
-			m.SealedAppended.Observe(lag)
-			if m.Spans != nil && w.TraceID != 0 {
-				m.Spans.Add(obs.Span{
+			o.SealedAppended.Observe(lag)
+			if w.TraceID != 0 {
+				o.hub.Spans().Add(obs.Span{
 					Trace:  obs.SpanID(w.TraceID),
 					Span:   obs.NewSpanID(),
 					Parent: obs.WaveSpanID(w.EpochOrDefault(), w.Seq),
@@ -266,8 +275,9 @@ func (l *Log) Compact(seq uint64) error {
 		l.mu.Unlock()
 		return nil
 	}
-	if m := l.m.Load(); m != nil {
-		m.Compactions.Inc()
+	o := l.o.Load()
+	if o != nil {
+		o.Compactions.Inc()
 	}
 	if seq > l.last {
 		seq = l.last
@@ -282,8 +292,8 @@ func (l *Log) Compact(seq uint64) error {
 	} else {
 		l.base = 0
 	}
-	if j := l.ev.Load(); j != nil {
-		j.Emit(obs.EvWALCompact, "change log compacted behind a snapshot",
+	if o != nil {
+		o.hub.Events().Emit(obs.EvWALCompact, "change log compacted behind a snapshot",
 			map[string]any{"through": seq, "retained": l.n, "base": l.base})
 	}
 	if l.f == nil || l.appendErr != nil {

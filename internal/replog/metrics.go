@@ -14,11 +14,11 @@ const (
 	StageFetchedApplied = "fetched_applied"  // follower fetch → replay applied
 )
 
-// Metrics is the replication log's instrument bundle. One Metrics is
-// shared by every Log of a process (per-tree label cardinality would not
-// scale to a big forest); attach it with Log.SetMetrics. Lag and
-// applied-sequence gauges live with the server wiring (cmd/dyntcd), which
-// can see engines and replicas side by side.
+// Metrics is the replication log's instrument bundle. Registration is
+// idempotent, so every Log attached to one hub (Log.SetObs) shares one
+// bundle — per-tree label cardinality would not scale to a big forest.
+// Lag and applied-sequence gauges live with the server wiring
+// (cmd/dyntcd), which can see engines and replicas side by side.
 type Metrics struct {
 	// Appends counts waves appended to the change log.
 	Appends *obs.Counter
@@ -37,10 +37,6 @@ type Metrics struct {
 	SealedAppended  *obs.Histogram
 	AppendedFetched *obs.Histogram
 	FetchedApplied  *obs.Histogram
-
-	// Spans, when set, receives a wal.append span for every appended wave
-	// that carries a trace ID (see Log.Append).
-	Spans *obs.SpanLog
 }
 
 // NewMetrics registers the replog families on reg.

@@ -66,47 +66,25 @@ type BatchOptions struct {
 	// wave stream into a replayable change log. Per-engine: when serving a
 	// Forest, attach taps per tree with Engine.SetWaveTap instead.
 	WaveTap func(Wave)
-	// Metrics, when set, turns on wave pipeline timing and feeds the
-	// engine histogram bundle (flush latency, coalesce wait, per-stage
-	// breakdown). One bundle (NewEngineMetrics) is shared by every engine
-	// it is passed to. Nil keeps the timing path disabled: the engine
-	// pays one boolean check per flush and nothing else.
-	Metrics *EngineMetrics
-	// Spans, when set, records distributed-trace spans for sampled
-	// flushes (every TraceSample-th, plus every flush carrying a request
-	// submitted through the Traced view): a flush span, per-stage child
-	// spans, and a deterministic wave anchor span per sealed wave that
-	// WAL appends and follower replays stitch to by (epoch, seq). One
-	// SpanLog (NewSpanLog) is shared by every engine it is passed to.
-	// The flush span carries the flush's WaveTraceRecord fields. Like
-	// Metrics it turns on wave timing.
-	Spans *SpanLog
-	// TraceSample is the flush sampling stride for Spans (default 16; 1
-	// records every flush).
-	TraceSample int
 	// Faults, when set, is a deterministic fault-injection schedule
 	// (NewFaultInjector): the engine checks site "engine.wave" once per
 	// executed wave, and an injected error crashes the wave into a
 	// poisoned engine — the chaos suite's stand-in for a leader dying
 	// mid-traffic. Nil (production) injects nothing.
 	Faults *FaultInjector
-	// Events, when set, receives the engine's lifecycle events (shed
-	// bursts, adaptive flush-cap shifts) in the shared journal served at
-	// /v1/events. One EventJournal is shared by every subsystem.
-	Events *EventJournal
-	// Boost, when set, is the anomaly flight recorder's sampling
-	// override: while active, every flush is span-sampled regardless of
-	// TraceSample. Checking it costs the unsampled flush path one atomic
-	// load.
-	Boost *TraceBoost
-	// FlushSink, when set, receives every flush's WaveTraceRecord by
-	// value on the executor — the feed for anomaly detectors, per-tree
-	// hot-spot attribution and slow-wave logging. Setting it turns on
-	// wave timing like Metrics/Spans do. Keep it cheap or hand off.
-	FlushSink func(WaveTraceRecord)
-	// ShedSink, when set, receives per-tree load-shed counts on the
-	// shedding submitter's goroutine.
-	ShedSink func(tree uint64, n int)
+	// Obs, when set, is the process's observability hub (NewObs), shared
+	// by every engine it is passed to and by a forest's query planner. It
+	// turns on wave pipeline timing: flush, coalesce-wait and per-stage
+	// histograms; span-sampled flushes (at the hub's period, while its
+	// anomaly boost is active, and whenever a flush carries a request
+	// submitted through the Traced view), each recorded as a flush span
+	// carrying the flush record, with per-stage child spans and a
+	// deterministic wave anchor span per sealed wave that WAL appends and
+	// replica replays stitch to by (epoch, seq); every flush record and
+	// every shed handed to the hub; shed bursts and adaptive flush-cap
+	// shifts journaled. Nil keeps all of it off: the engine pays one
+	// boolean check per flush and nothing else.
+	Obs *Obs
 }
 
 // Serve starts an engine over e and returns it. Close the engine to drain
@@ -121,18 +99,12 @@ func (e *Expr) Serve(opts BatchOptions) *Engine {
 // a forest's engines are tapped per tree (Engine.SetWaveTap).
 func (opts BatchOptions) engineOptions() engine.Options {
 	return engine.Options{
-		MaxBatch:    opts.MaxBatch,
-		Window:      opts.Window,
-		Queue:       opts.Queue,
-		Shed:        opts.Shed,
-		Obs:         opts.Metrics,
-		Spans:       opts.Spans,
-		TraceSample: opts.TraceSample,
-		Faults:      opts.Faults,
-		Events:      opts.Events,
-		Boost:       opts.Boost,
-		FlushSink:   opts.FlushSink,
-		ShedSink:    opts.ShedSink,
+		MaxBatch: opts.MaxBatch,
+		Window:   opts.Window,
+		Queue:    opts.Queue,
+		Shed:     opts.Shed,
+		Obs:      opts.Obs,
+		Faults:   opts.Faults,
 	}
 }
 
@@ -371,11 +343,12 @@ type Forest struct {
 	exprs map[TreeID]*Engine
 }
 
-// NewForest creates an empty forest; opts configures every tree's engine.
+// NewForest creates an empty forest; opts configures every tree's engine,
+// and opts.Obs also instruments the forest's cross-tree query planner.
 func NewForest(opts BatchOptions) *Forest {
 	return &Forest{
 		inner:   engine.NewForest(opts.engineOptions()),
-		planner: query.NewPlanner(0),
+		planner: query.NewPlanner(0, opts.Obs),
 		exprs:   make(map[TreeID]*Engine),
 	}
 }
