@@ -50,10 +50,14 @@
 //
 // Everything the trace knows per T node — its PT leaf, the record raking
 // it, the record removing it, the head of its touch chain — lives in one
-// flat table indexed by tree.Node.ID (nodeSlot): IDs are dense and never
-// recycled, so a lookup is a bare index and the three or four a
+// flat table indexed by tree.Node.ID (nodeSlot, 24 bytes): IDs are dense
+// and never recycled, so a lookup is a bare index and the three or four a
 // re-executed record makes for one node share a cache line. The table
-// grows with T.Nodes, once per wave, before the wave reads it.
+// grows with T.Nodes, once per wave, before the wave reads it. The
+// records themselves live by value in the Contraction's arena (recArena)
+// and link to each other, and the slots to them, by int32 recID: a wave
+// reuses the records its predecessors killed, and a re-simulation
+// rewrites the arena in place.
 package core
 
 import (
@@ -74,12 +78,14 @@ type ptNode = rbsts.Node[*tree.Node, struct{}]
 // Record is one rake of the contraction trace: at round Round, leaf V is
 // raked into its current parent P, and P's pending form is compressed onto
 // V's current sibling W. The stored labels are the inputs/outputs of the
-// two half-steps; VPrev/PPrev/WPrev point at the records that produced the
-// inputs (nil means the initial label), and Next at the single record that
-// consumes LwOut.
+// two half-steps; VPrev/PPrev/WPrev name the records that produced the
+// inputs (none means the initial label), and Next the single record that
+// consumes LwOut. Records live in the Contraction's arena and are named
+// by their recID there.
 type Record struct {
 	V, P, W *tree.Node
-	Round   int
+	Round   int32
+	id      recID
 
 	Lv    semiring.Linear // V's label at rake time (constant: A = 0)
 	LpIn  semiring.Linear // P's pending form before the small-rake
@@ -104,8 +110,8 @@ type Record struct {
 	G     *tree.Node
 	WLeft bool
 
-	VPrev, PPrev, WPrev *Record
-	Next                *Record
+	VPrev, PPrev, WPrev recID
+	Next                recID
 
 	// dirty marks membership in the current wound's worklist; structDirty
 	// additionally requests a full structural re-execution (participants,
@@ -116,17 +122,81 @@ type Record struct {
 	dead        bool
 }
 
-// nodeSlot is the trace's per-node state, one 32-byte entry per node ID.
+// recID names a record of the Contraction's arena; 0 names none.
+type recID int32
+
+// recChunkBits sizes the arena's chunks (1 024 records): a power of two,
+// so resolving a recID is a shift and a mask.
+const recChunkBits = 10
+
+// recArena holds the trace's records by value. Chunks never move once
+// allocated, so a *Record stays valid while the arena grows, and growing
+// copies nothing. Index 0 is reserved for "none", so reset must run
+// before the first alloc (simulate does). Every record not handed out is
+// zero, so alloc returns a blank record.
+type recArena struct {
+	chunks [][]Record
+	n      recID   // indices handed out so far, the reserved 0 included
+	free   []recID // released records, reused before n grows
+}
+
+// at returns the record named id, which must not be none.
+func (a *recArena) at(id recID) *Record {
+	return &a.chunks[id>>recChunkBits][id&(1<<recChunkBits-1)]
+}
+
+// alloc hands out a blank record: a released one if any, else the next
+// index, adding a chunk when the last one is full.
+func (a *recArena) alloc() *Record {
+	var id recID
+	if k := len(a.free); k > 0 {
+		id = a.free[k-1]
+		a.free = a.free[:k-1]
+	} else {
+		id = a.n
+		if int(id)>>recChunkBits == len(a.chunks) {
+			a.chunks = append(a.chunks, make([]Record, 1<<recChunkBits))
+		}
+		a.n = id + 1
+	}
+	r := a.at(id)
+	r.id = id
+	return r
+}
+
+// release clears dead records and queues them for reuse.
+func (a *recArena) release(rs []*Record) {
+	for _, r := range rs {
+		id := r.id
+		*r = Record{}
+		a.free = append(a.free, id)
+	}
+}
+
+// reset takes every index back and drops the free list, keeping the
+// chunks: the next alloc hands out 1 again.
+func (a *recArena) reset() {
+	for i, ch := range a.chunks {
+		if i<<recChunkBits >= int(a.n) {
+			break
+		}
+		clear(ch)
+	}
+	a.n = 1
+	a.free = a.free[:0]
+}
+
+// nodeSlot is the trace's per-node state, one 24-byte entry per node ID.
 // A slot is all-zero while its ID has no live node.
 type nodeSlot struct {
 	// ptLeaf is the node's PT leaf while it is a leaf of T.
 	ptLeaf *ptNode
 	// rec is the record raking the node (it is a gap's left leaf).
-	rec *Record
+	rec recID
 	// removedBy is the record removing the node (it is internal).
-	removedBy *Record
+	removedBy recID
 	// firstTouch is the earliest record reading the node's label.
-	firstTouch *Record
+	firstTouch recID
 }
 
 // Contraction is the dynamic parallel tree contraction structure.
@@ -137,9 +207,12 @@ type Contraction struct {
 	pt *rbsts.Tree[*tree.Node, struct{}]
 
 	// slots is indexed by tree.Node.ID and covers every ID of T.Nodes
-	// (growSlots); records counts its non-nil rec fields.
+	// (growSlots); records counts its non-none rec fields.
 	slots   []nodeSlot
 	records int
+
+	// recs holds every record the slots and links name.
+	recs recArena
 
 	rootValue int64
 	survivor  *tree.Node
@@ -212,6 +285,22 @@ func New(t *tree.Tree, seed uint64, m *pram.Machine) *Contraction {
 // slot returns n's entry of the slot table.
 func (c *Contraction) slot(n *tree.Node) *nodeSlot { return &c.slots[n.ID] }
 
+// rec resolves a record link: nil for none.
+func (c *Contraction) rec(id recID) *Record {
+	if id == 0 {
+		return nil
+	}
+	return c.recs.at(id)
+}
+
+// ref is the link naming r: none for nil.
+func ref(r *Record) recID {
+	if r == nil {
+		return 0
+	}
+	return r.id
+}
+
 // growSlots extends the slot table over every ID in T.Nodes. It
 // reallocates only when T.Nodes itself has, and to the same capacity, so
 // the table's memory follows the tree's instead of doubling past it.
@@ -248,14 +337,17 @@ func (c *Contraction) Records() int { return c.records }
 
 // simulate rebuilds the entire rake trace from the current T and PT: the
 // §4.2 randomized contraction. Records are processed in (round, leaf ID)
-// order; rounds are metered as parallel steps grouped by round.
+// order; rounds are metered as parallel steps grouped by round. The
+// arena is reset and refilled in place, so a warm re-simulation
+// allocates no records.
 func (c *Contraction) simulate() {
 	n := len(c.T.Nodes)
 	for i := range c.slots {
 		s := &c.slots[i]
-		s.rec, s.removedBy, s.firstTouch = nil, nil, nil
+		s.rec, s.removedBy, s.firstTouch = 0, 0, 0
 	}
 	c.records = 0
+	c.recs.reset()
 
 	if c.pt.Len() == 0 {
 		c.rootValue = c.ring.Zero()
@@ -281,7 +373,7 @@ func (c *Contraction) simulate() {
 		parent, left, right int32
 		op                  semiring.Op
 		label               semiring.Linear
-		lastTouch           *Record
+		lastTouch           recID
 	}
 	at := make([]int32, n)
 	live := 0
@@ -323,19 +415,20 @@ func (c *Contraction) simulate() {
 	}
 	items := make([]item, 0, c.pt.Len()-1)
 	for l := c.pt.Head(); l.Next() != nil; l = l.Next() {
-		r := &Record{V: l.Payload(), Round: l.GapNode().Height()}
+		r := c.recs.alloc()
+		r.V, r.Round = l.Payload(), int32(l.GapNode().Height())
 		items = append(items, item{timeKey(r), r, at[r.V.ID]})
 	}
 	slices.SortFunc(items, func(a, b item) int { return cmp.Compare(a.key, b.key) })
 
 	// touch appends r to e's touch chain and returns the previous toucher.
-	touch := func(r *Record, e *entry) *Record {
+	touch := func(r *Record, e *entry) recID {
 		prev := e.lastTouch
-		e.lastTouch = r
-		if prev != nil {
-			prev.Next = r
+		e.lastTouch = r.id
+		if prev != 0 {
+			c.recs.at(prev).Next = r.id
 		} else {
-			c.slots[e.id].firstTouch = r
+			c.slots[e.id].firstTouch = r.id
 		}
 		return prev
 	}
@@ -383,8 +476,8 @@ func (c *Contraction) simulate() {
 					eg.right = wi
 				}
 			}
-			c.slots[ev.id].rec = r
-			c.slots[ep.id].removedBy = r
+			c.slots[ev.id].rec = r.id
+			c.slots[ep.id].removedBy = r.id
 		}
 		i = j
 	}
@@ -435,18 +528,24 @@ func (c *Contraction) Validate() error {
 		if s.ptLeaf != nil && s.ptLeaf.Payload() != nd {
 			return fmt.Errorf("core: slot %d: ptLeaf carries another node", id)
 		}
-		if s.removedBy != nil && s.removedBy.P != nd {
+		// No slot names a dead record: killed records are reused.
+		for _, l := range [3]recID{s.rec, s.removedBy, s.firstTouch} {
+			if err := c.checkLink(l); err != nil {
+				return fmt.Errorf("core: slot %d: %w", id, err)
+			}
+		}
+		if s.removedBy != 0 && c.rec(s.removedBy).P != nd {
 			return fmt.Errorf("core: slot %d: removedBy removes another node", id)
 		}
-		if s.firstTouch != nil && !touches(s.firstTouch, nd) {
+		if s.firstTouch != 0 && !touches(c.rec(s.firstTouch), nd) {
 			return fmt.Errorf("core: slot %d: firstTouch does not touch the node", id)
 		}
-		r := s.rec
-		if r == nil {
+		if s.rec == 0 {
 			continue
 		}
+		r := c.rec(s.rec)
 		recs++
-		if r.V != nd {
+		if r.V != nd || r.id != s.rec {
 			return fmt.Errorf("core: slot %d: rec rakes another node", id)
 		}
 		// Every record's labels must recompose.
@@ -454,9 +553,33 @@ func (c *Contraction) Validate() error {
 		if lpOut.Compose(c.ring, r.LwIn) != r.LwOut {
 			return fmt.Errorf("core: record labels inconsistent at leaf %d", id)
 		}
+		// No link of a live record reaches a dead one.
+		for _, l := range [4]recID{r.VPrev, r.PPrev, r.WPrev, r.Next} {
+			if err := c.checkLink(l); err != nil {
+				return fmt.Errorf("core: record of leaf %d: %w", id, err)
+			}
+		}
 	}
 	if want := max(0, c.pt.Len()-1); recs != c.records || recs != want {
 		return fmt.Errorf("core: %d records, counter %d, want %d for %d leaves", recs, c.records, want, c.pt.Len())
+	}
+	return nil
+}
+
+// checkLink reports a link that names neither none nor a live record:
+// one handed out, not dead, and the record its raked leaf's slot holds.
+// Once a pass has drained no link may reach a dead record, which is what
+// makes reusing killed records safe.
+func (c *Contraction) checkLink(l recID) error {
+	if l == 0 {
+		return nil
+	}
+	if l < 0 || l >= c.recs.n {
+		return fmt.Errorf("link %d outside the arena's %d records", l, c.recs.n)
+	}
+	r := c.recs.at(l)
+	if r.dead || r.V == nil || c.slot(r.V).rec != l {
+		return fmt.Errorf("link %d reaches a dead record", l)
 	}
 	return nil
 }

@@ -163,7 +163,7 @@ func snapshotLabels(c *Contraction) map[*tree.Node][4]semiring.Linear {
 func liveRecords(c *Contraction) []*Record {
 	out := make([]*Record, 0, c.Records())
 	for i := range c.slots {
-		if r := c.slots[i].rec; r != nil {
+		if r := c.rec(c.slots[i].rec); r != nil {
 			out = append(out, r)
 		}
 	}
@@ -403,7 +403,7 @@ func TestScheduleSafety(t *testing.T) {
 		// rake sequence); chain links are exactly the touch edges, whose
 		// ordering TestHealOrderMatchesSimulateOrder verifies.
 		type key struct {
-			round int
+			round int32
 			node  *tree.Node
 		}
 		firstW := map[key]*Record{}
@@ -412,13 +412,13 @@ func TestScheduleSafety(t *testing.T) {
 			if prev, ok := firstW[k]; ok {
 				// One of the two must reach the other through touch edges.
 				linked := false
-				for x := prev; x != nil && x.Round == r.Round; x = x.Next {
+				for x := prev; x != nil && x.Round == r.Round; x = c.rec(x.Next) {
 					if x == r {
 						linked = true
 						break
 					}
 				}
-				for x := r; x != nil && x.Round == prev.Round; x = x.Next {
+				for x := r; x != nil && x.Round == prev.Round; x = c.rec(x.Next) {
 					if x == prev {
 						linked = true
 						break
@@ -443,7 +443,7 @@ func TestHealOrderMatchesSimulateOrder(t *testing.T) {
 	tr := tree.Generate(testRing, prng.New(151), 800, tree.ShapeRandom)
 	c := New(tr, 157, nil)
 	for _, r := range liveRecords(c) {
-		for _, prev := range []*Record{r.VPrev, r.PPrev, r.WPrev} {
+		for _, prev := range []*Record{c.rec(r.VPrev), c.rec(r.PPrev), c.rec(r.WPrev)} {
 			if prev == nil {
 				continue
 			}
@@ -462,9 +462,7 @@ func TestRoundsEqualPTDepth(t *testing.T) {
 	c := New(tr, 131, nil)
 	maxRound := 0
 	for _, r := range liveRecords(c) {
-		if r.Round > maxRound {
-			maxRound = r.Round
-		}
+		maxRound = max(maxRound, int(r.Round))
 	}
 	if maxRound != c.PTDepth() {
 		t.Fatalf("max round %d != PT depth %d", maxRound, c.PTDepth())

@@ -9,7 +9,7 @@ import (
 // timeKey packs a record's schedule time (Round, V.ID) into one word that
 // compares as the pair does. Node IDs index a slice of pointers, so 32
 // bits hold them with room to spare.
-func timeKey(r *Record) uint64 { return uint64(r.Round)<<32 | uint64(uint32(r.V.ID)) }
+func timeKey(r *Record) uint64 { return uint64(uint32(r.Round))<<32 | uint64(uint32(r.V.ID)) }
 
 // timeLess orders records by schedule time (round, raked-leaf ID).
 func timeLess(a, b *Record) bool { return timeKey(a) < timeKey(b) }
@@ -116,7 +116,7 @@ func (c *Contraction) SetValues(leaves []*tree.Node, values []int64) {
 
 	pp := c.beginPass()
 	for _, l := range leaves {
-		pp.enqueue(c.slot(l).firstTouch, false)
+		pp.enqueue(c.rec(c.slot(l).firstTouch), false)
 	}
 	c.heal()
 
@@ -142,7 +142,7 @@ func (c *Contraction) SetOps(nodes []*tree.Node, ops []semiring.Op) {
 	pp := c.beginPass()
 	for i, n := range nodes {
 		c.T.SetOp(n, ops[i])
-		pp.enqueue(c.slot(n).removedBy, false)
+		pp.enqueue(c.rec(c.slot(n).removedBy), false)
 	}
 	c.heal()
 }

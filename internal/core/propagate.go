@@ -21,7 +21,7 @@ import (
 // child: each removal splices the removed node's surviving sibling up
 // into its place. The chain heads (firstTouch), removedBy and the record
 // of each raked leaf are fields of the node's entry in the Contraction's
-// ID-indexed slot table, so resolving one node reads one 32-byte slot.
+// ID-indexed slot table, so resolving one node reads one 24-byte slot.
 //
 // A structural wave seeds the worklist with exactly the records whose
 // schedule inputs changed — the gaps of rebuilt PT subtrees, of surviving
@@ -43,11 +43,17 @@ import (
 // blown budgets and any detected chain inconsistency all divert to
 // simulate() and say which in HealStats.ResimReason (the tests' noPropagate
 // twin takes it on purpose). simulate() clears every slot's trace fields and
-// builds fresh records, so it is always safe to run mid-repair.
+// rewrites the record arena from scratch, so it is always safe to run
+// mid-repair.
 //
-// A wave allocates only the records of new gaps: the worklist (a typed
-// heap keyed by the packed schedule time) and the seed scratch belong to
-// the Contraction and are reused from wave to wave.
+// Records live by value in the Contraction's arena and link by recID. A
+// killed record joins the pass's killed list and returns to the arena's
+// free list only once the pass has drained: until then the worklist and
+// the seed scratch may still hold it, and once drained no link reaches
+// it (Validate checks this). New gaps take their records from that free
+// list, so a wave at a steady tree size allocates no records; the
+// worklist (a typed heap keyed by the packed schedule time) and the seed
+// scratch belong to the Contraction and are reused from wave to wave.
 
 // minPropagateLeaves is the PT size below which structural waves simply
 // re-simulate: the trace is so small that propagation bookkeeping costs
@@ -56,7 +62,7 @@ const minPropagateLeaves = 8
 
 // propPass is the state of one pass over the trace, label-only or
 // structural. The Contraction owns the one instance and beginPass resets
-// it, so the storage of h, toSeed and toWake carries over.
+// it, so the storage of h, toSeed, toWake and killed carries over.
 type propPass struct {
 	c *Contraction
 	h worklist
@@ -74,6 +80,9 @@ type propPass struct {
 	// toSeed and toWake hold phase 1's records until every round is
 	// rewritten: a key packed before that could be stale.
 	toSeed, toWake []*Record
+	// killed holds the records the pass killed, released to the arena
+	// once the pass has drained.
+	killed []*Record
 }
 
 // beginPass readies the Contraction's pass for a new wave.
@@ -82,7 +91,8 @@ func (c *Contraction) beginPass() *propPass {
 	pp.h.reset()
 	clear(pp.toSeed)
 	clear(pp.toWake)
-	pp.toSeed, pp.toWake = pp.toSeed[:0], pp.toWake[:0]
+	clear(pp.killed)
+	pp.toSeed, pp.toWake, pp.killed = pp.toSeed[:0], pp.toWake[:0], pp.killed[:0]
 	pp.steps, pp.maxSteps, pp.processed, pp.failed = 0, 0, 0, ""
 	return pp
 }
@@ -105,15 +115,15 @@ func (pp *propPass) step() bool {
 	return true
 }
 
-// prevIn returns m's predecessor link for participant u.
-func prevIn(m *Record, u *tree.Node) *Record {
+// prevIn returns m's predecessor for participant u.
+func (c *Contraction) prevIn(m *Record, u *tree.Node) *Record {
 	switch u {
 	case m.V:
-		return m.VPrev
+		return c.rec(m.VPrev)
 	case m.P:
-		return m.PPrev
+		return c.rec(m.PPrev)
 	default:
-		return m.WPrev
+		return c.rec(m.WPrev)
 	}
 }
 
@@ -121,19 +131,19 @@ func prevIn(m *Record, u *tree.Node) *Record {
 func setPrevIn(m *Record, u *tree.Node, p *Record) {
 	switch u {
 	case m.V:
-		m.VPrev = p
+		m.VPrev = ref(p)
 	case m.P:
-		m.PPrev = p
+		m.PPrev = ref(p)
 	default:
-		m.WPrev = p
+		m.WPrev = ref(p)
 	}
 }
 
 // nextIn returns m's successor in u's touch chain: only a W-touch has
 // one (V and P are removed by the record, ending their chains).
-func nextIn(m *Record, u *tree.Node) *Record {
+func (c *Contraction) nextIn(m *Record, u *tree.Node) *Record {
 	if u == m.W {
-		return m.Next
+		return c.rec(m.Next)
 	}
 	return nil
 }
@@ -155,16 +165,17 @@ func (pp *propPass) enqueue(r *Record, structural bool) {
 // chain, skipping the record `skip` (the one being repositioned): prev
 // is the last toucher strictly before at, next the first at or after.
 func (pp *propPass) findPos(u *tree.Node, at, skip *Record) (prev, next *Record) {
+	c := pp.c
 	step := func(m *Record) *Record {
-		n := nextIn(m, u)
+		n := c.nextIn(m, u)
 		if n == skip {
-			n = nextIn(skip, u)
+			n = c.nextIn(skip, u)
 		}
 		return n
 	}
-	cur := pp.c.slot(u).firstTouch
+	cur := c.rec(c.slot(u).firstTouch)
 	if cur == skip {
-		cur = nextIn(skip, u)
+		cur = c.nextIn(skip, u)
 	}
 	if cur == nil || !timeLess(cur, at) {
 		return nil, cur
@@ -195,7 +206,7 @@ func (pp *propPass) occupant(p *tree.Node, left bool, at *Record) *tree.Node {
 		if !pp.step() {
 			return nil
 		}
-		rb := pp.c.slot(n).removedBy
+		rb := pp.c.rec(pp.c.slot(n).removedBy)
 		if rb == nil || rb.dead || rb == at || !timeLess(rb, at) {
 			return n
 		}
@@ -210,11 +221,11 @@ func (pp *propPass) occupant(p *tree.Node, left bool, at *Record) *tree.Node {
 // matters: a stale backpointer can reference a record that has moved to
 // another chain, and splicing through it would cross the chains.
 func (pp *propPass) chained(r *Record, u *tree.Node) bool {
-	prev := prevIn(r, u)
+	prev := pp.c.prevIn(r, u)
 	if prev != nil {
-		return prev.W == u && prev.Next == r
+		return prev.W == u && prev.Next == r.id
 	}
-	return pp.c.slot(u).firstTouch == r
+	return pp.c.slot(u).firstTouch == r.id
 }
 
 // touches reports whether u is a stored participant of m.
@@ -237,12 +248,12 @@ func (pp *propPass) unchain(r *Record) {
 		if !pp.chained(r, u) {
 			continue
 		}
-		prev := prevIn(r, u)
-		next := nextIn(r, u)
+		prev := c.prevIn(r, u)
+		next := c.nextIn(r, u)
 		if prev != nil {
-			prev.Next = next
+			prev.Next = ref(next)
 		} else {
-			c.slot(u).firstTouch = next
+			c.slot(u).firstTouch = ref(next)
 		}
 		if next != nil && touches(next, u) {
 			setPrevIn(next, u, prev)
@@ -251,21 +262,23 @@ func (pp *propPass) unchain(r *Record) {
 }
 
 // kill removes a record whose gap no longer exists. Successors that
-// lose r as their producer are woken structurally.
+// lose r as their producer are woken structurally. r joins the pass's
+// killed list, to be reused once the pass has drained.
 func (pp *propPass) kill(r *Record) {
 	c := pp.c
 	r.dead = true
+	pp.killed = append(pp.killed, r)
 	if r.P != nil {
 		for _, u := range [3]*tree.Node{r.V, r.P, r.W} {
 			if !pp.chained(r, u) {
 				continue
 			}
-			prev := prevIn(r, u)
-			next := nextIn(r, u)
+			prev := c.prevIn(r, u)
+			next := c.nextIn(r, u)
 			if prev != nil {
-				prev.Next = next
+				prev.Next = ref(next)
 			} else {
-				c.slot(u).firstTouch = next
+				c.slot(u).firstTouch = ref(next)
 			}
 			if next != nil {
 				if touches(next, u) {
@@ -274,12 +287,12 @@ func (pp *propPass) kill(r *Record) {
 				pp.enqueue(next, true)
 			}
 		}
-		if s := c.slot(r.P); s.removedBy == r {
-			s.removedBy = nil
+		if s := c.slot(r.P); s.removedBy == r.id {
+			s.removedBy = 0
 		}
 	}
-	if s := c.slot(r.V); s.rec == r {
-		s.rec = nil
+	if s := c.slot(r.V); s.rec == r.id {
+		s.rec = 0
 		c.records--
 	}
 }
@@ -296,7 +309,7 @@ func (pp *propPass) wakeTail(m *Record, u *tree.Node) {
 		if m.W != u {
 			return // a V- or P-touch ends the chain
 		}
-		m = m.Next
+		m = pp.c.rec(m.Next)
 	}
 }
 
@@ -305,12 +318,12 @@ func (pp *propPass) wakeTail(m *Record, u *tree.Node) {
 // leaf or removed parent (those re-resolve its overlay parent through
 // the last W-toucher's G).
 func (pp *propPass) enqueueGReader(r *Record) {
-	z := r.Next
+	z := pp.c.rec(r.Next)
 	for z != nil && z.W == r.W {
 		if !pp.step() {
 			return
 		}
-		z = z.Next
+		z = pp.c.rec(z.Next)
 	}
 	pp.enqueue(z, true)
 }
@@ -324,7 +337,7 @@ func (pp *propPass) reexec(r *Record) {
 	wasLinked := r.P != nil
 	oldP, oldW, oldG := r.P, r.W, r.G
 	oldLeft, oldPrep, oldOut := r.WLeft, r.Prep, r.LwOut
-	oldNext := r.Next
+	oldNext := c.rec(r.Next)
 
 	pp.unchain(r)
 
@@ -393,28 +406,28 @@ func (pp *propPass) reexec(r *Record) {
 
 	// Relink. r ends v's and p's chains; a chained toucher after either
 	// position is stale and re-resolves away once woken.
-	r.VPrev = vPrev
+	r.VPrev = ref(vPrev)
 	if vPrev != nil {
-		vPrev.Next = r
+		vPrev.Next = r.id
 	} else {
-		c.slot(v).firstTouch = r
+		c.slot(v).firstTouch = r.id
 	}
 	pp.wakeTail(vNext, v)
-	r.PPrev = pPrev
+	r.PPrev = ref(pPrev)
 	if pPrev != nil {
-		pPrev.Next = r
+		pPrev.Next = r.id
 	} else {
-		pSlot.firstTouch = r
+		pSlot.firstTouch = r.id
 	}
 	pp.wakeTail(pNext, p)
 	// r touches w as survivor, carrying the chain through Next.
-	r.WPrev = wPrev
+	r.WPrev = ref(wPrev)
 	if wPrev != nil {
-		wPrev.Next = r
+		wPrev.Next = r.id
 	} else {
-		c.slot(w).firstTouch = r
+		c.slot(w).firstTouch = r.id
 	}
-	r.Next = wNext
+	r.Next = ref(wNext)
 	if wNext != nil {
 		setPrevIn(wNext, w, r)
 		// Wake the successor only if its producer link actually moved: a
@@ -433,11 +446,11 @@ func (pp *propPass) reexec(r *Record) {
 	// Removal bookkeeping: r now removes p. The map always reflects the
 	// newest final knowledge; a displaced stale claimant re-resolves.
 	if wasLinked && oldP != p {
-		if s := c.slot(oldP); s.removedBy == r {
-			s.removedBy = nil
+		if s := c.slot(oldP); s.removedBy == r.id {
+			s.removedBy = 0
 		}
 	}
-	if prior := pSlot.removedBy; prior != nil && prior != r && !prior.dead {
+	if prior := c.rec(pSlot.removedBy); prior != nil && prior != r && !prior.dead {
 		if timeLess(r, prior) {
 			pp.enqueue(prior, true)
 		} else {
@@ -445,18 +458,18 @@ func (pp *propPass) reexec(r *Record) {
 			return
 		}
 	}
-	pSlot.removedBy = r
+	pSlot.removedBy = r.id
 
 	// Consumer wake-ups for outputs that actually changed.
 	if r.LwOut != oldOut {
-		if r.Next != nil {
-			pp.enqueue(r.Next, false)
+		if wNext != nil {
+			pp.enqueue(wNext, false)
 		} else {
 			c.rootValue = r.LwOut.B
 		}
 	}
 	if r.Prep != oldPrep {
-		pp.enqueue(r.Next, true)
+		pp.enqueue(wNext, true)
 	}
 	if !wasLinked || w != oldW || g != oldG || wLeft != oldLeft || p != oldP {
 		// The splice wrote a different slot (or a different node into
@@ -467,7 +480,7 @@ func (pp *propPass) reexec(r *Record) {
 			if q == nil {
 				continue
 			}
-			if rb := c.slot(q).removedBy; rb != nil && rb != r && !rb.dead && timeLess(r, rb) {
+			if rb := c.rec(c.slot(q).removedBy); rb != nil && rb != r && !rb.dead && timeLess(r, rb) {
 				pp.enqueue(rb, true)
 			}
 		}
@@ -475,7 +488,7 @@ func (pp *propPass) reexec(r *Record) {
 			if q == nil || (q == oldW && !wasLinked) {
 				continue
 			}
-			if qr := c.slot(q).rec; qr != nil && qr != r && !qr.dead && timeLess(r, qr) {
+			if qr := c.rec(c.slot(q).rec); qr != nil && qr != r && !qr.dead && timeLess(r, qr) {
 				pp.enqueue(qr, true)
 			}
 		}
@@ -487,17 +500,17 @@ func (pp *propPass) reexec(r *Record) {
 // the output moved. This is the historical heal step.
 func (pp *propPass) healLabels(r *Record) {
 	c := pp.c
-	r.Lv = c.labelFromProducer(r.VPrev, r.V)
-	r.LpIn = c.labelFromProducer(r.PPrev, r.P)
-	r.LwIn = c.labelFromProducer(r.WPrev, r.W)
+	r.Lv = c.labelFromProducer(c.rec(r.VPrev), r.V)
+	r.LpIn = c.labelFromProducer(c.rec(r.PPrev), r.P)
+	r.LwIn = c.labelFromProducer(c.rec(r.WPrev), r.W)
 	lpOut := r.LpIn.Compose(c.ring, r.P.Op.Partial(c.ring, r.Lv.B))
 	out := lpOut.Compose(c.ring, r.LwIn)
 	if out == r.LwOut {
 		return
 	}
 	r.LwOut = out
-	if r.Next != nil {
-		pp.enqueue(r.Next, false)
+	if next := c.rec(r.Next); next != nil {
+		pp.enqueue(next, false)
 	} else {
 		c.rootValue = out.B
 	}
@@ -512,7 +525,7 @@ func (pp *propPass) healLabels(r *Record) {
 func (pp *propPass) run(budget int) string {
 	c := pp.c
 	var lastKey uint64
-	lastRound := -1
+	lastRound := int32(-1)
 	roundCount := 0
 	for len(pp.h) > 0 {
 		key, r := pp.h.pop()
@@ -587,21 +600,22 @@ func (pp *propPass) seedGap(x *ptNode) {
 	c := pp.c
 	v := x.GapLeaf().Payload()
 	s := c.slot(v)
-	r := s.rec
+	r := c.rec(s.rec)
 	if r == nil {
-		r = &Record{V: v, Round: x.Height()}
-		s.rec = r
+		r = c.recs.alloc()
+		r.V, r.Round = v, int32(x.Height())
+		s.rec = r.id
 		c.records++
-	} else if r.Round != x.Height() {
+	} else if int(r.Round) != x.Height() {
 		// Rescheduled: pull r out of its chains now — a record linked
 		// at its old position under a new time key would corrupt every
 		// walk past it — and wake the successor that read its outputs
 		// (it may now precede r's new firing time, so r's own
 		// re-execution could come too late to wake it).
 		pp.unchain(r)
-		r.Round = x.Height()
-		if r.Next != nil {
-			pp.toWake = append(pp.toWake, r.Next)
+		r.Round = int32(x.Height())
+		if next := c.rec(r.Next); next != nil {
+			pp.toWake = append(pp.toWake, next)
 		}
 	}
 	pp.toSeed = append(pp.toSeed, r)
@@ -672,12 +686,12 @@ func (c *Contraction) propagateStructural(reps []rbsts.Report[*tree.Node, struct
 	// records, and the record of a surviving leaf that became the tail
 	// (its right neighborhood was deleted, taking the gap with it).
 	for _, u := range deleted {
-		if r := c.slot(u).rec; r != nil {
+		if r := c.rec(c.slot(u).rec); r != nil {
 			pp.kill(r)
 		}
 	}
 	if t := c.pt.Tail(); t != nil {
-		if r := c.slot(t.Payload()).rec; r != nil {
+		if r := c.rec(c.slot(t.Payload()).rec); r != nil {
 			pp.kill(r)
 		}
 	}
@@ -685,7 +699,7 @@ func (c *Contraction) propagateStructural(reps []rbsts.Report[*tree.Node, struct
 	// Phase 3: label wounds at T nodes whose initial label flipped
 	// between Const and Identity.
 	for _, u := range relabeled {
-		pp.enqueue(c.slot(u).firstTouch, true)
+		pp.enqueue(c.rec(c.slot(u).firstTouch), true)
 	}
 
 	budget := c.pt.Len()/2 + 64
@@ -694,6 +708,7 @@ func (c *Contraction) propagateStructural(reps []rbsts.Report[*tree.Node, struct
 		c.resimulate(reason)
 		return
 	}
+	c.recs.release(pp.killed)
 
 	// Refresh the root from the survivor's final toucher: mid-pass
 	// surgery can retire the record that used to end the trace, so the
@@ -702,13 +717,13 @@ func (c *Contraction) propagateStructural(reps []rbsts.Report[*tree.Node, struct
 	if c.pt.Len() == 1 {
 		c.rootValue = c.survivor.Value
 	} else {
-		last := c.slot(c.survivor).firstTouch
+		last := c.rec(c.slot(c.survivor).firstTouch)
 		if last == nil {
 			c.resimulate(ResimSanity)
 			return
 		}
 		for {
-			nxt := nextIn(last, c.survivor)
+			nxt := c.nextIn(last, c.survivor)
 			if nxt == nil {
 				break
 			}

@@ -13,125 +13,164 @@ import (
 
 // twinStep drives one randomized workload step against a contraction.
 // Decisions are drawn from wrk, node choices by index, so the same
-// sequence replays identically on a structurally identical twin.
+// sequence replays identically on a structurally identical twin. Every
+// kind but the query is a batch of up to maxTwinBatch distinct targets,
+// so one wave can grow adjacent leaves or collapse adjacent cherries.
 type twinStep struct {
-	kind   int // 0=AddLeaves, 1=RemoveLeaves, 2=SetValue, 3=SetOp, 4=query
-	leafIx []int
-	valA   int64
-	valB   int64
-	mulOp  bool
-	nodeIx int
+	kind int // 0=AddLeaves, 1=RemoveLeaves, 2=SetValues, 3=SetOps, 4=query
+	// ix indexes tr.Leaves() for kinds 0 and 2, tr.Nodes otherwise.
+	ix    []int
+	valA  []int64 // per target: the (left) leaf value
+	valB  []int64 // per target: the right leaf value of a grow
+	mulOp []bool  // per target: OpMul rather than OpAdd
+}
+
+// maxTwinBatch bounds the targets of one twin step.
+const maxTwinBatch = 16
+
+// pickDistinct draws min(k, len(from)) distinct entries of from.
+func pickDistinct(wrk *prng.Source, from []int, k int) []int {
+	out := make([]int, 0, k)
+	for _, i := range wrk.Perm(len(from))[:min(k, len(from))] {
+		out = append(out, from[i])
+	}
+	return out
 }
 
 func planStep(wrk *prng.Source, tr *tree.Tree) twinStep {
 	st := twinStep{kind: wrk.Intn(5)}
 	leaves := tr.Leaves()
+	var cherries, internals []int
+	for i, n := range tr.Nodes {
+		if n == nil || n.IsLeaf() {
+			continue
+		}
+		internals = append(internals, i)
+		if n.Left.IsLeaf() && n.Right.IsLeaf() {
+			cherries = append(cherries, i)
+		}
+	}
+	if st.kind == 1 && len(leaves) < 4 {
+		st.kind = 2 // too small to shrink: a label batch instead
+	}
+	k := 1 + wrk.Intn(maxTwinBatch)
 	switch st.kind {
-	case 0:
-		k := 1 + wrk.Intn(3)
-		seen := map[int]bool{}
-		for len(st.leafIx) < k && len(st.leafIx) < len(leaves) {
-			ix := wrk.Intn(len(leaves))
-			if !seen[ix] {
-				seen[ix] = true
-				st.leafIx = append(st.leafIx, ix)
-			}
-		}
-		st.valA, st.valB = wrk.Int63(), wrk.Int63()
-		st.mulOp = wrk.Intn(2) == 1
+	case 0, 2:
+		st.ix = pickDistinct(wrk, indices(len(leaves)), k)
 	case 1:
-		// Collapsible nodes: internal with two leaf children.
-		var cands []int
-		for i, n := range tr.Nodes {
-			if n != nil && !n.IsLeaf() && n.Left.IsLeaf() && n.Right.IsLeaf() {
-				cands = append(cands, i)
-			}
-		}
-		if len(cands) == 0 || len(leaves) < 4 {
-			st.kind = 2 // too small to shrink: fall through to SetValue
-		} else {
-			st.nodeIx = cands[wrk.Intn(len(cands))]
-			st.valA = wrk.Int63()
-		}
+		// Keep at least three leaves standing.
+		st.ix = pickDistinct(wrk, cherries, min(k, len(leaves)-3))
 	case 3:
-		var cands []int
-		for i, n := range tr.Nodes {
-			if n != nil && !n.IsLeaf() {
-				cands = append(cands, i)
-			}
-		}
-		st.nodeIx = cands[wrk.Intn(len(cands))]
-		st.mulOp = wrk.Intn(2) == 1
+		st.ix = pickDistinct(wrk, internals, k)
 	case 4:
 		for {
 			ix := wrk.Intn(len(tr.Nodes))
 			if tr.Nodes[ix] != nil {
-				st.nodeIx = ix
+				st.ix = []int{ix}
 				break
 			}
 		}
 	}
-	if st.kind == 2 {
-		st.leafIx = []int{wrk.Intn(len(leaves))}
-		st.valA = wrk.Int63()
+	for range st.ix {
+		st.valA = append(st.valA, wrk.Int63())
+		st.valB = append(st.valB, wrk.Int63())
+		st.mulOp = append(st.mulOp, wrk.Intn(2) == 1)
 	}
 	return st
+}
+
+// indices returns 0, 1, …, n-1.
+func indices(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
 }
 
 func applyStep(t *testing.T, r semiring.Ring, tr *tree.Tree, c *Contraction, st twinStep) {
 	t.Helper()
 	leaves := tr.Leaves()
+	op := func(i int) semiring.Op {
+		if st.mulOp[i] {
+			return semiring.OpMul(r)
+		}
+		return semiring.OpAdd(r)
+	}
 	switch st.kind {
 	case 0:
-		op := semiring.OpAdd(r)
-		if st.mulOp {
-			op = semiring.OpMul(r)
-		}
-		ops := make([]AddOp, 0, len(st.leafIx))
-		for _, ix := range st.leafIx {
-			ops = append(ops, AddOp{Leaf: leaves[ix], Op: op,
-				LeftVal: r.Normalize(st.valA), RightVal: r.Normalize(st.valB)})
+		ops := make([]AddOp, 0, len(st.ix))
+		for i, ix := range st.ix {
+			ops = append(ops, AddOp{Leaf: leaves[ix], Op: op(i),
+				LeftVal: r.Normalize(st.valA[i]), RightVal: r.Normalize(st.valB[i])})
 		}
 		c.AddLeaves(ops)
 	case 1:
-		c.RemoveLeaves([]RemoveOp{{Node: tr.Nodes[st.nodeIx], NewValue: r.Normalize(st.valA)}})
-	case 2:
-		c.SetValue(leaves[st.leafIx[0]], r.Normalize(st.valA))
-	case 3:
-		op := semiring.OpAdd(r)
-		if st.mulOp {
-			op = semiring.OpMul(r)
+		ops := make([]RemoveOp, 0, len(st.ix))
+		for i, ix := range st.ix {
+			ops = append(ops, RemoveOp{Node: tr.Nodes[ix], NewValue: r.Normalize(st.valA[i])})
 		}
-		c.SetOp(tr.Nodes[st.nodeIx], op)
+		c.RemoveLeaves(ops)
+	case 2:
+		ls := make([]*tree.Node, 0, len(st.ix))
+		vals := make([]int64, 0, len(st.ix))
+		for i, ix := range st.ix {
+			ls = append(ls, leaves[ix])
+			vals = append(vals, r.Normalize(st.valA[i]))
+		}
+		c.SetValues(ls, vals)
+	case 3:
+		ns := make([]*tree.Node, 0, len(st.ix))
+		ops := make([]semiring.Op, 0, len(st.ix))
+		for i, ix := range st.ix {
+			ns = append(ns, tr.Nodes[ix])
+			ops = append(ops, op(i))
+		}
+		c.SetOps(ns, ops)
 	case 4:
-		n := tr.Nodes[st.nodeIx]
+		n := tr.Nodes[st.ix[0]]
 		if got, want := c.Value(n), c.ValueOracle(n); got != want {
 			t.Fatalf("query node %d: got %d want %d", n.ID, got, want)
 		}
 	}
 }
 
-// TestPropagationTwinOracle runs the same randomized structural workload
-// against a change-propagation contraction and a full-recontraction twin
-// (gate off) and demands they agree on every observable: root value,
-// per-node queries, and internal invariants. The propagating twin's
-// trace is additionally compared field-by-field against a freshly
+// TestPropagationTwinOracle runs the same randomized workload of batched
+// waves — up to 16 grows, up to 16 collapses drawn from all cherries,
+// and SetValues/SetOps batches — against a change-propagation
+// contraction and a full-recontraction twin (gate off), on 8–400-leaf
+// trees of every shape, and demands they agree on every observable: root
+// value, per-node queries, and internal invariants. The propagating
+// twin's trace is additionally compared field-by-field against a freshly
 // simulated oracle after every step.
 func TestPropagationTwinOracle(t *testing.T) {
 	rings := []semiring.Ring{semiring.MaxPlus{}, semiring.MinPlus{}, semiring.NewMod(1_000_003)}
-	for si, seed := range []uint64{3, 7, 41} {
-		seed := seed
-		ring := rings[si%len(rings)]
+	type twinCase struct {
+		seed   uint64
+		shape  tree.Shape
+		leaves int
+		steps  int
+	}
+	// Three long runs on 96-leaf random trees, then short runs across
+	// shapes and sizes.
+	cases := []twinCase{{3, tree.ShapeRandom, 96, 120}, {7, tree.ShapeRandom, 96, 120}, {41, tree.ShapeRandom, 96, 120}}
+	sizes := prng.New(1)
+	for seed := uint64(100); seed < 132; seed++ {
+		cases = append(cases, twinCase{seed, allShapes[seed%4], 8 + sizes.Intn(393), 40})
+	}
+	propagated, structural := 0, 0
+	for ci, tc := range cases {
+		seed := tc.seed
+		ring := rings[ci%len(rings)]
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			trA := tree.Generate(ring, prng.New(seed), 96, tree.ShapeRandom)
-			trB := tree.Generate(ring, prng.New(seed), 96, tree.ShapeRandom)
+			trA := tree.Generate(ring, prng.New(seed), tc.leaves, tc.shape)
+			trB := tree.Generate(ring, prng.New(seed), tc.leaves, tc.shape)
 			cA := New(trA, seed+100, nil)
 			cB := New(trB, seed+100, nil)
 			cB.noPropagate = true
 
 			wrk := prng.New(seed * 977)
-			propagated, structural := 0, 0
-			for step := 0; step < 120; step++ {
+			for step := 0; step < tc.steps; step++ {
 				st := planStep(wrk, trA)
 				applyStep(t, ring, trA, cA, st)
 				applyStep(t, ring, trB, cB, st)
@@ -140,8 +179,15 @@ func TestPropagationTwinOracle(t *testing.T) {
 					if !cA.LastHeal().Resimulated {
 						propagated++
 					}
-					if hB := cB.LastHeal(); !hB.Resimulated || hB.ResimReason != ResimGate {
+					// The gate-off twin re-simulates every structural wave,
+					// for the gate unless PT was rebuilt from its root, which
+					// the reason check meets first — on both twins alike.
+					hA, hB := cA.LastHeal(), cB.LastHeal()
+					if !hB.Resimulated || (hB.ResimReason != ResimGate && hB.ResimReason != ResimFullRebuild) {
 						t.Fatalf("step %d: gate-off twin must re-simulate for reason %q, got %+v", step, ResimGate, hB)
+					}
+					if (hA.ResimReason == ResimFullRebuild) != (hB.ResimReason == ResimFullRebuild) {
+						t.Fatalf("step %d: twins disagree on a full rebuild: %+v vs %+v", step, hA, hB)
 					}
 				}
 				if hA := cA.LastHeal(); hA.Resimulated != slices.Contains(ResimReasons[:], hA.ResimReason) ||
@@ -171,14 +217,15 @@ func TestPropagationTwinOracle(t *testing.T) {
 					t.Fatalf("step %d: trace oracle: %v", step, err)
 				}
 			}
-			if structural == 0 {
-				t.Fatal("workload produced no structural waves")
-			}
-			if propagated*2 < structural {
-				t.Fatalf("only %d/%d structural waves propagated", propagated, structural)
-			}
 		})
 	}
+	if structural == 0 {
+		t.Fatal("workload produced no structural waves")
+	}
+	if propagated*2 < structural {
+		t.Fatalf("only %d/%d structural waves propagated", propagated, structural)
+	}
+	t.Logf("%d/%d structural waves propagated", propagated, structural)
 }
 
 // TestResimReasons pins the attribution of the fallbacks a test can
@@ -355,30 +402,27 @@ func TestPropagationWorkVsResimulation(t *testing.T) {
 // exactly the trace a full re-simulation would build.
 func (c *Contraction) validateTrace() error { return c.traceDiff(c.simulate) }
 
-// traceDiff rebuilds the trace with rebuild, on a copy of the slot table,
-// and compares it with the live trace field by field; the live trace is
+// traceDiff rebuilds the trace with rebuild, on copies of the slot table
+// and the record arena, and compares it with the live trace field by
+// field, resolving each trace's links in its own arena; the live trace is
 // left in place.
 func (c *Contraction) traceDiff(rebuild func()) error {
-	live, liveN := c.slots, c.records
+	live, liveN, liveRecs := c.slots, c.records, c.recs
 	liveRoot, liveSurv := c.rootValue, c.survivor
-	c.slots = slices.Clone(live) // rebuild rewrites the table in place
+	// rebuild rewrites the table and the arena in place.
+	c.slots, c.recs = slices.Clone(live), liveRecs.clone()
 	rebuild()
-	ora, oraN := c.slots, c.records
+	ora, oraN, oraRecs := c.slots, c.records, c.recs
 	oraRoot, oraSurv := c.rootValue, c.survivor
-	c.slots, c.records = live, liveN
+	c.slots, c.records, c.recs = live, liveN, liveRecs
 	c.rootValue, c.survivor = liveRoot, liveSurv
 
-	key := func(r *Record) int {
-		if r == nil {
-			return -1
-		}
-		return r.V.ID
-	}
 	if liveN != oraN {
 		return fmt.Errorf("%d records want %d", liveN, oraN)
 	}
+	lk, ok := liveRecs.key, oraRecs.key
 	for id := range ora {
-		l, o := live[id].rec, ora[id].rec
+		l, o := liveRecs.get(live[id].rec), oraRecs.get(ora[id].rec)
 		if (l == nil) != (o == nil) {
 			return fmt.Errorf("leaf %d: record %v want %v", id, l != nil, o != nil)
 		}
@@ -398,18 +442,18 @@ func (c *Contraction) traceDiff(rebuild func()) error {
 			if l.Lv != o.Lv || l.LpIn != o.LpIn || l.LwIn != o.LwIn || l.LwOut != o.LwOut {
 				return fmt.Errorf("leaf %d: labels differ", id)
 			}
-			if key(l.VPrev) != key(o.VPrev) || key(l.PPrev) != key(o.PPrev) ||
-				key(l.WPrev) != key(o.WPrev) || key(l.Next) != key(o.Next) {
+			if lk(l.VPrev) != ok(o.VPrev) || lk(l.PPrev) != ok(o.PPrev) ||
+				lk(l.WPrev) != ok(o.WPrev) || lk(l.Next) != ok(o.Next) {
 				return fmt.Errorf("leaf %d: chain links differ", id)
 			}
 			if l.dirty || l.structDirty || l.dead {
 				return fmt.Errorf("leaf %d: record left marked", id)
 			}
 		}
-		if key(live[id].removedBy) != key(ora[id].removedBy) {
+		if lk(live[id].removedBy) != ok(ora[id].removedBy) {
 			return fmt.Errorf("removedBy[%d] differs", id)
 		}
-		if key(live[id].firstTouch) != key(ora[id].firstTouch) {
+		if lk(live[id].firstTouch) != ok(ora[id].firstTouch) {
 			return fmt.Errorf("firstTouch[%d] differs", id)
 		}
 		if live[id].ptLeaf != ora[id].ptLeaf {
@@ -423,4 +467,30 @@ func (c *Contraction) traceDiff(rebuild func()) error {
 		return fmt.Errorf("survivor differs")
 	}
 	return nil
+}
+
+// get resolves a link in this arena: nil for none.
+func (a *recArena) get(l recID) *Record {
+	if l == 0 {
+		return nil
+	}
+	return a.at(l)
+}
+
+// key names a link by its record's raked leaf, which two arenas holding
+// the same trace agree on: -1 for none.
+func (a *recArena) key(l recID) int {
+	if l == 0 {
+		return -1
+	}
+	return a.at(l).V.ID
+}
+
+// clone deep-copies the arena, chunks included.
+func (a *recArena) clone() recArena {
+	out := recArena{chunks: make([][]Record, len(a.chunks)), n: a.n, free: slices.Clone(a.free)}
+	for i, ch := range a.chunks {
+		out.chunks[i] = slices.Clone(ch)
+	}
+	return out
 }

@@ -25,9 +25,10 @@ func (c *Contraction) simulateRef() {
 	n := len(c.T.Nodes)
 	for i := range c.slots {
 		s := &c.slots[i]
-		s.rec, s.removedBy, s.firstTouch = nil, nil, nil
+		s.rec, s.removedBy, s.firstTouch = 0, 0, 0
 	}
 	c.records = 0
+	c.recs.reset()
 
 	if c.pt.Len() == 0 {
 		c.rootValue = c.ring.Zero()
@@ -42,10 +43,9 @@ func (c *Contraction) simulateRef() {
 
 	recs := make([]*Record, 0, c.pt.Len()-1)
 	for l := c.pt.Head(); l.Next() != nil; l = l.Next() {
-		recs = append(recs, &Record{
-			V:     l.Payload(),
-			Round: l.GapNode().Height(),
-		})
+		r := c.recs.alloc()
+		r.V, r.Round = l.Payload(), int32(l.GapNode().Height())
+		recs = append(recs, r)
 	}
 	sortRecords(recs)
 
@@ -71,15 +71,15 @@ func (c *Contraction) simulateRef() {
 		overlay = append(overlay, o)
 	}
 
-	touch := func(r *Record, nd *tree.Node, o *overlayNode) *Record {
+	touch := func(r *Record, nd *tree.Node, o *overlayNode) recID {
 		prev := o.lastTouch
 		o.lastTouch = r
 		if prev != nil {
-			prev.Next = r
+			prev.Next = r.id
 		} else {
-			c.slot(nd).firstTouch = r
+			c.slot(nd).firstTouch = r.id
 		}
-		return prev
+		return ref(prev)
 	}
 
 	i := 0
@@ -122,8 +122,8 @@ func (c *Contraction) simulateRef() {
 					r.WLeft = false
 				}
 			}
-			c.slot(v).rec = r
-			c.slot(p).removedBy = r
+			c.slot(v).rec = r.id
+			c.slot(p).removedBy = r.id
 		}
 		i = j
 	}

@@ -1,13 +1,15 @@
 package core
 
 // Tests of the flat trace state: the packed-key worklist against a
-// container/heap reference, the slot table across growth of T.Nodes, and
-// the per-record cost benchmark of a structural wave.
+// container/heap reference, the slot table across growth of T.Nodes, the
+// record arena's size, reuse and allocations, and the per-record cost
+// benchmark of a structural wave.
 
 import (
 	"container/heap"
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"dyntc/internal/prng"
 	"dyntc/internal/semiring"
@@ -46,7 +48,7 @@ func TestWorklistMatchesContainerHeap(t *testing.T) {
 		n := 200 + src.Intn(800)
 		recs := make([]*Record, n)
 		for i := range recs {
-			recs[i] = &Record{V: &tree.Node{ID: i}, Round: src.Intn(12)}
+			recs[i] = &Record{V: &tree.Node{ID: i}, Round: int32(src.Intn(12))}
 		}
 
 		var w worklist
@@ -171,6 +173,71 @@ func TestSlotTableGrowth(t *testing.T) {
 	}
 	if err := c.validateTrace(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTraceStateSizes pins the per-ID slot at 24 bytes (it is paid for
+// every ID ever issued) and a record at 144.
+func TestTraceStateSizes(t *testing.T) {
+	if got := unsafe.Sizeof(nodeSlot{}); got != 24 {
+		t.Errorf("nodeSlot is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(Record{}); got > 144 {
+		t.Errorf("Record is %d bytes, want at most 144", got)
+	}
+}
+
+// TestSimulateAllocs: re-simulating a warm contraction rewrites the arena
+// in place, allocating only its three scratch arrays — not a record per
+// gap.
+func TestSimulateAllocs(t *testing.T) {
+	tr := tree.Generate(testRing, prng.New(9), 4096, tree.ShapeRandom)
+	c := New(tr, 10, nil)
+	root := c.RootValue()
+	if allocs := testing.AllocsPerRun(5, c.simulate); allocs > 4 {
+		t.Fatalf("simulate made %.0f allocations, want at most 4", allocs)
+	}
+	if c.RootValue() != root {
+		t.Fatalf("root %d after re-simulation, want %d", c.RootValue(), root)
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestArenaReusesKilledRecords churns grow+collapse pairs of k = 16 leaves
+// through ten times the tree size at a steady size. Every record a wave
+// kills is reused by a later one, so beyond one index per leaf the arena
+// only ever holds the kills of the last wave (at most 2k) on its free
+// list: without reuse it would hand out ≈3k more indices per pair until
+// a fallback re-simulation reset it.
+func TestArenaReusesKilledRecords(t *testing.T) {
+	const n, k = 1024, 16
+	src := prng.New(21)
+	tr := tree.Generate(testRing, src, n, tree.ShapeRandom)
+	c := New(tr, 22, nil)
+	leaves := tr.Leaves()
+	add := make([]AddOp, k)
+	rm := make([]RemoveOp, k)
+	for wave := 0; wave < 10*n/k; wave++ {
+		for j := 0; j < k; j++ {
+			x := j + src.Intn(len(leaves)-j)
+			leaves[j], leaves[x] = leaves[x], leaves[j]
+			add[j] = AddOp{Leaf: leaves[j], Op: semiring.OpMul(testRing), LeftVal: int64(wave), RightVal: int64(j)}
+			rm[j] = RemoveOp{Node: leaves[j], NewValue: int64(wave + j)}
+		}
+		c.AddLeaves(add)
+		c.RemoveLeaves(rm)
+		if limit := recID(tr.LeafCount() + 4*k); c.recs.n > limit {
+			t.Fatalf("wave %d: arena handed out %d indices for %d leaves, want at most %d",
+				wave, c.recs.n, tr.LeafCount(), limit)
+		}
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.RootValue(), tr.Eval(); got != want {
+		t.Fatalf("root %d want %d", got, want)
 	}
 }
 

@@ -6,12 +6,16 @@ package dyntc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"os"
 	"sync"
 	"testing"
 
 	"dyntc/internal/prng"
+	"dyntc/internal/replog"
 )
 
 // replicaProgram is a deterministic mixed-op workload over its own region
@@ -536,5 +540,81 @@ func TestForestReplaceUnderReads(t *testing.T) {
 	en.SetWaveTap(func(Wave) {})
 	if _, _, err := forest.Replace(1, snapB); !errors.Is(err, ErrLoggedBarrier) {
 		t.Fatalf("replace on a tapped engine: err %v, want ErrLoggedBarrier", err)
+	}
+}
+
+// FuzzRestoreExpr drives RestoreExpr, the body of PUT
+// /v1/trees/{id}/snapshot, which decodes, rebuilds the tree and
+// contracts it: it never panics, refuses what Decode refuses, and an
+// accepted body restores to its tree's value and re-snapshots to a body
+// that restores to the same root. Each binary input is also tried with
+// its trailing checksum recomputed, or mutations would rarely get past
+// the checksum to the contraction.
+func FuzzRestoreExpr(f *testing.F) {
+	ring := ModRing(1_000_000_007)
+	e := NewExpr(ring, 1, WithSeed(5))
+	// Grow and collapse one leaf, so the body carries a dead ID slot.
+	l, _ := e.Grow(replicaFanOut(e, ring, 24)[3], OpMul(ring), 2, 3)
+	e.Collapse(l.Parent, 9)
+	cur, err := e.Snapshot(7)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(cur)
+	f.Add(cur[:len(cur)/2])
+	f.Add([]byte{})
+	for _, name := range []string{"snapshot-v1.json", "snapshot-v2.json"} {
+		js, err := os.ReadFile("internal/replog/testdata/" + name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(js)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkRestore(t, data)
+		if replog.IsCurrent(data) && len(data) > 8 {
+			body := bytes.Clone(data[:len(data)-8])
+			h := fnv.New64a()
+			h.Write(body)
+			checkRestore(t, binary.LittleEndian.AppendUint64(body, h.Sum64()))
+		}
+	})
+}
+
+func checkRestore(t *testing.T, data []byte) {
+	snap, err := replog.Decode(data)
+	if err != nil {
+		if _, _, err := RestoreExpr(data); err == nil {
+			t.Fatal("RestoreExpr accepted a body Decode refuses")
+		}
+		return
+	}
+	if snap.Slots > 1<<16 {
+		return // tree.Restore reserves 8 B per declared slot
+	}
+	tr, treeErr := snap.Tree()
+	e, seq, err := RestoreExpr(data)
+	if (err == nil) != (treeErr == nil) {
+		t.Fatalf("RestoreExpr error %v, Tree error %v", err, treeErr)
+	}
+	if err != nil {
+		return
+	}
+	if seq != snap.Seq {
+		t.Fatalf("restored seq %d, snapshot %d", seq, snap.Seq)
+	}
+	if got, want := e.Root(), tr.Eval(); got != want {
+		t.Fatalf("restored root %d, tree evaluates to %d", got, want)
+	}
+	again, err := e.Snapshot(0)
+	if err != nil {
+		t.Fatalf("restored expression does not snapshot: %v", err)
+	}
+	back, _, err := RestoreExpr(again)
+	if err != nil {
+		t.Fatalf("re-snapshot does not restore: %v", err)
+	}
+	if back.Root() != e.Root() {
+		t.Fatalf("re-snapshot restores to root %d, want %d", back.Root(), e.Root())
 	}
 }
