@@ -145,6 +145,14 @@ func (a *recArena) at(id recID) *Record {
 	return &a.chunks[id>>recChunkBits][id&(1<<recChunkBits-1)]
 }
 
+// get resolves a record link: nil for none.
+func (a *recArena) get(id recID) *Record {
+	if id == 0 {
+		return nil
+	}
+	return a.at(id)
+}
+
 // alloc hands out a blank record: a released one if any, else the next
 // index, adding a chunk when the last one is full.
 func (a *recArena) alloc() *Record {
@@ -173,15 +181,20 @@ func (a *recArena) release(rs []*Record) {
 	}
 }
 
-// reset takes every index back and drops the free list, keeping the
-// chunks: the next alloc hands out 1 again.
-func (a *recArena) reset() {
-	for i, ch := range a.chunks {
+// reset takes every index back and drops the free list: the next alloc
+// hands out 1 again. It keeps the chunks that records (the number about
+// to be allocated) fill and gives the rest back, so a tree that shrank
+// does not hold its peak.
+func (a *recArena) reset(records int) {
+	keep := min(len(a.chunks), records>>recChunkBits+1)
+	for i, ch := range a.chunks[:keep] {
 		if i<<recChunkBits >= int(a.n) {
 			break
 		}
 		clear(ch)
 	}
+	clear(a.chunks[keep:])
+	a.chunks = a.chunks[:keep]
 	a.n = 1
 	a.free = a.free[:0]
 }
@@ -285,14 +298,6 @@ func New(t *tree.Tree, seed uint64, m *pram.Machine) *Contraction {
 // slot returns n's entry of the slot table.
 func (c *Contraction) slot(n *tree.Node) *nodeSlot { return &c.slots[n.ID] }
 
-// rec resolves a record link: nil for none.
-func (c *Contraction) rec(id recID) *Record {
-	if id == 0 {
-		return nil
-	}
-	return c.recs.at(id)
-}
-
 // ref is the link naming r: none for nil.
 func ref(r *Record) recID {
 	if r == nil {
@@ -347,7 +352,7 @@ func (c *Contraction) simulate() {
 		s.rec, s.removedBy, s.firstTouch = 0, 0, 0
 	}
 	c.records = 0
-	c.recs.reset()
+	c.recs.reset(max(c.pt.Len()-1, 0))
 
 	if c.pt.Len() == 0 {
 		c.rootValue = c.ring.Zero()
@@ -534,16 +539,16 @@ func (c *Contraction) Validate() error {
 				return fmt.Errorf("core: slot %d: %w", id, err)
 			}
 		}
-		if s.removedBy != 0 && c.rec(s.removedBy).P != nd {
+		if s.removedBy != 0 && c.recs.get(s.removedBy).P != nd {
 			return fmt.Errorf("core: slot %d: removedBy removes another node", id)
 		}
-		if s.firstTouch != 0 && !touches(c.rec(s.firstTouch), nd) {
+		if s.firstTouch != 0 && !touches(c.recs.get(s.firstTouch), nd) {
 			return fmt.Errorf("core: slot %d: firstTouch does not touch the node", id)
 		}
 		if s.rec == 0 {
 			continue
 		}
-		r := c.rec(s.rec)
+		r := c.recs.get(s.rec)
 		recs++
 		if r.V != nd || r.id != s.rec {
 			return fmt.Errorf("core: slot %d: rec rakes another node", id)

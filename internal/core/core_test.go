@@ -163,7 +163,7 @@ func snapshotLabels(c *Contraction) map[*tree.Node][4]semiring.Linear {
 func liveRecords(c *Contraction) []*Record {
 	out := make([]*Record, 0, c.Records())
 	for i := range c.slots {
-		if r := c.rec(c.slots[i].rec); r != nil {
+		if r := c.recs.get(c.slots[i].rec); r != nil {
 			out = append(out, r)
 		}
 	}
@@ -412,13 +412,13 @@ func TestScheduleSafety(t *testing.T) {
 			if prev, ok := firstW[k]; ok {
 				// One of the two must reach the other through touch edges.
 				linked := false
-				for x := prev; x != nil && x.Round == r.Round; x = c.rec(x.Next) {
+				for x := prev; x != nil && x.Round == r.Round; x = c.recs.get(x.Next) {
 					if x == r {
 						linked = true
 						break
 					}
 				}
-				for x := r; x != nil && x.Round == prev.Round; x = c.rec(x.Next) {
+				for x := r; x != nil && x.Round == prev.Round; x = c.recs.get(x.Next) {
 					if x == prev {
 						linked = true
 						break
@@ -443,7 +443,7 @@ func TestHealOrderMatchesSimulateOrder(t *testing.T) {
 	tr := tree.Generate(testRing, prng.New(151), 800, tree.ShapeRandom)
 	c := New(tr, 157, nil)
 	for _, r := range liveRecords(c) {
-		for _, prev := range []*Record{c.rec(r.VPrev), c.rec(r.PPrev), c.rec(r.WPrev)} {
+		for _, prev := range []*Record{c.recs.get(r.VPrev), c.recs.get(r.PPrev), c.recs.get(r.WPrev)} {
 			if prev == nil {
 				continue
 			}

@@ -116,7 +116,7 @@ func (c *Contraction) SetValues(leaves []*tree.Node, values []int64) {
 
 	pp := c.beginPass()
 	for _, l := range leaves {
-		pp.enqueue(c.rec(c.slot(l).firstTouch), false)
+		pp.enqueue(c.recs.get(c.slot(l).firstTouch), false)
 	}
 	c.heal()
 
@@ -142,7 +142,7 @@ func (c *Contraction) SetOps(nodes []*tree.Node, ops []semiring.Op) {
 	pp := c.beginPass()
 	for i, n := range nodes {
 		c.T.SetOp(n, ops[i])
-		pp.enqueue(c.rec(c.slot(n).removedBy), false)
+		pp.enqueue(c.recs.get(c.slot(n).removedBy), false)
 	}
 	c.heal()
 }

@@ -119,11 +119,11 @@ func (pp *propPass) step() bool {
 func (c *Contraction) prevIn(m *Record, u *tree.Node) *Record {
 	switch u {
 	case m.V:
-		return c.rec(m.VPrev)
+		return c.recs.get(m.VPrev)
 	case m.P:
-		return c.rec(m.PPrev)
+		return c.recs.get(m.PPrev)
 	default:
-		return c.rec(m.WPrev)
+		return c.recs.get(m.WPrev)
 	}
 }
 
@@ -143,7 +143,7 @@ func setPrevIn(m *Record, u *tree.Node, p *Record) {
 // one (V and P are removed by the record, ending their chains).
 func (c *Contraction) nextIn(m *Record, u *tree.Node) *Record {
 	if u == m.W {
-		return c.rec(m.Next)
+		return c.recs.get(m.Next)
 	}
 	return nil
 }
@@ -173,7 +173,7 @@ func (pp *propPass) findPos(u *tree.Node, at, skip *Record) (prev, next *Record)
 		}
 		return n
 	}
-	cur := c.rec(c.slot(u).firstTouch)
+	cur := c.recs.get(c.slot(u).firstTouch)
 	if cur == skip {
 		cur = c.nextIn(skip, u)
 	}
@@ -206,7 +206,7 @@ func (pp *propPass) occupant(p *tree.Node, left bool, at *Record) *tree.Node {
 		if !pp.step() {
 			return nil
 		}
-		rb := pp.c.rec(pp.c.slot(n).removedBy)
+		rb := pp.c.recs.get(pp.c.slot(n).removedBy)
 		if rb == nil || rb.dead || rb == at || !timeLess(rb, at) {
 			return n
 		}
@@ -309,7 +309,7 @@ func (pp *propPass) wakeTail(m *Record, u *tree.Node) {
 		if m.W != u {
 			return // a V- or P-touch ends the chain
 		}
-		m = pp.c.rec(m.Next)
+		m = pp.c.recs.get(m.Next)
 	}
 }
 
@@ -318,12 +318,12 @@ func (pp *propPass) wakeTail(m *Record, u *tree.Node) {
 // leaf or removed parent (those re-resolve its overlay parent through
 // the last W-toucher's G).
 func (pp *propPass) enqueueGReader(r *Record) {
-	z := pp.c.rec(r.Next)
+	z := pp.c.recs.get(r.Next)
 	for z != nil && z.W == r.W {
 		if !pp.step() {
 			return
 		}
-		z = pp.c.rec(z.Next)
+		z = pp.c.recs.get(z.Next)
 	}
 	pp.enqueue(z, true)
 }
@@ -337,7 +337,7 @@ func (pp *propPass) reexec(r *Record) {
 	wasLinked := r.P != nil
 	oldP, oldW, oldG := r.P, r.W, r.G
 	oldLeft, oldPrep, oldOut := r.WLeft, r.Prep, r.LwOut
-	oldNext := c.rec(r.Next)
+	oldNext := c.recs.get(r.Next)
 
 	pp.unchain(r)
 
@@ -450,7 +450,7 @@ func (pp *propPass) reexec(r *Record) {
 			s.removedBy = 0
 		}
 	}
-	if prior := c.rec(pSlot.removedBy); prior != nil && prior != r && !prior.dead {
+	if prior := c.recs.get(pSlot.removedBy); prior != nil && prior != r && !prior.dead {
 		if timeLess(r, prior) {
 			pp.enqueue(prior, true)
 		} else {
@@ -480,7 +480,7 @@ func (pp *propPass) reexec(r *Record) {
 			if q == nil {
 				continue
 			}
-			if rb := c.rec(c.slot(q).removedBy); rb != nil && rb != r && !rb.dead && timeLess(r, rb) {
+			if rb := c.recs.get(c.slot(q).removedBy); rb != nil && rb != r && !rb.dead && timeLess(r, rb) {
 				pp.enqueue(rb, true)
 			}
 		}
@@ -488,7 +488,7 @@ func (pp *propPass) reexec(r *Record) {
 			if q == nil || (q == oldW && !wasLinked) {
 				continue
 			}
-			if qr := c.rec(c.slot(q).rec); qr != nil && qr != r && !qr.dead && timeLess(r, qr) {
+			if qr := c.recs.get(c.slot(q).rec); qr != nil && qr != r && !qr.dead && timeLess(r, qr) {
 				pp.enqueue(qr, true)
 			}
 		}
@@ -500,16 +500,16 @@ func (pp *propPass) reexec(r *Record) {
 // the output moved. This is the historical heal step.
 func (pp *propPass) healLabels(r *Record) {
 	c := pp.c
-	r.Lv = c.labelFromProducer(c.rec(r.VPrev), r.V)
-	r.LpIn = c.labelFromProducer(c.rec(r.PPrev), r.P)
-	r.LwIn = c.labelFromProducer(c.rec(r.WPrev), r.W)
+	r.Lv = c.labelFromProducer(c.recs.get(r.VPrev), r.V)
+	r.LpIn = c.labelFromProducer(c.recs.get(r.PPrev), r.P)
+	r.LwIn = c.labelFromProducer(c.recs.get(r.WPrev), r.W)
 	lpOut := r.LpIn.Compose(c.ring, r.P.Op.Partial(c.ring, r.Lv.B))
 	out := lpOut.Compose(c.ring, r.LwIn)
 	if out == r.LwOut {
 		return
 	}
 	r.LwOut = out
-	if next := c.rec(r.Next); next != nil {
+	if next := c.recs.get(r.Next); next != nil {
 		pp.enqueue(next, false)
 	} else {
 		c.rootValue = out.B
@@ -600,7 +600,7 @@ func (pp *propPass) seedGap(x *ptNode) {
 	c := pp.c
 	v := x.GapLeaf().Payload()
 	s := c.slot(v)
-	r := c.rec(s.rec)
+	r := c.recs.get(s.rec)
 	if r == nil {
 		r = c.recs.alloc()
 		r.V, r.Round = v, int32(x.Height())
@@ -614,7 +614,7 @@ func (pp *propPass) seedGap(x *ptNode) {
 		// re-execution could come too late to wake it).
 		pp.unchain(r)
 		r.Round = int32(x.Height())
-		if next := c.rec(r.Next); next != nil {
+		if next := c.recs.get(r.Next); next != nil {
 			pp.toWake = append(pp.toWake, next)
 		}
 	}
@@ -686,12 +686,12 @@ func (c *Contraction) propagateStructural(reps []rbsts.Report[*tree.Node, struct
 	// records, and the record of a surviving leaf that became the tail
 	// (its right neighborhood was deleted, taking the gap with it).
 	for _, u := range deleted {
-		if r := c.rec(c.slot(u).rec); r != nil {
+		if r := c.recs.get(c.slot(u).rec); r != nil {
 			pp.kill(r)
 		}
 	}
 	if t := c.pt.Tail(); t != nil {
-		if r := c.rec(c.slot(t.Payload()).rec); r != nil {
+		if r := c.recs.get(c.slot(t.Payload()).rec); r != nil {
 			pp.kill(r)
 		}
 	}
@@ -699,7 +699,7 @@ func (c *Contraction) propagateStructural(reps []rbsts.Report[*tree.Node, struct
 	// Phase 3: label wounds at T nodes whose initial label flipped
 	// between Const and Identity.
 	for _, u := range relabeled {
-		pp.enqueue(c.rec(c.slot(u).firstTouch), true)
+		pp.enqueue(c.recs.get(c.slot(u).firstTouch), true)
 	}
 
 	budget := c.pt.Len()/2 + 64
@@ -717,7 +717,7 @@ func (c *Contraction) propagateStructural(reps []rbsts.Report[*tree.Node, struct
 	if c.pt.Len() == 1 {
 		c.rootValue = c.survivor.Value
 	} else {
-		last := c.rec(c.slot(c.survivor).firstTouch)
+		last := c.recs.get(c.slot(c.survivor).firstTouch)
 		if last == nil {
 			c.resimulate(ResimSanity)
 			return

@@ -150,13 +150,27 @@ func TestPropagationTwinOracle(t *testing.T) {
 		shape  tree.Shape
 		leaves int
 		steps  int
+		// long: the case must itself propagate most of its structural
+		// waves, not only the workload as a whole.
+		long bool
 	}
 	// Three long runs on 96-leaf random trees, then short runs across
 	// shapes and sizes.
-	cases := []twinCase{{3, tree.ShapeRandom, 96, 120}, {7, tree.ShapeRandom, 96, 120}, {41, tree.ShapeRandom, 96, 120}}
+	cases := []twinCase{{3, tree.ShapeRandom, 96, 120, true}, {7, tree.ShapeRandom, 96, 120, true}, {41, tree.ShapeRandom, 96, 120, true}}
 	sizes := prng.New(1)
 	for seed := uint64(100); seed < 132; seed++ {
-		cases = append(cases, twinCase{seed, allShapes[seed%4], 8 + sizes.Intn(393), 40})
+		cases = append(cases, twinCase{seed, allShapes[seed%4], 8 + sizes.Intn(393), 40, false})
+	}
+	// enough fails unless some structural waves ran and at least half of
+	// them propagated.
+	enough := func(t *testing.T, propagated, structural int) {
+		t.Helper()
+		if structural == 0 {
+			t.Fatal("workload produced no structural waves")
+		}
+		if propagated*2 < structural {
+			t.Fatalf("only %d/%d structural waves propagated", propagated, structural)
+		}
 	}
 	propagated, structural := 0, 0
 	for ci, tc := range cases {
@@ -170,14 +184,15 @@ func TestPropagationTwinOracle(t *testing.T) {
 			cB.noPropagate = true
 
 			wrk := prng.New(seed * 977)
+			caseProp, caseStruct := 0, 0
 			for step := 0; step < tc.steps; step++ {
 				st := planStep(wrk, trA)
 				applyStep(t, ring, trA, cA, st)
 				applyStep(t, ring, trB, cB, st)
 				if st.kind == 0 || st.kind == 1 {
-					structural++
+					caseStruct++
 					if !cA.LastHeal().Resimulated {
-						propagated++
+						caseProp++
 					}
 					// The gate-off twin re-simulates every structural wave,
 					// for the gate unless PT was rebuilt from its root, which
@@ -217,14 +232,14 @@ func TestPropagationTwinOracle(t *testing.T) {
 					t.Fatalf("step %d: trace oracle: %v", step, err)
 				}
 			}
+			if tc.long {
+				enough(t, caseProp, caseStruct)
+			}
+			propagated += caseProp
+			structural += caseStruct
 		})
 	}
-	if structural == 0 {
-		t.Fatal("workload produced no structural waves")
-	}
-	if propagated*2 < structural {
-		t.Fatalf("only %d/%d structural waves propagated", propagated, structural)
-	}
+	enough(t, propagated, structural)
 	t.Logf("%d/%d structural waves propagated", propagated, structural)
 }
 
@@ -467,14 +482,6 @@ func (c *Contraction) traceDiff(rebuild func()) error {
 		return fmt.Errorf("survivor differs")
 	}
 	return nil
-}
-
-// get resolves a link in this arena: nil for none.
-func (a *recArena) get(l recID) *Record {
-	if l == 0 {
-		return nil
-	}
-	return a.at(l)
 }
 
 // key names a link by its record's raked leaf, which two arenas holding

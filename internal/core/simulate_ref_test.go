@@ -28,7 +28,7 @@ func (c *Contraction) simulateRef() {
 		s.rec, s.removedBy, s.firstTouch = 0, 0, 0
 	}
 	c.records = 0
-	c.recs.reset()
+	c.recs.reset(max(c.pt.Len()-1, 0))
 
 	if c.pt.Len() == 0 {
 		c.rootValue = c.ring.Zero()

@@ -241,6 +241,44 @@ func TestArenaReusesKilledRecords(t *testing.T) {
 	}
 }
 
+// TestArenaShrinksOnResimulate collapses an 8 192-leaf tree down to 600
+// leaves and re-simulates it: the arena must give back the chunks the
+// smaller trace no longer fills, dropping them from the chunk list's
+// backing array too, so the collector can reclaim them.
+func TestArenaShrinksOnResimulate(t *testing.T) {
+	const n, keep = 8192, 600
+	tr := tree.Generate(testRing, prng.New(31), n, tree.ShapeRandom)
+	c := New(tr, 32, nil)
+	if len(c.recs.chunks) != n>>recChunkBits {
+		t.Fatalf("%d chunks for %d leaves", len(c.recs.chunks), n)
+	}
+	for tr.LeafCount() > keep {
+		var rm []RemoveOp
+		for _, nd := range tr.Nodes {
+			if nd != nil && !nd.IsLeaf() && nd.Left.IsLeaf() && nd.Right.IsLeaf() &&
+				len(rm) < tr.LeafCount()-keep {
+				rm = append(rm, RemoveOp{Node: nd, NewValue: int64(nd.ID)})
+			}
+		}
+		c.RemoveLeaves(rm)
+	}
+	c.simulate()
+	if got := len(c.recs.chunks); got != 1 {
+		t.Fatalf("%d chunks kept for %d leaves, want 1", got, tr.LeafCount())
+	}
+	for i, ch := range c.recs.chunks[:cap(c.recs.chunks)][1:] {
+		if ch != nil {
+			t.Fatalf("dropped chunk %d still referenced", i+1)
+		}
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.RootValue(), tr.Eval(); got != want {
+		t.Fatalf("root %d want %d", got, want)
+	}
+}
+
 // BenchmarkStructuralWave times one AddLeaves + RemoveLeaves pair of k
 // random leaves on a 65 536-leaf random tree: the per-record cost of
 // change propagation and the allocations of a wave, without the 45 s
