@@ -50,14 +50,18 @@
 //
 // Everything the trace knows per T node — its PT leaf, the record raking
 // it, the record removing it, the head of its touch chain — lives in one
-// flat table indexed by tree.Node.ID (nodeSlot, 24 bytes): IDs are dense
-// and never recycled, so a lookup is a bare index and the three or four a
-// re-executed record makes for one node share a cache line. The table
-// grows with T.Nodes, once per wave, before the wave reads it. The
-// records themselves live by value in the Contraction's arena (recArena)
-// and link to each other, and the slots to them, by int32 recID: a wave
-// reuses the records its predecessors killed, and a re-simulation
-// rewrites the arena in place.
+// flat table indexed by tree.Node.ID (nodeSlot, 16 bytes and no
+// pointers): IDs are dense and never recycled, so a lookup is a bare
+// index and the three or four a re-executed record makes for one node
+// share a cache line. The table grows with T.Nodes, once per wave, before
+// the wave reads it. The records themselves live by value in the
+// Contraction's arena (recArena) and link to each other, and the slots to
+// them, by int32 recID: a wave reuses the records its predecessors
+// killed, and a re-simulation rewrites the arena in place. Records and PT
+// leaves name T nodes by nodeRef (ID+1) and the slots name PT leaves by
+// their PT node ID, so neither the arena nor the table holds a pointer
+// for the collector to chase; the trace reads a tree.Node only for its
+// operation, its value and its original links.
 package core
 
 import (
@@ -72,8 +76,21 @@ import (
 	"dyntc/internal/tree"
 )
 
-// ptNode abbreviates the splitting-tree node type used throughout.
-type ptNode = rbsts.Node[*tree.Node, struct{}]
+// nodeRef names a T node by its ID plus one; 0 names none, so a zeroed
+// record or slot names no node.
+type nodeRef int32
+
+// refOf names n: none for nil.
+func refOf(n *tree.Node) nodeRef {
+	if n == nil {
+		return 0
+	}
+	return nodeRef(n.ID + 1)
+}
+
+// ptNode abbreviates the splitting-tree node type used throughout: PT's
+// leaves carry the T leaf they stand for.
+type ptNode = rbsts.Node[nodeRef, struct{}]
 
 // Record is one rake of the contraction trace: at round Round, leaf V is
 // raked into its current parent P, and P's pending form is compressed onto
@@ -83,7 +100,7 @@ type ptNode = rbsts.Node[*tree.Node, struct{}]
 // consumes LwOut. Records live in the Contraction's arena and are named
 // by their recID there.
 type Record struct {
-	V, P, W *tree.Node
+	V, P, W nodeRef
 	Round   int32
 	id      recID
 
@@ -96,18 +113,18 @@ type Record struct {
 	// flowing through W at rake time: the top of the removed chain merged
 	// into W's position, or W itself when nothing was merged yet. It
 	// drives the expansion recursion for value queries.
-	Wrep *tree.Node
+	Wrep nodeRef
 	// Prep is the node whose subtree value flows through W's position
 	// after this record (rep of P at rake time): the value rep[w] is set
 	// to when the rake splices W into P's place.
-	Prep *tree.Node
+	Prep nodeRef
 
 	// G is the overlay parent of P at rake time (W's parent after the
-	// splice), nil when P was the overlay root. WLeft records which child
+	// splice), none when P was the overlay root. WLeft records which child
 	// slot of G the record's P occupied (and W occupies afterwards). Both
 	// let change propagation re-resolve overlay positions in O(1) from a
 	// record's predecessor links instead of replaying the contraction.
-	G     *tree.Node
+	G     nodeRef
 	WLeft bool
 
 	VPrev, PPrev, WPrev recID
@@ -199,11 +216,12 @@ func (a *recArena) reset(records int) {
 	a.free = a.free[:0]
 }
 
-// nodeSlot is the trace's per-node state, one 24-byte entry per node ID.
-// A slot is all-zero while its ID has no live node.
+// nodeSlot is the trace's per-node state, one 16-byte entry per node ID
+// holding no pointers. A slot is all-zero while its ID has no live node.
 type nodeSlot struct {
-	// ptLeaf is the node's PT leaf while it is a leaf of T.
-	ptLeaf *ptNode
+	// ptLeaf is the PT node ID of the node's PT leaf while it is a leaf
+	// of T.
+	ptLeaf int32
 	// rec is the record raking the node (it is a gap's left leaf).
 	rec recID
 	// removedBy is the record removing the node (it is internal).
@@ -217,7 +235,7 @@ type Contraction struct {
 	T    *tree.Tree
 	ring semiring.Ring
 
-	pt *rbsts.Tree[*tree.Node, struct{}]
+	pt *rbsts.Tree[nodeRef, struct{}]
 
 	// slots is indexed by tree.Node.ID and covers every ID of T.Nodes
 	// (growSlots); records counts its non-none rec fields.
@@ -228,13 +246,15 @@ type Contraction struct {
 	recs recArena
 
 	rootValue int64
-	survivor  *tree.Node
+	survivor  nodeRef
 
 	machine *pram.Machine
 
-	// pass is the worklist and scratch of the wave being healed, reused
+	// pass is the worklist and scratch of the wave being healed, and wave
+	// the request and PT-diff storage of a structural wave, both reused
 	// from wave to wave.
 	pass propPass
+	wave waveScratch
 
 	// noPropagate forces structural updates down the full re-simulation
 	// path (ResimGate). Only this package's tests set it: the
@@ -286,17 +306,33 @@ func New(t *tree.Tree, seed uint64, m *pram.Machine) *Contraction {
 		machine: m,
 	}
 	c.pass.c = c
-	c.pt = rbsts.New[*tree.Node, struct{}](seed, nil, nil, t.Leaves())
+	leaves := t.Leaves()
+	refs := make([]nodeRef, len(leaves))
+	for i, l := range leaves {
+		refs[i] = refOf(l)
+	}
+	c.pt = rbsts.New[nodeRef, struct{}](seed, nil, nil, refs)
 	c.growSlots()
 	for l := c.pt.Head(); l != nil; l = l.Next() {
-		c.slot(l.Payload()).ptLeaf = l
+		c.slot(l.Payload()).ptLeaf = l.ID()
 	}
 	c.simulate()
 	return c
 }
 
-// slot returns n's entry of the slot table.
-func (c *Contraction) slot(n *tree.Node) *nodeSlot { return &c.slots[n.ID] }
+// node resolves a reference: nil for none.
+func (c *Contraction) node(u nodeRef) *tree.Node {
+	if u == 0 {
+		return nil
+	}
+	return c.T.Nodes[u-1]
+}
+
+// slot returns u's entry of the slot table; u must not be none.
+func (c *Contraction) slot(u nodeRef) *nodeSlot { return &c.slots[u-1] }
+
+// ptLeaf returns the PT leaf of T leaf u (nil when u is not a leaf of T).
+func (c *Contraction) ptLeaf(u nodeRef) *ptNode { return c.pt.Node(c.slot(u).ptLeaf) }
 
 // ref is the link naming r: none for nil.
 func ref(r *Record) recID {
@@ -356,12 +392,12 @@ func (c *Contraction) simulate() {
 
 	if c.pt.Len() == 0 {
 		c.rootValue = c.ring.Zero()
-		c.survivor = nil
+		c.survivor = 0
 		return
 	}
 	if c.pt.Len() == 1 {
 		c.survivor = c.pt.Head().Payload()
-		c.rootValue = c.survivor.Value
+		c.rootValue = c.node(c.survivor).Value
 		return
 	}
 
@@ -373,8 +409,7 @@ func (c *Contraction) simulate() {
 	// so the loop below follows int32 links through one array instead of
 	// pointers through the heap.
 	type entry struct {
-		node, rep           *tree.Node
-		id                  int32
+		node, rep           nodeRef
 		parent, left, right int32
 		op                  semiring.Op
 		label               semiring.Linear
@@ -399,7 +434,7 @@ func (c *Contraction) simulate() {
 		if nd == nil {
 			continue
 		}
-		e := entry{node: nd, rep: nd, id: int32(nd.ID),
+		e := entry{node: refOf(nd), rep: refOf(nd),
 			parent: index(nd.Parent), left: index(nd.Left), right: index(nd.Right), op: nd.Op}
 		if nd.IsLeaf() {
 			e.label = semiring.Const(c.ring, nd.Value)
@@ -422,7 +457,7 @@ func (c *Contraction) simulate() {
 	for l := c.pt.Head(); l.Next() != nil; l = l.Next() {
 		r := c.recs.alloc()
 		r.V, r.Round = l.Payload(), int32(l.GapNode().Height())
-		items = append(items, item{timeKey(r), r, at[r.V.ID]})
+		items = append(items, item{timeKey(r), r, at[r.V-1]})
 	}
 	slices.SortFunc(items, func(a, b item) int { return cmp.Compare(a.key, b.key) })
 
@@ -433,7 +468,7 @@ func (c *Contraction) simulate() {
 		if prev != 0 {
 			c.recs.at(prev).Next = r.id
 		} else {
-			c.slots[e.id].firstTouch = r.id
+			c.slot(e.node).firstTouch = r.id
 		}
 		return prev
 	}
@@ -481,15 +516,15 @@ func (c *Contraction) simulate() {
 					eg.right = wi
 				}
 			}
-			c.slots[ev.id].rec = r.id
-			c.slots[ep.id].removedBy = r.id
+			c.slot(ev.node).rec = r.id
+			c.slot(ep.node).removedBy = r.id
 		}
 		i = j
 	}
 	c.records = len(items)
 
 	c.survivor = c.pt.Tail().Payload()
-	final := ents[at[c.survivor.ID]].label
+	final := ents[at[c.survivor-1]].label
 	if final.A != c.ring.Zero() {
 		panic("core: survivor label is not constant")
 	}
@@ -508,10 +543,10 @@ func (c *Contraction) Validate() error {
 	tl := c.T.Leaves()
 	i := 0
 	for l := c.pt.Head(); l != nil; l = l.Next() {
-		if i >= len(tl) || l.Payload() != tl[i] {
+		if i >= len(tl) || l.Payload() != refOf(tl[i]) {
 			return fmt.Errorf("core: PT leaf %d does not match T leaf order", i)
 		}
-		if c.slot(l.Payload()).ptLeaf != l {
+		if c.slot(l.Payload()).ptLeaf != l.ID() {
 			return fmt.Errorf("core: ptLeaf slot stale at %d", i)
 		}
 		i++
@@ -523,14 +558,14 @@ func (c *Contraction) Validate() error {
 	}
 	recs := 0
 	for id := range c.slots {
-		s, nd := &c.slots[id], c.T.Nodes[id]
-		if nd == nil {
+		s, nd := &c.slots[id], nodeRef(id+1)
+		if c.T.Nodes[id] == nil {
 			if *s != (nodeSlot{}) {
 				return fmt.Errorf("core: slot %d of a departed node is not zero", id)
 			}
 			continue
 		}
-		if s.ptLeaf != nil && s.ptLeaf.Payload() != nd {
+		if pl := c.pt.Node(s.ptLeaf); pl != nil && (!pl.IsLeaf() || pl.Payload() != nd) {
 			return fmt.Errorf("core: slot %d: ptLeaf carries another node", id)
 		}
 		// No slot names a dead record: killed records are reused.
@@ -554,7 +589,7 @@ func (c *Contraction) Validate() error {
 			return fmt.Errorf("core: slot %d: rec rakes another node", id)
 		}
 		// Every record's labels must recompose.
-		lpOut := r.LpIn.Compose(c.ring, r.P.Op.Partial(c.ring, r.Lv.B))
+		lpOut := r.LpIn.Compose(c.ring, c.node(r.P).Op.Partial(c.ring, r.Lv.B))
 		if lpOut.Compose(c.ring, r.LwIn) != r.LwOut {
 			return fmt.Errorf("core: record labels inconsistent at leaf %d", id)
 		}
@@ -583,7 +618,7 @@ func (c *Contraction) checkLink(l recID) error {
 		return fmt.Errorf("link %d outside the arena's %d records", l, c.recs.n)
 	}
 	r := c.recs.at(l)
-	if r.dead || r.V == nil || c.slot(r.V).rec != l {
+	if r.dead || r.V == 0 || c.slot(r.V).rec != l {
 		return fmt.Errorf("link %d reaches a dead record", l)
 	}
 	return nil

@@ -145,14 +145,14 @@ func TestHealMatchesResimulation(t *testing.T) {
 		for v, want := range snapshotLabels(c) {
 			if healed[v] != want {
 				t.Fatalf("trial %d: record at leaf %d: healed %+v, resim %+v",
-					trial, v.ID, healed[v], want)
+					trial, v-1, healed[v], want)
 			}
 		}
 	}
 }
 
-func snapshotLabels(c *Contraction) map[*tree.Node][4]semiring.Linear {
-	out := make(map[*tree.Node][4]semiring.Linear, c.Records())
+func snapshotLabels(c *Contraction) map[nodeRef][4]semiring.Linear {
+	out := make(map[nodeRef][4]semiring.Linear, c.Records())
 	for _, r := range liveRecords(c) {
 		out[r.V] = [4]semiring.Linear{r.Lv, r.LpIn, r.LwIn, r.LwOut}
 	}
@@ -379,13 +379,13 @@ func TestScheduleSafety(t *testing.T) {
 		tr := tree.Generate(testRing, prng.New(uint64(shape)+109), 500, shape)
 		c := New(tr, 113, nil)
 		// Every internal node is removed by exactly one record.
-		seenP := map[*tree.Node]bool{}
+		seenP := map[nodeRef]bool{}
 		for _, r := range liveRecords(c) {
-			if r.P.IsLeaf() {
+			if c.node(r.P).IsLeaf() {
 				t.Fatalf("shape %d: rake removed a leaf", shape)
 			}
 			if seenP[r.P] {
-				t.Fatalf("shape %d: node %d removed twice", shape, r.P.ID)
+				t.Fatalf("shape %d: node %d removed twice", shape, r.P-1)
 			}
 			seenP[r.P] = true
 		}
@@ -404,7 +404,7 @@ func TestScheduleSafety(t *testing.T) {
 		// ordering TestHealOrderMatchesSimulateOrder verifies.
 		type key struct {
 			round int32
-			node  *tree.Node
+			node  nodeRef
 		}
 		firstW := map[key]*Record{}
 		for _, r := range liveRecords(c) {
@@ -426,7 +426,7 @@ func TestScheduleSafety(t *testing.T) {
 				}
 				if !linked {
 					t.Fatalf("shape %d: round %d: unlinked records share sibling %d",
-						shape, r.Round, r.W.ID)
+						shape, r.Round, r.W-1)
 				}
 			} else {
 				firstW[k] = r
@@ -448,9 +448,9 @@ func TestHealOrderMatchesSimulateOrder(t *testing.T) {
 				continue
 			}
 			if prev.Round > r.Round ||
-				(prev.Round == r.Round && prev.V.ID >= r.V.ID) {
+				(prev.Round == r.Round && prev.V >= r.V) {
 				t.Fatalf("producer (round %d leaf %d) does not precede consumer (round %d leaf %d)",
-					prev.Round, prev.V.ID, r.Round, r.V.ID)
+					prev.Round, prev.V-1, r.Round, r.V-1)
 			}
 		}
 	}

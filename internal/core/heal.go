@@ -6,10 +6,10 @@ import (
 	"dyntc/internal/tree"
 )
 
-// timeKey packs a record's schedule time (Round, V.ID) into one word that
-// compares as the pair does. Node IDs index a slice of pointers, so 32
-// bits hold them with room to spare.
-func timeKey(r *Record) uint64 { return uint64(uint32(r.Round))<<32 | uint64(uint32(r.V.ID)) }
+// timeKey packs a record's schedule time (Round, V's ID) into one word
+// that compares as the pair does (V is the ID plus one, which orders
+// alike).
+func timeKey(r *Record) uint64 { return uint64(uint32(r.Round))<<32 | uint64(uint32(r.V)) }
 
 // timeLess orders records by schedule time (round, raked-leaf ID).
 func timeLess(a, b *Record) bool { return timeKey(a) < timeKey(b) }
@@ -99,14 +99,15 @@ func (c *Contraction) SetValues(leaves []*tree.Node, values []int64) {
 		return
 	}
 	// Step 1: wound location / processor activation over PT (Thm 2.1).
-	ptLeaves := make([]*ptNode, len(leaves))
-	for i, l := range leaves {
-		pl := c.slot(l).ptLeaf
+	ptLeaves := c.wave.ptLeaves[:0]
+	for _, l := range leaves {
+		pl := c.ptLeaf(refOf(l))
 		if pl == nil {
 			panic("core: SetValues on a node that is not a live leaf")
 		}
-		ptLeaves[i] = pl
+		ptLeaves = append(ptLeaves, pl)
 	}
+	c.wave.ptLeaves = ptLeaves
 	act := c.pt.Activate(c.machine, ptLeaves)
 	act.Release(c.machine)
 
@@ -116,12 +117,12 @@ func (c *Contraction) SetValues(leaves []*tree.Node, values []int64) {
 
 	pp := c.beginPass()
 	for _, l := range leaves {
-		pp.enqueue(c.recs.get(c.slot(l).firstTouch), false)
+		pp.enqueue(c.recs.get(c.slot(refOf(l)).firstTouch), false)
 	}
 	c.heal()
 
 	if c.pt.Len() == 1 {
-		c.rootValue = c.survivor.Value
+		c.rootValue = c.node(c.survivor).Value
 	}
 }
 
@@ -142,7 +143,7 @@ func (c *Contraction) SetOps(nodes []*tree.Node, ops []semiring.Op) {
 	pp := c.beginPass()
 	for i, n := range nodes {
 		c.T.SetOp(n, ops[i])
-		pp.enqueue(c.recs.get(c.slot(n).removedBy), false)
+		pp.enqueue(c.recs.get(c.slot(refOf(n)).removedBy), false)
 	}
 	c.heal()
 }
@@ -161,16 +162,63 @@ func (c *Contraction) heal() {
 	c.lastHeal.TotalRecords = c.records
 }
 
-// labelFromProducer returns the node's label as of a record's execution:
-// the producing record's output, or the node's initial label.
-func (c *Contraction) labelFromProducer(prev *Record, n *tree.Node) semiring.Linear {
+// labelFromProducer returns u's label as of a record's execution: the
+// producing record's output, or the node's initial label.
+func (c *Contraction) labelFromProducer(prev *Record, u nodeRef) semiring.Linear {
 	if prev != nil {
 		return prev.LwOut
 	}
-	if n.IsLeaf() {
+	if n := c.node(u); n.IsLeaf() {
 		return semiring.Const(c.ring, n.Value)
 	}
 	return semiring.Identity(c.ring)
+}
+
+// waveScratch is a structural wave's request and PT-diff storage, owned
+// by the Contraction and reused from wave to wave.
+type waveScratch struct {
+	insOps    []rbsts.InsertOp[nodeRef]
+	payloads  []nodeRef
+	oldLeaves []*ptNode
+	ptLeaves  []*ptNode
+	// deleted lists the T nodes that left PT's leaf set, relabeled those
+	// whose initial label flipped between leaf and internal.
+	deleted, relabeled []nodeRef
+	// diff is the rebuild diff both PT mutations reported, in report
+	// order, copied out before the second mutation reuses the storage of
+	// the first one's report; fullRebuild is set when either rebuilt all
+	// of PT.
+	diff        []ptSeed
+	fullRebuild bool
+}
+
+// ptSeed is one entry of a PT rebuild diff: the PT node ID of a rebuilt
+// subtree's root (subtree), or of a surviving internal node whose round
+// or raked leaf changed.
+type ptSeed struct {
+	id      int32
+	subtree bool
+}
+
+// begin empties the scratch for a new wave.
+func (s *waveScratch) begin() {
+	s.insOps, s.payloads, s.oldLeaves = s.insOps[:0], s.payloads[:0], s.oldLeaves[:0]
+	s.deleted, s.relabeled, s.diff = s.deleted[:0], s.relabeled[:0], s.diff[:0]
+	s.fullRebuild = false
+}
+
+// note copies a PT mutation's rebuild diff out of its report.
+func (s *waveScratch) note(rep rbsts.Report[nodeRef, struct{}]) {
+	s.fullRebuild = s.fullRebuild || rep.FullRebuild
+	for _, x := range rep.Rebuilt {
+		s.diff = append(s.diff, ptSeed{x.ID(), true})
+	}
+	for _, x := range rep.HeightChanged {
+		s.diff = append(s.diff, ptSeed{x.ID(), false})
+	}
+	for _, x := range rep.GapRelinked {
+		s.diff = append(s.diff, ptSeed{x.ID(), false})
+	}
 }
 
 // AddLeaves applies a batch of leaf expansions: T mutates, PT replaces each
@@ -185,41 +233,46 @@ func (c *Contraction) AddLeaves(ops []AddOp) [][2]*tree.Node {
 		return nil
 	}
 	out := make([][2]*tree.Node, len(ops))
+	s := &c.wave
+	s.begin()
 
 	// Collect insertion gaps against the pre-batch PT.
-	insOps := make([]rbsts.InsertOp[*tree.Node], 0, len(ops))
-	oldLeaves := make([]*ptNode, 0, len(ops))
 	for _, op := range ops {
-		pl := c.slot(op.Leaf).ptLeaf
+		pl := c.ptLeaf(refOf(op.Leaf))
 		if pl == nil {
 			panic("core: AddLeaves on a node that is not a live leaf")
 		}
-		insOps = append(insOps, rbsts.InsertOp[*tree.Node]{Gap: pl.Index(), Payloads: nil})
-		oldLeaves = append(oldLeaves, pl)
+		s.insOps = append(s.insOps, rbsts.InsertOp[nodeRef]{Gap: pl.Index()})
+		s.oldLeaves = append(s.oldLeaves, pl)
 	}
 	// Mutate T and fill payloads.
 	for i, op := range ops {
 		l, r := c.T.AddChildren(op.Leaf, op.Op, op.LeftVal, op.RightVal)
 		out[i] = [2]*tree.Node{l, r}
-		insOps[i].Payloads = []*tree.Node{l, r}
+		s.payloads = append(s.payloads, refOf(l), refOf(r))
+	}
+	for i := range s.insOps {
+		s.insOps[i].Payloads = s.payloads[2*i : 2*i+2 : 2*i+2]
 	}
 	c.growSlots()
-	rep := c.pt.BatchInsert(c.machine, insOps)
+	rep := c.pt.BatchInsert(c.machine, s.insOps)
 	c.lastHeal.RebuildLeaves += rep.RebuildLeaves
 	for i := range ops {
-		c.slot(out[i][0]).ptLeaf = rep.NewLeaves[2*i]
-		c.slot(out[i][1]).ptLeaf = rep.NewLeaves[2*i+1]
+		c.slot(refOf(out[i][0])).ptLeaf = rep.NewLeaves[2*i].ID()
+		c.slot(refOf(out[i][1])).ptLeaf = rep.NewLeaves[2*i+1].ID()
 	}
-	drep := c.pt.BatchDelete(c.machine, oldLeaves)
+	s.note(rep)
+	drep := c.pt.BatchDelete(c.machine, s.oldLeaves)
 	c.lastHeal.RebuildLeaves += drep.RebuildLeaves
-	deleted := make([]*tree.Node, 0, len(ops))
+	s.note(drep)
 	for _, op := range ops {
-		c.slot(op.Leaf).ptLeaf = nil
-		deleted = append(deleted, op.Leaf)
+		u := refOf(op.Leaf)
+		c.slot(u).ptLeaf = 0
+		s.deleted = append(s.deleted, u)
 	}
 	// The expanded leaves left the leaf set (their records die) and their
 	// initial labels flipped from Const to Identity.
-	c.propagateStructural([]rbsts.Report[*tree.Node, struct{}]{rep, drep}, deleted, deleted)
+	c.propagateStructural(s.deleted, s.deleted)
 	return out
 }
 
@@ -229,37 +282,42 @@ func (c *Contraction) RemoveLeaves(ops []RemoveOp) {
 	if len(ops) == 0 {
 		return
 	}
-	insOps := make([]rbsts.InsertOp[*tree.Node], 0, len(ops))
-	var oldLeaves []*ptNode
+	s := &c.wave
+	s.begin()
 	for _, op := range ops {
 		n := op.Node
 		if n.IsLeaf() || !n.Left.IsLeaf() || !n.Right.IsLeaf() {
 			panic("core: RemoveLeaves requires an internal node with two leaf children")
 		}
-		pl, pr := c.slot(n.Left).ptLeaf, c.slot(n.Right).ptLeaf
+		pl, pr := c.ptLeaf(refOf(n.Left)), c.ptLeaf(refOf(n.Right))
 		if pl == nil || pr == nil {
 			panic("core: RemoveLeaves children not tracked")
 		}
-		insOps = append(insOps, rbsts.InsertOp[*tree.Node]{Gap: pl.Index(), Payloads: []*tree.Node{n}})
-		oldLeaves = append(oldLeaves, pl, pr)
+		s.payloads = append(s.payloads, refOf(n))
+		s.insOps = append(s.insOps, rbsts.InsertOp[nodeRef]{Gap: pl.Index()})
+		s.oldLeaves = append(s.oldLeaves, pl, pr)
 	}
-	rep := c.pt.BatchInsert(c.machine, insOps)
+	for i := range s.insOps {
+		s.insOps[i].Payloads = s.payloads[i : i+1 : i+1]
+	}
+	rep := c.pt.BatchInsert(c.machine, s.insOps)
 	c.lastHeal.RebuildLeaves += rep.RebuildLeaves
 	for i, op := range ops {
-		c.slot(op.Node).ptLeaf = rep.NewLeaves[i]
+		c.slot(refOf(op.Node)).ptLeaf = rep.NewLeaves[i].ID()
 	}
-	drep := c.pt.BatchDelete(c.machine, oldLeaves)
+	s.note(rep)
+	drep := c.pt.BatchDelete(c.machine, s.oldLeaves)
 	c.lastHeal.RebuildLeaves += drep.RebuildLeaves
-	deleted := make([]*tree.Node, 0, 2*len(ops))
-	relabeled := make([]*tree.Node, 0, len(ops))
+	s.note(drep)
 	for _, op := range ops {
-		c.slot(op.Node.Left).ptLeaf = nil
-		c.slot(op.Node.Right).ptLeaf = nil
-		deleted = append(deleted, op.Node.Left, op.Node.Right)
+		l, r := refOf(op.Node.Left), refOf(op.Node.Right)
+		c.slot(l).ptLeaf = 0
+		c.slot(r).ptLeaf = 0
+		s.deleted = append(s.deleted, l, r)
 		c.T.DeleteChildren(op.Node, op.NewValue)
 		// The collapsed node's initial label flipped from Identity to
 		// Const(NewValue).
-		relabeled = append(relabeled, op.Node)
+		s.relabeled = append(s.relabeled, refOf(op.Node))
 	}
-	c.propagateStructural([]rbsts.Report[*tree.Node, struct{}]{rep, drep}, deleted, relabeled)
+	c.propagateStructural(s.deleted, s.relabeled)
 }

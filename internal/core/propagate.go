@@ -1,10 +1,5 @@
 package core
 
-import (
-	"dyntc/internal/rbsts"
-	"dyntc/internal/tree"
-)
-
 // This file implements change propagation over the rake trace: structural
 // updates (add/delete leaves) repair the existing records instead of
 // re-simulating the whole contraction.
@@ -21,7 +16,7 @@ import (
 // child: each removal splices the removed node's surviving sibling up
 // into its place. The chain heads (firstTouch), removedBy and the record
 // of each raked leaf are fields of the node's entry in the Contraction's
-// ID-indexed slot table, so resolving one node reads one 24-byte slot.
+// ID-indexed slot table, so resolving one node reads one 16-byte slot.
 //
 // A structural wave seeds the worklist with exactly the records whose
 // schedule inputs changed — the gaps of rebuilt PT subtrees, of surviving
@@ -116,7 +111,7 @@ func (pp *propPass) step() bool {
 }
 
 // prevIn returns m's predecessor for participant u.
-func (c *Contraction) prevIn(m *Record, u *tree.Node) *Record {
+func (c *Contraction) prevIn(m *Record, u nodeRef) *Record {
 	switch u {
 	case m.V:
 		return c.recs.get(m.VPrev)
@@ -128,7 +123,7 @@ func (c *Contraction) prevIn(m *Record, u *tree.Node) *Record {
 }
 
 // setPrevIn rewrites m's predecessor link for participant u.
-func setPrevIn(m *Record, u *tree.Node, p *Record) {
+func setPrevIn(m *Record, u nodeRef, p *Record) {
 	switch u {
 	case m.V:
 		m.VPrev = ref(p)
@@ -141,7 +136,7 @@ func setPrevIn(m *Record, u *tree.Node, p *Record) {
 
 // nextIn returns m's successor in u's touch chain: only a W-touch has
 // one (V and P are removed by the record, ending their chains).
-func (c *Contraction) nextIn(m *Record, u *tree.Node) *Record {
+func (c *Contraction) nextIn(m *Record, u nodeRef) *Record {
 	if u == m.W {
 		return c.recs.get(m.Next)
 	}
@@ -164,7 +159,7 @@ func (pp *propPass) enqueue(r *Record, structural bool) {
 // findPos locates the neighbors of time position `at` in u's touch
 // chain, skipping the record `skip` (the one being repositioned): prev
 // is the last toucher strictly before at, next the first at or after.
-func (pp *propPass) findPos(u *tree.Node, at, skip *Record) (prev, next *Record) {
+func (pp *propPass) findPos(u nodeRef, at, skip *Record) (prev, next *Record) {
 	c := pp.c
 	step := func(m *Record) *Record {
 		n := c.nextIn(m, u)
@@ -195,16 +190,15 @@ func (pp *propPass) findPos(u *tree.Node, at, skip *Record) (prev, next *Record)
 // occupant resolves which node sits in the given child slot of p at
 // time `at`: the original T child, advanced through every earlier rake
 // that removed the slot's occupant and spliced its sibling up in place.
-func (pp *propPass) occupant(p *tree.Node, left bool, at *Record) *tree.Node {
-	var n *tree.Node
+func (pp *propPass) occupant(p nodeRef, left bool, at *Record) nodeRef {
+	pn := pp.c.node(p)
+	n := refOf(pn.Right)
 	if left {
-		n = p.Left
-	} else {
-		n = p.Right
+		n = refOf(pn.Left)
 	}
-	for n != nil {
+	for n != 0 {
 		if !pp.step() {
-			return nil
+			return 0
 		}
 		rb := pp.c.recs.get(pp.c.slot(n).removedBy)
 		if rb == nil || rb.dead || rb == at || !timeLess(rb, at) {
@@ -212,7 +206,7 @@ func (pp *propPass) occupant(p *tree.Node, left bool, at *Record) *tree.Node {
 		}
 		n = rb.W
 	}
-	return nil
+	return 0
 }
 
 // chained reports whether r is actually linked into u's touch chain (a
@@ -220,7 +214,7 @@ func (pp *propPass) occupant(p *tree.Node, left bool, at *Record) *tree.Node {
 // participant but must not splice the chain again). The prev.W check
 // matters: a stale backpointer can reference a record that has moved to
 // another chain, and splicing through it would cross the chains.
-func (pp *propPass) chained(r *Record, u *tree.Node) bool {
+func (pp *propPass) chained(r *Record, u nodeRef) bool {
 	prev := pp.c.prevIn(r, u)
 	if prev != nil {
 		return prev.W == u && prev.Next == r.id
@@ -229,7 +223,7 @@ func (pp *propPass) chained(r *Record, u *tree.Node) bool {
 }
 
 // touches reports whether u is a stored participant of m.
-func touches(m *Record, u *tree.Node) bool {
+func touches(m *Record, u nodeRef) bool {
 	return m.V == u || m.P == u || m.W == u
 }
 
@@ -240,11 +234,11 @@ func touches(m *Record, u *tree.Node) bool {
 // record physically linked while its fields get rewritten — an alien
 // entry in a foreign chain.
 func (pp *propPass) unchain(r *Record) {
-	if r.P == nil {
+	if r.P == 0 {
 		return // never executed: in no chain
 	}
 	c := pp.c
-	for _, u := range [3]*tree.Node{r.V, r.P, r.W} {
+	for _, u := range [3]nodeRef{r.V, r.P, r.W} {
 		if !pp.chained(r, u) {
 			continue
 		}
@@ -268,8 +262,8 @@ func (pp *propPass) kill(r *Record) {
 	c := pp.c
 	r.dead = true
 	pp.killed = append(pp.killed, r)
-	if r.P != nil {
-		for _, u := range [3]*tree.Node{r.V, r.P, r.W} {
+	if r.P != 0 {
+		for _, u := range [3]nodeRef{r.V, r.P, r.W} {
 			if !pp.chained(r, u) {
 				continue
 			}
@@ -300,7 +294,7 @@ func (pp *propPass) kill(r *Record) {
 // wakeTail wakes every stale toucher of u orphaned when a relink
 // truncated u's chain at the record before m: m and everything its
 // forward links still reach within u's old chain must re-resolve.
-func (pp *propPass) wakeTail(m *Record, u *tree.Node) {
+func (pp *propPass) wakeTail(m *Record, u nodeRef) {
 	for m != nil {
 		if !pp.step() {
 			return
@@ -334,7 +328,7 @@ func (pp *propPass) enqueueGReader(r *Record) {
 // whose reads changed are woken.
 func (pp *propPass) reexec(r *Record) {
 	c := pp.c
-	wasLinked := r.P != nil
+	wasLinked := r.P != 0
 	oldP, oldW, oldG := r.P, r.W, r.G
 	oldLeft, oldPrep, oldOut := r.WLeft, r.Prep, r.LwOut
 	oldNext := c.recs.get(r.Next)
@@ -343,7 +337,7 @@ func (pp *propPass) reexec(r *Record) {
 
 	v := r.V
 	vPrev, vNext := pp.findPos(v, r, r)
-	var p *tree.Node
+	var p nodeRef
 	var vLeft bool
 	if vPrev != nil {
 		if vPrev.W != v {
@@ -353,15 +347,19 @@ func (pp *propPass) reexec(r *Record) {
 		p = vPrev.G
 		vLeft = vPrev.WLeft
 	} else {
-		p = v.Parent
-		vLeft = p != nil && p.Left == v
+		vn := c.node(v)
+		p = refOf(vn.Parent)
+		vLeft = p != 0 && vn.Parent.Left == vn
 	}
-	if p == nil {
+	// A participant must be a live node of T: a departed one is a stale
+	// link the pass cannot resolve.
+	pn := c.node(p)
+	if pn == nil {
 		pp.fail(ResimSanity)
 		return
 	}
 	w := pp.occupant(p, !vLeft, r)
-	if w == nil || w == v {
+	if w == 0 || w == v || c.node(w) == nil {
 		pp.fail(ResimSanity)
 		return
 	}
@@ -376,14 +374,14 @@ func (pp *propPass) reexec(r *Record) {
 		return
 	}
 
-	var g *tree.Node
+	var g nodeRef
 	var wLeft bool
 	if pPrev != nil {
 		g = pPrev.G
 		wLeft = pPrev.WLeft
 	} else {
-		g = p.Parent
-		wLeft = g != nil && g.Left == p
+		g = refOf(pn.Parent)
+		wLeft = g != 0 && pn.Parent.Left == pn
 	}
 
 	pSlot := c.slot(p)
@@ -401,7 +399,7 @@ func (pp *propPass) reexec(r *Record) {
 	r.Lv = c.labelFromProducer(vPrev, v)
 	r.LpIn = c.labelFromProducer(pPrev, p)
 	r.LwIn = c.labelFromProducer(wPrev, w)
-	lpOut := r.LpIn.Compose(c.ring, p.Op.Partial(c.ring, r.Lv.B))
+	lpOut := r.LpIn.Compose(c.ring, pn.Op.Partial(c.ring, r.Lv.B))
 	r.LwOut = lpOut.Compose(c.ring, r.LwIn)
 
 	// Relink. r ends v's and p's chains; a chained toucher after either
@@ -476,16 +474,16 @@ func (pp *propPass) reexec(r *Record) {
 		// it): wake everything that reads either slot's occupancy or
 		// either sibling's overlay parent.
 		pp.enqueueGReader(r)
-		for _, q := range [2]*tree.Node{oldG, g} {
-			if q == nil {
+		for _, q := range [2]nodeRef{oldG, g} {
+			if q == 0 {
 				continue
 			}
 			if rb := c.recs.get(c.slot(q).removedBy); rb != nil && rb != r && !rb.dead && timeLess(r, rb) {
 				pp.enqueue(rb, true)
 			}
 		}
-		for _, q := range [2]*tree.Node{oldW, w} {
-			if q == nil || (q == oldW && !wasLinked) {
+		for _, q := range [2]nodeRef{oldW, w} {
+			if q == 0 || (q == oldW && !wasLinked) {
 				continue
 			}
 			if qr := c.recs.get(c.slot(q).rec); qr != nil && qr != r && !qr.dead && timeLess(r, qr) {
@@ -503,7 +501,7 @@ func (pp *propPass) healLabels(r *Record) {
 	r.Lv = c.labelFromProducer(c.recs.get(r.VPrev), r.V)
 	r.LpIn = c.labelFromProducer(c.recs.get(r.PPrev), r.P)
 	r.LwIn = c.labelFromProducer(c.recs.get(r.WPrev), r.W)
-	lpOut := r.LpIn.Compose(c.ring, r.P.Op.Partial(c.ring, r.Lv.B))
+	lpOut := r.LpIn.Compose(c.ring, c.node(r.P).Op.Partial(c.ring, r.Lv.B))
 	out := lpOut.Compose(c.ring, r.LwIn)
 	if out == r.LwOut {
 		return
@@ -578,20 +576,13 @@ func (c *Contraction) resimulate(reason string) {
 	c.lastHeal.TotalRecords = c.records
 }
 
-// attached reports whether x is still reachable from the current PT
-// root (rebuilds orphan replaced subtrees without clearing their parent
-// pointers, so a plain root walk through a stale node would lie).
-func (c *Contraction) attached(x *ptNode) bool {
-	a := x
-	for a.Parent() != nil {
-		p := a.Parent()
-		if p.Left() != a && p.Right() != a {
-			return false
-		}
-		a = p
-	}
-	return a == c.pt.Root()
-}
+// attached reports whether x is still in PT. A rebuild builds its
+// subtree from the replaced subtree's own nodes and frees the ones it
+// does not need, so every PT node is either in the tree or freed, and a
+// freed one has no leaves. A node the first of a wave's two reports
+// names may therefore sit at another gap inside the second rebuild,
+// whose gaps are seeded anyway.
+func attached(x *ptNode) bool { return x.LeafCount() > 0 }
 
 // seedGap reschedules the gap of PT node x: its record is created if the
 // gap is new, pulled out of its chains if its round moved, and queued for
@@ -631,17 +622,15 @@ func (pp *propPass) seedSubtree(x *ptNode) {
 	pp.seedSubtree(x.Right())
 }
 
-// propagateStructural repairs the trace after PT mutations described by
-// the rebuild reports. deleted lists T nodes removed from PT's leaf set
-// (their records die); relabeled lists T nodes whose initial label
-// changed because they flipped between leaf and internal (their first
-// touchers re-read it).
-func (c *Contraction) propagateStructural(reps []rbsts.Report[*tree.Node, struct{}], deleted, relabeled []*tree.Node) {
-	for _, rp := range reps {
-		if rp.FullRebuild {
-			c.resimulate(ResimFullRebuild)
-			return
-		}
+// propagateStructural repairs the trace after the PT mutations whose
+// rebuild diff the wave scratch holds (waveScratch.note). deleted lists T
+// nodes removed from PT's leaf set (their records die); relabeled lists T
+// nodes whose initial label changed because they flipped between leaf
+// and internal (their first touchers re-read it).
+func (c *Contraction) propagateStructural(deleted, relabeled []nodeRef) {
+	if c.wave.fullRebuild {
+		c.resimulate(ResimFullRebuild)
+		return
 	}
 	if c.noPropagate {
 		c.resimulate(ResimGate)
@@ -658,21 +647,14 @@ func (c *Contraction) propagateStructural(reps []rbsts.Report[*tree.Node, struct
 	// Rounds are final here (PT is fully mutated) and all rewritten
 	// before anything is pushed, so every heap key is stable for the
 	// whole pass.
-	for _, rp := range reps {
-		for _, sub := range rp.Rebuilt {
-			if c.attached(sub) {
-				pp.seedSubtree(sub)
-			}
-		}
-		for _, x := range rp.HeightChanged {
-			if !x.IsLeaf() && c.attached(x) {
-				pp.seedGap(x)
-			}
-		}
-		for _, x := range rp.GapRelinked {
-			if !x.IsLeaf() && c.attached(x) {
-				pp.seedGap(x)
-			}
+	for _, d := range c.wave.diff {
+		x := c.pt.Node(d.id)
+		switch {
+		case !attached(x):
+		case d.subtree:
+			pp.seedSubtree(x)
+		case !x.IsLeaf():
+			pp.seedGap(x)
 		}
 	}
 	for _, r := range pp.toSeed {
@@ -715,7 +697,7 @@ func (c *Contraction) propagateStructural(reps []rbsts.Report[*tree.Node, struct
 	// incremental root update alone is not authoritative.
 	c.survivor = c.pt.Tail().Payload()
 	if c.pt.Len() == 1 {
-		c.rootValue = c.survivor.Value
+		c.rootValue = c.node(c.survivor).Value
 	} else {
 		last := c.recs.get(c.slot(c.survivor).firstTouch)
 		if last == nil {

@@ -490,7 +490,7 @@ func (a *recArena) key(l recID) int {
 	if l == 0 {
 		return -1
 	}
-	return a.at(l).V.ID
+	return int(a.at(l).V - 1)
 }
 
 // clone deep-copies the arena, chunks included.

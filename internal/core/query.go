@@ -54,7 +54,7 @@ func (c *Contraction) value(n *tree.Node, memo map[int]int64, work *int) int64 {
 			memo[f.n.ID] = f.n.Value
 			continue
 		}
-		r := c.recs.get(c.slot(f.n).removedBy)
+		r := c.recs.get(c.slot(refOf(f.n)).removedBy)
 		if r == nil {
 			panic("core: query on a node outside the trace")
 		}
@@ -81,10 +81,10 @@ func (c *Contraction) value(n *tree.Node, memo map[int]int64, work *int) int64 {
 // wSideDep returns the node whose memoized value feeds the w-side of the
 // record, or nil when the w-side is a direct leaf constant.
 func (c *Contraction) wSideDep(r *Record) *tree.Node {
-	if r.W.IsLeaf() {
+	if c.node(r.W).IsLeaf() {
 		return nil
 	}
-	return r.Wrep
+	return c.node(r.Wrep)
 }
 
 // ValueOracle recomputes val(n) directly from T (tests compare Value

@@ -32,12 +32,12 @@ func (c *Contraction) simulateRef() {
 
 	if c.pt.Len() == 0 {
 		c.rootValue = c.ring.Zero()
-		c.survivor = nil
+		c.survivor = 0
 		return
 	}
 	if c.pt.Len() == 1 {
 		c.survivor = c.pt.Head().Payload()
-		c.rootValue = c.survivor.Value
+		c.rootValue = c.node(c.survivor).Value
 		return
 	}
 
@@ -77,7 +77,7 @@ func (c *Contraction) simulateRef() {
 		if prev != nil {
 			prev.Next = r.id
 		} else {
-			c.slot(nd).firstTouch = r.id
+			c.slot(refOf(nd)).firstTouch = r.id
 		}
 		return ref(prev)
 	}
@@ -90,7 +90,7 @@ func (c *Contraction) simulateRef() {
 		}
 		c.machine.Charge(j - i)
 		for _, r := range recs[i:j] {
-			v := r.V
+			v := c.node(r.V)
 			ov := &overlay[at[v.ID]]
 			p := ov.parent
 			op := &overlay[at[p.ID]]
@@ -99,7 +99,7 @@ func (c *Contraction) simulateRef() {
 				w = op.right
 			}
 			ow := &overlay[at[w.ID]]
-			r.P, r.W = p, w
+			r.P, r.W = refOf(p), refOf(w)
 			r.VPrev = touch(r, v, ov)
 			r.PPrev = touch(r, p, op)
 			r.WPrev = touch(r, w, ow)
@@ -107,11 +107,11 @@ func (c *Contraction) simulateRef() {
 			lpOut := r.LpIn.Compose(c.ring, p.Op.Partial(c.ring, r.Lv.B))
 			r.LwOut = lpOut.Compose(c.ring, r.LwIn)
 			ow.label = r.LwOut
-			r.Wrep, r.Prep = ow.rep, op.rep
+			r.Wrep, r.Prep = refOf(ow.rep), refOf(op.rep)
 			ow.rep = op.rep
 			g := op.parent
 			ow.parent = g
-			r.G = g
+			r.G = refOf(g)
 			if g != nil {
 				og := &overlay[at[g.ID]]
 				if og.left == p {
@@ -122,15 +122,15 @@ func (c *Contraction) simulateRef() {
 					r.WLeft = false
 				}
 			}
-			c.slot(v).rec = r.id
-			c.slot(p).removedBy = r.id
+			c.slot(r.V).rec = r.id
+			c.slot(r.P).removedBy = r.id
 		}
 		i = j
 	}
 	c.records = len(recs)
 
 	c.survivor = c.pt.Tail().Payload()
-	final := overlay[at[c.survivor.ID]].label
+	final := overlay[at[c.survivor-1]].label
 	if final.A != c.ring.Zero() {
 		panic("core: survivor label is not constant")
 	}

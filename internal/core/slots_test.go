@@ -8,6 +8,7 @@ package core
 import (
 	"container/heap"
 	"fmt"
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -17,7 +18,7 @@ import (
 )
 
 // refHeap is the historical worklist: container/heap over records ordered
-// by (Round, V.ID), comparing through the pointers.
+// by (Round, V), comparing through the pointers.
 type refHeap []*Record
 
 func (h refHeap) Len() int { return len(h) }
@@ -25,7 +26,7 @@ func (h refHeap) Less(i, j int) bool {
 	if h[i].Round != h[j].Round {
 		return h[i].Round < h[j].Round
 	}
-	return h[i].V.ID < h[j].V.ID
+	return h[i].V < h[j].V
 }
 func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(*Record)) }
@@ -48,7 +49,7 @@ func TestWorklistMatchesContainerHeap(t *testing.T) {
 		n := 200 + src.Intn(800)
 		recs := make([]*Record, n)
 		for i := range recs {
-			recs[i] = &Record{V: &tree.Node{ID: i}, Round: int32(src.Intn(12))}
+			recs[i] = &Record{V: nodeRef(i + 1), Round: int32(src.Intn(12))}
 		}
 
 		var w worklist
@@ -59,7 +60,7 @@ func TestWorklistMatchesContainerHeap(t *testing.T) {
 			want := heap.Pop(ref).(*Record)
 			if got != want {
 				t.Fatalf("seed %d step %d: popped (%d,%d), reference (%d,%d)",
-					seed, step, got.Round, got.V.ID, want.Round, want.V.ID)
+					seed, step, got.Round, got.V-1, want.Round, want.V-1)
 			}
 			if key != timeKey(got) {
 				t.Fatalf("seed %d step %d: key %x, record packs to %x", seed, step, key, timeKey(got))
@@ -102,7 +103,7 @@ func TestWorklistMatchesContainerHeap(t *testing.T) {
 		for i, r := range want {
 			if _, got := w.pop(); got != r {
 				t.Fatalf("seed %d: drain position %d is (%d,%d), sortRecords has (%d,%d)",
-					seed, i, got.Round, got.V.ID, r.Round, r.V.ID)
+					seed, i, got.Round, got.V-1, r.Round, r.V-1)
 			}
 		}
 		if len(w) != 0 || cap(w) == 0 {
@@ -176,15 +177,47 @@ func TestSlotTableGrowth(t *testing.T) {
 	}
 }
 
-// TestTraceStateSizes pins the per-ID slot at 24 bytes (it is paid for
-// every ID ever issued) and a record at 144.
+// TestTraceStateSizes pins the per-ID slot at 16 bytes (it is paid for
+// every ID ever issued), a record at 128 and a PT node at 64, and checks
+// that neither a slot nor a record holds a pointer: the collector then
+// never scans the slot table or the record arena.
 func TestTraceStateSizes(t *testing.T) {
-	if got := unsafe.Sizeof(nodeSlot{}); got != 24 {
-		t.Errorf("nodeSlot is %d bytes, want 24", got)
+	if got := unsafe.Sizeof(nodeSlot{}); got != 16 {
+		t.Errorf("nodeSlot is %d bytes, want 16", got)
 	}
-	if got := unsafe.Sizeof(Record{}); got > 144 {
-		t.Errorf("Record is %d bytes, want at most 144", got)
+	if got := unsafe.Sizeof(Record{}); got > 128 {
+		t.Errorf("Record is %d bytes, want at most 128", got)
 	}
+	if got := unsafe.Sizeof(ptNode{}); got > 64 {
+		t.Errorf("PT node is %d bytes, want at most 64", got)
+	}
+	for _, v := range []any{nodeSlot{}, Record{}} {
+		if path := pointerField(reflect.TypeOf(v), ""); path != "" {
+			t.Errorf("%T holds a pointer at %s", v, path)
+		}
+	}
+}
+
+// pointerField returns the path of the first field of typ that is or
+// holds a pointer, or "" when there is none.
+func pointerField(typ reflect.Type, path string) string {
+	switch typ.Kind() {
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if p := pointerField(f.Type, path+"."+f.Name); p != "" {
+				return p
+			}
+		}
+		return ""
+	case reflect.Array:
+		return pointerField(typ.Elem(), path+"[]")
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return ""
+	}
+	return path + " (" + typ.String() + ")"
 }
 
 // TestSimulateAllocs: re-simulating a warm contraction rewrites the arena
@@ -202,6 +235,72 @@ func TestSimulateAllocs(t *testing.T) {
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSteadyWaveAllocs: once warm, a k = 16 grow+collapse pair on a
+// 4 096-leaf contraction allocates only the 32 new tree nodes, AddLeaves'
+// returned slice and the occasional growth of T.Nodes and the slot
+// table: PT nodes, shortcut lists, records and every per-wave list are
+// reused. Before PT nodes went by value the pair made ≈3 100.
+func TestSteadyWaveAllocs(t *testing.T) {
+	const n, k = 4096, 16
+	src := prng.New(41)
+	tr := tree.Generate(testRing, src, n, tree.ShapeRandom)
+	c := New(tr, 42, nil)
+	leaves := tr.Leaves()
+	add := make([]AddOp, k)
+	rm := make([]RemoveOp, k)
+	pair := func() {
+		for j := 0; j < k; j++ {
+			x := j + src.Intn(len(leaves)-j)
+			leaves[j], leaves[x] = leaves[x], leaves[j]
+			add[j] = AddOp{Leaf: leaves[j], Op: semiring.OpAdd(testRing), LeftVal: int64(j), RightVal: 7}
+			rm[j] = RemoveOp{Node: leaves[j], NewValue: int64(j)}
+		}
+		c.AddLeaves(add)
+		c.RemoveLeaves(rm)
+	}
+	for i := 0; i < 50; i++ {
+		pair()
+	}
+	allocs := testing.AllocsPerRun(20, pair)
+	t.Logf("warm k=%d wave pair: %.0f allocations", k, allocs)
+	if allocs > 64 {
+		t.Fatalf("a warm k=%d wave pair made %.0f allocations, want at most 64", k, allocs)
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.RootValue(), tr.Eval(); got != want {
+		t.Fatalf("root %d want %d", got, want)
+	}
+}
+
+// TestSetValuesAllocs: a warm 8-leaf SetValues on a 4 096-leaf
+// contraction activates PT(U) in the tree's own storage and heals the
+// wound in the pass's, so it allocates (almost) nothing.
+func TestSetValuesAllocs(t *testing.T) {
+	tr := tree.Generate(testRing, prng.New(43), 4096, tree.ShapeRandom)
+	c := New(tr, 44, nil)
+	leaves := tr.Leaves()[:8]
+	values := make([]int64, len(leaves))
+	v := int64(0)
+	set := func() {
+		for i := range values {
+			v++
+			values[i] = v
+		}
+		c.SetValues(leaves, values)
+	}
+	set()
+	allocs := testing.AllocsPerRun(20, set)
+	t.Logf("SetValues of %d leaves: %.0f allocations", len(leaves), allocs)
+	if allocs > 4 {
+		t.Fatalf("SetValues of %d leaves made %.0f allocations, want at most 4", len(leaves), allocs)
+	}
+	if got, want := c.RootValue(), tr.Eval(); got != want {
+		t.Fatalf("root %d want %d", got, want)
 	}
 }
 

@@ -22,6 +22,8 @@
 package listprefix
 
 import (
+	"slices"
+
 	"dyntc/internal/pram"
 	"dyntc/internal/rbsts"
 )
@@ -49,7 +51,8 @@ func MinInt64() Monoid[int64] {
 }
 
 // Elem is a stable handle to a list element; it remains valid across every
-// mutation until the element is deleted.
+// mutation until the element is deleted, and a deleted element's handle
+// is invalid after the next insertion or deletion.
 type Elem[V any] = rbsts.Node[V, V]
 
 // List is the incremental list prefix structure.
@@ -130,7 +133,7 @@ func (l *List[V]) Insert(m *pram.Machine, after *Elem[V], values []V) []*Elem[V]
 // InsertAt inserts values so the first lands at index gap.
 func (l *List[V]) InsertAt(m *pram.Machine, gap int, values []V) []*Elem[V] {
 	rep := l.tree.BatchInsert(m, []rbsts.InsertOp[V]{{Gap: gap, Payloads: values}})
-	return rep.NewLeaves
+	return slices.Clone(rep.NewLeaves)
 }
 
 // Delete removes the given elements.

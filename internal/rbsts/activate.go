@@ -8,8 +8,9 @@ import (
 )
 
 // Activation is an identified parse tree PT(U): the update-set leaves plus
-// all of their ancestors, with every node's ACTIVE flag set. Release must
-// be called before the next activation on the same tree.
+// all of their ancestors, with every node's ACTIVE flag set. Activate
+// hands out the tree's own instance, so Release must be called, and the
+// activation dropped, before the next activation on the same tree.
 type Activation[P, S any] struct {
 	// Nodes is every node of PT(U), deduplicated (each node appears once,
 	// recorded by the processor that won its test-and-set).
@@ -36,21 +37,40 @@ func (n *Node[P, S]) IsActive() bool { return pram.IsSet(&n.active) }
 type actProc[P, S any] struct {
 	node *Node[P, S]
 	// low is the shallow end of the processor's responsibility range; it
-	// always equals the depth of node.shortcuts[scIdx].
-	low   int
-	scIdx int
+	// always equals the depth of the node's shortcut entry scIdx.
+	low   int32
+	scIdx int32
+}
+
+// actScratch is Activate's per-round storage, owned by the tree and
+// reused from activation to activation.
+type actScratch[P, S any] struct {
+	frontier, seeds, next, seedSlot, markSlot []*Node[P, S]
+	running, final, spawnSlot                 []actProc[P, S]
+	spawnOK                                   []bool
+	activeIdx                                 []int
+}
+
+// zeroed returns s resized to n zero elements, reusing its storage.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // cutoff is the range size log(|U|·log n) at which range splitting stops
 // and processors walk sequentially (Theorem 2.1's final stage).
-func cutoff(u, n int) int {
+func cutoff(u, n int) int32 {
 	if u < 1 {
 		u = 1
 	}
 	if n < 4 {
 		n = 4
 	}
-	c := int(math.Ceil(math.Log2(float64(u) * math.Log2(float64(n)))))
+	c := int32(math.Ceil(math.Log2(float64(u) * math.Log2(float64(n)))))
 	if c < 1 {
 		c = 1
 	}
@@ -74,36 +94,43 @@ func cutoff(u, n int) int {
 // test-and-set); this keeps the rounds race-free and only affects constant
 // factors, not the O(|U|·log n / log(|U| log n)) processor bound, which is
 // charged per leaf exactly as in the paper's proof.
+//
+// The activation and every per-round list are the tree's, so a warm
+// activation allocates nothing.
 func (t *Tree[P, S]) Activate(m *pram.Machine, leaves []*Node[P, S]) *Activation[P, S] {
 	if m == nil {
 		m = pram.Sequential()
 	}
-	act := &Activation[P, S]{}
-	if len(leaves) == 0 || t.root == nil {
+	act := &t.act
+	act.Nodes, act.Procs = act.Nodes[:0], 0
+	if len(leaves) == 0 || t.root == 0 {
 		return act
 	}
+	w := &t.actWork
 	procs := len(leaves)
 
 	// Initial round: mark the update-set leaves themselves.
-	marked := make([][]*Node[P, S], len(leaves))
+	markSlot := zeroed(w.markSlot, len(leaves))
 	m.Step(len(leaves), func(i int) {
 		if pram.TestAndSet(&leaves[i].active) {
-			marked[i] = append(marked[i], leaves[i])
+			markSlot[i] = leaves[i]
 		}
 	})
-	for _, ms := range marked {
-		act.Nodes = append(act.Nodes, ms...)
+	for _, n := range markSlot {
+		if n != nil {
+			act.Nodes = append(act.Nodes, n)
+		}
 	}
 
 	// Stage 1: walk up to the first shortcut-bearing node (or the root).
-	frontier := append([]*Node[P, S](nil), act.Nodes...)
-	var seeds []*Node[P, S]
+	frontier := append(w.frontier[:0], act.Nodes...)
+	seeds := w.seeds[:0]
 	for len(frontier) > 0 {
-		next := make([]*Node[P, S], len(frontier))
-		seedSlot := make([]*Node[P, S], len(frontier))
-		markSlot := make([]*Node[P, S], len(frontier))
+		next := zeroed(w.next, len(frontier))
+		seedSlot := zeroed(w.seedSlot, len(frontier))
+		markSlot = zeroed(markSlot, len(frontier))
 		m.Step(len(frontier), func(i int) {
-			p := frontier[i].parent
+			p := t.Node(frontier[i].parent)
 			if p == nil {
 				return
 			}
@@ -111,9 +138,9 @@ func (t *Tree[P, S]) Activate(m *pram.Machine, leaves []*Node[P, S]) *Activation
 				return // another processor owns everything above
 			}
 			markSlot[i] = p
-			if p.shortcuts != nil {
+			if p.sc != 0 {
 				seedSlot[i] = p
-			} else if p.parent != nil {
+			} else if p.parent != 0 {
 				next[i] = p
 			}
 		})
@@ -129,21 +156,22 @@ func (t *Tree[P, S]) Activate(m *pram.Machine, leaves []*Node[P, S]) *Activation
 				frontier = append(frontier, next[i])
 			}
 		}
+		w.next, w.seedSlot = next, seedSlot
 	}
 
 	// Stage 2: geometric range splitting along shortcut lists.
 	cut := cutoff(len(leaves), t.count)
-	var running []actProc[P, S]
+	running := w.running[:0]
 	for _, s := range seeds {
 		running = append(running, actProc[P, S]{node: s, low: 0, scIdx: 0})
 	}
 	procs += len(running)
-	var final []actProc[P, S]
+	final := w.final[:0]
 	for {
 		// Partition off processors whose range is small enough.
 		still := running[:0]
 		for _, p := range running {
-			if p.node.depth-p.low <= cut || p.scIdx+1 >= len(p.node.shortcuts) {
+			if p.node.depth-p.low <= cut || int(p.scIdx)+1 >= len(t.shortcuts(p.node)) {
 				final = append(final, p)
 			} else {
 				still = append(still, p)
@@ -153,38 +181,39 @@ func (t *Tree[P, S]) Activate(m *pram.Machine, leaves []*Node[P, S]) *Activation
 		if len(running) == 0 {
 			break
 		}
-		spawnSlot := make([]actProc[P, S], len(running))
-		spawnOK := make([]bool, len(running))
-		markSlot := make([]*Node[P, S], len(running))
+		spawnSlot := zeroed(w.spawnSlot, len(running))
+		spawnOK := zeroed(w.spawnOK, len(running))
+		markSlot = zeroed(markSlot, len(running))
 		m.Step(len(running), func(i int) {
 			p := &running[i]
-			w := p.node.shortcuts[p.scIdx+1]
+			x := t.at(t.shortcuts(p.node)[p.scIdx+1])
 			delegatedLow := p.low
 			p.scIdx++
-			p.low = w.depth
-			if pram.TestAndSet(&w.active) {
-				markSlot[i] = w
+			p.low = x.depth
+			if pram.TestAndSet(&x.active) {
+				markSlot[i] = x
 			}
-			// Fork a processor at w covering [delegatedLow, w.depth]. Its
+			// Fork a processor at x covering [delegatedLow, x.depth]. Its
 			// shortcut index is the deepest entry not below delegatedLow
 			// (the paper's "unique value k"; found here by binary search,
 			// which the paper computes in O(1) from the closed form). A
 			// target without shortcuts (possible transiently between
 			// rebuilds) degrades to a plain walker over the whole range.
-			if len(w.shortcuts) == 0 {
-				spawnSlot[i] = actProc[P, S]{node: w, low: delegatedLow, scIdx: 0}
+			xsc := t.shortcuts(x)
+			if len(xsc) == 0 {
+				spawnSlot[i] = actProc[P, S]{node: x, low: delegatedLow, scIdx: 0}
 			} else {
-				k := sort.Search(len(w.shortcuts), func(j int) bool {
-					return w.shortcuts[j].depth > delegatedLow
+				k := sort.Search(len(xsc), func(j int) bool {
+					return t.at(xsc[j]).depth > delegatedLow
 				}) - 1
 				if k < 0 {
 					k = 0
 				}
-				low := w.shortcuts[k].depth
+				low := t.at(xsc[k]).depth
 				if low > delegatedLow {
 					low = delegatedLow
 				}
-				spawnSlot[i] = actProc[P, S]{node: w, low: low, scIdx: k}
+				spawnSlot[i] = actProc[P, S]{node: x, low: low, scIdx: int32(k)}
 			}
 			spawnOK[i] = true
 		})
@@ -197,34 +226,34 @@ func (t *Tree[P, S]) Activate(m *pram.Machine, leaves []*Node[P, S]) *Activation
 				procs++
 			}
 		}
+		w.spawnSlot, w.spawnOK = spawnSlot, spawnOK
 	}
 
-	// Stage 3: each processor walks its residual range one level per round.
+	// Stage 3: each processor walks its residual range one level per
+	// round. A walker's position replaces its node in final.
 	walkers := final
-	positions := make([]*Node[P, S], len(walkers))
-	for i, p := range walkers {
-		positions[i] = p.node.parent
+	for i := range walkers {
+		walkers[i].node = t.Node(walkers[i].node.parent)
 	}
 	for {
-		any := false
-		markSlot := make([]*Node[P, S], len(walkers))
-		activeIdx := make([]int, 0, len(walkers))
-		for i, pos := range positions {
-			if pos != nil && pos.depth >= walkers[i].low {
+		markSlot = zeroed(markSlot, len(walkers))
+		activeIdx := w.activeIdx[:0]
+		for i, p := range walkers {
+			if p.node != nil && p.node.depth >= p.low {
 				activeIdx = append(activeIdx, i)
-				any = true
 			}
 		}
-		if !any {
+		w.activeIdx = activeIdx
+		if len(activeIdx) == 0 {
 			break
 		}
 		m.Step(len(activeIdx), func(j int) {
 			i := activeIdx[j]
-			pos := positions[i]
+			pos := walkers[i].node
 			if pram.TestAndSet(&pos.active) {
 				markSlot[i] = pos
 			}
-			positions[i] = pos.parent
+			walkers[i].node = t.Node(pos.parent)
 		})
 		for _, i := range activeIdx {
 			if markSlot[i] != nil {
@@ -233,6 +262,7 @@ func (t *Tree[P, S]) Activate(m *pram.Machine, leaves []*Node[P, S]) *Activation
 		}
 	}
 
+	w.frontier, w.seeds, w.markSlot, w.running, w.final = frontier, seeds, markSlot, running, walkers
 	act.Procs = procs
 	return act
 }
@@ -240,13 +270,13 @@ func (t *Tree[P, S]) Activate(m *pram.Machine, leaves []*Node[P, S]) *Activation
 // NaiveActivate is the baseline without shortcuts (§2's "the best we can do
 // is follow the parent links"): every leaf walks to the root, Θ(depth)
 // rounds. The E11 ablation baseline (TestActivationFasterThanNaive) and a
-// correctness oracle.
+// correctness oracle. It allocates its own Activation.
 func (t *Tree[P, S]) NaiveActivate(m *pram.Machine, leaves []*Node[P, S]) *Activation[P, S] {
 	if m == nil {
 		m = pram.Sequential()
 	}
 	act := &Activation[P, S]{Procs: len(leaves)}
-	if len(leaves) == 0 || t.root == nil {
+	if len(leaves) == 0 || t.root == 0 {
 		return act
 	}
 	frontier := make([]*Node[P, S], 0, len(leaves))
@@ -265,7 +295,7 @@ func (t *Tree[P, S]) NaiveActivate(m *pram.Machine, leaves []*Node[P, S]) *Activ
 	for len(frontier) > 0 {
 		next := make([]*Node[P, S], len(frontier))
 		m.Step(len(frontier), func(i int) {
-			p := frontier[i].parent
+			p := t.Node(frontier[i].parent)
 			if p != nil && pram.TestAndSet(&p.active) {
 				next[i] = p
 			}

@@ -1,8 +1,9 @@
 package rbsts
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dyntc/internal/pram"
 )
@@ -18,10 +19,13 @@ type InsertOp[P any] struct {
 
 // Report summarizes a batch mutation: which subtrees were rebuilt (their
 // new roots) and how many leaves those rebuilds touched. The dynamic
-// contraction layer uses Rebuilt to locate its wound.
+// contraction layer uses Rebuilt to locate its wound. Its slices are the
+// tree's storage and, like the handles in them, valid until the next
+// insertion or deletion.
 type Report[P, S any] struct {
 	// Rebuilt holds the roots of freshly rebuilt subtrees (after the
-	// mutation; internal nodes inside them are new objects).
+	// mutation; internal nodes inside them were rebuilt in place from the
+	// replaced subtree's nodes).
 	Rebuilt []*Node[P, S]
 	// RebuildLeaves is the total leaf count over all rebuilt subtrees —
 	// the paper's random variable S of Theorem 2.2, whose expectation is
@@ -39,10 +43,19 @@ type Report[P, S any] struct {
 	// paths. Their gaps keep their old gap leaves but fire at a new round,
 	// so the contraction layer must reschedule exactly these records.
 	HeightChanged []*Node[P, S]
-	// GapRelinked holds surviving internal nodes whose gapLeaf pointer was
-	// repointed to a different leaf object (the leaf just left of a rebuilt
-	// span was removed or replaced). Their records change raked leaf.
+	// GapRelinked holds surviving internal nodes whose gapLeaf link was
+	// repointed to a different leaf (the leaf just left of a rebuilt span
+	// was removed or replaced). Their records change raked leaf.
 	GapRelinked []*Node[P, S]
+}
+
+// beginReport readies the tree's report for a new call, keeping the
+// storage of its slices.
+func (t *Tree[P, S]) beginReport() *Report[P, S] {
+	r := &t.rep
+	*r = Report[P, S]{Rebuilt: r.Rebuilt[:0], NewLeaves: r.NewLeaves[:0],
+		HeightChanged: r.HeightChanged[:0], GapRelinked: r.GapRelinked[:0]}
+	return r
 }
 
 // pendingItem is one payload waiting to be spliced into a rebuild, at gap
@@ -69,38 +82,55 @@ type pendingItem[P any] struct {
 // the insertion gap; the chi-square tests in distribution_test.go catch
 // this.) pinSeq < 0 means no pin (deletion-triggered plans re-randomize a
 // deterministically chosen region, which is exact as-is).
-type rebuildPlan[P, S any] struct {
-	node     *Node[P, S]
-	items    []pendingItem[P]
-	removals map[*Node[P, S]]bool
+type rebuildPlan[P any] struct {
+	node  int32
+	items []pendingItem[P]
+	// removals counts the plan's leaves the batch deletes (members of
+	// the planner's removing set).
+	removals int
 	dead     bool // subsumed into an ancestor plan
 	pinSeq   int  // seq of the split-pinning item, or -1
 }
 
-// planner accumulates rebuild plans for one batch.
+// planner accumulates rebuild plans for one batch. The tree owns the one
+// instance; reset keeps its storage for the next batch.
 type planner[P, S any] struct {
-	tree     *Tree[P, S]
-	plans    []*rebuildPlan[P, S]
-	byNod    map[*Node[P, S]]*rebuildPlan[P, S]
-	newBySeq []*Node[P, S] // inserted leaf per batch sequence number
+	t     *Tree[P, S]
+	plans []rebuildPlan[P]
+	// byNode maps the root of every live plan to its index in plans.
+	byNode map[int32]int
+	// removing holds the leaves a deletion batch removes.
+	removing map[int32]struct{}
+	// pending counts, per node on an insertion walk, the batch items
+	// already routed through it; path is the walk being taken.
+	pending map[int32]int32
+	path    []int32
+	// base and sorted order an insertion batch's ops by gap.
+	base, sorted []int
 }
 
-func newPlanner[P, S any](t *Tree[P, S], items int) *planner[P, S] {
-	return &planner[P, S]{
-		tree:     t,
-		byNod:    make(map[*Node[P, S]]*rebuildPlan[P, S]),
-		newBySeq: make([]*Node[P, S], items),
-	}
+func newPlanner[P, S any](t *Tree[P, S]) planner[P, S] {
+	return planner[P, S]{t: t, byNode: make(map[int32]int),
+		removing: make(map[int32]struct{}), pending: make(map[int32]int32)}
+}
+
+func (pl *planner[P, S]) reset() {
+	pl.plans = pl.plans[:0]
+	clear(pl.byNode)
+	clear(pl.removing)
+	clear(pl.pending)
 }
 
 // origLeafOffset returns the number of original leaves of v lying strictly
 // left of d's subtree (v must be an ancestor of d).
-func origLeafOffset[P, S any](d, v *Node[P, S]) int {
+func (t *Tree[P, S]) origLeafOffset(d, v *Node[P, S]) int {
 	off := 0
-	for c := d; c != v; c = c.parent {
-		if c == c.parent.right {
-			off += c.parent.left.leaves
+	for c := d; c != v; {
+		p := t.at(c.parent)
+		if p.right == c.id {
+			off += int(t.at(p.left).leaves)
 		}
+		c = p
 	}
 	return off
 }
@@ -108,29 +138,36 @@ func origLeafOffset[P, S any](d, v *Node[P, S]) int {
 // planAt returns the plan rooted at node, creating it if needed, and in
 // either case subsumes plans strictly inside node's subtree: a fresh
 // rebuild of the larger subtree re-draws all interior randomness, so
-// folding nested plans in keeps the distribution exact.
-func (pl *planner[P, S]) planAt(node *Node[P, S]) *rebuildPlan[P, S] {
-	p, ok := pl.byNod[node]
+// folding nested plans in keeps the distribution exact. The pointer is
+// valid until the next planAt.
+func (pl *planner[P, S]) planAt(node *Node[P, S]) *rebuildPlan[P] {
+	i, ok := pl.byNode[node.id]
 	if !ok {
-		p = &rebuildPlan[P, S]{node: node, removals: make(map[*Node[P, S]]bool), pinSeq: -1}
-		pl.plans = append(pl.plans, p)
-		pl.byNod[node] = p
+		i = len(pl.plans)
+		if i < cap(pl.plans) {
+			pl.plans = pl.plans[:i+1]
+			pl.plans[i] = rebuildPlan[P]{items: pl.plans[i].items[:0]}
+		} else {
+			pl.plans = append(pl.plans, rebuildPlan[P]{})
+		}
+		pl.plans[i].node, pl.plans[i].pinSeq = node.id, -1
+		pl.byNode[node.id] = i
 	}
-	for _, q := range pl.plans {
-		if q == p || q.dead {
+	p := &pl.plans[i]
+	for j := range pl.plans {
+		q := &pl.plans[j]
+		if j == i || q.dead {
 			continue
 		}
-		if node.isAncestorOf(q.node) {
-			off := origLeafOffset(q.node, node)
+		if qn := pl.t.at(q.node); node.isAncestorOf(qn) {
+			off := pl.t.origLeafOffset(qn, node)
 			for _, it := range q.items {
 				it.gap += off
 				p.items = append(p.items, it)
 			}
-			for z := range q.removals {
-				p.removals[z] = true
-			}
+			p.removals += q.removals
 			q.dead = true
-			delete(pl.byNod, q.node)
+			delete(pl.byNode, q.node)
 		}
 	}
 	return p
@@ -138,10 +175,10 @@ func (pl *planner[P, S]) planAt(node *Node[P, S]) *rebuildPlan[P, S] {
 
 // markedAncestor returns the live plan at the closest marked ancestor of v
 // (possibly v itself), or nil.
-func (pl *planner[P, S]) markedAncestor(v *Node[P, S]) *rebuildPlan[P, S] {
-	for a := v; a != nil; a = a.parent {
-		if p, ok := pl.byNod[a]; ok && !p.dead {
-			return p
+func (pl *planner[P, S]) markedAncestor(v *Node[P, S]) *rebuildPlan[P] {
+	for a := v.id; a != 0; a = pl.t.at(a).parent {
+		if i, ok := pl.byNode[a]; ok {
+			return &pl.plans[i]
 		}
 	}
 	return nil
@@ -149,14 +186,15 @@ func (pl *planner[P, S]) markedAncestor(v *Node[P, S]) *rebuildPlan[P, S] {
 
 // liftIfEmpty escalates a plan to its parent while the plan would empty its
 // subtree entirely (a full binary tree cannot host an empty child). The
-// larger fresh rebuild remains distribution-exact. It returns the surviving
-// plan.
-func (pl *planner[P, S]) liftIfEmpty(p *rebuildPlan[P, S]) *rebuildPlan[P, S] {
-	for !p.dead && p.node.parent != nil &&
-		len(p.removals) >= p.node.leaves && len(p.items) == 0 {
-		p = pl.planAt(p.node.parent)
+// larger fresh rebuild remains distribution-exact.
+func (pl *planner[P, S]) liftIfEmpty(p *rebuildPlan[P]) {
+	for {
+		n := pl.t.at(p.node)
+		if n.parent == 0 || p.removals < int(n.leaves) || len(p.items) > 0 {
+			return
+		}
+		p = pl.planAt(pl.t.at(n.parent))
 	}
-	return p
 }
 
 // BatchInsert inserts a set of payloads at the given gaps (Theorem 2.2).
@@ -171,88 +209,85 @@ func (t *Tree[P, S]) BatchInsert(m *pram.Machine, ops []InsertOp[P]) Report[P, S
 	if m == nil {
 		m = pram.Sequential()
 	}
-	var rep Report[P, S]
+	t.recycle()
+	rep := t.beginReport()
+	pl := &t.pl
+	pl.reset()
 	total := 0
-	base := make([]int, len(ops))
+	pl.base = pl.base[:0]
+	pl.sorted = pl.sorted[:0]
 	for i, op := range ops {
 		if op.Gap < 0 || op.Gap > t.count {
 			panic(fmt.Sprintf("rbsts: insert gap %d out of range [0,%d]", op.Gap, t.count))
 		}
-		base[i] = total
+		pl.base = append(pl.base, total)
+		pl.sorted = append(pl.sorted, i)
 		total += len(op.Payloads)
 	}
 	if total == 0 {
-		return rep
+		return *rep
 	}
-	sorted := make([]int, len(ops))
-	for i := range sorted {
-		sorted[i] = i
-	}
-	sort.SliceStable(sorted, func(a, b int) bool { return ops[sorted[a]].Gap < ops[sorted[b]].Gap })
+	base, sorted := pl.base, pl.sorted
+	slices.SortStableFunc(sorted, func(a, b int) int { return cmp.Compare(ops[a].Gap, ops[b].Gap) })
+	rep.NewLeaves = slices.Grow(rep.NewLeaves, total)[:total]
 
 	// Empty tree: build everything fresh.
 	if t.count == 0 {
-		newBySeq := make([]*Node[P, S], total)
-		leaves := make([]*Node[P, S], 0, total)
+		leaves := t.merged[:0]
 		for _, oi := range sorted {
 			for j, p := range ops[oi].Payloads {
-				l := &Node[P, S]{leaves: 1, payload: p}
-				if t.leafFn != nil {
-					l.sum = t.leafFn(p)
-				}
-				newBySeq[base[oi]+j] = l
-				leaves = append(leaves, l)
+				l := t.newLeaf(p)
+				rep.NewLeaves[base[oi]+j] = l
+				leaves = append(leaves, l.id)
 			}
 		}
+		t.merged = leaves
 		t.rebuildAll(leaves)
-		rep.Rebuilt = []*Node[P, S]{t.root}
+		rep.Rebuilt = append(rep.Rebuilt, t.at(t.root))
 		rep.RebuildLeaves = len(leaves)
 		rep.FullRebuild = true
-		rep.NewLeaves = newBySeq
-		return rep
+		return *rep
 	}
 
-	pl := newPlanner(t, total)
-	pending := make(map[*Node[P, S]]int)
 	var walkSpan, walkWork int64
 	for _, oi := range sorted {
 		op := ops[oi]
 		for j, payload := range op.Payloads {
 			seq := base[oi] + j
-			v := t.root
+			v := t.at(t.root)
 			gRel := op.Gap
-			var path []*Node[P, S]
+			path := pl.path[:0]
 			var steps int64
 			for {
 				steps++
-				if p, ok := pl.byNod[v]; ok && !p.dead {
-					p.items = append(p.items, pendingItem[P]{gap: gRel, seq: seq, payload: payload})
+				item := pendingItem[P]{gap: gRel, seq: seq, payload: payload}
+				if i, ok := pl.byNode[v.id]; ok {
+					pl.plans[i].items = append(pl.plans[i].items, item)
 					break
 				}
-				mEff := v.leaves + pending[v]
+				mEff := int(v.leaves + pl.pending[v.id])
 				if v.IsLeaf() || t.src.Bernoulli(1, mEff) {
-					created := pl.byNod[v] == nil
+					// No plan is rooted at v, so this item's position pins
+					// the new root split (the paper's insertion rebuild;
+					// see rebuildPlan).
 					p := pl.planAt(v)
-					if created {
-						// This item's position pins the new root split
-						// (the paper's insertion rebuild; see rebuildPlan).
-						p.pinSeq = seq
-					}
-					p.items = append(p.items, pendingItem[P]{gap: gRel, seq: seq, payload: payload})
+					p.pinSeq = seq
+					p.items = append(p.items, item)
 					break
 				}
-				path = append(path, v)
-				if gRel <= v.left.leaves {
-					v = v.left
+				path = append(path, v.id)
+				if l := t.at(v.left); gRel <= int(l.leaves) {
+					v = l
 				} else {
-					gRel -= v.left.leaves
-					v = v.right
+					gRel -= int(l.leaves)
+					v = t.at(v.right)
 				}
 			}
 			for _, n := range path {
-				pending[n]++
+				pl.pending[n]++
 			}
-			pending[v]++
+			pl.pending[v.id]++
+			pl.path = path
 			walkWork += steps
 			if steps > walkSpan {
 				walkSpan = steps
@@ -263,10 +298,9 @@ func (t *Tree[P, S]) BatchInsert(m *pram.Machine, ops []InsertOp[P]) Report[P, S
 	// the insertion paths plus one coin round per level.
 	m.ChargeSpan(walkSpan, walkWork, int64(total))
 
-	t.executePlans(m, pl, &rep)
-	rep.NewLeaves = pl.newBySeq
-	t.maybeRethreshold(&rep)
-	return rep
+	t.executePlans(m, rep)
+	t.maybeRethreshold(rep)
+	return *rep
 }
 
 // BatchDelete removes the given leaves (Theorem 2.3 / §2 "deletions can be
@@ -275,43 +309,54 @@ func (t *Tree[P, S]) BatchInsert(m *pram.Machine, ops []InsertOp[P]) Report[P, S
 // parent): rebuilding that subtree without z refreshes exactly the gaps
 // whose priorities the treap-equivalent view requires re-randomized, so the
 // random-split distribution is preserved exactly. Expected rebuild size is
-// O(log n) per deleted leaf.
+// O(log n) per deleted leaf. Nil and internal nodes are skipped, and so
+// are repeats; a leaf that is no longer in the tree (already deleted, or
+// of another tree) panics before anything changes.
 func (t *Tree[P, S]) BatchDelete(m *pram.Machine, leaves []*Node[P, S]) Report[P, S] {
 	if m == nil {
 		m = pram.Sequential()
 	}
-	var rep Report[P, S]
+	t.recycle()
+	rep := t.beginReport()
 	if len(leaves) == 0 {
-		return rep
+		return *rep
 	}
-	seen := make(map[*Node[P, S]]bool, len(leaves))
-	pl := newPlanner(t, 0)
+	for _, z := range leaves {
+		if z != nil && z.IsLeaf() && (z.t != t || z.leaves == 0 || (z.parent == 0 && z.id != t.root)) {
+			panic("rbsts: BatchDelete of a leaf that is not in the tree")
+		}
+	}
+	pl := &t.pl
+	pl.reset()
 	var walkSpan, walkWork int64
 	for _, z := range leaves {
-		if z == nil || !z.IsLeaf() || seen[z] {
+		if z == nil || !z.IsLeaf() {
 			continue
 		}
-		seen[z] = true
-		if z.parent == nil {
+		if _, dup := pl.removing[z.id]; dup {
+			continue
+		}
+		pl.removing[z.id] = struct{}{}
+		if z.id == t.root {
 			// Deleting the only leaf empties the tree.
-			t.rebuildAll(nil)
+			t.clear()
 			rep.FullRebuild = true
-			return rep
+			return *rep
 		}
 		// Join an enclosing scheduled rebuild when one exists.
 		if p := pl.markedAncestor(z); p != nil {
-			p.removals[z] = true
+			p.removals++
 			pl.liftIfEmpty(p)
 			continue
 		}
-		v := z.parent
+		v := t.at(z.parent)
 		var other *Node[P, S]
-		if z == z.parent.left {
-			if z.prev != nil {
-				other = z.prev.gapNode
+		if z.id == v.left {
+			if z.prev != 0 {
+				other = t.Node(t.at(z.prev).gapNode)
 			}
 		} else {
-			other = z.gapNode
+			other = t.Node(z.gapNode)
 		}
 		if other != nil && other.depth < v.depth {
 			v = other
@@ -321,96 +366,102 @@ func (t *Tree[P, S]) BatchDelete(m *pram.Machine, leaves []*Node[P, S]) Report[P
 			walkSpan = int64(z.depth - v.depth)
 		}
 		p := pl.planAt(v)
-		p.removals[z] = true
+		p.removals++
 		pl.liftIfEmpty(p)
 	}
-	m.ChargeSpan(walkSpan+1, walkWork, int64(len(seen)))
+	m.ChargeSpan(walkSpan+1, walkWork, int64(len(pl.removing)))
 
 	// A plan that empties the whole tree.
 	for _, p := range pl.plans {
-		if !p.dead && p.node == t.root && len(p.removals) == t.count && len(p.items) == 0 {
-			t.rebuildAll(nil)
+		if !p.dead && p.node == t.root && p.removals == t.count && len(p.items) == 0 {
+			t.clear()
 			rep.FullRebuild = true
-			return rep
+			return *rep
 		}
 	}
-	t.executePlans(m, pl, &rep)
-	t.maybeRethreshold(&rep)
-	return rep
+	t.executePlans(m, rep)
+	t.maybeRethreshold(rep)
+	return *rep
 }
 
 // executePlans runs every surviving rebuild plan: collect the subtree's
-// leaves, drop removals, splice insertions, rebuild fresh, reattach, and
-// refresh metadata up the root path. Plans are disjoint subtrees, so the
-// execution order only matters for RNG determinism (creation order).
-func (t *Tree[P, S]) executePlans(m *pram.Machine, pl *planner[P, S], rep *Report[P, S]) {
+// leaves, drop removals, splice insertions, rebuild from the subtree's
+// own internal nodes, reattach, and refresh metadata up the root path.
+// Plans are disjoint subtrees, so the execution order only matters for
+// RNG determinism (creation order).
+func (t *Tree[P, S]) executePlans(m *pram.Machine, rep *Report[P, S]) {
+	pl := &t.pl
 	var rebuildWork int64
 	var rebuildSpan int64
-	for _, p := range pl.plans {
+	for pi := range pl.plans {
+		p := &pl.plans[pi]
 		if p.dead {
 			continue
 		}
-		node := p.node
+		node := t.at(p.node)
 		// Collect original leaves of the subtree, left to right, via the
 		// leaf list between the subtree's extreme leaves.
 		first := node
 		for !first.IsLeaf() {
-			first = first.left
+			first = t.at(first.left)
 		}
 		last := node
 		for !last.IsLeaf() {
-			last = last.right
+			last = t.at(last.right)
 		}
-		orig := make([]*Node[P, S], 0, node.leaves)
-		for l := first; ; l = l.next {
+		orig := t.orig[:0]
+		for l := first.id; ; l = t.at(l).next {
 			orig = append(orig, l)
-			if l == last {
+			if l == last.id {
 				break
 			}
 		}
+		t.orig = orig
 		before, after := first.prev, last.next
 		outerGap := last.gapNode // gap to the right of the subtree's span
+		parent, depth := node.parent, node.depth
+		wasLeft := parent != 0 && t.at(parent).left == node.id
+		// The rebuild takes its internal nodes from here first.
+		t.spare = t.spare[:0]
+		t.collectInternal(node)
 
 		// Splice: walk gaps 0..len(orig), emitting pending items and
-		// surviving originals in order.
+		// surviving originals in order; removed leaves are freed.
 		items := p.items
-		sort.SliceStable(items, func(a, b int) bool {
-			if items[a].gap != items[b].gap {
-				return items[a].gap < items[b].gap
+		slices.SortStableFunc(items, func(a, b pendingItem[P]) int {
+			if a.gap != b.gap {
+				return cmp.Compare(a.gap, b.gap)
 			}
-			return items[a].seq < items[b].seq
+			return cmp.Compare(a.seq, b.seq)
 		})
-		merged := make([]*Node[P, S], 0, len(orig)+len(items))
+		merged := t.merged[:0]
 		pinPos := -1
 		ii := 0
 		for gap := 0; gap <= len(orig); gap++ {
 			for ii < len(items) && items[ii].gap == gap {
-				l := &Node[P, S]{leaves: 1, payload: items[ii].payload}
-				if t.leafFn != nil {
-					l.sum = t.leafFn(items[ii].payload)
-				}
-				pl.newBySeq[items[ii].seq] = l
+				l := t.newLeaf(items[ii].payload)
+				rep.NewLeaves[items[ii].seq] = l
 				if items[ii].seq == p.pinSeq {
 					pinPos = len(merged)
 				}
-				merged = append(merged, l)
+				merged = append(merged, l.id)
 				ii++
 			}
-			if gap < len(orig) && !p.removals[orig[gap]] {
+			if gap == len(orig) {
+				break
+			}
+			if _, gone := pl.removing[orig[gap]]; gone {
+				t.release(t.at(orig[gap]))
+			} else {
 				merged = append(merged, orig[gap])
 			}
 		}
-		// Detach removed leaves for hygiene.
-		for z := range p.removals {
-			z.next, z.prev, z.parent, z.gapNode = nil, nil, nil, nil
-		}
+		t.merged = merged
 		if len(merged) == 0 {
 			panic("rbsts: internal error: plan emptied a subtree (lift failed)")
 		}
 
-		parent := node.parent
-		wasLeft := parent != nil && parent.left == node
-		var fresh *Node[P, S]
+		var fresh int32
 		if pinPos >= 0 && len(merged) > 1 {
 			// Pinned insertion rebuild: the new root separates the pinned
 			// item at its gap (split = pinPos, or 1 when the item is the
@@ -419,53 +470,50 @@ func (t *Tree[P, S]) executePlans(m *pram.Machine, pl *planner[P, S], rep *Repor
 			if split == 0 {
 				split = 1
 			}
-			fresh = t.buildSubtreeSplit(merged, node.depth, split)
+			fresh = t.buildSubtreeSplit(merged, depth, split)
 		} else {
-			fresh = t.buildSubtree(merged, node.depth)
+			fresh = t.buildSubtree(merged, depth)
 		}
-		if parent == nil {
+		t.releaseSpare()
+		f := t.at(fresh)
+		f.parent = parent
+		switch {
+		case parent == 0:
 			t.root = fresh
-			fresh.parent = nil
-		} else if wasLeft {
-			parent.left = fresh
-			fresh.parent = parent
-		} else {
-			parent.right = fresh
-			fresh.parent = parent
+		case wasLeft:
+			t.at(parent).left = fresh
+		default:
+			t.at(parent).right = fresh
 		}
 		t.relink(merged, before, after)
-		newLast := merged[len(merged)-1]
+		newLast := t.at(merged[len(merged)-1])
 		newLast.gapNode = outerGap
-		if outerGap != nil {
-			if outerGap.gapLeaf != newLast {
-				rep.GapRelinked = append(rep.GapRelinked, outerGap)
+		if outerGap != 0 {
+			og := t.at(outerGap)
+			if og.gapLeaf != newLast.id {
+				rep.GapRelinked = append(rep.GapRelinked, og)
 			}
-			outerGap.gapLeaf = newLast
+			og.gapLeaf = newLast.id
 		}
 		t.count += len(merged) - len(orig)
-		rep.HeightChanged = append(rep.HeightChanged, t.recomputeUpDiff(fresh)...)
-		stack := t.ancestorStack(fresh)
-		t.assignShortcuts(fresh, stack)
+		rep.HeightChanged = t.recomputeUpDiff(f, rep.HeightChanged)
+		stack := t.ancestorStack(f)
+		t.assignShortcuts(f, stack)
 		// Ancestors whose height just crossed the shortcut threshold
 		// (because the subtree below grew) must gain shortcut lists now so
 		// the activation invariant — every node at or above τ in height
 		// carries shortcuts — keeps holding between full rebuilds.
-		for _, a := range stack {
-			if a.height >= t.shortcutMinHeight && a.depth > 0 && a.shortcuts == nil {
-				depths := shortcutDepths(a.depth)
-				sc := make([]*Node[P, S], len(depths))
-				for i, d := range depths {
-					sc[i] = stack[d]
-				}
-				a.shortcuts = sc
+		for _, id := range stack {
+			if a := t.at(id); a.height >= t.shortcutMinHeight && a.depth > 0 && a.sc == 0 {
+				t.setShortcuts(a, stack)
 			}
 		}
 		t.rebuildEpoch++
 
-		rep.Rebuilt = append(rep.Rebuilt, fresh)
+		rep.Rebuilt = append(rep.Rebuilt, f)
 		rep.RebuildLeaves += len(merged)
 		rebuildWork += int64(2 * len(merged))
-		if s := int64(fresh.height) + 1; s > rebuildSpan {
+		if s := int64(f.height) + 1; s > rebuildSpan {
 			rebuildSpan = s
 		}
 	}
@@ -491,8 +539,13 @@ func (t *Tree[P, S]) maybeRethreshold(rep *Report[P, S]) {
 	if x < tau+1 && x > tau-1.5 {
 		return
 	}
-	t.rebuildAll(t.Leaves())
-	rep.Rebuilt = []*Node[P, S]{t.root}
+	leaves := t.merged[:0]
+	for l := t.head; l != 0; l = t.at(l).next {
+		leaves = append(leaves, l)
+	}
+	t.merged = leaves
+	t.rebuildAll(leaves)
+	rep.Rebuilt = append(rep.Rebuilt[:0], t.at(t.root))
 	rep.RebuildLeaves = t.count
 	rep.FullRebuild = true
 }
@@ -505,7 +558,7 @@ func (t *Tree[P, S]) InsertAfter(m *pram.Machine, after *Node[P, S], payloads []
 		gap = after.Index() + 1
 	}
 	rep := t.BatchInsert(m, []InsertOp[P]{{Gap: gap, Payloads: payloads}})
-	return rep.NewLeaves
+	return slices.Clone(rep.NewLeaves)
 }
 
 // Delete removes a single leaf.

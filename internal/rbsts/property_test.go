@@ -3,6 +3,7 @@ package rbsts
 // Property-based and failure-injection tests complementing rbsts_test.go.
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -117,28 +118,28 @@ func TestValidateCatchesCorruption(t *testing.T) {
 
 	t.Run("leaf-count", func(t *testing.T) {
 		tr := mk()
-		tr.root.leaves++
+		tr.Root().leaves++
 		if tr.Validate() == nil {
 			t.Fatal("corrupted leaf count not detected")
 		}
 	})
 	t.Run("height", func(t *testing.T) {
 		tr := mk()
-		tr.root.height += 3
+		tr.Root().height += 3
 		if tr.Validate() == nil {
 			t.Fatal("corrupted height not detected")
 		}
 	})
 	t.Run("depth", func(t *testing.T) {
 		tr := mk()
-		tr.root.left.depth = 7
+		tr.Root().Left().depth = 7
 		if tr.Validate() == nil {
 			t.Fatal("corrupted depth not detected")
 		}
 	})
 	t.Run("active-leak", func(t *testing.T) {
 		tr := mk()
-		tr.root.left.active = 1
+		tr.Root().Left().active = 1
 		if tr.Validate() == nil {
 			t.Fatal("leaked ACTIVE flag not detected")
 		}
@@ -146,7 +147,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	t.Run("list-links", func(t *testing.T) {
 		tr := mk()
 		h := tr.Head()
-		h.next, h.next.prev = h.next.next, nil
+		h.next, h.Next().prev = h.Next().next, 0
 		if tr.Validate() == nil {
 			t.Fatal("broken leaf list not detected")
 		}
@@ -167,22 +168,38 @@ func TestValidateCatchesCorruption(t *testing.T) {
 			if victim != nil || v == nil {
 				return
 			}
-			if len(v.shortcuts) > 1 {
+			if len(tr.shortcuts(v)) > 1 {
 				victim = v
 				return
 			}
 			if !v.IsLeaf() {
-				walk(v.left)
-				walk(v.right)
+				walk(v.Left())
+				walk(v.Right())
 			}
 		}
-		walk(tr.root)
+		walk(tr.Root())
 		if victim == nil {
 			t.Skip("tree too small for shortcuts")
 		}
-		victim.shortcuts[len(victim.shortcuts)-1] = victim
+		sc := tr.shortcuts(victim)
+		sc[len(sc)-1] = victim.id
 		if tr.Validate() == nil {
 			t.Fatal("corrupted shortcut not detected")
+		}
+	})
+	t.Run("link-to-freed", func(t *testing.T) {
+		tr := mk()
+		gone := tr.LeafAt(9)
+		tr.Delete(nil, gone)
+		if err := tr.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		// The deleted leaf's slot is freed; a live link to it is a
+		// dangling reference.
+		tr.LeafAt(20).gapLeaf = gone.id
+		err := tr.Validate()
+		if err == nil || !strings.Contains(err.Error(), "freed") {
+			t.Fatalf("link to a freed node not detected: %v", err)
 		}
 	})
 }

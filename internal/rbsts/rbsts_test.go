@@ -141,8 +141,8 @@ func TestBatchUpdateSums(t *testing.T) {
 }
 
 func TestShortcutDepthsGeometric(t *testing.T) {
-	for _, d := range []int{1, 2, 3, 10, 100, 1000} {
-		ds := shortcutDepths(d)
+	for _, d := range []int32{1, 2, 3, 10, 100, 1000} {
+		ds := appendShortcutDepths(nil, d)
 		if len(ds) == 0 || ds[0] != 0 {
 			t.Fatalf("d=%d: first entry %v", d, ds)
 		}
@@ -160,8 +160,8 @@ func TestShortcutDepthsGeometric(t *testing.T) {
 			t.Fatalf("d=%d: shortcut to self or below: %v", d, ds)
 		}
 	}
-	if shortcutDepths(0) != nil {
-		t.Fatal("shortcutDepths(0) should be nil")
+	if appendShortcutDepths(nil, 0) != nil {
+		t.Fatal("a root should get no shortcut depths")
 	}
 }
 
@@ -662,9 +662,91 @@ func TestStableLeafIdentityAcrossRebuilds(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// TestDeleteStaleLeafPanics: deleting a leaf that already left the tree
+// (or belongs to another tree) panics before anything changes, instead of
+// reading the detached leaf as the only one and emptying the tree.
+func TestDeleteStaleLeafPanics(t *testing.T) {
+	tr := newIntTree(71, 10)
+	gone := tr.LeafAt(4)
+	tr.BatchDelete(nil, []*Node[int64, int64]{gone})
+	want := fmt.Sprint(payloadsOf(tr))
+	other := newIntTree(72, 3)
+	for name, stale := range map[string]*Node[int64, int64]{
+		"deleted":      gone,
+		"foreign-leaf": other.LeafAt(1),
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: BatchDelete did not panic", name)
+				}
+			}()
+			tr.BatchDelete(nil, []*Node[int64, int64]{tr.LeafAt(0), stale})
+		}()
+		if got := fmt.Sprint(payloadsOf(tr)); tr.Len() != 9 || got != want {
+			t.Fatalf("%s: tree changed to %v (len %d), want %v", name, got, tr.Len(), want)
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
-	return b
+}
+
+// TestPTArenaBounded churns a 4 096-leaf tree ten times over in k = 16
+// insert+delete pairs, with two shrink-below-rethreshold-and-regrow
+// cycles (each forces full rebuilds) in between. Rebuilds reuse the
+// replaced nodes and deletions free theirs for the next call, so the
+// arena never hands out more than the largest tree needs plus one batch.
+func TestPTArenaBounded(t *testing.T) {
+	// Shrinking to 6 leaves drops the shortcut threshold twice (at about
+	// 50 and 7 leaves), and regrowing from there raises it again.
+	const n, k, small = 4096, 16, 6
+	src := prng.New(61)
+	tr := newIntTree(62, n)
+	check := func(what string) {
+		t.Helper()
+		if got := tr.next - 1; got > 2*n+64 {
+			t.Fatalf("%s: arena handed out %d nodes for %d leaves, want at most %d", what, got, tr.Len(), 2*n+64)
+		}
+	}
+	full := 0
+	insert := func(u int) {
+		ops := make([]InsertOp[int64], u)
+		for i := range ops {
+			ops[i] = InsertOp[int64]{Gap: src.Intn(tr.Len() + 1), Payloads: []int64{int64(i)}}
+		}
+		if tr.BatchInsert(nil, ops).FullRebuild {
+			full++
+		}
+	}
+	for cycle := 0; ; cycle++ {
+		for pair := 0; pair < 10*n/k/3; pair++ {
+			insert(k)
+			tr.BatchDelete(nil, pickDistinct(src, tr, k))
+			check("churn")
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("cycle %d churn: %v", cycle, err)
+		}
+		if cycle == 2 {
+			break
+		}
+		for tr.Len() > small {
+			if tr.BatchDelete(nil, pickDistinct(src, tr, min(k, tr.Len()-small))).FullRebuild {
+				full++
+			}
+			check("shrink")
+		}
+		for tr.Len() < n {
+			insert(min(k, n-tr.Len()))
+			check("regrow")
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("cycle %d regrow: %v", cycle, err)
+		}
+	}
+	if full < 4 {
+		t.Fatalf("%d full rebuilds, want at least two per cycle", full)
+	}
+	t.Logf("arena: %d nodes handed out, %d free, for %d leaves; %d full rebuilds", tr.next-1, len(tr.free)+len(tr.freed), tr.Len(), full)
 }

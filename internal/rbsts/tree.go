@@ -16,7 +16,7 @@ import (
 // Tree is not safe for concurrent mutation; batch operations run as
 // metered parallel steps on the pram.Machine they are given.
 type Tree[P, S any] struct {
-	root *Node[P, S]
+	root int32
 	src  *prng.Source
 
 	// leafFn/mergeFn implement the optional aggregation monoid. Both nil
@@ -26,14 +26,41 @@ type Tree[P, S any] struct {
 
 	// shortcutMinHeight is the height threshold τ ≈ log₂log₂ n above which
 	// nodes carry shortcut lists (§2's "height greater than log log n").
-	shortcutMinHeight int
+	shortcutMinHeight int32
 
-	head, tail *Node[P, S]
+	head, tail int32
 	count      int
 
 	// rebuildEpoch increments every time any subtree is rebuilt; used by
 	// clients to detect staleness and by tests.
 	rebuildEpoch int64
+
+	// The node arena (node.go): chunks that never move, next is the
+	// first index never handed out (0 is reserved) and limit the number
+	// the chunks hold. free lists the recycled nodes newNode reuses;
+	// freed the nodes the current call released, which join free only at
+	// the next insertion or deletion.
+	chunks      [][]Node[P, S]
+	next, limit int32
+	free, freed []int32
+
+	// slab holds every shortcut list; slabFree[l] lists the offsets of
+	// released lists of length l.
+	slab     []int32
+	slabFree [][]int32
+
+	// Scratch reused from call to call, so a steady-size batch allocates
+	// nothing here: the planner, the report handed back, the activation
+	// and the per-rebuild leaf, spare-node and ancestor lists.
+	pl       planner[P, S]
+	rep      Report[P, S]
+	act      Activation[P, S]
+	actWork  actScratch[P, S]
+	orig     []int32
+	merged   []int32
+	spare    []int32
+	anc      []int32
+	scDepths []int32
 }
 
 // New builds a fresh RBSTS over the given payloads (Lemma 2.1). leaf and
@@ -47,29 +74,28 @@ func New[P, S any](seed uint64, leaf func(P) S, merge func(S, S) S, payloads []P
 		src:     prng.New(seed),
 		leafFn:  leaf,
 		mergeFn: merge,
+		next:    1,
 	}
-	leavesN := make([]*Node[P, S], len(payloads))
+	t.pl = newPlanner(t)
+	leaves := make([]int32, len(payloads))
 	for i, p := range payloads {
-		leavesN[i] = &Node[P, S]{leaves: 1, payload: p}
-		if t.leafFn != nil {
-			leavesN[i].sum = t.leafFn(p)
-		}
+		leaves[i] = t.newLeaf(p).id
 	}
-	t.rebuildAll(leavesN)
+	t.rebuildAll(leaves)
 	return t
 }
 
 // Root returns the root node (nil for an empty tree).
-func (t *Tree[P, S]) Root() *Node[P, S] { return t.root }
+func (t *Tree[P, S]) Root() *Node[P, S] { return t.Node(t.root) }
 
 // Len returns the number of leaves.
 func (t *Tree[P, S]) Len() int { return t.count }
 
 // Head returns the first leaf (nil when empty).
-func (t *Tree[P, S]) Head() *Node[P, S] { return t.head }
+func (t *Tree[P, S]) Head() *Node[P, S] { return t.Node(t.head) }
 
 // Tail returns the last leaf (nil when empty).
-func (t *Tree[P, S]) Tail() *Node[P, S] { return t.tail }
+func (t *Tree[P, S]) Tail() *Node[P, S] { return t.Node(t.tail) }
 
 // RebuildEpoch returns a counter incremented on every subtree rebuild.
 func (t *Tree[P, S]) RebuildEpoch() int64 { return t.rebuildEpoch }
@@ -77,8 +103,8 @@ func (t *Tree[P, S]) RebuildEpoch() int64 { return t.rebuildEpoch }
 // Leaves returns all leaves in order.
 func (t *Tree[P, S]) Leaves() []*Node[P, S] {
 	out := make([]*Node[P, S], 0, t.count)
-	for l := t.head; l != nil; l = l.next {
-		out = append(out, l)
+	for l := t.head; l != 0; l = t.at(l).next {
+		out = append(out, t.at(l))
 	}
 	return out
 }
@@ -89,13 +115,14 @@ func (t *Tree[P, S]) LeafAt(i int) *Node[P, S] {
 	if i < 0 || i >= t.count {
 		panic(fmt.Sprintf("rbsts: LeafAt(%d) out of range [0,%d)", i, t.count))
 	}
-	v := t.root
+	v := t.at(t.root)
 	for !v.IsLeaf() {
-		if i < v.left.leaves {
-			v = v.left
+		l := t.at(v.left)
+		if i < int(l.leaves) {
+			v = l
 		} else {
-			i -= v.left.leaves
-			v = v.right
+			i -= int(l.leaves)
+			v = t.at(v.right)
 		}
 	}
 	return v
@@ -114,34 +141,89 @@ func logLog2(n int) float64 {
 }
 
 // threshold computes τ = ⌈log₂ log₂ n⌉ clamped to at least 1.
-func threshold(n int) int {
-	return int(math.Ceil(logLog2(n)))
+func threshold(n int) int32 {
+	return int32(math.Ceil(logLog2(n)))
 }
 
-// rebuildAll rebuilds the entire tree over the given leaf nodes and
-// recomputes the shortcut threshold from the current size. It is also the
-// escape hatch for threshold drift: insertion/deletion call it when
-// ⌈log₂log₂ n⌉ moves, which mirrors the paper's observation that a tree
-// whose size changes enough to shift the threshold is rebuilt entirely with
-// high probability anyway.
-func (t *Tree[P, S]) rebuildAll(leaves []*Node[P, S]) {
+// newLeaf hands out a leaf carrying payload p.
+func (t *Tree[P, S]) newLeaf(p P) *Node[P, S] {
+	l := t.newNode()
+	l.leaves, l.payload = 1, p
+	if t.leafFn != nil {
+		l.sum = t.leafFn(p)
+	}
+	return l
+}
+
+// rebuildAll rebuilds the entire tree over the given leaf nodes, reusing
+// every internal node, and recomputes the shortcut threshold from the
+// current size. It is also the escape hatch for threshold drift:
+// insertion/deletion call it when ⌈log₂log₂ n⌉ moves, which mirrors the
+// paper's observation that a tree whose size changes enough to shift the
+// threshold is rebuilt entirely with high probability anyway. With no
+// leaves it only resets the bookkeeping: clear is what empties a tree.
+func (t *Tree[P, S]) rebuildAll(leaves []int32) {
+	t.spare = t.spare[:0]
+	if t.root != 0 {
+		t.collectInternal(t.at(t.root))
+	}
 	t.count = len(leaves)
 	t.shortcutMinHeight = threshold(t.count)
 	t.rebuildEpoch++
 	if len(leaves) == 0 {
-		t.root, t.head, t.tail = nil, nil, nil
+		t.root, t.head, t.tail = 0, 0, 0
 		return
 	}
-	t.relink(leaves, nil, nil)
+	t.relink(leaves, 0, 0)
+	t.at(t.tail).gapNode = 0
 	t.root = t.buildSubtree(leaves, 0)
-	t.root.parent = nil
-	t.assignShortcuts(t.root, make([]*Node[P, S], 0, 64))
+	t.releaseSpare()
+	root := t.at(t.root)
+	root.parent = 0
+	t.assignShortcuts(root, t.ancestorStack(root))
+}
+
+// clear empties the tree, freeing every node.
+func (t *Tree[P, S]) clear() {
+	if t.root != 0 {
+		t.collectInternal(t.at(t.root))
+	}
+	for l := t.head; l != 0; {
+		n := t.at(l)
+		l = n.next
+		t.release(n)
+	}
+	t.releaseSpare()
+	t.root = 0
+	t.rebuildAll(nil)
+}
+
+// collectInternal appends the internal nodes of v's subtree to the spare
+// list, dropping their shortcut lists: the rebuild that replaces the
+// subtree builds the new one from them.
+func (t *Tree[P, S]) collectInternal(v *Node[P, S]) {
+	if v.IsLeaf() {
+		return
+	}
+	t.dropShortcuts(v)
+	t.spare = append(t.spare, v.id)
+	t.collectInternal(t.at(v.left))
+	t.collectInternal(t.at(v.right))
+}
+
+// releaseSpare frees the spare internal nodes a rebuild did not need.
+func (t *Tree[P, S]) releaseSpare() {
+	for _, id := range t.spare {
+		t.release(t.at(id))
+	}
+	t.spare = t.spare[:0]
 }
 
 // relink splices the leaf linked list: leaves become consecutive, preceded
-// by before and followed by after (either may be nil for the tree ends).
-func (t *Tree[P, S]) relink(leaves []*Node[P, S], before, after *Node[P, S]) {
-	for i, l := range leaves {
+// by before and followed by after (either may be 0 for the tree ends).
+func (t *Tree[P, S]) relink(leaves []int32, before, after int32) {
+	for i, id := range leaves {
+		l := t.at(id)
 		if i > 0 {
 			l.prev = leaves[i-1]
 		} else {
@@ -153,23 +235,25 @@ func (t *Tree[P, S]) relink(leaves []*Node[P, S], before, after *Node[P, S]) {
 			l.next = after
 		}
 	}
-	if before != nil {
-		before.next = leaves[0]
+	if before != 0 {
+		t.at(before).next = leaves[0]
 	} else {
 		t.head = leaves[0]
 	}
-	if after != nil {
-		after.prev = leaves[len(leaves)-1]
+	if after != 0 {
+		t.at(after).prev = leaves[len(leaves)-1]
 	} else {
 		t.tail = leaves[len(leaves)-1]
 	}
 }
 
 // buildSubtree builds a fresh random-split subtree over the given leaf
-// nodes rooted at the given depth, reusing the leaf Node objects. It sets
-// structure, depth, height, leaf counts, sums and the gap correspondence,
-// but not shortcuts (see assignShortcuts, which needs the ancestor stack).
-func (t *Tree[P, S]) buildSubtree(leaves []*Node[P, S], depth int) *Node[P, S] {
+// nodes rooted at the given depth, reusing the leaf nodes and taking its
+// internal nodes from the spare list first. It sets structure, depth,
+// height, leaf counts, sums and the gap correspondence, but not shortcuts
+// (see assignShortcuts, which needs the ancestor stack). It returns the
+// subtree root's ID.
+func (t *Tree[P, S]) buildSubtree(leaves []int32, depth int32) int32 {
 	n := len(leaves)
 	if n == 1 {
 		return t.buildLeaf(leaves[0], depth)
@@ -181,90 +265,82 @@ func (t *Tree[P, S]) buildSubtree(leaves []*Node[P, S], depth int) *Node[P, S] {
 }
 
 // buildLeaf resets a reused leaf node's metadata for its new position.
-func (t *Tree[P, S]) buildLeaf(l *Node[P, S], depth int) *Node[P, S] {
+func (t *Tree[P, S]) buildLeaf(id, depth int32) int32 {
+	l := t.at(id)
 	l.depth = depth
 	l.height = 0
 	l.leaves = 1
-	l.left, l.right = nil, nil
-	l.shortcuts = nil
+	l.left, l.right = 0, 0
 	if t.leafFn != nil {
 		l.sum = t.leafFn(l.payload)
 	}
-	return l
+	return id
 }
 
 // buildSubtreeSplit builds a subtree whose root split is pinned at k
 // (1 ≤ k ≤ n-1), with both sides fresh random subtrees. Insertion rebuilds
 // use it to realize the paper's "(v1..vk) | (z, vk+1..vn)" root.
-func (t *Tree[P, S]) buildSubtreeSplit(leaves []*Node[P, S], depth, k int) *Node[P, S] {
+func (t *Tree[P, S]) buildSubtreeSplit(leaves []int32, depth int32, k int) int32 {
 	n := len(leaves)
 	if n == 1 {
 		return t.buildLeaf(leaves[0], depth)
 	}
-	v := &Node[P, S]{depth: depth}
+	var v *Node[P, S]
+	if s := len(t.spare); s > 0 {
+		v = t.at(t.spare[s-1])
+		t.spare = t.spare[:s-1]
+	} else {
+		v = t.newNode()
+	}
+	v.depth = depth
 	v.left = t.buildSubtree(leaves[:k], depth+1)
 	v.right = t.buildSubtree(leaves[k:], depth+1)
-	v.left.parent = v
-	v.right.parent = v
-	v.leaves = n
-	v.height = 1 + max(v.left.height, v.right.height)
+	l, r := t.at(v.left), t.at(v.right)
+	l.parent, r.parent = v.id, v.id
+	v.leaves = int32(n)
+	v.height = 1 + max(l.height, r.height)
 	if t.mergeFn != nil {
-		v.sum = t.mergeFn(v.left.sum, v.right.sum)
+		v.sum = t.mergeFn(l.sum, r.sum)
 	}
 	// Gap correspondence: v's gap sits between leaves[k-1] and leaves[k].
 	v.gapLeaf = leaves[k-1]
-	leaves[k-1].gapNode = v
-	return v
+	t.at(leaves[k-1]).gapNode = v.id
+	return v.id
 }
 
-// assignShortcuts walks the subtree assigning shortcut lists to nodes at or
-// above the height threshold. anc is the ancestor stack indexed by depth
-// (anc[d] is the ancestor at depth d); the caller seeds it with the path
-// above the subtree. Descent prunes at nodes below the threshold, since
-// height strictly decreases downward along any path.
-func (t *Tree[P, S]) assignShortcuts(v *Node[P, S], anc []*Node[P, S]) {
+// assignShortcuts walks a freshly built subtree assigning shortcut lists
+// to nodes at or above the height threshold. anc is the ancestor stack
+// indexed by depth (anc[d] is the ancestor at depth d); the caller seeds
+// it with the path above the subtree and leaves room for the subtree's
+// height, so the appends below never move it. Descent prunes at nodes
+// below the threshold, since height strictly decreases downward along any
+// path; the build's nodes carry no lists yet.
+func (t *Tree[P, S]) assignShortcuts(v *Node[P, S], anc []int32) {
 	if v.height < t.shortcutMinHeight {
-		v.shortcuts = nil
-		// Children are strictly shorter: nothing below needs shortcuts,
-		// but stale lists from a previous epoch must still be dropped.
-		t.clearShortcuts(v)
 		return
 	}
 	if v.depth > 0 {
-		depths := shortcutDepths(v.depth)
-		sc := make([]*Node[P, S], len(depths))
-		for i, d := range depths {
-			sc[i] = anc[d]
-		}
-		v.shortcuts = sc
-	} else {
-		v.shortcuts = nil
+		t.setShortcuts(v, anc)
 	}
 	if v.IsLeaf() {
 		return
 	}
-	anc = append(anc, v)
-	t.assignShortcuts(v.left, anc)
-	t.assignShortcuts(v.right, anc)
-}
-
-// clearShortcuts removes shortcut lists from an entire subtree.
-func (t *Tree[P, S]) clearShortcuts(v *Node[P, S]) {
-	if v.shortcuts != nil {
-		v.shortcuts = nil
-	}
-	if !v.IsLeaf() {
-		t.clearShortcuts(v.left)
-		t.clearShortcuts(v.right)
-	}
+	anc = append(anc, v.id)
+	t.assignShortcuts(t.at(v.left), anc)
+	t.assignShortcuts(t.at(v.right), anc)
 }
 
 // ancestorStack returns the root path above v indexed by depth:
-// stack[d] is v's ancestor at depth d, for d < v.depth.
-func (t *Tree[P, S]) ancestorStack(v *Node[P, S]) []*Node[P, S] {
-	stack := make([]*Node[P, S], v.depth)
-	for a := v.parent; a != nil; a = a.parent {
-		stack[a.depth] = a
+// stack[d] is v's ancestor at depth d, for d < v.depth. Its storage is
+// the tree's, with room for v's subtree below (see assignShortcuts).
+func (t *Tree[P, S]) ancestorStack(v *Node[P, S]) []int32 {
+	need := int(v.depth + v.height + 1)
+	if cap(t.anc) < need {
+		t.anc = make([]int32, need)
+	}
+	stack := t.anc[:v.depth]
+	for a := v.parent; a != 0; a = t.at(a).parent {
+		stack[t.at(a).depth] = a
 	}
 	return stack
 }
@@ -272,30 +348,35 @@ func (t *Tree[P, S]) ancestorStack(v *Node[P, S]) []*Node[P, S] {
 // recomputeUp refreshes leaf counts, heights and sums on the root path
 // starting at v's parent. It must be called after any subtree replacement.
 func (t *Tree[P, S]) recomputeUp(v *Node[P, S]) {
-	for a := v.parent; a != nil; a = a.parent {
-		a.leaves = a.left.leaves + a.right.leaves
-		a.height = 1 + max(a.left.height, a.right.height)
+	for id := v.parent; id != 0; {
+		a := t.at(id)
+		l, r := t.at(a.left), t.at(a.right)
+		a.leaves = l.leaves + r.leaves
+		a.height = 1 + max(l.height, r.height)
 		if t.mergeFn != nil {
-			a.sum = t.mergeFn(a.left.sum, a.right.sum)
+			a.sum = t.mergeFn(l.sum, r.sum)
 		}
+		id = a.parent
 	}
 }
 
-// recomputeUpDiff is recomputeUp, additionally returning the ancestors
-// whose height changed. Rebuild reports expose the list so the dynamic
-// contraction layer can reschedule exactly the gaps whose rounds moved.
-func (t *Tree[P, S]) recomputeUpDiff(v *Node[P, S]) []*Node[P, S] {
-	var changed []*Node[P, S]
-	for a := v.parent; a != nil; a = a.parent {
-		a.leaves = a.left.leaves + a.right.leaves
-		h := 1 + max(a.left.height, a.right.height)
-		if h != a.height {
+// recomputeUpDiff is recomputeUp, additionally appending the ancestors
+// whose height changed to changed. Rebuild reports expose the list so the
+// dynamic contraction layer can reschedule exactly the gaps whose rounds
+// moved.
+func (t *Tree[P, S]) recomputeUpDiff(v *Node[P, S], changed []*Node[P, S]) []*Node[P, S] {
+	for id := v.parent; id != 0; {
+		a := t.at(id)
+		l, r := t.at(a.left), t.at(a.right)
+		a.leaves = l.leaves + r.leaves
+		if h := 1 + max(l.height, r.height); h != a.height {
 			a.height = h
 			changed = append(changed, a)
 		}
 		if t.mergeFn != nil {
-			a.sum = t.mergeFn(a.left.sum, a.right.sum)
+			a.sum = t.mergeFn(l.sum, r.sum)
 		}
+		id = a.parent
 	}
 	return changed
 }
@@ -343,8 +424,8 @@ func (t *Tree[P, S]) RecomputeSums(m *pram.Machine, act *Activation[P, S]) {
 	if t.mergeFn == nil {
 		return
 	}
-	byHeight := make(map[int][]*Node[P, S])
-	maxH := 0
+	byHeight := make(map[int32][]*Node[P, S])
+	var maxH int32
 	for _, n := range act.Nodes {
 		if n.IsLeaf() {
 			continue
@@ -354,21 +435,14 @@ func (t *Tree[P, S]) RecomputeSums(m *pram.Machine, act *Activation[P, S]) {
 			maxH = n.height
 		}
 	}
-	for h := 1; h <= maxH; h++ {
+	for h := int32(1); h <= maxH; h++ {
 		level := byHeight[h]
 		if len(level) == 0 {
 			continue
 		}
 		m.Step(len(level), func(i int) {
 			n := level[i]
-			n.sum = t.mergeFn(n.left.sum, n.right.sum)
+			n.sum = t.mergeFn(t.at(n.left).sum, t.at(n.right).sum)
 		})
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
