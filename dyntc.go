@@ -310,7 +310,10 @@ type Monoid[V any] = listprefix.Monoid[V]
 // List is the incremental list prefix structure of §3.
 type List[V any] = listprefix.List[V]
 
-// ListElem is a stable handle to a list element.
+// ListElem is a stable handle to a list element; it remains valid across
+// every mutation until the element is deleted. A deleted element's handle
+// must not be used after the next insertion or deletion: its node may then
+// hold another element. Until then, deleting it again panics.
 type ListElem[V any] = listprefix.Elem[V]
 
 // NewList builds a dynamic list with monoid aggregation supporting batch

@@ -129,6 +129,33 @@ func TestNewListFacade(t *testing.T) {
 	}
 }
 
+// TestListDeleteStaleElemPanics: deleting a ListElem again before the
+// next mutation panics and leaves the list intact, instead of emptying it
+// or deleting another element.
+func TestListDeleteStaleElemPanics(t *testing.T) {
+	vals := make([]int64, 10)
+	for i := range vals {
+		vals[i] = int64(i + 1)
+	}
+	l := NewList(3, SumMonoid(), vals)
+	e := l.At(4)
+	l.Delete(nil, []*ListElem[int64]{e})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("deleting a deleted element did not panic")
+			}
+		}()
+		l.Delete(nil, []*ListElem[int64]{e})
+	}()
+	if l.Len() != 9 || l.Total() != 55-5 {
+		t.Fatalf("len %d total %d, want 9 and 50", l.Len(), l.Total())
+	}
+	if err := l.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestStatsAndMetricsExposed(t *testing.T) {
 	ring := ModRing(97)
 	e := NewExpr(ring, 1, WithSeed(5))

@@ -43,8 +43,6 @@
 //     insertion or deletion.
 package rbsts
 
-import "math/bits"
-
 // Node is a node of the splitting tree. Leaves carry the client payload P;
 // internal nodes carry the aggregated summary S of their subtree (when the
 // tree has an aggregator). A Node lives in its Tree's arena; see the
@@ -196,40 +194,13 @@ func appendShortcutDepths(dst []int32, d int32) []int32 {
 	return dst
 }
 
-// Chunk geometry of the node arena. IDs below 1<<chunkBits live in
-// chunks that double from 1<<firstChunkBits (so a small tree stays
-// small); every later chunk holds 1<<chunkBits nodes, so resolving an ID
-// of a large tree is one compare, a shift and a mask.
-const (
-	firstChunkBits = 4
-	chunkBits      = 10
-	// smallChunks is the index of the last doubling chunk: chunk 0 holds
-	// IDs [0, 16), chunk k in 1..smallChunks holds [16<<(k-1), 16<<k).
-	smallChunks = chunkBits - firstChunkBits
-)
-
-// chunkLen returns the number of nodes chunk k holds.
-func chunkLen(k int) int {
-	switch {
-	case k == 0:
-		return 1 << firstChunkBits
-	case k <= smallChunks:
-		return 1 << (firstChunkBits + k - 1)
-	}
-	return 1 << chunkBits
-}
+// chunkBits sizes the node arena's chunks (1 024 nodes): a power of two,
+// so resolving an ID is a shift and a mask.
+const chunkBits = 10
 
 // at returns the node named id, which must not be none.
 func (t *Tree[P, S]) at(id int32) *Node[P, S] {
-	u := uint32(id)
-	if u >= 1<<chunkBits {
-		return &t.chunks[smallChunks+int(u>>chunkBits)][u&(1<<chunkBits-1)]
-	}
-	k := bits.Len32(u >> firstChunkBits)
-	if k > 0 {
-		u -= 1 << (firstChunkBits + k - 1)
-	}
-	return &t.chunks[k][u]
+	return &t.chunks[id>>chunkBits][id&(1<<chunkBits-1)]
 }
 
 // Node resolves a node ID of this tree: nil for 0.
@@ -249,10 +220,8 @@ func (t *Tree[P, S]) newNode() *Node[P, S] {
 		t.free = t.free[:k-1]
 		return t.at(id) // recycle left it blank, its t and id set
 	}
-	for t.next >= t.limit {
-		ch := make([]Node[P, S], chunkLen(len(t.chunks)))
-		t.chunks = append(t.chunks, ch)
-		t.limit += int32(len(ch))
+	if int(t.next>>chunkBits) == len(t.chunks) {
+		t.chunks = append(t.chunks, make([]Node[P, S], 1<<chunkBits))
 	}
 	id := t.next
 	t.next++

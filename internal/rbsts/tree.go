@@ -35,13 +35,12 @@ type Tree[P, S any] struct {
 	// clients to detect staleness and by tests.
 	rebuildEpoch int64
 
-	// The node arena (node.go): chunks that never move, next is the
-	// first index never handed out (0 is reserved) and limit the number
-	// the chunks hold. free lists the recycled nodes newNode reuses;
-	// freed the nodes the current call released, which join free only at
-	// the next insertion or deletion.
+	// The node arena (node.go): chunks that never move and next, the
+	// first index never handed out (0 is reserved). free lists the
+	// recycled nodes newNode reuses; freed the nodes the current call
+	// released, which join free only at the next insertion or deletion.
 	chunks      [][]Node[P, S]
-	next, limit int32
+	next        int32
 	free, freed []int32
 
 	// slab holds every shortcut list; slabFree[l] lists the offsets of
