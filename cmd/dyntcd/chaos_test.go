@@ -119,7 +119,7 @@ func TestChaosFailover(t *testing.T) {
 				killOnce.Do(func() {
 					ts.Close()
 					s.forest.Close()
-					s.closeLogs() // flush buffered WAL appends for the oracle
+					s.store.close() // flush buffered WAL appends for the oracle
 				})
 			}
 			t.Cleanup(kill)
@@ -372,7 +372,7 @@ func TestChaosLeaderStartupRecovery(t *testing.T) {
 	growSome(t, base, 1, leaf9) // wave 10, about to be torn off
 	ts.Close()
 	s.forest.Close()
-	s.closeLogs()
+	s.store.close()
 
 	genesis, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("tree-%d.snap", created.Tree)))
 	if err != nil {
@@ -399,14 +399,14 @@ func TestChaosLeaderStartupRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := newServerWAL(dyntc.BatchOptions{}, dir, 0)
-	if err := s2.recover(); err != nil {
+	if err := s2.store.recover(); err != nil {
 		t.Fatal(err)
 	}
 	ts2 := httptest.NewServer(s2.routes())
 	t.Cleanup(func() {
 		ts2.Close()
 		s2.forest.Close()
-		s2.closeLogs()
+		s2.store.close()
 	})
 
 	var h healthTrees
@@ -461,17 +461,17 @@ func TestChaosCleanRestartIdentity(t *testing.T) {
 	final := getBytes(t, base+"/snapshot", 200)
 	ts.Close()
 	s.forest.Close()
-	s.closeLogs()
+	s.store.close()
 
 	s2 := newServerWAL(dyntc.BatchOptions{}, dir, 0)
-	if err := s2.recover(); err != nil {
+	if err := s2.store.recover(); err != nil {
 		t.Fatal(err)
 	}
 	ts2 := httptest.NewServer(s2.routes())
 	t.Cleanup(func() {
 		ts2.Close()
 		s2.forest.Close()
-		s2.closeLogs()
+		s2.store.close()
 	})
 	recovered := getBytes(t, fmt.Sprintf("%s/v1/trees/%d/snapshot", ts2.URL, created.Tree), 200)
 	if !bytes.Equal(recovered, final) {
@@ -515,7 +515,7 @@ func TestPromoteAbortIsRetryable(t *testing.T) {
 	})
 
 	// Fix the cause and retry: the same promotion now commits.
-	if err := os.MkdirAll(fo.walDir, 0o755); err != nil {
+	if err := os.MkdirAll(fo.store.dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	var promoted struct {

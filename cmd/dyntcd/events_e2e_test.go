@@ -89,7 +89,7 @@ func TestEventJournalFailoverSequence(t *testing.T) {
 	t.Cleanup(func() {
 		ts.Close()
 		s.forest.Close()
-		s.closeLogs()
+		s.store.close()
 	})
 
 	var created struct {
@@ -206,7 +206,7 @@ func TestEventJournalTornTailRecovery(t *testing.T) {
 	growSome(t, fmt.Sprintf("%s/v1/trees/%d", ts.URL, created.Tree), 6, 0)
 	ts.Close()
 	s.forest.Close()
-	s.closeLogs()
+	s.store.close()
 
 	walPath := filepath.Join(dir, fmt.Sprintf("tree-%d.wal", created.Tree))
 	wal, err := os.ReadFile(walPath)
@@ -220,14 +220,14 @@ func TestEventJournalTornTailRecovery(t *testing.T) {
 	// The hub is wired at construction, before recover: recovery itself
 	// must journal.
 	s2 := newServerWAL(dyntc.BatchOptions{Obs: testObs(t, dyntc.ObsConfig{Proc: "leader"})}, dir, 0)
-	if err := s2.recover(); err != nil {
+	if err := s2.store.recover(); err != nil {
 		t.Fatal(err)
 	}
 	ts2 := httptest.NewServer(s2.routes())
 	t.Cleanup(func() {
 		ts2.Close()
 		s2.forest.Close()
-		s2.closeLogs()
+		s2.store.close()
 	})
 
 	torn := waitEvents(t, ts2.URL, obs.EvWALTorn, 1)

@@ -124,7 +124,7 @@ func (s *server) follow(leader string, poll time.Duration) *follower {
 // leader transport ("follower.rpc"), re-seeding the backoff jitter from
 // seed so a chaos run's timing is reproducible.
 func (s *server) setFaults(in *dyntc.FaultInjector, seed uint64) {
-	s.faults = in
+	s.store.faults = in
 	f := s.following.Load()
 	if in == nil || f == nil {
 		return
@@ -300,8 +300,7 @@ func (f *follower) syncOnce() bool {
 		}
 	})
 	for _, id := range gone {
-		f.s.forest.Drop(id)
-		f.s.rings.Delete(id)
+		f.s.store.drop(id)
 		f.mu.Lock()
 		delete(f.reps, id)
 		f.mu.Unlock()
@@ -336,11 +335,6 @@ func (f *follower) bootstrap(id dyntc.TreeID) (*dyntc.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ring dyntc.Ring
-	if err := en.Query(func(e *dyntc.Expr) { ring = e.Tree().Ring }); err != nil {
-		return nil, err
-	}
-	f.s.rings.Store(id, ring)
 	f.s.snapshotDone(len(data), time.Since(t0))
 	f.mu.Lock()
 	_, rebootstrap := f.reps[id]
@@ -544,7 +538,7 @@ func (s *server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		if perr != nil {
 			return
 		}
-		wl, err := s.openLog(id)
+		wl, err := s.store.openLog(id)
 		if err != nil {
 			perr = fmt.Errorf("promote tree %d: %w", id, err)
 			return
@@ -601,32 +595,20 @@ func (s *server) handlePromote(w http.ResponseWriter, r *http.Request) {
 }
 
 // promoteTree moves one replica into the next leadership term — the
-// Expr's epoch inside a barrier, then the engine's wave stamp — persists
-// the term's anchor snapshot and attaches the prepared log. It returns
-// the new epoch.
+// Expr's epoch inside a barrier, then the engine's wave stamp — and
+// adopts it with the term's anchor snapshot and the prepared log. It
+// returns the new epoch.
 func (s *server) promoteTree(id dyntc.TreeID, en *dyntc.Engine, wl *dyntc.WaveLog) uint64 {
-	var anchor []byte
-	var next, seq uint64
-	var serr error
-	err := en.Query(func(e *dyntc.Expr) {
+	var next uint64
+	if err := en.Query(func(e *dyntc.Expr) {
 		next = e.Epoch() + 1
 		e.AdoptEpoch(next)
-		seq = en.AppliedSeq()
-		anchor, serr = e.Snapshot(seq)
-	})
-	if err == nil {
+	}); err == nil {
 		en.SetEpoch(next)
-		err = serr
 	}
-	if err == nil {
-		err = s.persistSnapshot(id, anchor)
-	}
-	if err != nil {
-		// Keep failing over: the tree serves from memory and the next
-		// compaction re-anchors it.
-		slog.Error("persist promoted snapshot failed", "tree", id, "err", err)
-	}
-	s.tapLog(id, en, wl)
-	slog.Info("tree promoted", "tree", id, "seq", seq, "epoch", next)
+	// With a prepared log adopt cannot fail; a failed anchor is logged
+	// there and the tree keeps failing over.
+	_ = s.store.adopt(id, en, birth{log: wl})
+	slog.Info("tree promoted", "tree", id, "seq", en.AppliedSeq(), "epoch", next)
 	return next
 }

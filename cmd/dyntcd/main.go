@@ -110,7 +110,7 @@ func main() {
 		logCap   = flag.Int("log-cap", 0, "waves retained in each tree's in-memory log ring (0 = default 4096)")
 		follow   = flag.String("follow", "", "leader base URL: run as a read-only replica of that dyntcd")
 		poll     = flag.Duration("poll", 50*time.Millisecond, "follower mode: leader poll interval")
-		compact  = flag.Int("compact-every", 0, "compact each tree's log every N waves: snapshot to <wal-dir>/tree-N.snap and trim the ring + WAL (0 = off)")
+		compact  = flag.Int("compact-every", 0, "compact each tree's log every N waves: snapshot to <wal-dir>/tree-<id>.snap and trim the ring + WAL (0 = off)")
 		degAfter = flag.Duration("degraded-after", 2*time.Second, "follower mode: staleness bound before reporting degraded (0 = only the consecutive-error threshold)")
 
 		faultSpec = flag.String("faults", "", "deterministic fault schedule, e.g. 'wal.append:after=100:torn=0.5:times=1;follower.rpc:p=0.2:err=partition' (chaos testing; '' = off)")
@@ -185,7 +185,7 @@ func main() {
 	}
 
 	s := newServerWAL(opts, *walDir, *logCap)
-	s.compactEvery = *compact
+	s.store.compactEvery = *compact
 	if *follow != "" {
 		s.follow(*follow, *poll).degradedAfter = *degAfter
 	}
@@ -193,7 +193,7 @@ func main() {
 	// A follower recovers nothing: its trees come from the leader.
 	if f := s.following.Load(); f != nil {
 		f.start()
-	} else if err := s.recover(); err != nil {
+	} else if err := s.store.recover(); err != nil {
 		fatal("startup recovery", "err", err)
 	}
 	var handler http.Handler = s.routes()

@@ -270,8 +270,8 @@ func (s *server) observe() {
 				s.forest.Each(func(_ dyntc.TreeID, en *dyntc.Engine) { sum += float64(en.AppliedSeq()) })
 				return sum
 			}
-			s.logs.Range(func(_, v any) bool {
-				sum += float64(v.(*dyntc.WaveLog).LastSeq())
+			s.store.trees.Range(func(_, v any) bool {
+				sum += float64(v.(*entry).log.LastSeq())
 				return true
 			})
 			return sum
@@ -285,8 +285,8 @@ func (s *server) observe() {
 				var d float64
 				if f != nil {
 					d = float64(f.treeHealth(id, en.AppliedSeq()).Lag)
-				} else if v, ok := s.logs.Load(id); ok {
-					d = float64(en.AppliedSeq()) - float64(v.(*dyntc.WaveLog).LastSeq())
+				} else if e := s.store.get(id); e != nil {
+					d = float64(en.AppliedSeq()) - float64(e.log.LastSeq())
 				}
 				if d > max {
 					max = d

@@ -133,9 +133,9 @@ func TestCompactionTrimsLogAndFollowerRebootstraps(t *testing.T) {
 	// Small ring so the quarter-ring retention margin (2 waves here)
 	// doesn't swallow the trim under test.
 	s := newServerWAL(dyntc.BatchOptions{}, dir, 8)
-	s.compactEvery = 5
+	s.store.compactEvery = 5
 	ts := httptest.NewServer(s.routes())
-	t.Cleanup(func() { ts.Close(); s.forest.Close(); s.closeLogs() })
+	t.Cleanup(func() { ts.Close(); s.forest.Close(); s.store.close() })
 
 	var created struct {
 		Tree uint64 `json:"tree"`

@@ -359,7 +359,7 @@ func TestWALPersistsAcrossRestart(t *testing.T) {
 	finalSnap := getBytes(t, base+"/snapshot", 200)
 	ts.Close()
 	s.forest.Close()
-	s.closeLogs() // graceful shutdown flushes the WAL
+	s.store.close() // graceful shutdown flushes the WAL
 
 	waves, err := replog.ReadWAL(fmt.Sprintf("%s/tree-%d.wal", dir, created.Tree))
 	if err != nil {
@@ -425,21 +425,21 @@ func TestRecoverLegacySnapshotAnchor(t *testing.T) {
 	final := getBytes(t, base+"/snapshot", 200)
 	ts.Close()
 	s.forest.Close()
-	s.closeLogs()
+	s.store.close()
 
 	// Put the v2 bytes back as the anchor: the WAL continues from its seq.
 	if err := os.WriteFile(anchor, v2, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s2 := newServerWAL(dyntc.BatchOptions{}, dir, 0)
-	if err := s2.recover(); err != nil {
+	if err := s2.store.recover(); err != nil {
 		t.Fatal(err)
 	}
 	ts2 := httptest.NewServer(s2.routes())
 	t.Cleanup(func() {
 		ts2.Close()
 		s2.forest.Close()
-		s2.closeLogs()
+		s2.store.close()
 	})
 	if got := getBytes(t, ts2.URL+"/v1/trees/5/snapshot", 200); !bytes.Equal(got, final) {
 		t.Fatal("recovery from a v2 anchor did not reproduce the pre-shutdown state")

@@ -7,12 +7,8 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -65,23 +61,11 @@ import (
 type server struct {
 	forest *dyntc.Forest
 	start  time.Time
-	// rings remembers each tree's ring so op names ("add"/"mul") can be
-	// parsed per request.
-	rings sync.Map // dyntc.TreeID -> dyntc.Ring
 
-	// Every tree's engine feeds a wave change-log: the in-memory ring
-	// serves follower catch-up, and with a WAL directory configured each
-	// tree also appends to <walDir>/tree-<id>.wal.
-	walDir string
-	logCap int
-	logs   sync.Map // dyntc.TreeID -> *dyntc.WaveLog
-
-	// compactEvery > 0 compacts each tree's log every that many waves:
-	// snapshot the tree (to <walDir>/tree-<id>.snap when walDir is set),
-	// then trim the log ring and WAL to the snapshot's sequence. Followers
-	// behind a trimmed log re-bootstrap via the 410 path.
-	compactEvery int
-	compactors   sync.Map // dyntc.TreeID -> *compactor
+	// store holds every tree's ring, wave log and compactor and, with a
+	// WAL directory, its tree-<id>.snap/.wal pair (see store.go): the
+	// handlers and the follower reach durable state only through it.
+	store *store
 
 	// obs is the process's observability hub, shared with every engine
 	// (BatchOptions.Obs), wave log (SetObs) and the query planner; it
@@ -100,12 +84,6 @@ type server struct {
 	// reads and its log tail (the new term drains it). Fencing is one-way;
 	// recovery is a restart.
 	fenced atomic.Uint64
-
-	// faults, when set, is the deterministic fault schedule: it rides into
-	// every tree's WAL ("wal.append"/"wal.sync") here, into the engines
-	// ("engine.wave") via BatchOptions.Faults in main, and onto a
-	// follower's leader transport ("follower.rpc"); see setFaults.
-	faults *dyntc.FaultInjector
 
 	// following is the replication state while the server follows a
 	// leader, nil while it leads. Promotion stores nil: the role flip.
@@ -166,107 +144,6 @@ func (s *server) writable(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// compactor is one tree's background log-compaction loop. The engine's
-// wave tap kicks it (non-blocking) every compactEvery waves; the loop
-// runs the snapshot barrier and the log trim off the executor goroutine.
-type compactor struct {
-	kick chan struct{} // buffered(1): coalesces kicks
-	stop chan struct{}
-	done chan struct{}
-}
-
-// compactLoop snapshots the tree and trims its log on every kick.
-func (s *server) compactLoop(id dyntc.TreeID, en *dyntc.Engine, wl *dyntc.WaveLog, c *compactor) {
-	defer close(c.done)
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-c.kick:
-		}
-		var seq uint64
-		if s.walDir != "" {
-			// The durable path: persist a snapshot first, then trim the
-			// log to it — snapshot + compacted WAL replaces genesis + log.
-			t0 := time.Now()
-			data, snapSeq, err := en.SnapshotAt()
-			if err != nil {
-				slog.Error("compact snapshot failed", "tree", id, "err", err)
-				continue
-			}
-			s.snapshotDone(len(data), time.Since(t0))
-			path := filepath.Join(s.walDir, fmt.Sprintf("tree-%d.snap", id))
-			if err := writeFileSync(path, data); err != nil {
-				// Keep the log intact: without the persisted snapshot the
-				// trimmed prefix would be unrecoverable on disk.
-				slog.Error("compact snapshot write failed", "tree", id, "err", err)
-				continue
-			}
-			seq = snapSeq
-		} else {
-			// Ring-only mode: no serialization needed — trim to the
-			// current applied sequence; followers needing older waves
-			// re-bootstrap from the live snapshot endpoint anyway.
-			seq = en.AppliedSeq()
-		}
-		// Trim with a retention margin (a quarter of the ring) so
-		// steadily-polling followers — typically a few waves behind —
-		// keep tailing incrementally instead of being forced into a full
-		// re-bootstrap after every compaction. Waves in the margin are
-		// redundant for recovery (the snapshot anchors replay at seq);
-		// they are catch-up runway.
-		capacity := s.logCap
-		if capacity <= 0 {
-			capacity = replog.DefaultLogCapacity
-		}
-		margin := uint64(capacity / 4)
-		if seq <= margin {
-			continue
-		}
-		if err := wl.Compact(seq - margin); err != nil {
-			slog.Error("compact log failed", "tree", id, "err", err)
-		}
-	}
-}
-
-// writeFileSync writes data to path atomically (temp + rename), fsyncing
-// before the rename: the WAL trim that follows a compaction snapshot
-// must never outrun the snapshot's durability.
-func writeFileSync(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// Order the snapshot's directory entry ahead of the WAL trim that
-	// follows: without this fsync a crash could keep the trimmed WAL but
-	// lose the snapshot that anchors it.
-	return replog.SyncDir(filepath.Dir(path))
-}
-
-// stopCompactor stops tree id's compaction loop, if any.
-func (s *server) stopCompactor(id dyntc.TreeID) {
-	if v, ok := s.compactors.LoadAndDelete(id); ok {
-		c := v.(*compactor)
-		close(c.stop)
-		<-c.done
-	}
-}
-
 func newServer(opts dyntc.BatchOptions) *server {
 	return newServerWAL(opts, "", 0)
 }
@@ -282,193 +159,16 @@ func newServerWAL(opts dyntc.BatchOptions, walDir string, logCap int) *server {
 		// An in-memory hub opens no files, so it cannot fail.
 		opts.Obs, _ = dyntc.NewObs(dyntc.ObsConfig{Proc: "leader"})
 	}
+	forest := dyntc.NewForest(opts)
 	s := &server{
-		forest: dyntc.NewForest(opts),
+		forest: forest,
 		start:  time.Now(),
-		walDir: walDir,
-		logCap: logCap,
+		store:  newStore(forest, walDir, logCap, opts.Obs),
 		obs:    opts.Obs,
 	}
+	s.store.snapshotDone = s.snapshotDone
 	s.observe()
 	return s
-}
-
-// attachLog creates the tree's wave log and taps the engine into it.
-// Attach happens before the engine sees traffic, so the log is gapless
-// from the tree's (or restore's) first wave.
-func (s *server) attachLog(id dyntc.TreeID, en *dyntc.Engine) error {
-	wl, err := s.openLog(id)
-	if err != nil {
-		return err
-	}
-	s.tapLog(id, en, wl)
-	return nil
-}
-
-// openLog creates tree id's wave log: the in-memory ring and, with a WAL
-// directory, <walDir>/tree-<id>.wal.
-func (s *server) openLog(id dyntc.TreeID) (*dyntc.WaveLog, error) {
-	path := ""
-	if s.walDir != "" {
-		path = filepath.Join(s.walDir, fmt.Sprintf("tree-%d.wal", id))
-	}
-	wl, err := dyntc.NewWaveLog(s.logCap, path)
-	if err != nil {
-		return nil, err
-	}
-	wl.SetObs(s.obs)
-	if s.faults != nil {
-		wl.SetFaults(s.faults)
-	}
-	return wl, nil
-}
-
-// tapLog registers wl as tree id's log, taps en into it and starts the
-// tree's compactor.
-func (s *server) tapLog(id dyntc.TreeID, en *dyntc.Engine, wl *dyntc.WaveLog) {
-	s.logs.Store(id, wl)
-	var c *compactor
-	if s.compactEvery > 0 {
-		c = &compactor{
-			kick: make(chan struct{}, 1),
-			stop: make(chan struct{}),
-			done: make(chan struct{}),
-		}
-		s.compactors.Store(id, c)
-		go s.compactLoop(id, en, wl, c)
-	}
-	en.SetWaveTap(func(w dyntc.Wave) {
-		t0 := time.Now()
-		if err := wl.Append(w); err != nil {
-			slog.Error("wave log append failed", "tree", id, "seq", w.Seq, "err", err)
-		}
-		// The append's wall time feeds the flight recorder: a stalling
-		// disk shows up as a wal.append anomaly before it backs the
-		// executor up far enough to shed.
-		s.obs.Anomaly().Observe(sigWALAppend, int64(time.Since(t0)))
-		// Kick the compactor every compactEvery waves; the send is
-		// non-blocking (the tap runs on the executor) and coalesces.
-		if c != nil && w.Seq%uint64(s.compactEvery) == 0 {
-			select {
-			case c.kick <- struct{}{}:
-			default:
-			}
-		}
-	})
-}
-
-// persistSnapshot writes tree id's snapshot next to its WAL (no-op
-// without -wal-dir). The pair tree-<id>.snap + tree-<id>.wal is the
-// recovery anchor: restore the snapshot, replay the WAL past its
-// sequence. Called at tree birth (create / PUT snapshot / promotion) and
-// by compaction, so a WAL never exists without the snapshot that anchors
-// its replay.
-func (s *server) persistSnapshot(id dyntc.TreeID, data []byte) error {
-	if s.walDir == "" {
-		return nil
-	}
-	return writeFileSync(filepath.Join(s.walDir, fmt.Sprintf("tree-%d.snap", id)), data)
-}
-
-// recover rebuilds every tree whose snapshot survives in the WAL
-// directory: restore the snapshot, replay the recovered WAL tail past
-// its sequence (truncating a torn tail instead of refusing to start),
-// then re-anchor — persist a fresh snapshot of the recovered state and
-// rotate to a fresh WAL via attachLog. Call before serving traffic.
-func (s *server) recover() error {
-	if s.walDir == "" {
-		return nil
-	}
-	snaps, err := filepath.Glob(filepath.Join(s.walDir, "tree-*.snap"))
-	if err != nil {
-		return err
-	}
-	anchored := make(map[string]bool, len(snaps))
-	for _, sp := range snaps {
-		idStr := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(sp), "tree-"), ".snap")
-		id, perr := strconv.ParseUint(idStr, 10, 64)
-		if perr != nil {
-			continue
-		}
-		anchored[idStr] = true
-		data, rerr := os.ReadFile(sp)
-		if rerr != nil {
-			slog.Error("read snapshot failed, skipping tree", "tree", idStr, "err", rerr)
-			continue
-		}
-		en, _, rerr := s.forest.Restore(id, data)
-		if rerr != nil {
-			slog.Error("restore snapshot failed, skipping tree", "tree", idStr, "err", rerr)
-			continue
-		}
-		snapEpoch := en.Epoch()
-		walPath := filepath.Join(s.walDir, fmt.Sprintf("tree-%d.wal", id))
-		if _, serr := os.Stat(walPath); serr == nil {
-			waves, dropped, werr := dyntc.RecoverWaveLog(walPath)
-			if werr != nil {
-				slog.Error("wal recover failed, serving snapshot state", "tree", id, "err", werr)
-			} else {
-				if dropped > 0 {
-					slog.Warn("wal recover truncated torn tail", "tree", id, "bytes", dropped)
-				}
-				// Replay contiguously past the snapshot through the verified
-				// apply path. The engine is untapped here, so the replayed
-				// waves are not re-logged.
-				for _, wv := range waves {
-					if aerr := en.ApplyWave(wv); aerr != nil {
-						if errors.Is(aerr, dyntc.ErrWaveGap) {
-							slog.Warn("wal gap, stopping replay", "tree", id, "wave", wv.Seq, "recovered_to", en.AppliedSeq())
-						} else {
-							slog.Error("wal replay failed, stopping replay", "tree", id, "wave", wv.Seq, "err", aerr)
-						}
-						break
-					}
-				}
-				if dropped > 0 {
-					// Journaled after replay so recovered_to is the seq the
-					// tree actually serves from, not the snapshot anchor.
-					s.obs.Events().EmitTree(obs.EvWALTorn, id,
-						"wal recover truncated a torn tail",
-						map[string]any{"bytes": dropped, "recovered_to": en.AppliedSeq()})
-				}
-			}
-		}
-		epoch := en.Epoch()
-		if epoch > snapEpoch {
-			s.obs.Events().EmitTree(obs.EvEpochAdopt, id,
-				"adopted a newer leadership epoch from the wal tail",
-				map[string]any{"epoch": epoch, "from": snapEpoch})
-		}
-		var ring dyntc.Ring
-		if qerr := en.Query(func(e *dyntc.Expr) { ring = e.Tree().Ring }); qerr != nil {
-			return qerr
-		}
-		s.rings.Store(id, ring)
-		// Re-anchor before attaching: the fresh snapshot at the recovered
-		// sequence and the fresh WAL attachLog rotates to form a consistent
-		// pair even if the replayed tail was torn.
-		rsnap, rseq, serr := en.SnapshotAt()
-		if serr != nil {
-			return serr
-		}
-		if err := s.persistSnapshot(id, rsnap); err != nil {
-			return err
-		}
-		if err := s.attachLog(id, en); err != nil {
-			return err
-		}
-		slog.Info("tree recovered", "tree", id, "seq", rseq, "epoch", epoch)
-	}
-	// A WAL without its anchoring snapshot cannot be replayed (waves are
-	// deltas); refuse to guess and leave the file for the operator.
-	wals, _ := filepath.Glob(filepath.Join(s.walDir, "tree-*.wal"))
-	for _, wp := range wals {
-		idStr := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(wp), "tree-"), ".wal")
-		if !anchored[idStr] {
-			slog.Warn("wal has no snapshot anchor, not recovered", "wal", wp, "tree", idStr)
-		}
-	}
-	return nil
 }
 
 // close is the graceful shutdown path: stop the poll loop while
@@ -478,22 +178,7 @@ func (s *server) close() {
 		f.halt()
 	}
 	s.forest.Close()
-	s.closeLogs()
-}
-
-// closeLogs stops the compactors and flushes and closes every tree's WAL
-// (shutdown path; call after the forest has drained).
-func (s *server) closeLogs() {
-	s.compactors.Range(func(k, _ any) bool {
-		s.stopCompactor(k.(dyntc.TreeID))
-		return true
-	})
-	s.logs.Range(func(k, v any) bool {
-		if err := v.(*dyntc.WaveLog).Close(); err != nil {
-			slog.Error("wal close failed", "tree", k, "err", err)
-		}
-		return true
-	})
+	s.store.close()
 }
 
 func (s *server) routes() *http.ServeMux {
@@ -698,27 +383,9 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		opts = append(opts, dyntc.WithTour())
 	}
 	id, en := s.forest.Create(ring, req.Root, opts...)
-	s.rings.Store(id, ring)
-	// Persist the genesis snapshot before the WAL exists: recovery replays
-	// tree-<id>.wal on top of tree-<id>.snap, so the anchor must never
-	// trail the log it anchors.
-	fail := func(err error) {
+	if err := s.store.adopt(id, en, birth{ring: ring}); err != nil {
 		s.forest.Drop(id)
-		s.rings.Delete(id)
 		writeErr(w, err)
-	}
-	if s.walDir != "" {
-		snap, err := en.Snapshot()
-		if err == nil {
-			err = s.persistSnapshot(id, snap)
-		}
-		if err != nil {
-			fail(err)
-			return
-		}
-	}
-	if err := s.attachLog(id, en); err != nil {
-		fail(err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, map[string]any{"tree": id, "root_node": 0})
@@ -753,20 +420,9 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, apiError{http.StatusBadRequest, "bad tree id"})
 		return
 	}
-	if !s.forest.Drop(id) {
+	if !s.store.drop(id) {
 		writeErr(w, apiError{http.StatusNotFound, fmt.Sprintf("no tree %d", id)})
 		return
-	}
-	s.rings.Delete(id)
-	s.stopCompactor(id)
-	if wl, ok := s.logs.LoadAndDelete(id); ok {
-		_ = wl.(*dyntc.WaveLog).Close()
-	}
-	if s.walDir != "" {
-		// A dropped tree must not resurrect on restart: remove its anchor
-		// and WAL together.
-		_ = os.Remove(filepath.Join(s.walDir, fmt.Sprintf("tree-%d.snap", id)))
-		_ = os.Remove(filepath.Join(s.walDir, fmt.Sprintf("tree-%d.wal", id)))
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"dropped": id})
 }
@@ -775,8 +431,8 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) ringOf(r *http.Request) (dyntc.Ring, error) {
 	id, _ := strconv.ParseUint(r.PathValue("id"), 10, 64)
-	if v, ok := s.rings.Load(id); ok {
-		return v.(dyntc.Ring), nil
+	if e := s.store.get(id); e != nil && e.ring != nil {
+		return e.ring, nil
 	}
 	return nil, apiError{http.StatusNotFound, "tree ring unknown"}
 }
@@ -1108,31 +764,10 @@ func (s *server) handlePutSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, apiError{http.StatusBadRequest, "restore: " + err.Error()})
 		return
 	}
-	var ring dyntc.Ring
-	if err := en.Query(func(e *dyntc.Expr) { ring = e.Tree().Ring }); err != nil {
-		writeErr(w, err)
-		return
-	}
-	s.rings.Store(id, ring)
-	// Anchor first, then attach the WAL that will continue it. A current
-	// body is already the canonical encoding at seq; one an older build
-	// wrote is re-encoded, so every persisted snapshot is current.
-	anchor := body
-	if !replog.IsCurrent(body) {
-		anchor, _, err = en.SnapshotAt()
-	}
-	if err == nil {
-		err = s.persistSnapshot(id, anchor)
-	}
-	if err != nil {
+	// The anchor is the restored tree re-encoded, so a body an older build
+	// wrote is persisted in the current codec.
+	if err := s.store.adopt(id, en, birth{}); err != nil {
 		s.forest.Drop(id)
-		s.rings.Delete(id)
-		writeErr(w, err)
-		return
-	}
-	if err := s.attachLog(id, en); err != nil {
-		s.forest.Drop(id)
-		s.rings.Delete(id)
 		writeErr(w, err)
 		return
 	}
@@ -1144,13 +779,13 @@ func (s *server) handlePutSnapshot(w http.ResponseWriter, r *http.Request) {
 // re-bootstrap from a snapshot.
 func (s *server) handleLog(w http.ResponseWriter, r *http.Request, en *dyntc.Engine) {
 	id, _ := strconv.ParseUint(r.PathValue("id"), 10, 64)
-	v, ok := s.logs.Load(dyntc.TreeID(id))
-	if !ok {
+	e := s.store.get(id)
+	if e == nil {
 		// Followers keep no logs.
 		writeErr(w, apiError{http.StatusNotFound, fmt.Sprintf("no log for tree %d", id)})
 		return
 	}
-	wl := v.(*dyntc.WaveLog)
+	wl := e.log
 	// Followers advertise the leadership epoch they trust. Seeing a higher
 	// term than any wave we sealed means a promotion happened elsewhere:
 	// fence writes immediately, but keep serving the tail — the new term
@@ -1247,10 +882,9 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			QueueCap:   st.QueueCap,
 			Dropped:    st.Dropped,
 		}
-		if v, ok := s.logs.Load(id); ok {
-			wl := v.(*dyntc.WaveLog)
-			th.LogSeq = wl.LastSeq()
-			if err := wl.Err(); err != nil {
+		if e := s.store.get(id); e != nil {
+			th.LogSeq = e.log.LastSeq()
+			if err := e.log.Err(); err != nil {
 				th.WALError = err.Error()
 			}
 		}

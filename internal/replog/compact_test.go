@@ -174,3 +174,35 @@ func TestCompactRewritesWAL(t *testing.T) {
 		t.Fatalf("temp file left behind: %v", err)
 	}
 }
+
+// TestCompactKeepsWavesOnlyTheFileHolds: when the ring has already
+// evicted waves after the trim point, the file is their only copy, so
+// Compact must leave it whole rather than rewrite it from the ring.
+func TestCompactKeepsWavesOnlyTheFileHolds(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "e.wal")
+	l, err := NewLog(4, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := uint64(1); s <= 8; s++ { // the ring keeps 5..8
+		if err := l.Append(sealedWave(s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Compact(2); err == nil {
+		t.Fatal("compact behind the ring's base: want an error saying the wal was kept whole")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ws, err := ReadWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ws) != 8 || ws[0].Seq != 1 {
+		t.Fatalf("wal after compact: %d waves from %d, want 8 from 1", len(ws), ws[0].Seq)
+	}
+	if l.BaseSeq() != 5 || l.Len() != 4 {
+		t.Fatalf("ring after compact: base %d len %d, want 5/4", l.BaseSeq(), l.Len())
+	}
+}

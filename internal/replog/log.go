@@ -116,8 +116,11 @@ const DefaultLogCapacity = 4096
 // this Log's wave stream starts at its own base sequence, and appending
 // it after an older process's stream would leave a non-contiguous,
 // unreplayable file. The rotated file remains replayable with ReadWAL
-// against the snapshot that anchors it; automatic startup recovery
-// (replay-into-engine) is a roadmap follow-on.
+// against the snapshot that anchors it. dyntcd's startup recovery
+// replays a tree's WAL into its engine and settles the file (deleted
+// once a fresh snapshot covers it, kept aside if the replay stopped
+// early) before it opens the new log, so this rotation only catches a
+// WAL no recovery claimed.
 func NewLog(capacity int, path string) (*Log, error) {
 	if capacity <= 0 {
 		capacity = DefaultLogCapacity
@@ -204,6 +207,11 @@ func (l *Log) Append(w Wave) error {
 			}
 		}
 	}
+	// Mirror before the ring: a crash inside the file write (the
+	// wal.append crash point) leaves the ring without the wave, as the
+	// file is, so nothing can later ship or compact an unacknowledged
+	// wave into durability.
+	err := l.mirror(&w)
 	if l.n == len(l.ring) {
 		// Evict the oldest retained wave.
 		l.start = (l.start + 1) % len(l.ring)
@@ -217,41 +225,49 @@ func (l *Log) Append(w Wave) error {
 	}
 	l.last = w.Seq
 	l.epoch = w.EpochOrDefault()
-	if l.bw != nil {
-		l.ebuf.Reset()
-		if err := l.enc.Encode(&w); err != nil {
-			l.appendErr = fmt.Errorf("replog: wal append (mirror disabled at seq %d): %w", w.Seq, err)
-			l.enc, l.bw = nil, nil // stop mirroring; ring stays live
-			return l.appendErr
-		}
-		rec := l.ebuf.Bytes()
-		var err error
-		if fi := l.faults; fi != nil {
-			_, err = fi.Write("wal.append", l.bw, rec)
-		} else {
-			_, err = l.bw.Write(rec)
-		}
-		if err != nil {
-			// A failed or torn write leaves the mirror mid-record. Push
-			// whatever landed down to the file — the on-disk tail then
-			// holds exactly the partial record a crash would have left,
-			// which is what RecoverWAL is for — and disable the mirror.
-			l.bw.Flush()
-			l.f.Sync()
-			l.appendErr = fmt.Errorf("replog: wal append (mirror disabled at seq %d): %w", w.Seq, err)
-			l.enc, l.bw = nil, nil
-			return l.appendErr
-		}
-		// Hand the record to the OS now (no fsync): a killed process
-		// loses at most the record the kernel was mid-write on — the
-		// torn tail RecoverWAL truncates — instead of the whole
-		// buffered tail. Waves are already coalesced batches, so this
-		// is one write syscall per wave, not per operation.
-		if err := l.bw.Flush(); err != nil {
-			l.appendErr = fmt.Errorf("replog: wal append (mirror disabled at seq %d): %w", w.Seq, err)
-			l.enc, l.bw = nil, nil
-			return l.appendErr
-		}
+	return err
+}
+
+// mirror appends w to the file mirror, if one is live. A failure is
+// sticky: it disables further file writes (the ring stays live).
+// Callers hold l.mu.
+func (l *Log) mirror(w *Wave) error {
+	if l.bw == nil {
+		return nil
+	}
+	l.ebuf.Reset()
+	if err := l.enc.Encode(w); err != nil {
+		l.appendErr = fmt.Errorf("replog: wal append (mirror disabled at seq %d): %w", w.Seq, err)
+		l.enc, l.bw = nil, nil // stop mirroring; ring stays live
+		return l.appendErr
+	}
+	rec := l.ebuf.Bytes()
+	var err error
+	if fi := l.faults; fi != nil {
+		_, err = fi.Write("wal.append", l.bw, rec)
+	} else {
+		_, err = l.bw.Write(rec)
+	}
+	if err != nil {
+		// A failed or torn write leaves the mirror mid-record. Push
+		// whatever landed down to the file — the on-disk tail then
+		// holds exactly the partial record a crash would have left,
+		// which is what RecoverWAL is for — and disable the mirror.
+		l.bw.Flush()
+		l.f.Sync()
+		l.appendErr = fmt.Errorf("replog: wal append (mirror disabled at seq %d): %w", w.Seq, err)
+		l.enc, l.bw = nil, nil
+		return l.appendErr
+	}
+	// Hand the record to the OS now (no fsync): a killed process
+	// loses at most the record the kernel was mid-write on — the
+	// torn tail RecoverWAL truncates — instead of the whole
+	// buffered tail. Waves are already coalesced batches, so this
+	// is one write syscall per wave, not per operation.
+	if err := l.bw.Flush(); err != nil {
+		l.appendErr = fmt.Errorf("replog: wal append (mirror disabled at seq %d): %w", w.Seq, err)
+		l.enc, l.bw = nil, nil
+		return l.appendErr
 	}
 	return nil
 }
@@ -282,6 +298,10 @@ func (l *Log) Compact(seq uint64) error {
 	if seq > l.last {
 		seq = l.last
 	}
+	// The rewrite can only write what the ring retains. Once the ring has
+	// evicted a wave after seq, the file holds its only copy: trim the
+	// ring but keep the file whole (replay skips what the snapshot covers).
+	evicted := l.n > 0 && l.ring[l.start].Seq > seq+1
 	for l.n > 0 && l.ring[l.start].Seq <= seq {
 		l.ring[l.start] = Wave{} // release op slices to the GC
 		l.start = (l.start + 1) % len(l.ring)
@@ -300,6 +320,10 @@ func (l *Log) Compact(seq uint64) error {
 		err := l.appendErr
 		l.mu.Unlock()
 		return err
+	}
+	if evicted {
+		l.mu.Unlock()
+		return fmt.Errorf("replog: compact kept the wal whole: the ring no longer holds wave %d", seq+1)
 	}
 	// Copy the retained tail so the bulk of the file work runs unlocked.
 	tail := make([]Wave, 0, l.n)

@@ -326,3 +326,34 @@ func FuzzWALRecover(f *testing.F) {
 		}
 	})
 }
+
+// TestAppendCrashLeavesRingUnchanged: a crash inside the WAL write (the
+// default crash hook panics there) must leave the ring as the file is,
+// without the wave. The engine does not acknowledge that wave, so a ring
+// that kept it could ship it to a follower or compact it into the file.
+func TestAppendCrashLeavesRingUnchanged(t *testing.T) {
+	l, err := NewLog(64, filepath.Join(t.TempDir(), "crash.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	in := faults.New(1)
+	in.Add(faults.Rule{Site: "wal.append", After: 2, Crash: true, Times: 1})
+	l.SetFaults(in)
+	for seq := uint64(1); seq <= 2; seq++ {
+		if err := l.Append(mkWave(seq, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	func() {
+		defer func() {
+			if _, ok := recover().(faults.CrashError); !ok {
+				t.Fatal("append 3 did not reach the crash point")
+			}
+		}()
+		_ = l.Append(mkWave(3, 1))
+	}()
+	if got := l.LastSeq(); got != 2 {
+		t.Fatalf("ring after a crashed append: last seq %d, want 2", got)
+	}
+}
