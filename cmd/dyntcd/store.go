@@ -22,9 +22,9 @@ import (
 //
 //   - Files: tree id is the pair tree-<id>.snap, the anchor, and
 //     tree-<id>.wal, the waves after it. file spells the layout.
-//   - Anchor first: adopt persists the anchor before the log exists, and
-//     compaction persists a new one before trimming the log, so a WAL
-//     never outlives the snapshot its replay starts from.
+//   - Anchor first: adopt persists the anchor before the tree's log takes
+//     a wave, and compaction persists a new one before trimming the log,
+//     so no WAL holds waves without the snapshot their replay starts from.
 //   - A failed birth leaves nothing: adopt removes an anchor it created
 //     when the log cannot be opened, so recovery cannot resurrect a tree
 //     whose create or PUT answered an error.
@@ -95,8 +95,8 @@ type birth struct {
 }
 
 // adopt makes en durable as tree id and publishes its entry: it persists
-// the anchor, en's snapshot at its applied sequence (genesis first, so the
-// WAL never exists without it), settles the WAL the anchor supersedes,
+// the anchor, en's snapshot at its applied sequence (genesis first, so no
+// wave reaches the WAL before it), settles the WAL the anchor supersedes,
 // opens the tree's log unless b carries a prepared one, taps en into it
 // and starts the compactor. On failure it removes the anchor if it created
 // it; recovery's re-anchor stays, since it holds the recovered state.
