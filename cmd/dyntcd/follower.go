@@ -510,9 +510,10 @@ func (f *follower) treeHealth(id dyntc.TreeID, applied uint64) *replicaHealth {
 // Promotion is all-or-nothing. Phase 1 prepares: with poll rounds held
 // off, every tree's wave log is opened. Any failure closes what was
 // opened and answers 500; the process keeps following and a retried
-// POST /v1/promote can succeed. Phase 2 commits and cannot fail: stop the
-// poll loop, move every tree to the new term, persist its anchor
-// snapshot, attach its log, and flip the role.
+// POST /v1/promote can succeed. Phase 2 commits: stop the poll loop,
+// move every tree to the new term, persist its anchor snapshot, attach
+// its log, and flip the role. Only a tree whose engine no longer answers
+// a barrier (closed or poisoned) is left out, logged and not counted.
 //
 // The caller is responsible for promoting a caught-up follower: waves
 // the old leader acknowledged past each replica's sequence are lost,
@@ -560,17 +561,22 @@ func (s *server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	f.round.Unlock()
 	f.halt()
 	var epoch uint64
+	promoted := 0
 	for id, wl := range logs {
 		en, _ := s.forest.Get(id)
-		if ep := s.promoteTree(id, en, wl); ep > epoch {
-			epoch = ep
+		ep, err := s.promoteTree(id, en, wl)
+		if err != nil {
+			slog.Error("tree not promoted", "tree", id, "err", err)
+			continue
 		}
+		promoted++
+		epoch = max(epoch, ep)
 	}
 	s.following.Store(nil)
 	s.inst.promotions.Inc()
 	failoverMS := time.Since(t0).Milliseconds()
 	s.obs.Events().Emit(obs.EvPromote, "promoted to leader",
-		map[string]any{"trees": len(logs), "epoch": epoch, "failover_ms": failoverMS})
+		map[string]any{"trees": promoted, "epoch": epoch, "failover_ms": failoverMS})
 
 	// Tell the old leader it is demoted. Best-effort and asynchronous: if
 	// it is dead or partitioned the epoch fence still rejects its late
@@ -585,10 +591,10 @@ func (s *server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		resp.Body.Close()
 	}(f.leader, epoch)
 
-	slog.Info("promoted to leader", "trees", len(logs), "epoch", epoch, "failover_ms", failoverMS)
+	slog.Info("promoted to leader", "trees", promoted, "epoch", epoch, "failover_ms", failoverMS)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"promoted":    true,
-		"trees":       len(logs),
+		"trees":       promoted,
 		"epoch":       epoch,
 		"failover_ms": failoverMS,
 	})
@@ -597,8 +603,9 @@ func (s *server) handlePromote(w http.ResponseWriter, r *http.Request) {
 // promoteTree moves one replica into the next leadership term — the
 // Expr's epoch inside a barrier, then the engine's wave stamp — and
 // adopts it with the term's anchor snapshot and the prepared log. It
-// returns the new epoch.
-func (s *server) promoteTree(id dyntc.TreeID, en *dyntc.Engine, wl *dyntc.WaveLog) uint64 {
+// returns the new epoch, or an error when the tree's engine no longer
+// answers a barrier and the tree was not promoted (adopt closed wl).
+func (s *server) promoteTree(id dyntc.TreeID, en *dyntc.Engine, wl *dyntc.WaveLog) (uint64, error) {
 	var next uint64
 	if err := en.Query(func(e *dyntc.Expr) {
 		next = e.Epoch() + 1
@@ -606,9 +613,15 @@ func (s *server) promoteTree(id dyntc.TreeID, en *dyntc.Engine, wl *dyntc.WaveLo
 	}); err == nil {
 		en.SetEpoch(next)
 	}
-	// With a prepared log adopt cannot fail; a failed anchor is logged
-	// there and the tree keeps failing over.
-	_ = s.store.adopt(id, en, birth{log: wl})
+	err := s.store.adopt(id, en, birth{log: wl})
+	if s.store.get(id) == nil {
+		return 0, err
+	}
+	if err != nil {
+		// Keep failing over: the tree serves from memory and the next
+		// compaction re-anchors it.
+		slog.Error("persist promoted snapshot failed", "tree", id, "err", err)
+	}
 	slog.Info("tree promoted", "tree", id, "seq", en.AppliedSeq(), "epoch", next)
-	return next
+	return next, nil
 }

@@ -383,7 +383,7 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		opts = append(opts, dyntc.WithTour())
 	}
 	id, en := s.forest.Create(ring, req.Root, opts...)
-	if err := s.store.adopt(id, en, birth{ring: ring}); err != nil {
+	if err := s.store.adopt(id, en, birth{}); err != nil {
 		s.forest.Drop(id)
 		writeErr(w, err)
 		return

@@ -30,7 +30,7 @@ import (
 //     whose create or PUT answered an error.
 //   - Recovery replays each WAL past its anchor, then adopts the result
 //     under a fresh anchor and log. A WAL the replay consumed is deleted;
-//     any other WAL a new anchor supersedes is kept aside as
+//     opening the new log keeps any other non-empty WAL aside as
 //     tree-<id>.wal.<nanos>.old.
 type store struct {
 	forest *dyntc.Forest
@@ -82,11 +82,8 @@ func (st *store) get(id dyntc.TreeID) *entry {
 	return e
 }
 
-// birth is what adopt needs to make a tree durable.
+// birth is what adopt needs beyond the tree itself.
 type birth struct {
-	// ring is the tree's ring when the caller knows it; adopt reads it
-	// from the tree otherwise.
-	ring dyntc.Ring
 	// log is promotion's prepared log, or nil to open one.
 	log *dyntc.WaveLog
 	// replayed says recovery replayed all of the tree's WAL, so the new
@@ -94,33 +91,42 @@ type birth struct {
 	replayed bool
 }
 
-// adopt makes en durable as tree id and publishes its entry: it persists
-// the anchor, en's snapshot at its applied sequence (genesis first, so no
-// wave reaches the WAL before it), settles the WAL the anchor supersedes,
-// opens the tree's log unless b carries a prepared one, taps en into it
-// and starts the compactor. On failure it removes the anchor if it created
-// it; recovery's re-anchor stays, since it holds the recovered state.
+// adopt makes en durable as tree id and publishes its entry: one barrier
+// reads the tree's ring and its snapshot at the applied sequence, the
+// snapshot is persisted as the anchor (genesis first, so no wave reaches
+// the WAL before it), a WAL recovery replayed is deleted, the tree's log
+// is opened unless b carries a prepared one, en is tapped into it and the
+// compactor started. On failure nothing is published: adopt removes the
+// anchor if it created it (recovery's re-anchor stays, since it holds the
+// recovered state) and closes a prepared log.
 //
-// With a prepared log adopt cannot fail, which promotion's commit phase
-// relies on: an anchor that cannot be written is logged, the tree keeps
-// serving from memory, and the next compaction re-anchors it.
+// Promotion's commit phase must keep failing over, so with a prepared log
+// only a failed barrier stops the birth: an anchor that cannot be written
+// is returned as the error, but the tree is published and serves from
+// memory until the next compaction re-anchors it.
 func (st *store) adopt(id dyntc.TreeID, en *dyntc.Engine, b birth) error {
-	created, err := st.anchor(id, en, &b)
+	ring, created, err := st.anchor(id, en)
 	wl := b.log
-	if err == nil && wl == nil {
-		st.settle(id, b.replayed)
+	if ring != nil && err == nil && wl == nil {
+		if b.replayed {
+			// The anchor is durable and covers every wave the WAL held.
+			// NewLog keeps any other non-empty WAL aside as .old.
+			if err := os.Remove(st.file(id, ".wal")); err != nil && !errors.Is(err, os.ErrNotExist) {
+				slog.Error("remove replayed wal failed", "tree", id, "err", err)
+			}
+		}
 		wl, err = st.openLog(id)
 	}
-	switch {
-	case err != nil && b.log != nil:
-		slog.Error("persist promoted snapshot failed", "tree", id, "err", err)
-	case err != nil:
+	if ring == nil || wl == nil {
 		if created {
 			_ = os.Remove(st.file(id, ".snap"))
 		}
+		if wl != nil {
+			_ = wl.Close()
+		}
 		return err
 	}
-	e := &entry{ring: b.ring, log: wl}
+	e := &entry{ring: ring, log: wl}
 	if st.compactEvery > 0 {
 		e.kick = make(chan struct{}, 1) // coalesces kicks
 		e.stop, e.done = make(chan struct{}), make(chan struct{})
@@ -145,55 +151,31 @@ func (st *store) adopt(id dyntc.TreeID, en *dyntc.Engine, b birth) error {
 		}
 	})
 	st.trees.Store(id, e)
-	return nil
+	return err
 }
 
-// anchor fills in b's ring, if it has none, and with a WAL directory
-// persists en's snapshot as tree-<id>.snap, both from one barrier. It
-// reports whether it created the file.
-func (st *store) anchor(id dyntc.TreeID, en *dyntc.Engine, b *birth) (created bool, err error) {
-	if b.ring != nil && st.dir == "" {
-		return false, nil
-	}
+// anchor reads en's ring and, with a WAL directory, persists en's
+// snapshot as tree-<id>.snap, both from one barrier. The ring is nil only
+// when the barrier fails; created reports whether the file is new.
+func (st *store) anchor(id dyntc.TreeID, en *dyntc.Engine) (dyntc.Ring, bool, error) {
+	var ring dyntc.Ring
 	var data []byte
-	var serr error
-	err = en.Query(func(e *dyntc.Expr) {
-		b.ring = e.Tree().Ring
+	var err error
+	if qerr := en.Query(func(e *dyntc.Expr) {
+		ring = e.Tree().Ring
 		if st.dir != "" {
-			data, serr = e.Snapshot(en.AppliedSeq())
+			data, err = e.Snapshot(en.AppliedSeq())
 		}
-	})
-	if err != nil || serr != nil || st.dir == "" {
-		return false, errors.Join(err, serr)
+	}); qerr != nil {
+		return nil, false, qerr
+	}
+	if err != nil || st.dir == "" {
+		return ring, false, err
 	}
 	path := st.file(id, ".snap")
-	_, err = os.Stat(path)
-	created = errors.Is(err, os.ErrNotExist)
-	return created, writeFileSync(path, data)
-}
-
-// settle disposes of the WAL a durable anchor supersedes: deleted when
-// recovery replayed all of it, else kept aside for the operator.
-func (st *store) settle(id dyntc.TreeID, replayed bool) {
-	if st.dir == "" {
-		return
-	}
-	path := st.file(id, ".wal")
-	if replayed {
-		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
-			slog.Error("remove replayed wal failed", "wal", path, "err", err)
-		}
-		return
-	}
-	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
-		return
-	}
-	kept := st.file(id, fmt.Sprintf(".wal.%d.old", time.Now().UnixNano()))
-	if err := os.Rename(path, kept); err != nil {
-		slog.Error("keep superseded wal failed", "wal", path, "err", err)
-		return
-	}
-	slog.Warn("kept a wal the new anchor supersedes", "tree", id, "wal", kept)
+	_, serr := os.Stat(path)
+	created := errors.Is(serr, os.ErrNotExist)
+	return ring, created, writeFileSync(path, data)
 }
 
 // openLog opens tree id's wave log: the in-memory ring and, with a
@@ -375,6 +357,9 @@ func (st *store) recover() error {
 		}
 		snapEpoch := en.Epoch()
 		replayed := st.replay(id, en)
+		if !replayed {
+			slog.Warn("wal not fully replayed, kept aside", "tree", id, "kept", st.file(id, ".wal.*.old"))
+		}
 		epoch := en.Epoch()
 		if epoch > snapEpoch {
 			st.obs.Events().EmitTree(obs.EvEpochAdopt, id,

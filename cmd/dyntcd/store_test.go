@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
+	"time"
 
 	"dyntc"
 	"dyntc/internal/prng"
@@ -299,4 +300,46 @@ func TestCrashPointSweep(t *testing.T) {
 			s2.store.close()
 		}
 	}
+}
+
+// TestPromoteLeavesOutADeadTree: a replica whose engine no longer answers
+// a barrier cannot be anchored or given its ring, so promotion leaves it
+// out (no store entry, not counted) and promotes the rest, which take
+// writes at the new term.
+func TestPromoteLeavesOutADeadTree(t *testing.T) {
+	leaderSrv, _ := startTestServer(t)
+	var live, dead struct {
+		Tree uint64 `json:"tree"`
+	}
+	call(t, "POST", leaderSrv.URL+"/v1/trees", map[string]any{"root": 1, "seed": 8}, 201, &live)
+	call(t, "POST", leaderSrv.URL+"/v1/trees", map[string]any{"root": 2, "seed": 9}, 201, &dead)
+	leaf := growSome(t, fmt.Sprintf("%s/v1/trees/%d", leaderSrv.URL, live.Tree), 3, 0)
+
+	fo := newServer(dyntc.BatchOptions{})
+	fo.follow(leaderSrv.URL, 2*time.Millisecond)
+	foSrv := serveFollower(t, fo)
+	waitHealthz(t, foSrv.URL, func(status int, h healthTrees) bool {
+		return len(h.Trees) == 2 && h.Trees[0].AppliedSeq+h.Trees[1].AppliedSeq == 3
+	})
+	en, _ := fo.forest.Get(dead.Tree)
+	en.Close()
+
+	var promoted struct {
+		Trees int    `json:"trees"`
+		Epoch uint64 `json:"epoch"`
+	}
+	if status := postStatus(t, foSrv.URL+"/v1/promote", nil, &promoted); status != 200 {
+		t.Fatalf("promote: status %d", status)
+	}
+	if promoted.Trees != 1 || promoted.Epoch != 2 {
+		t.Fatalf("promote: %+v, want 1 tree at epoch 2", promoted)
+	}
+	if fo.store.get(dead.Tree) != nil {
+		t.Fatal("the dead tree has a store entry after promotion")
+	}
+	if e := fo.store.get(live.Tree); e == nil || e.ring == nil {
+		t.Fatalf("the live tree's entry after promotion: %+v", e)
+	}
+	call(t, "POST", fmt.Sprintf("%s/v1/trees/%d/set-leaf", foSrv.URL, live.Tree),
+		map[string]any{"leaf": leaf, "value": 77}, 200, nil)
 }

@@ -206,3 +206,53 @@ func TestCompactKeepsWavesOnlyTheFileHolds(t *testing.T) {
 		t.Fatalf("ring after compact: base %d len %d, want 5/4", l.BaseSeq(), l.Len())
 	}
 }
+
+// TestCompactOnMidStreamLog: a log attached to a restored tree starts its
+// file mid-stream, so waves before its first were never the log's to
+// keep. A trim point behind that start is not an eviction; one behind a
+// wave the file held after a rewrite still is.
+func TestCompactOnMidStreamLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.wal")
+	l, err := NewLog(4, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendRange := func(from, to uint64) {
+		for s := from; s <= to; s++ {
+			if err := l.Append(sealedWave(s)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	walSeqs := func() (uint64, uint64, int) {
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		ws, err := ReadWAL(path)
+		if err != nil || len(ws) == 0 {
+			t.Fatalf("read wal: %d waves, %v", len(ws), err)
+		}
+		return ws[0].Seq, ws[len(ws)-1].Seq, len(ws)
+	}
+	appendRange(101, 104)
+	if err := l.Compact(50); err != nil {
+		t.Fatalf("compact behind the log's first wave: %v", err)
+	}
+	if first, last, n := walSeqs(); first != 101 || last != 104 || n != 4 {
+		t.Fatalf("wal after compact(50): %d..%d (%d waves), want 101..104", first, last, n)
+	}
+	if err := l.Compact(102); err != nil {
+		t.Fatal(err)
+	}
+	if first, last, n := walSeqs(); first != 103 || last != 104 || n != 2 {
+		t.Fatalf("wal after compact(102): %d..%d (%d waves), want 103..104", first, last, n)
+	}
+	appendRange(105, 110) // the ring keeps 107..110; the file holds 103..110
+	if err := l.Compact(104); err == nil {
+		t.Fatal("compact behind waves only the file holds: want an error saying the wal was kept whole")
+	}
+	if first, last, n := walSeqs(); first != 103 || last != 110 || n != 8 {
+		t.Fatalf("wal after compact(104): %d..%d (%d waves), want 103..110", first, last, n)
+	}
+}

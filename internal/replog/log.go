@@ -56,6 +56,9 @@ type Log struct {
 
 	f  *os.File
 	bw *bufio.Writer
+	// first is the Seq of the oldest wave the file holds (0 = none yet):
+	// a log attached to a restored tree starts its file mid-stream.
+	first uint64
 	// enc encodes into ebuf, never straight into bw: each record is
 	// staged as one byte slice so the write to the mirror goes through a
 	// single seam — which is where fault injection tears it.
@@ -117,10 +120,9 @@ const DefaultLogCapacity = 4096
 // it after an older process's stream would leave a non-contiguous,
 // unreplayable file. The rotated file remains replayable with ReadWAL
 // against the snapshot that anchors it. dyntcd's startup recovery
-// replays a tree's WAL into its engine and settles the file (deleted
-// once a fresh snapshot covers it, kept aside if the replay stopped
-// early) before it opens the new log, so this rotation only catches a
-// WAL no recovery claimed.
+// replays a tree's WAL into its engine and deletes it once a fresh
+// snapshot covers every wave, so this rotation keeps only a WAL whose
+// replay stopped early.
 func NewLog(capacity int, path string) (*Log, error) {
 	if capacity <= 0 {
 		capacity = DefaultLogCapacity
@@ -259,6 +261,9 @@ func (l *Log) mirror(w *Wave) error {
 		l.enc, l.bw = nil, nil
 		return l.appendErr
 	}
+	if l.first == 0 {
+		l.first = w.Seq
+	}
 	// Hand the record to the OS now (no fsync): a killed process
 	// loses at most the record the kernel was mid-write on — the
 	// torn tail RecoverWAL truncates — instead of the whole
@@ -321,6 +326,12 @@ func (l *Log) Compact(seq uint64) error {
 		l.mu.Unlock()
 		return err
 	}
+	if l.first == 0 || l.first > seq {
+		// The file holds no wave the snapshot covers (a log attached to a
+		// restored tree starts its file mid-stream): nothing to trim.
+		l.mu.Unlock()
+		return nil
+	}
 	if evicted {
 		l.mu.Unlock()
 		return fmt.Errorf("replog: compact kept the wal whole: the ring no longer holds wave %d", seq+1)
@@ -373,9 +384,9 @@ func (l *Log) rewrite(path string, tail []Wave, trimmed uint64) error {
 	if err := tf.Sync(); err != nil {
 		return abort(fmt.Errorf("replog: compact: %w", err))
 	}
-	lastCopied := trimmed
+	lastCopied, first := trimmed, uint64(0)
 	if n := len(tail); n > 0 {
-		lastCopied = tail[n-1].Seq
+		lastCopied, first = tail[n-1].Seq, tail[0].Seq
 	}
 
 	l.mu.Lock()
@@ -393,6 +404,9 @@ func (l *Log) rewrite(path string, tail []Wave, trimmed uint64) error {
 		w := &l.ring[(l.start+i)%len(l.ring)]
 		if w.Seq <= lastCopied {
 			continue
+		}
+		if first == 0 {
+			first = w.Seq
 		}
 		if err := enc.Encode(w); err != nil {
 			return abort(fmt.Errorf("replog: compact: %w", err))
@@ -414,6 +428,7 @@ func (l *Log) rewrite(path string, tail []Wave, trimmed uint64) error {
 	// The rename is done: path now names the compacted file, and the old
 	// inode must not receive further appends. Swap the mirror; from here
 	// a failure disables it (sticky appendErr), never loses the swap.
+	l.first = first
 	old := l.f
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
