@@ -268,10 +268,13 @@ func TestIncidentFlightRecorderLeader(t *testing.T) {
 	b := testObs(t, dyntc.ObsConfig{
 		Proc:        "leader",
 		TraceSample: 1 << 30, // cadence effectively off: only the boost samples
+		// MinNS sits above the warm-up flushes' noise (11 ms seen under
+		// -race) and below the 60 ms stall, so a noisy warm-up flush
+		// cannot spend the signal's only trip.
 		Anomaly: obs.AnomalyConfig{
 			Warmup:   8,
 			Window:   16,
-			MinNS:    float64(10 * time.Millisecond),
+			MinNS:    float64(30 * time.Millisecond),
 			Cooldown: time.Hour, // one trip per signal: the decay check must stay clean
 			Boost:    time.Second,
 		},

@@ -39,6 +39,19 @@ func bySpanName(spans []obs.Span, name string) []obs.Span {
 	return out
 }
 
+// flushUnderIngest reports whether spans hold an engine.flush parented on
+// an ingest.batch span.
+func flushUnderIngest(spans []obs.Span) bool {
+	for _, f := range bySpanName(spans, "engine.flush") {
+		for _, in := range bySpanName(spans, "ingest.batch") {
+			if f.Parent == in.Span {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // TestDistributedTraceEndToEnd is the acceptance scenario: a leader with
 // an unsampled cadence (TraceSample far beyond the traffic) and a live
 // in-process follower; one batch carrying an X-Dyntc-Trace header forces
@@ -97,9 +110,18 @@ func TestDistributedTraceEndToEnd(t *testing.T) {
 		t.Fatalf("echoed trace header %q, want %s-<fresh ingest span>", echo, clientTrace)
 	}
 
-	// Leader-side span tree.
+	// Leader-side span tree. The sampled engine.flush span is emitted
+	// after the flush's acks, so the response can beat it: poll until a
+	// flush parented on the ingest span appears, or the deadline passes
+	// and the checks below say what is missing.
 	var ls spansResp
-	call(t, "GET", leaderSrv.URL+"/v1/spans?trace="+clientTrace.String(), nil, 200, &ls)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		ls = spansResp{}
+		call(t, "GET", leaderSrv.URL+"/v1/spans?trace="+clientTrace.String(), nil, 200, &ls)
+		if flushUnderIngest(ls.Spans) || time.Now().After(deadline) {
+			break
+		}
+	}
 	ingest := bySpanName(ls.Spans, "ingest.batch")
 	if len(ingest) != 1 || ingest[0].Parent != clientSpan || ingest[0].Proc != "leader" {
 		t.Fatalf("ingest spans = %+v, want one parented on the client span", ingest)

@@ -54,14 +54,15 @@
 // pointers): IDs are dense and never recycled, so a lookup is a bare
 // index and the three or four a re-executed record makes for one node
 // share a cache line. The table grows with T.Nodes, once per wave, before
-// the wave reads it. The records themselves live by value in the
-// Contraction's arena (recArena) and link to each other, and the slots to
-// them, by int32 recID: a wave reuses the records its predecessors
-// killed, and a re-simulation rewrites the arena in place. Records and PT
-// leaves name T nodes by nodeRef (ID+1) and the slots name PT leaves by
-// their PT node ID, so neither the arena nor the table holds a pointer
-// for the collector to chase; the trace reads a tree.Node only for its
-// operation, its value and its original links.
+// the wave reads it. The records themselves live by value in an
+// internal/arena chunked arena, the same kind that holds PT's nodes, and
+// link to each other, and the slots to them, by int32 recID: a wave
+// reuses the records its predecessors killed, and a re-simulation resets
+// the arena and refills it in place. Records and PT leaves name T nodes
+// by nodeRef (ID+1) and the slots name PT leaves by their PT node ID, so
+// neither the arena nor the table holds a pointer for the collector to
+// chase; the trace reads a tree.Node only for its operation, its value
+// and its original links.
 package core
 
 import (
@@ -69,7 +70,7 @@ import (
 	"fmt"
 	"slices"
 
-	"dyntc/internal/core/batch"
+	"dyntc/internal/arena"
 	"dyntc/internal/pram"
 	"dyntc/internal/rbsts"
 	"dyntc/internal/semiring"
@@ -142,80 +143,6 @@ type Record struct {
 // recID names a record of the Contraction's arena; 0 names none.
 type recID int32
 
-// recChunkBits sizes the arena's chunks (1 024 records): a power of two,
-// so resolving a recID is a shift and a mask.
-const recChunkBits = 10
-
-// recArena holds the trace's records by value. Chunks never move once
-// allocated, so a *Record stays valid while the arena grows, and growing
-// copies nothing. Index 0 is reserved for "none", so reset must run
-// before the first alloc (simulate does). Every record not handed out is
-// zero, so alloc returns a blank record.
-type recArena struct {
-	chunks [][]Record
-	n      recID   // indices handed out so far, the reserved 0 included
-	free   []recID // released records, reused before n grows
-}
-
-// at returns the record named id, which must not be none.
-func (a *recArena) at(id recID) *Record {
-	return &a.chunks[id>>recChunkBits][id&(1<<recChunkBits-1)]
-}
-
-// get resolves a record link: nil for none.
-func (a *recArena) get(id recID) *Record {
-	if id == 0 {
-		return nil
-	}
-	return a.at(id)
-}
-
-// alloc hands out a blank record: a released one if any, else the next
-// index, adding a chunk when the last one is full.
-func (a *recArena) alloc() *Record {
-	var id recID
-	if k := len(a.free); k > 0 {
-		id = a.free[k-1]
-		a.free = a.free[:k-1]
-	} else {
-		id = a.n
-		if int(id)>>recChunkBits == len(a.chunks) {
-			a.chunks = append(a.chunks, make([]Record, 1<<recChunkBits))
-		}
-		a.n = id + 1
-	}
-	r := a.at(id)
-	r.id = id
-	return r
-}
-
-// release clears dead records and queues them for reuse.
-func (a *recArena) release(rs []*Record) {
-	for _, r := range rs {
-		id := r.id
-		*r = Record{}
-		a.free = append(a.free, id)
-	}
-}
-
-// reset takes every index back and drops the free list: the next alloc
-// hands out 1 again. It keeps the chunks that records (the number about
-// to be allocated) fill and gives the rest back, so a tree that shrank
-// does not hold its peak.
-func (a *recArena) reset(records int) {
-	keep := min(len(a.chunks), records>>recChunkBits+1)
-	for i, ch := range a.chunks[:keep] {
-		if i<<recChunkBits >= int(a.n) {
-			break
-		}
-		clear(ch)
-	}
-	clear(a.chunks[keep:])
-	a.chunks = a.chunks[:keep]
-	a.n = 1
-	a.free = a.free[:0]
-}
-
 // nodeSlot is the trace's per-node state, one 16-byte entry per node ID
 // holding no pointers. A slot is all-zero while its ID has no live node.
 type nodeSlot struct {
@@ -243,7 +170,7 @@ type Contraction struct {
 	records int
 
 	// recs holds every record the slots and links name.
-	recs recArena
+	recs arena.Arena[Record, recID]
 
 	rootValue int64
 	survivor  nodeRef
@@ -265,33 +192,61 @@ type Contraction struct {
 	lastHeal HealStats
 }
 
-// The batch request and report types live in internal/core/batch, so the
-// engine can use them without depending on the PRAM machine.
-type (
-	// AddOp grows a leaf into an operation node with two fresh leaf
-	// children (§4.1 "add two new children below a current leaf").
-	AddOp = batch.AddOp
-	// RemoveOp collapses an internal node whose children are both leaves
-	// back into a leaf with the given value (§4.1 "delete two leaf
-	// children").
-	RemoveOp = batch.RemoveOp
-	// HealStats reports the cost of the most recent dynamic operation.
-	HealStats = batch.HealStats
-)
+// AddOp grows a leaf into an operation node with two fresh leaf children
+// (§4.1 "add two new children below a current leaf").
+type AddOp struct {
+	Leaf     *tree.Node
+	Op       semiring.Op
+	LeftVal  int64
+	RightVal int64
+}
+
+// RemoveOp collapses an internal node whose children are both leaves back
+// into a leaf with the given value (§4.1 "delete two leaf children").
+type RemoveOp struct {
+	Node     *tree.Node
+	NewValue int64
+}
+
+// HealStats reports the cost of the most recent dynamic operation.
+type HealStats struct {
+	// WoundRecords is the number of rake records re-executed (label-only
+	// and structural together). A full re-simulation counts every record.
+	WoundRecords int
+	// WoundRounds is the number of distinct rounds among them (the span of
+	// the healing phase in the PRAM model).
+	WoundRounds int
+	// StructRecords is the number of records structurally re-executed by
+	// change propagation (participants and links recomputed, not just
+	// labels). Zero for label-only waves and for full re-simulations.
+	StructRecords int
+	// TotalRecords is the trace size (leaves-1) after the operation, the
+	// denominator for the records-touched ratio.
+	TotalRecords int
+	// Resimulated reports that the whole trace was rebuilt (the structural
+	// fallback path: gate off, full PT rebuild, or oversized wound).
+	Resimulated bool
+	// ResimReason names why, one of ResimReasons; empty when the wave did
+	// not re-simulate.
+	ResimReason string
+	// RebuildLeaves is the total size of PT subtree rebuilds (Theorem 2.2's
+	// random variable S).
+	RebuildLeaves int
+}
 
 // The reasons a structural wave falls back to a full re-simulation.
 const (
-	ResimGate        = batch.ResimGate
-	ResimFullRebuild = batch.ResimFullRebuild
-	ResimTiny        = batch.ResimTiny
-	ResimOrder       = batch.ResimOrder
-	ResimBudget      = batch.ResimBudget
-	ResimSanity      = batch.ResimSanity
+	ResimGate        = "gate"         // change propagation switched off (tests only)
+	ResimFullRebuild = "full_rebuild" // PT rebuilt from its root
+	ResimTiny        = "tiny"         // fewer than minPropagateLeaves leaves
+	ResimOrder       = "order"        // a record popped before one already executed
+	ResimBudget      = "budget"       // the wound stopped being local
+	ResimSanity      = "sanity"       // a touch chain contradicted itself
 )
 
 // ResimReasons lists every value HealStats.ResimReason takes on a
 // re-simulated wave.
-var ResimReasons = batch.ResimReasons
+var ResimReasons = [...]string{ResimGate, ResimFullRebuild, ResimTiny, ResimOrder, ResimBudget, ResimSanity}
 
 // New builds a Contraction over the given expression tree. The seed drives
 // all of PT's randomness. The machine (nil = sequential) meters every
@@ -342,6 +297,14 @@ func ref(r *Record) recID {
 	return r.id
 }
 
+// newRecord takes a blank record from the arena for the gap right of T
+// leaf v, raked at the given round.
+func (c *Contraction) newRecord(v nodeRef, round int) *Record {
+	id, r := c.recs.Alloc()
+	r.id, r.V, r.Round = id, v, int32(round)
+	return r
+}
+
 // growSlots extends the slot table over every ID in T.Nodes. It
 // reallocates only when T.Nodes itself has, and to the same capacity, so
 // the table's memory follows the tree's instead of doubling past it.
@@ -388,7 +351,7 @@ func (c *Contraction) simulate() {
 		s.rec, s.removedBy, s.firstTouch = 0, 0, 0
 	}
 	c.records = 0
-	c.recs.reset(max(c.pt.Len()-1, 0))
+	c.recs.Reset(max(c.pt.Len()-1, 0))
 
 	if c.pt.Len() == 0 {
 		c.rootValue = c.ring.Zero()
@@ -455,8 +418,7 @@ func (c *Contraction) simulate() {
 	}
 	items := make([]item, 0, c.pt.Len()-1)
 	for l := c.pt.Head(); l.Next() != nil; l = l.Next() {
-		r := c.recs.alloc()
-		r.V, r.Round = l.Payload(), int32(l.GapNode().Height())
+		r := c.newRecord(l.Payload(), l.GapNode().Height())
 		items = append(items, item{timeKey(r), r, at[r.V-1]})
 	}
 	slices.SortFunc(items, func(a, b item) int { return cmp.Compare(a.key, b.key) })
@@ -466,7 +428,7 @@ func (c *Contraction) simulate() {
 		prev := e.lastTouch
 		e.lastTouch = r.id
 		if prev != 0 {
-			c.recs.at(prev).Next = r.id
+			c.recs.At(prev).Next = r.id
 		} else {
 			c.slot(e.node).firstTouch = r.id
 		}
@@ -574,16 +536,16 @@ func (c *Contraction) Validate() error {
 				return fmt.Errorf("core: slot %d: %w", id, err)
 			}
 		}
-		if s.removedBy != 0 && c.recs.get(s.removedBy).P != nd {
+		if s.removedBy != 0 && c.recs.Get(s.removedBy).P != nd {
 			return fmt.Errorf("core: slot %d: removedBy removes another node", id)
 		}
-		if s.firstTouch != 0 && !touches(c.recs.get(s.firstTouch), nd) {
+		if s.firstTouch != 0 && !touches(c.recs.Get(s.firstTouch), nd) {
 			return fmt.Errorf("core: slot %d: firstTouch does not touch the node", id)
 		}
 		if s.rec == 0 {
 			continue
 		}
-		r := c.recs.get(s.rec)
+		r := c.recs.Get(s.rec)
 		recs++
 		if r.V != nd || r.id != s.rec {
 			return fmt.Errorf("core: slot %d: rec rakes another node", id)
@@ -614,10 +576,10 @@ func (c *Contraction) checkLink(l recID) error {
 	if l == 0 {
 		return nil
 	}
-	if l < 0 || l >= c.recs.n {
-		return fmt.Errorf("link %d outside the arena's %d records", l, c.recs.n)
+	if l < 0 || l >= c.recs.End() {
+		return fmt.Errorf("link %d outside the arena's %d records", l, c.recs.End())
 	}
-	r := c.recs.at(l)
+	r := c.recs.At(l)
 	if r.dead || r.V == 0 || c.slot(r.V).rec != l {
 		return fmt.Errorf("link %d reaches a dead record", l)
 	}

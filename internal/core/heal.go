@@ -117,7 +117,7 @@ func (c *Contraction) SetValues(leaves []*tree.Node, values []int64) {
 
 	pp := c.beginPass()
 	for _, l := range leaves {
-		pp.enqueue(c.recs.get(c.slot(refOf(l)).firstTouch), false)
+		pp.enqueue(c.recs.Get(c.slot(refOf(l)).firstTouch), false)
 	}
 	c.heal()
 
@@ -143,7 +143,7 @@ func (c *Contraction) SetOps(nodes []*tree.Node, ops []semiring.Op) {
 	pp := c.beginPass()
 	for i, n := range nodes {
 		c.T.SetOp(n, ops[i])
-		pp.enqueue(c.recs.get(c.slot(refOf(n)).removedBy), false)
+		pp.enqueue(c.recs.Get(c.slot(refOf(n)).removedBy), false)
 	}
 	c.heal()
 }

@@ -42,13 +42,14 @@ package core
 // mid-repair.
 //
 // Records live by value in the Contraction's arena and link by recID. A
-// killed record joins the pass's killed list and returns to the arena's
-// free list only once the pass has drained: until then the worklist and
-// the seed scratch may still hold it, and once drained no link reaches
-// it (Validate checks this). New gaps take their records from that free
-// list, so a wave at a steady tree size allocates no records; the
-// worklist (a typed heap keyed by the packed schedule time) and the seed
-// scratch belong to the Contraction and are reused from wave to wave.
+// killed record is released to the arena at once but recycled, and so
+// reused, only once the pass has drained: until then the worklist and the
+// seed scratch may still hold it, and once drained no link reaches it
+// (Validate checks this). A re-simulation resets the arena, released
+// records included. New gaps take their records from the recycled ones,
+// so a wave at a steady tree size allocates no records; the worklist (a
+// typed heap keyed by the packed schedule time) and the seed scratch
+// belong to the Contraction and are reused from wave to wave.
 
 // minPropagateLeaves is the PT size below which structural waves simply
 // re-simulate: the trace is so small that propagation bookkeeping costs
@@ -57,7 +58,7 @@ const minPropagateLeaves = 8
 
 // propPass is the state of one pass over the trace, label-only or
 // structural. The Contraction owns the one instance and beginPass resets
-// it, so the storage of h, toSeed, toWake and killed carries over.
+// it, so the storage of h, toSeed and toWake carries over.
 type propPass struct {
 	c *Contraction
 	h worklist
@@ -75,9 +76,6 @@ type propPass struct {
 	// toSeed and toWake hold phase 1's records until every round is
 	// rewritten: a key packed before that could be stale.
 	toSeed, toWake []*Record
-	// killed holds the records the pass killed, released to the arena
-	// once the pass has drained.
-	killed []*Record
 }
 
 // beginPass readies the Contraction's pass for a new wave.
@@ -86,8 +84,7 @@ func (c *Contraction) beginPass() *propPass {
 	pp.h.reset()
 	clear(pp.toSeed)
 	clear(pp.toWake)
-	clear(pp.killed)
-	pp.toSeed, pp.toWake, pp.killed = pp.toSeed[:0], pp.toWake[:0], pp.killed[:0]
+	pp.toSeed, pp.toWake = pp.toSeed[:0], pp.toWake[:0]
 	pp.steps, pp.maxSteps, pp.processed, pp.failed = 0, 0, 0, ""
 	return pp
 }
@@ -114,11 +111,11 @@ func (pp *propPass) step() bool {
 func (c *Contraction) prevIn(m *Record, u nodeRef) *Record {
 	switch u {
 	case m.V:
-		return c.recs.get(m.VPrev)
+		return c.recs.Get(m.VPrev)
 	case m.P:
-		return c.recs.get(m.PPrev)
+		return c.recs.Get(m.PPrev)
 	default:
-		return c.recs.get(m.WPrev)
+		return c.recs.Get(m.WPrev)
 	}
 }
 
@@ -138,7 +135,7 @@ func setPrevIn(m *Record, u nodeRef, p *Record) {
 // one (V and P are removed by the record, ending their chains).
 func (c *Contraction) nextIn(m *Record, u nodeRef) *Record {
 	if u == m.W {
-		return c.recs.get(m.Next)
+		return c.recs.Get(m.Next)
 	}
 	return nil
 }
@@ -168,7 +165,7 @@ func (pp *propPass) findPos(u nodeRef, at, skip *Record) (prev, next *Record) {
 		}
 		return n
 	}
-	cur := c.recs.get(c.slot(u).firstTouch)
+	cur := c.recs.Get(c.slot(u).firstTouch)
 	if cur == skip {
 		cur = c.nextIn(skip, u)
 	}
@@ -200,7 +197,7 @@ func (pp *propPass) occupant(p nodeRef, left bool, at *Record) nodeRef {
 		if !pp.step() {
 			return 0
 		}
-		rb := pp.c.recs.get(pp.c.slot(n).removedBy)
+		rb := pp.c.recs.Get(pp.c.slot(n).removedBy)
 		if rb == nil || rb.dead || rb == at || !timeLess(rb, at) {
 			return n
 		}
@@ -256,12 +253,12 @@ func (pp *propPass) unchain(r *Record) {
 }
 
 // kill removes a record whose gap no longer exists. Successors that
-// lose r as their producer are woken structurally. r joins the pass's
-// killed list, to be reused once the pass has drained.
+// lose r as their producer are woken structurally. r is released to the
+// arena, which reuses it once the pass has drained (run recycles).
 func (pp *propPass) kill(r *Record) {
 	c := pp.c
 	r.dead = true
-	pp.killed = append(pp.killed, r)
+	c.recs.Release(r.id)
 	if r.P != 0 {
 		for _, u := range [3]nodeRef{r.V, r.P, r.W} {
 			if !pp.chained(r, u) {
@@ -303,7 +300,7 @@ func (pp *propPass) wakeTail(m *Record, u nodeRef) {
 		if m.W != u {
 			return // a V- or P-touch ends the chain
 		}
-		m = pp.c.recs.get(m.Next)
+		m = pp.c.recs.Get(m.Next)
 	}
 }
 
@@ -312,12 +309,12 @@ func (pp *propPass) wakeTail(m *Record, u nodeRef) {
 // leaf or removed parent (those re-resolve its overlay parent through
 // the last W-toucher's G).
 func (pp *propPass) enqueueGReader(r *Record) {
-	z := pp.c.recs.get(r.Next)
+	z := pp.c.recs.Get(r.Next)
 	for z != nil && z.W == r.W {
 		if !pp.step() {
 			return
 		}
-		z = pp.c.recs.get(z.Next)
+		z = pp.c.recs.Get(z.Next)
 	}
 	pp.enqueue(z, true)
 }
@@ -331,7 +328,7 @@ func (pp *propPass) reexec(r *Record) {
 	wasLinked := r.P != 0
 	oldP, oldW, oldG := r.P, r.W, r.G
 	oldLeft, oldPrep, oldOut := r.WLeft, r.Prep, r.LwOut
-	oldNext := c.recs.get(r.Next)
+	oldNext := c.recs.Get(r.Next)
 
 	pp.unchain(r)
 
@@ -448,7 +445,7 @@ func (pp *propPass) reexec(r *Record) {
 			s.removedBy = 0
 		}
 	}
-	if prior := c.recs.get(pSlot.removedBy); prior != nil && prior != r && !prior.dead {
+	if prior := c.recs.Get(pSlot.removedBy); prior != nil && prior != r && !prior.dead {
 		if timeLess(r, prior) {
 			pp.enqueue(prior, true)
 		} else {
@@ -478,7 +475,7 @@ func (pp *propPass) reexec(r *Record) {
 			if q == 0 {
 				continue
 			}
-			if rb := c.recs.get(c.slot(q).removedBy); rb != nil && rb != r && !rb.dead && timeLess(r, rb) {
+			if rb := c.recs.Get(c.slot(q).removedBy); rb != nil && rb != r && !rb.dead && timeLess(r, rb) {
 				pp.enqueue(rb, true)
 			}
 		}
@@ -486,7 +483,7 @@ func (pp *propPass) reexec(r *Record) {
 			if q == 0 || (q == oldW && !wasLinked) {
 				continue
 			}
-			if qr := c.recs.get(c.slot(q).rec); qr != nil && qr != r && !qr.dead && timeLess(r, qr) {
+			if qr := c.recs.Get(c.slot(q).rec); qr != nil && qr != r && !qr.dead && timeLess(r, qr) {
 				pp.enqueue(qr, true)
 			}
 		}
@@ -498,16 +495,16 @@ func (pp *propPass) reexec(r *Record) {
 // the output moved. This is the historical heal step.
 func (pp *propPass) healLabels(r *Record) {
 	c := pp.c
-	r.Lv = c.labelFromProducer(c.recs.get(r.VPrev), r.V)
-	r.LpIn = c.labelFromProducer(c.recs.get(r.PPrev), r.P)
-	r.LwIn = c.labelFromProducer(c.recs.get(r.WPrev), r.W)
+	r.Lv = c.labelFromProducer(c.recs.Get(r.VPrev), r.V)
+	r.LpIn = c.labelFromProducer(c.recs.Get(r.PPrev), r.P)
+	r.LwIn = c.labelFromProducer(c.recs.Get(r.WPrev), r.W)
 	lpOut := r.LpIn.Compose(c.ring, c.node(r.P).Op.Partial(c.ring, r.Lv.B))
 	out := lpOut.Compose(c.ring, r.LwIn)
 	if out == r.LwOut {
 		return
 	}
 	r.LwOut = out
-	if next := c.recs.get(r.Next); next != nil {
+	if next := c.recs.Get(r.Next); next != nil {
 		pp.enqueue(next, false)
 	} else {
 		c.rootValue = out.B
@@ -562,6 +559,8 @@ func (pp *propPass) run(budget int) string {
 	}
 	c.lastHeal.WoundRounds = roundCount
 	c.machine.ChargeSpan(int64(roundCount), 0, 1)
+	// Drained: no link reaches a killed record any more.
+	c.recs.Recycle()
 	return ""
 }
 
@@ -591,10 +590,9 @@ func (pp *propPass) seedGap(x *ptNode) {
 	c := pp.c
 	v := x.GapLeaf().Payload()
 	s := c.slot(v)
-	r := c.recs.get(s.rec)
+	r := c.recs.Get(s.rec)
 	if r == nil {
-		r = c.recs.alloc()
-		r.V, r.Round = v, int32(x.Height())
+		r = c.newRecord(v, x.Height())
 		s.rec = r.id
 		c.records++
 	} else if int(r.Round) != x.Height() {
@@ -605,7 +603,7 @@ func (pp *propPass) seedGap(x *ptNode) {
 		// re-execution could come too late to wake it).
 		pp.unchain(r)
 		r.Round = int32(x.Height())
-		if next := c.recs.get(r.Next); next != nil {
+		if next := c.recs.Get(r.Next); next != nil {
 			pp.toWake = append(pp.toWake, next)
 		}
 	}
@@ -668,12 +666,12 @@ func (c *Contraction) propagateStructural(deleted, relabeled []nodeRef) {
 	// records, and the record of a surviving leaf that became the tail
 	// (its right neighborhood was deleted, taking the gap with it).
 	for _, u := range deleted {
-		if r := c.recs.get(c.slot(u).rec); r != nil {
+		if r := c.recs.Get(c.slot(u).rec); r != nil {
 			pp.kill(r)
 		}
 	}
 	if t := c.pt.Tail(); t != nil {
-		if r := c.recs.get(c.slot(t.Payload()).rec); r != nil {
+		if r := c.recs.Get(c.slot(t.Payload()).rec); r != nil {
 			pp.kill(r)
 		}
 	}
@@ -681,7 +679,7 @@ func (c *Contraction) propagateStructural(deleted, relabeled []nodeRef) {
 	// Phase 3: label wounds at T nodes whose initial label flipped
 	// between Const and Identity.
 	for _, u := range relabeled {
-		pp.enqueue(c.recs.get(c.slot(u).firstTouch), true)
+		pp.enqueue(c.recs.Get(c.slot(u).firstTouch), true)
 	}
 
 	budget := c.pt.Len()/2 + 64
@@ -690,7 +688,6 @@ func (c *Contraction) propagateStructural(deleted, relabeled []nodeRef) {
 		c.resimulate(reason)
 		return
 	}
-	c.recs.release(pp.killed)
 
 	// Refresh the root from the survivor's final toucher: mid-pass
 	// surgery can retire the record that used to end the trace, so the
@@ -699,7 +696,7 @@ func (c *Contraction) propagateStructural(deleted, relabeled []nodeRef) {
 	if c.pt.Len() == 1 {
 		c.rootValue = c.node(c.survivor).Value
 	} else {
-		last := c.recs.get(c.slot(c.survivor).firstTouch)
+		last := c.recs.Get(c.slot(c.survivor).firstTouch)
 		if last == nil {
 			c.resimulate(ResimSanity)
 			return

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"dyntc/internal/arena"
 	"dyntc/internal/prng"
 	"dyntc/internal/semiring"
 	"dyntc/internal/tree"
@@ -424,8 +425,9 @@ func (c *Contraction) validateTrace() error { return c.traceDiff(c.simulate) }
 func (c *Contraction) traceDiff(rebuild func()) error {
 	live, liveN, liveRecs := c.slots, c.records, c.recs
 	liveRoot, liveSurv := c.rootValue, c.survivor
-	// rebuild rewrites the table and the arena in place.
-	c.slots, c.recs = slices.Clone(live), liveRecs.clone()
+	// rebuild rewrites the table in place and resets the arena, so it
+	// gets a copy of the one and an arena of its own.
+	c.slots, c.recs = slices.Clone(live), arena.Arena[Record, recID]{}
 	rebuild()
 	ora, oraN, oraRecs := c.slots, c.records, c.recs
 	oraRoot, oraSurv := c.rootValue, c.survivor
@@ -435,9 +437,9 @@ func (c *Contraction) traceDiff(rebuild func()) error {
 	if liveN != oraN {
 		return fmt.Errorf("%d records want %d", liveN, oraN)
 	}
-	lk, ok := liveRecs.key, oraRecs.key
+	lk, ok := recKey(&liveRecs), recKey(&oraRecs)
 	for id := range ora {
-		l, o := liveRecs.get(live[id].rec), oraRecs.get(ora[id].rec)
+		l, o := liveRecs.Get(live[id].rec), oraRecs.Get(ora[id].rec)
 		if (l == nil) != (o == nil) {
 			return fmt.Errorf("leaf %d: record %v want %v", id, l != nil, o != nil)
 		}
@@ -484,20 +486,13 @@ func (c *Contraction) traceDiff(rebuild func()) error {
 	return nil
 }
 
-// key names a link by its record's raked leaf, which two arenas holding
-// the same trace agree on: -1 for none.
-func (a *recArena) key(l recID) int {
-	if l == 0 {
-		return -1
+// recKey names the links of arena a by their record's raked leaf, which
+// two arenas holding the same trace agree on: -1 for none.
+func recKey(a *arena.Arena[Record, recID]) func(recID) int {
+	return func(l recID) int {
+		if l == 0 {
+			return -1
+		}
+		return int(a.At(l).V - 1)
 	}
-	return int(a.at(l).V - 1)
-}
-
-// clone deep-copies the arena, chunks included.
-func (a *recArena) clone() recArena {
-	out := recArena{chunks: make([][]Record, len(a.chunks)), n: a.n, free: slices.Clone(a.free)}
-	for i, ch := range a.chunks {
-		out.chunks[i] = slices.Clone(ch)
-	}
-	return out
 }

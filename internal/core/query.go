@@ -54,7 +54,7 @@ func (c *Contraction) value(n *tree.Node, memo map[int]int64, work *int) int64 {
 			memo[f.n.ID] = f.n.Value
 			continue
 		}
-		r := c.recs.get(c.slot(refOf(f.n)).removedBy)
+		r := c.recs.Get(c.slot(refOf(f.n)).removedBy)
 		if r == nil {
 			panic("core: query on a node outside the trace")
 		}

@@ -28,7 +28,7 @@ func (c *Contraction) simulateRef() {
 		s.rec, s.removedBy, s.firstTouch = 0, 0, 0
 	}
 	c.records = 0
-	c.recs.reset(max(c.pt.Len()-1, 0))
+	c.recs.Reset(max(c.pt.Len()-1, 0))
 
 	if c.pt.Len() == 0 {
 		c.rootValue = c.ring.Zero()
@@ -43,8 +43,7 @@ func (c *Contraction) simulateRef() {
 
 	recs := make([]*Record, 0, c.pt.Len()-1)
 	for l := c.pt.Head(); l.Next() != nil; l = l.Next() {
-		r := c.recs.alloc()
-		r.V, r.Round = l.Payload(), int32(l.GapNode().Height())
+		r := c.newRecord(l.Payload(), l.GapNode().Height())
 		recs = append(recs, r)
 	}
 	sortRecords(recs)

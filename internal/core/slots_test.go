@@ -12,6 +12,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"dyntc/internal/arena"
 	"dyntc/internal/prng"
 	"dyntc/internal/semiring"
 	"dyntc/internal/tree"
@@ -327,9 +328,9 @@ func TestArenaReusesKilledRecords(t *testing.T) {
 		}
 		c.AddLeaves(add)
 		c.RemoveLeaves(rm)
-		if limit := recID(tr.LeafCount() + 4*k); c.recs.n > limit {
+		if limit := recID(tr.LeafCount() + 4*k); c.recs.End() > limit {
 			t.Fatalf("wave %d: arena handed out %d indices for %d leaves, want at most %d",
-				wave, c.recs.n, tr.LeafCount(), limit)
+				wave, c.recs.End(), tr.LeafCount(), limit)
 		}
 	}
 	if err := c.Validate(); err != nil {
@@ -342,14 +343,15 @@ func TestArenaReusesKilledRecords(t *testing.T) {
 
 // TestArenaShrinksOnResimulate collapses an 8 192-leaf tree down to 600
 // leaves and re-simulates it: the arena must give back the chunks the
-// smaller trace no longer fills, dropping them from the chunk list's
-// backing array too, so the collector can reclaim them.
+// smaller trace no longer fills. (That Reset also drops them from the
+// chunk list's backing array, so the collector can reclaim them, is
+// internal/arena's TestResetKeepsOnlyNeededChunks.)
 func TestArenaShrinksOnResimulate(t *testing.T) {
 	const n, keep = 8192, 600
 	tr := tree.Generate(testRing, prng.New(31), n, tree.ShapeRandom)
 	c := New(tr, 32, nil)
-	if len(c.recs.chunks) != n>>recChunkBits {
-		t.Fatalf("%d chunks for %d leaves", len(c.recs.chunks), n)
+	if c.recs.Chunks() != n/arena.ChunkLen {
+		t.Fatalf("%d chunks for %d leaves", c.recs.Chunks(), n)
 	}
 	for tr.LeafCount() > keep {
 		var rm []RemoveOp
@@ -362,13 +364,8 @@ func TestArenaShrinksOnResimulate(t *testing.T) {
 		c.RemoveLeaves(rm)
 	}
 	c.simulate()
-	if got := len(c.recs.chunks); got != 1 {
+	if got := c.recs.Chunks(); got != 1 {
 		t.Fatalf("%d chunks kept for %d leaves, want 1", got, tr.LeafCount())
-	}
-	for i, ch := range c.recs.chunks[:cap(c.recs.chunks)][1:] {
-		if ch != nil {
-			t.Fatalf("dropped chunk %d still referenced", i+1)
-		}
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)

@@ -4,7 +4,7 @@ import (
 	"slices"
 	"time"
 
-	"dyntc/internal/core/batch"
+	"dyntc/internal/core"
 	"dyntc/internal/obs"
 )
 
@@ -105,7 +105,7 @@ func RegisterStatsFuncs(r *obs.Registry, stats func() Stats) {
 		func() float64 { return float64(stats().Waves) })
 	r.CounterFunc("dyntc_heal_records_total", "trace records re-executed by mutating-wave heals",
 		func() float64 { return float64(stats().HealRecords) })
-	for _, reason := range batch.ResimReasons {
+	for _, reason := range core.ResimReasons {
 		r.CounterFunc("dyntc_resimulations_total", "mutating waves that fell back to full re-simulation, by reason",
 			func() float64 { return float64(stats().ResimReasons[reason]) }, "reason", reason)
 	}
@@ -267,7 +267,7 @@ func (e *Engine) noteHeal(executed int) {
 	e.stats.healRecords.Add(uint64(hs.WoundRecords))
 	if hs.Resimulated {
 		e.stats.resims.Add(1)
-		if i := slices.Index(batch.ResimReasons[:], hs.ResimReason); i >= 0 {
+		if i := slices.Index(core.ResimReasons[:], hs.ResimReason); i >= 0 {
 			e.stats.resimsBy[i].Add(1)
 		}
 	}

@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dyntc/internal/core/batch"
+	"dyntc/internal/core"
 )
 
 // latWindow is the number of recent flush latencies retained for the
@@ -36,7 +36,7 @@ type statsRec struct {
 	barriers     atomic.Uint64
 	healRecords  atomic.Uint64
 	resims       atomic.Uint64
-	resimsBy     [len(batch.ResimReasons)]atomic.Uint64 // same order
+	resimsBy     [len(core.ResimReasons)]atomic.Uint64 // same order
 
 	latMu sync.Mutex
 	lat   [latWindow]int64 // recent flush durations, nanoseconds
@@ -170,7 +170,7 @@ type Stats struct {
 	HealRecords   uint64 `json:"heal_records"`
 	Resimulations uint64 `json:"resimulations"`
 	// ResimReasons splits Resimulations by the core's stated reason
-	// (batch.ResimReasons); a reason that never occurred is absent.
+	// (core.ResimReasons); a reason that never occurred is absent.
 	ResimReasons map[string]uint64 `json:"resim_reasons,omitempty"`
 }
 
@@ -236,7 +236,7 @@ func (s *Stats) Add(other Stats) {
 
 func (s *Stats) addResims(reason string, n uint64) {
 	if s.ResimReasons == nil {
-		s.ResimReasons = make(map[string]uint64, len(batch.ResimReasons))
+		s.ResimReasons = make(map[string]uint64, len(core.ResimReasons))
 	}
 	s.ResimReasons[reason] += n
 }
@@ -271,7 +271,7 @@ func (e *Engine) Stats() Stats {
 		HealRecords:   e.stats.healRecords.Load(),
 		Resimulations: e.stats.resims.Load(),
 	}
-	for i, reason := range batch.ResimReasons {
+	for i, reason := range core.ResimReasons {
 		if n := e.stats.resimsBy[i].Load(); n > 0 {
 			s.addResims(reason, n)
 		}

@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"dyntc/internal/core/batch"
+	"dyntc/internal/core"
 	"dyntc/internal/semiring"
 	"dyntc/internal/tree"
 )
@@ -16,9 +16,9 @@ type (
 	// OpT is a symmetric node operation.
 	OpT = semiring.Op
 	// GrowOp is one leaf expansion of a grow batch.
-	GrowOp = batch.AddOp
+	GrowOp = core.AddOp
 	// CollapseOp is one leaf-pair deletion of a collapse batch.
-	CollapseOp = batch.RemoveOp
+	CollapseOp = core.RemoveOp
 	// HealStats is the per-wave heal cost report of the contraction core.
-	HealStats = batch.HealStats
+	HealStats = core.HealStats
 )

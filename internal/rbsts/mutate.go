@@ -209,7 +209,7 @@ func (t *Tree[P, S]) BatchInsert(m *pram.Machine, ops []InsertOp[P]) Report[P, S
 	if m == nil {
 		m = pram.Sequential()
 	}
-	t.recycle()
+	t.nodes.Recycle()
 	rep := t.beginReport()
 	pl := &t.pl
 	pl.reset()
@@ -316,7 +316,7 @@ func (t *Tree[P, S]) BatchDelete(m *pram.Machine, leaves []*Node[P, S]) Report[P
 	if m == nil {
 		m = pram.Sequential()
 	}
-	t.recycle()
+	t.nodes.Recycle()
 	rep := t.beginReport()
 	if len(leaves) == 0 {
 		return *rep

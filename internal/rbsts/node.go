@@ -28,9 +28,10 @@
 // contraction layer, which schedules one rake per gap at a round equal to
 // the gap node's height (§4.2).
 //
-// Nodes live by value in chunks the Tree owns and link to each other by
-// int32 IDs; shortcut lists live in one int32 slab. Chunks never move, so
-// a *Node handle stays valid while the tree grows. Lifetimes:
+// Nodes live by value in the Tree's internal/arena chunked arena, the
+// same kind that holds the contraction's rake records, and link to each
+// other by int32 IDs; shortcut lists live in one int32 slab. Chunks never
+// move, so a *Node handle stays valid while the tree grows. Lifetimes:
 //
 //   - a leaf's handle is stable for as long as the leaf is in the tree;
 //   - a rebuild builds the new subtree from the replaced subtree's own
@@ -194,65 +195,28 @@ func appendShortcutDepths(dst []int32, d int32) []int32 {
 	return dst
 }
 
-// chunkBits sizes the node arena's chunks (1 024 nodes): a power of two,
-// so resolving an ID is a shift and a mask.
-const chunkBits = 10
-
 // at returns the node named id, which must not be none.
-func (t *Tree[P, S]) at(id int32) *Node[P, S] {
-	return &t.chunks[id>>chunkBits][id&(1<<chunkBits-1)]
-}
+func (t *Tree[P, S]) at(id int32) *Node[P, S] { return t.nodes.At(id) }
 
 // Node resolves a node ID of this tree: nil for 0.
-func (t *Tree[P, S]) Node(id int32) *Node[P, S] {
-	if id == 0 {
-		return nil
-	}
-	return t.at(id)
-}
+func (t *Tree[P, S]) Node(id int32) *Node[P, S] { return t.nodes.Get(id) }
 
-// newNode hands out a blank node: a recycled one if any, else the next
-// index, adding a chunk when the last one is full. ID 0 is reserved for
-// none.
+// newNode hands out a blank node of t, reusing a recycled one if any.
 func (t *Tree[P, S]) newNode() *Node[P, S] {
-	if k := len(t.free); k > 0 {
-		id := t.free[k-1]
-		t.free = t.free[:k-1]
-		return t.at(id) // recycle left it blank, its t and id set
-	}
-	if int(t.next>>chunkBits) == len(t.chunks) {
-		t.chunks = append(t.chunks, make([]Node[P, S], 1<<chunkBits))
-	}
-	id := t.next
-	t.next++
-	n := t.at(id)
+	id, n := t.nodes.Alloc()
 	n.t, n.id = t, id
 	return n
 }
 
 // release frees a node the current call no longer needs: its links,
-// counts and shortcut list go at once, so it reads as detached, and it
-// joins the free list at the start of the next insertion or deletion,
-// which also clears its payload (recycle). Until then no call hands it
-// out again, so the call's report and a deleted leaf's payload stay
-// readable.
+// counts and shortcut list go at once, so it reads as detached. The arena
+// recycles it, clearing its payload, at the start of the next insertion
+// or deletion; until then no call hands it out again, so the call's
+// report and a deleted leaf's payload stay readable.
 func (t *Tree[P, S]) release(n *Node[P, S]) {
 	t.dropShortcuts(n)
 	*n = Node[P, S]{t: t, id: n.id, payload: n.payload, sum: n.sum}
-	t.freed = append(t.freed, n.id)
-}
-
-// recycle moves the nodes the previous call freed onto the free list,
-// clearing what they still held.
-func (t *Tree[P, S]) recycle() {
-	var p P
-	var s S
-	for _, id := range t.freed {
-		n := t.at(id)
-		n.payload, n.sum = p, s
-	}
-	t.free = append(t.free, t.freed...)
-	t.freed = t.freed[:0]
+	t.nodes.Release(n.id)
 }
 
 // shortcuts returns n's shortcut list, a view into the slab that is valid

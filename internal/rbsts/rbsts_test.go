@@ -705,7 +705,7 @@ func TestPTArenaBounded(t *testing.T) {
 	tr := newIntTree(62, n)
 	check := func(what string) {
 		t.Helper()
-		if got := tr.next - 1; got > 2*n+64 {
+		if got := tr.nodes.End() - 1; got > 2*n+64 {
 			t.Fatalf("%s: arena handed out %d nodes for %d leaves, want at most %d", what, got, tr.Len(), 2*n+64)
 		}
 	}
@@ -748,5 +748,6 @@ func TestPTArenaBounded(t *testing.T) {
 	if full < 4 {
 		t.Fatalf("%d full rebuilds, want at least two per cycle", full)
 	}
-	t.Logf("arena: %d nodes handed out, %d free, for %d leaves; %d full rebuilds", tr.next-1, len(tr.free)+len(tr.freed), tr.Len(), full)
+	free, pending := tr.nodes.Unused()
+	t.Logf("arena: %d nodes handed out, %d free, for %d leaves; %d full rebuilds", tr.nodes.End()-1, len(free)+len(pending), tr.Len(), full)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"dyntc/internal/arena"
 	"dyntc/internal/pram"
 	"dyntc/internal/prng"
 )
@@ -35,13 +36,9 @@ type Tree[P, S any] struct {
 	// clients to detect staleness and by tests.
 	rebuildEpoch int64
 
-	// The node arena (node.go): chunks that never move and next, the
-	// first index never handed out (0 is reserved). free lists the
-	// recycled nodes newNode reuses; freed the nodes the current call
-	// released, which join free only at the next insertion or deletion.
-	chunks      [][]Node[P, S]
-	next        int32
-	free, freed []int32
+	// nodes holds every node. A node the current call released is
+	// recycled, and so reused, only at the next insertion or deletion.
+	nodes arena.Arena[Node[P, S], int32]
 
 	// slab holds every shortcut list; slabFree[l] lists the offsets of
 	// released lists of length l.
@@ -73,7 +70,6 @@ func New[P, S any](seed uint64, leaf func(P) S, merge func(S, S) S, payloads []P
 		src:     prng.New(seed),
 		leafFn:  leaf,
 		mergeFn: merge,
-		next:    1,
 	}
 	t.pl = newPlanner(t)
 	leaves := make([]int32, len(payloads))

@@ -9,22 +9,26 @@ import "fmt"
 // out is either in the tree or freed. It is O(n · shortcut length) and
 // intended for tests and failure injection, not production paths.
 func (t *Tree[P, S]) Validate() error {
-	freed := make(map[int32]bool, len(t.free)+len(t.freed))
-	for _, id := range append(t.free[:len(t.free):len(t.free)], t.freed...) {
-		if id <= 0 || id >= t.next || freed[id] {
-			return fmt.Errorf("rbsts: free list holds bad or repeated node %d", id)
-		}
-		freed[id] = true
-		if t.at(id).leaves != 0 {
-			return fmt.Errorf("rbsts: freed node %d still has leaves", id)
+	free, pending := t.nodes.Unused()
+	handed := int(t.nodes.End()) - 1
+	freed := make(map[int32]bool, len(free)+len(pending))
+	for _, ids := range [2][]int32{free, pending} {
+		for _, id := range ids {
+			if id <= 0 || int(id) > handed || freed[id] {
+				return fmt.Errorf("rbsts: free list holds bad or repeated node %d", id)
+			}
+			freed[id] = true
+			if t.at(id).leaves != 0 {
+				return fmt.Errorf("rbsts: freed node %d still has leaves", id)
+			}
 		}
 	}
 	if t.root == 0 {
 		if t.count != 0 || t.head != 0 || t.tail != 0 {
 			return fmt.Errorf("rbsts: empty root but count=%d head=%d tail=%d", t.count, t.head, t.tail)
 		}
-		if len(freed) != int(t.next)-1 {
-			return fmt.Errorf("rbsts: empty tree holds %d nodes, %d freed", t.next-1, len(freed))
+		if len(freed) != handed {
+			return fmt.Errorf("rbsts: empty tree holds %d nodes, %d freed", handed, len(freed))
 		}
 		return nil
 	}
@@ -45,8 +49,8 @@ func (t *Tree[P, S]) Validate() error {
 	if len(leaves) != t.count {
 		return fmt.Errorf("rbsts: count=%d but found %d leaves", t.count, len(leaves))
 	}
-	if v.live+len(freed) != int(t.next)-1 {
-		return fmt.Errorf("rbsts: %d nodes live and %d freed, but %d handed out", v.live, len(freed), t.next-1)
+	if v.live+len(freed) != handed {
+		return fmt.Errorf("rbsts: %d nodes live and %d freed, but %d handed out", v.live, len(freed), handed)
 	}
 	// Leaf list agrees with in-order traversal.
 	if t.at(t.head) != leaves[0] || t.at(t.tail) != leaves[len(leaves)-1] {
@@ -105,8 +109,8 @@ func (v *validator[P, S]) link(id int32) error {
 	if id == 0 {
 		return nil
 	}
-	if id < 0 || id >= v.t.next {
-		return fmt.Errorf("link %d outside the arena's %d nodes", id, v.t.next)
+	if id < 0 || id >= v.t.nodes.End() {
+		return fmt.Errorf("link %d outside the arena's %d nodes", id, v.t.nodes.End())
 	}
 	if v.freed[id] {
 		return fmt.Errorf("link to freed node %d", id)
