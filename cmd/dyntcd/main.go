@@ -3,13 +3,13 @@
 // Every tree is backed by dynamic parallel tree contraction (Reif & Tate,
 // SPAA'94) behind a concurrent request-coalescing engine: concurrent
 // requests against one tree amortize into the paper's §1.4 batches, and
-// independent trees are sharded across engines so they proceed fully in
+// every tree has its own engine so independent trees proceed fully in
 // parallel.
 //
 // Usage:
 //
 //	dyntcd -addr :8080
-//	dyntcd -addr :8080 -window 200us -maxbatch 2048
+//	dyntcd -addr :8080 -queue 16384   # deeper per-tree queue before 429s
 //	dyntcd -addr :8080 -wal-dir /var/lib/dyntcd   # durable wave log
 //	dyntcd -addr :8080 -wal-dir d -compact-every 10000  # + log compaction
 //	dyntcd -addr :8081 -follow http://leader:8080 # read replica, same read API
@@ -20,9 +20,8 @@
 // PRAM steps run inline there: the PRAM machine meters rounds, work and
 // processors, it does not schedule. Cross-tree query scatter and, in
 // -follow mode, replica catch-up fan out on plain goroutines. Each
-// engine's flush cap adapts under saturation (adaptive MaxBatch;
-// -maxbatch sets the floor); its adaptive state (cur_max_batch) is in the
-// engine stats.
+// engine flushes whatever is queued the moment its executor goes idle, up
+// to the -queue capacity; a submit that finds the queue full answers 429.
 //
 // Durability & replication (internal/replog): every tree's engine taps
 // its executed mutating waves into a change log — an in-memory ring of
@@ -103,9 +102,7 @@ func fatal(msg string, attrs ...any) {
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
-		window   = flag.Duration("window", 0, "batching window (0 = adaptive idle-flush)")
-		maxBatch = flag.Int("maxbatch", 0, "max requests per flush (0 = default 1024)")
-		queue    = flag.Int("queue", 0, "per-tree submit queue capacity (0 = default 4096)")
+		queue    = flag.Int("queue", 0, "per-tree submit queue capacity, which also bounds one flush (0 = default 4096)")
 		walDir   = flag.String("wal-dir", "", "directory for append-only per-tree wave logs ('' = in-memory ring only)")
 		logCap   = flag.Int("log-cap", 0, "waves retained in each tree's in-memory log ring (0 = default 4096)")
 		follow   = flag.String("follow", "", "leader base URL: run as a read-only replica of that dyntcd")
@@ -179,10 +176,7 @@ func main() {
 			fatal("wal dir", "err", err)
 		}
 	}
-	opts := dyntc.BatchOptions{
-		MaxBatch: *maxBatch, Window: *window, Queue: *queue,
-		Faults: faults, Obs: hub,
-	}
+	opts := dyntc.BatchOptions{Queue: *queue, Faults: faults, Obs: hub}
 
 	s := newServerWAL(opts, *walDir, *logCap)
 	s.store.compactEvery = *compact
@@ -217,8 +211,8 @@ func main() {
 		_ = srv.Shutdown(shutdownCtx)
 	}()
 
-	slog.Info("dyntcd listening", "addr", *addr, "role", s.role(), "follow", *follow, "window", *window,
-		"maxbatch", *maxBatch, "wal", *walDir)
+	slog.Info("dyntcd listening", "addr", *addr, "role", s.role(), "follow", *follow,
+		"queue", *queue, "wal", *walDir)
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal("serve", "err", err)
 	}

@@ -249,13 +249,12 @@ func (s *server) observe() {
 	s.obs.Anomaly().SetSnapshot(func() map[string]any {
 		st := s.stats.get()
 		m := map[string]any{
-			"queue_depth":   st.QueueDepth,
-			"flushes":       st.Flushes,
-			"waves":         st.Waves,
-			"shed":          st.Shed,
-			"cur_max_batch": st.CurMaxBatch,
-			"flush_p50_us":  st.FlushP50US,
-			"flush_p99_us":  st.FlushP99US,
+			"queue_depth":  st.QueueDepth,
+			"flushes":      st.Flushes,
+			"waves":        st.Waves,
+			"shed":         st.Shed,
+			"flush_p50_us": st.FlushP50US,
+			"flush_p99_us": st.FlushP99US,
 		}
 		if f := s.following.Load(); f != nil {
 			f.healthFields(m)

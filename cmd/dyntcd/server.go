@@ -755,7 +755,7 @@ func (s *server) handlePutSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	en, seq, err := s.forest.Restore(id, body)
 	if err != nil {
-		// Restore checks occupancy atomically (engine.Forest.AddAt), so a
+		// Restore checks occupancy under the forest lock, so a
 		// lost duplicate-PUT race still maps to conflict, not bad-request.
 		if errors.Is(err, engine.ErrTreeExists) {
 			writeErr(w, apiError{http.StatusConflict, fmt.Sprintf("tree %d already exists", id)})

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"dyntc"
+	"dyntc/internal/obs"
 	"dyntc/internal/prng"
 )
 
@@ -231,10 +232,18 @@ func sweepProgram(t *testing.T, n int) ([]sweepOp, []byte, []dyntc.Wave) {
 // is never acknowledged. A server recovered on the same directory must
 // serve exactly the acknowledged waves — its applied seq equals their
 // count and its snapshot is byte-identical to the sequential replay
-// oracle — and its next write must continue the sequence.
+// oracle. It then runs the rest of the program: its next write must
+// continue the sequence, and with compaction on, its log, which starts
+// mid-stream, compacts at least twice more. A third server recovered on
+// the directory must match the oracle at the program's last wave.
 func TestCrashPointSweep(t *testing.T) {
 	const n = 40
 	prog, genesis, waves := sweepProgram(t, n)
+	final, fseq := replayWAL(t, genesis, waves, n)
+	fsnap, err := final.Snapshot(fseq)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, every := range []int{0, 4} {
 		for crashAt := 1; crashAt <= 32; crashAt++ {
 			dir := t.TempDir()
@@ -285,19 +294,53 @@ func TestCrashPointSweep(t *testing.T) {
 			if _, got := serveLocal(t, h2, "GET", "/v1/trees/1/snapshot", nil); !bytes.Equal(got, osnap) {
 				t.Fatalf("every=%d crash after %d: recovered state differs from the replay oracle", every, crashAt)
 			}
-			if status, _ := serveLocal(t, h2, "POST", "/v1/trees/1/set-leaf",
-				map[string]any{"leaf": prog[acked-1].leaf, "value": 77}); status != 200 {
-				t.Fatalf("every=%d crash after %d: next write status %d", every, crashAt, status)
+			// Each compaction is awaited before the next write, so no kick
+			// coalesces into another and every one journals an event.
+			mark, _ := s2.obs.Events().LastEvent()
+			compactions := 0
+			for i := acked; i < n; i++ {
+				if status, body := serveLocal(t, h2, "POST", prog[i].path, prog[i].body); status != 200 {
+					t.Fatalf("every=%d crash after %d: program op %d status %d: %s", every, crashAt, i, status, body)
+				}
+				if i == acked {
+					var tail struct {
+						LastSeq uint64 `json:"last_seq"`
+					}
+					_, body := serveLocal(t, h2, "GET", fmt.Sprintf("/v1/trees/1/log?since=%d", acked), nil)
+					if err := json.Unmarshal(body, &tail); err != nil || tail.LastSeq != uint64(acked)+1 {
+						t.Fatalf("every=%d crash after %d: next write logged at %d, want %d", every, crashAt, tail.LastSeq, acked+1)
+					}
+				}
+				if every > 0 && (i+1)%every == 0 {
+					compactions++
+					deadline := time.Now().Add(5 * time.Second)
+					for len(s2.obs.Events().Query(obs.EvWALCompact, mark.Seq, 0)) < compactions {
+						if time.Now().After(deadline) {
+							t.Fatalf("every=%d crash after %d: compaction %d after recovery never ran", every, crashAt, compactions)
+						}
+						time.Sleep(time.Millisecond)
+					}
+				}
 			}
-			var tail struct {
-				LastSeq uint64 `json:"last_seq"`
-			}
-			_, body := serveLocal(t, h2, "GET", fmt.Sprintf("/v1/trees/1/log?since=%d", acked), nil)
-			if err := json.Unmarshal(body, &tail); err != nil || tail.LastSeq != uint64(acked)+1 {
-				t.Fatalf("every=%d crash after %d: next write logged at %d, want %d", every, crashAt, tail.LastSeq, acked+1)
+			if every > 0 && compactions < 2 {
+				t.Fatalf("every=%d crash after %d: %d compactions after recovery, want >= 2", every, crashAt, compactions)
 			}
 			s2.forest.Close()
 			s2.store.close()
+
+			s3 := newServerWAL(dyntc.BatchOptions{}, dir, 8)
+			s3.store.compactEvery = every
+			if err := s3.store.recover(); err != nil {
+				t.Fatal(err)
+			}
+			if en, ok := s3.forest.Get(1); !ok || en.AppliedSeq() != n {
+				t.Fatalf("every=%d crash after %d: second recovery did not serve tree 1 at seq %d", every, crashAt, n)
+			}
+			if _, got := serveLocal(t, s3.routes(), "GET", "/v1/trees/1/snapshot", nil); !bytes.Equal(got, fsnap) {
+				t.Fatalf("every=%d crash after %d: second recovery differs from the replay oracle at seq %d", every, crashAt, n)
+			}
+			s3.forest.Close()
+			s3.store.close()
 		}
 	}
 }

@@ -39,17 +39,33 @@ func bySpanName(spans []obs.Span, name string) []obs.Span {
 	return out
 }
 
-// flushUnderIngest reports whether spans hold an engine.flush parented on
-// an ingest.batch span.
-func flushUnderIngest(spans []obs.Span) bool {
+// waveFlush returns the engine.flush span that is parented on an
+// ingest.batch span and is the parent of a wave span, or a zero Span. A
+// batch's ops can land in two flushes, both parented on its ingest span,
+// when the executor starts on the first op before the last is queued;
+// only the flush that ran the mutating op seals a wave.
+func waveFlush(spans []obs.Span) obs.Span {
 	for _, f := range bySpanName(spans, "engine.flush") {
 		for _, in := range bySpanName(spans, "ingest.batch") {
-			if f.Parent == in.Span {
-				return true
+			for _, w := range bySpanName(spans, "wave") {
+				if f.Parent == in.Span && w.Parent == f.Span {
+					return f
+				}
 			}
 		}
 	}
-	return false
+	return obs.Span{}
+}
+
+// stagesUnder counts the stage.* spans parented on span.
+func stagesUnder(spans []obs.Span, span obs.SpanID) int {
+	n := 0
+	for _, sp := range spans {
+		if strings.HasPrefix(sp.Name, "stage.") && sp.Parent == span {
+			n++
+		}
+	}
+	return n
 }
 
 // TestDistributedTraceEndToEnd is the acceptance scenario: a leader with
@@ -110,15 +126,16 @@ func TestDistributedTraceEndToEnd(t *testing.T) {
 		t.Fatalf("echoed trace header %q, want %s-<fresh ingest span>", echo, clientTrace)
 	}
 
-	// Leader-side span tree. The sampled engine.flush span is emitted
-	// after the flush's acks, so the response can beat it: poll until a
-	// flush parented on the ingest span appears, or the deadline passes
-	// and the checks below say what is missing.
+	// Leader-side span tree. The sampled engine.flush span and then its
+	// stage spans are emitted after the flush's acks, so the response can
+	// beat them: poll until the flush that sealed the wave appears under
+	// the ingest span with its stages, or the deadline passes and the
+	// checks below say what is missing.
 	var ls spansResp
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		ls = spansResp{}
 		call(t, "GET", leaderSrv.URL+"/v1/spans?trace="+clientTrace.String(), nil, 200, &ls)
-		if flushUnderIngest(ls.Spans) || time.Now().After(deadline) {
+		if f := waveFlush(ls.Spans); f.Span != 0 && stagesUnder(ls.Spans, f.Span) > 0 || time.Now().After(deadline) {
 			break
 		}
 	}
@@ -126,25 +143,14 @@ func TestDistributedTraceEndToEnd(t *testing.T) {
 	if len(ingest) != 1 || ingest[0].Parent != clientSpan || ingest[0].Proc != "leader" {
 		t.Fatalf("ingest spans = %+v, want one parented on the client span", ingest)
 	}
-	var flush obs.Span
-	for _, f := range bySpanName(ls.Spans, "engine.flush") {
-		if f.Parent == ingest[0].Span {
-			flush = f
-		}
-	}
+	flush := waveFlush(ls.Spans)
 	if flush.Span == 0 {
-		t.Fatalf("no engine.flush parented on the ingest span; spans: %+v", ls.Spans)
+		t.Fatalf("no engine.flush parented on the ingest span is a wave's parent; spans: %+v", ls.Spans)
 	}
 	if flush.Reqs <= 0 || flush.Tree != created.Tree {
 		t.Fatalf("flush span %+v, want reqs > 0 on tree %d", flush, created.Tree)
 	}
-	var stages int
-	for _, sp := range ls.Spans {
-		if strings.HasPrefix(sp.Name, "stage.") && sp.Parent == flush.Span {
-			stages++
-		}
-	}
-	if stages == 0 {
+	if stagesUnder(ls.Spans, flush.Span) == 0 {
 		t.Fatalf("no stage.* spans under the flush; spans: %+v", ls.Spans)
 	}
 	waves := bySpanName(ls.Spans, "wave")
@@ -170,10 +176,19 @@ func TestDistributedTraceEndToEnd(t *testing.T) {
 		return len(h.Trees) == 1 && h.Trees[0].AppliedSeq == wantSeq
 	})
 
+	// The follower records its spans after the applied seq moves, so
+	// poll for them too.
 	var fs spansResp
-	call(t, "GET", foSrv.URL+"/v1/spans?trace="+clientTrace.String(), nil, 200, &fs)
-	fetch := bySpanName(fs.Spans, "replica.fetch")
-	apply := bySpanName(fs.Spans, "replica.apply")
+	var fetch, apply []obs.Span
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		fs = spansResp{}
+		call(t, "GET", foSrv.URL+"/v1/spans?trace="+clientTrace.String(), nil, 200, &fs)
+		fetch = bySpanName(fs.Spans, "replica.fetch")
+		apply = bySpanName(fs.Spans, "replica.apply")
+		if len(fetch) > 0 && len(apply) > 0 || time.Now().After(deadline) {
+			break
+		}
+	}
 	if len(fetch) != 1 || len(apply) != 1 {
 		t.Fatalf("follower spans = %+v, want one replica.fetch and one replica.apply", fs.Spans)
 	}

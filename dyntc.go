@@ -30,8 +30,8 @@
 // An Expr is single-writer. For concurrent use, Expr.Serve wraps it in an
 // Engine: a request-coalescing front end that accepts traffic from any
 // number of goroutines and amortizes it into the paper's §1.4 batch
-// requests (see internal/engine). NewForest shards many independent
-// expression trees across engines, and cmd/dyntcd serves a forest over
+// requests (see internal/engine). NewForest serves many independent
+// expression trees, one engine each, and cmd/dyntcd serves a forest over
 // HTTP/JSON.
 package dyntc
 

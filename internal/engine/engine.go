@@ -13,11 +13,10 @@
 //   - Arbitrarily many goroutines submit Grow / Collapse / SetLeaf /
 //     SetOp / Value / Root / Barrier requests and receive per-request
 //     Futures.
-//   - A single executor goroutine drains the queue with an adaptive
-//     batching window: a flush closes when it reaches MaxBatch, when the
-//     window expires, or — with no window configured — the moment the
-//     executor goes idle, so batching adds no latency when traffic is
-//     light and grows batches automatically as the executor saturates.
+//   - A single executor goroutine takes whatever is queued as one flush
+//     (up to the queue capacity) the moment it goes idle, so batching adds
+//     no latency when traffic is light and batches grow by themselves as
+//     the executor saturates.
 //   - Each flush is partitioned (partition.go) into waves of
 //     node-disjoint requests, and every wave executes as at most one call
 //     to each of the core batch entry points (GrowBatch, CollapseBatch,
@@ -52,24 +51,8 @@ type Host interface {
 
 // Options configures an Engine. The zero value gives sane defaults.
 type Options struct {
-	// MaxBatch is the initial (and minimum) cap on requests per flush
-	// (default 1024). The effective cap adapts: it doubles while flushes
-	// saturate — a flush fills the cap with more requests still queued —
-	// up to MaxBatchCeil, and decays back once flushes run well under it,
-	// so sustained overload coalesces into larger batches (the paper's
-	// batch bound rewards exactly that) without inflating light-traffic
-	// latency. Stats reports the current cap as CurMaxBatch.
-	MaxBatch int
-	// MaxBatchCeil bounds the adaptive cap (default max(4·MaxBatch,
-	// Queue)). Set it equal to MaxBatch to pin the cap (no adaptivity).
-	MaxBatchCeil int
-	// Window is the maximum time the executor waits, counted from the
-	// first request of a flush, for more requests to coalesce. Zero means
-	// flush as soon as the queue is momentarily empty (adaptive
-	// idle-flush): zero added latency when idle, large batches under load.
-	Window time.Duration
 	// Queue is the submit queue capacity; submits block (backpressure)
-	// once it fills (default 4096).
+	// once it fills (default 4096). It also bounds one flush.
 	Queue int
 	// Shed switches the full-queue policy from blocking to load shedding:
 	// a submit that finds the queue at capacity fails its future
@@ -97,8 +80,8 @@ type Options struct {
 	// traced request — and hands every flush record to the hub (hot-spot
 	// sketches, flush anomaly detector, slow-wave log) on the executor.
 	// Sheds are reported to the hub on the shedding submitter, and shed
-	// bursts (at most one event per second per engine) and adaptive
-	// flush-cap shifts are journaled. Nil costs one bool check per flush.
+	// bursts (at most one event per second per engine) are journaled.
+	// Nil costs one bool check per flush.
 	Obs *obs.Hub
 	// Faults, when set, is the deterministic fault-injection schedule:
 	// site "engine.wave" is checked once per executed wave on the
@@ -114,20 +97,8 @@ type Options struct {
 type WaveTap func(replog.Wave)
 
 func (o Options) withDefaults() Options {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 1024
-	}
 	if o.Queue <= 0 {
 		o.Queue = 4096
-	}
-	if o.MaxBatchCeil <= 0 {
-		o.MaxBatchCeil = 4 * o.MaxBatch
-		if o.Queue > o.MaxBatchCeil {
-			o.MaxBatchCeil = o.Queue
-		}
-	}
-	if o.MaxBatchCeil < o.MaxBatch {
-		o.MaxBatchCeil = o.MaxBatch
 	}
 	return o
 }
@@ -163,18 +134,13 @@ type Engine struct {
 	// the executor goroutine).
 	sc scratch
 
-	// curMax is the adaptive flush cap (see Options.MaxBatch); underfull
-	// counts consecutive under-filled flushes (executor only).
-	curMax    atomic.Int64
-	underfull int
-
 	// healer is the host's optional heal-reporting capability, cached
 	// once (dyntc.Expr implements it).
 	healer healReporter
 
 	// timing enables the per-flush clock reads (immutable after New): set
 	// when Obs is configured, whose histograms inst holds. traceID is the
-	// forest tree id stamped into flush records (SetTraceID); flushSeq
+	// tree id stamped into flush records (SetTraceID); flushSeq
 	// counts flushes for span sampling (executor only).
 	timing   bool
 	inst     *instruments
@@ -195,20 +161,13 @@ type healReporter interface{ LastHeal() HealStats }
 
 // New starts an engine (and its executor goroutine) over host.
 func New(host Host, opts Options) *Engine {
-	return newEngine(host, opts, newInstruments(opts.Obs))
-}
-
-// newEngine is New over already-registered instruments: a forest
-// registers its engines' families once and shares them.
-func newEngine(host Host, opts Options, inst *instruments) *Engine {
 	e := &Engine{
 		host: host,
 		opts: opts.withDefaults(),
-		inst: inst,
+		inst: newInstruments(opts.Obs),
 		done: make(chan struct{}),
 	}
 	e.ch = make(chan *Future, e.opts.Queue)
-	e.curMax.Store(int64(e.opts.MaxBatch))
 	if e.opts.WaveTap != nil {
 		e.tap.Store(&e.opts.WaveTap)
 	}
@@ -390,10 +349,7 @@ func (e *Engine) run() {
 		if !ok {
 			return
 		}
-		flush := e.collect(first)
-		n := len(flush)
-		e.executeFlush(flush)
-		e.adaptBatch(n)
+		e.executeFlush(e.collect(first))
 	}
 }
 
@@ -412,87 +368,21 @@ func (e *Engine) noteShedBurst(j *obs.Journal) {
 		map[string]any{"shed_total": e.stats.shedded.Load(), "queue_cap": e.opts.Queue})
 }
 
-// adaptBatch is the adaptive flush cap (Options.MaxBatch docs): grow
-// while flushes saturate — a flush that reaches the cap was clipped by
-// it, i.e. demand outran the executor — and decay after a run of
-// well-under-filled flushes. Correctness never depends on the cap; it
-// only moves the latency/throughput trade under load.
-func (e *Engine) adaptBatch(flushLen int) {
-	cur := int(e.curMax.Load())
-	switch {
-	case flushLen >= cur && cur < e.opts.MaxBatchCeil:
-		next := cur * 2
-		if next > e.opts.MaxBatchCeil {
-			next = e.opts.MaxBatchCeil
-		}
-		e.curMax.Store(int64(next))
-		e.stats.batchGrows.Add(1)
-		if h := e.opts.Obs; h != nil {
-			h.Events().EmitTree(obs.EvBatchGrow, e.traceID.Load(),
-				"adaptive flush cap doubled under saturation",
-				map[string]any{"from": cur, "to": next})
-		}
-		e.underfull = 0
-	case flushLen < cur/4 && cur > e.opts.MaxBatch:
-		if e.underfull++; e.underfull >= 8 {
-			next := cur / 2
-			if next < e.opts.MaxBatch {
-				next = e.opts.MaxBatch
-			}
-			e.curMax.Store(int64(next))
-			e.stats.batchShrinks.Add(1)
-			if h := e.opts.Obs; h != nil {
-				h.Events().EmitTree(obs.EvBatchShrink, e.traceID.Load(),
-					"adaptive flush cap decayed after underfull flushes",
-					map[string]any{"from": cur, "to": next})
-			}
-			e.underfull = 0
-		}
-	default:
-		e.underfull = 0
-	}
-}
-
-// collect assembles one flush: the adaptive batching window. It returns
-// immediately with whatever has accrued when the queue goes idle (Window
-// 0), or waits up to Window from the first request while the flush is
-// smaller than the current adaptive cap (Options.MaxBatch, grown under
-// saturation). The returned slice is the executor's reusable flush
-// buffer, valid until the next collect.
+// collect assembles one flush: first plus everything already queued, up
+// to the queue capacity, so the flush is whatever batch is pending when
+// the executor goes idle. The returned slice is the executor's reusable
+// flush buffer, valid until the next collect.
 func (e *Engine) collect(first *Future) []*Future {
 	flush := append(e.sc.flush[:0], first)
 	defer func() { e.sc.flush = flush }()
-	maxBatch := int(e.curMax.Load())
-
-	// Fast path: drain whatever is already queued.
-	for len(flush) < maxBatch {
+	for len(flush) < e.opts.Queue {
 		select {
 		case f, ok := <-e.ch:
 			if !ok {
 				return flush
 			}
 			flush = append(flush, f)
-			continue
 		default:
-		}
-		break
-	}
-
-	if e.opts.Window <= 0 || len(flush) >= maxBatch {
-		return flush
-	}
-
-	// Window path: keep accumulating until the deadline or the cap.
-	timer := time.NewTimer(e.opts.Window)
-	defer timer.Stop()
-	for len(flush) < maxBatch {
-		select {
-		case f, ok := <-e.ch:
-			if !ok {
-				return flush
-			}
-			flush = append(flush, f)
-		case <-timer.C:
 			return flush
 		}
 	}

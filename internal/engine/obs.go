@@ -26,10 +26,11 @@ var stageNames = [numStages]string{
 	"grow", "collapse", "set-leaf", "set-op", "seal", "value", "barrier",
 }
 
-// instruments bundles the engine layer's metric instruments. One bundle
-// is shared by every engine of a forest — the instruments are atomic, and
-// per-tree label cardinality would make a 10k-tree forest unscrapeable —
-// so the histograms describe the whole forest's wave pipeline.
+// instruments bundles the engine layer's metric instruments. Every
+// engine built over one hub feeds the same instruments — they are atomic,
+// and per-tree label cardinality would make a 10k-tree forest
+// unscrapeable — so the histograms describe the whole forest's wave
+// pipeline.
 type instruments struct {
 	// FlushSeconds is the wall time of one coalesced flush: flush start to
 	// every request of the flush acked.
@@ -53,9 +54,14 @@ type instruments struct {
 // big tree), so the buckets must span six orders of magnitude cheaply.
 var healRecordBuckets = []int64{1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576}
 
+// RegisterHistograms registers the engine histogram families on h's
+// registry (a no-op for a nil hub), so a forest exports them before its
+// first tree exists.
+func RegisterHistograms(h *obs.Hub) { newInstruments(h) }
+
 // newInstruments registers the engine histogram families on the hub's
 // registry (nil without a hub). Registration is idempotent, so every
-// engine and forest built over one hub feeds the same instruments.
+// engine built over one hub feeds the same instruments.
 func newInstruments(h *obs.Hub) *instruments {
 	if h == nil {
 		return nil
@@ -78,7 +84,7 @@ func newInstruments(h *obs.Hub) *instruments {
 
 // RegisterStatsFuncs exports the engine layer's counter and gauge
 // families on reg as scrape-time functions over a Stats provider —
-// typically a cached Forest.TotalStats, so the engines' own atomic
+// typically a cached TotalStats over a forest, so the engines' own atomic
 // counters are the single source of truth and the request path carries no
 // second set of increments.
 func RegisterStatsFuncs(r *obs.Registry, stats func() Stats) {
@@ -119,8 +125,6 @@ func RegisterStatsFuncs(r *obs.Registry, stats func() Stats) {
 		func() float64 { return float64(stats().QueueDepth) })
 	r.GaugeFunc("dyntc_engine_applied_seq", "mutating waves applied, summed over trees",
 		func() float64 { return float64(stats().AppliedSeq) })
-	r.GaugeFunc("dyntc_engine_cur_max_batch", "largest adaptive flush cap across trees",
-		func() float64 { return float64(stats().CurMaxBatch) })
 	r.GaugeFunc("dyntc_engine_flush_p50_seconds", "median flush latency over the merged retained windows",
 		func() float64 { return stats().FlushP50US / 1e6 })
 	r.GaugeFunc("dyntc_engine_flush_p99_seconds", "p99 flush latency over the merged retained windows",
@@ -128,7 +132,7 @@ func RegisterStatsFuncs(r *obs.Registry, stats func() Stats) {
 }
 
 // SetTraceID sets the tree id stamped into this engine's flush records —
-// forests set it to the tree's forest id right after Add/AddAt.
+// a forest sets it to the tree's id before it serves the engine.
 func (e *Engine) SetTraceID(id uint64) { e.traceID.Store(id) }
 
 // beginFlushSpan decides, at flush start, whether this flush is recorded

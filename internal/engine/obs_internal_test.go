@@ -22,10 +22,9 @@ func (stubHost) Root() int64                        { return 0 }
 // median (the fast tree's), not the slow tree's median as Stats.Add's
 // worst-engine fallback would.
 func TestForestPercentilesMergeWindows(t *testing.T) {
-	f := NewForest(Options{})
-	defer f.Close()
-	_, fast := f.Add(stubHost{})
-	_, slow := f.Add(stubHost{})
+	fast, slow := New(stubHost{}, Options{}), New(stubHost{}, Options{})
+	defer fast.Close()
+	defer slow.Close()
 	for i := 0; i < 100; i++ {
 		fast.stats.flushDone(1 * time.Millisecond)
 		slow.stats.flushDone(100 * time.Millisecond)
@@ -39,7 +38,7 @@ func TestForestPercentilesMergeWindows(t *testing.T) {
 		t.Fatalf("slow engine p50 = %v µs, want 100000", p50)
 	}
 
-	total := f.TotalStats()
+	total := TotalStats([]*Engine{fast, slow})
 	// 200 merged samples: 100 at 1ms then 100 at 100ms. The median index
 	// int(0.5*199) = 99 lands on the last 1ms sample; the old max-merge
 	// reported 100000µs here — the bug this guards against.

@@ -28,7 +28,7 @@ var (
 	// ErrPoisoned reports that a previous executor panic left the structure
 	// in an unknown state; the engine refuses further traffic.
 	ErrPoisoned = errors.New("engine: poisoned by a previous executor panic")
-	// ErrTreeExists reports a Forest.AddAt under an id already serving.
+	// ErrTreeExists reports a tree restored under an id already served.
 	ErrTreeExists = errors.New("engine: forest already serves this tree id")
 	// ErrOverloaded reports a submit rejected because the queue was full
 	// (engines with Options.Shed; blocking engines never return it).

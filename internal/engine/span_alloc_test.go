@@ -11,16 +11,15 @@ import (
 // attached whose sampling period is large enough that no flush is
 // cadence-sampled; the hub's (never-triggered) anomaly boost keeps the
 // boost check inside the zero-alloc guard.
-func newSpanEngine(t testing.TB) (*Forest, *Engine) {
+func newSpanEngine(t testing.TB) *Engine {
 	t.Helper()
 	h, err := obs.NewHub(obs.HubConfig{Proc: "test", TraceSample: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewForest(Options{Obs: h})
-	_, en := f.Add(stubHost{})
-	t.Cleanup(func() { f.Close() })
-	return f, en
+	en := New(stubHost{}, Options{Obs: h})
+	t.Cleanup(en.Close)
+	return en
 }
 
 // TestBeginFlushSpanUnsampledZeroAlloc guards the acceptance invariant:
@@ -29,7 +28,7 @@ func newSpanEngine(t testing.TB) (*Forest, *Engine) {
 // beginFlushSpan — the per-flush cost is a counter compare plus one span
 // field compare per request.
 func TestBeginFlushSpanUnsampledZeroAlloc(t *testing.T) {
-	_, en := newSpanEngine(t)
+	en := newSpanEngine(t)
 	en.flushSeq = 5 // 5 % (1<<30) != 0 → cadence miss
 	futs := []*Future{{}, {}, {}, {}}
 	now := time.Now()
@@ -50,7 +49,7 @@ func TestBeginFlushSpanUnsampledZeroAlloc(t *testing.T) {
 // regardless of cadence, and its trace/span are adopted as the flush
 // span's trace and parent.
 func TestBeginFlushSpanAdoptsHeaderTrace(t *testing.T) {
-	_, en := newSpanEngine(t)
+	en := newSpanEngine(t)
 	en.flushSeq = 5
 	sc := obs.SpanContext{Trace: obs.NewTraceID(), Span: obs.NewSpanID()}
 	futs := []*Future{{}, {span: sc}, {}}
@@ -79,7 +78,7 @@ func TestBeginFlushSpanAdoptsHeaderTrace(t *testing.T) {
 // active TraceBoost forces span sampling on a cadence-missed flush, and
 // an expired boost decays back to the unsampled (still zero-alloc) path.
 func TestBeginFlushSpanBoostSamples(t *testing.T) {
-	_, en := newSpanEngine(t)
+	en := newSpanEngine(t)
 	en.flushSeq = 5 // cadence miss
 	futs := []*Future{{}, {}}
 
@@ -110,7 +109,7 @@ func TestBeginFlushSpanBoostSamples(t *testing.T) {
 // its record to the hub by value, so an unsampled flush still allocates
 // nothing.
 func TestObserveFlushSinkZeroAlloc(t *testing.T) {
-	_, en := newSpanEngine(t)
+	en := newSpanEngine(t)
 	sl := en.opts.Obs.Spans()
 	en.flushSeq = 5
 	en.beginFlushSpan([]*Future{{}}, time.Now())
@@ -132,7 +131,7 @@ func TestObserveFlushSinkZeroAlloc(t *testing.T) {
 // BenchmarkBeginFlushSpanUnsampled pins the unsampled flush-path span
 // check; run with -benchmem to watch the 0 allocs/op column.
 func BenchmarkBeginFlushSpanUnsampled(b *testing.B) {
-	_, en := newSpanEngine(b)
+	en := newSpanEngine(b)
 	en.flushSeq = 5
 	futs := make([]*Future, 32)
 	for i := range futs {

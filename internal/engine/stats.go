@@ -18,25 +18,23 @@ const latWindow = 256
 // flush-latency window is a small mutex-guarded ring (one executor write
 // per flush, rare reader).
 type statsRec struct {
-	requests     atomic.Uint64
-	flushes      atomic.Uint64
-	waves        atomic.Uint64
-	errors       atomic.Uint64
-	dropped      atomic.Uint64
-	shedded      atomic.Uint64
-	maxFlush     atomic.Int64
-	batchGrows   atomic.Uint64
-	batchShrinks atomic.Uint64
-	grows        atomic.Uint64
-	collapses    atomic.Uint64
-	setLeaves    atomic.Uint64
-	setOps       atomic.Uint64
-	values       atomic.Uint64
-	roots        atomic.Uint64
-	barriers     atomic.Uint64
-	healRecords  atomic.Uint64
-	resims       atomic.Uint64
-	resimsBy     [len(core.ResimReasons)]atomic.Uint64 // same order
+	requests    atomic.Uint64
+	flushes     atomic.Uint64
+	waves       atomic.Uint64
+	errors      atomic.Uint64
+	dropped     atomic.Uint64
+	shedded     atomic.Uint64
+	maxFlush    atomic.Int64
+	grows       atomic.Uint64
+	collapses   atomic.Uint64
+	setLeaves   atomic.Uint64
+	setOps      atomic.Uint64
+	values      atomic.Uint64
+	roots       atomic.Uint64
+	barriers    atomic.Uint64
+	healRecords atomic.Uint64
+	resims      atomic.Uint64
+	resimsBy    [len(core.ResimReasons)]atomic.Uint64 // same order
 
 	latMu sync.Mutex
 	lat   [latWindow]int64 // recent flush durations, nanoseconds
@@ -74,9 +72,9 @@ func (s *statsRec) flushDone(d time.Duration) {
 }
 
 // window appends a copy of the retained flush-latency samples
-// (nanoseconds) to buf — the seam forest aggregation merges across
-// engines so forest percentiles describe the combined distribution, not
-// the worst tree.
+// (nanoseconds) to buf — the seam TotalStats merges across engines so
+// aggregate percentiles describe the combined distribution, not the
+// worst engine.
 func (s *statsRec) window(buf []int64) []int64 {
 	s.latMu.Lock()
 	n := s.latN
@@ -131,18 +129,12 @@ func (s *statsRec) done(k kind) {
 // Stats is a snapshot of an engine's coalescing behaviour.
 type Stats struct {
 	Requests uint64 `json:"requests"`  // requests that reached the executor
-	Flushes  uint64 `json:"flushes"`   // adaptive batches executed
+	Flushes  uint64 `json:"flushes"`   // coalesced batches executed
 	Waves    uint64 `json:"waves"`     // conflict-free waves executed
 	Errors   uint64 `json:"errors"`    // requests failed by validation
 	Dropped  uint64 `json:"dropped"`   // requests discarded unexecuted (closed / poisoned)
 	Shed     uint64 `json:"shed"`      // requests rejected at submit, queue full (Options.Shed)
 	MaxFlush int64  `json:"max_flush"` // largest flush seen
-
-	// Adaptive batching: the current flush cap (starts at Options.MaxBatch,
-	// grows while flushes saturate) and how often it moved.
-	CurMaxBatch  int64  `json:"cur_max_batch"`
-	BatchGrows   uint64 `json:"batch_grows"`
-	BatchShrinks uint64 `json:"batch_shrinks"`
 
 	// Backpressure visibility: the submit queue's instantaneous depth and
 	// the executor's recent flush latency distribution.
@@ -191,11 +183,11 @@ func (s Stats) MeanWave() float64 {
 	return float64(s.Requests) / float64(s.Waves)
 }
 
-// Add accumulates other into s: counters and queue depths sum. Percentiles cannot be merged from two snapshots,
-// so Add keeps the worst engine's values — an upper bound, not the
-// combined distribution; Forest.TotalStats, which can reach the engines'
-// retained latency windows, overwrites them with the true forest-wide
-// percentiles.
+// Add accumulates other into s: counters and queue depths sum.
+// Percentiles cannot be merged from two snapshots, so Add keeps the worst
+// engine's values — an upper bound, not the combined distribution;
+// TotalStats, which can reach the engines' retained latency windows,
+// overwrites them with the true combined percentiles.
 func (s *Stats) Add(other Stats) {
 	s.Requests += other.Requests
 	s.Flushes += other.Flushes
@@ -215,11 +207,6 @@ func (s *Stats) Add(other Stats) {
 	if other.MaxFlush > s.MaxFlush {
 		s.MaxFlush = other.MaxFlush
 	}
-	if other.CurMaxBatch > s.CurMaxBatch {
-		s.CurMaxBatch = other.CurMaxBatch
-	}
-	s.BatchGrows += other.BatchGrows
-	s.BatchShrinks += other.BatchShrinks
 	s.Grows += other.Grows
 	s.Collapses += other.Collapses
 	s.SetLeaves += other.SetLeaves
@@ -245,28 +232,25 @@ func (s *Stats) addResims(reason string, n uint64) {
 func (e *Engine) Stats() Stats {
 	p50, p99 := e.stats.latencies()
 	s := Stats{
-		Requests:     e.stats.requests.Load(),
-		Flushes:      e.stats.flushes.Load(),
-		Waves:        e.stats.waves.Load(),
-		Errors:       e.stats.errors.Load(),
-		Dropped:      e.stats.dropped.Load(),
-		Shed:         e.stats.shedded.Load(),
-		MaxFlush:     e.stats.maxFlush.Load(),
-		CurMaxBatch:  e.curMax.Load(),
-		BatchGrows:   e.stats.batchGrows.Load(),
-		BatchShrinks: e.stats.batchShrinks.Load(),
-		QueueDepth:   len(e.ch),
-		QueueCap:     e.opts.Queue,
-		FlushP50US:   p50,
-		FlushP99US:   p99,
-		AppliedSeq:   e.appliedSeq.Load(),
-		Grows:        e.stats.grows.Load(),
-		Collapses:    e.stats.collapses.Load(),
-		SetLeaves:    e.stats.setLeaves.Load(),
-		SetOps:       e.stats.setOps.Load(),
-		Values:       e.stats.values.Load(),
-		Roots:        e.stats.roots.Load(),
-		Barriers:     e.stats.barriers.Load(),
+		Requests:   e.stats.requests.Load(),
+		Flushes:    e.stats.flushes.Load(),
+		Waves:      e.stats.waves.Load(),
+		Errors:     e.stats.errors.Load(),
+		Dropped:    e.stats.dropped.Load(),
+		Shed:       e.stats.shedded.Load(),
+		MaxFlush:   e.stats.maxFlush.Load(),
+		QueueDepth: len(e.ch),
+		QueueCap:   e.opts.Queue,
+		FlushP50US: p50,
+		FlushP99US: p99,
+		AppliedSeq: e.appliedSeq.Load(),
+		Grows:      e.stats.grows.Load(),
+		Collapses:  e.stats.collapses.Load(),
+		SetLeaves:  e.stats.setLeaves.Load(),
+		SetOps:     e.stats.setOps.Load(),
+		Values:     e.stats.values.Load(),
+		Roots:      e.stats.roots.Load(),
+		Barriers:   e.stats.barriers.Load(),
 
 		HealRecords:   e.stats.healRecords.Load(),
 		Resimulations: e.stats.resims.Load(),
@@ -277,4 +261,20 @@ func (e *Engine) Stats() Stats {
 		}
 	}
 	return s
+}
+
+// TotalStats aggregates the stats of engines. Flush latency percentiles
+// are computed over the union of the engines' retained latency windows —
+// the combined distribution — not the max of per-engine percentiles
+// Stats.Add alone would report (which overstates the median of a large
+// forest by its single worst tree).
+func TotalStats(engines []*Engine) Stats {
+	var total Stats
+	var lat []int64
+	for _, e := range engines {
+		total.Add(e.Stats())
+		lat = e.stats.window(lat)
+	}
+	total.FlushP50US, total.FlushP99US = percentilesUS(lat)
+	return total
 }

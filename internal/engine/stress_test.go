@@ -18,7 +18,6 @@ package engine_test
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"dyntc"
 	"dyntc/internal/core"
@@ -189,8 +188,8 @@ func fanOut(a applier, root *dyntc.Node, ring dyntc.Ring, n int) []*dyntc.Node {
 	return leaves
 }
 
-// runStress runs the oracle with the given engine options.
-func runStress(t *testing.T, clients, opsPerClient int, opts engine.Options) {
+// runStress runs the oracle with clients concurrent client programs.
+func runStress(t *testing.T, clients, opsPerClient int) {
 	t.Helper()
 	const seed = 7
 	ring := dyntc.ModRing(1_000_000_007)
@@ -198,7 +197,7 @@ func runStress(t *testing.T, clients, opsPerClient int, opts engine.Options) {
 	// Live, concurrent run.
 	tr := tree.New(ring, 1)
 	live := coreHost{t: tr, c: core.New(tr, seed, pram.Sequential())}
-	en := engine.New(live, opts)
+	en := engine.New(live, engine.Options{})
 	bases := fanOut(liveApplier{t: t, en: en}, tr.Root, ring, clients)
 	progs := make([]*clientProgram, clients)
 	var wg sync.WaitGroup
@@ -251,19 +250,12 @@ func runStress(t *testing.T, clients, opsPerClient int, opts engine.Options) {
 }
 
 func TestStressOracle(t *testing.T) {
-	runStress(t, 8, 200, engine.Options{})
+	runStress(t, 8, 200)
 }
 
 func TestStressOracleManyClients(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	runStress(t, 32, 150, engine.Options{})
-}
-
-func TestStressOracleWindowed(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	runStress(t, 16, 100, engine.Options{Window: 200 * time.Microsecond})
+	runStress(t, 32, 150)
 }

@@ -44,9 +44,6 @@ const (
 	// EvShedBurst marks a burst of load-shedded requests (rate-limited to
 	// at most one event per second per engine).
 	EvShedBurst = "engine.shed.burst"
-	// EvBatchGrow / EvBatchShrink mark the adaptive flush cap moving.
-	EvBatchGrow   = "engine.maxbatch.grow"
-	EvBatchShrink = "engine.maxbatch.shrink"
 	// EvAnomaly marks an anomaly detector tripping; the concrete type is
 	// EvAnomaly + "." + signal name (e.g. "anomaly.engine.flush").
 	EvAnomaly = "anomaly"

@@ -69,8 +69,8 @@ func (p *Planner) Run(r Reader, spec Spec) (Result, error) {
 	if err := spec.validate(); err != nil {
 		return Result{}, err
 	}
-	// Explicit-ID queries never pay the served-tree scan (a shard walk +
-	// sort over the whole forest); only range/all selectors need it.
+	// Explicit-ID queries never pay the served-tree scan (a copy + sort
+	// of the whole forest's ids); only range/all selectors need it.
 	ids := spec.Select.IDs
 	if len(ids) == 0 {
 		ids = spec.Select.resolve(r.Trees())

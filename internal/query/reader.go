@@ -8,9 +8,10 @@ import (
 	"dyntc/internal/tree"
 )
 
-// Reader is the per-tree read surface a planner scatters over.
-// ForestReader (below) submits asynchronous reads into a forest's
-// coalescing engines — a leader's trees or a follower's replicas alike.
+// Reader is the per-tree read surface a planner scatters over. A forest
+// implements it with StartRead (below), which submits asynchronous reads
+// into the tree's coalescing engine — a leader's tree or a follower's
+// replica alike.
 type Reader interface {
 	// Trees returns a snapshot of the served tree ids, sorted ascending.
 	Trees() []uint64
@@ -37,22 +38,10 @@ type TourHost interface {
 	SubtreeSize(n *tree.Node) int
 }
 
-// ForestReader adapts an engine.Forest: root and node-value reads submit
+// StartRead begins read r on engine e: root and node-value reads submit
 // engine futures (joining in-flight waves), subtree-size reads ride an
 // engine barrier against the tour.
-type ForestReader struct {
-	F *engine.Forest
-}
-
-// Trees implements Reader.
-func (fr ForestReader) Trees() []uint64 { return fr.F.IDs() }
-
-// Start implements Reader.
-func (fr ForestReader) Start(id uint64, r Read) Handle {
-	e, ok := fr.F.Get(id)
-	if !ok {
-		return nil
-	}
+func StartRead(e *engine.Engine, r Read) Handle {
 	switch r.Kind {
 	case ReadRoot:
 		return futureHandle{f: e.RootCtx(obs.SpanContext{})}

@@ -16,7 +16,12 @@ package dyntc
 // cmd/dyntcd surfaces the same engine as POST /v1/query, on leaders and
 // on read-replica followers (read offload).
 
-import "dyntc/internal/query"
+import (
+	"maps"
+	"slices"
+
+	"dyntc/internal/query"
+)
 
 // ForestQuery is one cross-tree query: which trees to read (Select),
 // what to read on each (Read), and how to join the answers (Combine).
@@ -91,12 +96,32 @@ func CombineRingAdd(r Ring) QueryCombiner { return query.RingAdd(r) }
 func CombineRingMul(r Ring) QueryCombiner { return query.RingMul(r) }
 
 // Query runs one cross-tree query over the forest: the per-tree reads
-// scatter across the forest's persistent query pool and join each
-// engine's in-flight coalescing window, so a 10k-tree aggregate is one
+// scatter in id chunks over short-lived goroutines and join each
+// engine's pending flush, so a 10k-tree aggregate is one
 // call, not 10k round-trips, and mutation traffic keeps flowing while
 // the query is in flight. Each per-tree result reports the applied-wave
 // sequence the read observed — exactly which version of that tree
 // answered. Safe for concurrent use with every other Forest method.
 func (f *Forest) Query(q ForestQuery) (QueryResult, error) {
-	return f.planner.Run(query.ForestReader{F: f.inner}, q)
+	return f.planner.Run(forestReader{f}, q)
+}
+
+// forestReader is the planner's view of a Forest: the same index Get
+// reads, so a query sees exactly the trees Get does.
+type forestReader struct{ f *Forest }
+
+// Trees returns the served tree ids, sorted ascending.
+func (r forestReader) Trees() []uint64 {
+	r.f.mu.RLock()
+	defer r.f.mu.RUnlock()
+	return slices.Sorted(maps.Keys(r.f.trees))
+}
+
+// Start begins read rd on tree id; nil when the tree is not served.
+func (r forestReader) Start(id uint64, rd query.Read) query.Handle {
+	en, ok := r.f.Get(id)
+	if !ok {
+		return nil
+	}
+	return query.StartRead(en.inner, rd)
 }

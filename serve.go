@@ -2,8 +2,9 @@ package dyntc
 
 import (
 	"errors"
+	"fmt"
+	"maps"
 	"sync"
-	"time"
 
 	"dyntc/internal/engine"
 	"dyntc/internal/query"
@@ -12,9 +13,9 @@ import (
 // This file is the concurrent face of the package: Expr.Serve wraps an
 // Expr in a request-coalescing engine (internal/engine) that makes it safe
 // for arbitrarily many goroutines, amortizing concurrent traffic into the
-// batch requests of the paper's §1.4; NewForest shards independent
-// expression trees across engines so unrelated trees proceed fully in
-// parallel.
+// batch requests of the paper's §1.4; NewForest serves independent
+// expression trees on one engine each so unrelated trees proceed fully
+// in parallel.
 
 // Engine is a concurrent, linearizable front end over one Expr. All
 // methods are safe for concurrent use from any number of goroutines;
@@ -37,16 +38,11 @@ type Future = engine.Future
 // EngineStats is a snapshot of an engine's coalescing behaviour.
 type EngineStats = engine.Stats
 
-// BatchOptions tunes the adaptive batching window. The zero value gives
-// defaults: flush whenever the executor goes idle (no added latency),
-// batches capped at 1024, queue capacity 4096.
+// BatchOptions configures an engine. The executor flushes whatever is
+// queued the moment it goes idle (no added latency), so a flush is the
+// pending batch, at most the queue capacity. The zero value gives a
+// blocking queue of capacity 4096.
 type BatchOptions struct {
-	// MaxBatch caps requests per flush.
-	MaxBatch int
-	// Window, when positive, lets a flush accumulate for up to this long
-	// (counted from its first request) before executing, trading latency
-	// for larger batches.
-	Window time.Duration
 	// Queue is the submit queue capacity; submits block once it fills.
 	Queue int
 	// Shed switches the full-queue policy from blocking to load shedding:
@@ -81,9 +77,9 @@ type BatchOptions struct {
 	// carrying the flush record, with per-stage child spans and a
 	// deterministic wave anchor span per sealed wave that WAL appends and
 	// replica replays stitch to by (epoch, seq); every flush record and
-	// every shed handed to the hub; shed bursts and adaptive flush-cap
-	// shifts journaled. Nil keeps all of it off: the engine pays one
-	// boolean check per flush and nothing else.
+	// every shed handed to the hub; shed bursts journaled. Nil keeps all
+	// of it off: the engine pays one boolean check per flush and nothing
+	// else.
 	Obs *Obs
 }
 
@@ -99,12 +95,10 @@ func (e *Expr) Serve(opts BatchOptions) *Engine {
 // a forest's engines are tapped per tree (Engine.SetWaveTap).
 func (opts BatchOptions) engineOptions() engine.Options {
 	return engine.Options{
-		MaxBatch: opts.MaxBatch,
-		Window:   opts.Window,
-		Queue:    opts.Queue,
-		Shed:     opts.Shed,
-		Obs:      opts.Obs,
-		Faults:   opts.Faults,
+		Queue:  opts.Queue,
+		Shed:   opts.Shed,
+		Obs:    opts.Obs,
+		Faults: opts.Faults,
 	}
 }
 
@@ -334,34 +328,51 @@ type TreeID = uint64
 
 // Forest serves many independent expression trees, one engine (and one
 // executor goroutine) per tree, so unrelated trees proceed fully in
-// parallel. All methods are safe for concurrent use.
+// parallel. All methods are safe for concurrent use. One id→engine map
+// indexes the trees: a tree is visible to Get, Len, Each and Query from
+// the moment Create or Restore returns, and to none of them once Drop
+// has removed it.
 type Forest struct {
-	inner   *engine.Forest
+	opts    engine.Options
 	planner *query.Planner
 
-	mu    sync.Mutex
-	exprs map[TreeID]*Engine
+	mu     sync.RWMutex
+	trees  map[TreeID]*Engine
+	nextID TreeID // above every id ever served
 }
 
 // NewForest creates an empty forest; opts configures every tree's engine,
 // and opts.Obs also instruments the forest's cross-tree query planner.
+// The engine histogram families are registered on opts.Obs here, so an
+// empty forest already exports them.
 func NewForest(opts BatchOptions) *Forest {
+	engine.RegisterHistograms(opts.Obs)
 	return &Forest{
-		inner:   engine.NewForest(opts.engineOptions()),
+		opts:    opts.engineOptions(),
 		planner: query.NewPlanner(0, opts.Obs),
-		exprs:   make(map[TreeID]*Engine),
+		trees:   make(map[TreeID]*Engine),
+		nextID:  1,
 	}
+}
+
+// serve starts an engine over expr for tree id. The caller holds f.mu
+// and publishes the engine.
+func (f *Forest) serve(id TreeID, expr *Expr) *Engine {
+	inner := engine.New(expr, f.opts)
+	inner.SetTraceID(id)
+	return &Engine{expr: expr, inner: inner}
 }
 
 // Create adds a new single-leaf expression tree over ring r and returns
 // its id and serving engine.
 func (f *Forest) Create(r Ring, rootValue int64, opts ...Option) (TreeID, *Engine) {
 	expr := NewExpr(r, rootValue, opts...)
-	id, inner := f.inner.Add(expr)
-	en := &Engine{expr: expr, inner: inner}
 	f.mu.Lock()
-	f.exprs[id] = en
-	f.mu.Unlock()
+	defer f.mu.Unlock()
+	id := f.nextID
+	f.nextID++
+	en := f.serve(id, expr)
+	f.trees[id] = en
 	return id, en
 }
 
@@ -369,21 +380,22 @@ func (f *Forest) Create(r Ring, rootValue int64, opts ...Option) (TreeID, *Engin
 // caller-chosen id (the replication path: a replica keeps the leader's
 // tree id). The seed and tour setting come from the snapshot. The engine
 // starts at the snapshot's applied-wave sequence, which is returned
-// alongside it. Restore fails when the id is already served.
+// alongside it. Restore fails, wrapping engine.ErrTreeExists, when the id
+// is already served.
 func (f *Forest) Restore(id TreeID, snapshot []byte) (*Engine, uint64, error) {
 	expr, seq, err := RestoreExpr(snapshot)
 	if err != nil {
 		return nil, 0, err
 	}
-	inner, err := f.inner.AddAt(uint64(id), expr)
-	if err != nil {
-		return nil, 0, err
-	}
-	inner.SetAppliedSeq(seq)
-	en := &Engine{expr: expr, inner: inner}
 	f.mu.Lock()
-	f.exprs[id] = en
-	f.mu.Unlock()
+	defer f.mu.Unlock()
+	if _, taken := f.trees[id]; taken {
+		return nil, 0, fmt.Errorf("%w (tree %d)", engine.ErrTreeExists, id)
+	}
+	f.nextID = max(f.nextID, id+1)
+	en := f.serve(id, expr)
+	en.inner.SetAppliedSeq(seq)
+	f.trees[id] = en
 	return en, seq, nil
 }
 
@@ -424,44 +436,57 @@ func (f *Forest) Replace(id TreeID, snapshot []byte) (*Engine, uint64, error) {
 
 // Get returns the engine serving tree id.
 func (f *Forest) Get(id TreeID) (*Engine, bool) {
-	f.mu.Lock()
-	en, ok := f.exprs[id]
-	f.mu.Unlock()
+	f.mu.RLock()
+	en, ok := f.trees[id]
+	f.mu.RUnlock()
 	return en, ok
 }
 
-// Drop closes and removes tree id, reporting whether it existed.
+// Drop closes and removes tree id, reporting whether it existed. Pending
+// requests drain before Drop returns.
 func (f *Forest) Drop(id TreeID) bool {
 	f.mu.Lock()
-	delete(f.exprs, id)
+	en, ok := f.trees[id]
+	delete(f.trees, id)
 	f.mu.Unlock()
-	return f.inner.Drop(id)
+	if ok {
+		en.Close()
+	}
+	return ok
 }
 
 // Len returns the number of live trees.
-func (f *Forest) Len() int { return f.inner.Len() }
+func (f *Forest) Len() int {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return len(f.trees)
+}
 
-// Each calls fn for every live tree. fn must not call back into the
-// forest's lifecycle methods.
+// Each calls fn for every live tree, over a snapshot taken before the
+// first call. fn must not call back into the forest's lifecycle methods.
 func (f *Forest) Each(fn func(id TreeID, en *Engine)) {
-	f.mu.Lock()
-	ens := make(map[TreeID]*Engine, len(f.exprs))
-	for id, en := range f.exprs {
-		ens[id] = en
-	}
-	f.mu.Unlock()
-	for id, en := range ens {
+	f.mu.RLock()
+	trees := maps.Clone(f.trees)
+	f.mu.RUnlock()
+	for id, en := range trees {
 		fn(id, en)
 	}
 }
 
 // Stats aggregates the engine stats of every live tree.
-func (f *Forest) Stats() EngineStats { return f.inner.TotalStats() }
+func (f *Forest) Stats() EngineStats {
+	var ens []*engine.Engine
+	f.Each(func(_ TreeID, en *Engine) { ens = append(ens, en.inner) })
+	return engine.TotalStats(ens)
+}
 
-// Close drains and closes every tree's engine.
+// Close drains and closes every tree's engine and empties the forest.
 func (f *Forest) Close() {
-	f.inner.Close()
 	f.mu.Lock()
-	f.exprs = make(map[TreeID]*Engine)
+	trees := f.trees
+	f.trees = make(map[TreeID]*Engine)
 	f.mu.Unlock()
+	for _, en := range trees {
+		en.Close()
+	}
 }
