@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -10,14 +11,16 @@ import (
 	"testing"
 
 	"dyntc"
+	"dyntc/internal/replog"
 )
 
 // FuzzBatchOps fuzzes the op decoder every operation route shares
 // (decodeBatch + parseOps) with /batch request bodies. It must never
-// panic. An accepted body holds at most maxBatchOps ops, each of a known
-// kind, with grow and set-op bound to the ring's add or mul. A rejected
-// body is rejected whole before anything is submitted: the real route
-// answers 400 and the tree's engine sees no request.
+// panic. An accepted body holds at most maxBatchOps ops, each mapped to
+// the replog.Op kind its name gives, with grow and set-op bound to the
+// ring's add or mul. A rejected body is rejected whole before anything is
+// submitted: the real route answers 400 (413 past the body bound) and the
+// tree's engine sees no request.
 func FuzzBatchOps(f *testing.F) {
 	for _, seed := range []string{
 		`{"ops":[{"kind":"set-leaf","node":0,"value":7},{"kind":"root"}]}`,
@@ -53,23 +56,27 @@ func FuzzBatchOps(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		ops, err := decodeBatch(httptest.NewRequest(http.MethodPost, route, bytes.NewReader(body)))
+		wops, err := decodeBatch(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, route, bytes.NewReader(body)))
+		var ops []dyntc.WaveOp
 		if err == nil {
-			_, err = parseOps(ops, ring)
+			ops, _, err = parseOps(wops, ring)
 		}
 		if err == nil {
-			if len(ops) > maxBatchOps {
-				t.Fatalf("accepted %d ops (max %d)", len(ops), maxBatchOps)
+			if len(ops) > maxBatchOps || len(ops) != len(wops) {
+				t.Fatalf("accepted %d ops from %d (max %d)", len(ops), len(wops), maxBatchOps)
 			}
 			for i, op := range ops {
+				if op.Kind.String() != wops[i].Kind {
+					t.Fatalf("op %d: %q mapped to kind %v", i, wops[i].Kind, op.Kind)
+				}
 				switch op.Kind {
-				case "grow", "set-op":
-					if op.op != add && op.op != mul {
-						t.Fatalf("op %d (%s): bound to %+v", i, op.Kind, op.op)
+				case replog.OpGrow, replog.OpSetOp:
+					if nop := (dyntc.Op{A: op.A, B: op.B, C: op.C}); nop != add && nop != mul {
+						t.Fatalf("op %d (%v): bound to %+v", i, op.Kind, nop)
 					}
-				case "collapse", "set-leaf", "value", "root":
+				case replog.OpCollapse, replog.OpSetLeaf, replog.OpValue, replog.OpRoot:
 				default:
-					t.Fatalf("op %d: accepted unknown kind %q", i, op.Kind)
+					t.Fatalf("op %d: accepted unknown kind %q", i, wops[i].Kind)
 				}
 			}
 			return
@@ -77,8 +84,12 @@ func FuzzBatchOps(f *testing.F) {
 		before := submitted()
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, bytes.NewReader(body)))
-		if rec.Code != http.StatusBadRequest {
-			t.Fatalf("rejected body (%v) answered %d: %s", err, rec.Code, rec.Body)
+		want := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			want = http.StatusRequestEntityTooLarge
+		}
+		if rec.Code != want {
+			t.Fatalf("rejected body (%v) answered %d, want %d: %s", err, rec.Code, want, rec.Body)
 		}
 		if after := submitted(); after != before {
 			t.Fatalf("rejected body (%v) submitted %d requests", err, after-before)

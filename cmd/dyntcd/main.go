@@ -19,9 +19,11 @@
 // A tree's wave phases run on its engine's executor goroutine, and its
 // PRAM steps run inline there: the PRAM machine meters rounds, work and
 // processors, it does not schedule. Cross-tree query scatter and, in
-// -follow mode, replica catch-up fan out on plain goroutines. Each
-// engine flushes whatever is queued the moment its executor goes idle, up
-// to the -queue capacity; a submit that finds the queue full answers 429.
+// -follow mode, replica catch-up fan out on plain goroutines. Each HTTP
+// operation is one engine request, a /batch included. Each engine flushes
+// whatever is queued the moment its executor goes idle, up to -queue ops;
+// a request whose ops would take the queued ops past -queue answers 429
+// (a larger /batch is admitted only into an empty queue).
 //
 // Durability & replication (internal/replog): every tree's engine taps
 // its executed mutating waves into a change log — an in-memory ring of
@@ -102,7 +104,7 @@ func fatal(msg string, attrs ...any) {
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
-		queue    = flag.Int("queue", 0, "per-tree submit queue capacity, which also bounds one flush (0 = default 4096)")
+		queue    = flag.Int("queue", 0, "per-tree submit queue capacity in ops (past it, requests answer 429), which also bounds one flush (0 = default 4096)")
 		walDir   = flag.String("wal-dir", "", "directory for append-only per-tree wave logs ('' = in-memory ring only)")
 		logCap   = flag.Int("log-cap", 0, "waves retained in each tree's in-memory log ring (0 = default 4096)")
 		follow   = flag.String("follow", "", "leader base URL: run as a read-only replica of that dyntcd")

@@ -22,6 +22,10 @@ package main
 //
 // Response: {"combined": .., "trees": .., "errors": ..,
 //            "detail": [{"tree":1,"value":7,"applied_seq":42}, ...]}
+//
+// Like every JSON body, a query body is bounded by maxBodyBytes (1 MiB,
+// room for at least 49 000 explicit ids); a larger one answers 413, so a
+// larger selection names an id range.
 
 import (
 	"net/http"
@@ -131,7 +135,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.obs.Anomaly().Observe(sigQueryJoin, int64(time.Since(t0)))
 	}(time.Now())
 	var req queryReq
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}

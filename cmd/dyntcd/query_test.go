@@ -228,16 +228,45 @@ func TestShed429(t *testing.T) {
 	base := fmt.Sprintf("%s/v1/trees/%d", ts.URL, created.Tree)
 	en, _ := s.forest.Get(created.Tree)
 
-	// Pin the executor inside a barrier so nothing drains the queue.
-	release := make(chan struct{})
-	started := make(chan struct{})
+	// pin holds the executor inside a barrier so nothing drains the
+	// queue, until the returned unpin. A failed check must not leave it
+	// pinned: the cleanups would wait on the queued requests forever.
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = en.Query(func(*dyntc.Expr) { close(started); <-release })
-	}()
-	<-started
+	pin := func() (unpin func()) {
+		release := make(chan struct{})
+		unpin = sync.OnceFunc(func() { close(release) })
+		t.Cleanup(unpin)
+		started := make(chan struct{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = en.Query(func(*dyntc.Expr) { close(started); <-release })
+		}()
+		<-started
+		return unpin
+	}
+	waitDepth := func(depth int) {
+		deadline := time.Now().Add(5 * time.Second)
+		for en.Stats().QueueDepth < depth {
+			if time.Now().After(deadline) {
+				t.Fatalf("queue never reached depth %d: depth %d", depth, en.Stats().QueueDepth)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// A request the queue wrongly admits would wait on the pinned
+	// executor: the shed checks time out instead of hanging.
+	client := &http.Client{Timeout: 5 * time.Second}
+	post := func(body string) *http.Response {
+		resp, err := client.Post(base+"/batch", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+	unpin := pin()
+	requests := en.Stats().Requests
 
 	// Fill the queue with requests that will block on their futures.
 	statuses := make(chan int, queueCap)
@@ -254,16 +283,10 @@ func TestShed429(t *testing.T) {
 			statuses <- resp.StatusCode
 		}()
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for en.Stats().QueueDepth < queueCap {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue never filled: depth %d", en.Stats().QueueDepth)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitDepth(queueCap)
 
 	// Queue full + executor pinned: the next request is shed.
-	resp, err := http.Get(base + "/value")
+	resp, err := client.Get(base + "/value")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,12 +298,63 @@ func TestShed429(t *testing.T) {
 		t.Fatal("429 without Retry-After")
 	}
 
-	close(release)
+	// A /batch that meets the full queue is one request, shed whole: 429
+	// with Retry-After, and none of its ops ever reaches the executor.
+	resp = post(`{"ops":[{"kind":"set-leaf","node":0,"value":5},{"kind":"root"}]}`)
+	batchStatus, batchRetry := resp.StatusCode, resp.Header.Get("Retry-After")
+
+	unpin()
 	wg.Wait()
+	if batchStatus != http.StatusTooManyRequests || batchRetry == "" {
+		t.Fatalf("shed /batch: status %d, Retry-After %q; want 429 with Retry-After", batchStatus, batchRetry)
+	}
 	for i := 0; i < queueCap; i++ {
 		if st := <-statuses; st != http.StatusOK {
 			t.Fatalf("queued request finished with %d", st)
 		}
+	}
+	// The pinning barrier and the queued reads executed; nothing shed did.
+	if st := en.Stats(); st.Requests != requests+queueCap || st.Shed != 1+2 {
+		t.Fatalf("requests %d (want %d), shed %d (want 3: the /value and both /batch ops)",
+			st.Requests, requests+queueCap, st.Shed)
+	}
+
+	// The queue is bounded in ops, not requests: one queued /batch of
+	// queueCap ops fills it, and the next request is shed although the
+	// channel has room for another.
+	unpin = pin()
+	full := make(chan int, 1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		resp, err := http.Post(base+"/batch", "application/json", strings.NewReader(`{"ops":[{"kind":"root"},{"kind":"root"}]}`))
+		if err != nil {
+			full <- -1
+			return
+		}
+		resp.Body.Close()
+		full <- resp.StatusCode
+	}()
+	waitDepth(1)
+	resp, err = client.Get(base + "/value")
+	unpin()
+	if err != nil {
+		t.Fatalf("request behind a /batch of %d ops was not shed: %v", queueCap, err)
+	}
+	resp.Body.Close()
+	wg.Wait()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("request behind a /batch of %d ops: status %d, want 429", queueCap, resp.StatusCode)
+	}
+	if st := <-full; st != http.StatusOK {
+		t.Fatalf("queued /batch finished with %d", st)
+	}
+	// A /batch larger than the queue is still admitted into an empty one.
+	if st := post(`{"ops":[{"kind":"root"},{"kind":"root"},{"kind":"root"}]}`).StatusCode; st != http.StatusOK {
+		t.Fatalf("/batch of %d ops into an empty queue: status %d, want 200", queueCap+1, st)
+	}
+	if st := en.Stats(); st.Shed != 3+1 {
+		t.Fatalf("shed %d, want 4", st.Shed)
 	}
 
 	var stats struct {

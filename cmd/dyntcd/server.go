@@ -23,7 +23,8 @@ import (
 // amortize into batches while requests against different trees proceed
 // fully in parallel.
 //
-// API (all bodies JSON):
+// API (all bodies JSON; a request body over maxBodyBytes, 1 MiB,
+// answers 413 on every route that reads one, /v1/query included):
 //
 //	GET    /healthz
 //	POST   /v1/trees                    {ring, mod?, root, seed?, tour?} -> {tree, root_node}
@@ -33,7 +34,8 @@ import (
 //	POST   /v1/trees/{id}/collapse     {node, value}
 //	POST   /v1/trees/{id}/set-leaf     {leaf, value}
 //	POST   /v1/trees/{id}/set-op       {node, op}
-//	POST   /v1/trees/{id}/batch        {ops: [...]} -> {results: [...]}
+//	POST   /v1/trees/{id}/batch        {ops: [...]} -> {results: [...]}, one engine
+//	                                    request: an op sees every op listed before it
 //	GET    /v1/trees/{id}/value[?node=N] -> {value}
 //	GET    /v1/trees/{id}/stats        -> engine + tree stats
 //	GET    /v1/stats                   -> forest-wide aggregate
@@ -218,21 +220,20 @@ func (s *server) routes() *http.ServeMux {
 
 // tracedOp joins a handler to the distributed trace its request carries
 // in X-Dyntc-Trace: an ingest span (parented on the caller's span) is
-// opened for the handler's duration, the returned engine view submits
-// under that span — which forces the executing flush into the sampled
-// span path — and the response echoes "<trace>-<ingest span>" so the
-// client can stitch its own spans on. A request without the header gets
-// an untraced view and a no-op finish; engine-side sampling then decides
-// alone.
-func (s *server) tracedOp(w http.ResponseWriter, r *http.Request, en *dyntc.Engine, op string) (dyntc.TracedEngine, func()) {
+// opened for the handler's duration, the returned context submits under
+// that span — which forces the executing flush into the sampled span path
+// — and the response echoes "<trace>-<ingest span>" so the client can
+// stitch its own spans on. A request without the header gets a zero
+// context and a no-op finish; engine-side sampling then decides alone.
+func (s *server) tracedOp(w http.ResponseWriter, r *http.Request, op string) (dyntc.TraceContext, func()) {
 	sc := obs.ParseTraceHeader(r.Header.Get("X-Dyntc-Trace"))
 	if !sc.Valid() {
-		return en.Traced(dyntc.TraceContext{}), func() {}
+		return dyntc.TraceContext{}, func() {}
 	}
 	ingest := dyntc.TraceContext{Trace: sc.Trace, Span: obs.NewSpanID()}
 	w.Header().Set("X-Dyntc-Trace", obs.FormatTraceHeader(ingest))
 	t0 := time.Now()
-	return en.Traced(ingest), func() {
+	return ingest, func() {
 		s.obs.Spans().Add(obs.Span{
 			Trace:  sc.Trace,
 			Span:   ingest.Span,
@@ -267,6 +268,8 @@ func errStatus(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, engine.ErrOverloaded):
 		return http.StatusTooManyRequests
+	case errors.As(err, new(*http.MaxBytesError)):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, engine.ErrClosed), errors.Is(err, engine.ErrPoisoned):
 		return http.StatusServiceUnavailable
 	}
@@ -289,10 +292,23 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxOpBytes bounds the JSON of one op in a request body, whitespace
+// included, and maxBodyBytes every JSON request body: room for a /batch
+// of maxBatchOps ops, and for a /v1/query list of at least 49 000 tree ids
+// (a larger selection names an id range instead). decode stops reading
+// past it, and the request answers 413 with nothing submitted.
+const (
+	maxOpBytes   = 256
+	maxBodyBytes = maxBatchOps * maxOpBytes
+)
+
+func decode(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		if errors.As(err, new(*http.MaxBytesError)) {
+			return err
+		}
 		return apiError{http.StatusBadRequest, "bad request body: " + err.Error()}
 	}
 	return nil
@@ -366,7 +382,7 @@ type createReq struct {
 
 func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req createReq
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -447,13 +463,12 @@ const maxBatchOps = 4096
 
 // wireOp is one operation as a /batch body lists it.
 type wireOp struct {
-	Kind  string   `json:"kind"` // grow|collapse|set-leaf|set-op|value|root
-	Node  int      `json:"node"`
-	Op    string   `json:"op"`
-	Value int64    `json:"value"`
-	Left  int64    `json:"left"`
-	Right int64    `json:"right"`
-	op    dyntc.Op // Op bound to the tree's ring by parseOps
+	Kind  string `json:"kind"` // grow|collapse|set-leaf|set-op|value|root
+	Node  int    `json:"node"`
+	Op    string `json:"op"`
+	Value int64  `json:"value"`
+	Left  int64  `json:"left"`
+	Right int64  `json:"right"`
 }
 
 // opResult is one op's outcome, in /batch's per-op JSON shape; err keeps
@@ -467,11 +482,11 @@ type opResult struct {
 }
 
 // decodeBatch reads a /batch body: strict JSON of at most maxBatchOps ops.
-func decodeBatch(r *http.Request) ([]wireOp, error) {
+func decodeBatch(w http.ResponseWriter, r *http.Request) ([]wireOp, error) {
 	var req struct {
 		Ops []wireOp `json:"ops"`
 	}
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		return nil, err
 	}
 	if len(req.Ops) > maxBatchOps {
@@ -480,104 +495,91 @@ func decodeBatch(r *http.Request) ([]wireOp, error) {
 	return req.Ops, nil
 }
 
-// parseOps validates every op before any is submitted, so an invalid op
-// rejects the whole list rather than leaving it partially executed. On
-// failure it returns the index of the first invalid op. Only grow and
-// set-op consult ring.
-func parseOps(ops []wireOp, ring dyntc.Ring) (int, error) {
-	for i := range ops {
-		var err error
-		switch ops[i].Kind {
-		case "grow", "set-op":
-			ops[i].op, err = parseOp(ops[i].Op, ring)
-		case "collapse", "set-leaf", "value", "root":
-		default:
-			err = apiError{http.StatusBadRequest, fmt.Sprintf("unknown kind %q", ops[i].Kind)}
+// parseOps maps wire ops to engine ops by kind name (the engine logs only
+// the fields each kind carries). It validates every op before any is
+// submitted, so an invalid op rejects the whole list rather than leaving
+// it partially executed; on failure it returns the index of the first
+// invalid op. Only grow and set-op consult ring.
+func parseOps(ops []wireOp, ring dyntc.Ring) ([]dyntc.WaveOp, int, error) {
+	out := make([]dyntc.WaveOp, len(ops))
+	for i, w := range ops {
+		kind, ok := replog.ParseOpKind(w.Kind)
+		if !ok {
+			return nil, i, apiError{http.StatusBadRequest, fmt.Sprintf("unknown kind %q", w.Kind)}
 		}
-		if err != nil {
-			return i, err
+		out[i] = dyntc.WaveOp{Kind: kind, Node: w.Node, Value: w.Value, Left: w.Left, Right: w.Right}
+		if kind == replog.OpGrow || kind == replog.OpSetOp {
+			nop, err := parseOp(w.Op, ring)
+			if err != nil {
+				return nil, i, err
+			}
+			out[i].A, out[i].B, out[i].C = nop.A, nop.B, nop.C
 		}
 	}
-	return 0, nil
+	return out, 0, nil
 }
 
-// submitOps submits ops in order — back to back, so they coalesce into
-// one (or few) engine flushes — then redeems and recycles every future.
-func submitOps(ten dyntc.TracedEngine, ops []wireOp) []opResult {
-	futs := make([]*dyntc.Future, len(ops))
-	for i, op := range ops {
-		switch op.Kind {
-		case "grow":
-			futs[i] = ten.GrowIDAsync(op.Node, op.op, op.Left, op.Right)
-		case "collapse":
-			futs[i] = ten.CollapseIDAsync(op.Node, op.Value)
-		case "set-leaf":
-			futs[i] = ten.SetLeafIDAsync(op.Node, op.Value)
-		case "set-op":
-			futs[i] = ten.SetOpIDAsync(op.Node, op.op)
-		case "value":
-			futs[i] = ten.ValueIDAsync(op.Node)
-		case "root":
-			futs[i] = ten.RootAsync()
+// submitOps submits ops as one engine request — one future, one place in
+// the flush, ops in order — and redeems its per-op results. A non-nil
+// error means the request failed as a whole (shed, closed, poisoned).
+func submitOps(en *dyntc.Engine, sc dyntc.TraceContext, ops []dyntc.WaveOp) ([]opResult, error) {
+	f := en.Apply(sc, ops)
+	defer f.Recycle()
+	res, err := f.Results()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]opResult, len(res))
+	for i, r := range res {
+		o := &out[i]
+		switch {
+		case r.Err != nil:
+			o.err, o.Error = r.Err, r.Err.Error()
+		case ops[i].Kind == replog.OpGrow:
+			lid, rid := r.Pair[0].ID, r.Pair[1].ID
+			o.Left, o.Right = &lid, &rid
+		case !ops[i].Kind.Mutates():
+			v := r.Value
+			o.Value = &v
 		}
 	}
-	results := make([]opResult, len(ops))
-	for i, f := range futs {
-		res := &results[i]
-		switch ops[i].Kind {
-		case "grow":
-			l, r, err := f.Pair()
-			if res.err = err; err == nil {
-				lid, rid := l.ID, r.ID
-				res.Left, res.Right = &lid, &rid
-			}
-		case "value", "root":
-			v, err := f.Value()
-			if res.err = err; err == nil {
-				res.Value = &v
-			}
-		default:
-			res.err = f.Wait()
-		}
-		if res.err != nil {
-			res.Error = res.err.Error()
-		}
-		f.Recycle()
-	}
-	return results
+	return out, nil
 }
 
 // oneOp serves a single-op route as a one-op batch: validate op (looking
 // up the tree's ring only for grow and set-op), open the route's trace
 // span, submit, and answer reply(result) or the error's status.
 func (s *server) oneOp(w http.ResponseWriter, r *http.Request, en *dyntc.Engine, op wireOp, reply func(opResult) any) {
-	ops := []wireOp{op}
 	var ring dyntc.Ring
 	var err error
 	if op.Kind == "grow" || op.Kind == "set-op" {
 		ring, err = s.ringOf(r)
 	}
+	var ops []dyntc.WaveOp
 	if err == nil {
-		_, err = parseOps(ops, ring)
+		ops, _, err = parseOps([]wireOp{op}, ring)
 	}
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	ten, finish := s.tracedOp(w, r, en, op.Kind)
+	sc, finish := s.tracedOp(w, r, op.Kind)
 	defer finish()
-	answerOne(w, ten, ops, reply)
+	answerOne(w, en, sc, ops, reply)
 }
 
-// answerOne submits a one-op list through ten and answers reply(result)
-// or the error's status.
-func answerOne(w http.ResponseWriter, ten dyntc.TracedEngine, ops []wireOp, reply func(opResult) any) {
-	res := submitOps(ten, ops)[0]
-	if res.err != nil {
-		writeErr(w, res.err)
+// answerOne submits a one-op list and answers reply(result) or the
+// error's status.
+func answerOne(w http.ResponseWriter, en *dyntc.Engine, sc dyntc.TraceContext, ops []dyntc.WaveOp, reply func(opResult) any) {
+	res, err := submitOps(en, sc, ops)
+	if err == nil {
+		err = res[0].err
+	}
+	if err != nil {
+		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, reply(res))
+	writeJSON(w, http.StatusOK, reply(res[0]))
 }
 
 func (s *server) handleGrow(w http.ResponseWriter, r *http.Request, en *dyntc.Engine) {
@@ -587,7 +589,7 @@ func (s *server) handleGrow(w http.ResponseWriter, r *http.Request, en *dyntc.En
 		Left  int64  `json:"left"`
 		Right int64  `json:"right"`
 	}
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -600,7 +602,7 @@ func (s *server) handleCollapse(w http.ResponseWriter, r *http.Request, en *dynt
 		Node  int   `json:"node"`
 		Value int64 `json:"value"`
 	}
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -613,7 +615,7 @@ func (s *server) handleSetLeaf(w http.ResponseWriter, r *http.Request, en *dyntc
 		Leaf  int   `json:"leaf"`
 		Value int64 `json:"value"`
 	}
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -626,7 +628,7 @@ func (s *server) handleSetOp(w http.ResponseWriter, r *http.Request, en *dyntc.E
 		Node int    `json:"node"`
 		Op   string `json:"op"`
 	}
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -636,10 +638,10 @@ func (s *server) handleSetOp(w http.ResponseWriter, r *http.Request, en *dyntc.E
 
 func (s *server) handleValue(w http.ResponseWriter, r *http.Request, en *dyntc.Engine) {
 	q := r.URL.Query().Get("node")
-	ten, finish := s.tracedOp(w, r, en, "value")
+	sc, finish := s.tracedOp(w, r, "value")
 	defer finish()
 	if q == "" {
-		answerOne(w, ten, []wireOp{{Kind: "root"}}, func(res opResult) any { return map[string]any{"value": res.Value} })
+		answerOne(w, en, sc, []dyntc.WaveOp{{Kind: replog.OpRoot}}, func(res opResult) any { return map[string]any{"value": res.Value} })
 		return
 	}
 	nodeID, err := strconv.Atoi(q)
@@ -647,16 +649,18 @@ func (s *server) handleValue(w http.ResponseWriter, r *http.Request, en *dyntc.E
 		writeErr(w, apiError{http.StatusBadRequest, "bad node id"})
 		return
 	}
-	answerOne(w, ten, []wireOp{{Kind: "value", Node: nodeID}},
+	answerOne(w, en, sc, []dyntc.WaveOp{{Kind: replog.OpValue, Node: nodeID}},
 		func(res opResult) any { return map[string]any{"node": nodeID, "value": res.Value} })
 }
 
-// handleBatch submits a mixed operation list — one HTTP call becomes one
-// (or few) coalesced engine flushes — and reports per-op results in
-// order. A list with any invalid op is rejected whole, before anything
-// is submitted.
+// handleBatch submits a mixed operation list as one engine request and
+// reports per-op results in order. The ops run in submission order: a
+// wave is the longest conflict-free prefix of the flush's pending ops, so
+// an op sees every op listed before it. A list with any invalid op is
+// rejected whole, before anything is submitted, and so is a list the
+// shedding engine refuses (429).
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request, en *dyntc.Engine) {
-	ops, err := decodeBatch(r)
+	wops, err := decodeBatch(w, r)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -666,13 +670,19 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request, en *dyntc.E
 		writeErr(w, err)
 		return
 	}
-	ten, finish := s.tracedOp(w, r, en, "batch")
+	sc, finish := s.tracedOp(w, r, "batch")
 	defer finish()
-	if i, err := parseOps(ops, ring); err != nil {
+	ops, i, err := parseOps(wops, ring)
+	if err != nil {
 		writeErr(w, apiError{http.StatusBadRequest, fmt.Sprintf("op %d: %v", i, err)})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": submitOps(ten, ops)})
+	results, err := submitOps(en, sc, ops)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"results": results})
 }
 
 // --- stats ---
@@ -837,7 +847,7 @@ func (s *server) handleDemote(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Epoch uint64 `json:"epoch"`
 	}
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -223,6 +224,112 @@ func TestServerBatchAndStats(t *testing.T) {
 	call(t, "GET", ts.URL+"/v1/stats", nil, 200, &forest)
 	if forest.Trees != 1 || forest.Engine.Requests == 0 {
 		t.Fatalf("forest stats: %+v", forest)
+	}
+}
+
+// TestBatchRunsInOrder: a /batch is one engine request whose ops run in
+// listed order, each counted once in Requests. The second set-leaf of one
+// leaf starts a new wave, and the root read behind it sees it.
+func TestBatchRunsInOrder(t *testing.T) {
+	ts, s := startTestServer(t)
+	var created struct {
+		Tree uint64 `json:"tree"`
+	}
+	call(t, "POST", ts.URL+"/v1/trees", map[string]any{"root": 1}, 201, &created)
+	base := fmt.Sprintf("%s/v1/trees/%d", ts.URL, created.Tree)
+	var grown struct {
+		Left  int `json:"left"`
+		Right int `json:"right"`
+	}
+	call(t, "POST", base+"/grow", map[string]any{"leaf": 0, "op": "add", "left": 0, "right": 4}, 200, &grown)
+	en, _ := s.forest.Get(created.Tree)
+
+	var batch struct {
+		Results []struct {
+			Error string `json:"error"`
+			Value *int64 `json:"value"`
+		} `json:"results"`
+	}
+	call(t, "POST", base+"/batch", map[string]any{"ops": []map[string]any{
+		{"kind": "set-leaf", "node": grown.Left, "value": 1},
+		{"kind": "set-leaf", "node": grown.Left, "value": 2},
+		{"kind": "root"},
+	}}, 200, &batch)
+	if r := batch.Results; len(r) != 3 || r[2].Value == nil || *r[2].Value != 2+4 {
+		t.Fatalf("set-leaf 1, set-leaf 2, root: %+v, want root %d", batch, 2+4)
+	}
+
+	before := en.Stats().Requests
+	ops := make([]map[string]any, 0, 8)
+	for i := 0; i < 4; i++ {
+		ops = append(ops, map[string]any{"kind": "set-leaf", "node": grown.Right, "value": i},
+			map[string]any{"kind": "value", "node": grown.Right})
+	}
+	call(t, "POST", base+"/batch", map[string]any{"ops": ops}, 200, &batch)
+	for i, r := range batch.Results {
+		if r.Error != "" || i%2 == 1 && (r.Value == nil || *r.Value != int64(i/2)) {
+			t.Fatalf("op %d: %+v", i, r)
+		}
+	}
+	if got := en.Stats().Requests - before; got != 8 {
+		t.Fatalf("a /batch of 8 ops moved Requests by %d, want 8", got)
+	}
+}
+
+// TestBodyLimit413: decode stops reading a JSON body one byte past
+// maxBodyBytes, and the request answers 413 with nothing submitted; a body
+// of exactly maxBodyBytes is read whole.
+func TestBodyLimit413(t *testing.T) {
+	ts, s := startTestServer(t)
+	var created struct {
+		Tree uint64 `json:"tree"`
+	}
+	call(t, "POST", ts.URL+"/v1/trees", map[string]any{"root": 1}, 201, &created)
+	en, _ := s.forest.Get(created.Tree)
+	submitted := func() uint64 {
+		st := en.Stats()
+		return st.Requests + st.Dropped + st.Shed
+	}
+	// A valid body whose whitespace sits inside the op list, so the
+	// decoder must read all of it.
+	body := func(size int) string {
+		head, tail := `{"ops":[{"kind":"root"}`, `]}`
+		return head + strings.Repeat(" ", size-len(head)-len(tail)) + tail
+	}
+	post := func(b string) int {
+		resp, err := http.Post(fmt.Sprintf("%s/v1/trees/%d/batch", ts.URL, created.Tree), "application/json", strings.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	before := submitted()
+	if code := post(body(maxBodyBytes + 1)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body of maxBodyBytes+1: status %d, want 413", code)
+	}
+	if after := submitted(); after != before {
+		t.Fatalf("an oversized body submitted %d ops", after-before)
+	}
+	if code := post(body(maxBodyBytes)); code != http.StatusOK {
+		t.Fatalf("body of maxBodyBytes: status %d, want 200", code)
+	}
+
+	// The bound holds for every JSON body: a /v1/query listing more tree
+	// ids than fit answers 413 too.
+	ids := strings.Repeat(fmt.Sprintf("%d,", created.Tree), maxBodyBytes/2)
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json",
+		strings.NewReader(`{"trees":[`+ids+fmt.Sprint(created.Tree)+`],"read":"root","combine":"sum"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("/v1/query body over maxBodyBytes: status %d, want 413", resp.StatusCode)
+	}
+	if after := submitted(); after != before+1 {
+		t.Fatalf("an oversized query submitted %d ops", after-before-1)
 	}
 }
 

@@ -10,21 +10,22 @@
 // precisely from coalescing concurrent operations into batches before they
 // hit the structure:
 //
-//   - Arbitrarily many goroutines submit Grow / Collapse / SetLeaf /
-//     SetOp / Value / Root / Barrier requests and receive per-request
-//     Futures.
+//   - Arbitrarily many goroutines submit requests — each an ordered list
+//     of replog.Op, the op type the wave log also speaks — or barriers,
+//     and receive one Future per request.
 //   - A single executor goroutine takes whatever is queued as one flush
-//     (up to the queue capacity) the moment it goes idle, so batching adds
-//     no latency when traffic is light and batches grow by themselves as
-//     the executor saturates.
-//   - Each flush is partitioned (partition.go) into waves of
-//     node-disjoint requests, and every wave executes as at most one call
-//     to each of the core batch entry points (GrowBatch, CollapseBatch,
+//     (up to the queue capacity in ops) the moment it goes idle, so
+//     batching adds no latency when traffic is light and batches grow by
+//     themselves as the executor saturates.
+//   - A flush is the concatenation of its requests' ops, and it runs as
+//     waves (partition.go): a wave is the longest conflict-free prefix of
+//     the ops not yet run, and every wave executes as at most one call to
+//     each of the core batch entry points (GrowBatch, CollapseBatch,
 //     SetLeaves, SetOps, Values) — the paper's §1.4 batch-request model.
 //
-// Every request is linearizable: it takes effect atomically between submit
-// and future resolution. Requests touching a common node additionally
-// execute in submission order.
+// Every request takes effect between submit and future resolution, its
+// ops in submission order: within a flush an op sees every op submitted
+// before it, in its own request or an earlier one.
 package engine
 
 import (
@@ -51,12 +52,16 @@ type Host interface {
 
 // Options configures an Engine. The zero value gives sane defaults.
 type Options struct {
-	// Queue is the submit queue capacity; submits block (backpressure)
-	// once it fills (default 4096). It also bounds one flush.
+	// Queue is the submit queue capacity, in requests; submits block
+	// (backpressure) once it fills (default 4096). It also bounds one
+	// flush, in ops: a larger request runs as a flush of its own.
 	Queue int
 	// Shed switches the full-queue policy from blocking to load shedding:
-	// a submit that finds the queue at capacity fails its future
-	// immediately with ErrOverloaded instead of blocking the caller.
+	// a submit that finds the queue full fails its future immediately
+	// with ErrOverloaded instead of blocking the caller. A shedding queue
+	// is full at Queue ops: a request is shed when the ops already queued
+	// plus its own would exceed Queue (a larger request is admitted only
+	// into an empty queue), or when Queue requests are queued.
 	// Servers translate that into 429 + Retry-After; library callers that
 	// want backpressure leave it false. Barriers are exempt: snapshots,
 	// log compaction and follower bootstrap ride barriers and must not
@@ -150,6 +155,9 @@ type Engine struct {
 	// shedEventAt rate-limits shed-burst journal events (one per second
 	// per engine; written by shedding submitters via CAS).
 	shedEventAt atomic.Int64
+	// queuedOps counts the ops queued (a barrier counts one): submit
+	// adds, collect takes away.
+	queuedOps atomic.Int64
 
 	done chan struct{}
 }
@@ -256,25 +264,33 @@ func (e *Engine) submit(f *Future) *Future {
 	e.mu.RLock()
 	if e.closed {
 		e.mu.RUnlock()
-		e.stats.drop(1)
-		f.resolve(0, [2]*NodeT{}, ErrClosed)
+		e.stats.drop(f.size())
+		f.resolve(ErrClosed)
 		return f
 	}
 	// The send happens under the read lock so Close cannot close e.ch
 	// between the check and the send; the executor keeps draining, so
 	// blocked senders always complete.
-	if e.opts.Shed && f.kind != kBarrier {
-		select {
-		case e.ch <- f:
-			e.mu.RUnlock()
-		default:
-			e.mu.RUnlock()
-			e.stats.shed(1)
+	size := int64(f.size())
+	queued := e.queuedOps.Add(size)
+	if e.opts.Shed && f.fn == nil {
+		admit := queued == size || queued <= int64(e.opts.Queue)
+		if admit {
+			select {
+			case e.ch <- f:
+			default:
+				admit = false
+			}
+		}
+		e.mu.RUnlock()
+		if !admit {
+			e.queuedOps.Add(-size)
+			e.stats.shed(int(size))
 			if h := e.opts.Obs; h != nil {
-				h.Shed(e.traceID.Load(), 1)
+				h.Shed(e.traceID.Load(), int(size))
 				e.noteShedBurst(h.Events())
 			}
-			f.resolve(0, [2]*NodeT{}, ErrOverloaded)
+			f.resolve(ErrOverloaded)
 		}
 		return f
 	}
@@ -283,51 +299,39 @@ func (e *Engine) submit(f *Future) *Future {
 	return f
 }
 
-// GrowCtx submits a leaf expansion: ref becomes an op node with two fresh
-// leaves holding (leftVal, rightVal). Future.Pair returns the new leaves.
+// Apply submits ops as one request and returns its Future, which resolves
+// once every op has executed; Future.Results reports each op's outcome in
+// order. Apply copies ops, so the caller may reuse the slice. A request
+// without ops resolves at once.
+//
+// Within its flush, an op sees every op submitted before it: a wave is
+// the longest conflict-free prefix of the flush's ops, and the rest runs
+// in later waves (partition.go). Reads run at the end of their wave, so a
+// read also sees the wave's later writes to other nodes.
 //
 // Every submit carries a distributed-trace context: the flush that
 // executes the request adopts sc's trace (and is force-sampled into the
 // span log). A zero SpanContext submits untraced, at no cost.
-func (e *Engine) GrowCtx(sc obs.SpanContext, ref NodeRef, op OpT, leftVal, rightVal int64) *Future {
-	f := newFuture(kGrow)
-	f.ref, f.op, f.a, f.b, f.span = ref, op, leftVal, rightVal, sc
-	return e.submit(f)
-}
-
-// CollapseCtx submits a leaf-pair deletion: ref's two leaf children are
-// removed and ref becomes a leaf holding newValue.
-func (e *Engine) CollapseCtx(sc obs.SpanContext, ref NodeRef, newValue int64) *Future {
-	f := newFuture(kCollapse)
-	f.ref, f.a, f.span = ref, newValue, sc
-	return e.submit(f)
-}
-
-// SetLeafCtx submits a leaf value update.
-func (e *Engine) SetLeafCtx(sc obs.SpanContext, ref NodeRef, value int64) *Future {
-	f := newFuture(kSetLeaf)
-	f.ref, f.a, f.span = ref, value, sc
-	return e.submit(f)
-}
-
-// SetOpCtx submits an internal-operation update.
-func (e *Engine) SetOpCtx(sc obs.SpanContext, ref NodeRef, op OpT) *Future {
-	f := newFuture(kSetOp)
-	f.ref, f.op, f.span = ref, op, sc
-	return e.submit(f)
-}
-
-// ValueCtx submits a subexpression value query. Future.Value returns it.
-func (e *Engine) ValueCtx(sc obs.SpanContext, ref NodeRef) *Future {
-	f := newFuture(kValue)
-	f.ref, f.span = ref, sc
-	return e.submit(f)
-}
-
-// RootCtx submits a root value query. Future.Value returns it.
-func (e *Engine) RootCtx(sc obs.SpanContext) *Future {
-	f := newFuture(kRoot)
+func (e *Engine) Apply(sc obs.SpanContext, ops ...replog.Op) *Future {
+	f := newFuture(ops)
+	if len(ops) == 0 {
+		f.resolve(nil)
+		return f
+	}
 	f.span = sc
+	return e.submit(f)
+}
+
+// ApplyTo submits op as a one-op, untraced request addressed by the live
+// handle n rather than by ID: op.Node is set to n.ID, and the op fails
+// with ErrDeadNode unless n is still that node of this tree.
+func (e *Engine) ApplyTo(n *NodeT, op replog.Op) *Future {
+	op.Node = -1 // a nil handle addresses no node
+	if n != nil {
+		op.Node = n.ID
+	}
+	f := newFuture([]replog.Op{op})
+	f.pin = n
 	return e.submit(f)
 }
 
@@ -335,7 +339,7 @@ func (e *Engine) RootCtx(sc obs.SpanContext) *Future {
 // goroutine: fn sees a quiescent host and may use any of its methods. Tour
 // queries and node-ID resolution ride on this.
 func (e *Engine) Barrier(fn func(Host)) *Future {
-	f := newFuture(kBarrier)
+	f := newFuture(nil)
 	f.fn = fn
 	return e.submit(f)
 }
@@ -344,12 +348,17 @@ func (e *Engine) Barrier(fn func(Host)) *Future {
 // touches e.host.
 func (e *Engine) run() {
 	defer close(e.done)
+	var next *Future
 	for {
-		first, ok := <-e.ch
-		if !ok {
-			return
+		if next == nil {
+			var ok bool
+			if next, ok = <-e.ch; !ok {
+				return
+			}
 		}
-		e.executeFlush(e.collect(first))
+		flush, ops, rest := e.collect(next)
+		e.executeFlush(flush, ops)
+		next = rest
 	}
 }
 
@@ -368,23 +377,30 @@ func (e *Engine) noteShedBurst(j *obs.Journal) {
 		map[string]any{"shed_total": e.stats.shedded.Load(), "queue_cap": e.opts.Queue})
 }
 
-// collect assembles one flush: first plus everything already queued, up
-// to the queue capacity, so the flush is whatever batch is pending when
-// the executor goes idle. The returned slice is the executor's reusable
-// flush buffer, valid until the next collect.
-func (e *Engine) collect(first *Future) []*Future {
-	flush := append(e.sc.flush[:0], first)
-	defer func() { e.sc.flush = flush }()
-	for len(flush) < e.opts.Queue {
+// collect assembles one flush: first plus the requests queued behind it,
+// while their ops fit in the queue capacity, so the flush is whatever
+// batch is pending when the executor goes idle. A request that does not
+// fit is returned as next, to open the following flush; a request larger
+// than the capacity runs alone. The returned slice is the executor's
+// reusable flush buffer, valid until the next collect.
+func (e *Engine) collect(first *Future) (flush []*Future, ops int, next *Future) {
+	flush = append(e.sc.flush[:0], first)
+	defer func() { e.sc.flush = flush; e.queuedOps.Add(-int64(ops)) }()
+	ops = first.size()
+	for ops < e.opts.Queue {
 		select {
 		case f, ok := <-e.ch:
 			if !ok {
-				return flush
+				return flush, ops, nil
+			}
+			if ops+f.size() > e.opts.Queue {
+				return flush, ops, f
 			}
 			flush = append(flush, f)
+			ops += f.size()
 		default:
-			return flush
+			return flush, ops, nil
 		}
 	}
-	return flush
+	return flush, ops, nil
 }

@@ -86,6 +86,10 @@ func TestValidationErrors(t *testing.T) {
 	if _, err := en.ValueIDAsync(-1).Value(); !errors.Is(err, engine.ErrDeadNode) {
 		t.Fatalf("value negative id: %v", err)
 	}
+	// A handle of another tree fails even where its ID is live here.
+	if err := en.SetLeaf(dyntc.NewExpr(ring, 1).Tree().Root, 9); !errors.Is(err, engine.ErrDeadNode) {
+		t.Fatalf("set-leaf foreign handle: %v", err)
+	}
 	// Collapse deletes l's sibling pair; the dead node is then rejected.
 	if _, _, err := en.Grow(l, dyntc.OpAdd(ring), 5, 6); err != nil {
 		t.Fatalf("grow l: %v", err)

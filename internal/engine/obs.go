@@ -6,6 +6,7 @@ import (
 
 	"dyntc/internal/core"
 	"dyntc/internal/obs"
+	"dyntc/internal/replog"
 )
 
 // This file is the engine layer's observability wiring: histogram
@@ -88,22 +89,13 @@ func newInstruments(h *obs.Hub) *instruments {
 // counters are the single source of truth and the request path carries no
 // second set of increments.
 func RegisterStatsFuncs(r *obs.Registry, stats func() Stats) {
-	kinds := []struct {
-		label string
-		get   func(Stats) uint64
-	}{
-		{"grow", func(s Stats) uint64 { return s.Grows }},
-		{"collapse", func(s Stats) uint64 { return s.Collapses }},
-		{"set-leaf", func(s Stats) uint64 { return s.SetLeaves }},
-		{"set-op", func(s Stats) uint64 { return s.SetOps }},
-		{"value", func(s Stats) uint64 { return s.Values }},
-		{"root", func(s Stats) uint64 { return s.Roots }},
-		{"barrier", func(s Stats) uint64 { return s.Barriers }},
-	}
-	for _, k := range kinds {
-		get := k.get
-		r.CounterFunc("dyntc_engine_requests_total", "requests executed, by kind",
-			func() float64 { return float64(get(stats())) }, "kind", k.label)
+	for k := range replog.OpRoot + 1 {
+		label := k.String()
+		if k == kBarrier {
+			label = "barrier"
+		}
+		r.CounterFunc("dyntc_engine_requests_total", "ops executed, by kind (barriers count one)",
+			func() float64 { s := stats(); return float64(*s.byKind()[k]) }, "kind", label)
 	}
 	r.CounterFunc("dyntc_engine_flushes_total", "coalesced flushes executed",
 		func() float64 { return float64(stats().Flushes) })
@@ -115,11 +107,11 @@ func RegisterStatsFuncs(r *obs.Registry, stats func() Stats) {
 		r.CounterFunc("dyntc_resimulations_total", "mutating waves that fell back to full re-simulation, by reason",
 			func() float64 { return float64(stats().ResimReasons[reason]) }, "reason", reason)
 	}
-	r.CounterFunc("dyntc_engine_errors_total", "requests failed by validation",
+	r.CounterFunc("dyntc_engine_errors_total", "ops failed by validation",
 		func() float64 { return float64(stats().Errors) })
-	r.CounterFunc("dyntc_engine_dropped_total", "requests discarded unexecuted (closed or poisoned)",
+	r.CounterFunc("dyntc_engine_dropped_total", "ops discarded unexecuted (closed or poisoned)",
 		func() float64 { return float64(stats().Dropped) })
-	r.CounterFunc("dyntc_engine_shed_total", "requests rejected at submit, queue full",
+	r.CounterFunc("dyntc_engine_shed_total", "ops rejected at submit, queue full",
 		func() float64 { return float64(stats().Shed) })
 	r.GaugeFunc("dyntc_engine_queue_depth", "submitted requests currently queued, all trees",
 		func() float64 { return float64(stats().QueueDepth) })
@@ -259,12 +251,14 @@ func (e *Engine) observeFlush(reqs int, coalesceNS, flushNS int64) {
 	e.opts.Obs.FlushDone(*tr)
 }
 
-// noteHeal folds the host's last heal report into the engine counters,
-// the flush record under construction and the records-touched histogram.
-// It runs right after each mutating host call, on the executor, so the
-// report it reads is the wave's own.
-func (e *Engine) noteHeal(executed int) {
-	if e.healer == nil || executed == 0 {
+// noteHeal counts the n ops of kind k a mutating host call just executed
+// and folds the host's heal report for that call into the engine
+// counters, the flush record under construction and the records-touched
+// histogram. It runs right after each mutating host call, on the
+// executor, so the report it reads is the call's own.
+func (e *Engine) noteHeal(k replog.OpKind, n int) {
+	e.stats.done(k, n)
+	if e.healer == nil || n == 0 {
 		return
 	}
 	hs := e.healer.LastHeal()

@@ -8,36 +8,37 @@ import (
 	"dyntc/internal/replog"
 )
 
-// This file turns one flush — an arbitrary mix of concurrent requests — into
+// This file runs one flush — the concatenation of its requests' ops — as
 // the conflict-free batch kinds internal/core supports.
 //
-// A flush is partitioned into *waves*. A wave is a set of requests whose
-// node footprints are pairwise disjoint, so each wave executes as at most
-// one GrowBatch + one CollapseBatch + one SetLeaves + one SetOps + one
-// Values call, in that fixed order; disjointness makes the order
-// irrelevant to the results and keeps every core precondition (checked at
-// planning time, against the exact tree state the wave will run on) valid
-// through the wave.
+// A wave is the longest conflict-free prefix of the flush's ops not yet
+// run, and the rest is the next wave, so an op sees every op submitted
+// before it. A wave's writes are node-disjoint: they execute as at most
+// one GrowBatch + one CollapseBatch + one SetLeaves + one SetOps call, in
+// that fixed order, and every core precondition (checked at planning
+// time, against the exact tree state the wave runs on) stays valid
+// through the wave. The wave's reads run last, as one Values call.
 //
 // Footprints: Grow and SetLeaf write {leaf}; SetOp writes {node}; Collapse
 // writes {node, node.Left, node.Right} (the children are deleted); Value
-// reads {node}; Root reads nothing destructible. A request joins the
-// current wave unless its footprint intersects the wave's footprint or the
-// footprint of an already-deferred request. Either way it is deferred
-// before it is validated, so same-node requests keep submission order and
-// each is validated against the tree its predecessors leave behind (a
-// collapse behind its own grow sees an internal node). Deferred requests
-// form the next wave's input, so planning always terminates: the earliest
-// pending request always joins (or fails validation).
+// reads {node}; Root reads nothing destructible. A write conflicts with
+// its wave, ending it, when an earlier op of the wave touches one of its
+// nodes, or when it fails validation after an earlier write of the wave
+// (that write may make it valid, as a grow does for a collapse of the
+// same leaf): it is validated again as the first op of the next wave. A
+// read of a node an earlier op of its wave writes, or that fails
+// validation after a write, does not end the wave: it is held and
+// answered in a read-only wave right after it, validated against the tree
+// the wave leaves behind.
 //
-// Barriers seal the flush: a barrier runs alone between waves.
+// A barrier ends the wave before it and runs alone.
 //
 // All partitioning state lives in the engine's executor-only scratch and
 // is reused across flushes: the steady-state flush loop performs no
 // per-flush slice, map or Future allocation.
 
-// footprint is the set of live nodes a request touches, with reads and
-// writes distinguished (reads may share a wave with reads).
+// footprint is the set of live nodes an op touches, with reads and writes
+// distinguished (reads may share a wave with reads).
 type footprint struct {
 	nodes [3]*NodeT
 	n     int
@@ -56,9 +57,8 @@ type fpEntry struct {
 }
 
 // fpSpillAt is the small-set size beyond which a footprintSet moves to a
-// map. Typical waves touch a handful of nodes (a flush of mean size 2–30
-// with ≤3 nodes per request), so the linear slice is the hot path; the map
-// only exists for pathological flushes.
+// map. Typical waves touch a handful of nodes, so the linear slice is the
+// hot path; the map only exists for large flushes.
 const fpSpillAt = 32
 
 // footprintSet records nodes with the strongest access mode seen
@@ -92,83 +92,78 @@ func (s *footprintSet) spill() {
 
 // add records fp's nodes with its access mode (write wins over read).
 func (s *footprintSet) add(fp footprint) {
-	for i := 0; i < fp.n; i++ {
-		n := fp.nodes[i]
+	for _, n := range fp.nodes[:fp.n] {
 		if s.spilled {
-			if w, ok := s.m[n]; !ok || (fp.write && !w) {
-				s.m[n] = fp.write
-			}
+			s.m[n] = s.m[n] || fp.write
 			continue
 		}
-		found := false
-		for j := range s.entries {
-			if s.entries[j].n == n {
-				if fp.write {
-					s.entries[j].write = true
-				}
-				found = true
-				break
-			}
+		i := 0
+		for i < len(s.entries) && s.entries[i].n != n {
+			i++
 		}
-		if !found {
-			s.entries = append(s.entries, fpEntry{n, fp.write})
-			if len(s.entries) > fpSpillAt {
-				s.spill()
-			}
+		if i == len(s.entries) {
+			s.entries = append(s.entries, fpEntry{n: n})
+		}
+		s.entries[i].write = s.entries[i].write || fp.write
+		if len(s.entries) > fpSpillAt {
+			s.spill()
 		}
 	}
 }
 
-// conflicts reports whether fp cannot coexist with the set: write/any or
-// any/write overlap.
-func (s *footprintSet) conflicts(fp footprint) bool {
-	for i := 0; i < fp.n; i++ {
-		n := fp.nodes[i]
-		if s.spilled {
-			if w, ok := s.m[n]; ok && (w || fp.write) {
-				return true
-			}
-			continue
-		}
-		for j := range s.entries {
-			if s.entries[j].n == n {
-				if s.entries[j].write || fp.write {
-					return true
-				}
-				break // entries are unique per node: no further match
-			}
+// touched reports whether the set holds one of fp's nodes, and whether it
+// holds one of them as written.
+func (s *footprintSet) touched(fp footprint) (hit, written bool) {
+	for _, n := range fp.nodes[:fp.n] {
+		w, ok := s.lookup(n)
+		hit, written = hit || ok, written || w
+	}
+	return hit, written
+}
+
+// lookup returns n's access mode, and false when the set lacks n.
+func (s *footprintSet) lookup(n *NodeT) (write, ok bool) {
+	if s.spilled {
+		write, ok = s.m[n]
+		return write, ok
+	}
+	for _, e := range s.entries {
+		if e.n == n {
+			return e.write, true
 		}
 	}
-	return false
+	return false, false
+}
+
+// step is one placed op: the op, its result slot, its request's index in
+// the flush, the handle that request is pinned to (if any) and, once
+// validated, its node.
+type step struct {
+	op     *replog.Op
+	res    *Result
+	fi     int
+	pin, n *NodeT
 }
 
 // scratch is the executor's reusable flush state. Only the executor
 // goroutine touches it, so no locking; slices keep their capacity across
-// flushes. Slices may retain stale *Future pointers past their length —
-// harmless, those futures are pooled anyway.
+// flushes. Slices may retain stale pointers past their length — harmless,
+// those futures are pooled anyway.
 type scratch struct {
-	flush    []*Future // collect's buffer
-	overflow []*Future // deferred requests, ping-ponged with flush
+	flush []*Future // collect's buffer
 
-	wave   []*Future
-	waveFP footprintSet
-	defFP  footprintSet
-
-	grows, collapses, setLeaves, setOps, values []*Future
-	order                                       []*Future // wave in exact resolution order
-
-	growOps []GrowOp
-	colOps  []CollapseOp
-	nodes   []*NodeT
-	vals    []int64
-	opArgs  []OpT
-
-	// Per-wave execution state shared between the phases of one wave.
-	resolved int         // prefix of order already resolved
-	mutating int         // mutating requests in the wave (order's prefix)
-	pairs    [][2]*NodeT // the grows' new leaves, held until the wave is acked
-	tap      *WaveTap    // tap active for this wave (nil = none)
-	rec      []replog.Op // change record under construction (escapes into the tap)
+	// The wave under construction: its footprint, its writes by kind (in
+	// submission order within each kind), its reads and its held reads.
+	waveFP                              footprintSet
+	grows, collapses, setLeaves, setOps []step
+	reads, held                         []step
+	writes                              int // len of the four write lists
+	done, complete, placed              int // futures resolved, futures fully placed, ops placed
+	growOps                             []GrowOp
+	colOps                              []CollapseOp
+	nodes                               []*NodeT
+	vals                                []int64
+	opArgs                              []OpT
 
 	// Per-flush observability accumulators (timing-enabled engines only):
 	// per-stage nanoseconds and the flush record under construction (its
@@ -192,79 +187,100 @@ type scratch struct {
 	stageStart [numStages]int64
 }
 
-// resolve returns the live node a ref addresses, or an error. Liveness is
-// checked against Tree.Nodes, where deleted nodes are nil-ed but keep
-// their slot.
-func (e *Engine) resolve(ref NodeRef) (*NodeT, error) {
+// plan resolves op (pinned to the handle pin, when set) against the
+// current tree and validates it. The footprint is conservative — the nodes
+// op names, whether or not it validates — so that an invalid op still
+// orders against the ops around it.
+func (e *Engine) plan(op *replog.Op, pin *NodeT) (n *NodeT, fp footprint, err error) {
+	switch {
+	case op.Kind == replog.OpRoot:
+		return nil, fp, nil
+	case op.Kind < replog.OpGrow || op.Kind > replog.OpRoot:
+		return nil, fp, fmt.Errorf("%w (%d)", ErrBadKind, op.Kind)
+	}
 	t := e.host.Tree()
-	if ref.ByID {
-		if ref.ID < 0 || ref.ID >= len(t.Nodes) || t.Nodes[ref.ID] == nil {
-			return nil, fmt.Errorf("%w (id %d)", ErrDeadNode, ref.ID)
-		}
-		return t.Nodes[ref.ID], nil
+	if op.Node < 0 || op.Node >= len(t.Nodes) || t.Nodes[op.Node] == nil || (pin != nil && t.Nodes[op.Node] != pin) {
+		return nil, fp, fmt.Errorf("%w (id %d)", ErrDeadNode, op.Node)
 	}
-	n := ref.N
-	if n == nil || n.ID < 0 || n.ID >= len(t.Nodes) || t.Nodes[n.ID] != n {
-		return nil, ErrDeadNode
-	}
-	return n, nil
-}
-
-// planOne resolves and validates f against the current tree state and
-// returns its footprint. An error means the request is invalid *now* and —
-// because it is only called for requests whose nodes no pending request
-// ahead of them touches — invalid at its execution point.
-func (e *Engine) planOne(f *Future) (footprint, error) {
-	var fp footprint
-	switch f.kind {
-	case kRoot:
-		return fp, nil
-	case kBarrier:
-		return fp, nil
-	}
-	n, err := e.resolve(f.ref)
-	if err != nil {
-		return fp, err
-	}
-	switch f.kind {
-	case kGrow, kSetLeaf:
+	n = t.Nodes[op.Node]
+	fp.write = op.Kind.Mutates()
+	fp.add(n)
+	switch op.Kind {
+	case replog.OpGrow, replog.OpSetLeaf:
 		if !n.IsLeaf() {
-			return fp, ErrNotLeaf
+			err = ErrNotLeaf
 		}
-		fp.write = true
-		fp.add(n)
-	case kCollapse:
+	case replog.OpCollapse:
 		if n.IsLeaf() {
-			return fp, ErrNotInternal
+			return n, fp, ErrNotInternal
 		}
-		if !n.Left.IsLeaf() || !n.Right.IsLeaf() {
-			return fp, ErrNotCollapsible
-		}
-		fp.write = true
-		fp.add(n)
 		fp.add(n.Left)
 		fp.add(n.Right)
-	case kSetOp:
-		if n.IsLeaf() {
-			return fp, ErrNotInternal
+		if !n.Left.IsLeaf() || !n.Right.IsLeaf() {
+			err = ErrNotCollapsible
 		}
-		fp.write = true
-		fp.add(n)
-	case kValue:
-		fp.add(n)
+	case replog.OpSetOp:
+		if n.IsLeaf() {
+			err = ErrNotInternal
+		}
 	}
-	f.ref = NodeRef{N: n} // pin the resolved handle for execution
-	return fp, nil
+	return n, fp, err
 }
 
-// executeFlush partitions flush into waves and executes them. A panic
-// while a wave runs (a bug, not a validation miss) fails the whole flush
-// and poisons the engine: the contraction's internal state is unknown.
-func (e *Engine) executeFlush(flush []*Future) {
+// place puts op i of the flush's request fi into the wave under
+// construction: it joins, is held for the read-only wave behind it, or
+// fails validation. It returns false, placing nothing, when the op
+// conflicts with the wave, which must run first.
+func (e *Engine) place(flush []*Future, fi, i int) bool {
+	sc := &e.sc
+	f := flush[fi]
+	s := step{op: &f.ops[i], res: &f.res[i], fi: fi, pin: f.pin}
+	n, fp, err := e.plan(s.op, s.pin)
+	touched, written := sc.waveFP.touched(fp)
+	afterWrite := err != nil && sc.writes > 0
+	if s.op.Kind.Mutates() {
+		if touched || afterWrite {
+			return false
+		}
+	} else if written || afterWrite {
+		sc.held = append(sc.held, s)
+		sc.waveFP.add(fp)
+		return true
+	}
+	if err != nil {
+		e.stats.fail()
+		s.res.Err = err
+		return true
+	}
+	s.n = n
+	switch s.op.Kind {
+	case replog.OpGrow:
+		sc.grows = append(sc.grows, s)
+	case replog.OpCollapse:
+		sc.collapses = append(sc.collapses, s)
+	case replog.OpSetLeaf:
+		sc.setLeaves = append(sc.setLeaves, s)
+	case replog.OpSetOp:
+		sc.setOps = append(sc.setOps, s)
+	default:
+		sc.reads = append(sc.reads, s)
+	}
+	if fp.write {
+		sc.writes++
+	}
+	sc.waveFP.add(fp)
+	return true
+}
+
+// executeFlush runs flush, which holds ops ops, as waves. A panic while a
+// wave runs (a bug, not a validation miss) fails the ops of the flush that
+// have not run (Future.abort) and poisons the engine: the contraction's
+// internal state is unknown.
+func (e *Engine) executeFlush(flush []*Future, ops int) {
 	if e.poisoned {
-		e.stats.drop(len(flush))
+		e.stats.drop(ops)
 		for _, f := range flush {
-			f.resolve(0, [2]*NodeT{}, ErrPoisoned)
+			f.resolve(ErrPoisoned)
 		}
 		return
 	}
@@ -272,7 +288,7 @@ func (e *Engine) executeFlush(flush []*Future) {
 	var coalesceNS int64
 	if e.timing {
 		// The flush's first request is its oldest: its submit→flush-start
-		// span is the coalesce wait the batching window imposed.
+		// span is how long the flush waited in the queue.
 		if at := flush[0].at; !at.IsZero() {
 			coalesceNS = int64(flushStart.Sub(at))
 		}
@@ -285,212 +301,138 @@ func (e *Engine) executeFlush(flush []*Future) {
 		d := time.Since(flushStart)
 		e.stats.flushDone(d)
 		if e.timing {
-			e.observeFlush(len(flush), coalesceNS, int64(d))
+			e.observeFlush(ops, coalesceNS, int64(d))
 		}
 	}()
-	e.stats.flush(len(flush))
+	e.stats.flush(ops)
 
-	// Deferred requests ping-pong between two reusable buffers: each round
-	// reads `pending` from one and writes `deferred` into the other. bufA
-	// is the incoming flush's backing (collect's buffer).
 	sc := &e.sc
-	bufA, bufB := flush, sc.overflow
-	pending := flush
-	intoB := true
-	for len(pending) > 0 {
-		var deferred []*Future
-		if intoB {
-			deferred = bufB[:0]
-		} else {
-			deferred = bufA[:0]
-		}
-		sc.wave = sc.wave[:0]
-		sc.waveFP.reset()
-		sc.defFP.reset()
-		var (
-			sealed   = false // a barrier in the wave: nothing may join
-			deferAll = false // a deferred barrier: everything after defers
-		)
-		for _, f := range pending {
-			if deferAll || sealed {
-				deferred = append(deferred, f)
-				continue
-			}
-			if f.kind == kBarrier {
-				if len(sc.wave) == 0 {
-					sc.wave = append(sc.wave, f)
-					sealed = true
-				} else {
-					deferred = append(deferred, f)
-					deferAll = true
-				}
-				continue
-			}
-			if order := e.footprintAll(f); sc.defFP.conflicts(order) || sc.waveFP.conflicts(order) {
-				// A request ahead of f — deferred or in this wave — touches
-				// f's nodes: preserve submission order without validating
-				// yet (the earlier request may change f's validity, as a
-				// grow does for a collapse of the same leaf).
-				deferred = append(deferred, f)
-				sc.defFP.add(order)
-				continue
-			}
-			// footprintAll and planOne name the same nodes in the same
-			// mode, so a request that passed the check above cannot
-			// conflict with the wave.
-			fp, err := e.planOne(f)
-			if err != nil {
-				e.stats.fail()
-				f.resolve(0, [2]*NodeT{}, err)
-				continue
-			}
-			sc.wave = append(sc.wave, f)
-			sc.waveFP.add(fp)
-		}
-		if len(sc.wave) > 0 {
-			e.runWave(sc.wave)
-		}
-		if e.poisoned {
-			// A wave panic mid-flush: the structure is in an unknown
-			// state, so the remaining waves must not touch it.
-			e.stats.drop(len(deferred))
-			for _, f := range deferred {
-				f.resolve(0, [2]*NodeT{}, ErrPoisoned)
-			}
-			return
-		}
-		if intoB {
-			bufB = deferred
-		} else {
-			bufA = deferred
-		}
-		intoB = !intoB
-		pending = deferred
-	}
-	sc.flush, sc.overflow = bufA, bufB
-}
-
-// footprintAll returns a conservative footprint for ordering against
-// deferred requests: the nodes f names, all treated as writes, without
-// validation. ByID refs resolve against the current tree (we are on the
-// executor goroutine); an unresolvable ref has an empty footprint — it can
-// never conflict, and fails validation when reached.
-func (e *Engine) footprintAll(f *Future) footprint {
-	fp := footprint{write: f.kind != kValue}
-	if f.kind == kRoot || f.kind == kBarrier {
-		return fp
-	}
-	n, err := e.resolve(f.ref)
-	if err != nil {
-		return footprint{}
-	}
-	fp.add(n)
-	if f.kind == kCollapse && !n.IsLeaf() {
-		fp.add(n.Left)
-		fp.add(n.Right)
-	}
-	return fp
-}
-
-// runWave executes one conflict-free wave as the core batch calls of
-// §1.4, one phase per request kind, on the executor goroutine.
-//
-// Mutating requests are acknowledged only after the seal phase has handed
-// the wave to the tap (the WAL append), so an acknowledged write is always
-// in the log. Futures resolve in a fixed order (grows, collapses,
-// set-leaves, set-ops, values); the panic path uses that order to fail
-// exactly the futures not yet resolved — a resolved Future may already
-// have been recycled by its caller and must never be touched again.
-func (e *Engine) runWave(wave []*Future) {
-	sc := &e.sc
-	sc.resolved = 0
-	// Point order at this wave before anything can panic: until the
-	// phase-ordered rebuild below, sc.order still holds the previous
-	// wave's (resolved, possibly recycled) futures, and a panic in that
-	// window — the engine.wave fault check fires there — would fail the
-	// wrong futures and strand this wave's callers forever.
-	sc.order = append(sc.order[:0], wave...)
+	sc.done, sc.complete, sc.placed = 0, 0, 0
 	defer func() {
 		if r := recover(); r != nil {
+			// Futures resolve in flush order, so flush[done:] is exactly
+			// the set not yet resolved: a resolved Future may already be
+			// recycled by its caller and must never be touched again.
 			e.poisoned = true
+			e.stats.drop(ops - sc.placed)
 			err := fmt.Errorf("%w: %v", ErrPoisoned, r)
-			for _, f := range sc.order[sc.resolved:] {
-				f.resolve(0, [2]*NodeT{}, err)
+			for _, f := range flush[sc.done:] {
+				f.abort(err)
 			}
 		}
 	}()
-	e.stats.wave()
-	sc.flushRec.Waves++
+	for i, f := range flush {
+		if f.fn != nil {
+			e.runWave(flush)
+			sc.placed++
+			e.beginWave()
+			e.phase(stageBarrierIdx, func() { f.fn(e.host) })
+			e.stats.done(kBarrier, 1)
+		}
+		for j := range f.ops {
+			if !e.place(flush, i, j) {
+				e.runWave(flush)
+				e.place(flush, i, j) // the wave is empty: the op joins or fails
+			}
+			sc.placed++
+		}
+		sc.complete = i + 1
+		if f.fn != nil {
+			e.ack(flush, sc.complete)
+		}
+	}
+	e.runWave(flush)
+}
 
-	// Fault-injection crash point for the flush path: an injected error
-	// rides the wave's own panic recovery into a poisoned engine — every
-	// in-flight future fails, exactly like a genuine executor crash.
+// beginWave counts one wave, then passes the flush path's fault-injection
+// crash point: an injected error panics into executeFlush's recovery, so
+// the engine is poisoned and every in-flight future fails, exactly like a
+// genuine executor crash.
+func (e *Engine) beginWave() {
+	e.stats.wave()
+	e.sc.flushRec.Waves++
 	if r := e.opts.Faults.Check("engine.wave"); r != nil && r.Err != nil {
 		panic(r.Err)
 	}
+}
 
-	if wave[0].kind == kBarrier {
-		e.phase(stageBarrierIdx, e.phaseBarrier)
-		return
-	}
-
-	sc.grows = sc.grows[:0]
-	sc.collapses = sc.collapses[:0]
-	sc.setLeaves = sc.setLeaves[:0]
-	sc.setOps = sc.setOps[:0]
-	sc.values = sc.values[:0]
-	sc.pairs = nil
-	for _, f := range wave {
-		switch f.kind {
-		case kGrow:
-			sc.grows = append(sc.grows, f)
-		case kCollapse:
-			sc.collapses = append(sc.collapses, f)
-		case kSetLeaf:
-			sc.setLeaves = append(sc.setLeaves, f)
-		case kSetOp:
-			sc.setOps = append(sc.setOps, f)
-		case kValue, kRoot:
-			sc.values = append(sc.values, f)
+// runWave executes the wave under construction as the core batch calls of
+// §1.4, one phase per op kind, on the executor goroutine; then its held
+// reads as a read-only wave. It resets the wave and resolves every future
+// whose ops have all run. A request's writes are acknowledged only after
+// the seal phase has handed their wave to the tap (the WAL append), so an
+// acknowledged write is always in the log, and a request without a
+// pending read is acknowledged then, before the wave's reads run.
+func (e *Engine) runWave(flush []*Future) {
+	sc := &e.sc
+	if sc.writes+len(sc.reads) > 0 {
+		e.beginWave()
+		if len(sc.grows) > 0 {
+			e.phase(phaseGrowsIdx, e.phaseGrows)
+		}
+		if len(sc.collapses) > 0 {
+			e.phase(phaseCollapsesIdx, e.phaseCollapses)
+		}
+		if len(sc.setLeaves) > 0 {
+			e.phase(phaseSetLeavesIdx, e.phaseSetLeaves)
+		}
+		if len(sc.setOps) > 0 {
+			e.phase(phaseSetOpsIdx, e.phaseSetOps)
+		}
+		if sc.writes > 0 {
+			e.phase(phaseSealWaveIdx, e.phaseSealWave)
+			e.ackSealed(flush)
+		}
+		if len(sc.reads) > 0 {
+			e.phase(phaseValuesIdx, e.phaseReads)
 		}
 	}
-	sc.order = sc.order[:0]
-	sc.order = append(sc.order, sc.grows...)
-	sc.order = append(sc.order, sc.collapses...)
-	sc.order = append(sc.order, sc.setLeaves...)
-	sc.order = append(sc.order, sc.setOps...)
-	sc.order = append(sc.order, sc.values...)
+	sc.reads = sc.reads[:0]
+	for _, s := range sc.held {
+		n, _, err := e.plan(s.op, s.pin)
+		if err != nil {
+			e.stats.fail()
+			s.res.Err = err
+			continue
+		}
+		s.n = n
+		sc.reads = append(sc.reads, s)
+	}
+	if len(sc.reads) > 0 {
+		e.beginWave()
+		e.phase(phaseValuesIdx, e.phaseReads)
+	}
+	sc.waveFP.reset()
+	sc.grows, sc.collapses, sc.setLeaves, sc.setOps = sc.grows[:0], sc.collapses[:0], sc.setLeaves[:0], sc.setOps[:0]
+	sc.reads, sc.held, sc.writes = sc.reads[:0], sc.held[:0], 0
+	e.ack(flush, sc.complete)
+}
 
-	// When a wave tap is attached, the phases build the wave's change
-	// record. Op data is captured from the futures before they resolve: a
-	// resolved Future may already be recycled (and reused) by its caller.
-	// The record slice is freshly allocated per wave — it escapes into the
-	// tap, which may retain it (log rings do).
-	sc.tap = e.tap.Load()
-	sc.mutating = len(sc.grows) + len(sc.collapses) + len(sc.setLeaves) + len(sc.setOps)
-	sc.rec = nil
-	if sc.tap != nil && sc.mutating > 0 {
-		sc.rec = make([]replog.Op, 0, sc.mutating)
+// ackSealed runs once the wave's writes are sealed and logged. It marks
+// them as run, so a panic before their requests resolve does not report
+// them as failed, and resolves the complete requests ahead of the first
+// one still waiting on a read of this wave or its held-read wave.
+func (e *Engine) ackSealed(flush []*Future) {
+	sc := &e.sc
+	for _, steps := range [...][]step{sc.grows, sc.collapses, sc.setLeaves, sc.setOps} {
+		for _, s := range steps {
+			s.res.Err = nil
+		}
 	}
+	upto := sc.complete
+	for _, pending := range [...][]step{sc.reads, sc.held} {
+		if len(pending) > 0 {
+			upto = min(upto, pending[0].fi)
+		}
+	}
+	e.ack(flush, upto)
+}
 
-	if len(sc.grows) > 0 {
-		e.phase(phaseGrowsIdx, e.phaseGrows)
-	}
-	if len(sc.collapses) > 0 {
-		e.phase(phaseCollapsesIdx, e.phaseCollapses)
-	}
-	if len(sc.setLeaves) > 0 {
-		e.phase(phaseSetLeavesIdx, e.phaseSetLeaves)
-	}
-	if len(sc.setOps) > 0 {
-		e.phase(phaseSetOpsIdx, e.phaseSetOps)
-	}
-	if sc.mutating > 0 {
-		e.phase(phaseSealWaveIdx, e.phaseSealWave)
-		e.ackMutations()
-	}
-	if len(sc.values) > 0 {
-		e.phase(phaseValuesIdx, e.phaseValues)
+// ack resolves, in order, the flush's futures not yet resolved ahead of
+// flush[upto]; their ops have all run.
+func (e *Engine) ack(flush []*Future, upto int) {
+	for sc := &e.sc; sc.done < upto; sc.done++ {
+		flush[sc.done].resolve(nil)
 	}
 }
 
@@ -522,166 +464,130 @@ func (e *Engine) phase(idx int, fn func()) {
 	sc.stageNS[idx] += int64(time.Since(t0))
 }
 
-func (e *Engine) phaseBarrier() {
-	f := e.sc.order[0]
-	f.fn(e.host)
-	e.stats.done(kBarrier)
-	e.sc.resolved++
-	f.seq = e.appliedSeq.Load()
-	f.resolve(0, [2]*NodeT{}, nil)
-}
+// opOf is the node operation a grow or set-op carries.
+func opOf(op *replog.Op) OpT { return OpT{A: op.A, B: op.B, C: op.C} }
 
 func (e *Engine) phaseGrows() {
 	sc := &e.sc
 	sc.growOps = sc.growOps[:0]
-	for _, f := range sc.grows {
-		sc.growOps = append(sc.growOps, GrowOp{Leaf: f.ref.N, Op: f.op, LeftVal: f.a, RightVal: f.b})
+	for _, s := range sc.grows {
+		sc.growOps = append(sc.growOps, GrowOp{Leaf: s.n, Op: opOf(s.op), LeftVal: s.op.Left, RightVal: s.op.Right})
 	}
-	sc.pairs = e.host.GrowBatch(sc.growOps)
-	e.noteHeal(len(sc.grows))
-	if sc.rec != nil {
-		for i, f := range sc.grows {
-			sc.rec = append(sc.rec, replog.Op{
-				Kind: replog.OpGrow, Node: f.ref.N.ID,
-				A: f.op.A, B: f.op.B, C: f.op.C,
-				Left: f.a, Right: f.b,
-				LeftID: sc.pairs[i][0].ID, RightID: sc.pairs[i][1].ID,
-			})
-		}
+	pairs := e.host.GrowBatch(sc.growOps)
+	for i, s := range sc.grows {
+		s.res.Pair = pairs[i]
+		s.op.LeftID, s.op.RightID = pairs[i][0].ID, pairs[i][1].ID
 	}
+	e.noteHeal(replog.OpGrow, len(sc.grows))
 }
 
 func (e *Engine) phaseCollapses() {
 	sc := &e.sc
 	sc.colOps = sc.colOps[:0]
-	for _, f := range sc.collapses {
-		sc.colOps = append(sc.colOps, CollapseOp{Node: f.ref.N, NewValue: f.a})
+	for _, s := range sc.collapses {
+		sc.colOps = append(sc.colOps, CollapseOp{Node: s.n, NewValue: s.op.Value})
 	}
 	e.host.CollapseBatch(sc.colOps)
-	e.noteHeal(len(sc.collapses))
-	if sc.rec != nil {
-		for _, f := range sc.collapses {
-			sc.rec = append(sc.rec, replog.Op{Kind: replog.OpCollapse, Node: f.ref.N.ID, Value: f.a})
-		}
-	}
+	e.noteHeal(replog.OpCollapse, len(sc.collapses))
 }
 
 func (e *Engine) phaseSetLeaves() {
 	sc := &e.sc
-	sc.nodes = sc.nodes[:0]
-	sc.vals = sc.vals[:0]
-	for _, f := range sc.setLeaves {
-		sc.nodes = append(sc.nodes, f.ref.N)
-		sc.vals = append(sc.vals, f.a)
+	sc.nodes, sc.vals = sc.nodes[:0], sc.vals[:0]
+	for _, s := range sc.setLeaves {
+		sc.nodes = append(sc.nodes, s.n)
+		sc.vals = append(sc.vals, s.op.Value)
 	}
 	e.host.SetLeaves(sc.nodes, sc.vals)
-	e.noteHeal(len(sc.setLeaves))
-	if sc.rec != nil {
-		for _, f := range sc.setLeaves {
-			sc.rec = append(sc.rec, replog.Op{Kind: replog.OpSetLeaf, Node: f.ref.N.ID, Value: f.a})
-		}
-	}
+	e.noteHeal(replog.OpSetLeaf, len(sc.setLeaves))
 }
 
 func (e *Engine) phaseSetOps() {
 	sc := &e.sc
-	sc.nodes = sc.nodes[:0]
-	sc.opArgs = sc.opArgs[:0]
-	for _, f := range sc.setOps {
-		sc.nodes = append(sc.nodes, f.ref.N)
-		sc.opArgs = append(sc.opArgs, f.op)
+	sc.nodes, sc.opArgs = sc.nodes[:0], sc.opArgs[:0]
+	for _, s := range sc.setOps {
+		sc.nodes = append(sc.nodes, s.n)
+		sc.opArgs = append(sc.opArgs, opOf(s.op))
 	}
 	e.host.SetOps(sc.nodes, sc.opArgs)
-	e.noteHeal(len(sc.setOps))
-	if sc.rec != nil {
-		for _, f := range sc.setOps {
-			sc.rec = append(sc.rec, replog.Op{Kind: replog.OpSetOp, Node: f.ref.N.ID, A: f.op.A, B: f.op.B, C: f.op.C})
-		}
-	}
+	e.noteHeal(replog.OpSetOp, len(sc.setOps))
 }
 
 // phaseSealWave advances the applied sequence for a mutating wave
 // (whether or not a tap is attached — the sequence is the tree state's
-// log position) and, if tapped, emits the sealed change record. It runs
-// before the wave's mutating requests are acknowledged, before its read
-// phase and before the executor moves on, so an acknowledged write is in
-// the log and a later barrier (snapshots run as barriers) always observes
-// a log position consistent with the tree it reads.
+// log position) and, if tapped, emits the sealed change record: the
+// wave's writes in execution order, grow IDs filled in. It runs before
+// the wave's requests are acknowledged, before its read phase and before
+// the executor moves on, so an acknowledged write is in the log and a
+// later barrier (snapshots run as barriers) always observes a log
+// position consistent with the tree it reads.
 func (e *Engine) phaseSealWave() {
-	seq := e.appliedSeq.Add(1)
-	if e.sc.rec != nil {
-		epoch := e.epoch.Load()
-		w := replog.Wave{Seq: seq, Epoch: epoch, Ops: e.sc.rec, Root: e.host.Root()}
-		if e.sc.spanActive {
-			// Stamp the record with its trace and seal time (observability
-			// metadata, outside the checksum) and drop the wave's anchor
-			// span. Its ID is the deterministic WaveSpanID(epoch, seq), so
-			// the WAL append and the follower's fetch/apply spans — emitted
-			// in another goroutine or another process — parent onto it
-			// without any span ID crossing the wire.
-			w.TraceID = uint64(e.sc.spanTrace)
-			w.SealedAt = time.Now().UnixNano()
-			e.opts.Obs.Spans().Add(obs.Span{
-				Trace:  e.sc.spanTrace,
-				Span:   obs.WaveSpanID(epoch, seq),
-				Parent: e.sc.spanFlush,
-				Name:   "wave",
-				Tree:   e.traceID.Load(),
-				Seq:    seq,
-				Epoch:  epoch,
-				Start:  w.SealedAt,
-				Reqs:   e.sc.mutating,
-			})
-		}
-		w.Seal()
-		(*e.sc.tap)(w)
-	}
-}
-
-// ackMutations resolves the wave's mutating futures — order's first
-// mutating entries, grows first — once the seal has logged the wave.
-func (e *Engine) ackMutations() {
 	sc := &e.sc
-	for i, f := range sc.order[:sc.mutating] {
-		var pair [2]*NodeT
-		if i < len(sc.pairs) {
-			pair = sc.pairs[i]
-		}
-		e.stats.done(f.kind)
-		sc.resolved++
-		f.resolve(0, pair, nil)
+	seq := e.appliedSeq.Add(1)
+	tap := e.tap.Load()
+	if tap == nil {
+		return
 	}
+	// The record is freshly allocated per wave: it escapes into the tap,
+	// which may retain it (log rings do).
+	rec := make([]replog.Op, 0, sc.writes)
+	for _, steps := range [...][]step{sc.grows, sc.collapses, sc.setLeaves, sc.setOps} {
+		for _, s := range steps {
+			rec = append(rec, s.op.Logged())
+		}
+	}
+	epoch := e.epoch.Load()
+	w := replog.Wave{Seq: seq, Epoch: epoch, Ops: rec, Root: e.host.Root()}
+	if sc.spanActive {
+		// Stamp the record with its trace and seal time (observability
+		// metadata, outside the checksum) and drop the wave's anchor
+		// span. Its ID is the deterministic WaveSpanID(epoch, seq), so
+		// the WAL append and the follower's fetch/apply spans — emitted
+		// in another goroutine or another process — parent onto it
+		// without any span ID crossing the wire.
+		w.TraceID = uint64(sc.spanTrace)
+		w.SealedAt = time.Now().UnixNano()
+		e.opts.Obs.Spans().Add(obs.Span{
+			Trace:  sc.spanTrace,
+			Span:   obs.WaveSpanID(epoch, seq),
+			Parent: sc.spanFlush,
+			Name:   "wave",
+			Tree:   e.traceID.Load(),
+			Seq:    seq,
+			Epoch:  epoch,
+			Start:  w.SealedAt,
+			Reqs:   sc.writes,
+		})
+	}
+	w.Seal()
+	(*tap)(w)
 }
 
-func (e *Engine) phaseValues() {
+// phaseReads answers the wave's reads against the tree it left behind.
+// Each carries the applied-wave sequence it observed: the wave's own
+// mutations already advanced it, so the stamp names exactly the tree
+// version the value comes from (Future.ValueSeq).
+func (e *Engine) phaseReads() {
 	sc := &e.sc
 	sc.nodes = sc.nodes[:0]
-	for _, f := range sc.values {
-		if f.kind == kValue {
-			sc.nodes = append(sc.nodes, f.ref.N)
+	for _, s := range sc.reads {
+		if s.n != nil {
+			sc.nodes = append(sc.nodes, s.n)
 		}
 	}
 	var vals []int64
 	if len(sc.nodes) > 0 {
 		vals = e.host.Values(sc.nodes)
 	}
-	// Read futures carry the applied-wave sequence they observed: the
-	// wave's own mutations already advanced it above, so the stamp names
-	// exactly the tree version the values come from (Future.ValueSeq).
 	seq := e.appliedSeq.Load()
-	i := 0
-	for _, f := range sc.values {
-		f.seq = seq
-		if f.kind == kValue {
-			e.stats.done(kValue)
-			sc.resolved++
-			f.resolve(vals[i], [2]*NodeT{}, nil)
-			i++
-		} else {
-			e.stats.done(kRoot)
-			root := e.host.Root()
-			sc.resolved++
-			f.resolve(root, [2]*NodeT{}, nil)
+	for _, s := range sc.reads {
+		s.res.Seq, s.res.Err = seq, nil
+		if s.n == nil {
+			s.res.Value = e.host.Root()
+			e.stats.done(replog.OpRoot, 1)
+			continue
 		}
+		s.res.Value, vals = vals[0], vals[1:]
+		e.stats.done(replog.OpValue, 1)
 	}
 }

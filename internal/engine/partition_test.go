@@ -2,10 +2,13 @@ package engine_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
+	"time"
 
 	"dyntc"
 	"dyntc/internal/engine"
+	"dyntc/internal/replog"
 )
 
 // holdFlush blocks the executor inside a barrier so every request
@@ -254,5 +257,256 @@ func TestCollapseFootprintBlocksChildren(t *testing.T) {
 	}
 	if v, _ := en.Root(); v != 9 {
 		t.Fatalf("root = %d", v)
+	}
+}
+
+// TestPrefixOrderSameLeaf: a wave is the longest conflict-free prefix of
+// the flush, so a read sees every op submitted before it. The second
+// set-leaf conflicts with the first and starts the next wave; the root
+// read behind it must wait for it too, and read the leaf at 2.
+func TestPrefixOrderSameLeaf(t *testing.T) {
+	en, e := newEngine(t, 1, dyntc.BatchOptions{})
+	ring := dyntc.ModRing(mod)
+	l, _, err := en.Grow(e.Tree().Root, dyntc.OpAdd(ring), 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	release := holdFlush(t, en)
+	f1 := en.SetLeafIDAsync(l.ID, 1)
+	f2 := en.SetLeafIDAsync(l.ID, 2)
+	fr := en.RootAsync()
+	release()
+
+	for _, f := range []*dyntc.Future{f1, f2} {
+		if err := f.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v, err := fr.Value(); err != nil || v != 2+4 {
+		t.Fatalf("root after set-leaf 1, set-leaf 2 = %d, %v; want %d", v, err, 2+4)
+	}
+}
+
+// TestDisjointWriteWaitsBehindConflict: a write on an untouched node
+// queued behind a conflicting pair does not jump into the first wave. The
+// flush l=1, l=2, m=3, m=4 runs as three waves, {l=1}, {l=2, m=3}, {m=4},
+// and each wave's record holds exactly those writes.
+func TestDisjointWriteWaitsBehindConflict(t *testing.T) {
+	en, e := newEngine(t, 1, dyntc.BatchOptions{})
+	ring := dyntc.ModRing(mod)
+	l, m, err := en.Grow(e.Tree().Root, dyntc.OpAdd(ring), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var waves [][]replog.Op
+	en.SetWaveTap(func(w dyntc.Wave) { waves = append(waves, w.Ops) })
+
+	release := holdFlush(t, en)
+	before := en.Stats().Waves // the holding barrier's wave is counted
+	var futs []*dyntc.Future
+	for _, set := range []struct{ id, v int }{{l.ID, 1}, {l.ID, 2}, {m.ID, 3}, {m.ID, 4}} {
+		futs = append(futs, en.SetLeafIDAsync(set.id, int64(set.v)))
+	}
+	release()
+	for _, f := range futs {
+		if err := f.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := en.Stats().Waves - before; got != 3 {
+		t.Fatalf("waves = %d, want 3 ({l=1}, {l=2, m=3}, {m=4})", got)
+	}
+	want := [][]replog.Op{
+		{{Kind: replog.OpSetLeaf, Node: l.ID, Value: 1}},
+		{{Kind: replog.OpSetLeaf, Node: l.ID, Value: 2}, {Kind: replog.OpSetLeaf, Node: m.ID, Value: 3}},
+		{{Kind: replog.OpSetLeaf, Node: m.ID, Value: 4}},
+	}
+	if !reflect.DeepEqual(waves, want) {
+		t.Fatalf("wave records %+v, want %+v", waves, want)
+	}
+	if v, _ := en.Root(); v != 2+4 {
+		t.Fatalf("root = %d, want %d", v, 2+4)
+	}
+}
+
+// TestApplyOneRequest: one Apply is one request with one future, whose
+// ops run in order and count one each in Requests. A grow's result names
+// the new leaves, and a later op of the same request may address them.
+func TestApplyOneRequest(t *testing.T) {
+	en, e := newEngine(t, 1, dyntc.BatchOptions{})
+	ring := dyntc.ModRing(mod)
+	add := dyntc.OpAdd(ring)
+	root := e.Tree().Root.ID
+	before := en.Stats().Requests
+	f := en.Apply(dyntc.TraceContext{}, []dyntc.WaveOp{
+		{Kind: replog.OpGrow, Node: root, A: add.A, B: add.B, C: add.C, Left: 3, Right: 4},
+		{Kind: replog.OpSetLeaf, Node: 1, Value: 10}, // the grow's left leaf
+		{Kind: replog.OpValue, Node: root},
+		{Kind: replog.OpSetLeaf, Node: root, Value: 1}, // root is internal now
+		{Kind: replog.OpRoot},
+	})
+	res, err := f.Results()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 5 || res[0].Err != nil || res[0].Pair[0].ID != 1 || res[0].Pair[1].ID != 2 {
+		t.Fatalf("grow result %+v", res)
+	}
+	if res[1].Err != nil || res[2].Err != nil || res[2].Value != 14 {
+		t.Fatalf("set-leaf then value = %+v, %+v; want value 14", res[1], res[2])
+	}
+	if !errors.Is(res[3].Err, engine.ErrNotLeaf) {
+		t.Fatalf("set-leaf on the grown root: %v", res[3].Err)
+	}
+	if res[4].Err != nil || res[4].Value != 14 {
+		t.Fatalf("root read %+v, want 14", res[4])
+	}
+	if err := f.Wait(); !errors.Is(err, engine.ErrNotLeaf) {
+		t.Fatalf("Wait = %v, want the first failed op's error", err)
+	}
+	f.Recycle()
+	if got := en.Stats().Requests - before; got != 5 {
+		t.Fatalf("Requests moved by %d, want 5 (one per op)", got)
+	}
+}
+
+// TestFlushHoldsQueueOps: a flush holds at most Queue ops. A request that
+// does not fit behind the ones already collected opens the next flush,
+// and a request larger than Queue runs as a flush of its own.
+func TestFlushHoldsQueueOps(t *testing.T) {
+	en, e := newEngine(t, 1, dyntc.BatchOptions{Queue: 4})
+	ring := dyntc.ModRing(mod)
+	l, r, err := en.Grow(e.Tree().Root, dyntc.OpAdd(ring), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	release := holdFlush(t, en)
+	before := en.Stats().Flushes // the holding barrier's flush is counted
+	big := make([]dyntc.WaveOp, 6)
+	for i := range big {
+		big[i] = dyntc.WaveOp{Kind: replog.OpSetLeaf, Node: l.ID, Value: int64(i)}
+	}
+	futs := []*dyntc.Future{
+		en.SetLeafIDAsync(r.ID, 1),
+		en.Apply(dyntc.TraceContext{}, big),
+		en.SetLeafIDAsync(r.ID, 2),
+	}
+	release()
+	for _, f := range futs {
+		if err := f.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := en.Stats()
+	if got := st.Flushes - before; got != 3 || st.MaxFlush != 6 {
+		t.Fatalf("flushes %d, max flush %d; want 3 ({r=1}, the 6-op request, {r=2}) and 6", got, st.MaxFlush)
+	}
+	if v, _ := en.Root(); v != 5+2 {
+		t.Fatalf("root = %d, want %d", v, 5+2)
+	}
+}
+
+// TestSealedWriteSurvivesPoison: a write is acknowledged once its wave is
+// sealed and logged, before the read-only wave behind it runs. A fault
+// injected on that held-read wave poisons the engine, yet the sealed
+// write reports success. A request that mixes a sealed write with a held
+// read keeps the write's result and fails only the read, and a request
+// none of whose ops ran fails as a whole.
+func TestSealedWriteSurvivesPoison(t *testing.T) {
+	in := dyntc.NewFaultInjector(1)
+	en, e := newEngine(t, 1, dyntc.BatchOptions{Faults: in})
+	ring := dyntc.ModRing(mod)
+	l, m, err := en.Grow(e.Tree().Root, dyntc.OpAdd(ring), 0, 4) // wave 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logged [][]replog.Op
+	en.SetWaveTap(func(w dyntc.Wave) { logged = append(logged, w.Ops) })
+
+	release := holdFlush(t, en) // wave 2
+	// Wave 3 writes l and m; wave 4, the held reads of l, fails.
+	in.Add(dyntc.FaultRule{Site: "engine.wave", After: 3, Err: dyntc.ErrFaultInjected, Times: 1})
+	write := en.SetLeafIDAsync(l.ID, 7)
+	mixed := en.Apply(dyntc.TraceContext{}, []dyntc.WaveOp{
+		{Kind: replog.OpSetLeaf, Node: m.ID, Value: 9},
+		{Kind: replog.OpValue, Node: l.ID},
+	})
+	read := en.ValueIDAsync(l.ID)
+	release()
+
+	if err := write.Wait(); err != nil {
+		t.Fatalf("sealed write: %v, want nil", err)
+	}
+	res, err := mixed.Results()
+	if err != nil || res[0].Err != nil || !errors.Is(res[1].Err, engine.ErrPoisoned) {
+		t.Fatalf("mixed request: %v, results %+v; want the set-leaf to succeed and the read to fail poisoned", err, res)
+	}
+	if _, err := read.Value(); !errors.Is(err, engine.ErrPoisoned) {
+		t.Fatalf("held read: %v, want ErrPoisoned", err)
+	}
+	if _, err := read.Results(); !errors.Is(err, engine.ErrPoisoned) {
+		t.Fatalf("unrun request: request error %v, want ErrPoisoned", err)
+	}
+	want := [][]replog.Op{{{Kind: replog.OpSetLeaf, Node: l.ID, Value: 7}, {Kind: replog.OpSetLeaf, Node: m.ID, Value: 9}}}
+	if !reflect.DeepEqual(logged, want) || in.Firings("engine.wave") != 1 {
+		t.Fatalf("logged %+v (want %+v), firings %d", logged, want, in.Firings("engine.wave"))
+	}
+}
+
+// TestWriteAckedBeforeHeldReads: a write's future resolves right after
+// its wave is sealed, not after the reads behind it. The held-read wave
+// is stalled by an injected delay; the write must be acknowledged while
+// the read behind it is still waiting.
+func TestWriteAckedBeforeHeldReads(t *testing.T) {
+	in := dyntc.NewFaultInjector(1)
+	en, e := newEngine(t, 1, dyntc.BatchOptions{Faults: in})
+	ring := dyntc.ModRing(mod)
+	l, _, err := en.Grow(e.Tree().Root, dyntc.OpAdd(ring), 0, 4) // wave 1
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	release := holdFlush(t, en) // wave 2
+	// Wave 3 writes l; wave 4, the held read of l, stalls.
+	in.Add(dyntc.FaultRule{Site: "engine.wave", After: 3, Latency: time.Second, Times: 1})
+	write := en.SetLeafIDAsync(l.ID, 7)
+	read := en.ValueIDAsync(l.ID)
+	release()
+
+	<-write.Done()
+	select {
+	case <-read.Done():
+		t.Fatal("the write was acknowledged only after the held read ran")
+	default:
+	}
+	if err := write.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := read.Value(); err != nil || v != 7 {
+		t.Fatalf("held read = %d, %v; want 7", v, err)
+	}
+}
+
+// TestRecordCarriesKindFields: a wave's record holds only the fields each
+// op's kind carries, whatever else the caller set, so stray fields never
+// reach the log or its checksum.
+func TestRecordCarriesKindFields(t *testing.T) {
+	en, e := newEngine(t, 1, dyntc.BatchOptions{})
+	ring := dyntc.ModRing(mod)
+	l, _, err := en.Grow(e.Tree().Root, dyntc.OpAdd(ring), 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logged [][]replog.Op
+	en.SetWaveTap(func(w dyntc.Wave) { logged = append(logged, w.Ops) })
+	stray := dyntc.WaveOp{Kind: replog.OpSetLeaf, Node: l.ID, Value: 5, A: 1, B: 2, C: 3, Left: 6, Right: 7, LeftID: 8, RightID: 9}
+	if err := en.Apply(dyntc.TraceContext{}, []dyntc.WaveOp{stray}).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	want := [][]replog.Op{{{Kind: replog.OpSetLeaf, Node: l.ID, Value: 5}}}
+	if !reflect.DeepEqual(logged, want) {
+		t.Fatalf("logged %+v, want %+v", logged, want)
 	}
 }

@@ -2,22 +2,21 @@ package engine
 
 import (
 	"errors"
-	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"dyntc/internal/obs"
-	"dyntc/internal/semiring"
-	"dyntc/internal/tree"
+	"dyntc/internal/replog"
 )
 
 // Errors reported through futures. Engine validation replaces the panics of
-// internal/core: a malformed request fails its own future and never reaches
+// internal/core: a malformed op fails its own result and never reaches
 // the contraction, so one bad client cannot take the executor down.
 var (
 	// ErrClosed reports a submit after Close.
 	ErrClosed = errors.New("engine: closed")
-	// ErrDeadNode reports a request addressing a deleted (or foreign) node.
+	// ErrDeadNode reports an op addressing a deleted (or foreign) node.
 	ErrDeadNode = errors.New("engine: node is not live in this tree")
 	// ErrNotLeaf reports Grow/SetLeaf on an internal node.
 	ErrNotLeaf = errors.New("engine: node is not a leaf")
@@ -25,6 +24,8 @@ var (
 	ErrNotCollapsible = errors.New("engine: node does not have two leaf children")
 	// ErrNotInternal reports SetOp on a leaf.
 	ErrNotInternal = errors.New("engine: node is not an internal node")
+	// ErrBadKind reports an op of no known kind.
+	ErrBadKind = errors.New("engine: unknown op kind")
 	// ErrPoisoned reports that a previous executor panic left the structure
 	// in an unknown state; the engine refuses further traffic.
 	ErrPoisoned = errors.New("engine: poisoned by a previous executor panic")
@@ -35,70 +36,34 @@ var (
 	ErrOverloaded = errors.New("engine: submit queue full")
 )
 
-// NodeRef addresses a node of the host tree either by live handle or by its
-// dense tree ID. ID-based refs are resolved on the executor goroutine
-// against a quiescent tree, which is what remote callers (cmd/dyntcd) need:
-// they never hold *tree.Node pointers.
-type NodeRef struct {
-	N    *tree.Node
-	ID   int
-	ByID bool
+// errNotRun marks the result of an op that has not executed yet. The
+// executor clears it as the op runs (or sets the op's validation error),
+// so after a panic it tells the ops that ran from those that did not.
+var errNotRun = errors.New("engine: op has not run")
+
+// Result is the outcome of one op of a request.
+type Result struct {
+	Value int64     // value and root reads: the value read
+	Seq   uint64    // reads: the applied-wave sequence the value comes from
+	Pair  [2]*NodeT // grow: the two new leaves
+	Err   error     // the op failed validation
 }
 
-// Ref addresses a node by live handle.
-func Ref(n *tree.Node) NodeRef { return NodeRef{N: n} }
-
-// RefID addresses a node by tree ID.
-func RefID(id int) NodeRef { return NodeRef{ID: id, ByID: true} }
-
-// kind enumerates the request kinds the engine coalesces.
-type kind uint8
-
-const (
-	kGrow kind = iota
-	kCollapse
-	kSetLeaf
-	kSetOp
-	kValue
-	kRoot
-	kBarrier
-)
-
-func (k kind) String() string {
-	switch k {
-	case kGrow:
-		return "grow"
-	case kCollapse:
-		return "collapse"
-	case kSetLeaf:
-		return "set-leaf"
-	case kSetOp:
-		return "set-op"
-	case kValue:
-		return "value"
-	case kRoot:
-		return "root"
-	case kBarrier:
-		return "barrier"
-	}
-	return fmt.Sprintf("kind(%d)", uint8(k))
-}
-
-// Future is one submitted request. The submitting goroutine keeps the only
-// reference until the executor resolves it; Wait blocks until then. A
-// Future is resolved exactly once and may be waited on by any number of
-// goroutines afterwards.
+// Future is one submitted request: an ordered op list (or a barrier),
+// resolved once, when its last op has executed. The submitting goroutine
+// keeps the only reference until then; Wait blocks until it happens. A
+// resolved Future may be waited on by any number of goroutines.
 //
 // Futures come from a pool: the hot submit→execute→wait cycle reuses the
-// struct, its mutex and its condition variable, so steady-state request
-// traffic does not allocate per request. A caller that has fully consumed
-// a resolved Future may hand it back with Recycle; the synchronous
-// convenience wrappers (dyntc.Engine.Grow etc.) do so automatically.
+// struct, its op and result buffers, its mutex and its condition
+// variable, so steady-state request traffic does not allocate per
+// request. A caller that has fully consumed a resolved Future may hand it
+// back with Recycle; the synchronous convenience wrappers
+// (dyntc.Engine.Grow etc.) do so automatically.
 type Future struct {
-	kind kind
-	ref  NodeRef
-	op   semiring.Op
-	a, b int64           // grow: left/right values; set-leaf/collapse: new value in a
+	ops  []replog.Op
+	res  []Result
+	pin  *NodeT          // ApplyTo's handle, checked against ops[0].Node
 	fn   func(Host)      // barrier payload
 	at   time.Time       // submit time, stamped only on timing-enabled engines
 	span obs.SpanContext // distributed-trace context, zero for untraced requests
@@ -111,10 +76,7 @@ type Future struct {
 	cond     sync.Cond
 	resolved bool
 	doneCh   chan struct{}
-	val      int64
-	seq      uint64 // applied-wave sequence observed by read requests
-	pair     [2]*tree.Node
-	err      error
+	err      error // the request as a whole failed (closed, shed, poisoned)
 }
 
 var futurePool = sync.Pool{New: func() any {
@@ -123,19 +85,33 @@ var futurePool = sync.Pool{New: func() any {
 	return f
 }}
 
-// newFuture returns a pooled, fully reset Future for one request.
-func newFuture(k kind) *Future {
+// newFuture returns a pooled Future holding a copy of ops and a result per
+// op that has not run yet.
+func newFuture(ops []replog.Op) *Future {
 	f := futurePool.Get().(*Future)
-	f.kind = k
+	f.ops = append(f.ops[:0], ops...)
+	f.res = slices.Grow(f.res[:0], len(ops))[:len(ops)]
+	for i := range f.res {
+		f.res[i] = Result{Err: errNotRun}
+	}
 	return f
 }
 
-// resolve fills the result and releases waiters. Must be called exactly
-// once per Future lifetime, by the executor (or by a failed submit while
-// the caller still holds the only reference).
-func (f *Future) resolve(val int64, pair [2]*tree.Node, err error) {
+// size is what the request counts for in the stats and the flush bound:
+// its ops, or one for a barrier.
+func (f *Future) size() int {
+	if f.fn != nil {
+		return 1
+	}
+	return len(f.ops)
+}
+
+// resolve releases waiters with the request-level error err. Must be
+// called exactly once per Future lifetime, by the executor (or by a failed
+// submit while the caller still holds the only reference).
+func (f *Future) resolve(err error) {
 	f.mu.Lock()
-	f.val, f.pair, f.err = val, pair, err
+	f.err = err
 	f.resolved = true
 	if f.doneCh != nil {
 		close(f.doneCh)
@@ -144,9 +120,28 @@ func (f *Future) resolve(val int64, pair [2]*tree.Node, err error) {
 	f.cond.Broadcast()
 }
 
+// abort resolves f after an executor panic. The ops that ran keep their
+// results and the rest fail with err; a request none of whose ops ran
+// fails as a whole. So a write whose wave was sealed (and logged) before
+// the panic is never reported as failed.
+func (f *Future) abort(err error) {
+	ran := false
+	for i := range f.res {
+		if f.res[i].Err == errNotRun {
+			f.res[i].Err = err
+		} else {
+			ran = true
+		}
+	}
+	if ran {
+		err = nil
+	}
+	f.resolve(err)
+}
+
 // Done returns a channel closed when the request has executed (or failed).
-// The channel is created on first call; prefer Wait/Value/Pair, which do
-// not allocate.
+// The channel is created on first call; prefer Wait and the result
+// accessors, which do not allocate.
 func (f *Future) Done() <-chan struct{} {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -159,55 +154,70 @@ func (f *Future) Done() <-chan struct{} {
 	return f.doneCh
 }
 
-// Wait blocks until the request has executed and returns its error.
-func (f *Future) Wait() error {
+// Results blocks until the request has executed and returns one Result
+// per op, in submission order, valid until Recycle. A non-nil error means
+// the request failed as a whole (closed, shed or poisoned engine) before
+// any of its ops ran, and the results are meaningless. When the engine is
+// poisoned part-way through a request, the ops that had run keep their
+// results and the rest report the ErrPoisoned error.
+func (f *Future) Results() ([]Result, error) {
 	f.mu.Lock()
 	for !f.resolved {
 		f.cond.Wait()
 	}
-	err := f.err
+	res, err := f.res, f.err
 	f.mu.Unlock()
+	return res, err
+}
+
+// first returns the first op's result, carrying the request-level error
+// when there is one: the accessors of one-op requests.
+func (f *Future) first() Result {
+	res, err := f.Results()
+	var r Result
+	if len(res) > 0 {
+		r = res[0]
+	}
+	if err != nil {
+		r.Err = err
+	}
+	return r
+}
+
+// Wait blocks until the request has executed and returns its error: the
+// request-level one, else the first failed op's.
+func (f *Future) Wait() error {
+	res, err := f.Results()
+	for i := 0; err == nil && i < len(res); i++ {
+		err = res[i].Err
+	}
 	return err
 }
 
-// Value returns the request's scalar result (value / root queries) after
-// Wait.
+// Value returns the first op's value (value / root reads).
 func (f *Future) Value() (int64, error) {
-	f.mu.Lock()
-	for !f.resolved {
-		f.cond.Wait()
-	}
-	val, err := f.val, f.err
-	f.mu.Unlock()
-	return val, err
+	r := f.first()
+	return r.Value, r.Err
 }
 
-// ValueSeq returns the request's scalar result together with the engine's
-// applied-wave sequence number at the moment the request executed. For
-// value / root / barrier requests the sequence identifies exactly which
-// version of the tree answered — the fan-in contract cross-tree queries
-// join on. Mutating requests and requests failed by validation report
-// sequence 0.
+// ValueSeq returns the first op's value together with the engine's
+// applied-wave sequence at the moment it was read: exactly which version
+// of the tree answered — the fan-in contract cross-tree queries join on.
+// Mutating ops and failed ops report sequence 0.
 func (f *Future) ValueSeq() (int64, uint64, error) {
-	f.mu.Lock()
-	for !f.resolved {
-		f.cond.Wait()
-	}
-	val, seq, err := f.val, f.seq, f.err
-	f.mu.Unlock()
-	return val, seq, err
+	r := f.first()
+	return r.Value, r.Seq, r.Err
 }
 
-// Pair returns the two leaves created by a grow request after Wait.
-func (f *Future) Pair() (l, r *tree.Node, err error) {
-	f.mu.Lock()
-	for !f.resolved {
-		f.cond.Wait()
-	}
-	l, r, err = f.pair[0], f.pair[1], f.err
-	f.mu.Unlock()
-	return l, r, err
+// Pair returns the two leaves created by the first op, a grow.
+func (f *Future) Pair() (l, r *NodeT, err error) {
+	res := f.first()
+	return res.Pair[0], res.Pair[1], res.Err
 }
+
+// maxPooledOps bounds the op buffer a recycled Future keeps, so one huge
+// request does not pin its buffers in the pool.
+const maxPooledOps = 64
 
 // Recycle returns a resolved Future to the allocation pool. Call it only
 // when the request has resolved and no other goroutine holds a reference;
@@ -220,18 +230,16 @@ func (f *Future) Recycle() {
 		f.mu.Unlock()
 		return
 	}
-	f.kind = 0
-	f.ref = NodeRef{}
-	f.op = semiring.Op{}
-	f.a, f.b = 0, 0
+	if cap(f.ops) > maxPooledOps {
+		f.ops, f.res = nil, nil
+	}
+	f.ops, f.res = f.ops[:0], f.res[:0]
+	f.pin = nil
 	f.fn = nil
 	f.at = time.Time{}
 	f.span = obs.SpanContext{}
 	f.resolved = false
 	f.doneCh = nil
-	f.val = 0
-	f.seq = 0
-	f.pair = [2]*tree.Node{}
 	f.err = nil
 	f.mu.Unlock()
 	futurePool.Put(f)

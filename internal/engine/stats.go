@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dyntc/internal/core"
+	"dyntc/internal/replog"
 )
 
 // latWindow is the number of recent flush latencies retained for the
@@ -25,13 +26,7 @@ type statsRec struct {
 	dropped     atomic.Uint64
 	shedded     atomic.Uint64
 	maxFlush    atomic.Int64
-	grows       atomic.Uint64
-	collapses   atomic.Uint64
-	setLeaves   atomic.Uint64
-	setOps      atomic.Uint64
-	values      atomic.Uint64
-	roots       atomic.Uint64
-	barriers    atomic.Uint64
+	kinds       [replog.OpRoot + 1]atomic.Uint64 // executed ops by kind; kBarrier counts barriers
 	healRecords atomic.Uint64
 	resims      atomic.Uint64
 	resimsBy    [len(core.ResimReasons)]atomic.Uint64 // same order
@@ -55,11 +50,11 @@ func (s *statsRec) flush(n int) {
 func (s *statsRec) wave() { s.waves.Add(1) }
 func (s *statsRec) fail() { s.errors.Add(1) }
 
-// drop counts requests discarded without execution (engine closed or
+// drop counts ops discarded without execution (engine closed or
 // poisoned): the load-shedding visibility counter.
 func (s *statsRec) drop(n int) { s.dropped.Add(uint64(n)) }
 
-// shed counts requests rejected at submit because the queue was full
+// shed counts ops rejected at submit because the queue was full
 // (Options.Shed engines): the 429 visibility counter.
 func (s *statsRec) shed(n int) { s.shedded.Add(uint64(n)) }
 
@@ -77,11 +72,7 @@ func (s *statsRec) flushDone(d time.Duration) {
 // worst engine.
 func (s *statsRec) window(buf []int64) []int64 {
 	s.latMu.Lock()
-	n := s.latN
-	if n > latWindow {
-		n = latWindow
-	}
-	buf = append(buf, s.lat[:n]...)
+	buf = append(buf, s.lat[:min(s.latN, latWindow)]...)
 	s.latMu.Unlock()
 	return buf
 }
@@ -101,43 +92,31 @@ func percentilesUS(buf []int64) (p50, p99 float64) {
 	return pick(0.50), pick(0.99)
 }
 
-// latencies returns the p50/p99 of the retained flush-latency window, in
-// microseconds (0, 0 before the first flush).
-func (s *statsRec) latencies() (p50, p99 float64) {
-	return percentilesUS(s.window(nil))
-}
+// kBarrier is the stats slot of barriers: the one kind no op carries.
+const kBarrier replog.OpKind = 0
 
-func (s *statsRec) done(k kind) {
-	switch k {
-	case kGrow:
-		s.grows.Add(1)
-	case kCollapse:
-		s.collapses.Add(1)
-	case kSetLeaf:
-		s.setLeaves.Add(1)
-	case kSetOp:
-		s.setOps.Add(1)
-	case kValue:
-		s.values.Add(1)
-	case kRoot:
-		s.roots.Add(1)
-	case kBarrier:
-		s.barriers.Add(1)
-	}
+// done counts n executed ops of kind k (or n barriers, for kBarrier).
+func (s *statsRec) done(k replog.OpKind, n int) { s.kinds[k].Add(uint64(n)) }
+
+// byKind returns s's per-kind counters, indexed like statsRec.kinds.
+func (s *Stats) byKind() [replog.OpRoot + 1]*uint64 {
+	return [...]*uint64{kBarrier: &s.Barriers, replog.OpGrow: &s.Grows, replog.OpCollapse: &s.Collapses,
+		replog.OpSetLeaf: &s.SetLeaves, replog.OpSetOp: &s.SetOps, replog.OpValue: &s.Values, replog.OpRoot: &s.Roots}
 }
 
 // Stats is a snapshot of an engine's coalescing behaviour.
 type Stats struct {
-	Requests uint64 `json:"requests"`  // requests that reached the executor
+	Requests uint64 `json:"requests"`  // ops (and barriers) that reached the executor
 	Flushes  uint64 `json:"flushes"`   // coalesced batches executed
 	Waves    uint64 `json:"waves"`     // conflict-free waves executed
-	Errors   uint64 `json:"errors"`    // requests failed by validation
-	Dropped  uint64 `json:"dropped"`   // requests discarded unexecuted (closed / poisoned)
-	Shed     uint64 `json:"shed"`      // requests rejected at submit, queue full (Options.Shed)
-	MaxFlush int64  `json:"max_flush"` // largest flush seen
+	Errors   uint64 `json:"errors"`    // ops failed by validation
+	Dropped  uint64 `json:"dropped"`   // ops discarded unexecuted (closed / poisoned)
+	Shed     uint64 `json:"shed"`      // ops rejected at submit, queue full (Options.Shed)
+	MaxFlush int64  `json:"max_flush"` // largest flush seen, in ops
 
 	// Backpressure visibility: the submit queue's instantaneous depth and
-	// the executor's recent flush latency distribution.
+	// capacity, in requests, and the executor's recent flush latency
+	// distribution.
 	QueueDepth int     `json:"queue_depth"`
 	QueueCap   int     `json:"queue_cap"`
 	FlushP50US float64 `json:"flush_p50_us"` // median flush latency, µs
@@ -166,7 +145,7 @@ type Stats struct {
 	ResimReasons map[string]uint64 `json:"resim_reasons,omitempty"`
 }
 
-// MeanFlush is the mean executed batch size: requests per flush. Under
+// MeanFlush is the mean executed batch size: ops per flush. Under
 // concurrent load this exceeds 1 — the whole point of coalescing.
 func (s Stats) MeanFlush() float64 {
 	if s.Flushes == 0 {
@@ -175,7 +154,7 @@ func (s Stats) MeanFlush() float64 {
 	return float64(s.Requests) / float64(s.Flushes)
 }
 
-// MeanWave is the mean conflict-free wave input: requests per wave.
+// MeanWave is the mean conflict-free wave input: ops per wave.
 func (s Stats) MeanWave() float64 {
 	if s.Waves == 0 {
 		return 0
@@ -207,13 +186,9 @@ func (s *Stats) Add(other Stats) {
 	if other.MaxFlush > s.MaxFlush {
 		s.MaxFlush = other.MaxFlush
 	}
-	s.Grows += other.Grows
-	s.Collapses += other.Collapses
-	s.SetLeaves += other.SetLeaves
-	s.SetOps += other.SetOps
-	s.Values += other.Values
-	s.Roots += other.Roots
-	s.Barriers += other.Barriers
+	for k, n := range other.byKind() {
+		*s.byKind()[k] += *n
+	}
 	s.HealRecords += other.HealRecords
 	s.Resimulations += other.Resimulations
 	for reason, n := range other.ResimReasons {
@@ -230,7 +205,7 @@ func (s *Stats) addResims(reason string, n uint64) {
 
 // Stats returns a point-in-time snapshot.
 func (e *Engine) Stats() Stats {
-	p50, p99 := e.stats.latencies()
+	p50, p99 := percentilesUS(e.stats.window(nil))
 	s := Stats{
 		Requests:   e.stats.requests.Load(),
 		Flushes:    e.stats.flushes.Load(),
@@ -244,16 +219,12 @@ func (e *Engine) Stats() Stats {
 		FlushP50US: p50,
 		FlushP99US: p99,
 		AppliedSeq: e.appliedSeq.Load(),
-		Grows:      e.stats.grows.Load(),
-		Collapses:  e.stats.collapses.Load(),
-		SetLeaves:  e.stats.setLeaves.Load(),
-		SetOps:     e.stats.setOps.Load(),
-		Values:     e.stats.values.Load(),
-		Roots:      e.stats.roots.Load(),
-		Barriers:   e.stats.barriers.Load(),
 
 		HealRecords:   e.stats.healRecords.Load(),
 		Resimulations: e.stats.resims.Load(),
+	}
+	for k, n := range s.byKind() {
+		*n = e.stats.kinds[k].Load()
 	}
 	for i, reason := range core.ResimReasons {
 		if n := e.stats.resimsBy[i].Load(); n > 0 {

@@ -22,9 +22,9 @@ import (
 	"dyntc"
 	"dyntc/internal/core"
 	"dyntc/internal/engine"
-	"dyntc/internal/obs"
 	"dyntc/internal/pram"
 	"dyntc/internal/prng"
+	"dyntc/internal/replog"
 	"dyntc/internal/tree"
 )
 
@@ -42,7 +42,7 @@ type liveApplier struct {
 }
 
 func (a liveApplier) grow(leaf *dyntc.Node, op dyntc.Op, lv, rv int64) (*dyntc.Node, *dyntc.Node) {
-	f := a.en.GrowCtx(obs.SpanContext{}, engine.Ref(leaf), op, lv, rv)
+	f := a.en.ApplyTo(leaf, replog.Op{Kind: replog.OpGrow, A: op.A, B: op.B, C: op.C, Left: lv, Right: rv})
 	l, r, err := f.Pair()
 	f.Recycle()
 	if err != nil {
@@ -51,13 +51,13 @@ func (a liveApplier) grow(leaf *dyntc.Node, op dyntc.Op, lv, rv int64) (*dyntc.N
 	return l, r
 }
 func (a liveApplier) collapse(n *dyntc.Node, v int64) {
-	a.wait("collapse", a.en.CollapseCtx(obs.SpanContext{}, engine.Ref(n), v))
+	a.wait("collapse", a.en.ApplyTo(n, replog.Op{Kind: replog.OpCollapse, Value: v}))
 }
 func (a liveApplier) set(leaf *dyntc.Node, v int64) {
-	a.wait("set", a.en.SetLeafCtx(obs.SpanContext{}, engine.Ref(leaf), v))
+	a.wait("set", a.en.ApplyTo(leaf, replog.Op{Kind: replog.OpSetLeaf, Value: v}))
 }
 func (a liveApplier) value(n *dyntc.Node) int64 {
-	f := a.en.ValueCtx(obs.SpanContext{}, engine.Ref(n))
+	f := a.en.ApplyTo(n, replog.Op{Kind: replog.OpValue})
 	v, err := f.Value()
 	f.Recycle()
 	if err != nil {

@@ -173,7 +173,7 @@ type WaveTrace struct {
 	Seq      uint64 // applied-wave sequence after the flush
 	Epoch    uint64 // leadership term the flush ran under
 	TraceID  SpanID // the flush span's trace, when span-sampled
-	Reqs     int    // requests in the flush
+	Reqs     int    // ops in the flush (a barrier counts one)
 	Waves    int    // conflict-free waves the flush split into
 	Coalesce int64  // oldest request's submit→flush-start wait, ns
 	Flush    int64  // flush-start→all-acked span, ns

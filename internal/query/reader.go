@@ -5,6 +5,7 @@ import (
 
 	"dyntc/internal/engine"
 	"dyntc/internal/obs"
+	"dyntc/internal/replog"
 	"dyntc/internal/tree"
 )
 
@@ -39,14 +40,14 @@ type TourHost interface {
 }
 
 // StartRead begins read r on engine e: root and node-value reads submit
-// engine futures (joining in-flight waves), subtree-size reads ride an
-// engine barrier against the tour.
+// one-op engine requests (joining in-flight waves), subtree-size reads
+// ride an engine barrier against the tour.
 func StartRead(e *engine.Engine, r Read) Handle {
 	switch r.Kind {
 	case ReadRoot:
-		return futureHandle{f: e.RootCtx(obs.SpanContext{})}
+		return futureHandle{f: e.Apply(obs.SpanContext{}, replog.Op{Kind: replog.OpRoot})}
 	case ReadValue:
-		return futureHandle{f: e.ValueCtx(obs.SpanContext{}, engine.RefID(r.Node))}
+		return futureHandle{f: e.Apply(obs.SpanContext{}, replog.Op{Kind: replog.OpValue, Node: r.Node})}
 	case ReadSubtree:
 		h := &barrierHandle{}
 		h.f = e.Barrier(func(host engine.Host) {

@@ -32,38 +32,52 @@ import (
 	"hash/fnv"
 )
 
-// OpKind enumerates the mutating request kinds a wave can carry. Reads
-// (value / root queries) and barriers do not change the tree and are never
-// logged.
+// OpKind enumerates the request kinds an engine op can carry. The
+// mutating kinds make up waves; the reads (value / root queries) ride the
+// same op type from client to engine but are never logged, and a wave
+// that carries one fails replay as an unknown kind.
 type OpKind uint8
 
-// Wave op kinds, in the fixed order batches execute within a wave.
+// Op kinds: the mutating ones in the fixed order batches execute within a
+// wave, then the reads.
 const (
 	OpGrow OpKind = iota + 1
 	OpCollapse
 	OpSetLeaf
 	OpSetOp
+	OpValue
+	OpRoot
 )
 
+var opKindNames = [...]string{OpGrow: "grow", OpCollapse: "collapse", OpSetLeaf: "set-leaf",
+	OpSetOp: "set-op", OpValue: "value", OpRoot: "root"}
+
 func (k OpKind) String() string {
-	switch k {
-	case OpGrow:
-		return "grow"
-	case OpCollapse:
-		return "collapse"
-	case OpSetLeaf:
-		return "set-leaf"
-	case OpSetOp:
-		return "set-op"
+	if k >= OpGrow && k <= OpRoot {
+		return opKindNames[k]
 	}
 	return fmt.Sprintf("op-kind(%d)", uint8(k))
 }
 
-// Op is one mutating request of an executed wave, addressed by dense tree
-// node ID (stable for a node's lifetime, deterministic under replay).
+// ParseOpKind returns the kind String names, and false for no kind.
+func ParseOpKind(name string) (OpKind, bool) {
+	for k := OpGrow; k <= OpRoot; k++ {
+		if opKindNames[k] == name {
+			return k, true
+		}
+	}
+	return 0, false
+}
+
+// Mutates reports whether ops of kind k change the tree (and are logged).
+func (k OpKind) Mutates() bool { return k >= OpGrow && k <= OpSetOp }
+
+// Op is one request op, addressed by dense tree node ID (stable for a
+// node's lifetime, deterministic under replay). An engine request is an
+// ordered list of them, and a logged wave holds the mutating ones.
 type Op struct {
 	Kind OpKind `json:"kind"`
-	Node int    `json:"node"`
+	Node int    `json:"node"` // every kind but root
 
 	// A, B, C are the symmetric bilinear operation coefficients
 	// (grow, set-op).
@@ -83,6 +97,25 @@ type Op struct {
 	// the same IDs — recorded for verification, not reconstruction.
 	LeftID  int `json:"left_id,omitempty"`
 	RightID int `json:"right_id,omitempty"`
+}
+
+// Logged returns op with only the fields its kind carries — what a wave
+// records and checksums for it — so a stray field a caller set (a set-leaf
+// with coefficients, say) never reaches the log.
+func (op Op) Logged() Op {
+	out := Op{Kind: op.Kind, Node: op.Node}
+	switch op.Kind {
+	case OpGrow:
+		out.A, out.B, out.C = op.A, op.B, op.C
+		out.Left, out.Right, out.LeftID, out.RightID = op.Left, op.Right, op.LeftID, op.RightID
+	case OpSetOp:
+		out.A, out.B, out.C = op.A, op.B, op.C
+	case OpCollapse, OpSetLeaf:
+		out.Value = op.Value
+	case OpRoot:
+		out.Node = 0
+	}
+	return out
 }
 
 // Wave is one executed conflict-free wave: the unit of the change log.

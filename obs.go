@@ -28,5 +28,5 @@ func NewObs(cfg ObsConfig) (*Obs, error) { return obs.NewHub(cfg) }
 // TraceContext is the propagated half of a distributed trace: the trace
 // ID plus the parent span ID. The zero value means "untraced" and costs
 // nothing to carry. Servers derive it from the X-Dyntc-Trace header and
-// pass it to Engine.Traced.
+// pass it to Engine.Apply.
 type TraceContext = obs.SpanContext

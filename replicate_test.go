@@ -463,6 +463,14 @@ func TestFollowerGapAndDivergence(t *testing.T) {
 	if err := replica.ApplyWave(bad); !errors.Is(err, ErrDiverged) {
 		t.Fatalf("diverged err = %v, want ErrDiverged", err)
 	}
+	// Reads ride the op type but are never logged: a wave carrying one
+	// fails replay before it touches the tree.
+	read := waves[1]
+	read.Ops = append([]WaveOp{{Kind: replog.OpValue}}, read.Ops...)
+	read.Seal()
+	if err := replica.ApplyWave(read); !errors.Is(err, ErrDiverged) {
+		t.Fatalf("wave with a read op: err = %v, want ErrDiverged", err)
+	}
 	if got := replica.AppliedSeq(); got != waves[0].Seq {
 		t.Fatalf("replica engine at seq %d, want %d", got, waves[0].Seq)
 	}

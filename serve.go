@@ -8,6 +8,7 @@ import (
 
 	"dyntc/internal/engine"
 	"dyntc/internal/query"
+	"dyntc/internal/replog"
 )
 
 // This file is the concurrent face of the package: Expr.Serve wraps an
@@ -40,14 +41,18 @@ type EngineStats = engine.Stats
 
 // BatchOptions configures an engine. The executor flushes whatever is
 // queued the moment it goes idle (no added latency), so a flush is the
-// pending batch, at most the queue capacity. The zero value gives a
+// pending batch, at most Queue ops. The zero value gives a
 // blocking queue of capacity 4096.
 type BatchOptions struct {
-	// Queue is the submit queue capacity; submits block once it fills.
+	// Queue is the submit queue capacity, in requests; submits block once
+	// it fills. It also bounds one flush, in ops.
 	Queue int
 	// Shed switches the full-queue policy from blocking to load shedding:
-	// a submit that finds the queue at capacity fails immediately with
-	// engine.ErrOverloaded instead of blocking the caller. Servers
+	// a submit that finds the queue full fails immediately with
+	// engine.ErrOverloaded instead of blocking the caller. A shedding
+	// queue is full at Queue ops: a request is shed when the ops queued
+	// ahead of it plus its own would exceed Queue, unless the queue is
+	// empty. Servers
 	// translate that into 429 + Retry-After (cmd/dyntcd does); library
 	// callers that want backpressure leave it false. Shed requests are
 	// counted in EngineStats.Shed.
@@ -73,9 +78,9 @@ type BatchOptions struct {
 	// turns on wave pipeline timing: flush, coalesce-wait and per-stage
 	// histograms; span-sampled flushes (at the hub's period, while its
 	// anomaly boost is active, and whenever a flush carries a request
-	// submitted through the Traced view), each recorded as a flush span
-	// carrying the flush record, with per-stage child spans and a
-	// deterministic wave anchor span per sealed wave that WAL appends and
+	// submitted to Engine.Apply with a trace context), each recorded as a
+	// flush span carrying the flush record, with per-stage child spans and
+	// a deterministic wave anchor span per sealed wave that WAL appends and
 	// replica replays stitch to by (epoch, seq); every flush record and
 	// every shed handed to the hub; shed bursts journaled. Nil keeps all
 	// of it off: the engine pays one boolean check per flush and nothing
@@ -153,12 +158,14 @@ func (en *Engine) SnapshotAt() ([]byte, uint64, error) {
 }
 
 // --- synchronous API: one blocking call per request, by node handle ---
-// Each call fully consumes its Future and recycles it, so the blocking
-// call path allocates nothing per request in steady state.
+// Each call is a one-op request addressed by handle (a dead or foreign
+// handle fails with engine.ErrDeadNode). It fully consumes its Future and
+// recycles it, so the blocking call path allocates nothing per request in
+// steady state.
 
 // Grow expands leaf into an op node with two fresh leaves and returns them.
 func (en *Engine) Grow(leaf *Node, op Op, leftVal, rightVal int64) (l, r *Node, err error) {
-	f := en.inner.GrowCtx(TraceContext{}, engine.Ref(leaf), op, leftVal, rightVal)
+	f := en.inner.ApplyTo(leaf, growOp(0, op, leftVal, rightVal))
 	l, r, err = f.Pair()
 	f.Recycle()
 	return l, r, err
@@ -166,22 +173,22 @@ func (en *Engine) Grow(leaf *Node, op Op, leftVal, rightVal int64) (l, r *Node, 
 
 // Collapse deletes n's two leaf children, making n a leaf with newValue.
 func (en *Engine) Collapse(n *Node, newValue int64) error {
-	return wait(en.inner.CollapseCtx(TraceContext{}, engine.Ref(n), newValue))
+	return wait(en.inner.ApplyTo(n, WaveOp{Kind: replog.OpCollapse, Value: newValue}))
 }
 
 // SetLeaf updates one leaf value.
 func (en *Engine) SetLeaf(leaf *Node, v int64) error {
-	return wait(en.inner.SetLeafCtx(TraceContext{}, engine.Ref(leaf), v))
+	return wait(en.inner.ApplyTo(leaf, WaveOp{Kind: replog.OpSetLeaf, Value: v}))
 }
 
 // SetOp updates the operation at an internal node.
 func (en *Engine) SetOp(n *Node, op Op) error {
-	return wait(en.inner.SetOpCtx(TraceContext{}, engine.Ref(n), op))
+	return wait(en.inner.ApplyTo(n, setOpOp(0, op)))
 }
 
 // Value returns the value of the subexpression rooted at n.
 func (en *Engine) Value(n *Node) (int64, error) {
-	return value(en.inner.ValueCtx(TraceContext{}, engine.Ref(n)))
+	return value(en.inner.ApplyTo(n, WaveOp{Kind: replog.OpValue}))
 }
 
 // Root returns the value of the whole expression.
@@ -240,84 +247,62 @@ func (en *Engine) Query(fn func(*Expr)) error {
 
 // --- asynchronous API, by node ID: submit now, redeem the Future later ---
 // For callers that cannot hold node handles or that pipeline requests.
-// IDs are the dense, lifetime-stable tree.Node.ID values. Each is its
-// TracedEngine form on the untraced view, a zero TraceContext.
+// IDs are the dense, lifetime-stable tree.Node.ID values.
+
+// Apply submits ops as one request and returns its Future, which resolves
+// once every op has executed; Future.Results reports each op's outcome in
+// order. Ops address nodes by ID (a root read names none) and are copied,
+// so the caller may reuse the slice. The engine runs a flush as waves,
+// each the longest conflict-free prefix of the flush's pending ops, so an
+// op sees every op submitted before it, in its own request or an earlier
+// one; reads run last in their wave, so a read also sees its wave's later
+// writes to other nodes. A non-zero sc joins the request to a distributed
+// trace: the flush that executes it adopts sc's trace and is always
+// recorded into the engine's SpanLog, regardless of sampling.
+func (en *Engine) Apply(sc TraceContext, ops []WaveOp) *Future {
+	return en.inner.Apply(sc, ops...)
+}
+
+// The ID forms below are untraced one-op requests.
 
 // GrowIDAsync submits a leaf expansion; Future.Pair returns the new leaves.
 func (en *Engine) GrowIDAsync(leafID int, op Op, leftVal, rightVal int64) *Future {
-	return en.Traced(TraceContext{}).GrowIDAsync(leafID, op, leftVal, rightVal)
+	return en.inner.Apply(TraceContext{}, growOp(leafID, op, leftVal, rightVal))
 }
 
 // CollapseIDAsync submits a leaf-pair deletion.
 func (en *Engine) CollapseIDAsync(nodeID int, newValue int64) *Future {
-	return en.Traced(TraceContext{}).CollapseIDAsync(nodeID, newValue)
+	return en.inner.Apply(TraceContext{}, WaveOp{Kind: replog.OpCollapse, Node: nodeID, Value: newValue})
 }
 
 // SetLeafIDAsync submits a leaf value update.
 func (en *Engine) SetLeafIDAsync(leafID int, v int64) *Future {
-	return en.Traced(TraceContext{}).SetLeafIDAsync(leafID, v)
+	return en.inner.Apply(TraceContext{}, WaveOp{Kind: replog.OpSetLeaf, Node: leafID, Value: v})
 }
 
 // SetOpIDAsync submits an internal-operation update.
 func (en *Engine) SetOpIDAsync(nodeID int, op Op) *Future {
-	return en.Traced(TraceContext{}).SetOpIDAsync(nodeID, op)
+	return en.inner.Apply(TraceContext{}, setOpOp(nodeID, op))
 }
 
 // ValueIDAsync submits a subexpression value query; Future.Value returns it.
 func (en *Engine) ValueIDAsync(nodeID int) *Future {
-	return en.Traced(TraceContext{}).ValueIDAsync(nodeID)
+	return en.inner.Apply(TraceContext{}, WaveOp{Kind: replog.OpValue, Node: nodeID})
 }
 
 // RootAsync submits a root value query; Future.Value returns it.
-func (en *Engine) RootAsync() *Future { return en.Traced(TraceContext{}).RootAsync() }
-
-// --- traced API: the asynchronous submits carrying a trace context ---
-
-// TracedEngine is an Engine view whose submits carry a distributed-trace
-// context: the flush that executes a traced request adopts its trace and
-// is always recorded into the engine's SpanLog, regardless of sampling.
-// The view is a value — obtaining one allocates nothing — and a zero
-// TraceContext makes every method behave exactly like its Engine form.
-type TracedEngine struct {
-	en *Engine
-	sc TraceContext
+func (en *Engine) RootAsync() *Future {
+	return en.inner.Apply(TraceContext{}, WaveOp{Kind: replog.OpRoot})
 }
 
-// Traced returns a view of the engine whose submits carry sc.
-func (en *Engine) Traced(sc TraceContext) TracedEngine {
-	return TracedEngine{en: en, sc: sc}
+// growOp is the op growing leaf id into op over fresh leaves (l, r).
+func growOp(id int, op Op, l, r int64) WaveOp {
+	return WaveOp{Kind: replog.OpGrow, Node: id, A: op.A, B: op.B, C: op.C, Left: l, Right: r}
 }
 
-// GrowIDAsync is Engine.GrowIDAsync carrying the view's trace context.
-func (t TracedEngine) GrowIDAsync(leafID int, op Op, leftVal, rightVal int64) *Future {
-	return t.en.inner.GrowCtx(t.sc, engine.RefID(leafID), op, leftVal, rightVal)
-}
-
-// CollapseIDAsync is Engine.CollapseIDAsync carrying the view's trace
-// context.
-func (t TracedEngine) CollapseIDAsync(nodeID int, newValue int64) *Future {
-	return t.en.inner.CollapseCtx(t.sc, engine.RefID(nodeID), newValue)
-}
-
-// SetLeafIDAsync is Engine.SetLeafIDAsync carrying the view's trace
-// context.
-func (t TracedEngine) SetLeafIDAsync(leafID int, v int64) *Future {
-	return t.en.inner.SetLeafCtx(t.sc, engine.RefID(leafID), v)
-}
-
-// SetOpIDAsync is Engine.SetOpIDAsync carrying the view's trace context.
-func (t TracedEngine) SetOpIDAsync(nodeID int, op Op) *Future {
-	return t.en.inner.SetOpCtx(t.sc, engine.RefID(nodeID), op)
-}
-
-// ValueIDAsync is Engine.ValueIDAsync carrying the view's trace context.
-func (t TracedEngine) ValueIDAsync(nodeID int) *Future {
-	return t.en.inner.ValueCtx(t.sc, engine.RefID(nodeID))
-}
-
-// RootAsync is Engine.RootAsync carrying the view's trace context.
-func (t TracedEngine) RootAsync() *Future {
-	return t.en.inner.RootCtx(t.sc)
+// setOpOp is the op setting node id's operation to op.
+func setOpOp(id int, op Op) WaveOp {
+	return WaveOp{Kind: replog.OpSetOp, Node: id, A: op.A, B: op.B, C: op.C}
 }
 
 // compile-time check: Expr is an engine host.
