@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -66,6 +67,24 @@ func getStatus(t *testing.T, url string, out any) (int, http.Header) {
 		_ = json.Unmarshal(data, out)
 	}
 	return resp.StatusCode, resp.Header
+}
+
+// setLeafUntilRefused sets leaf of the tree at base to 0, step, 2·step, …,
+// one wave per request, until a request fails or is not answered 200
+// (the fence's 403, or the server going away).
+func setLeafUntilRefused(base string, leaf, step int) {
+	for j := 0; ; j++ {
+		enc, _ := json.Marshal(map[string]any{"leaf": leaf, "value": j * step})
+		resp, err := http.Post(base+"/set-leaf", "application/json", bytes.NewReader(enc))
+		if err != nil {
+			return
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return
+		}
+	}
 }
 
 // healthTrees is the per-tree slice shared by leader and follower
@@ -153,19 +172,7 @@ func TestChaosFailover(t *testing.T) {
 				wg.Add(1)
 				go func(i int, id uint64) {
 					defer wg.Done()
-					url := fmt.Sprintf("%s/v1/trees/%d/set-leaf", ts.URL, id)
-					for j := 0; ; j++ {
-						enc, _ := json.Marshal(map[string]any{"leaf": leafs[id], "value": j * (i + 2)})
-						resp, err := http.Post(url, "application/json", bytes.NewReader(enc))
-						if err != nil {
-							return
-						}
-						_, _ = io.Copy(io.Discard, resp.Body)
-						resp.Body.Close()
-						if resp.StatusCode != http.StatusOK {
-							return
-						}
-					}
+					setLeafUntilRefused(fmt.Sprintf("%s/v1/trees/%d", ts.URL, id), leafs[id], i+2)
 				}(i, id)
 			}
 
@@ -479,13 +486,12 @@ func TestChaosCleanRestartIdentity(t *testing.T) {
 	}
 }
 
-// TestPromoteAbortIsRetryable: a promotion that fails part-way through
-// its prepare phase (here: the new term's WAL directory does not exist,
-// so opening the first tree's log fails) must leave the follower fully
-// live — poll loop tailing, replicas applying, reads flowing — so a
-// retried POST /v1/promote succeeds once the cause is fixed. Pins the
-// all-or-nothing promotion contract.
-func TestPromoteAbortIsRetryable(t *testing.T) {
+// TestReplicaBirthIsRetryable: a follower whose WAL directory is missing
+// cannot adopt a bootstrapped replica, so it serves none, logs the
+// bootstrap error and keeps no file, like a failed create. Once the
+// directory exists, the next poll round bootstraps the replica, which
+// catches up, and a promotion succeeds at epoch 2.
+func TestReplicaBirthIsRetryable(t *testing.T) {
 	leaderSrv, _ := startTestServer(t)
 	var created struct {
 		Tree uint64 `json:"tree"`
@@ -494,39 +500,53 @@ func TestPromoteAbortIsRetryable(t *testing.T) {
 	base := fmt.Sprintf("%s/v1/trees/%d", leaderSrv.URL, created.Tree)
 	leaf := growSome(t, base, 5, 0)
 
-	// The wal dir's parent is absent, so opening the first tree's log fails.
-	fo := newServerWAL(dyntc.BatchOptions{}, filepath.Join(t.TempDir(), "missing", "wal"), 0)
-	fo.follow(leaderSrv.URL, 2*time.Millisecond)
-	foSrv := serveFollower(t, fo)
-	waitHealthz(t, foSrv.URL, func(status int, h healthTrees) bool {
-		return len(h.Trees) == 1 && h.Trees[0].AppliedSeq == 5
+	// The wal dir's parent is absent, so every replica birth fails.
+	walDir := filepath.Join(t.TempDir(), "missing", "wal")
+	fo := newServerWAL(dyntc.BatchOptions{}, walDir, 0)
+	f := fo.follow(leaderSrv.URL, 2*time.Millisecond)
+	foSrv := httptest.NewServer(fo.routes())
+	t.Cleanup(func() {
+		foSrv.Close()
+		fo.close()
 	})
-
-	if status := postStatus(t, foSrv.URL+"/v1/promote", nil, nil); status != 500 {
-		t.Fatalf("promote into a missing wal dir: status %d, want 500", status)
+	h := &slogCapture{}
+	old := slog.Default()
+	slog.SetDefault(slog.New(h))
+	for range 2 {
+		if !f.syncOnce() {
+			slog.SetDefault(old)
+			t.Fatal("poll round failed")
+		}
 	}
+	slog.SetDefault(old)
+	if fails := h.messages("follower: bootstrap failed"); len(fails) != 2 || fails[0]["err"].String() == "" {
+		t.Fatalf("bootstrap errors logged: %v, want one per round", fails)
+	}
+	if fo.forest.Len() != 0 || fo.store.get(created.Tree) != nil {
+		t.Fatal("a replica whose birth failed is served")
+	}
+	call(t, "GET", fmt.Sprintf("%s/v1/trees/%d/value", foSrv.URL, created.Tree), nil, 404, nil)
 
-	// Aborted, not wedged: still a follower, and the poll loop still
-	// applies new leader waves (no replica moved to the new term).
+	// Fix the cause: the poll loop's next round bootstraps the replica,
+	// which catches up with new leader waves.
+	if err := os.MkdirAll(walDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	f.start()
 	leaf = growSome(t, base, 2, leaf)
 	waitHealthz(t, foSrv.URL, func(status int, h healthTrees) bool {
 		return status == 200 && h.Role == "follower" &&
 			len(h.Trees) == 1 && h.Trees[0].AppliedSeq == 7
 	})
-
-	// Fix the cause and retry: the same promotion now commits.
-	if err := os.MkdirAll(fo.store.dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
 	var promoted struct {
 		Promoted bool   `json:"promoted"`
 		Epoch    uint64 `json:"epoch"`
 	}
 	if status := postStatus(t, foSrv.URL+"/v1/promote", nil, &promoted); status != 200 {
-		t.Fatalf("retried promote: status %d", status)
+		t.Fatalf("promote: status %d", status)
 	}
 	if !promoted.Promoted || promoted.Epoch != 2 {
-		t.Fatalf("retried promote: %+v", promoted)
+		t.Fatalf("promote: %+v", promoted)
 	}
 	waitHealthz(t, foSrv.URL, func(status int, h healthTrees) bool {
 		return status == 200 && h.Role == "leader"
@@ -534,4 +554,153 @@ func TestPromoteAbortIsRetryable(t *testing.T) {
 	// The new leader serves writes at the new term.
 	call(t, "POST", fmt.Sprintf("%s/v1/trees/%d/set-leaf", foSrv.URL, created.Tree),
 		map[string]any{"leaf": leaf, "value": 77}, 200, nil)
+}
+
+// TestPromoteDemotesThroughFollowerClient: promotion's demote call goes
+// through the follower's client, so the client's timeout bounds it and
+// it passes the follower.rpc fault site. With no poll loop running, a
+// partition rule added just before POST /v1/promote fires only on the
+// demote call, and the old leader, never told, stays unfenced.
+func TestPromoteDemotesThroughFollowerClient(t *testing.T) {
+	leaderSrv, _ := startTestServer(t)
+	call(t, "POST", leaderSrv.URL+"/v1/trees", map[string]any{"root": 3}, 201, nil)
+
+	in := dyntc.NewFaultInjector(5)
+	fo := newServer(dyntc.BatchOptions{})
+	f := fo.follow(leaderSrv.URL, time.Millisecond)
+	fo.setFaults(in, 5)
+	if !f.syncOnce() {
+		t.Fatal("sync round failed")
+	}
+	foSrv := httptest.NewServer(fo.routes())
+	t.Cleanup(func() {
+		foSrv.Close()
+		fo.close()
+	})
+
+	before := in.Firings("follower.rpc")
+	in.Add(dyntc.FaultRule{Site: "follower.rpc", Err: dyntc.ErrFaultInjected})
+	if status := postStatus(t, foSrv.URL+"/v1/promote", nil, nil); status != 200 {
+		t.Fatalf("promote: status %d", status)
+	}
+	for deadline := time.Now().Add(5 * time.Second); in.Firings("follower.rpc") == before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the demote call never passed the follower.rpc fault site")
+		}
+	}
+	if status, _ := getStatus(t, leaderSrv.URL+"/v1/healthz", nil); status != 200 {
+		t.Fatalf("old leader healthz: status %d, want 200 (the partitioned demote never landed)", status)
+	}
+}
+
+// TestChaosFollowerRestartThenPromote kills a leader under live traffic,
+// restarts its -wal-dir follower from the directory, and promotes it. The
+// promoted state must be byte-identical to the replay oracle — the dead
+// leader's genesis snapshot and WAL — at the follower's applied sequence,
+// so no wave the follower applied is lost, and a further restart with no
+// new write must still serve epoch 2.
+func TestChaosFollowerRestartThenPromote(t *testing.T) {
+	dirL, dirF := t.TempDir(), t.TempDir()
+	s := newServerWAL(dyntc.BatchOptions{}, dirL, 0)
+	ts := httptest.NewServer(s.routes())
+	var killOnce sync.Once
+	kill := func() {
+		killOnce.Do(func() {
+			ts.Close()
+			s.forest.Close()
+			s.store.close()
+		})
+	}
+	t.Cleanup(kill)
+	var created struct {
+		Tree uint64 `json:"tree"`
+	}
+	call(t, "POST", ts.URL+"/v1/trees", map[string]any{"root": 1, "seed": 21}, 201, &created)
+	id := created.Tree
+	leaf := growSome(t, fmt.Sprintf("%s/v1/trees/%d", ts.URL, id), 6, 0)
+
+	fo := newServerWAL(dyntc.BatchOptions{}, dirF, 0)
+	f := fo.follow(ts.URL, 2*time.Millisecond)
+	f.start()
+	t.Cleanup(fo.close)
+
+	// Live traffic until the leader dies.
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		setLeafUntilRefused(fmt.Sprintf("%s/v1/trees/%d", ts.URL, id), leaf, 1)
+	}()
+	en, _ := fo.forest.Get(id)
+	for deadline := time.Now().Add(10 * time.Second); en == nil || en.AppliedSeq() < 16; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("follower did not apply live traffic")
+		}
+		en, _ = fo.forest.Get(id)
+	}
+	kill()
+	wg.Wait()
+	// Stop the follower as a kill would: its poll loop ends, its store is
+	// never closed before the restart.
+	f.halt()
+	applied := en.AppliedSeq()
+
+	fo2 := newServerWAL(dyntc.BatchOptions{}, dirF, 0)
+	if err := fo2.store.recover(); err != nil {
+		t.Fatal(err)
+	}
+	fo2.follow(ts.URL, 2*time.Millisecond)
+	fo2Srv := httptest.NewServer(fo2.routes())
+	t.Cleanup(fo2Srv.Close)
+	var promoted struct {
+		Trees int    `json:"trees"`
+		Epoch uint64 `json:"epoch"`
+	}
+	if status := postStatus(t, fo2Srv.URL+"/v1/promote", nil, &promoted); status != 200 {
+		t.Fatalf("promote: status %d", status)
+	}
+	if promoted.Trees != 1 || promoted.Epoch != 2 {
+		t.Fatalf("promote: %+v, want 1 tree at epoch 2", promoted)
+	}
+	en2, ok := fo2.forest.Get(id)
+	if !ok || en2.AppliedSeq() != applied {
+		t.Fatalf("restarted follower (serving %v) not at its applied seq %d", ok, applied)
+	}
+	got, err := en2.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	genesis, err := os.ReadFile(filepath.Join(dirL, fmt.Sprintf("tree-%d.snap", id)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waves, _, err := dyntc.RecoverWaveLog(filepath.Join(dirL, fmt.Sprintf("tree-%d.wal", id)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, oseq := replayWAL(t, genesis, waves, applied)
+	oracle.AdoptEpoch(2)
+	osnap, err := oracle.Snapshot(oseq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oseq != applied || !bytes.Equal(got, osnap) {
+		t.Fatalf("promoted state at seq %d differs from the replay oracle at %d", applied, oseq)
+	}
+
+	fo2Srv.Close()
+	fo2.close()
+	fo3 := newServerWAL(dyntc.BatchOptions{}, dirF, 0)
+	if err := fo3.store.recover(); err != nil {
+		t.Fatal(err)
+	}
+	defer fo3.close()
+	en3, ok := fo3.forest.Get(id)
+	if !ok || en3.Epoch() != 2 || en3.AppliedSeq() != applied {
+		t.Fatalf("restart after promotion: served %v, want epoch 2 at seq %d", ok, applied)
+	}
+	if again, _ := en3.Snapshot(); !bytes.Equal(again, osnap) {
+		t.Fatal("restart after promotion differs from the promoted state")
+	}
 }

@@ -2,13 +2,18 @@ package main
 
 // Following (-follow <leader-url>): the server replicates every tree a
 // leader dyntcd serves. Each replica is an engine in the server's own
-// forest: it bootstraps from GET /v1/trees/{id}/snapshot and then tails
-// GET /v1/trees/{id}/log?since=SEQ, applying shipped waves in order
-// through Engine.ApplyWave, the verified replay of internal/replog
-// (recorded grow IDs and post-wave roots are checked on every wave). A
-// replica that falls behind the leader's log ring (410 Gone) or diverges
-// re-bootstraps from a fresh snapshot, swapped in atomically. Reads,
-// queries, healthz and metrics are the leader's handlers; writes get 403.
+// forest and an entry in its store, born through store.adopt like a
+// leader's tree: it bootstraps from GET /v1/trees/{id}/snapshot, which
+// becomes its anchor, and then tails GET /v1/trees/{id}/log?since=SEQ,
+// applying shipped waves in order through Engine.ApplyWave, the verified
+// replay of internal/replog (recorded grow IDs and post-wave roots are
+// checked on every wave). Each applied wave reaches the replica's own log
+// first — its ring, which another follower can tail, and with -wal-dir
+// its WAL — so a restarted follower recovers its replicas from disk and
+// resumes the log tail where it stopped. A replica that falls behind the
+// leader's log ring (410 Gone) or diverges re-bootstraps from a fresh
+// snapshot, swapped in atomically. Reads, queries, healthz and metrics
+// are the leader's handlers; writes get 403.
 //
 // Failover: POST /v1/promote flips the server to leading in place (see
 // handlePromote). An unreachable leader does not take the follower down:
@@ -66,10 +71,7 @@ type follower struct {
 	lastContact time.Time
 	jitter      *prng.Source
 
-	// round is held for one poll round, and by promotion while it
-	// prepares: no tree appears, goes or advances under a prepare.
 	// promoting serializes POST /v1/promote.
-	round     sync.Mutex
 	promoting sync.Mutex
 	quit      chan struct{}
 	quitOnce  sync.Once
@@ -255,8 +257,6 @@ func (f *follower) getJSON(path string, v any) error {
 // was unreachable (the round counts against the backoff/degraded state).
 // A halted follower's rounds are no-ops: the forest is no longer theirs.
 func (f *follower) syncOnce() bool {
-	f.round.Lock()
-	defer f.round.Unlock()
 	select {
 	case <-f.quit:
 		return true
@@ -308,15 +308,22 @@ func (f *follower) syncOnce() bool {
 	return true
 }
 
-// replica returns tree id's poll bookkeeping, nil before its bootstrap.
+// replica returns tree id's poll bookkeeping, made on first use: a
+// replica recovered from disk has none before its first poll.
 func (f *follower) replica(id dyntc.TreeID) *replica {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.reps[id]
+	rep := f.reps[id]
+	if rep == nil {
+		rep = &replica{}
+		f.reps[id] = rep
+	}
+	return rep
 }
 
-// bootstrap fetches a fresh snapshot and serves it as tree id, swapping
-// it in for the current replica, if any, in one engine barrier.
+// bootstrap fetches a fresh snapshot and serves it as replica id through
+// the store, swapping it in for the current replica, if any, in one
+// engine barrier.
 func (f *follower) bootstrap(id dyntc.TreeID) (*dyntc.Engine, error) {
 	t0 := time.Now()
 	resp, err := f.client.Get(fmt.Sprintf("%s/v1/trees/%d/snapshot", f.leader, id))
@@ -331,15 +338,15 @@ func (f *follower) bootstrap(id dyntc.TreeID) (*dyntc.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	en, seq, err := f.s.forest.Replace(id, data)
+	en, seq, rebootstrap, err := f.s.store.serveReplica(id, data)
 	if err != nil {
 		return nil, err
 	}
 	f.s.snapshotDone(len(data), time.Since(t0))
-	f.mu.Lock()
-	_, rebootstrap := f.reps[id]
-	f.reps[id] = &replica{leaderSeq: seq}
-	f.mu.Unlock()
+	rep := f.replica(id)
+	rep.mu.Lock()
+	rep.leaderSeq, rep.lastErr = seq, ""
+	rep.mu.Unlock()
 	if rebootstrap {
 		f.s.inst.rebootstraps.Inc()
 		f.s.obs.Events().EmitTree(obs.EvRebootstrap, uint64(id),
@@ -489,31 +496,23 @@ type replicaHealth struct {
 
 // treeHealth returns tree id's poll state against its applied sequence.
 func (f *follower) treeHealth(id dyntc.TreeID, applied uint64) *replicaHealth {
-	rh := &replicaHealth{}
-	if rep := f.replica(id); rep != nil {
-		rep.mu.Lock()
-		rh.LeaderSeq, rh.Waves, rh.LastError = rep.leaderSeq, rep.applied, rep.lastErr
-		rep.mu.Unlock()
-	}
+	rep := f.replica(id)
+	rep.mu.Lock()
+	rh := &replicaHealth{LeaderSeq: rep.leaderSeq, Waves: rep.applied, LastError: rep.lastErr}
+	rep.mu.Unlock()
 	if rh.LeaderSeq > applied {
 		rh.Lag = rh.LeaderSeq - applied
 	}
 	return rh
 }
 
-// handlePromote turns a following server into the leader of a new term,
-// in place: the same engines keep serving under the same mux, each tree
-// moves to epoch+1 and gets its wave log, and the old leader is told to
-// fence itself (best-effort — epoch fencing protects correctness even if
-// the demote call never lands). A leader answers 404.
-//
-// Promotion is all-or-nothing. Phase 1 prepares: with poll rounds held
-// off, every tree's wave log is opened. Any failure closes what was
-// opened and answers 500; the process keeps following and a retried
-// POST /v1/promote can succeed. Phase 2 commits: stop the poll loop,
-// move every tree to the new term, persist its anchor snapshot, attach
-// its log, and flip the role. Only a tree whose engine no longer answers
-// a barrier (closed or poisoned) is left out, logged and not counted.
+// handlePromote turns a following server into the leader of a new term
+// in place: the same engines, mux and logs. It halts the poll loop, tells
+// the old leader to fence itself, moves every tree to epoch+1 and flips
+// the role (failover_ms). Then it rewrites each tree's anchor at the new
+// epoch, so a restart before the first new-term wave stays a term ahead
+// of the old leader. A tree whose engine no longer answers a barrier
+// leaves the forest and the store; its files stay. A leader answers 404.
 //
 // The caller is responsible for promoting a caught-up follower: waves
 // the old leader acknowledged past each replica's sequence are lost,
@@ -531,97 +530,64 @@ func (s *server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t0 := time.Now()
-
-	f.round.Lock()
-	logs := make(map[dyntc.TreeID]*dyntc.WaveLog)
-	var perr error
-	s.forest.Each(func(id dyntc.TreeID, _ *dyntc.Engine) {
-		if perr != nil {
-			return
-		}
-		wl, err := s.store.openLog(id)
-		if err != nil {
-			perr = fmt.Errorf("promote tree %d: %w", id, err)
-			return
-		}
-		logs[id] = wl
-	})
-	if perr != nil {
-		for _, wl := range logs {
-			_ = wl.Close()
-		}
-		f.round.Unlock()
-		writeErr(w, perr)
-		return
-	}
-
-	// Phase 2 — commit. Quit before releasing the round, so a poll round
-	// waiting on it finds the loop halted and changes nothing.
-	f.quitOnce.Do(func() { close(f.quit) })
-	f.round.Unlock()
 	f.halt()
-	var epoch uint64
-	promoted := 0
-	for id, wl := range logs {
-		en, _ := s.forest.Get(id)
-		ep, err := s.promoteTree(id, en, wl)
-		if err != nil {
-			slog.Error("tree not promoted", "tree", id, "err", err)
-			continue
-		}
-		promoted++
-		epoch = max(epoch, ep)
-	}
-	s.following.Store(nil)
-	s.inst.promotions.Inc()
-	failoverMS := time.Since(t0).Milliseconds()
-	s.obs.Events().Emit(obs.EvPromote, "promoted to leader",
-		map[string]any{"trees": promoted, "epoch": epoch, "failover_ms": failoverMS})
-
-	// Tell the old leader it is demoted. Best-effort and asynchronous: if
-	// it is dead or partitioned the epoch fence still rejects its late
-	// writes wave by wave.
-	go func(leader string, epoch uint64) {
+	// Best-effort: if the old leader is dead or partitioned, the epoch
+	// fence still rejects its late writes wave by wave. The follower's
+	// client bounds the call and passes the follower.rpc fault site.
+	go func(epoch uint64) {
 		body, _ := json.Marshal(map[string]uint64{"epoch": epoch})
-		resp, err := http.Post(leader+"/v1/demote", "application/json", bytes.NewReader(body))
+		resp, err := f.client.Post(f.leader+"/v1/demote", "application/json", bytes.NewReader(body))
 		if err != nil {
-			slog.Warn("demote old leader failed", "leader", leader, "err", err)
+			slog.Warn("demote old leader failed", "leader", f.leader, "err", err)
 			return
 		}
 		resp.Body.Close()
-	}(f.leader, epoch)
-
-	slog.Info("promoted to leader", "trees", promoted, "epoch", epoch, "failover_ms", failoverMS)
+	}(s.maxEpoch() + 1)
+	var epoch uint64
+	promoted := make(map[dyntc.TreeID]*dyntc.Engine)
+	s.forest.Each(func(id dyntc.TreeID, en *dyntc.Engine) {
+		ep, err := nextTerm(en)
+		if err != nil {
+			slog.Error("tree not promoted", "tree", id, "err", err)
+			s.store.retire(id)
+			s.forest.Drop(id)
+			return
+		}
+		promoted[id] = en
+		epoch = max(epoch, ep)
+	})
+	s.following.Store(nil)
+	failoverMS := time.Since(t0).Milliseconds()
+	for id, en := range promoted {
+		if e := s.store.get(id); e != nil {
+			if _, err := s.store.reanchor(id, en, e); err != nil {
+				slog.Error("promotion anchor not written: a restart before the tree's next wave recovers the old epoch",
+					"tree", id, "err", err)
+			}
+		}
+	}
+	s.inst.promotions.Inc()
+	s.obs.Events().Emit(obs.EvPromote, "promoted to leader",
+		map[string]any{"trees": len(promoted), "epoch": epoch, "failover_ms": failoverMS})
+	slog.Info("promoted to leader", "trees", len(promoted), "epoch", epoch, "failover_ms", failoverMS)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"promoted":    true,
-		"trees":       promoted,
+		"trees":       len(promoted),
 		"epoch":       epoch,
 		"failover_ms": failoverMS,
 	})
 }
 
-// promoteTree moves one replica into the next leadership term — the
-// Expr's epoch inside a barrier, then the engine's wave stamp — and
-// adopts it with the term's anchor snapshot and the prepared log. It
-// returns the new epoch, or an error when the tree's engine no longer
-// answers a barrier and the tree was not promoted (adopt closed wl).
-func (s *server) promoteTree(id dyntc.TreeID, en *dyntc.Engine, wl *dyntc.WaveLog) (uint64, error) {
+// nextTerm moves en's Expr (in a barrier), then its wave stamp, into the
+// next leadership term and returns the new epoch.
+func nextTerm(en *dyntc.Engine) (uint64, error) {
 	var next uint64
 	if err := en.Query(func(e *dyntc.Expr) {
 		next = e.Epoch() + 1
 		e.AdoptEpoch(next)
-	}); err == nil {
-		en.SetEpoch(next)
-	}
-	err := s.store.adopt(id, en, birth{log: wl})
-	if s.store.get(id) == nil {
+	}); err != nil {
 		return 0, err
 	}
-	if err != nil {
-		// Keep failing over: the tree serves from memory and the next
-		// compaction re-anchors it.
-		slog.Error("persist promoted snapshot failed", "tree", id, "err", err)
-	}
-	slog.Info("tree promoted", "tree", id, "seq", en.AppliedSeq(), "epoch", next)
+	en.SetEpoch(next)
 	return next, nil
 }

@@ -13,7 +13,7 @@
 //	dyntcd -addr :8080 -wal-dir /var/lib/dyntcd   # durable wave log
 //	dyntcd -addr :8080 -wal-dir d -compact-every 10000  # + log compaction
 //	dyntcd -addr :8081 -follow http://leader:8080 # read replica, same read API
-//	dyntcd -addr :8081 -follow http://leader:8080 -wal-dir d   # promotes with a WAL
+//	dyntcd -addr :8081 -follow http://leader:8080 -wal-dir d   # durable replicas
 //	dyntcd -addr :8080 -faults 'wal.append:after=100:torn=0.5:times=1' -fault-seed 7
 //
 // A tree's wave phases run on its engine's executor goroutine, and its
@@ -31,31 +31,34 @@
 // -wal-dir set, an append-only <dir>/tree-<id>.wal file. Snapshots
 // (GET/PUT /v1/trees/{id}/snapshot) capture a tree's exact state through
 // an engine barrier. In -follow mode the same server serves read-only
-// replicas of every leader tree as engines in its forest: snapshot
-// bootstrap, then verified in-order wave replay (Engine.ApplyWave),
-// re-bootstrapping automatically when it falls behind the leader's ring.
-// Every read endpoint is shared by both roles; writes answer 403 while
-// following. GET /v1/healthz reports per-tree applied sequence numbers
-// (and, on a follower, lag).
+// replicas of every leader tree as engines in its forest, each a store
+// entry like a leader's tree: snapshot bootstrap (the replica's anchor),
+// then verified in-order wave replay (Engine.ApplyWave) into the
+// replica's own log, re-bootstrapping when it falls behind the leader's
+// ring. Every read endpoint, the log tail included, is shared by both
+// roles; writes answer 403 while following. GET /v1/healthz reports
+// per-tree applied sequence numbers (and, on a follower, lag).
 //
 // Failover: every wave and snapshot is stamped with a leadership epoch.
 // POST /v1/promote on a follower flips it to leading in place — each
-// replica engine moves to epoch+1 and gets its wave log, under the same
-// mux — and the old leader, once it observes the newer term (via
+// replica engine moves to epoch+1 in place and then re-anchors — and
+// the old leader, once it observes the newer term (via
 // the demote call the promotion fires, an explicit POST /v1/demote, or a
 // follower's X-Dyntc-Epoch header on log fetches), fences itself
 // read-only: writes 403, reads and the log tail keep flowing. Waves from
 // the demoted term are rejected by every log and replica that has seen
-// the new one (epoch fencing). A leader started over a -wal-dir from a
-// crash recovers at startup: each tree-<id>.snap restores, the WAL tail
-// past it replays (a torn tail is truncated, not fatal), and serving
-// resumes from a fresh snapshot + WAL pair. A follower that cannot reach
-// its leader keeps serving reads in explicit degraded mode — healthz
-// turns 503 after 3 consecutive failed polls or the -degraded-after
-// staleness bound, reads carry X-Dyntc-Staleness-Ms, and the poll loop
-// backs off exponentially with seeded jitter. -faults/-fault-seed drive
-// the deterministic fault-injection harness (see dyntc.FaultInjector)
-// at sites engine.wave, wal.append, wal.sync and follower.rpc.
+// the new one (epoch fencing). A server started over a -wal-dir from a
+// crash recovers at startup, in either role: each tree-<id>.snap
+// restores, the WAL tail past it replays (a torn tail is truncated, not
+// fatal), and serving resumes from a fresh snapshot + WAL pair; a
+// follower then resumes each log tail at its recovered sequence. A
+// follower that cannot reach its leader keeps serving reads in explicit
+// degraded mode — healthz turns 503 after 3 consecutive failed polls or
+// the -degraded-after staleness bound, reads carry X-Dyntc-Staleness-Ms,
+// and the poll loop backs off exponentially with seeded jitter.
+// -faults/-fault-seed drive the deterministic fault-injection harness
+// (see dyntc.FaultInjector) at sites engine.wave, wal.append, wal.sync
+// and follower.rpc.
 //
 // Cross-tree queries (internal/query): POST /v1/query scatters one read
 // (root value, node value, subtree size) over any subset of the forest —
@@ -172,8 +175,7 @@ func main() {
 	}
 
 	if *walDir != "" {
-		// Leaders log into it now; a follower needs it the moment it is
-		// promoted, so create it up front in both modes.
+		// Both roles log every tree into it.
 		if err := os.MkdirAll(*walDir, 0o755); err != nil {
 			fatal("wal dir", "err", err)
 		}
@@ -186,11 +188,12 @@ func main() {
 		s.follow(*follow, *poll).degradedAfter = *degAfter
 	}
 	s.setFaults(faults, *faultSeed)
-	// A follower recovers nothing: its trees come from the leader.
+	// A follower resumes each recovered replica's log tail.
+	if err := s.store.recover(); err != nil {
+		fatal("startup recovery", "err", err)
+	}
 	if f := s.following.Load(); f != nil {
 		f.start()
-	} else if err := s.store.recover(); err != nil {
-		fatal("startup recovery", "err", err)
 	}
 	var handler http.Handler = s.routes()
 	if *accessLog {

@@ -14,7 +14,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -446,5 +448,152 @@ func TestRecoverLegacySnapshotAnchor(t *testing.T) {
 	}
 	if data, err := os.ReadFile(anchor); err != nil || !replog.IsCurrent(data) {
 		t.Fatalf("recovery did not re-anchor on a current snapshot (err %v)", err)
+	}
+}
+
+// TestFollowerRestartResumesFromWAL: a -wal-dir follower that stopped —
+// abandoned without closing its store, as a killed process is, or shut
+// down gracefully — recovers its replica from disk at the sequence it had
+// applied, resumes the leader's log tail there without fetching a
+// snapshot, and converges byte for byte. When the leader restarted too,
+// its recovered log starts past the follower's sequence: the tail answers
+// 410 and the follower catches up through one snapshot instead of
+// stalling at its own sequence.
+func TestFollowerRestartResumesFromWAL(t *testing.T) {
+	const n, m = 6, 4
+	for _, tc := range []struct {
+		name                    string
+		graceful, leaderRestart bool
+	}{
+		{"abandoned", false, false},
+		{"graceful", true, false},
+		{"leader-restarted", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dirL := t.TempDir()
+			leader := newServerWAL(dyntc.BatchOptions{}, dirL, 0)
+			var serving atomic.Pointer[server]
+			serving.Store(leader)
+			var snapshots atomic.Int64
+			counted := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/snapshot") {
+					snapshots.Add(1)
+				}
+				serving.Load().routes().ServeHTTP(w, r)
+			}))
+			t.Cleanup(func() {
+				counted.Close()
+				serving.Load().close()
+			})
+			var created struct {
+				Tree uint64 `json:"tree"`
+			}
+			call(t, "POST", counted.URL+"/v1/trees", map[string]any{"root": 1, "seed": 12}, 201, &created)
+			base := fmt.Sprintf("%s/v1/trees/%d", counted.URL, created.Tree)
+
+			dir := t.TempDir()
+			fo := newServerWAL(dyntc.BatchOptions{}, dir, 0)
+			f := fo.follow(counted.URL, time.Millisecond)
+			if !f.syncOnce() { // bootstrap at seq 0
+				t.Fatal("bootstrap round failed")
+			}
+			leaf := growSome(t, base, n, 0)
+			if !f.syncOnce() {
+				t.Fatal("catch-up round failed")
+			}
+			if en, ok := fo.forest.Get(created.Tree); !ok || en.AppliedSeq() != n {
+				t.Fatalf("follower did not catch up to seq %d", n)
+			}
+			if tc.graceful {
+				fo.close()
+			} else {
+				t.Cleanup(fo.close)
+			}
+
+			growSome(t, base, m, leaf)
+			if tc.leaderRestart {
+				leader.close()
+				l2 := newServerWAL(dyntc.BatchOptions{}, dirL, 0)
+				if err := l2.store.recover(); err != nil {
+					t.Fatal(err)
+				}
+				serving.Store(l2)
+			}
+			snapshots.Store(0)
+			fo2 := newServerWAL(dyntc.BatchOptions{}, dir, 0)
+			if err := fo2.store.recover(); err != nil {
+				t.Fatal(err)
+			}
+			defer fo2.close()
+			en, ok := fo2.forest.Get(created.Tree)
+			if !ok || en.AppliedSeq() != n {
+				t.Fatalf("recovered replica (served %v) not at seq %d", ok, n)
+			}
+			if ls := fo2.store.get(created.Tree).log.LastSeq(); ls != n {
+				t.Fatalf("recovered replica's log at seq %d, want %d", ls, n)
+			}
+			if !fo2.follow(counted.URL, time.Millisecond).syncOnce() {
+				t.Fatal("resume round failed")
+			}
+			if got := en.AppliedSeq(); got != n+m {
+				t.Fatalf("resumed replica at seq %d, want %d", got, n+m)
+			}
+			want := int64(0)
+			if tc.leaderRestart {
+				want = 1
+			}
+			if got := snapshots.Load(); got != want {
+				t.Fatalf("the leader served %d snapshots to the restarted follower, want %d", got, want)
+			}
+			lsnap := getBytes(t, base+"/snapshot", 200)
+			fsnap, err := en.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(lsnap, fsnap) {
+				t.Fatal("restarted follower's snapshot differs from the leader's")
+			}
+		})
+	}
+}
+
+// TestChainedReplication: a follower serves its replicas' log tails from
+// their rings, so a second follower can tail the first. Under live leader
+// traffic the second ends byte-identical to the leader, having applied
+// waves from the first's log, not only snapshots.
+func TestChainedReplication(t *testing.T) {
+	leaderSrv, _ := startTestServer(t)
+	var created struct {
+		Tree uint64 `json:"tree"`
+	}
+	call(t, "POST", leaderSrv.URL+"/v1/trees", map[string]any{"root": 2, "seed": 14}, 201, &created)
+	base := fmt.Sprintf("%s/v1/trees/%d", leaderSrv.URL, created.Tree)
+	leaf := growSome(t, base, 4, 0)
+
+	first := newServer(dyntc.BatchOptions{})
+	first.follow(leaderSrv.URL, 2*time.Millisecond)
+	firstSrv := serveFollower(t, first)
+	second := newServer(dyntc.BatchOptions{})
+	second.follow(firstSrv.URL, 2*time.Millisecond)
+	secondSrv := serveFollower(t, second)
+	waitHealthz(t, secondSrv.URL, func(_ int, h healthTrees) bool { return len(h.Trees) == 1 })
+
+	leaf = growSome(t, base, 12, leaf)
+	for i := 0; i < 8; i++ {
+		call(t, "POST", base+"/set-leaf", map[string]any{"leaf": leaf, "value": i}, 200, nil)
+	}
+	var lh healthTrees
+	call(t, "GET", leaderSrv.URL+"/v1/healthz", nil, 200, &lh)
+	want := lh.Trees[0].AppliedSeq
+	waitHealthz(t, secondSrv.URL, func(_ int, h healthTrees) bool {
+		return len(h.Trees) == 1 && h.Trees[0].AppliedSeq == want
+	})
+	if rep := second.following.Load().treeHealth(created.Tree, want); rep.Waves == 0 {
+		t.Fatal("the second follower applied no wave from the first one's log")
+	}
+	lsnap := getBytes(t, base+"/snapshot", 200)
+	ssnap := getBytes(t, fmt.Sprintf("%s/v1/trees/%d/snapshot", secondSrv.URL, created.Tree), 200)
+	if !bytes.Equal(lsnap, ssnap) {
+		t.Fatal("chained follower's snapshot differs from the leader's")
 	}
 }

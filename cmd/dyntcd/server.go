@@ -399,7 +399,7 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		opts = append(opts, dyntc.WithTour())
 	}
 	id, en := s.forest.Create(ring, req.Root, opts...)
-	if err := s.store.adopt(id, en, birth{}); err != nil {
+	if err := s.store.adopt(id, en, false); err != nil {
 		s.forest.Drop(id)
 		writeErr(w, err)
 		return
@@ -776,7 +776,7 @@ func (s *server) handlePutSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	// The anchor is the restored tree re-encoded, so a body an older build
 	// wrote is persisted in the current codec.
-	if err := s.store.adopt(id, en, birth{}); err != nil {
+	if err := s.store.adopt(id, en, false); err != nil {
 		s.forest.Drop(id)
 		writeErr(w, err)
 		return
@@ -791,7 +791,8 @@ func (s *server) handleLog(w http.ResponseWriter, r *http.Request, en *dyntc.Eng
 	id, _ := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	e := s.store.get(id)
 	if e == nil {
-		// Followers keep no logs.
+		// Between a replica's retirement and its re-birth (re-bootstrap),
+		// or after a failed one.
 		writeErr(w, apiError{http.StatusNotFound, fmt.Sprintf("no log for tree %d", id)})
 		return
 	}

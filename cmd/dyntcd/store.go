@@ -14,14 +14,17 @@ import (
 	"dyntc/internal/replog"
 )
 
-// store is every tree's durable state below the HTTP handlers: its ring
-// (op names parse against it), its wave log — the in-memory ring
-// followers tail and, with a WAL directory, tree-<id>.wal — and its
-// compactor. The service promises that an acknowledged wave survives a
-// process kill; these are its rules:
+// store is every served tree's durable state, leader or replica, below
+// the HTTP handlers: its ring (op names parse against it), its wave log
+// — the in-memory ring followers tail and, with a WAL directory,
+// tree-<id>.wal — and its compactor. An acknowledged or replica-applied
+// wave survives a process kill; these are the rules:
 //
 //   - Files: tree id is the pair tree-<id>.snap, the anchor, and
 //     tree-<id>.wal, the waves after it. file spells the layout.
+//   - One birth: adopt is the only way a tree gets an entry — create,
+//     PUT, a replica's bootstrap and re-bootstrap, recovery. A promoted
+//     replica keeps its entry; only its anchor is rewritten.
 //   - Anchor first: adopt persists the anchor before the tree's log takes
 //     a wave, and compaction persists a new one before trimming the log,
 //     so no WAL holds waves without the snapshot their replay starts from.
@@ -29,7 +32,8 @@ import (
 //     when the log cannot be opened, so recovery cannot resurrect a tree
 //     whose create or PUT answered an error.
 //   - Recovery replays each WAL past its anchor, then adopts the result
-//     under a fresh anchor and log. A WAL the replay consumed is deleted;
+//     under a fresh anchor and log. A WAL the new anchor supersedes — all
+//     of it replayed, or the replica re-bootstrapped — is deleted;
 //     opening the new log keeps any other non-empty WAL aside as
 //     tree-<id>.wal.<nanos>.old.
 type store struct {
@@ -51,15 +55,17 @@ type store struct {
 	trees sync.Map // dyntc.TreeID -> *entry
 }
 
-// entry is one leading tree's durable state; a follower's replicas have
-// none until promotion adopts them. An entry is not changed once
-// published.
+// entry is one served tree's durable state, leader or replica. An entry
+// is not changed once published.
 type entry struct {
 	ring dyntc.Ring
 	log  *dyntc.WaveLog
 	// kick is non-nil when a compactor runs (compactEvery > 0); stop and
 	// done stop it and wait for it.
 	kick, stop, done chan struct{}
+	// anchorMu orders the rewrites of a served tree's anchor (compaction,
+	// promotion), so it only moves forward, and close waits for them.
+	anchorMu sync.Mutex
 }
 
 func newStore(forest *dyntc.Forest, dir string, logCap int, hub *dyntc.Obs) *store {
@@ -82,50 +88,34 @@ func (st *store) get(id dyntc.TreeID) *entry {
 	return e
 }
 
-// birth is what adopt needs beyond the tree itself.
-type birth struct {
-	// log is promotion's prepared log, or nil to open one.
-	log *dyntc.WaveLog
-	// replayed says recovery replayed all of the tree's WAL, so the new
-	// anchor supersedes it.
-	replayed bool
-}
-
 // adopt makes en durable as tree id and publishes its entry: one barrier
 // reads the tree's ring and its snapshot at the applied sequence, the
 // snapshot is persisted as the anchor (genesis first, so no wave reaches
-// the WAL before it), a WAL recovery replayed is deleted, the tree's log
-// is opened unless b carries a prepared one, en is tapped into it and the
-// compactor started. On failure nothing is published: adopt removes the
-// anchor if it created it (recovery's re-anchor stays, since it holds the
-// recovered state) and closes a prepared log.
-//
-// Promotion's commit phase must keep failing over, so with a prepared log
-// only a failed barrier stops the birth: an anchor that cannot be written
-// is returned as the error, but the tree is published and serves from
-// memory until the next compaction re-anchors it.
-func (st *store) adopt(id dyntc.TreeID, en *dyntc.Engine, b birth) error {
+// the WAL before it), the tree's WAL is deleted when supersede says the
+// anchor covers every wave it holds, the tree's log is opened, en is
+// tapped into it and the compactor started. On failure nothing is
+// published: adopt removes the anchor if it created it (a re-anchor
+// stays, since it holds the tree's state).
+func (st *store) adopt(id dyntc.TreeID, en *dyntc.Engine, supersede bool) error {
 	ring, created, err := st.anchor(id, en)
-	wl := b.log
-	if ring != nil && err == nil && wl == nil {
-		if b.replayed {
+	var wl *dyntc.WaveLog
+	if err == nil {
+		if supersede {
 			// The anchor is durable and covers every wave the WAL held.
 			// NewLog keeps any other non-empty WAL aside as .old.
 			if err := os.Remove(st.file(id, ".wal")); err != nil && !errors.Is(err, os.ErrNotExist) {
-				slog.Error("remove replayed wal failed", "tree", id, "err", err)
+				slog.Error("remove superseded wal failed", "tree", id, "err", err)
 			}
 		}
 		wl, err = st.openLog(id)
 	}
-	if ring == nil || wl == nil {
+	if err != nil {
 		if created {
 			_ = os.Remove(st.file(id, ".snap"))
 		}
-		if wl != nil {
-			_ = wl.Close()
-		}
 		return err
 	}
+	wl.Resume(en.AppliedSeq())
 	e := &entry{ring: ring, log: wl}
 	if st.compactEvery > 0 {
 		e.kick = make(chan struct{}, 1) // coalesces kicks
@@ -151,12 +141,12 @@ func (st *store) adopt(id dyntc.TreeID, en *dyntc.Engine, b birth) error {
 		}
 	})
 	st.trees.Store(id, e)
-	return err
+	return nil
 }
 
 // anchor reads en's ring and, with a WAL directory, persists en's
-// snapshot as tree-<id>.snap, both from one barrier. The ring is nil only
-// when the barrier fails; created reports whether the file is new.
+// snapshot as tree-<id>.snap, both from one barrier; created reports
+// whether the file is new.
 func (st *store) anchor(id dyntc.TreeID, en *dyntc.Engine) (dyntc.Ring, bool, error) {
 	var ring dyntc.Ring
 	var data []byte
@@ -196,20 +186,72 @@ func (st *store) openLog(id dyntc.TreeID) (*dyntc.WaveLog, error) {
 	return wl, nil
 }
 
-// drop retires tree id: it closes the engine and, for a leading tree,
-// stops the compactor, closes the log and removes the tree's files, so a
-// dropped tree does not resurrect on restart. It reports whether id was
-// served.
+// drop closes tree id's engine and retires its entry, removing its
+// files so it does not resurrect. It reports whether id was served.
 func (st *store) drop(id dyntc.TreeID) bool {
 	ok := st.forest.Drop(id)
-	if v, loaded := st.trees.LoadAndDelete(id); loaded {
-		v.(*entry).close(id)
-		if st.dir != "" {
-			_ = os.Remove(st.file(id, ".snap"))
-			_ = os.Remove(st.file(id, ".wal"))
-		}
+	if st.retire(id) && st.dir != "" {
+		_ = os.Remove(st.file(id, ".snap"))
+		_ = os.Remove(st.file(id, ".wal"))
 	}
 	return ok
+}
+
+// retire unpublishes tree id's entry, if any: the engine is untapped, the
+// compactor stopped and the log flushed and closed; the files stay. It
+// reports whether there was an entry.
+func (st *store) retire(id dyntc.TreeID) bool {
+	v, loaded := st.trees.LoadAndDelete(id)
+	if loaded {
+		if en, ok := st.forest.Get(id); ok {
+			en.SetWaveTap(nil)
+		}
+		v.(*entry).close(id)
+	}
+	return loaded
+}
+
+// serveReplica serves snapshot data as replica id, anchored on it. A
+// served replica is replaced in place (Forest.Replace: reads never miss
+// the id) unless data does not decode; replaced reports it. Any later
+// failure drops the replica, keeping its files, for the next round.
+func (st *store) serveReplica(id dyntc.TreeID, data []byte) (en *dyntc.Engine, seq uint64, replaced bool, err error) {
+	if replaced = st.get(id) != nil; replaced {
+		if _, _, err := dyntc.RestoreExpr(data); err != nil {
+			return nil, 0, true, err
+		}
+		st.retire(id)
+	}
+	en, seq, err = st.forest.Replace(id, data)
+	if err == nil {
+		err = st.adopt(id, en, replaced)
+	}
+	if err != nil {
+		st.forest.Drop(id)
+		return nil, 0, replaced, err
+	}
+	return en, seq, replaced, nil
+}
+
+// reanchor persists en's state as tree id's anchor (compaction, and
+// promotion's new epoch) while e is published, and returns its sequence:
+// the applied one in ring-only mode, which has nothing to write.
+func (st *store) reanchor(id dyntc.TreeID, en *dyntc.Engine, e *entry) (uint64, error) {
+	e.anchorMu.Lock()
+	defer e.anchorMu.Unlock()
+	if st.get(id) != e {
+		return 0, fmt.Errorf("tree %d: entry retired", id)
+	}
+	if st.dir == "" {
+		return en.AppliedSeq(), nil
+	}
+	t0 := time.Now()
+	data, seq, err := en.SnapshotAt()
+	if err != nil {
+		return 0, err
+	}
+	st.snapshotDone(len(data), time.Since(t0))
+	return seq, writeFileSync(st.file(id, ".snap"), data)
 }
 
 // close stops every compactor and flushes and closes every log (shutdown
@@ -230,6 +272,8 @@ func (e *entry) close(id dyntc.TreeID) {
 		close(e.stop)
 		<-e.done
 	}
+	e.anchorMu.Lock() // the files are the caller's once close returns
+	defer e.anchorMu.Unlock()
 	if err := e.log.Close(); err != nil {
 		slog.Error("wal close failed", "tree", id, "err", err)
 	}
@@ -246,29 +290,14 @@ func (st *store) compactLoop(id dyntc.TreeID, en *dyntc.Engine, e *entry) {
 			return
 		case <-e.kick:
 		}
-		var seq uint64
-		if st.dir != "" {
-			// The durable path: persist a snapshot first, then trim the
-			// log to it — snapshot + compacted WAL replaces genesis + log.
-			t0 := time.Now()
-			data, snapSeq, err := en.SnapshotAt()
-			if err != nil {
-				slog.Error("compact snapshot failed", "tree", id, "err", err)
-				continue
-			}
-			st.snapshotDone(len(data), time.Since(t0))
-			if err := writeFileSync(st.file(id, ".snap"), data); err != nil {
-				// Keep the log intact: without the persisted snapshot the
-				// trimmed prefix would be unrecoverable on disk.
-				slog.Error("compact snapshot write failed", "tree", id, "err", err)
-				continue
-			}
-			seq = snapSeq
-		} else {
-			// Ring-only mode: no serialization needed — trim to the
-			// current applied sequence; followers needing older waves
-			// re-bootstrap from the live snapshot endpoint anyway.
-			seq = en.AppliedSeq()
+		// Persist a snapshot first, then trim the log to it — snapshot +
+		// compacted WAL replaces genesis + log.
+		seq, err := st.reanchor(id, en, e)
+		if err != nil {
+			// Keep the log intact: without the persisted snapshot the
+			// trimmed prefix would be unrecoverable on disk.
+			slog.Error("compact snapshot failed", "tree", id, "err", err)
+			continue
 		}
 		// Trim with a retention margin (a quarter of the ring) so
 		// steadily-polling followers — typically a few waves behind —
@@ -366,7 +395,7 @@ func (st *store) recover() error {
 				"adopted a newer leadership epoch from the wal tail",
 				map[string]any{"epoch": epoch, "from": snapEpoch})
 		}
-		if err := st.adopt(id, en, birth{replayed: replayed}); err != nil {
+		if err := st.adopt(id, en, replayed); err != nil {
 			return err
 		}
 		slog.Info("tree recovered", "tree", id, "seq", en.AppliedSeq(), "epoch", epoch)
@@ -381,8 +410,8 @@ func (st *store) recover() error {
 
 // replay applies tree id's WAL, if any, past en's sequence through the
 // verified apply path. The engine is untapped here, so the replayed waves
-// are not re-logged. It reports whether the replay consumed the whole
-// file, a truncated torn tail included.
+// are not re-logged: the new anchor covers them. It reports whether the
+// replay consumed the whole file, a truncated torn tail included.
 func (st *store) replay(id dyntc.TreeID, en *dyntc.Engine) bool {
 	path := st.file(id, ".wal")
 	if _, err := os.Stat(path); err != nil {

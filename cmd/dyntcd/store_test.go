@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -345,6 +346,77 @@ func TestCrashPointSweep(t *testing.T) {
 	}
 }
 
+// TestFollowerCrashPointSweep is the follower side of the sweep: it
+// crashes a -wal-dir follower's WAL append of the applied wave N+1 for
+// every N in 1..16. The crash hook panics inside the replica's wave tap,
+// so the replica's engine poisons itself before that wave counts as
+// applied, and the re-bootstrap the round then tries fails on the dead
+// engine. A follower restarted on the same directory must recover
+// exactly the N waves the crashed one logged (its snapshot byte-identical
+// to the sequential replay oracle), resume the leader's log tail and end
+// byte-identical to the leader.
+func TestFollowerCrashPointSweep(t *testing.T) {
+	const n = 24
+	prog, genesis, waves := sweepProgram(t, n)
+	for crashAt := 1; crashAt <= 16; crashAt++ {
+		leader := newServer(dyntc.BatchOptions{})
+		lh := leader.routes()
+		lts := httptest.NewServer(lh)
+		if status, _ := serveLocal(t, lh, "POST", "/v1/trees", map[string]any{"root": 1, "seed": 9}); status != 201 {
+			t.Fatalf("create: status %d", status)
+		}
+
+		dir := t.TempDir()
+		fo := newServerWAL(dyntc.BatchOptions{}, dir, 0)
+		f := fo.follow(lts.URL, time.Millisecond)
+		in, err := dyntc.FaultInjectorFromSpec(uint64(crashAt), fmt.Sprintf("wal.append:after=%d:crash:times=1", crashAt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fo.setFaults(in, uint64(crashAt))
+		if !f.syncOnce() { // bootstrap at seq 0
+			t.Fatalf("crash after %d: bootstrap round failed", crashAt)
+		}
+		for i, op := range prog {
+			if status, body := serveLocal(t, lh, "POST", op.path, op.body); status != 200 {
+				t.Fatalf("program op %d: status %d: %s", i, status, body)
+			}
+		}
+		f.syncOnce()
+		if got := in.Firings("wal.append"); got != 1 {
+			t.Fatalf("crash after %d: the crash fired %d times, want 1", crashAt, got)
+		}
+		fo.close()
+
+		fo2 := newServerWAL(dyntc.BatchOptions{}, dir, 0)
+		if err := fo2.store.recover(); err != nil {
+			t.Fatal(err)
+		}
+		en, ok := fo2.forest.Get(1)
+		if !ok || en.AppliedSeq() != uint64(crashAt) {
+			t.Fatalf("crash after %d: recovered replica (served %v) not at seq %d", crashAt, ok, crashAt)
+		}
+		oracle, oseq := replayWAL(t, genesis, waves, uint64(crashAt))
+		osnap, err := oracle.Snapshot(oseq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := en.Snapshot(); !bytes.Equal(got, osnap) {
+			t.Fatalf("crash after %d: recovered replica differs from the replay oracle", crashAt)
+		}
+		if !fo2.follow(lts.URL, time.Millisecond).syncOnce() {
+			t.Fatalf("crash after %d: catch-up round failed", crashAt)
+		}
+		_, lsnap := serveLocal(t, lh, "GET", "/v1/trees/1/snapshot", nil)
+		if got, _ := en.Snapshot(); en.AppliedSeq() != n || !bytes.Equal(got, lsnap) {
+			t.Fatalf("crash after %d: caught-up replica at seq %d differs from the leader at %d", crashAt, en.AppliedSeq(), n)
+		}
+		fo2.close()
+		lts.Close()
+		leader.forest.Close()
+	}
+}
+
 // TestPromoteLeavesOutADeadTree: a replica whose engine no longer answers
 // a barrier cannot be anchored or given its ring, so promotion leaves it
 // out (no store entry, not counted) and promotes the rest, which take
@@ -385,4 +457,91 @@ func TestPromoteLeavesOutADeadTree(t *testing.T) {
 	}
 	call(t, "POST", fmt.Sprintf("%s/v1/trees/%d/set-leaf", foSrv.URL, live.Tree),
 		map[string]any{"leaf": leaf, "value": 77}, 200, nil)
+}
+
+// TestPromotedTreeStaysLogged: promotion keeps every tree tapped into its
+// log, so a tree whose promotion anchor cannot be written — the WAL
+// directory is gone — still logs each write it acknowledges in the new
+// term: the wave is in its /log, at epoch 2, and the failed anchor is
+// logged.
+func TestPromotedTreeStaysLogged(t *testing.T) {
+	leaderSrv, _ := startTestServer(t)
+	var created struct {
+		Tree uint64 `json:"tree"`
+	}
+	call(t, "POST", leaderSrv.URL+"/v1/trees", map[string]any{"root": 1, "seed": 10}, 201, &created)
+	leaf := growSome(t, fmt.Sprintf("%s/v1/trees/%d", leaderSrv.URL, created.Tree), 3, 0)
+
+	dir := t.TempDir()
+	fo := newServerWAL(dyntc.BatchOptions{}, dir, 0)
+	if !fo.follow(leaderSrv.URL, time.Millisecond).syncOnce() {
+		t.Fatal("sync round failed")
+	}
+	foSrv := httptest.NewServer(fo.routes())
+	t.Cleanup(func() {
+		foSrv.Close()
+		fo.close()
+	})
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	h := &slogCapture{}
+	old := slog.Default()
+	slog.SetDefault(slog.New(h))
+	var promoted struct {
+		Trees int    `json:"trees"`
+		Epoch uint64 `json:"epoch"`
+	}
+	status := postStatus(t, foSrv.URL+"/v1/promote", nil, &promoted)
+	slog.SetDefault(old)
+	if status != 200 || promoted.Trees != 1 || promoted.Epoch != 2 {
+		t.Fatalf("promote: status %d %+v, want 1 tree at epoch 2", status, promoted)
+	}
+	if len(h.messages("promotion anchor not written: a restart before the tree's next wave recovers the old epoch")) != 1 {
+		t.Fatal("the failed promotion anchor was not logged")
+	}
+	base := fmt.Sprintf("%s/v1/trees/%d", foSrv.URL, created.Tree)
+	call(t, "POST", base+"/set-leaf", map[string]any{"leaf": leaf, "value": 5}, 200, nil)
+	var tail struct {
+		Waves   []dyntc.Wave `json:"waves"`
+		LastSeq uint64       `json:"last_seq"`
+	}
+	call(t, "GET", base+"/log?since=3", nil, 200, &tail)
+	if tail.LastSeq != 4 || len(tail.Waves) != 1 || tail.Waves[0].EpochOrDefault() != 2 {
+		t.Fatalf("acknowledged new-term write not logged: last_seq %d, %d waves", tail.LastSeq, len(tail.Waves))
+	}
+}
+
+// TestBadRebootstrapKeepsReplica: a re-bootstrap body that does not
+// decode leaves the served replica as it was — served, logged, and still
+// catching up — instead of dropping it until the next round.
+func TestBadRebootstrapKeepsReplica(t *testing.T) {
+	leaderSrv, _ := startTestServer(t)
+	var created struct {
+		Tree dyntc.TreeID `json:"tree"`
+	}
+	call(t, "POST", leaderSrv.URL+"/v1/trees", map[string]any{"root": 1, "seed": 11}, 201, &created)
+	base := fmt.Sprintf("%s/v1/trees/%d", leaderSrv.URL, created.Tree)
+	leaf := growSome(t, base, 2, 0)
+
+	fo := newServerWAL(dyntc.BatchOptions{}, t.TempDir(), 0)
+	t.Cleanup(fo.close)
+	f := fo.follow(leaderSrv.URL, time.Millisecond)
+	if !f.syncOnce() {
+		t.Fatal("sync round failed")
+	}
+	if _, _, _, err := fo.store.serveReplica(created.Tree, []byte("not a snapshot")); err == nil {
+		t.Fatal("a corrupt snapshot body was served")
+	}
+	if _, ok := fo.forest.Get(created.Tree); !ok || fo.store.get(created.Tree) == nil {
+		t.Fatal("a corrupt re-bootstrap body dropped the served replica")
+	}
+	call(t, "POST", base+"/set-leaf", map[string]any{"leaf": leaf, "value": 3}, 200, nil)
+	if !f.syncOnce() {
+		t.Fatal("sync round failed")
+	}
+	en, _ := fo.forest.Get(created.Tree)
+	if e := fo.store.get(created.Tree); en.AppliedSeq() != 3 || e.log.LastSeq() != 3 {
+		t.Fatalf("replica at seq %d, log at %d, want 3", en.AppliedSeq(), e.log.LastSeq())
+	}
 }

@@ -131,8 +131,8 @@ type Engine struct {
 	// a fresh engine, the host's term when the host reports one (a tree
 	// restored from a snapshot), advanced by SetEpoch at promotion.
 	epoch atomic.Uint64
-	// tap is the active wave tap (nil = none); swappable at runtime so a
-	// change log can attach to an already-serving engine.
+	// tap points at the active wave tap (a nil func = none); swappable at
+	// runtime so a change log can attach to an already-serving engine.
 	tap atomic.Pointer[WaveTap]
 
 	// sc is the executor's reusable flush/partition state (touched only by
@@ -176,9 +176,7 @@ func New(host Host, opts Options) *Engine {
 		done: make(chan struct{}),
 	}
 	e.ch = make(chan *Future, e.opts.Queue)
-	if e.opts.WaveTap != nil {
-		e.tap.Store(&e.opts.WaveTap)
-	}
+	e.tap.Store(&e.opts.WaveTap)
 	e.healer, _ = host.(healReporter)
 	// A host restored from a snapshot carries its leadership term; seed
 	// the wave stamp from it (same capability pattern as healer).
@@ -196,18 +194,13 @@ func New(host Host, opts Options) *Engine {
 // effect from the next executed wave; waves already executed are not
 // replayed into it, so attach the tap before traffic (or right after
 // restoring a snapshot) for a gapless log.
-func (e *Engine) SetWaveTap(tap WaveTap) {
-	if tap == nil {
-		e.tap.Store(nil)
-		return
-	}
-	e.tap.Store(&tap)
-}
+func (e *Engine) SetWaveTap(tap WaveTap) { e.tap.Store(&tap) }
 
-// Tapped reports whether a wave tap is currently attached: the engine's
+// Tap returns the attached wave tap, nil if none. A tapped engine's
 // mutating waves feed a change log, so state changes that bypass the wave
-// stream (mutations inside a Barrier) would silently diverge replicas.
-func (e *Engine) Tapped() bool { return e.tap.Load() != nil }
+// stream (mutations inside a Barrier) would silently diverge replicas,
+// and a barrier that applies a shipped wave hands it to the tap itself.
+func (e *Engine) Tap() WaveTap { return *e.tap.Load() }
 
 // AppliedSeq returns the sequence number of the last mutating wave the
 // engine executed (the tree state's position in the wave change-log).

@@ -524,7 +524,7 @@ func (e *Engine) phaseSetOps() {
 func (e *Engine) phaseSealWave() {
 	sc := &e.sc
 	seq := e.appliedSeq.Add(1)
-	tap := e.tap.Load()
+	tap := e.Tap()
 	if tap == nil {
 		return
 	}
@@ -560,7 +560,7 @@ func (e *Engine) phaseSealWave() {
 		})
 	}
 	w.Seal()
-	(*tap)(w)
+	tap(w)
 }
 
 // phaseReads answers the wave's reads against the tree it left behind.

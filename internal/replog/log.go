@@ -151,6 +151,19 @@ func NewLog(capacity int, path string) (*Log, error) {
 	return l, nil
 }
 
+// Resume starts an empty log at seq, the sequence of the snapshot its
+// tree starts from: LastSeq reports seq, the first append must carry
+// seq+1, and Since below seq answers ErrTruncated, since only that
+// snapshot covers the waves before it. It is a no-op once the log holds
+// a wave.
+func (l *Log) Resume(seq uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.n == 0 {
+		l.last = seq
+	}
+}
+
 // Append adds one sealed wave. The first append fixes the log's base
 // sequence (a log attached to a restored tree starts mid-stream); every
 // later append must carry the successor sequence number.

@@ -249,21 +249,23 @@ func applyNext(e *Expr, seq uint64, w Wave) (uint64, error) {
 // are skipped (idempotent re-delivery), an older epoch is ErrStaleEpoch,
 // a hole is ErrWaveGap, and a verified wave (Expr.ApplyWave) advances
 // AppliedSeq and the engine's epoch. It is how a replica engine catches
-// up with its leader and how startup recovery replays a WAL tail. A
-// wave-tapped engine refuses it with ErrLoggedBarrier, the way Query
-// refuses mutations there: its own waves are the log.
+// up with its leader and how startup recovery replays a WAL tail. On a
+// wave-tapped engine the verified wave goes to the tap before it counts
+// as applied, so a replica's log holds the leader's waves, gapless.
 func (en *Engine) ApplyWave(w Wave) error {
 	var err error
 	f := en.inner.Barrier(func(engine.Host) {
-		if en.inner.Tapped() {
-			err = ErrLoggedBarrier
+		seq := en.inner.AppliedSeq()
+		var next uint64
+		if next, err = applyNext(en.expr, seq, w); err != nil || next == seq {
 			return
 		}
-		var seq uint64
-		if seq, err = applyNext(en.expr, en.inner.AppliedSeq(), w); err == nil {
-			en.inner.SetAppliedSeq(seq)
-			en.inner.SetEpoch(en.expr.Epoch())
+		if tap := en.inner.Tap(); tap != nil {
+			w.SealedAt = 0 // sealed elsewhere: no seal→append stage here
+			tap(w)
 		}
+		en.inner.SetAppliedSeq(next)
+		en.inner.SetEpoch(en.expr.Epoch())
 	})
 	if werr := wait(f); werr != nil {
 		return werr

@@ -208,12 +208,11 @@ func value(f *Future) (int64, error) {
 	return v, err
 }
 
-// ErrLoggedBarrier reports a mutation attempted inside a Query callback
-// on a wave-tapped (replicated) engine. Barrier mutations bypass the wave
-// change-log — followers would never see them and silently diverge — so
-// on a tapped engine they are refused (the tree is untouched) and Query
-// returns this error. Route mutations through the Engine's own methods,
-// which the log records; untapped engines are unaffected.
+// ErrLoggedBarrier reports a mutation inside a Query callback, or a
+// Forest.Replace, on a wave-tapped (replicated) engine. Both bypass the
+// wave change-log — followers would never see them and silently diverge
+// — so they are refused (the tree is untouched). Route mutations through
+// the Engine's methods or ApplyWave, which the log records.
 var ErrLoggedBarrier = errors.New("dyntc: mutation inside Query on a replicated engine bypasses the wave log; use Engine methods")
 
 // Query runs fn with exclusive, linearized access to the Expr: fn sees a
@@ -227,7 +226,7 @@ var ErrLoggedBarrier = errors.New("dyntc: mutation inside Query on a replicated 
 func (en *Engine) Query(fn func(*Expr)) error {
 	var qerr error
 	f := en.inner.Barrier(func(engine.Host) {
-		if !en.inner.Tapped() {
+		if en.inner.Tap() == nil {
 			fn(en.expr)
 			return
 		}
@@ -401,7 +400,7 @@ func (f *Forest) Replace(id TreeID, snapshot []byte) (*Engine, uint64, error) {
 	}
 	var rerr error
 	b := en.inner.Barrier(func(engine.Host) {
-		if en.inner.Tapped() {
+		if en.inner.Tap() != nil {
 			rerr = ErrLoggedBarrier
 			return
 		}
