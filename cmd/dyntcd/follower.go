@@ -560,7 +560,7 @@ func (s *server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	failoverMS := time.Since(t0).Milliseconds()
 	for id, en := range promoted {
 		if e := s.store.get(id); e != nil {
-			if _, err := s.store.reanchor(id, en, e); err != nil {
+			if err := s.store.reanchor(id, en, e); err != nil {
 				slog.Error("promotion anchor not written: a restart before the tree's next wave recovers the old epoch",
 					"tree", id, "err", err)
 			}

@@ -11,7 +11,7 @@
 //	dyntcd -addr :8080
 //	dyntcd -addr :8080 -queue 16384   # deeper per-tree queue before 429s
 //	dyntcd -addr :8080 -wal-dir /var/lib/dyntcd   # durable wave log
-//	dyntcd -addr :8080 -wal-dir d -compact-every 10000  # + log compaction
+//	dyntcd -addr :8080 -wal-dir d -compact-every 10000  # + WAL compaction
 //	dyntcd -addr :8081 -follow http://leader:8080 # read replica, same read API
 //	dyntcd -addr :8081 -follow http://leader:8080 -wal-dir d   # durable replicas
 //	dyntcd -addr :8080 -faults 'wal.append:after=100:torn=0.5:times=1' -fault-seed 7
@@ -66,11 +66,12 @@
 // combiner (sum/min/max/count or a semiring add/mul), reporting each
 // tree's applied-wave sequence. Followers serve the same endpoint from
 // their replicas, so dashboards can offload cross-tree reads entirely
-// onto replicas. With -compact-every N each
-// tree's change log is compacted every N waves: the tree is snapshotted
-// (to <wal-dir>/tree-<id>.snap when -wal-dir is set) and the ring + WAL
-// are trimmed; followers that fall behind a trimmed log re-bootstrap via
-// the existing 410 path.
+// onto replicas. With -wal-dir and -compact-every N each tree's WAL is
+// compacted every N waves: one engine barrier snapshots the tree and cuts
+// the WAL there (tree-<id>.wal becomes tree-<id>.wal.prev and a fresh
+// tree-<id>.wal continues), then the snapshot is written as
+// <wal-dir>/tree-<id>.snap and tree-<id>.wal.prev is deleted. The ring is
+// not trimmed: it keeps its -log-cap waves, so followers keep tailing.
 //
 // Quick session:
 //
@@ -112,7 +113,7 @@ func main() {
 		logCap   = flag.Int("log-cap", 0, "waves retained in each tree's in-memory log ring (0 = default 4096)")
 		follow   = flag.String("follow", "", "leader base URL: run as a read-only replica of that dyntcd")
 		poll     = flag.Duration("poll", 50*time.Millisecond, "follower mode: leader poll interval")
-		compact  = flag.Int("compact-every", 0, "compact each tree's log every N waves: snapshot to <wal-dir>/tree-<id>.snap and trim the ring + WAL (0 = off)")
+		compact  = flag.Int("compact-every", 0, "with -wal-dir, compact each tree's WAL every N waves: cut it at a snapshot, written to <wal-dir>/tree-<id>.snap; the ring is not trimmed (0 = off)")
 		degAfter = flag.Duration("degraded-after", 2*time.Second, "follower mode: staleness bound before reporting degraded (0 = only the consecutive-error threshold)")
 
 		faultSpec = flag.String("faults", "", "deterministic fault schedule, e.g. 'wal.append:after=100:torn=0.5:times=1;follower.rpc:p=0.2:err=partition' (chaos testing; '' = off)")

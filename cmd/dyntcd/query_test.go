@@ -1,7 +1,7 @@
 package main
 
 // Tests for the cross-tree query endpoint (leader + follower), log
-// compaction, and load shedding.
+// compaction with a tailing follower, and load shedding.
 
 import (
 	"bytes"
@@ -12,10 +12,12 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dyntc"
+	"dyntc/internal/replog"
 )
 
 // readFileOrNil returns the file's bytes, or nil when unreadable.
@@ -124,17 +126,24 @@ func TestQueryEndpointAggregates(t *testing.T) {
 	call(t, "POST", ts.URL+"/v1/query", map[string]any{"from": 9}, 400, nil)
 }
 
-// TestCompactionTrimsLogAndFollowerRebootstraps proves the -compact-every
-// path end to end: compaction trims the ring (log reads before the trim
-// turn 410) and a follower behind the trim re-bootstraps from a snapshot
-// and converges.
-func TestCompactionTrimsLogAndFollowerRebootstraps(t *testing.T) {
+// TestCompactionKeepsFollowerTailing proves the -compact-every path end
+// to end: each compaction leaves an anchor at its sequence and a WAL that
+// holds only the waves after it, and since compaction leaves the ring
+// alone, a follower polling through three compactions keeps tailing the
+// log — no snapshot after its bootstrap — and ends byte-identical to the
+// leader.
+func TestCompactionKeepsFollowerTailing(t *testing.T) {
 	dir := t.TempDir()
-	// Small ring so the quarter-ring retention margin (2 waves here)
-	// doesn't swallow the trim under test.
 	s := newServerWAL(dyntc.BatchOptions{}, dir, 8)
 	s.store.compactEvery = 5
-	ts := httptest.NewServer(s.routes())
+	h := s.routes()
+	var snapshots atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/snapshot") {
+			snapshots.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
 	t.Cleanup(func() { ts.Close(); s.forest.Close(); s.store.close() })
 
 	var created struct {
@@ -142,73 +151,53 @@ func TestCompactionTrimsLogAndFollowerRebootstraps(t *testing.T) {
 	}
 	call(t, "POST", ts.URL+"/v1/trees", map[string]any{"root": 1, "seed": 11}, 201, &created)
 	base := fmt.Sprintf("%s/v1/trees/%d", ts.URL, created.Tree)
-	leaf := growSome(t, base, 6, 0)
+	leaf := growSome(t, base, 3, 0)
 
-	// Follower bootstraps at seq 6 (driven manually: no background loop,
+	// Follower bootstraps at seq 3 (driven manually: no background loop,
 	// so the race between traffic and polls is under test control).
 	fo := newServer(dyntc.BatchOptions{})
 	f := fo.follow(ts.URL, time.Millisecond)
 	t.Cleanup(fo.close)
-	f.syncOnce()
-	rep, ok := fo.forest.Get(created.Tree)
-	if !ok || rep.AppliedSeq() != 6 {
-		t.Fatalf("follower bootstrap: served=%v", ok)
+	if !f.syncOnce() {
+		t.Fatal("bootstrap round failed")
 	}
+	snapshots.Store(0)
+	rep, _ := fo.forest.Get(created.Tree)
 
-	// 14 more waves; compactEvery=5 kicks the compactor past seq 6.
-	leaf = growSome(t, base, 14, leaf)
-	waitCompacted := func(sinceGone uint64) {
-		t.Helper()
+	snapPath := fmt.Sprintf("%s/tree-%d.snap", dir, created.Tree)
+	walPath := fmt.Sprintf("%s/tree-%d.wal", dir, created.Tree)
+	seq := 3
+	for c := 1; c <= 3; c++ {
+		leaf = growSome(t, base, 5*c-seq, leaf)
+		// The compactor runs off the request path: wait for its anchor.
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			resp, err := http.Get(fmt.Sprintf("%s/log?since=%d", base, sinceGone))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusGone {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("log?since=%d still %d, compaction never trimmed", sinceGone, resp.StatusCode)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	waitCompacted(6) // the follower's position is now behind the ring
-
-	// Snapshot file persisted next to the WAL.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if data := readFileOrNil(fmt.Sprintf("%s/tree-%d.snap", dir, created.Tree)); data != nil {
-			if _, _, err := dyntc.RestoreExpr(data); err == nil {
+			_, aseq, err := dyntc.RestoreExpr(readFileOrNil(snapPath))
+			_, perr := os.Stat(walPath + ".prev")
+			if err == nil && aseq == uint64(5*c) && os.IsNotExist(perr) {
 				break
 			}
+			if time.Now().After(deadline) {
+				t.Fatalf("compaction %d: no anchor at seq %d", c, 5*c)
+			}
+			time.Sleep(time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("compaction snapshot never persisted")
+		leaf = growSome(t, base, 2, leaf)
+		seq = 5*c + 2
+		ws, err := replog.ReadWAL(walPath)
+		if err != nil || len(ws) != 2 || ws[0].Seq != uint64(5*c+1) {
+			t.Fatalf("compaction %d: wal holds %d waves (err %v), want %d..%d", c, len(ws), err, 5*c+1, seq)
 		}
-		time.Sleep(2 * time.Millisecond)
+		if !f.syncOnce() || rep.AppliedSeq() != uint64(seq) {
+			t.Fatalf("compaction %d: follower at seq %d, want %d", c, rep.AppliedSeq(), seq)
+		}
 	}
-
-	// The next sync hits 410 and re-bootstraps; one more sync drains any
-	// tail. The replica must land exactly on the leader's applied seq.
-	f.syncOnce()
-	f.syncOnce()
-	rep, ok = fo.forest.Get(created.Tree)
-	if !ok {
-		t.Fatal("replica lost after re-bootstrap")
+	if got := snapshots.Load(); got != 0 {
+		t.Fatalf("the follower fetched %d snapshots after its bootstrap, want 0", got)
 	}
-	en, _ := s.forest.Get(created.Tree)
-	if rep.AppliedSeq() != en.AppliedSeq() {
-		t.Fatalf("follower at %d, leader at %d", rep.AppliedSeq(), en.AppliedSeq())
-	}
-	var lv struct {
-		Value int64 `json:"value"`
-	}
-	call(t, "GET", base+"/value", nil, 200, &lv)
-	if got, err := rep.Root(); err != nil || got != lv.Value {
-		t.Fatalf("follower root %d (err %v), leader %d", got, err, lv.Value)
+	lsnap := getBytes(t, base+"/snapshot", 200)
+	if fsnap, err := rep.Snapshot(); err != nil || !bytes.Equal(fsnap, lsnap) {
+		t.Fatalf("follower snapshot differs from the leader's (err %v)", err)
 	}
 }
 

@@ -64,9 +64,10 @@ type server struct {
 	forest *dyntc.Forest
 	start  time.Time
 
-	// store holds every tree's ring, wave log and compactor and, with a
-	// WAL directory, its tree-<id>.snap/.wal pair (see store.go): the
-	// handlers and the follower reach durable state only through it.
+	// store holds every tree's ring and wave log and, with a WAL
+	// directory, its compactor and its tree-<id>.snap/.wal files (see
+	// store.go): the handlers and the follower reach durable state only
+	// through it.
 	store *store
 
 	// obs is the process's observability hub, shared with every engine

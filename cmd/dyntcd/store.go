@@ -17,34 +17,38 @@ import (
 // store is every served tree's durable state, leader or replica, below
 // the HTTP handlers: its ring (op names parse against it), its wave log
 // — the in-memory ring followers tail and, with a WAL directory,
-// tree-<id>.wal — and its compactor. An acknowledged or replica-applied
-// wave survives a process kill; these are the rules:
+// tree-<id>.wal — and, with a WAL directory, its compactor. An
+// acknowledged or replica-applied wave survives a process kill; these
+// are the rules:
 //
-//   - Files: tree id is the pair tree-<id>.snap, the anchor, and
-//     tree-<id>.wal, the waves after it. file spells the layout.
+//   - Files: tree id is tree-<id>.snap, the anchor, and tree-<id>.wal,
+//     the waves after it; from a compaction's cut until its anchor is
+//     durable, tree-<id>.wal.prev holds the waves before the cut. file
+//     spells the layout.
 //   - One birth: adopt is the only way a tree gets an entry — create,
 //     PUT, a replica's bootstrap and re-bootstrap, recovery. A promoted
 //     replica keeps its entry; only its anchor is rewritten.
 //   - Anchor first: adopt persists the anchor before the tree's log takes
-//     a wave, and compaction persists a new one before trimming the log,
-//     so no WAL holds waves without the snapshot their replay starts from.
+//     a wave, and compaction deletes tree-<id>.wal.prev only once the
+//     anchor that covers it is durable, so no WAL holds waves without the
+//     snapshot their replay starts from.
 //   - A failed birth leaves nothing: adopt removes an anchor it created
 //     when the log cannot be opened, so recovery cannot resurrect a tree
 //     whose create or PUT answered an error.
-//   - Recovery replays each WAL past its anchor, then adopts the result
-//     under a fresh anchor and log. A WAL the new anchor supersedes — all
-//     of it replayed, or the replica re-bootstrapped — is deleted;
-//     opening the new log keeps any other non-empty WAL aside as
-//     tree-<id>.wal.<nanos>.old.
+//   - Recovery replays tree-<id>.wal.prev, then tree-<id>.wal, past the
+//     anchor, then adopts the result under a fresh anchor and log. WAL
+//     files the new anchor supersedes — all of them replayed, or the
+//     replica re-bootstrapped — are deleted; any other non-empty one is
+//     kept aside as tree-<id>.wal[.prev].<nanos>.old.
 type store struct {
 	forest *dyntc.Forest
 	dir    string // "" = in-memory rings only
 	logCap int    // ring capacity of every tree's log
 
-	// compactEvery > 0 compacts each tree's log every that many waves:
-	// snapshot the tree (to tree-<id>.snap with a dir), then trim the
-	// ring and WAL to it. Followers behind a trimmed log re-bootstrap via
-	// the 410 path.
+	// compactEvery > 0 compacts each tree's WAL every that many waves,
+	// with a directory only: cut the WAL at a snapshot barrier, then
+	// persist that snapshot as the anchor. The ring is bounded by logCap
+	// alone.
 	compactEvery int
 
 	obs    *dyntc.Obs
@@ -60,8 +64,8 @@ type store struct {
 type entry struct {
 	ring dyntc.Ring
 	log  *dyntc.WaveLog
-	// kick is non-nil when a compactor runs (compactEvery > 0); stop and
-	// done stop it and wait for it.
+	// kick is non-nil when a compactor runs (compactEvery > 0 and a
+	// directory); stop and done stop it and wait for it.
 	kick, stop, done chan struct{}
 	// anchorMu orders the rewrites of a served tree's anchor (compaction,
 	// promotion), so it only moves forward, and close waits for them.
@@ -75,10 +79,31 @@ func newStore(forest *dyntc.Forest, dir string, logCap int, hub *dyntc.Obs) *sto
 	return &store{forest: forest, dir: dir, logCap: logCap, obs: hub}
 }
 
-// file names tree id's file with the given suffix (".snap", ".wal"): the
-// one place the tree-<id> layout is spelled. id "*" makes a glob pattern.
+// file names tree id's file with the given suffix (".snap", ".wal",
+// ".wal.prev"): the one place the tree-<id> layout is spelled. id "*"
+// makes a glob pattern.
 func (st *store) file(id any, suffix string) string {
 	return filepath.Join(st.dir, fmt.Sprintf("tree-%v%s", id, suffix))
+}
+
+// remove deletes tree id's files with the given suffixes; a missing file
+// is not an error.
+func (st *store) remove(id dyntc.TreeID, suffixes ...string) {
+	for _, suffix := range suffixes {
+		if err := os.Remove(st.file(id, suffix)); err != nil && !errors.Is(err, os.ErrNotExist) {
+			slog.Error("remove tree file failed", "tree", id, "file", st.file(id, suffix), "err", err)
+		}
+	}
+}
+
+// keepAside renames path, if it exists, to path.<nanos>.old, as NewLog
+// does with a non-empty WAL: its waves are not covered by the anchor.
+func keepAside(path string) error {
+	err := os.Rename(path, fmt.Sprintf("%s.%d.old", path, time.Now().UnixNano()))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	return err
 }
 
 // get returns tree id's entry, nil if it has none.
@@ -91,8 +116,9 @@ func (st *store) get(id dyntc.TreeID) *entry {
 // adopt makes en durable as tree id and publishes its entry: one barrier
 // reads the tree's ring and its snapshot at the applied sequence, the
 // snapshot is persisted as the anchor (genesis first, so no wave reaches
-// the WAL before it), the tree's WAL is deleted when supersede says the
-// anchor covers every wave it holds, the tree's log is opened, en is
+// the WAL before it), the tree's WAL files are deleted when supersede
+// says the anchor covers every wave they hold (else a leftover
+// tree-<id>.wal.prev is kept aside), the tree's log is opened, en is
 // tapped into it and the compactor started. On failure nothing is
 // published: adopt removes the anchor if it created it (a re-anchor
 // stays, since it holds the tree's state).
@@ -102,11 +128,11 @@ func (st *store) adopt(id dyntc.TreeID, en *dyntc.Engine, supersede bool) error 
 	if err == nil {
 		if supersede {
 			// The anchor is durable and covers every wave the WAL held.
-			// NewLog keeps any other non-empty WAL aside as .old.
-			if err := os.Remove(st.file(id, ".wal")); err != nil && !errors.Is(err, os.ErrNotExist) {
-				slog.Error("remove superseded wal failed", "tree", id, "err", err)
-			}
+			st.remove(id, ".wal.prev", ".wal")
+		} else if err := keepAside(st.file(id, ".wal.prev")); err != nil {
+			slog.Error("keep aside unreplayed wal failed", "tree", id, "err", err)
 		}
+		// NewLog keeps any other non-empty WAL aside as .old.
 		wl, err = st.openLog(id)
 	}
 	if err != nil {
@@ -117,7 +143,7 @@ func (st *store) adopt(id dyntc.TreeID, en *dyntc.Engine, supersede bool) error 
 	}
 	wl.Resume(en.AppliedSeq())
 	e := &entry{ring: ring, log: wl}
-	if st.compactEvery > 0 {
+	if st.compactEvery > 0 && st.dir != "" {
 		e.kick = make(chan struct{}, 1) // coalesces kicks
 		e.stop, e.done = make(chan struct{}), make(chan struct{})
 		go st.compactLoop(id, en, e)
@@ -191,8 +217,7 @@ func (st *store) openLog(id dyntc.TreeID) (*dyntc.WaveLog, error) {
 func (st *store) drop(id dyntc.TreeID) bool {
 	ok := st.forest.Drop(id)
 	if st.retire(id) && st.dir != "" {
-		_ = os.Remove(st.file(id, ".snap"))
-		_ = os.Remove(st.file(id, ".wal"))
+		st.remove(id, ".snap", ".wal.prev", ".wal")
 	}
 	return ok
 }
@@ -233,25 +258,24 @@ func (st *store) serveReplica(id dyntc.TreeID, data []byte) (en *dyntc.Engine, s
 	return en, seq, replaced, nil
 }
 
-// reanchor persists en's state as tree id's anchor (compaction, and
-// promotion's new epoch) while e is published, and returns its sequence:
-// the applied one in ring-only mode, which has nothing to write.
-func (st *store) reanchor(id dyntc.TreeID, en *dyntc.Engine, e *entry) (uint64, error) {
+// reanchor persists en's state as tree id's anchor (promotion's new
+// epoch) while e is published; in ring-only mode it has nothing to write.
+func (st *store) reanchor(id dyntc.TreeID, en *dyntc.Engine, e *entry) error {
 	e.anchorMu.Lock()
 	defer e.anchorMu.Unlock()
 	if st.get(id) != e {
-		return 0, fmt.Errorf("tree %d: entry retired", id)
+		return fmt.Errorf("tree %d: entry retired", id)
 	}
 	if st.dir == "" {
-		return en.AppliedSeq(), nil
+		return nil
 	}
 	t0 := time.Now()
-	data, seq, err := en.SnapshotAt()
+	data, err := en.Snapshot()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	st.snapshotDone(len(data), time.Since(t0))
-	return seq, writeFileSync(st.file(id, ".snap"), data)
+	return writeFileSync(st.file(id, ".snap"), data)
 }
 
 // close stops every compactor and flushes and closes every log (shutdown
@@ -279,9 +303,9 @@ func (e *entry) close(id dyntc.TreeID) {
 	}
 }
 
-// compactLoop is one tree's background log compaction: the wave tap
-// kicks it every compactEvery waves, and it runs the snapshot barrier and
-// the log trim off the executor goroutine.
+// compactLoop is one tree's background compaction: the wave tap kicks it
+// every compactEvery waves, and it runs compact off the executor
+// goroutine.
 func (st *store) compactLoop(id dyntc.TreeID, en *dyntc.Engine, e *entry) {
 	defer close(e.done)
 	for {
@@ -290,34 +314,57 @@ func (st *store) compactLoop(id dyntc.TreeID, en *dyntc.Engine, e *entry) {
 			return
 		case <-e.kick:
 		}
-		// Persist a snapshot first, then trim the log to it — snapshot +
-		// compacted WAL replaces genesis + log.
-		seq, err := st.reanchor(id, en, e)
-		if err != nil {
-			// Keep the log intact: without the persisted snapshot the
-			// trimmed prefix would be unrecoverable on disk.
-			slog.Error("compact snapshot failed", "tree", id, "err", err)
-			continue
-		}
-		// Trim with a retention margin (a quarter of the ring) so
-		// steadily-polling followers — typically a few waves behind —
-		// keep tailing incrementally instead of being forced into a full
-		// re-bootstrap after every compaction. Waves in the margin are
-		// redundant for recovery (the snapshot anchors replay at seq);
-		// they are catch-up runway.
-		margin := uint64(st.logCap / 4)
-		if seq <= margin {
-			continue
-		}
-		if err := e.log.Compact(seq - margin); err != nil {
-			slog.Error("compact log failed", "tree", id, "err", err)
+		if err := st.compact(id, en, e); err != nil {
+			slog.Error("compaction failed", "tree", id, "err", err)
 		}
 	}
 }
 
+// compact cuts tree id's WAL at a snapshot (cut), persists the snapshot
+// as the anchor and then deletes tree-<id>.wal.prev. The anchor covers
+// every wave in it, whether this cut made it or an earlier one whose
+// anchor was not written; so the anchor is written after a failed cut
+// too, and keeps advancing over a disabled mirror. A crash before the
+// anchor is durable leaves tree-<id>.wal.prev for recovery to replay.
+func (st *store) compact(id dyntc.TreeID, en *dyntc.Engine, e *entry) error {
+	e.anchorMu.Lock()
+	defer e.anchorMu.Unlock()
+	data, err := st.cut(id, en, e.log)
+	if data == nil {
+		return err
+	}
+	if werr := writeFileSync(st.file(id, ".snap"), data); werr != nil {
+		return errors.Join(err, werr)
+	}
+	st.remove(id, ".wal.prev")
+	return err
+}
+
+// cut is compaction's barrier step: one engine barrier snapshots tree id
+// at its applied sequence and cuts wl there (WaveLog.Cut), so
+// tree-<id>.wal.prev ends at the snapshot's sequence and tree-<id>.wal
+// continues after it. It returns the snapshot, nil if the barrier or the
+// encode failed, and the error.
+func (st *store) cut(id dyntc.TreeID, en *dyntc.Engine, wl *dyntc.WaveLog) ([]byte, error) {
+	var data []byte
+	var err error
+	t0 := time.Now()
+	if qerr := en.Query(func(x *dyntc.Expr) {
+		if data, err = x.Snapshot(en.AppliedSeq()); err == nil {
+			err = wl.Cut(st.file(id, ".wal.prev"))
+		}
+	}); qerr != nil {
+		return nil, qerr
+	}
+	if data != nil {
+		st.snapshotDone(len(data), time.Since(t0))
+	}
+	return data, err
+}
+
 // writeFileSync writes data to path atomically (temp + rename), fsyncing
-// before the rename: the WAL trim that follows a compaction snapshot
-// must never outrun the snapshot's durability.
+// the file before the rename and the directory after it: an anchor must
+// be durable before the WAL files it covers are deleted.
 func writeFileSync(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
@@ -338,9 +385,6 @@ func writeFileSync(path string, data []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	// Order the snapshot's directory entry ahead of the WAL trim that
-	// follows: without this fsync a crash could keep the trimmed WAL but
-	// lose the snapshot that anchors it.
 	return replog.SyncDir(filepath.Dir(path))
 }
 
@@ -358,7 +402,7 @@ func (st *store) recover() error {
 		return err
 	}
 	var snaps []dyntc.TreeID
-	wals := make(map[dyntc.TreeID]string)
+	wals := make(map[dyntc.TreeID][]string)
 	for _, path := range files {
 		var id dyntc.TreeID
 		var suffix string
@@ -368,8 +412,8 @@ func (st *store) recover() error {
 		switch suffix {
 		case ".snap":
 			snaps = append(snaps, id)
-		case ".wal":
-			wals[id] = path
+		case ".wal", ".wal.prev":
+			wals[id] = append(wals[id], path)
 		}
 	}
 	for _, id := range snaps {
@@ -402,47 +446,55 @@ func (st *store) recover() error {
 	}
 	// A WAL without its anchoring snapshot cannot be replayed (waves are
 	// deltas); refuse to guess and leave the file for the operator.
-	for id, path := range wals {
-		slog.Warn("wal has no snapshot anchor, not recovered", "wal", path, "tree", id)
+	for id, paths := range wals {
+		for _, path := range paths {
+			slog.Warn("wal has no snapshot anchor, not recovered", "wal", path, "tree", id)
+		}
 	}
 	return nil
 }
 
-// replay applies tree id's WAL, if any, past en's sequence through the
-// verified apply path. The engine is untapped here, so the replayed waves
-// are not re-logged: the new anchor covers them. It reports whether the
-// replay consumed the whole file, a truncated torn tail included.
+// replay applies tree id's WAL files, tree-<id>.wal.prev and then
+// tree-<id>.wal, past en's sequence through the verified apply path
+// (waves the anchor covers are skipped). The engine is untapped here, so
+// the replayed waves are not re-logged: the new anchor covers them. It
+// reports whether the replay consumed both files, a truncated torn tail
+// included.
 func (st *store) replay(id dyntc.TreeID, en *dyntc.Engine) bool {
-	path := st.file(id, ".wal")
-	if _, err := os.Stat(path); err != nil {
-		return true
-	}
-	waves, dropped, err := dyntc.RecoverWaveLog(path)
-	if err != nil {
-		slog.Error("wal recover failed, serving snapshot state", "tree", id, "err", err)
-		return false
-	}
-	if dropped > 0 {
-		slog.Warn("wal recover truncated torn tail", "tree", id, "bytes", dropped)
-	}
-	replayed := true
-	for _, wv := range waves {
-		if err := en.ApplyWave(wv); err != nil {
-			if errors.Is(err, dyntc.ErrWaveGap) {
-				slog.Warn("wal gap, stopping replay", "tree", id, "wave", wv.Seq, "recovered_to", en.AppliedSeq())
-			} else {
-				slog.Error("wal replay failed, stopping replay", "tree", id, "wave", wv.Seq, "err", err)
+	for _, path := range []string{st.file(id, ".wal.prev"), st.file(id, ".wal")} {
+		if _, err := os.Stat(path); err != nil {
+			continue
+		}
+		waves, dropped, err := dyntc.RecoverWaveLog(path)
+		if err != nil {
+			slog.Error("wal recover failed, serving snapshot state", "tree", id, "wal", path, "err", err)
+			return false
+		}
+		if dropped > 0 {
+			slog.Warn("wal recover truncated torn tail", "tree", id, "wal", path, "bytes", dropped)
+		}
+		replayed := true
+		for _, wv := range waves {
+			if err := en.ApplyWave(wv); err != nil {
+				if errors.Is(err, dyntc.ErrWaveGap) {
+					slog.Warn("wal gap, stopping replay", "tree", id, "wave", wv.Seq, "recovered_to", en.AppliedSeq())
+				} else {
+					slog.Error("wal replay failed, stopping replay", "tree", id, "wave", wv.Seq, "err", err)
+				}
+				replayed = false
+				break
 			}
-			replayed = false
-			break
+		}
+		if dropped > 0 {
+			// Journaled after replay so recovered_to is the seq the tree
+			// actually serves from, not the snapshot anchor.
+			st.obs.Events().EmitTree(obs.EvWALTorn, id,
+				"wal recover truncated a torn tail",
+				map[string]any{"bytes": dropped, "recovered_to": en.AppliedSeq()})
+		}
+		if !replayed {
+			return false
 		}
 	}
-	if dropped > 0 {
-		// Journaled after replay so recovered_to is the seq the tree
-		// actually serves from, not the snapshot anchor.
-		st.obs.Events().EmitTree(obs.EvWALTorn, id,
-			"wal recover truncated a torn tail",
-			map[string]any{"bytes": dropped, "recovered_to": en.AppliedSeq()})
-	}
-	return replayed
+	return true
 }

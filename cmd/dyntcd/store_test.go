@@ -2,11 +2,12 @@ package main
 
 // Tests for the durable store's rules: a failed birth leaves nothing on
 // disk, recovery retires the WAL it replayed, and an acknowledged wave
-// survives a crash at every WAL append.
+// survives a crash at every WAL append and inside a compaction.
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -14,12 +15,15 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"dyntc"
 	"dyntc/internal/obs"
 	"dyntc/internal/prng"
+	"dyntc/internal/replog"
 )
 
 // serveLocal runs one request through h in-process and returns the status
@@ -343,6 +347,284 @@ func TestCrashPointSweep(t *testing.T) {
 			s3.forest.Close()
 			s3.store.close()
 		}
+	}
+}
+
+// TestCutWindowRecovers crashes a compaction between its steps: the
+// barrier step (store.cut) runs alone, and the server is abandoned. A
+// server recovered on the directory must serve every acknowledged wave —
+// its snapshot byte-identical to the sequential replay oracle — and leave
+// only the anchor and a fresh WAL. Three windows: the cut without its
+// anchor; the anchor written but tree-1.wal.prev not yet deleted (replay
+// skips all of it); and a second barrier over the tree-1.wal.prev of an
+// anchor that was never written, which must leave that file unrenamed.
+func TestCutWindowRecovers(t *testing.T) {
+	const n = 12
+	prog, genesis, waves := sweepProgram(t, n)
+	oracle, oseq := replayWAL(t, genesis, waves, n)
+	osnap, err := oracle.Snapshot(oseq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		// window runs after the cut at wave 6 and returns the first
+		// program op not yet run.
+		window func(t *testing.T, s *server, anchor []byte) int
+	}{
+		{"cut-without-anchor", func(*testing.T, *server, []byte) int { return 6 }},
+		{"prev-under-newer-anchor", func(t *testing.T, s *server, anchor []byte) int {
+			if err := writeFileSync(s.store.file(1, ".snap"), anchor); err != nil {
+				t.Fatal(err)
+			}
+			return 6
+		}},
+		{"prev-survives-failed-anchor", func(t *testing.T, s *server, _ []byte) int {
+			prev := s.store.file(1, ".wal.prev")
+			before, err := os.ReadFile(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runProgram(t, s.routes(), prog[6:9])
+			en, _ := s.forest.Get(1)
+			if _, err := s.store.cut(1, en, s.store.get(1).log); err != nil {
+				t.Fatal(err)
+			}
+			if after, err := os.ReadFile(prev); err != nil || !bytes.Equal(after, before) {
+				t.Fatalf("the second barrier replaced tree-1.wal.prev (err %v)", err)
+			}
+			if ws, err := replog.ReadWAL(s.store.file(1, ".wal")); err != nil || len(ws) != 3 || ws[0].Seq != 7 {
+				t.Fatalf("tree-1.wal after the second barrier: %d waves (err %v), want 7..9", len(ws), err)
+			}
+			return 9
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := newServerWAL(dyntc.BatchOptions{}, dir, 0)
+			h := s.routes()
+			if status, _ := serveLocal(t, h, "POST", "/v1/trees", map[string]any{"root": 1, "seed": 9}); status != 201 {
+				t.Fatalf("create: status %d", status)
+			}
+			runProgram(t, h, prog[:6])
+			en, _ := s.forest.Get(1)
+			anchor, err := s.store.cut(1, en, s.store.get(1).log)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ws, err := replog.ReadWAL(s.store.file(1, ".wal.prev")); err != nil || len(ws) != 6 || ws[0].Seq != 1 {
+				t.Fatalf("tree-1.wal.prev after the cut: %d waves (err %v), want 1..6", len(ws), err)
+			}
+			runProgram(t, h, prog[tc.window(t, s, anchor):])
+			s.forest.Close()
+			s.store.close()
+
+			s2 := newServerWAL(dyntc.BatchOptions{}, dir, 0)
+			if err := s2.store.recover(); err != nil {
+				t.Fatal(err)
+			}
+			defer func() { s2.forest.Close(); s2.store.close() }()
+			en2, ok := s2.forest.Get(1)
+			if !ok || en2.AppliedSeq() != n {
+				t.Fatalf("recovered tree 1 (served %v) not at seq %d", ok, n)
+			}
+			if got, _ := en2.Snapshot(); !bytes.Equal(got, osnap) {
+				t.Fatal("recovered state differs from the replay oracle")
+			}
+			if got, want := dirNames(t, dir), []string{"tree-1.snap", "tree-1.wal"}; fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("after recovery: %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestGappedReplayKeepsBothWALsAside: when replay stops in
+// tree-1.wal.prev (here its first wave is gone, so wave 2 meets a gap),
+// recovery serves the anchor and keeps both WAL files aside as .old, so
+// a later compaction cannot delete the waves it did not replay.
+func TestGappedReplayKeepsBothWALsAside(t *testing.T) {
+	prog, _, _ := sweepProgram(t, 8)
+	dir := t.TempDir()
+	s := newServerWAL(dyntc.BatchOptions{}, dir, 0)
+	h := s.routes()
+	if status, _ := serveLocal(t, h, "POST", "/v1/trees", map[string]any{"root": 1, "seed": 9}); status != 201 {
+		t.Fatalf("create: status %d", status)
+	}
+	runProgram(t, h, prog[:4])
+	en, _ := s.forest.Get(1)
+	if _, err := s.store.cut(1, en, s.store.get(1).log); err != nil {
+		t.Fatal(err)
+	}
+	runProgram(t, h, prog[4:])
+	s.forest.Close()
+	s.store.close()
+	prev := filepath.Join(dir, "tree-1.wal.prev")
+	data, err := os.ReadFile(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(prev, data[bytes.IndexByte(data, '\n')+1:], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newServerWAL(dyntc.BatchOptions{}, dir, 0)
+	if err := s2.store.recover(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { s2.forest.Close(); s2.store.close() }()
+	if en, ok := s2.forest.Get(1); !ok || en.AppliedSeq() != 0 {
+		t.Fatal("replay past a gap: tree 1 should serve its anchor at seq 0")
+	}
+	wal, _ := filepath.Glob(filepath.Join(dir, "tree-1.wal.[0-9]*.old"))
+	kept, _ := filepath.Glob(filepath.Join(dir, "tree-1.wal.prev.*.old"))
+	if len(wal) != 1 || len(kept) != 1 || len(dirNames(t, dir)) != 4 {
+		t.Fatalf("after a gapped replay: %v, want the anchor, a fresh wal and both old files kept aside", dirNames(t, dir))
+	}
+}
+
+// runProgram runs sweep program ops on h; each must answer 200.
+func runProgram(t *testing.T, h http.Handler, ops []sweepOp) {
+	t.Helper()
+	for _, op := range ops {
+		if status, body := serveLocal(t, h, "POST", op.path, op.body); status != 200 {
+			t.Fatalf("program op %s: status %d: %s", op.path, status, body)
+		}
+	}
+}
+
+// TestCompactionUnderConcurrentWrites: four clients send /batch requests
+// to one tree compacted every 3 waves. Meanwhile a checker, inside engine
+// barriers where no wave is appended and no cut runs, reads
+// tree-1.wal.prev, tree-1.wal and then the anchor (in that order, since
+// the anchor write and the tree-1.wal.prev deletion may run during the
+// barrier), and finds the waves past the anchor contiguous up to the
+// applied sequence. After a graceful close, recovery serves the leader's
+// final sequence with byte-identical snapshot bytes.
+func TestCompactionUnderConcurrentWrites(t *testing.T) {
+	dir := t.TempDir()
+	s := newServerWAL(dyntc.BatchOptions{}, dir, 0)
+	s.store.compactEvery = 3
+	h := s.routes()
+	if status, _ := serveLocal(t, h, "POST", "/v1/trees", map[string]any{"root": 1, "seed": 3}); status != 201 {
+		t.Fatalf("create: status %d", status)
+	}
+	// Four leaves, one per client.
+	var leaves []int
+	leaf := 0
+	for i := 0; i < 3; i++ {
+		var grown struct{ Left, Right int }
+		_, body := serveLocal(t, h, "POST", "/v1/trees/1/grow", map[string]any{"leaf": leaf, "op": "add", "left": i, "right": i})
+		if err := json.Unmarshal(body, &grown); err != nil {
+			t.Fatal(err)
+		}
+		leaves = append(leaves, grown.Right)
+		leaf = grown.Left
+	}
+	leaves = append(leaves, leaf)
+	en, _ := s.forest.Get(1)
+
+	check := func() error {
+		applied := en.AppliedSeq()
+		var waves []dyntc.Wave
+		for _, suffix := range []string{".wal.prev", ".wal"} {
+			ws, err := replog.ReadWAL(s.store.file(1, suffix))
+			if err != nil && !errors.Is(err, os.ErrNotExist) {
+				return err
+			}
+			waves = append(waves, ws...)
+		}
+		_, anchor, err := dyntc.RestoreExpr(readFileOrNil(s.store.file(1, ".snap")))
+		if err != nil {
+			return err
+		}
+		next := anchor + 1
+		for _, w := range waves {
+			if w.Seq <= anchor {
+				continue
+			}
+			if w.Seq != next {
+				return fmt.Errorf("anchor %d: wave %d where %d belongs", anchor, w.Seq, next)
+			}
+			next++
+		}
+		if next != applied+1 {
+			return fmt.Errorf("anchor %d: waves past it end at %d, applied seq %d", anchor, next-1, applied)
+		}
+		return nil
+	}
+	stop := make(chan struct{})
+	checked := make(chan int)
+	go func() {
+		checks := 0
+		defer func() { checked <- checks }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var err error
+			if qerr := en.Query(func(*dyntc.Expr) { err = check() }); qerr != nil {
+				err = qerr
+			}
+			if err != nil {
+				t.Errorf("check %d: %v", checks, err)
+				return
+			}
+			checks++
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+
+	// The clients write until six compactions have run (each one's anchor
+	// fsyncs, so kicks coalesce while it runs), at least 40 batches each.
+	compactions := func() int { return len(s.obs.Events().Query(obs.EvWALCompact, 0, 0)) }
+	var wg sync.WaitGroup
+	for c, leaf := range leaves {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40 || compactions() < 6 && i < 5000; i++ {
+				rec := httptest.NewRecorder()
+				body := fmt.Sprintf(`{"ops":[{"kind":"set-leaf","node":%d,"value":%d},{"kind":"set-leaf","node":%d,"value":%d}]}`,
+					leaf, c*1000+i, leaf, c*1000+i+1)
+				h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/trees/1/batch", strings.NewReader(body)))
+				if rec.Code != 200 {
+					t.Errorf("client %d batch %d: status %d: %s", c, i, rec.Code, rec.Body.Bytes())
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	checks := <-checked
+	t.Logf("%d checks, %d compactions, seq %d", checks, compactions(), en.AppliedSeq())
+	if checks == 0 {
+		t.Error("the checker never ran")
+	}
+	if got := compactions(); got < 6 {
+		t.Errorf("%d compactions under the writers, want >= 6", got)
+	}
+	seq := en.AppliedSeq()
+	final, err := en.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.forest.Close()
+	s.store.close()
+
+	s2 := newServerWAL(dyntc.BatchOptions{}, dir, 0)
+	if err := s2.store.recover(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { s2.forest.Close(); s2.store.close() }()
+	en2, ok := s2.forest.Get(1)
+	if !ok || en2.AppliedSeq() != seq {
+		t.Fatalf("recovered tree 1 (served %v) not at the leader's seq %d", ok, seq)
+	}
+	if got, _ := en2.Snapshot(); !bytes.Equal(got, final) {
+		t.Fatal("recovered snapshot differs from the leader's")
 	}
 }
 

@@ -40,9 +40,9 @@ var (
 //
 // The ring bounds memory: once it wraps, Since calls older than the
 // retained window return ErrTruncated and the follower must re-bootstrap
-// from a snapshot (the usual log-compaction contract). The file, when
-// configured, retains everything appended during the process lifetime and
-// is written through a buffered writer — Sync forces it down.
+// from a snapshot. The file, when configured, retains every wave appended
+// since the log opened or was last Cut; each record is handed to the OS
+// as it is appended, and Sync fsyncs it.
 type Log struct {
 	mu sync.Mutex
 
@@ -56,9 +56,6 @@ type Log struct {
 
 	f  *os.File
 	bw *bufio.Writer
-	// first is the Seq of the oldest wave the file holds (0 = none yet):
-	// a log attached to a restored tree starts its file mid-stream.
-	first uint64
 	// enc encodes into ebuf, never straight into bw: each record is
 	// staged as one byte slice so the write to the mirror goes through a
 	// single seam — which is where fault injection tears it.
@@ -70,10 +67,6 @@ type Log struct {
 	// "wal.sync" (flush/fsync).
 	faults *faults.Injector
 
-	// compacting guards the unlocked phase of Compact: a second Compact
-	// arriving while one is rewriting the file is a no-op.
-	compacting bool
-
 	appendErr error // first file-append error, surfaced on later calls
 
 	// o is the optional observability attachment (SetObs); swappable at
@@ -83,8 +76,9 @@ type Log struct {
 
 // logObs is a log's observability attachment: the replog instruments on
 // the hub's registry, plus the hub itself for wal.append spans and
-// compaction events. Compactions are rare, operator-relevant transitions,
-// so the log journals them itself rather than leaving every caller to.
+// compaction events. Compactions (Cut) are rare, operator-relevant
+// transitions, so the log journals them itself rather than leaving every
+// caller to.
 type logObs struct {
 	*Metrics
 	hub *obs.Hub
@@ -92,7 +86,7 @@ type logObs struct {
 
 // SetObs attaches (or, with nil, detaches) the observability hub: the
 // log registers the replog families on the hub's registry, and its
-// appends, compactions and traced waves report there.
+// appends, cuts and traced waves report there.
 func (l *Log) SetObs(h *obs.Hub) {
 	if h == nil {
 		l.o.Store(nil)
@@ -129,11 +123,6 @@ func NewLog(capacity int, path string) (*Log, error) {
 	}
 	l := &Log{ring: make([]Wave, capacity)}
 	if path != "" {
-		// A crash in compaction's rename window can leave a stale
-		// path.compact temp file behind. It is never valid to adopt: the
-		// rename not having happened means path itself is still the
-		// current, fully-contiguous file. Drop the leftover.
-		os.Remove(path + ".compact")
 		if st, err := os.Stat(path); err == nil && st.Size() > 0 {
 			rotated := fmt.Sprintf("%s.%d.old", path, time.Now().UnixNano())
 			if err := os.Rename(path, rotated); err != nil {
@@ -224,8 +213,7 @@ func (l *Log) Append(w Wave) error {
 	}
 	// Mirror before the ring: a crash inside the file write (the
 	// wal.append crash point) leaves the ring without the wave, as the
-	// file is, so nothing can later ship or compact an unacknowledged
-	// wave into durability.
+	// file is, so nothing can later ship an unacknowledged wave.
 	err := l.mirror(&w)
 	if l.n == len(l.ring) {
 		// Evict the oldest retained wave.
@@ -274,9 +262,6 @@ func (l *Log) mirror(w *Wave) error {
 		l.enc, l.bw = nil, nil
 		return l.appendErr
 	}
-	if l.first == 0 {
-		l.first = w.Seq
-	}
 	// Hand the record to the OS now (no fsync): a killed process
 	// loses at most the record the kernel was mid-write on — the
 	// torn tail RecoverWAL truncates — instead of the whole
@@ -290,179 +275,55 @@ func (l *Log) mirror(w *Wave) error {
 	return nil
 }
 
-// Compact drops every retained wave with Seq <= seq and, when a file
-// mirror is attached, rewrites the file to exactly the retained tail —
-// the log-compaction contract: the caller persists a snapshot at seq
-// first, and snapshot + compacted log replaces genesis + full log. After
-// Compact, Since calls at or before seq return ErrTruncated and the
-// caller (a follower) re-bootstraps from the snapshot — the existing 410
-// path. Appends continue seamlessly from the last appended sequence.
-//
-// The ring trim is immediate; the file rewrite happens off the log lock
-// (Append runs inline on the engine executor and must not stall behind a
-// re-encode + fsync of the whole tail), with a brief locked window at the
-// end to merge waves appended during the rewrite and swap the mirror. A
-// Compact that finds another still running is a no-op.
-func (l *Log) Compact(seq uint64) error {
+// Cut ends the WAL file at the last appended wave: it renames the file to
+// aside and reopens an empty file at its path, where the next append
+// continues the sequence. The ring is not touched. The caller cuts inside
+// the engine barrier that snapshots the tree, so aside ends at the
+// snapshot's sequence (the wave tap appends on the same executor), and
+// deletes aside once that snapshot is its durable anchor. An aside that
+// still exists holds waves no anchor covers yet, so Cut then leaves both
+// files as they are. Every call counts a compaction and journals it.
+func (l *Log) Cut(aside string) error {
 	l.mu.Lock()
-	if l.compacting {
-		l.mu.Unlock()
-		return nil
+	defer l.mu.Unlock()
+	err, cut := l.appendErr, false
+	if l.f != nil && err == nil {
+		if _, serr := os.Lstat(aside); errors.Is(serr, os.ErrNotExist) {
+			err = l.cut(aside)
+			cut = err == nil
+		}
 	}
-	o := l.o.Load()
-	if o != nil {
+	if o := l.o.Load(); o != nil {
 		o.Compactions.Inc()
+		o.hub.Events().Emit(obs.EvWALCompact, "wal cut at a snapshot barrier",
+			map[string]any{"through": l.last, "cut": cut})
 	}
-	if seq > l.last {
-		seq = l.last
-	}
-	// The rewrite can only write what the ring retains. Once the ring has
-	// evicted a wave after seq, the file holds its only copy: trim the
-	// ring but keep the file whole (replay skips what the snapshot covers).
-	evicted := l.n > 0 && l.ring[l.start].Seq > seq+1
-	for l.n > 0 && l.ring[l.start].Seq <= seq {
-		l.ring[l.start] = Wave{} // release op slices to the GC
-		l.start = (l.start + 1) % len(l.ring)
-		l.n--
-	}
-	if l.n > 0 {
-		l.base = l.ring[l.start].Seq
-	} else {
-		l.base = 0
-	}
-	if o != nil {
-		o.hub.Events().Emit(obs.EvWALCompact, "change log compacted behind a snapshot",
-			map[string]any{"through": seq, "retained": l.n, "base": l.base})
-	}
-	if l.f == nil || l.appendErr != nil {
-		err := l.appendErr
-		l.mu.Unlock()
-		return err
-	}
-	if l.first == 0 || l.first > seq {
-		// The file holds no wave the snapshot covers (a log attached to a
-		// restored tree starts its file mid-stream): nothing to trim.
-		l.mu.Unlock()
-		return nil
-	}
-	if evicted {
-		l.mu.Unlock()
-		return fmt.Errorf("replog: compact kept the wal whole: the ring no longer holds wave %d", seq+1)
-	}
-	// Copy the retained tail so the bulk of the file work runs unlocked.
-	tail := make([]Wave, 0, l.n)
-	for i := 0; i < l.n; i++ {
-		tail = append(tail, l.ring[(l.start+i)%len(l.ring)])
-	}
-	path := l.f.Name()
-	l.compacting = true
-	l.mu.Unlock()
-
-	err := l.rewrite(path, tail, seq)
-
-	l.mu.Lock()
-	l.compacting = false
-	l.mu.Unlock()
 	return err
 }
 
-// rewrite replaces the WAL file with tail plus whatever was appended
-// while tail was being written, atomically (write temp unlocked, then a
-// short locked merge + rename + mirror swap). A failure before the
-// rename leaves the old, uncompacted file fully valid.
-func (l *Log) rewrite(path string, tail []Wave, trimmed uint64) error {
-	tmp := path + ".compact"
-	tf, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+// cut renames the file to aside and reopens its path. The mirror hands
+// every record to the OS as it is appended, so the renamed file is
+// complete. A failed reopen disables the mirror (sticky appendErr); the
+// waves before it are in aside. Callers hold l.mu.
+func (l *Log) cut(aside string) error {
+	path := l.f.Name()
+	if err := os.Rename(path, aside); err != nil {
+		return fmt.Errorf("replog: cut wal: %w", err)
+	}
+	l.f.Close()
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("replog: compact: %w", err)
-	}
-	abort := func(err error) error {
-		tf.Close()
-		os.Remove(tmp)
-		return err
-	}
-	tbw := bufio.NewWriter(tf)
-	enc := json.NewEncoder(tbw)
-	for i := range tail {
-		if err := enc.Encode(&tail[i]); err != nil {
-			return abort(fmt.Errorf("replog: compact: %w", err))
-		}
-	}
-	// Flush and fsync the bulk of the tail while still unlocked: the
-	// locked window below then only syncs the few delta waves appended
-	// during this write, not the whole file.
-	if err := tbw.Flush(); err != nil {
-		return abort(fmt.Errorf("replog: compact: %w", err))
-	}
-	if err := tf.Sync(); err != nil {
-		return abort(fmt.Errorf("replog: compact: %w", err))
-	}
-	lastCopied, first := trimmed, uint64(0)
-	if n := len(tail); n > 0 {
-		lastCopied, first = tail[n-1].Seq, tail[0].Seq
-	}
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil || l.appendErr != nil {
-		return abort(l.appendErr)
-	}
-	// Waves appended during the unlocked write are still in the ring —
-	// unless it wrapped right past them, in which case the temp file
-	// would have a gap: abort, the old file is still contiguous.
-	if l.n > 0 && l.ring[l.start].Seq > lastCopied+1 {
-		return abort(fmt.Errorf("replog: compact aborted: ring advanced past the copied tail"))
-	}
-	for i := 0; i < l.n; i++ {
-		w := &l.ring[(l.start+i)%len(l.ring)]
-		if w.Seq <= lastCopied {
-			continue
-		}
-		if first == 0 {
-			first = w.Seq
-		}
-		if err := enc.Encode(w); err != nil {
-			return abort(fmt.Errorf("replog: compact: %w", err))
-		}
-	}
-	if err := tbw.Flush(); err == nil {
-		err = tf.Sync()
-	}
-	if cerr := tf.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("replog: compact: %w", err)
-	}
-	// The rename is done: path now names the compacted file, and the old
-	// inode must not receive further appends. Swap the mirror; from here
-	// a failure disables it (sticky appendErr), never loses the swap.
-	l.first = first
-	old := l.f
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		l.appendErr = fmt.Errorf("replog: compact reopen (mirror disabled): %w", err)
+		l.appendErr = fmt.Errorf("replog: cut wal (mirror disabled): %w", err)
 		l.f, l.bw, l.enc = nil, nil, nil
-		old.Close()
 		return l.appendErr
 	}
-	old.Close()
 	l.f = f
-	l.bw = bufio.NewWriter(f)
-	l.enc = json.NewEncoder(&l.ebuf)
-	// Make the rename itself durable: without a directory fsync, a crash
-	// could surface the old (pre-compaction) file again — or, ordered
-	// against the caller's snapshot rename, the trimmed WAL without its
-	// anchoring snapshot.
-	return SyncDir(filepath.Dir(path))
+	l.bw.Reset(f)
+	return nil
 }
 
 // SyncDir fsyncs a directory, making renames within it durable. Shared
-// with callers that pair a snapshot rename with a log Compact.
+// with the callers that persist a snapshot next to the WAL.
 func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {

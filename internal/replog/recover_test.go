@@ -164,31 +164,64 @@ func TestRecoverWALTornByInjector(t *testing.T) {
 	}
 }
 
-// TestNewLogCleansStaleCompactTemp: the documented compaction crash
-// window — die between writing path.compact and renaming it over path —
-// must not poison the next startup: the leftover temp is discarded (the
-// original file is still the current one) and the WAL opens normally.
-func TestNewLogCleansStaleCompactTemp(t *testing.T) {
+// TestCutStartsANewFile: Cut renames the WAL aside and the next append
+// continues the sequence in a fresh file at the same path, with the ring
+// untouched. While the aside exists, a second Cut leaves both files as
+// they are.
+func TestCutStartsANewFile(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "tree.wal")
-	writeWAL(t, path, 3)
-	if err := os.WriteFile(path+".compact", []byte(`{"seq":9}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, err := NewLog(8, path)
+	path, aside := filepath.Join(dir, "t.wal"), filepath.Join(dir, "t.wal.prev")
+	l, err := NewLog(64, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	if _, err := os.Stat(path + ".compact"); !os.IsNotExist(err) {
-		t.Fatalf("stale .compact not removed: %v", err)
+	appendN := func(from, to uint64) {
+		t.Helper()
+		for seq := from; seq <= to; seq++ {
+			if err := l.Append(mkWave(seq, 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	// And a later compaction still works over the cleaned state.
-	if err := l.Append(mkWave(1, 1)); err != nil {
+	span := func(path string) (first, last uint64) {
+		t.Helper()
+		ws, err := ReadWAL(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ws) == 0 {
+			return 0, 0
+		}
+		return ws[0].Seq, ws[len(ws)-1].Seq
+	}
+	appendN(1, 5)
+	if err := l.Cut(aside); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Compact(0); err != nil {
-		t.Fatalf("compact after cleanup: %v", err)
+	appendN(6, 8)
+	if f, la := span(aside); f != 1 || la != 5 {
+		t.Fatalf("aside after the cut: %d..%d, want 1..5", f, la)
+	}
+	if f, la := span(path); f != 6 || la != 8 {
+		t.Fatalf("wal after the cut: %d..%d, want 6..8", f, la)
+	}
+	if ws, err := l.Since(0); err != nil || len(ws) != 8 || l.BaseSeq() != 1 {
+		t.Fatalf("ring after the cut: %d waves from %d (err %v), want 8 from 1", len(ws), l.BaseSeq(), err)
+	}
+
+	// The aside is still there (its anchor was never written): no cut.
+	if err := l.Cut(aside); err != nil {
+		t.Fatal(err)
+	}
+	appendN(9, 9)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if f, la := span(aside); f != 1 || la != 5 {
+		t.Fatalf("aside after a second cut: %d..%d, want 1..5", f, la)
+	}
+	if f, la := span(path); f != 6 || la != 9 {
+		t.Fatalf("wal after a second cut: %d..%d, want 6..9", f, la)
 	}
 }
 

@@ -142,7 +142,7 @@ func (en *Engine) Snapshot() ([]byte, error) {
 }
 
 // SnapshotAt is Snapshot returning also the applied-wave sequence the
-// snapshot captures — what log compaction trims the wave log to.
+// snapshot captures: a replay past the snapshot starts at the next wave.
 func (en *Engine) SnapshotAt() ([]byte, uint64, error) {
 	var data []byte
 	var seq uint64
