@@ -458,12 +458,25 @@ func TestGappedReplayKeepsBothWALsAside(t *testing.T) {
 	runProgram(t, h, prog[4:])
 	s.forest.Close()
 	s.store.close()
+	// Rewrite tree-1.wal.prev without its first wave.
 	prev := filepath.Join(dir, "tree-1.wal.prev")
-	data, err := os.ReadFile(prev)
+	waves, err := replog.ReadWAL(prev)
+	if err != nil || len(waves) < 2 {
+		t.Fatalf("pre-cut wal: %d waves, err %v", len(waves), err)
+	}
+	if err := os.Remove(prev); err != nil {
+		t.Fatal(err)
+	}
+	wl, err := replog.NewLog(0, prev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(prev, data[bytes.IndexByte(data, '\n')+1:], 0o644); err != nil {
+	for _, w := range waves[1:] {
+		if err := wl.Append(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wl.Close(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -528,8 +528,9 @@ func (e *Engine) phaseSealWave() {
 	if tap == nil {
 		return
 	}
-	// The record is freshly allocated per wave: it escapes into the tap,
-	// which may retain it (log rings do).
+	// The record's ops are freshly allocated per wave: they escape into
+	// the tap, which may keep them. A wave log does not; it copies the
+	// wave into its binary record.
 	rec := make([]replog.Op, 0, sc.writes)
 	for _, steps := range [...][]step{sc.grows, sc.collapses, sc.setLeaves, sc.setOps} {
 		for _, s := range steps {

@@ -1,8 +1,8 @@
 package replog
 
 import (
-	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -34,9 +34,10 @@ var (
 )
 
 // Log is the wave change-log: a bounded in-memory ring of the most recent
-// waves, optionally mirrored to an append-only JSONL file. Appends come
-// from the engine executor (via its wave tap); reads come from replication
-// handlers — all methods are safe for concurrent use.
+// waves, optionally mirrored to an append-only WAL file. Both hold each
+// wave as its binary record (record.go). Appends come from the engine
+// executor (via its wave tap); reads come from replication handlers — all
+// methods are safe for concurrent use.
 //
 // The ring bounds memory: once it wraps, Since calls older than the
 // retained window return ErrTruncated and the follower must re-bootstrap
@@ -46,21 +47,23 @@ var (
 type Log struct {
 	mu sync.Mutex
 
-	ring  []Wave
+	// ring holds the retained waves' records. An evicted slot's buffer
+	// becomes rec, into which the next wave is encoded.
+	ring  [][]byte
 	start int // ring index of the oldest retained wave
 	n     int // retained wave count
+	rec   []byte
 
 	base  uint64 // Seq of the oldest retained wave (0 = empty)
 	last  uint64 // Seq of the newest appended wave (0 = none yet)
 	epoch uint64 // highest epoch accepted so far (0 = none yet)
 
-	f  *os.File
-	bw *bufio.Writer
-	// enc encodes into ebuf, never straight into bw: each record is
-	// staged as one byte slice so the write to the mirror goes through a
-	// single seam — which is where fault injection tears it.
-	enc  *json.Encoder
-	ebuf bytes.Buffer
+	f *os.File
+	// frame stages each file write: walMagic when the file is still
+	// empty (fresh), then rec's length and bytes. One write per wave goes
+	// through a single seam — which is where fault injection tears it.
+	frame []byte
+	fresh bool
 
 	// faults is the optional fault-injection schedule (SetFaults); sites
 	// "wal.append" (per-record mirror write, supports torn writes) and
@@ -106,9 +109,16 @@ func (l *Log) SetFaults(in *faults.Injector) {
 // DefaultLogCapacity is the ring size used when NewLog gets capacity <= 0.
 const DefaultLogCapacity = 4096
 
+// walMagic opens every WAL file a Log writes; each wave's record follows
+// it, prefixed by its length as a uvarint. The last byte is the format
+// version. Its first byte is not valid UTF-8, so no JSONL WAL starts with
+// it: ReadWAL and RecoverWAL still read the JSONL files older builds
+// wrote, one JSON-encoded Wave per line, and nothing writes them any more.
+var walMagic = []byte("\x89DTW\x01")
+
 // NewLog creates a wave log retaining up to capacity waves in memory
 // (DefaultLogCapacity if <= 0). A non-empty path additionally opens an
-// append-only JSONL file that mirrors every append. A pre-existing
+// append-only WAL file that mirrors every append. A pre-existing
 // non-empty file at path is rotated aside (path.<unix-nanos>.old) first:
 // this Log's wave stream starts at its own base sequence, and appending
 // it after an older process's stream would leave a non-contiguous,
@@ -121,7 +131,7 @@ func NewLog(capacity int, path string) (*Log, error) {
 	if capacity <= 0 {
 		capacity = DefaultLogCapacity
 	}
-	l := &Log{ring: make([]Wave, capacity)}
+	l := &Log{ring: make([][]byte, capacity)}
 	if path != "" {
 		if st, err := os.Stat(path); err == nil && st.Size() > 0 {
 			rotated := fmt.Sprintf("%s.%d.old", path, time.Now().UnixNano())
@@ -133,9 +143,7 @@ func NewLog(capacity int, path string) (*Log, error) {
 		if err != nil {
 			return nil, fmt.Errorf("replog: open wal: %w", err)
 		}
-		l.f = f
-		l.bw = bufio.NewWriter(f)
-		l.enc = json.NewEncoder(&l.ebuf)
+		l.f, l.fresh = f, true
 	}
 	return l, nil
 }
@@ -214,14 +222,16 @@ func (l *Log) Append(w Wave) error {
 	// Mirror before the ring: a crash inside the file write (the
 	// wal.append crash point) leaves the ring without the wave, as the
 	// file is, so nothing can later ship an unacknowledged wave.
-	err := l.mirror(&w)
+	l.rec = appendRecord(l.rec[:0], &w)
+	err := l.mirror(w.Seq)
 	if l.n == len(l.ring) {
 		// Evict the oldest retained wave.
 		l.start = (l.start + 1) % len(l.ring)
 		l.base++
 		l.n--
 	}
-	l.ring[(l.start+l.n)%len(l.ring)] = w
+	i := (l.start + l.n) % len(l.ring)
+	l.ring[i], l.rec = l.rec, l.ring[i][:0]
 	l.n++
 	if l.base == 0 || l.n == 1 {
 		l.base = w.Seq
@@ -231,47 +241,36 @@ func (l *Log) Append(w Wave) error {
 	return err
 }
 
-// mirror appends w to the file mirror, if one is live. A failure is
-// sticky: it disables further file writes (the ring stays live).
-// Callers hold l.mu.
-func (l *Log) mirror(w *Wave) error {
-	if l.bw == nil {
+// mirror writes rec, wave seq's record, to the file mirror, if one is
+// live. A failure is sticky: it disables further file writes (the ring
+// stays live). Callers hold l.mu.
+func (l *Log) mirror(seq uint64) error {
+	if l.f == nil || l.appendErr != nil {
 		return nil
 	}
-	l.ebuf.Reset()
-	if err := l.enc.Encode(w); err != nil {
-		l.appendErr = fmt.Errorf("replog: wal append (mirror disabled at seq %d): %w", w.Seq, err)
-		l.enc, l.bw = nil, nil // stop mirroring; ring stays live
-		return l.appendErr
+	l.frame = l.frame[:0]
+	if l.fresh {
+		l.frame = append(l.frame, walMagic...)
 	}
-	rec := l.ebuf.Bytes()
+	l.frame = binary.AppendUvarint(l.frame, uint64(len(l.rec)))
+	l.frame = append(l.frame, l.rec...)
+	// The one write hands the record to the OS now (no fsync): a killed
+	// process loses at most the record the kernel was mid-write on — the
+	// torn tail RecoverWAL truncates. Waves are already coalesced
+	// batches, so this is one write syscall per wave, not per operation.
 	var err error
 	if fi := l.faults; fi != nil {
-		_, err = fi.Write("wal.append", l.bw, rec)
+		_, err = fi.Write("wal.append", l.f, l.frame)
 	} else {
-		_, err = l.bw.Write(rec)
+		_, err = l.f.Write(l.frame)
 	}
 	if err != nil {
-		// A failed or torn write leaves the mirror mid-record. Push
-		// whatever landed down to the file — the on-disk tail then
-		// holds exactly the partial record a crash would have left,
-		// which is what RecoverWAL is for — and disable the mirror.
-		l.bw.Flush()
-		l.f.Sync()
-		l.appendErr = fmt.Errorf("replog: wal append (mirror disabled at seq %d): %w", w.Seq, err)
-		l.enc, l.bw = nil, nil
+		// A failed or torn write leaves the file mid-record: exactly the
+		// tail a crash would have left, which is what RecoverWAL is for.
+		l.appendErr = fmt.Errorf("replog: wal append (mirror disabled at seq %d): %w", seq, err)
 		return l.appendErr
 	}
-	// Hand the record to the OS now (no fsync): a killed process
-	// loses at most the record the kernel was mid-write on — the
-	// torn tail RecoverWAL truncates — instead of the whole
-	// buffered tail. Waves are already coalesced batches, so this
-	// is one write syscall per wave, not per operation.
-	if err := l.bw.Flush(); err != nil {
-		l.appendErr = fmt.Errorf("replog: wal append (mirror disabled at seq %d): %w", w.Seq, err)
-		l.enc, l.bw = nil, nil
-		return l.appendErr
-	}
+	l.fresh = false
 	return nil
 }
 
@@ -301,8 +300,8 @@ func (l *Log) Cut(aside string) error {
 	return err
 }
 
-// cut renames the file to aside and reopens its path. The mirror hands
-// every record to the OS as it is appended, so the renamed file is
+// cut renames the file to aside and reopens its path, empty. The mirror
+// hands every record to the OS as it is appended, so the renamed file is
 // complete. A failed reopen disables the mirror (sticky appendErr); the
 // waves before it are in aside. Callers hold l.mu.
 func (l *Log) cut(aside string) error {
@@ -314,11 +313,10 @@ func (l *Log) cut(aside string) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		l.appendErr = fmt.Errorf("replog: cut wal (mirror disabled): %w", err)
-		l.f, l.bw, l.enc = nil, nil, nil
+		l.f = nil
 		return l.appendErr
 	}
-	l.f = f
-	l.bw.Reset(f)
+	l.f, l.fresh = f, true
 	return nil
 }
 
@@ -347,9 +345,9 @@ func (l *Log) Err() error {
 	return l.appendErr
 }
 
-// Since returns (a copy of) every retained wave with Seq > seq, in order.
-// It returns ErrTruncated when the ring no longer retains wave seq+1 —
-// the caller is too far behind and must re-bootstrap from a snapshot.
+// Since decodes every retained wave with Seq > seq, in order. It returns
+// ErrTruncated when the ring no longer retains wave seq+1 — the caller is
+// too far behind and must re-bootstrap from a snapshot.
 func (l *Log) Since(seq uint64) ([]Wave, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -366,9 +364,13 @@ func (l *Log) Since(seq uint64) ([]Wave, error) {
 		return nil, ErrTruncated
 	}
 	skip := int(seq + 1 - l.base)
-	out := make([]Wave, 0, l.n-skip)
-	for i := skip; i < l.n; i++ {
-		out = append(out, l.ring[(l.start+i)%len(l.ring)])
+	out := make([]Wave, l.n-skip)
+	for i := range out {
+		w, err := decodeRecord(l.ring[(l.start+skip+i)%len(l.ring)])
+		if err != nil {
+			return nil, err // the ring holds only what appendRecord wrote
+		}
+		out[i] = w
 	}
 	return out, nil
 }
@@ -404,7 +406,7 @@ func (l *Log) Len() int {
 	return l.n
 }
 
-// Sync flushes the buffered file mirror to the OS (no-op without a file).
+// Sync fsyncs the file mirror (no-op without a file).
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -415,24 +417,19 @@ func (l *Log) syncLocked() error {
 	if l.appendErr != nil {
 		return l.appendErr
 	}
-	if l.bw == nil {
+	if l.f == nil {
 		return nil
 	}
 	if fi := l.faults; fi != nil {
 		if r := fi.Check("wal.sync"); r != nil && r.Err != nil {
 			l.appendErr = fmt.Errorf("replog: wal sync (mirror disabled): %w", r.Err)
-			l.enc, l.bw = nil, nil
 			return l.appendErr
 		}
-	}
-	if err := l.bw.Flush(); err != nil {
-		l.appendErr = err
-		return err
 	}
 	return l.f.Sync()
 }
 
-// Close flushes and closes the file mirror (the ring stays readable).
+// Close fsyncs and closes the file mirror (the ring stays readable).
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -443,36 +440,128 @@ func (l *Log) Close() error {
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}
-	l.f, l.bw, l.enc = nil, nil, nil
+	l.f = nil
 	return err
 }
 
-// ReadWAL replays an append-only wave file written by a Log: every wave
-// in order, checksum-verified and contiguity-checked.
+// ReadWAL replays an append-only wave file written by a Log, or a JSONL
+// one an older build wrote: every wave in order, checksum-verified and
+// contiguity-checked.
 func ReadWAL(path string) ([]Wave, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("replog: open wal: %w", err)
 	}
+	waves, _, err := scanWAL(data)
+	if err != nil {
+		return nil, err
+	}
+	return waves, nil
+}
+
+// RecoverWAL replays a wave file like ReadWAL, but treats a bad tail —
+// a torn header, length or record, a record that fails to decode or its
+// checksum, or one that breaks sequence contiguity — as the debris of a
+// crash mid-append rather than a fatal error: the file is truncated in
+// place to end exactly after the last valid wave, and the valid prefix is
+// returned along with the number of bytes dropped. This is the
+// startup-recovery contract: a process that died mid-write loses at most
+// its unacknowledged tail and restarts from the last durable wave instead
+// of refusing to boot. A file whose header is torn recovers empty.
+//
+// Only genuine I/O failures (read, truncate, fsync) return an error.
+// dropped == 0 means the file was fully valid and untouched.
+func RecoverWAL(path string) (waves []Wave, dropped int64, err error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, 0, fmt.Errorf("replog: open wal: %w", err)
+	}
+	waves, good, _ := scanWAL(data)
+	dropped = int64(len(data)) - good
+	if dropped == 0 {
+		return waves, 0, nil
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return waves, dropped, fmt.Errorf("replog: open wal: %w", err)
+	}
 	defer f.Close()
-	dec := json.NewDecoder(bufio.NewReader(f))
-	var out []Wave
+	if err := f.Truncate(good); err != nil {
+		return waves, dropped, fmt.Errorf("replog: truncate torn wal tail: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		return waves, dropped, fmt.Errorf("replog: sync recovered wal: %w", err)
+	}
+	if err := SyncDir(filepath.Dir(path)); err != nil {
+		return waves, dropped, err
+	}
+	return waves, dropped, nil
+}
+
+// scanWAL reads a wave file's valid prefix: its waves and its length in
+// bytes. err says why the prefix ends before the file does (nil when it
+// does not). A file that opens with walMagic, or is cut inside it, is
+// binary; any other is read as JSONL.
+func scanWAL(data []byte) (waves []Wave, good int64, err error) {
+	switch {
+	case len(data) == 0:
+		return nil, 0, nil
+	case !bytes.HasPrefix(data, walMagic) && !bytes.HasPrefix(walMagic, data):
+		return scanJSONL(data)
+	case len(data) < len(walMagic):
+		return nil, 0, fmt.Errorf("%w: torn wal header", errRecord)
+	}
+	good = int64(len(walMagic))
+	for rest := data[good:]; len(rest) > 0; {
+		size, n := binary.Uvarint(rest)
+		if n <= 0 || size > uint64(len(rest)-n) {
+			return waves, good, fmt.Errorf("%w: torn record after seq %d", errRecord, lastSeqOf(waves))
+		}
+		w, err := decodeRecord(rest[n : n+int(size)])
+		if err == nil {
+			err = follows(waves, &w)
+		}
+		if err != nil {
+			return waves, good, err
+		}
+		waves = append(waves, w)
+		rest = rest[n+int(size):]
+		good += int64(n) + int64(size)
+	}
+	return waves, good, nil
+}
+
+// scanJSONL is scanWAL for the JSONL files older builds wrote.
+func scanJSONL(data []byte) (waves []Wave, good int64, err error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
 	for {
 		var w Wave
 		if err := dec.Decode(&w); err != nil {
+			// InputOffset after a Decode sits on the closing brace, so a
+			// fully-valid file would still count its final newline as
+			// dropped; a clean EOF means keep the whole file instead.
 			if errors.Is(err, io.EOF) {
-				return out, nil
+				return waves, int64(len(data)), nil
 			}
-			return nil, fmt.Errorf("replog: wal decode (after seq %d): %w", lastSeqOf(out), err)
+			return waves, good, fmt.Errorf("replog: wal decode (after seq %d): %w", lastSeqOf(waves), err)
 		}
 		if !w.Verify() {
-			return nil, fmt.Errorf("%w (seq %d)", ErrCorrupt, w.Seq)
+			return waves, good, fmt.Errorf("%w (seq %d)", ErrCorrupt, w.Seq)
 		}
-		if n := len(out); n > 0 && w.Seq != out[n-1].Seq+1 {
-			return nil, fmt.Errorf("%w in wal: %d then %d", ErrGap, out[n-1].Seq, w.Seq)
+		if err := follows(waves, &w); err != nil {
+			return waves, good, err
 		}
-		out = append(out, w)
+		good = dec.InputOffset()
+		waves = append(waves, w)
 	}
+}
+
+// follows checks that w continues waves' sequence.
+func follows(waves []Wave, w *Wave) error {
+	if n := len(waves); n > 0 && w.Seq != waves[n-1].Seq+1 {
+		return fmt.Errorf("%w in wal: %d then %d", ErrGap, waves[n-1].Seq, w.Seq)
+	}
+	return nil
 }
 
 func lastSeqOf(ws []Wave) uint64 {
@@ -480,67 +569,4 @@ func lastSeqOf(ws []Wave) uint64 {
 		return 0
 	}
 	return ws[len(ws)-1].Seq
-}
-
-// RecoverWAL replays a wave file like ReadWAL, but treats a bad tail —
-// a record that fails to decode, fails its checksum, or breaks sequence
-// contiguity — as the debris of a crash mid-append rather than a fatal
-// error: the file is truncated in place to end exactly after the last
-// valid wave, and the valid prefix is returned along with the number of
-// bytes dropped. This is the startup-recovery contract: a process that
-// died mid-write loses at most its unacknowledged tail and restarts
-// from the last durable wave instead of refusing to boot.
-//
-// Only genuine I/O failures (open, truncate, fsync) return an error.
-// dropped == 0 means the file was fully valid and untouched.
-func RecoverWAL(path string) (waves []Wave, dropped int64, err error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return nil, 0, fmt.Errorf("replog: open wal: %w", err)
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, 0, fmt.Errorf("replog: stat wal: %w", err)
-	}
-	dec := json.NewDecoder(bufio.NewReader(f))
-	var good int64 // byte offset just past the last valid wave
-	clean := false
-	for {
-		var w Wave
-		if derr := dec.Decode(&w); derr != nil {
-			// InputOffset after a Decode sits on the closing brace, so a
-			// fully-valid file would still count its final newline as
-			// dropped; a clean EOF means keep the whole file instead.
-			clean = errors.Is(derr, io.EOF)
-			break
-		}
-		if !w.Verify() {
-			break // corrupt tail: checksum mismatch
-		}
-		if n := len(waves); n > 0 && w.Seq != waves[n-1].Seq+1 {
-			break // tail past a gap is unreplayable
-		}
-		good = dec.InputOffset()
-		waves = append(waves, w)
-	}
-	if clean {
-		good = st.Size()
-	}
-	dropped = st.Size() - good
-	if dropped < 0 {
-		dropped = 0
-	}
-	if dropped > 0 {
-		if err := f.Truncate(good); err != nil {
-			return waves, dropped, fmt.Errorf("replog: truncate torn wal tail: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			return waves, dropped, fmt.Errorf("replog: sync recovered wal: %w", err)
-		}
-		if err := SyncDir(filepath.Dir(path)); err != nil {
-			return waves, dropped, err
-		}
-	}
-	return waves, dropped, nil
 }

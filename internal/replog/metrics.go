@@ -22,10 +22,10 @@ const (
 type Metrics struct {
 	// Appends counts waves appended to the change log.
 	Appends *obs.Counter
-	// AppendSeconds is the latency of one append: checksum verify, ring
-	// insert and (when mirrored) the WAL JSONL encode. Appends run inline
-	// on the engine executor via the wave tap, so this is the durability
-	// cost each mutating wave pays.
+	// AppendSeconds is the latency of one append: checksum verify, record
+	// encode, ring insert and (when mirrored) the WAL write. Appends run
+	// inline on the engine executor via the wave tap, so this is the
+	// durability cost each mutating wave pays.
 	AppendSeconds *obs.Histogram
 	// Compactions counts log compactions started.
 	Compactions *obs.Counter

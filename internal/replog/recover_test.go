@@ -2,6 +2,8 @@ package replog
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -28,6 +30,43 @@ func writeWAL(t *testing.T, path string, n int) {
 	}
 }
 
+// writeLegacyWAL writes n sealed waves to path as an older build did: one
+// JSON-encoded wave per line.
+func writeLegacyWAL(t *testing.T, path string, n int) {
+	t.Helper()
+	var raw bytes.Buffer
+	enc := json.NewEncoder(&raw)
+	for seq := uint64(1); seq <= uint64(n); seq++ {
+		w := mkWave(seq, 2)
+		if err := enc.Encode(&w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(path, raw.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// frameOf returns w as a Log writes it after the WAL header: its record's
+// length, then the record.
+func frameOf(w Wave) []byte {
+	rec := appendRecord(nil, &w)
+	return append(binary.AppendUvarint(nil, uint64(len(rec))), rec...)
+}
+
+// appendFile appends raw bytes to the file at path.
+func appendFile(t *testing.T, path string, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(b); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRecoverWALCleanFileUntouched: a fully valid file recovers with
 // zero dropped bytes and identical size.
 func TestRecoverWALCleanFileUntouched(t *testing.T) {
@@ -44,21 +83,39 @@ func TestRecoverWALCleanFileUntouched(t *testing.T) {
 	}
 }
 
-// TestRecoverWALTornTail: crash mid-append leaves a partial JSON record;
-// recovery truncates to the last valid wave and the file replays clean.
+// TestRecoverWALTornTail: crash mid-append leaves a partial JSON record
+// in a JSONL WAL an older build wrote; recovery truncates to the last
+// valid wave and the file replays clean.
 func TestRecoverWALTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tree.wal")
-	writeWAL(t, path, 4)
+	writeLegacyWAL(t, path, 4)
 	// Tear the tail: append half of a record, as a crash mid-write would.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"seq":5,"ops":[{"kind":3,"no`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	appendFile(t, path, []byte(`{"seq":5,"ops":[{"kind":3,"no`))
+	checkTornTail(t, path)
+}
 
+// TestRecoverBinaryWALTornTail is TestRecoverWALTornTail's binary twin:
+// the crash tears the last record's length prefix, or its payload.
+func TestRecoverBinaryWALTornTail(t *testing.T) {
+	// 60 ops make a record longer than 127 bytes: a two-byte length.
+	frame := frameOf(mkWave(5, 60))
+	if frame[0] < 0x80 {
+		t.Fatal("test assumption: the length prefix takes two bytes")
+	}
+	for name, torn := range map[string][]byte{"length": frame[:1], "payload": frame[:len(frame)/2]} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "tree.wal")
+			writeWAL(t, path, 4)
+			appendFile(t, path, torn)
+			checkTornTail(t, path)
+		})
+	}
+}
+
+// checkTornTail checks the recovery of a 4-wave WAL with a torn fifth
+// record.
+func checkTornTail(t *testing.T, path string) {
+	t.Helper()
 	// The strict reader refuses the file — this is the "aborts startup"
 	// behaviour recovery exists to replace.
 	if _, err := ReadWAL(path); err == nil {
@@ -85,8 +142,8 @@ func TestRecoverWALTornTail(t *testing.T) {
 	}
 }
 
-// TestRecoverWALTornFirstRecord: the whole file is one partial record —
-// recovery truncates to empty rather than failing.
+// TestRecoverWALTornFirstRecord: the whole JSONL file is one partial
+// record — recovery truncates to empty rather than failing.
 func TestRecoverWALTornFirstRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tree.wal")
 	if err := os.WriteFile(path, []byte(`{"seq":1,"ops"`), 0o644); err != nil {
@@ -101,26 +158,70 @@ func TestRecoverWALTornFirstRecord(t *testing.T) {
 	}
 }
 
-// TestRecoverWALCorruptChecksumTail: a decodable record whose checksum
-// fails (bit rot, or a write interleaved across a crash) is dropped with
-// everything after it.
+// TestRecoverBinaryWALTornHeader is TestRecoverWALTornFirstRecord's
+// binary twin: a crash inside the first write of a fresh WAL tears its
+// header, and the file recovers as an empty log. A whole header with a
+// torn first record keeps the header.
+func TestRecoverBinaryWALTornHeader(t *testing.T) {
+	for _, tc := range []struct {
+		data []byte
+		keep int64
+	}{
+		{walMagic[:3], 0},
+		{append(bytes.Clone(walMagic), frameOf(mkWave(1, 2))[:5]...), int64(len(walMagic))},
+	} {
+		path := filepath.Join(t.TempDir(), "tree.wal")
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ws, dropped, err := RecoverWAL(path)
+		if err != nil || len(ws) != 0 || dropped != int64(len(tc.data))-tc.keep {
+			t.Fatalf("recover %q: %d waves, %d dropped, err %v", tc.data, len(ws), dropped, err)
+		}
+		if st, _ := os.Stat(path); st.Size() != tc.keep {
+			t.Fatalf("recover %q: %d bytes left, want %d", tc.data, st.Size(), tc.keep)
+		}
+		if ws, err := ReadWAL(path); err != nil || len(ws) != 0 {
+			t.Fatalf("post-recovery ReadWAL: %d waves, err %v", len(ws), err)
+		}
+	}
+}
+
+// TestRecoverWALCorruptChecksumTail: a decodable JSONL record whose
+// checksum fails (bit rot, or a write interleaved across a crash) is
+// dropped with everything after it.
 func TestRecoverWALCorruptChecksumTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tree.wal")
-	writeWAL(t, path, 3)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	writeLegacyWAL(t, path, 3)
 	enc := []byte(`{"seq":4,"ops":[],"root":999,"sum":1}` + "\n")
-	if _, err := f.Write(enc); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	appendFile(t, path, enc)
 	// Dropped covers the corrupt record plus the newline that preceded it
 	// (truncation lands exactly after the last valid record's brace).
 	ws, dropped, err := RecoverWAL(path)
 	if err != nil || len(ws) != 3 || dropped < int64(len(enc)) {
 		t.Fatalf("recover: %d waves, %d dropped (want >= %d), err %v", len(ws), dropped, len(enc), err)
+	}
+	if ws, err = ReadWAL(path); err != nil || len(ws) != 3 {
+		t.Fatalf("post-recovery ReadWAL: %d waves, err %v", len(ws), err)
+	}
+}
+
+// TestRecoverBinaryWALCorruptChecksumTail is
+// TestRecoverWALCorruptChecksumTail's binary twin: a whole record whose
+// Sum does not match its content ends the valid prefix.
+func TestRecoverBinaryWALCorruptChecksumTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tree.wal")
+	writeWAL(t, path, 3)
+	bad := mkWave(4, 2)
+	bad.Sum++
+	frame := frameOf(bad)
+	appendFile(t, path, frame)
+	if _, err := ReadWAL(path); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ReadWAL err = %v, want ErrCorrupt", err)
+	}
+	ws, dropped, err := RecoverWAL(path)
+	if err != nil || len(ws) != 3 || dropped != int64(len(frame)) {
+		t.Fatalf("recover: %d waves, %d dropped (want %d), err %v", len(ws), dropped, len(frame), err)
 	}
 	if ws, err = ReadWAL(path); err != nil || len(ws) != 3 {
 		t.Fatalf("post-recovery ReadWAL: %d waves, err %v", len(ws), err)
@@ -322,6 +423,21 @@ func TestSnapshotEpochRoundTrip(t *testing.T) {
 // returns the same waves and drops nothing; and ReadWAL then accepts the
 // file, reading the same waves.
 func FuzzWALRecover(f *testing.F) {
+	// Binary seeds: three waves (a grow among them), then the same file
+	// with its tail torn, its last record's checksum broken, and its
+	// header cut.
+	var wal []byte
+	wal = append(wal, walMagic...)
+	wal = append(wal, frameOf(mkWave(1, 2))...)
+	wal = append(wal, frameOf(growWave(2))...)
+	wal = append(wal, frameOf(mkWave(3, 1))...)
+	f.Add(wal)
+	f.Add(wal[:len(wal)-4])
+	bad := bytes.Clone(wal)
+	bad[len(bad)-1] ^= 1
+	f.Add(bad)
+	f.Add(wal[:2])
+	f.Add(readFixture(f, "wal-legacy.jsonl"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "tree.wal")
 		if err := os.WriteFile(path, data, 0o644); err != nil {

@@ -283,38 +283,47 @@ func Decode(data []byte) (*Snapshot, error) {
 // layout Encode writes, as opposed to an older JSON version.
 func IsCurrent(data []byte) bool { return bytes.HasPrefix(data, snapMagic) }
 
-// snapReader consumes the binary layout. The first malformed field sets
-// err and empties b, so every later read fails too and the caller checks
-// err once.
+// snapReader consumes the binary layouts: a snapshot's, and a wave
+// record's (record.go). The first malformed field sets err, wrapping bad,
+// and empties b, so every later read fails too and the caller checks err
+// once. A varint must be in its shortest form, the only one the encoders
+// write.
 type snapReader struct {
 	b   []byte
 	err error
+	bad error
 }
 
 func (r *snapReader) fail(what string) {
 	if r.err == nil {
-		r.err = fmt.Errorf("%w: bad %s", ErrSnapshotCorrupt, what)
+		r.err = fmt.Errorf("%w: bad %s", r.bad, what)
 	}
 	r.b = nil
 }
 
-func (r *snapReader) uvarint(what string) uint64 {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
+// take consumes an n-byte varint, n as encoding/binary reports it.
+func (r *snapReader) take(n int, what string) bool {
+	if n <= 0 || n > 1 && r.b[n-1] == 0 {
 		r.fail(what)
-		return 0
+		return false
 	}
 	r.b = r.b[n:]
+	return true
+}
+
+func (r *snapReader) uvarint(what string) uint64 {
+	v, n := binary.Uvarint(r.b)
+	if !r.take(n, what) {
+		return 0
+	}
 	return v
 }
 
 func (r *snapReader) varint(what string) int64 {
 	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail(what)
+	if !r.take(n, what) {
 		return 0
 	}
-	r.b = r.b[n:]
 	return v
 }
 
@@ -338,7 +347,7 @@ func decodeBinary(data []byte) (*Snapshot, error) {
 	if fnv1a(body) != binary.LittleEndian.Uint64(data[len(body):]) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrSnapshotCorrupt)
 	}
-	r := &snapReader{b: body[len(snapMagic):]}
+	r := &snapReader{b: body[len(snapMagic):], bad: ErrSnapshotCorrupt}
 	if v := r.uvarint("version"); r.err == nil && v != SnapshotVersion {
 		return nil, fmt.Errorf("%w: binary version %d (this build reads %d)", ErrVersion, v, SnapshotVersion)
 	}

@@ -32,7 +32,8 @@ type Wave = replog.Wave
 type WaveOp = replog.Op
 
 // WaveLog is a bounded in-memory ring of recent waves with an optional
-// append-only file mirror (see NewWaveLog).
+// append-only file mirror (see NewWaveLog). Both hold each wave as one
+// compact binary record; Since decodes the waves it returns.
 type WaveLog = replog.Log
 
 // ErrWaveGap reports a wave applied out of order (sequence skipped).
@@ -48,7 +49,8 @@ var ErrStaleEpoch = replog.ErrStaleEpoch
 
 // NewWaveLog creates a wave change-log retaining up to capacity waves in
 // memory (a default when <= 0); a non-empty path mirrors every append to
-// an append-only JSONL file. Attach it to an engine with
+// an append-only binary WAL file. RecoverWaveLog also reads the JSONL
+// files older builds wrote. Attach it to an engine with
 // Engine.SetWaveTap(log.Append-wrapper) or BatchOptions.WaveTap.
 func NewWaveLog(capacity int, path string) (*WaveLog, error) {
 	return replog.NewLog(capacity, path)
