@@ -48,21 +48,25 @@
 //     the record that removed n, a well-founded recursion over strict
 //     descendants, memoized per batch.
 //
-// Everything the trace knows per T node — its PT leaf, the record raking
-// it, the record removing it, the head of its touch chain — lives in one
-// flat table indexed by tree.Node.ID (nodeSlot, 16 bytes and no
-// pointers): IDs are dense and never recycled, so a lookup is a bare
-// index and the three or four a re-executed record makes for one node
-// share a cache line. The table grows with T.Nodes, once per wave, before
-// the wave reads it. The records themselves live by value in an
+// The trace never reads T's nodes. It mirrors T in a flat cell table: one
+// pointer-free 64-byte cell per live T node, holding the node's links as
+// cell references, whether it is its parent's left child, its operation
+// or value, and everything the trace knows about it — its PT leaf, the
+// record raking it, the record removing it, the head of its touch chain —
+// so a re-executed record reads one cache line per participant. Cells are
+// recycled through a LIFO free list, so the table follows the live tree,
+// not the IDs it has issued; what grows per tree.Node.ID is a 4-byte map
+// from ID to cell. AddLeaves, RemoveLeaves, SetValues, SetOps and
+// ValuesBatch map each node they are handed once and mirror every
+// mutation of T into its cell. The records live by value in an
 // internal/arena chunked arena, the same kind that holds PT's nodes, and
-// link to each other, and the slots to them, by int32 recID: a wave
-// reuses the records its predecessors killed, and a re-simulation resets
-// the arena and refills it in place. Records and PT leaves name T nodes
-// by nodeRef (ID+1) and the slots name PT leaves by their PT node ID, so
-// neither the arena nor the table holds a pointer for the collector to
-// chase; the trace reads a tree.Node only for its operation, its value
-// and its original links.
+// link to each other, and the cells to them, by int32 recID: a wave reuses
+// the records its predecessors killed, and a re-simulation resets the
+// arena and refills it in place. Records and PT leaves name T nodes by
+// cellRef and the cells name PT leaves by their PT node ID, so neither the
+// arena nor the table holds a pointer for the collector to chase. The
+// schedule key stays (round, raked leaf's tree.Node.ID): a record carries
+// its raked leaf's ID for it.
 package core
 
 import (
@@ -77,21 +81,13 @@ import (
 	"dyntc/internal/tree"
 )
 
-// nodeRef names a T node by its ID plus one; 0 names none, so a zeroed
-// record or slot names no node.
-type nodeRef int32
-
-// refOf names n: none for nil.
-func refOf(n *tree.Node) nodeRef {
-	if n == nil {
-		return 0
-	}
-	return nodeRef(n.ID + 1)
-}
+// cellRef names a cell of the Contraction's cell table by its index plus
+// one; 0 names none, so a zeroed record or cell names no node.
+type cellRef int32
 
 // ptNode abbreviates the splitting-tree node type used throughout: PT's
-// leaves carry the T leaf they stand for.
-type ptNode = rbsts.Node[nodeRef, struct{}]
+// leaves carry the cell of the T leaf they stand for.
+type ptNode = rbsts.Node[cellRef, struct{}]
 
 // Record is one rake of the contraction trace: at round Round, leaf V is
 // raked into its current parent P, and P's pending form is compressed onto
@@ -101,9 +97,11 @@ type ptNode = rbsts.Node[nodeRef, struct{}]
 // consumes LwOut. Records live in the Contraction's arena and are named
 // by their recID there.
 type Record struct {
-	V, P, W nodeRef
+	V, P, W cellRef
 	Round   int32
-	id      recID
+	// vid is V's tree.Node.ID, the tiebreak of the schedule key (timeKey).
+	vid int32
+	id  recID
 
 	Lv    semiring.Linear // V's label at rake time (constant: A = 0)
 	LpIn  semiring.Linear // P's pending form before the small-rake
@@ -114,18 +112,18 @@ type Record struct {
 	// flowing through W at rake time: the top of the removed chain merged
 	// into W's position, or W itself when nothing was merged yet. It
 	// drives the expansion recursion for value queries.
-	Wrep nodeRef
+	Wrep cellRef
 	// Prep is the node whose subtree value flows through W's position
 	// after this record (rep of P at rake time): the value rep[w] is set
 	// to when the rake splices W into P's place.
-	Prep nodeRef
+	Prep cellRef
 
 	// G is the overlay parent of P at rake time (W's parent after the
 	// splice), none when P was the overlay root. WLeft records which child
 	// slot of G the record's P occupied (and W occupies afterwards). Both
 	// let change propagation re-resolve overlay positions in O(1) from a
 	// record's predecessor links instead of replaying the contraction.
-	G     nodeRef
+	G     cellRef
 	WLeft bool
 
 	VPrev, PPrev, WPrev recID
@@ -143,9 +141,16 @@ type Record struct {
 // recID names a record of the Contraction's arena; 0 names none.
 type recID int32
 
-// nodeSlot is the trace's per-node state, one 16-byte entry per node ID
-// holding no pointers. A slot is all-zero while its ID has no live node.
-type nodeSlot struct {
+// cell mirrors one live T node and holds the trace's state for it, in 64
+// bytes and no pointers. A cell on the free list is all zero.
+type cell struct {
+	// op is the node's operation while it is internal; a leaf keeps its
+	// value in op.A instead, with B and C zero.
+	op semiring.Op
+	// id is the node's tree.Node.ID.
+	id int32
+	// parent, left and right mirror the node's links in T.
+	parent, left, right cellRef
 	// ptLeaf is the PT node ID of the node's PT leaf while it is a leaf
 	// of T.
 	ptLeaf int32
@@ -155,6 +160,26 @@ type nodeSlot struct {
 	removedBy recID
 	// firstTouch is the earliest record reading the node's label.
 	firstTouch recID
+	// isLeft reports that the node is its parent's left child.
+	isLeft bool
+	// live is cleared when the node leaves T. Its cell keeps the trace
+	// fields until the wave that removed it has repaired the trace, and
+	// is freed then.
+	live bool
+}
+
+func (x *cell) isLeaf() bool { return x.left == 0 }
+
+// value is a leaf's value.
+func (x *cell) value() int64 { return x.op.A }
+
+// label is the node's initial label: its value as a constant form while
+// it is a leaf, the identity while it is internal.
+func (x *cell) label(r semiring.Ring) semiring.Linear {
+	if x.isLeaf() {
+		return semiring.Const(r, x.value())
+	}
+	return semiring.Identity(r)
 }
 
 // Contraction is the dynamic parallel tree contraction structure.
@@ -162,18 +187,22 @@ type Contraction struct {
 	T    *tree.Tree
 	ring semiring.Ring
 
-	pt *rbsts.Tree[nodeRef, struct{}]
+	pt *rbsts.Tree[cellRef, struct{}]
 
-	// slots is indexed by tree.Node.ID and covers every ID of T.Nodes
-	// (growSlots); records counts its non-none rec fields.
-	slots   []nodeSlot
+	// cells mirrors T's live nodes, plus the free cells listed in free
+	// (last freed, first reused). cellOf maps every ID of T.Nodes to its
+	// node's cell, none once the node has left T (growIDs). records
+	// counts the cells' non-none rec fields.
+	cells   []cell
+	free    []cellRef
+	cellOf  []cellRef
 	records int
 
-	// recs holds every record the slots and links name.
+	// recs holds every record the cells and links name.
 	recs arena.Arena[Record, recID]
 
 	rootValue int64
-	survivor  nodeRef
+	survivor  cellRef
 
 	machine *pram.Machine
 
@@ -261,33 +290,106 @@ func New(t *tree.Tree, seed uint64, m *pram.Machine) *Contraction {
 		machine: m,
 	}
 	c.pass.c = c
-	leaves := t.Leaves()
-	refs := make([]nodeRef, len(leaves))
-	for i, l := range leaves {
-		refs[i] = refOf(l)
+	// One cell per live node, in ID order, then their links.
+	c.growIDs()
+	c.cells = make([]cell, 0, t.Len())
+	for _, n := range t.Nodes {
+		if n != nil {
+			c.newCell(n)
+		}
 	}
-	c.pt = rbsts.New[nodeRef, struct{}](seed, nil, nil, refs)
-	c.growSlots()
+	for i := range c.cells {
+		x := &c.cells[i]
+		n := t.Nodes[x.id]
+		x.parent, x.left, x.right = c.cellFor(n.Parent), c.cellFor(n.Left), c.cellFor(n.Right)
+		x.isLeft = n.Parent != nil && n.Parent.Left == n
+	}
+	leaves := t.Leaves()
+	refs := make([]cellRef, len(leaves))
+	for i, l := range leaves {
+		refs[i] = c.cellFor(l)
+	}
+	c.pt = rbsts.New[cellRef, struct{}](seed, nil, nil, refs)
 	for l := c.pt.Head(); l != nil; l = l.Next() {
-		c.slot(l.Payload()).ptLeaf = l.ID()
+		c.cell(l.Payload()).ptLeaf = l.ID()
 	}
 	c.simulate()
 	return c
 }
 
-// node resolves a reference: nil for none.
-func (c *Contraction) node(u nodeRef) *tree.Node {
-	if u == 0 {
-		return nil
+// cell returns u's cell; u must not be none.
+func (c *Contraction) cell(u cellRef) *cell { return &c.cells[u-1] }
+
+// cellFor maps T node n to its cell: none for nil and for a node that
+// has left T.
+func (c *Contraction) cellFor(n *tree.Node) cellRef {
+	if n == nil || n.ID >= len(c.cellOf) {
+		return 0
 	}
-	return c.T.Nodes[u-1]
+	return c.cellOf[n.ID]
 }
 
-// slot returns u's entry of the slot table; u must not be none.
-func (c *Contraction) slot(u nodeRef) *nodeSlot { return &c.slots[u-1] }
-
 // ptLeaf returns the PT leaf of T leaf u (nil when u is not a leaf of T).
-func (c *Contraction) ptLeaf(u nodeRef) *ptNode { return c.pt.Node(c.slot(u).ptLeaf) }
+func (c *Contraction) ptLeaf(u cellRef) *ptNode { return c.pt.Node(c.cell(u).ptLeaf) }
+
+// liveLeaf maps T node n to its cell and PT leaf; the leaf is nil unless
+// n is a live leaf of T.
+func (c *Contraction) liveLeaf(n *tree.Node) (cellRef, *ptNode) {
+	u := c.cellFor(n)
+	if u == 0 {
+		return 0, nil
+	}
+	return u, c.ptLeaf(u)
+}
+
+// newCell takes a cell for live T node n, the last one freed if any, and
+// maps n's ID to it. It mirrors n's ID and value or operation; the caller
+// sets the links.
+func (c *Contraction) newCell(n *tree.Node) cellRef {
+	var u cellRef
+	if k := len(c.free); k > 0 {
+		u = c.free[k-1]
+		c.free = c.free[:k-1]
+	} else {
+		if len(c.cells) == cap(c.cells) {
+			// Grow by an eighth, not append's quarter: the table holds a
+			// live tree, which mostly drifts around its size.
+			grown := make([]cell, len(c.cells), len(c.cells)+len(c.cells)/8+64)
+			copy(grown, c.cells)
+			c.cells = grown
+		}
+		c.cells = append(c.cells, cell{})
+		u = cellRef(len(c.cells))
+	}
+	x := c.cell(u)
+	*x = cell{id: int32(n.ID), live: true}
+	if n.IsLeaf() {
+		x.op = semiring.Op{A: n.Value}
+	} else {
+		x.op = n.Op
+	}
+	c.cellOf[n.ID] = u
+	return u
+}
+
+// depart unmaps the cell of a node that has just left T. The cell keeps
+// its trace fields, which the repair of the trace still reads and clears,
+// until freeCell.
+func (c *Contraction) depart(u cellRef) {
+	x := c.cell(u)
+	x.live = false
+	c.cellOf[x.id] = 0
+}
+
+// freeCell puts a departed node's cell on the free list once the trace is
+// repaired. It clears what mirrors T; the trace fields are clear by then
+// (Validate checks that every free cell is zero), and newCell overwrites
+// the whole cell anyway.
+func (c *Contraction) freeCell(u cellRef) {
+	x := c.cell(u)
+	x.op, x.id, x.parent, x.left, x.right, x.isLeft = semiring.Op{}, 0, 0, 0, 0, false
+	c.free = append(c.free, u)
+}
 
 // ref is the link naming r: none for nil.
 func ref(r *Record) recID {
@@ -299,24 +401,24 @@ func ref(r *Record) recID {
 
 // newRecord takes a blank record from the arena for the gap right of T
 // leaf v, raked at the given round.
-func (c *Contraction) newRecord(v nodeRef, round int) *Record {
+func (c *Contraction) newRecord(v cellRef, round int) *Record {
 	id, r := c.recs.Alloc()
-	r.id, r.V, r.Round = id, v, int32(round)
+	r.id, r.V, r.vid, r.Round = id, v, c.cell(v).id, int32(round)
 	return r
 }
 
-// growSlots extends the slot table over every ID in T.Nodes. It
-// reallocates only when T.Nodes itself has, and to the same capacity, so
-// the table's memory follows the tree's instead of doubling past it.
-func (c *Contraction) growSlots() {
+// growIDs extends the ID map over every ID in T.Nodes. It reallocates
+// only when T.Nodes itself has, and to the same capacity, so the map's
+// memory follows the tree's instead of doubling past it.
+func (c *Contraction) growIDs() {
 	n := len(c.T.Nodes)
-	if n <= cap(c.slots) {
-		c.slots = c.slots[:n] // never shrinks: IDs are not recycled
+	if n <= cap(c.cellOf) {
+		c.cellOf = c.cellOf[:n] // never shrinks: IDs are not recycled
 		return
 	}
-	grown := make([]nodeSlot, n, cap(c.T.Nodes))
-	copy(grown, c.slots)
-	c.slots = grown
+	grown := make([]cellRef, n, cap(c.T.Nodes))
+	copy(grown, c.cellOf)
+	c.cellOf = grown
 }
 
 // Machine returns the PRAM machine metering this contraction.
@@ -345,10 +447,9 @@ func (c *Contraction) Records() int { return c.records }
 // arena is reset and refilled in place, so a warm re-simulation
 // allocates no records.
 func (c *Contraction) simulate() {
-	n := len(c.T.Nodes)
-	for i := range c.slots {
-		s := &c.slots[i]
-		s.rec, s.removedBy, s.firstTouch = 0, 0, 0
+	for i := range c.cells {
+		x := &c.cells[i]
+		x.rec, x.removedBy, x.firstTouch = 0, 0, 0
 	}
 	c.records = 0
 	c.recs.Reset(max(c.pt.Len()-1, 0))
@@ -360,51 +461,23 @@ func (c *Contraction) simulate() {
 	}
 	if c.pt.Len() == 1 {
 		c.survivor = c.pt.Head().Payload()
-		c.rootValue = c.node(c.survivor).Value
+		c.rootValue = c.cell(c.survivor).value()
 		return
 	}
 
-	// Overlay state of the contracting tree: one entry per live node, in
-	// ID order, linked to each other by entry index (-1 = none); at maps
-	// a node ID to its entry. IDs are never recycled, so after long churn
-	// most of them are dead: per-ID state here would dwarf the tree it
-	// describes. Each entry copies what the contraction reads of its node,
-	// so the loop below follows int32 links through one array instead of
-	// pointers through the heap.
+	// The overlay of the contracting tree: what each node's links, rep,
+	// label and last toucher are at the current time, indexed like the
+	// cells (a free cell's entry is never reached). It starts as the T the
+	// cells mirror; the rakes splice it.
 	type entry struct {
-		node, rep           nodeRef
-		parent, left, right int32
-		op                  semiring.Op
-		label               semiring.Linear
-		lastTouch           recID
+		parent, left, right, rep cellRef
+		lastTouch                recID
+		label                    semiring.Linear
 	}
-	at := make([]int32, n)
-	live := 0
-	for id, nd := range c.T.Nodes {
-		if nd != nil {
-			at[id] = int32(live)
-			live++
-		}
-	}
-	index := func(nd *tree.Node) int32 {
-		if nd == nil {
-			return -1
-		}
-		return at[nd.ID]
-	}
-	ents := make([]entry, 0, live)
-	for _, nd := range c.T.Nodes {
-		if nd == nil {
-			continue
-		}
-		e := entry{node: refOf(nd), rep: refOf(nd),
-			parent: index(nd.Parent), left: index(nd.Left), right: index(nd.Right), op: nd.Op}
-		if nd.IsLeaf() {
-			e.label = semiring.Const(c.ring, nd.Value)
-		} else {
-			e.label = semiring.Identity(c.ring)
-		}
-		ents = append(ents, e)
+	ents := make([]entry, len(c.cells))
+	for i := range c.cells {
+		x := &c.cells[i]
+		ents[i] = entry{parent: x.parent, left: x.left, right: x.right, rep: cellRef(i + 1), label: x.label(c.ring)}
 	}
 
 	// Gather the gap records and order them by schedule time (round, then
@@ -414,23 +487,22 @@ func (c *Contraction) simulate() {
 	type item struct {
 		key uint64
 		r   *Record
-		v   int32 // V's entry
 	}
 	items := make([]item, 0, c.pt.Len()-1)
 	for l := c.pt.Head(); l.Next() != nil; l = l.Next() {
 		r := c.newRecord(l.Payload(), l.GapNode().Height())
-		items = append(items, item{timeKey(r), r, at[r.V-1]})
+		items = append(items, item{timeKey(r), r})
 	}
 	slices.SortFunc(items, func(a, b item) int { return cmp.Compare(a.key, b.key) })
 
-	// touch appends r to e's touch chain and returns the previous toucher.
-	touch := func(r *Record, e *entry) recID {
+	// touch appends r to u's touch chain and returns the previous toucher.
+	touch := func(r *Record, u cellRef, e *entry) recID {
 		prev := e.lastTouch
 		e.lastTouch = r.id
 		if prev != 0 {
 			c.recs.At(prev).Next = r.id
 		} else {
-			c.slot(e.node).firstTouch = r.id
+			c.cell(u).firstTouch = r.id
 		}
 		return prev
 	}
@@ -445,55 +517,57 @@ func (c *Contraction) simulate() {
 		}
 		c.machine.Charge(j - i)
 		for _, it := range items[i:j] {
-			r := it.r
-			ev := &ents[it.v]
-			pi := ev.parent
-			ep := &ents[pi]
-			wi := ep.left
-			if wi == it.v {
-				wi = ep.right
+			r, v := it.r, it.r.V
+			ev := &ents[v-1]
+			p := ev.parent
+			ep := &ents[p-1]
+			w := ep.left
+			if w == v {
+				w = ep.right
 			}
-			ew := &ents[wi]
-			r.P, r.W = ep.node, ew.node
-			r.VPrev = touch(r, ev)
-			r.PPrev = touch(r, ep)
-			r.WPrev = touch(r, ew)
+			ew := &ents[w-1]
+			xp := c.cell(p)
+			r.P, r.W = p, w
+			r.VPrev = touch(r, v, ev)
+			r.PPrev = touch(r, p, ep)
+			r.WPrev = touch(r, w, ew)
 			r.Lv, r.LpIn, r.LwIn = ev.label, ep.label, ew.label
 			// small-rake then small-compress (§4.2).
-			lpOut := r.LpIn.Compose(c.ring, ep.op.Partial(c.ring, r.Lv.B))
+			lpOut := r.LpIn.Compose(c.ring, xp.op.Partial(c.ring, r.Lv.B))
 			r.LwOut = lpOut.Compose(c.ring, r.LwIn)
 			ew.label = r.LwOut
 			r.Wrep, r.Prep = ew.rep, ep.rep
 			ew.rep = ep.rep
 			// Splice w into p's place.
-			gi := ep.parent
-			ew.parent = gi
-			if gi >= 0 {
-				eg := &ents[gi]
-				r.G = eg.node
-				if eg.left == pi {
-					eg.left = wi
+			g := ep.parent
+			ew.parent = g
+			if g != 0 {
+				eg := &ents[g-1]
+				r.G = g
+				if eg.left == p {
+					eg.left = w
 					r.WLeft = true
 				} else {
-					eg.right = wi
+					eg.right = w
 				}
 			}
-			c.slot(ev.node).rec = r.id
-			c.slot(ep.node).removedBy = r.id
+			c.cell(v).rec = r.id
+			xp.removedBy = r.id
 		}
 		i = j
 	}
 	c.records = len(items)
 
 	c.survivor = c.pt.Tail().Payload()
-	final := ents[at[c.survivor-1]].label
+	final := ents[c.survivor-1].label
 	if final.A != c.ring.Zero() {
 		panic("core: survivor label is not constant")
 	}
 	c.rootValue = final.B
 }
 
-// Validate checks trace invariants against the current T and PT (tests).
+// Validate checks the cell table against T and the trace invariants
+// against the current T and PT (tests).
 func (c *Contraction) Validate() error {
 	if c.pt.Len() != c.T.LeafCount() {
 		return fmt.Errorf("core: PT has %d leaves, T has %d", c.pt.Len(), c.T.LeafCount())
@@ -501,64 +575,59 @@ func (c *Contraction) Validate() error {
 	if err := c.pt.Validate(); err != nil {
 		return err
 	}
+	if err := c.validateCells(); err != nil {
+		return err
+	}
 	// PT leaf payloads must be exactly T's leaves in order.
 	tl := c.T.Leaves()
 	i := 0
 	for l := c.pt.Head(); l != nil; l = l.Next() {
-		if i >= len(tl) || l.Payload() != refOf(tl[i]) {
+		if i >= len(tl) || l.Payload() != c.cellFor(tl[i]) {
 			return fmt.Errorf("core: PT leaf %d does not match T leaf order", i)
 		}
-		if c.slot(l.Payload()).ptLeaf != l.ID() {
-			return fmt.Errorf("core: ptLeaf slot stale at %d", i)
+		if c.cell(l.Payload()).ptLeaf != l.ID() {
+			return fmt.Errorf("core: ptLeaf stale at %d", i)
 		}
 		i++
 	}
-	// The slot table covers exactly T's IDs, holds nothing for an ID
-	// without a live node, and every entry points back at its own node.
-	if len(c.slots) != len(c.T.Nodes) {
-		return fmt.Errorf("core: %d slots for %d node IDs", len(c.slots), len(c.T.Nodes))
-	}
 	recs := 0
-	for id := range c.slots {
-		s, nd := &c.slots[id], nodeRef(id+1)
-		if c.T.Nodes[id] == nil {
-			if *s != (nodeSlot{}) {
-				return fmt.Errorf("core: slot %d of a departed node is not zero", id)
-			}
-			continue
+	for i := range c.cells {
+		x, u := &c.cells[i], cellRef(i+1)
+		if !x.live {
+			continue // free, and zero: validateCells
 		}
-		if pl := c.pt.Node(s.ptLeaf); pl != nil && (!pl.IsLeaf() || pl.Payload() != nd) {
-			return fmt.Errorf("core: slot %d: ptLeaf carries another node", id)
+		if pl := c.pt.Node(x.ptLeaf); pl != nil && (!pl.IsLeaf() || pl.Payload() != u) {
+			return fmt.Errorf("core: cell %d: ptLeaf carries another node", u)
 		}
-		// No slot names a dead record: killed records are reused.
-		for _, l := range [3]recID{s.rec, s.removedBy, s.firstTouch} {
+		// No cell names a dead record: killed records are reused.
+		for _, l := range [3]recID{x.rec, x.removedBy, x.firstTouch} {
 			if err := c.checkLink(l); err != nil {
-				return fmt.Errorf("core: slot %d: %w", id, err)
+				return fmt.Errorf("core: cell %d: %w", u, err)
 			}
 		}
-		if s.removedBy != 0 && c.recs.Get(s.removedBy).P != nd {
-			return fmt.Errorf("core: slot %d: removedBy removes another node", id)
+		if x.removedBy != 0 && c.recs.Get(x.removedBy).P != u {
+			return fmt.Errorf("core: cell %d: removedBy removes another node", u)
 		}
-		if s.firstTouch != 0 && !touches(c.recs.Get(s.firstTouch), nd) {
-			return fmt.Errorf("core: slot %d: firstTouch does not touch the node", id)
+		if x.firstTouch != 0 && !touches(c.recs.Get(x.firstTouch), u) {
+			return fmt.Errorf("core: cell %d: firstTouch does not touch the node", u)
 		}
-		if s.rec == 0 {
+		if x.rec == 0 {
 			continue
 		}
-		r := c.recs.Get(s.rec)
+		r := c.recs.Get(x.rec)
 		recs++
-		if r.V != nd || r.id != s.rec {
-			return fmt.Errorf("core: slot %d: rec rakes another node", id)
+		if r.V != u || r.vid != x.id || r.id != x.rec {
+			return fmt.Errorf("core: cell %d: rec rakes another node", u)
 		}
 		// Every record's labels must recompose.
-		lpOut := r.LpIn.Compose(c.ring, c.node(r.P).Op.Partial(c.ring, r.Lv.B))
+		lpOut := r.LpIn.Compose(c.ring, c.cell(r.P).op.Partial(c.ring, r.Lv.B))
 		if lpOut.Compose(c.ring, r.LwIn) != r.LwOut {
-			return fmt.Errorf("core: record labels inconsistent at leaf %d", id)
+			return fmt.Errorf("core: record labels inconsistent at node %d", x.id)
 		}
 		// No link of a live record reaches a dead one.
 		for _, l := range [4]recID{r.VPrev, r.PPrev, r.WPrev, r.Next} {
 			if err := c.checkLink(l); err != nil {
-				return fmt.Errorf("core: record of leaf %d: %w", id, err)
+				return fmt.Errorf("core: record of node %d: %w", x.id, err)
 			}
 		}
 	}
@@ -568,8 +637,64 @@ func (c *Contraction) Validate() error {
 	return nil
 }
 
+// validateCells checks that the cell table mirrors T: the ID map covers
+// exactly T's IDs, maps each live node to a live cell of its own that
+// holds its links, left bit and value or operation, and maps every dead
+// ID to none; every other cell is on the free list, once, and zero.
+func (c *Contraction) validateCells() error {
+	if len(c.cellOf) != len(c.T.Nodes) {
+		return fmt.Errorf("core: ID map covers %d IDs, T has %d", len(c.cellOf), len(c.T.Nodes))
+	}
+	inUse := 0
+	for id, n := range c.T.Nodes {
+		u := c.cellOf[id]
+		if n == nil {
+			if u != 0 {
+				return fmt.Errorf("core: departed node %d still maps to cell %d", id, u)
+			}
+			continue
+		}
+		if u <= 0 || int(u) > len(c.cells) {
+			return fmt.Errorf("core: node %d maps to cell %d of %d", id, u, len(c.cells))
+		}
+		x := c.cell(u)
+		if !x.live || int(x.id) != id {
+			return fmt.Errorf("core: node %d maps to the cell of node %d (live %v)", id, x.id, x.live)
+		}
+		inUse++
+		if x.parent != c.cellFor(n.Parent) || x.left != c.cellFor(n.Left) || x.right != c.cellFor(n.Right) {
+			return fmt.Errorf("core: cell of node %d: links differ from T", id)
+		}
+		if x.isLeft != (n.Parent != nil && n.Parent.Left == n) {
+			return fmt.Errorf("core: cell of node %d: left bit differs from T", id)
+		}
+		want := n.Op
+		if n.IsLeaf() {
+			want = semiring.Op{A: n.Value}
+		}
+		if x.op != want {
+			return fmt.Errorf("core: cell of node %d: value or operation differs from T", id)
+		}
+	}
+	if inUse+len(c.free) != len(c.cells) {
+		return fmt.Errorf("core: %d cells in use and %d free for %d live nodes in a table of %d",
+			inUse, len(c.free), c.T.Len(), len(c.cells))
+	}
+	freed := make([]bool, len(c.cells))
+	for _, u := range c.free {
+		if u <= 0 || int(u) > len(c.cells) || freed[u-1] {
+			return fmt.Errorf("core: free list holds cell %d twice or out of range", u)
+		}
+		freed[u-1] = true
+		if *c.cell(u) != (cell{}) {
+			return fmt.Errorf("core: free cell %d is not zero", u)
+		}
+	}
+	return nil
+}
+
 // checkLink reports a link that names neither none nor a live record:
-// one handed out, not dead, and the record its raked leaf's slot holds.
+// one handed out, not dead, and the record its raked leaf's cell holds.
 // Once a pass has drained no link may reach a dead record, which is what
 // makes reusing killed records safe.
 func (c *Contraction) checkLink(l recID) error {
@@ -580,7 +705,7 @@ func (c *Contraction) checkLink(l recID) error {
 		return fmt.Errorf("link %d outside the arena's %d records", l, c.recs.End())
 	}
 	r := c.recs.At(l)
-	if r.dead || r.V == 0 || c.slot(r.V).rec != l {
+	if r.dead || r.V == 0 || c.cell(r.V).rec != l {
 		return fmt.Errorf("link %d reaches a dead record", l)
 	}
 	return nil

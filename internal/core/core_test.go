@@ -151,19 +151,20 @@ func TestHealMatchesResimulation(t *testing.T) {
 	}
 }
 
-func snapshotLabels(c *Contraction) map[nodeRef][4]semiring.Linear {
-	out := make(map[nodeRef][4]semiring.Linear, c.Records())
+func snapshotLabels(c *Contraction) map[cellRef][4]semiring.Linear {
+	out := make(map[cellRef][4]semiring.Linear, c.Records())
 	for _, r := range liveRecords(c) {
 		out[r.V] = [4]semiring.Linear{r.Lv, r.LpIn, r.LwIn, r.LwOut}
 	}
 	return out
 }
 
-// liveRecords lists the trace's records in raked-leaf ID order.
+// liveRecords lists the trace's records in the order of their raked
+// leaves' cells.
 func liveRecords(c *Contraction) []*Record {
 	out := make([]*Record, 0, c.Records())
-	for i := range c.slots {
-		if r := c.recs.Get(c.slots[i].rec); r != nil {
+	for i := range c.cells {
+		if r := c.recs.Get(c.cells[i].rec); r != nil {
 			out = append(out, r)
 		}
 	}
@@ -379,9 +380,9 @@ func TestScheduleSafety(t *testing.T) {
 		tr := tree.Generate(testRing, prng.New(uint64(shape)+109), 500, shape)
 		c := New(tr, 113, nil)
 		// Every internal node is removed by exactly one record.
-		seenP := map[nodeRef]bool{}
+		seenP := map[cellRef]bool{}
 		for _, r := range liveRecords(c) {
-			if c.node(r.P).IsLeaf() {
+			if c.cell(r.P).isLeaf() {
 				t.Fatalf("shape %d: rake removed a leaf", shape)
 			}
 			if seenP[r.P] {
@@ -404,7 +405,7 @@ func TestScheduleSafety(t *testing.T) {
 		// ordering TestHealOrderMatchesSimulateOrder verifies.
 		type key struct {
 			round int32
-			node  nodeRef
+			node  cellRef
 		}
 		firstW := map[key]*Record{}
 		for _, r := range liveRecords(c) {

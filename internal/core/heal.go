@@ -6,10 +6,9 @@ import (
 	"dyntc/internal/tree"
 )
 
-// timeKey packs a record's schedule time (Round, V's ID) into one word
-// that compares as the pair does (V is the ID plus one, which orders
-// alike).
-func timeKey(r *Record) uint64 { return uint64(uint32(r.Round))<<32 | uint64(uint32(r.V)) }
+// timeKey packs a record's schedule time (Round, V's tree.Node.ID) into
+// one word that compares as the pair does.
+func timeKey(r *Record) uint64 { return uint64(uint32(r.Round))<<32 | uint64(uint32(r.vid)) }
 
 // timeLess orders records by schedule time (round, raked-leaf ID).
 func timeLess(a, b *Record) bool { return timeKey(a) < timeKey(b) }
@@ -99,30 +98,32 @@ func (c *Contraction) SetValues(leaves []*tree.Node, values []int64) {
 		return
 	}
 	// Step 1: wound location / processor activation over PT (Thm 2.1).
-	ptLeaves := c.wave.ptLeaves[:0]
+	s := &c.wave
+	s.cells, s.ptLeaves = s.cells[:0], s.ptLeaves[:0]
 	for _, l := range leaves {
-		pl := c.ptLeaf(refOf(l))
+		u, pl := c.liveLeaf(l)
 		if pl == nil {
 			panic("core: SetValues on a node that is not a live leaf")
 		}
-		ptLeaves = append(ptLeaves, pl)
+		s.cells = append(s.cells, u)
+		s.ptLeaves = append(s.ptLeaves, pl)
 	}
-	c.wave.ptLeaves = ptLeaves
-	act := c.pt.Activate(c.machine, ptLeaves)
+	act := c.pt.Activate(c.machine, s.ptLeaves)
 	act.Release(c.machine)
 
 	for i, l := range leaves {
 		c.T.SetValue(l, values[i])
+		c.cell(s.cells[i]).op.A = l.Value
 	}
 
 	pp := c.beginPass()
-	for _, l := range leaves {
-		pp.enqueue(c.recs.Get(c.slot(refOf(l)).firstTouch), false)
+	for _, u := range s.cells {
+		pp.enqueue(c.recs.Get(c.cell(u).firstTouch), false)
 	}
 	c.heal()
 
 	if c.pt.Len() == 1 {
-		c.rootValue = c.node(c.survivor).Value
+		c.rootValue = c.cell(c.survivor).value()
 	}
 }
 
@@ -142,8 +143,10 @@ func (c *Contraction) SetOps(nodes []*tree.Node, ops []semiring.Op) {
 	c.lastHeal = HealStats{}
 	pp := c.beginPass()
 	for i, n := range nodes {
-		c.T.SetOp(n, ops[i])
-		pp.enqueue(c.recs.Get(c.slot(refOf(n)).removedBy), false)
+		c.T.SetOp(n, ops[i]) // panics on a leaf, so n is a live internal node
+		x := c.cell(c.cellFor(n))
+		x.op = n.Op
+		pp.enqueue(c.recs.Get(x.removedBy), false)
 	}
 	c.heal()
 }
@@ -164,26 +167,25 @@ func (c *Contraction) heal() {
 
 // labelFromProducer returns u's label as of a record's execution: the
 // producing record's output, or the node's initial label.
-func (c *Contraction) labelFromProducer(prev *Record, u nodeRef) semiring.Linear {
+func (c *Contraction) labelFromProducer(prev *Record, u cellRef) semiring.Linear {
 	if prev != nil {
 		return prev.LwOut
 	}
-	if n := c.node(u); n.IsLeaf() {
-		return semiring.Const(c.ring, n.Value)
-	}
-	return semiring.Identity(c.ring)
+	return c.cell(u).label(c.ring)
 }
 
 // waveScratch is a structural wave's request and PT-diff storage, owned
 // by the Contraction and reused from wave to wave.
 type waveScratch struct {
-	insOps    []rbsts.InsertOp[nodeRef]
-	payloads  []nodeRef
+	insOps    []rbsts.InsertOp[cellRef]
+	payloads  []cellRef
 	oldLeaves []*ptNode
 	ptLeaves  []*ptNode
+	// cells holds the cells of the nodes a label wave names.
+	cells []cellRef
 	// deleted lists the T nodes that left PT's leaf set, relabeled those
 	// whose initial label flipped between leaf and internal.
-	deleted, relabeled []nodeRef
+	deleted, relabeled []cellRef
 	// diff is the rebuild diff both PT mutations reported, in report
 	// order, copied out before the second mutation reuses the storage of
 	// the first one's report; fullRebuild is set when either rebuilt all
@@ -208,7 +210,7 @@ func (s *waveScratch) begin() {
 }
 
 // note copies a PT mutation's rebuild diff out of its report.
-func (s *waveScratch) note(rep rbsts.Report[nodeRef, struct{}]) {
+func (s *waveScratch) note(rep rbsts.Report[cellRef, struct{}]) {
 	s.fullRebuild = s.fullRebuild || rep.FullRebuild
 	for _, x := range rep.Rebuilt {
 		s.diff = append(s.diff, ptSeed{x.ID(), true})
@@ -236,39 +238,46 @@ func (c *Contraction) AddLeaves(ops []AddOp) [][2]*tree.Node {
 	s := &c.wave
 	s.begin()
 
-	// Collect insertion gaps against the pre-batch PT.
+	// Collect insertion gaps against the pre-batch PT. The expanded
+	// leaves will leave the leaf set.
 	for _, op := range ops {
-		pl := c.ptLeaf(refOf(op.Leaf))
+		u, pl := c.liveLeaf(op.Leaf)
 		if pl == nil {
 			panic("core: AddLeaves on a node that is not a live leaf")
 		}
-		s.insOps = append(s.insOps, rbsts.InsertOp[nodeRef]{Gap: pl.Index()})
+		s.insOps = append(s.insOps, rbsts.InsertOp[cellRef]{Gap: pl.Index()})
 		s.oldLeaves = append(s.oldLeaves, pl)
+		s.deleted = append(s.deleted, u)
 	}
-	// Mutate T and fill payloads.
+	// Mutate T, then mirror it: each expanded leaf's cell takes its
+	// operation and two fresh cells as children, which are the payloads.
 	for i, op := range ops {
 		l, r := c.T.AddChildren(op.Leaf, op.Op, op.LeftVal, op.RightVal)
 		out[i] = [2]*tree.Node{l, r}
-		s.payloads = append(s.payloads, refOf(l), refOf(r))
+	}
+	c.growIDs()
+	for i, u := range s.deleted {
+		l, r := c.newCell(out[i][0]), c.newCell(out[i][1])
+		c.cell(l).parent, c.cell(l).isLeft = u, true
+		c.cell(r).parent = u
+		x := c.cell(u)
+		x.op, x.left, x.right = ops[i].Leaf.Op, l, r
+		s.payloads = append(s.payloads, l, r)
 	}
 	for i := range s.insOps {
 		s.insOps[i].Payloads = s.payloads[2*i : 2*i+2 : 2*i+2]
 	}
-	c.growSlots()
 	rep := c.pt.BatchInsert(c.machine, s.insOps)
 	c.lastHeal.RebuildLeaves += rep.RebuildLeaves
-	for i := range ops {
-		c.slot(refOf(out[i][0])).ptLeaf = rep.NewLeaves[2*i].ID()
-		c.slot(refOf(out[i][1])).ptLeaf = rep.NewLeaves[2*i+1].ID()
+	for i, u := range s.payloads {
+		c.cell(u).ptLeaf = rep.NewLeaves[i].ID()
 	}
 	s.note(rep)
 	drep := c.pt.BatchDelete(c.machine, s.oldLeaves)
 	c.lastHeal.RebuildLeaves += drep.RebuildLeaves
 	s.note(drep)
-	for _, op := range ops {
-		u := refOf(op.Leaf)
-		c.slot(u).ptLeaf = 0
-		s.deleted = append(s.deleted, u)
+	for _, u := range s.deleted {
+		c.cell(u).ptLeaf = 0
 	}
 	// The expanded leaves left the leaf set (their records die) and their
 	// initial labels flipped from Const to Identity.
@@ -289,12 +298,13 @@ func (c *Contraction) RemoveLeaves(ops []RemoveOp) {
 		if n.IsLeaf() || !n.Left.IsLeaf() || !n.Right.IsLeaf() {
 			panic("core: RemoveLeaves requires an internal node with two leaf children")
 		}
-		pl, pr := c.ptLeaf(refOf(n.Left)), c.ptLeaf(refOf(n.Right))
+		_, pl := c.liveLeaf(n.Left)
+		_, pr := c.liveLeaf(n.Right)
 		if pl == nil || pr == nil {
 			panic("core: RemoveLeaves children not tracked")
 		}
-		s.payloads = append(s.payloads, refOf(n))
-		s.insOps = append(s.insOps, rbsts.InsertOp[nodeRef]{Gap: pl.Index()})
+		s.payloads = append(s.payloads, c.cellFor(n))
+		s.insOps = append(s.insOps, rbsts.InsertOp[cellRef]{Gap: pl.Index()})
 		s.oldLeaves = append(s.oldLeaves, pl, pr)
 	}
 	for i := range s.insOps {
@@ -302,22 +312,30 @@ func (c *Contraction) RemoveLeaves(ops []RemoveOp) {
 	}
 	rep := c.pt.BatchInsert(c.machine, s.insOps)
 	c.lastHeal.RebuildLeaves += rep.RebuildLeaves
-	for i, op := range ops {
-		c.slot(refOf(op.Node)).ptLeaf = rep.NewLeaves[i].ID()
+	for i, u := range s.payloads {
+		c.cell(u).ptLeaf = rep.NewLeaves[i].ID()
 	}
 	s.note(rep)
 	drep := c.pt.BatchDelete(c.machine, s.oldLeaves)
 	c.lastHeal.RebuildLeaves += drep.RebuildLeaves
 	s.note(drep)
-	for _, op := range ops {
-		l, r := refOf(op.Node.Left), refOf(op.Node.Right)
-		c.slot(l).ptLeaf = 0
-		c.slot(r).ptLeaf = 0
+	// Mutate T and mirror it: the children depart, keeping their cells
+	// until the trace is repaired, and the collapsed node's initial label
+	// flips from Identity to Const(NewValue).
+	for i, op := range ops {
+		u := s.payloads[i]
+		x := c.cell(u)
+		l, r := x.left, x.right
+		c.cell(l).ptLeaf, c.cell(r).ptLeaf = 0, 0
+		c.depart(l)
+		c.depart(r)
 		s.deleted = append(s.deleted, l, r)
 		c.T.DeleteChildren(op.Node, op.NewValue)
-		// The collapsed node's initial label flipped from Identity to
-		// Const(NewValue).
-		s.relabeled = append(s.relabeled, refOf(op.Node))
+		x.op, x.left, x.right = semiring.Op{A: op.Node.Value}, 0, 0
+		s.relabeled = append(s.relabeled, u)
 	}
 	c.propagateStructural(s.deleted, s.relabeled)
+	for _, u := range s.deleted {
+		c.freeCell(u)
+	}
 }

@@ -15,8 +15,9 @@ package core
 // child slot at time t resolves by walking removedBy from the original T
 // child: each removal splices the removed node's surviving sibling up
 // into its place. The chain heads (firstTouch), removedBy and the record
-// of each raked leaf are fields of the node's entry in the Contraction's
-// ID-indexed slot table, so resolving one node reads one 16-byte slot.
+// of each raked leaf are fields of the node's cell, next to the links, op
+// and value the cell mirrors from T, so resolving one node reads one
+// 64-byte cell and never a tree.Node.
 //
 // A structural wave seeds the worklist with exactly the records whose
 // schedule inputs changed — the gaps of rebuilt PT subtrees, of surviving
@@ -37,7 +38,7 @@ package core
 // Full re-simulation remains the fallback: full PT rebuilds, tiny trees,
 // blown budgets and any detected chain inconsistency all divert to
 // simulate() and say which in HealStats.ResimReason (the tests' noPropagate
-// twin takes it on purpose). simulate() clears every slot's trace fields and
+// twin takes it on purpose). simulate() clears every cell's trace fields and
 // rewrites the record arena from scratch, so it is always safe to run
 // mid-repair.
 //
@@ -108,7 +109,7 @@ func (pp *propPass) step() bool {
 }
 
 // prevIn returns m's predecessor for participant u.
-func (c *Contraction) prevIn(m *Record, u nodeRef) *Record {
+func (c *Contraction) prevIn(m *Record, u cellRef) *Record {
 	switch u {
 	case m.V:
 		return c.recs.Get(m.VPrev)
@@ -120,7 +121,7 @@ func (c *Contraction) prevIn(m *Record, u nodeRef) *Record {
 }
 
 // setPrevIn rewrites m's predecessor link for participant u.
-func setPrevIn(m *Record, u nodeRef, p *Record) {
+func setPrevIn(m *Record, u cellRef, p *Record) {
 	switch u {
 	case m.V:
 		m.VPrev = ref(p)
@@ -133,7 +134,7 @@ func setPrevIn(m *Record, u nodeRef, p *Record) {
 
 // nextIn returns m's successor in u's touch chain: only a W-touch has
 // one (V and P are removed by the record, ending their chains).
-func (c *Contraction) nextIn(m *Record, u nodeRef) *Record {
+func (c *Contraction) nextIn(m *Record, u cellRef) *Record {
 	if u == m.W {
 		return c.recs.Get(m.Next)
 	}
@@ -156,7 +157,7 @@ func (pp *propPass) enqueue(r *Record, structural bool) {
 // findPos locates the neighbors of time position `at` in u's touch
 // chain, skipping the record `skip` (the one being repositioned): prev
 // is the last toucher strictly before at, next the first at or after.
-func (pp *propPass) findPos(u nodeRef, at, skip *Record) (prev, next *Record) {
+func (pp *propPass) findPos(u cellRef, at, skip *Record) (prev, next *Record) {
 	c := pp.c
 	step := func(m *Record) *Record {
 		n := c.nextIn(m, u)
@@ -165,7 +166,7 @@ func (pp *propPass) findPos(u nodeRef, at, skip *Record) (prev, next *Record) {
 		}
 		return n
 	}
-	cur := c.recs.Get(c.slot(u).firstTouch)
+	cur := c.recs.Get(c.cell(u).firstTouch)
 	if cur == skip {
 		cur = c.nextIn(skip, u)
 	}
@@ -187,17 +188,17 @@ func (pp *propPass) findPos(u nodeRef, at, skip *Record) (prev, next *Record) {
 // occupant resolves which node sits in the given child slot of p at
 // time `at`: the original T child, advanced through every earlier rake
 // that removed the slot's occupant and spliced its sibling up in place.
-func (pp *propPass) occupant(p nodeRef, left bool, at *Record) nodeRef {
-	pn := pp.c.node(p)
-	n := refOf(pn.Right)
+func (pp *propPass) occupant(p cellRef, left bool, at *Record) cellRef {
+	c := pp.c
+	n := c.cell(p).right
 	if left {
-		n = refOf(pn.Left)
+		n = c.cell(p).left
 	}
 	for n != 0 {
 		if !pp.step() {
 			return 0
 		}
-		rb := pp.c.recs.Get(pp.c.slot(n).removedBy)
+		rb := c.recs.Get(c.cell(n).removedBy)
 		if rb == nil || rb.dead || rb == at || !timeLess(rb, at) {
 			return n
 		}
@@ -211,16 +212,16 @@ func (pp *propPass) occupant(p nodeRef, left bool, at *Record) nodeRef {
 // participant but must not splice the chain again). The prev.W check
 // matters: a stale backpointer can reference a record that has moved to
 // another chain, and splicing through it would cross the chains.
-func (pp *propPass) chained(r *Record, u nodeRef) bool {
+func (pp *propPass) chained(r *Record, u cellRef) bool {
 	prev := pp.c.prevIn(r, u)
 	if prev != nil {
 		return prev.W == u && prev.Next == r.id
 	}
-	return pp.c.slot(u).firstTouch == r.id
+	return pp.c.cell(u).firstTouch == r.id
 }
 
 // touches reports whether u is a stored participant of m.
-func touches(m *Record, u nodeRef) bool {
+func touches(m *Record, u cellRef) bool {
 	return m.V == u || m.P == u || m.W == u
 }
 
@@ -235,7 +236,7 @@ func (pp *propPass) unchain(r *Record) {
 		return // never executed: in no chain
 	}
 	c := pp.c
-	for _, u := range [3]nodeRef{r.V, r.P, r.W} {
+	for _, u := range [3]cellRef{r.V, r.P, r.W} {
 		if !pp.chained(r, u) {
 			continue
 		}
@@ -244,7 +245,7 @@ func (pp *propPass) unchain(r *Record) {
 		if prev != nil {
 			prev.Next = ref(next)
 		} else {
-			c.slot(u).firstTouch = ref(next)
+			c.cell(u).firstTouch = ref(next)
 		}
 		if next != nil && touches(next, u) {
 			setPrevIn(next, u, prev)
@@ -260,7 +261,7 @@ func (pp *propPass) kill(r *Record) {
 	r.dead = true
 	c.recs.Release(r.id)
 	if r.P != 0 {
-		for _, u := range [3]nodeRef{r.V, r.P, r.W} {
+		for _, u := range [3]cellRef{r.V, r.P, r.W} {
 			if !pp.chained(r, u) {
 				continue
 			}
@@ -269,7 +270,7 @@ func (pp *propPass) kill(r *Record) {
 			if prev != nil {
 				prev.Next = ref(next)
 			} else {
-				c.slot(u).firstTouch = ref(next)
+				c.cell(u).firstTouch = ref(next)
 			}
 			if next != nil {
 				if touches(next, u) {
@@ -278,12 +279,12 @@ func (pp *propPass) kill(r *Record) {
 				pp.enqueue(next, true)
 			}
 		}
-		if s := c.slot(r.P); s.removedBy == r.id {
-			s.removedBy = 0
+		if x := c.cell(r.P); x.removedBy == r.id {
+			x.removedBy = 0
 		}
 	}
-	if s := c.slot(r.V); s.rec == r.id {
-		s.rec = 0
+	if x := c.cell(r.V); x.rec == r.id {
+		x.rec = 0
 		c.records--
 	}
 }
@@ -291,7 +292,7 @@ func (pp *propPass) kill(r *Record) {
 // wakeTail wakes every stale toucher of u orphaned when a relink
 // truncated u's chain at the record before m: m and everything its
 // forward links still reach within u's old chain must re-resolve.
-func (pp *propPass) wakeTail(m *Record, u nodeRef) {
+func (pp *propPass) wakeTail(m *Record, u cellRef) {
 	for m != nil {
 		if !pp.step() {
 			return
@@ -334,7 +335,7 @@ func (pp *propPass) reexec(r *Record) {
 
 	v := r.V
 	vPrev, vNext := pp.findPos(v, r, r)
-	var p nodeRef
+	var p cellRef
 	var vLeft bool
 	if vPrev != nil {
 		if vPrev.W != v {
@@ -344,19 +345,18 @@ func (pp *propPass) reexec(r *Record) {
 		p = vPrev.G
 		vLeft = vPrev.WLeft
 	} else {
-		vn := c.node(v)
-		p = refOf(vn.Parent)
-		vLeft = p != 0 && vn.Parent.Left == vn
+		xv := c.cell(v)
+		p, vLeft = xv.parent, xv.isLeft
 	}
 	// A participant must be a live node of T: a departed one is a stale
 	// link the pass cannot resolve.
-	pn := c.node(p)
-	if pn == nil {
+	if p == 0 || !c.cell(p).live {
 		pp.fail(ResimSanity)
 		return
 	}
+	xp := c.cell(p)
 	w := pp.occupant(p, !vLeft, r)
-	if w == 0 || w == v || c.node(w) == nil {
+	if w == 0 || w == v || !c.cell(w).live {
 		pp.fail(ResimSanity)
 		return
 	}
@@ -371,17 +371,15 @@ func (pp *propPass) reexec(r *Record) {
 		return
 	}
 
-	var g nodeRef
+	var g cellRef
 	var wLeft bool
 	if pPrev != nil {
 		g = pPrev.G
 		wLeft = pPrev.WLeft
 	} else {
-		g = refOf(pn.Parent)
-		wLeft = g != 0 && pn.Parent.Left == pn
+		g, wLeft = xp.parent, xp.isLeft
 	}
 
-	pSlot := c.slot(p)
 	r.P, r.W, r.G, r.WLeft = p, w, g, wLeft
 	if pPrev != nil {
 		r.Prep = pPrev.Prep
@@ -396,7 +394,7 @@ func (pp *propPass) reexec(r *Record) {
 	r.Lv = c.labelFromProducer(vPrev, v)
 	r.LpIn = c.labelFromProducer(pPrev, p)
 	r.LwIn = c.labelFromProducer(wPrev, w)
-	lpOut := r.LpIn.Compose(c.ring, pn.Op.Partial(c.ring, r.Lv.B))
+	lpOut := r.LpIn.Compose(c.ring, xp.op.Partial(c.ring, r.Lv.B))
 	r.LwOut = lpOut.Compose(c.ring, r.LwIn)
 
 	// Relink. r ends v's and p's chains; a chained toucher after either
@@ -405,14 +403,14 @@ func (pp *propPass) reexec(r *Record) {
 	if vPrev != nil {
 		vPrev.Next = r.id
 	} else {
-		c.slot(v).firstTouch = r.id
+		c.cell(v).firstTouch = r.id
 	}
 	pp.wakeTail(vNext, v)
 	r.PPrev = ref(pPrev)
 	if pPrev != nil {
 		pPrev.Next = r.id
 	} else {
-		pSlot.firstTouch = r.id
+		xp.firstTouch = r.id
 	}
 	pp.wakeTail(pNext, p)
 	// r touches w as survivor, carrying the chain through Next.
@@ -420,7 +418,7 @@ func (pp *propPass) reexec(r *Record) {
 	if wPrev != nil {
 		wPrev.Next = r.id
 	} else {
-		c.slot(w).firstTouch = r.id
+		c.cell(w).firstTouch = r.id
 	}
 	r.Next = ref(wNext)
 	if wNext != nil {
@@ -441,11 +439,11 @@ func (pp *propPass) reexec(r *Record) {
 	// Removal bookkeeping: r now removes p. The map always reflects the
 	// newest final knowledge; a displaced stale claimant re-resolves.
 	if wasLinked && oldP != p {
-		if s := c.slot(oldP); s.removedBy == r.id {
-			s.removedBy = 0
+		if x := c.cell(oldP); x.removedBy == r.id {
+			x.removedBy = 0
 		}
 	}
-	if prior := c.recs.Get(pSlot.removedBy); prior != nil && prior != r && !prior.dead {
+	if prior := c.recs.Get(xp.removedBy); prior != nil && prior != r && !prior.dead {
 		if timeLess(r, prior) {
 			pp.enqueue(prior, true)
 		} else {
@@ -453,7 +451,7 @@ func (pp *propPass) reexec(r *Record) {
 			return
 		}
 	}
-	pSlot.removedBy = r.id
+	xp.removedBy = r.id
 
 	// Consumer wake-ups for outputs that actually changed.
 	if r.LwOut != oldOut {
@@ -471,19 +469,19 @@ func (pp *propPass) reexec(r *Record) {
 		// it): wake everything that reads either slot's occupancy or
 		// either sibling's overlay parent.
 		pp.enqueueGReader(r)
-		for _, q := range [2]nodeRef{oldG, g} {
+		for _, q := range [2]cellRef{oldG, g} {
 			if q == 0 {
 				continue
 			}
-			if rb := c.recs.Get(c.slot(q).removedBy); rb != nil && rb != r && !rb.dead && timeLess(r, rb) {
+			if rb := c.recs.Get(c.cell(q).removedBy); rb != nil && rb != r && !rb.dead && timeLess(r, rb) {
 				pp.enqueue(rb, true)
 			}
 		}
-		for _, q := range [2]nodeRef{oldW, w} {
+		for _, q := range [2]cellRef{oldW, w} {
 			if q == 0 || (q == oldW && !wasLinked) {
 				continue
 			}
-			if qr := c.recs.Get(c.slot(q).rec); qr != nil && qr != r && !qr.dead && timeLess(r, qr) {
+			if qr := c.recs.Get(c.cell(q).rec); qr != nil && qr != r && !qr.dead && timeLess(r, qr) {
 				pp.enqueue(qr, true)
 			}
 		}
@@ -498,7 +496,7 @@ func (pp *propPass) healLabels(r *Record) {
 	r.Lv = c.labelFromProducer(c.recs.Get(r.VPrev), r.V)
 	r.LpIn = c.labelFromProducer(c.recs.Get(r.PPrev), r.P)
 	r.LwIn = c.labelFromProducer(c.recs.Get(r.WPrev), r.W)
-	lpOut := r.LpIn.Compose(c.ring, c.node(r.P).Op.Partial(c.ring, r.Lv.B))
+	lpOut := r.LpIn.Compose(c.ring, c.cell(r.P).op.Partial(c.ring, r.Lv.B))
 	out := lpOut.Compose(c.ring, r.LwIn)
 	if out == r.LwOut {
 		return
@@ -589,11 +587,10 @@ func attached(x *ptNode) bool { return x.LeafCount() > 0 }
 func (pp *propPass) seedGap(x *ptNode) {
 	c := pp.c
 	v := x.GapLeaf().Payload()
-	s := c.slot(v)
-	r := c.recs.Get(s.rec)
+	r := c.recs.Get(c.cell(v).rec)
 	if r == nil {
 		r = c.newRecord(v, x.Height())
-		s.rec = r.id
+		c.cell(v).rec = r.id
 		c.records++
 	} else if int(r.Round) != x.Height() {
 		// Rescheduled: pull r out of its chains now — a record linked
@@ -625,7 +622,7 @@ func (pp *propPass) seedSubtree(x *ptNode) {
 // nodes removed from PT's leaf set (their records die); relabeled lists T
 // nodes whose initial label changed because they flipped between leaf
 // and internal (their first touchers re-read it).
-func (c *Contraction) propagateStructural(deleted, relabeled []nodeRef) {
+func (c *Contraction) propagateStructural(deleted, relabeled []cellRef) {
 	if c.wave.fullRebuild {
 		c.resimulate(ResimFullRebuild)
 		return
@@ -666,12 +663,12 @@ func (c *Contraction) propagateStructural(deleted, relabeled []nodeRef) {
 	// records, and the record of a surviving leaf that became the tail
 	// (its right neighborhood was deleted, taking the gap with it).
 	for _, u := range deleted {
-		if r := c.recs.Get(c.slot(u).rec); r != nil {
+		if r := c.recs.Get(c.cell(u).rec); r != nil {
 			pp.kill(r)
 		}
 	}
 	if t := c.pt.Tail(); t != nil {
-		if r := c.recs.Get(c.slot(t.Payload()).rec); r != nil {
+		if r := c.recs.Get(c.cell(t.Payload()).rec); r != nil {
 			pp.kill(r)
 		}
 	}
@@ -679,7 +676,7 @@ func (c *Contraction) propagateStructural(deleted, relabeled []nodeRef) {
 	// Phase 3: label wounds at T nodes whose initial label flipped
 	// between Const and Identity.
 	for _, u := range relabeled {
-		pp.enqueue(c.recs.Get(c.slot(u).firstTouch), true)
+		pp.enqueue(c.recs.Get(c.cell(u).firstTouch), true)
 	}
 
 	budget := c.pt.Len()/2 + 64
@@ -694,9 +691,9 @@ func (c *Contraction) propagateStructural(deleted, relabeled []nodeRef) {
 	// incremental root update alone is not authoritative.
 	c.survivor = c.pt.Tail().Payload()
 	if c.pt.Len() == 1 {
-		c.rootValue = c.node(c.survivor).Value
+		c.rootValue = c.cell(c.survivor).value()
 	} else {
-		last := c.recs.Get(c.slot(c.survivor).firstTouch)
+		last := c.recs.Get(c.cell(c.survivor).firstTouch)
 		if last == nil {
 			c.resimulate(ResimSanity)
 			return

@@ -136,6 +136,33 @@ func applyStep(t *testing.T, r semiring.Ring, tr *tree.Tree, c *Contraction, st 
 	}
 }
 
+// twinRings are the rings the twin oracle's cases cycle through.
+var twinRings = []semiring.Ring{semiring.MaxPlus{}, semiring.MinPlus{}, semiring.NewMod(1_000_003)}
+
+// twinCase is one workload of the twin oracle: the tree's generator seed,
+// shape and size, and the number of steps.
+type twinCase struct {
+	seed   uint64
+	shape  tree.Shape
+	leaves int
+	steps  int
+	// long: the case must itself propagate most of its structural
+	// waves, not only the workload as a whole.
+	long bool
+}
+
+// twinCases lists the twin oracle's workloads: three long runs on
+// 96-leaf random trees, then short runs across shapes and sizes. Case i
+// runs over twinRings[i%len(twinRings)].
+func twinCases() []twinCase {
+	cases := []twinCase{{3, tree.ShapeRandom, 96, 120, true}, {7, tree.ShapeRandom, 96, 120, true}, {41, tree.ShapeRandom, 96, 120, true}}
+	sizes := prng.New(1)
+	for seed := uint64(100); seed < 132; seed++ {
+		cases = append(cases, twinCase{seed, allShapes[seed%4], 8 + sizes.Intn(393), 40, false})
+	}
+	return cases
+}
+
 // TestPropagationTwinOracle runs the same randomized workload of batched
 // waves — up to 16 grows, up to 16 collapses drawn from all cherries,
 // and SetValues/SetOps batches — against a change-propagation
@@ -145,23 +172,8 @@ func applyStep(t *testing.T, r semiring.Ring, tr *tree.Tree, c *Contraction, st 
 // twin's trace is additionally compared field-by-field against a freshly
 // simulated oracle after every step.
 func TestPropagationTwinOracle(t *testing.T) {
-	rings := []semiring.Ring{semiring.MaxPlus{}, semiring.MinPlus{}, semiring.NewMod(1_000_003)}
-	type twinCase struct {
-		seed   uint64
-		shape  tree.Shape
-		leaves int
-		steps  int
-		// long: the case must itself propagate most of its structural
-		// waves, not only the workload as a whole.
-		long bool
-	}
-	// Three long runs on 96-leaf random trees, then short runs across
-	// shapes and sizes.
-	cases := []twinCase{{3, tree.ShapeRandom, 96, 120, true}, {7, tree.ShapeRandom, 96, 120, true}, {41, tree.ShapeRandom, 96, 120, true}}
-	sizes := prng.New(1)
-	for seed := uint64(100); seed < 132; seed++ {
-		cases = append(cases, twinCase{seed, allShapes[seed%4], 8 + sizes.Intn(393), 40, false})
-	}
+	rings := twinRings
+	cases := twinCases()
 	// enough fails unless some structural waves ran and at least half of
 	// them propagated.
 	enough := func(t *testing.T, propagated, structural int) {
@@ -418,20 +430,20 @@ func TestPropagationWorkVsResimulation(t *testing.T) {
 // exactly the trace a full re-simulation would build.
 func (c *Contraction) validateTrace() error { return c.traceDiff(c.simulate) }
 
-// traceDiff rebuilds the trace with rebuild, on copies of the slot table
+// traceDiff rebuilds the trace with rebuild, on copies of the cell table
 // and the record arena, and compares it with the live trace field by
 // field, resolving each trace's links in its own arena; the live trace is
 // left in place.
 func (c *Contraction) traceDiff(rebuild func()) error {
-	live, liveN, liveRecs := c.slots, c.records, c.recs
+	live, liveN, liveRecs := c.cells, c.records, c.recs
 	liveRoot, liveSurv := c.rootValue, c.survivor
 	// rebuild rewrites the table in place and resets the arena, so it
 	// gets a copy of the one and an arena of its own.
-	c.slots, c.recs = slices.Clone(live), arena.Arena[Record, recID]{}
+	c.cells, c.recs = slices.Clone(live), arena.Arena[Record, recID]{}
 	rebuild()
-	ora, oraN, oraRecs := c.slots, c.records, c.recs
+	ora, oraN, oraRecs := c.cells, c.records, c.recs
 	oraRoot, oraSurv := c.rootValue, c.survivor
-	c.slots, c.records, c.recs = live, liveN, liveRecs
+	c.cells, c.records, c.recs = live, liveN, liveRecs
 	c.rootValue, c.survivor = liveRoot, liveSurv
 
 	if liveN != oraN {
@@ -444,7 +456,7 @@ func (c *Contraction) traceDiff(rebuild func()) error {
 			return fmt.Errorf("leaf %d: record %v want %v", id, l != nil, o != nil)
 		}
 		if o != nil {
-			if l.V != o.V || l.Round != o.Round {
+			if l.V != o.V || l.vid != o.vid || l.Round != o.Round {
 				return fmt.Errorf("leaf %d: round %d want %d", id, l.Round, o.Round)
 			}
 			if l.P != o.P || l.W != o.W {

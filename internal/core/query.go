@@ -23,11 +23,15 @@ func (c *Contraction) Value(n *tree.Node) int64 {
 // memo is what makes overlapping query paths cost their union, not their
 // sum).
 func (c *Contraction) ValuesBatch(nodes []*tree.Node) []int64 {
-	memo := make(map[int]int64) // by node ID
+	memo := make(map[cellRef]int64)
 	out := make([]int64, len(nodes))
 	work := 0
 	for i, n := range nodes {
-		out[i] = c.value(n, memo, &work)
+		if u := c.cellFor(n); u != 0 {
+			out[i] = c.value(u, memo, &work)
+		} else {
+			out[i] = n.Value // a node that left T is a leaf holding its last value
+		}
 	}
 	// Metering: the expansion replays one record per memo entry; rounds
 	// are bounded by the wound depth (measured rather than recharged
@@ -36,55 +40,56 @@ func (c *Contraction) ValuesBatch(nodes []*tree.Node) []int64 {
 	return out
 }
 
-// value computes val(n) iteratively with an explicit stack so adversarially
+// value computes val(u) iteratively with an explicit stack so adversarially
 // deep dependency chains cannot overflow the goroutine stack.
-func (c *Contraction) value(n *tree.Node, memo map[int]int64, work *int) int64 {
+func (c *Contraction) value(u cellRef, memo map[cellRef]int64, work *int) int64 {
 	type frame struct {
-		n    *tree.Node
+		u    cellRef
 		seen bool
 	}
-	stack := []frame{{n, false}}
+	stack := []frame{{u, false}}
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if _, ok := memo[f.n.ID]; ok {
+		if _, ok := memo[f.u]; ok {
 			continue
 		}
-		if f.n.IsLeaf() {
-			memo[f.n.ID] = f.n.Value
+		x := c.cell(f.u)
+		if x.isLeaf() {
+			memo[f.u] = x.value()
 			continue
 		}
-		r := c.recs.Get(c.slot(refOf(f.n)).removedBy)
+		r := c.recs.Get(x.removedBy)
 		if r == nil {
 			panic("core: query on a node outside the trace")
 		}
 		dep := c.wSideDep(r)
 		if !f.seen {
-			stack = append(stack, frame{f.n, true})
-			if dep != nil {
+			stack = append(stack, frame{f.u, true})
+			if dep != 0 {
 				stack = append(stack, frame{dep, false})
 			}
 			continue
 		}
 		*work++
 		var wVal int64
-		if dep != nil {
-			wVal = memo[dep.ID]
+		if dep != 0 {
+			wVal = memo[dep]
 		} else {
 			wVal = r.LwIn.B // w was a leaf: its label is the constant value
 		}
-		memo[f.n.ID] = f.n.Op.Eval(c.ring, r.Lv.B, wVal)
+		memo[f.u] = x.op.Eval(c.ring, r.Lv.B, wVal)
 	}
-	return memo[n.ID]
+	return memo[u]
 }
 
 // wSideDep returns the node whose memoized value feeds the w-side of the
-// record, or nil when the w-side is a direct leaf constant.
-func (c *Contraction) wSideDep(r *Record) *tree.Node {
-	if c.node(r.W).IsLeaf() {
-		return nil
+// record, or none when the w-side is a direct leaf constant.
+func (c *Contraction) wSideDep(r *Record) cellRef {
+	if c.cell(r.W).isLeaf() {
+		return 0
 	}
-	return c.node(r.Wrep)
+	return r.Wrep
 }
 
 // ValueOracle recomputes val(n) directly from T (tests compare Value

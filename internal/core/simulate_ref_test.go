@@ -18,17 +18,20 @@ func sortRecords(recs []*Record) {
 }
 
 // simulateRef is the pointer-linked simulate that the index-linked one
-// replaced, kept as its reference: the overlay links nodes by pointer, the
-// sort compares through the records, and the rake reads each node's
-// operation from the tree.
+// replaced, kept as its reference: the overlay links T's nodes by
+// pointer, starting from T's own links rather than the cells' mirror of
+// them, the sort compares through the records, and the rake reads each
+// node's operation from the tree. Only the records and the trace fields
+// name cells, which it maps to and from T's nodes.
 func (c *Contraction) simulateRef() {
 	n := len(c.T.Nodes)
-	for i := range c.slots {
-		s := &c.slots[i]
-		s.rec, s.removedBy, s.firstTouch = 0, 0, 0
+	for i := range c.cells {
+		x := &c.cells[i]
+		x.rec, x.removedBy, x.firstTouch = 0, 0, 0
 	}
 	c.records = 0
 	c.recs.Reset(max(c.pt.Len()-1, 0))
+	node := func(u cellRef) *tree.Node { return c.T.Nodes[c.cell(u).id] }
 
 	if c.pt.Len() == 0 {
 		c.rootValue = c.ring.Zero()
@@ -37,7 +40,7 @@ func (c *Contraction) simulateRef() {
 	}
 	if c.pt.Len() == 1 {
 		c.survivor = c.pt.Head().Payload()
-		c.rootValue = c.node(c.survivor).Value
+		c.rootValue = node(c.survivor).Value
 		return
 	}
 
@@ -76,7 +79,7 @@ func (c *Contraction) simulateRef() {
 		if prev != nil {
 			prev.Next = r.id
 		} else {
-			c.slot(refOf(nd)).firstTouch = r.id
+			c.cell(c.cellFor(nd)).firstTouch = r.id
 		}
 		return ref(prev)
 	}
@@ -89,7 +92,7 @@ func (c *Contraction) simulateRef() {
 		}
 		c.machine.Charge(j - i)
 		for _, r := range recs[i:j] {
-			v := c.node(r.V)
+			v := node(r.V)
 			ov := &overlay[at[v.ID]]
 			p := ov.parent
 			op := &overlay[at[p.ID]]
@@ -98,7 +101,7 @@ func (c *Contraction) simulateRef() {
 				w = op.right
 			}
 			ow := &overlay[at[w.ID]]
-			r.P, r.W = refOf(p), refOf(w)
+			r.P, r.W = c.cellFor(p), c.cellFor(w)
 			r.VPrev = touch(r, v, ov)
 			r.PPrev = touch(r, p, op)
 			r.WPrev = touch(r, w, ow)
@@ -106,11 +109,11 @@ func (c *Contraction) simulateRef() {
 			lpOut := r.LpIn.Compose(c.ring, p.Op.Partial(c.ring, r.Lv.B))
 			r.LwOut = lpOut.Compose(c.ring, r.LwIn)
 			ow.label = r.LwOut
-			r.Wrep, r.Prep = refOf(ow.rep), refOf(op.rep)
+			r.Wrep, r.Prep = c.cellFor(ow.rep), c.cellFor(op.rep)
 			ow.rep = op.rep
 			g := op.parent
 			ow.parent = g
-			r.G = refOf(g)
+			r.G = c.cellFor(g)
 			if g != nil {
 				og := &overlay[at[g.ID]]
 				if og.left == p {
@@ -121,15 +124,15 @@ func (c *Contraction) simulateRef() {
 					r.WLeft = false
 				}
 			}
-			c.slot(r.V).rec = r.id
-			c.slot(r.P).removedBy = r.id
+			c.cell(r.V).rec = r.id
+			c.cell(r.P).removedBy = r.id
 		}
 		i = j
 	}
 	c.records = len(recs)
 
 	c.survivor = c.pt.Tail().Payload()
-	final := overlay[at[c.survivor-1]].label
+	final := overlay[at[node(c.survivor).ID]].label
 	if final.A != c.ring.Zero() {
 		panic("core: survivor label is not constant")
 	}

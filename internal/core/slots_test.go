@@ -1,9 +1,9 @@
 package core
 
 // Tests of the flat trace state: the packed-key worklist against a
-// container/heap reference, the slot table across growth of T.Nodes, the
-// record arena's size, reuse and allocations, and the per-record cost
-// benchmark of a structural wave.
+// container/heap reference, the cell table under churn, the record
+// arena's size, reuse and allocations, and the per-record cost benchmark
+// of a structural wave.
 
 import (
 	"container/heap"
@@ -19,7 +19,7 @@ import (
 )
 
 // refHeap is the historical worklist: container/heap over records ordered
-// by (Round, V), comparing through the pointers.
+// by (Round, V's ID), comparing through the pointers.
 type refHeap []*Record
 
 func (h refHeap) Len() int { return len(h) }
@@ -27,7 +27,7 @@ func (h refHeap) Less(i, j int) bool {
 	if h[i].Round != h[j].Round {
 		return h[i].Round < h[j].Round
 	}
-	return h[i].V < h[j].V
+	return h[i].vid < h[j].vid
 }
 func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(*Record)) }
@@ -50,7 +50,7 @@ func TestWorklistMatchesContainerHeap(t *testing.T) {
 		n := 200 + src.Intn(800)
 		recs := make([]*Record, n)
 		for i := range recs {
-			recs[i] = &Record{V: nodeRef(i + 1), Round: int32(src.Intn(12))}
+			recs[i] = &Record{V: cellRef(i + 1), vid: int32(i), Round: int32(src.Intn(12))}
 		}
 
 		var w worklist
@@ -118,22 +118,36 @@ func TestWorklistMatchesContainerHeap(t *testing.T) {
 	}
 }
 
-// TestSlotTableGrowth churns grow/collapse waves until T.Nodes has
-// outgrown the slot table's allocation at least three times, checking the
-// slot invariants after every wave and the full trace oracle at each
-// reallocation and at the end.
+// TestSlotTableGrowth churns grow/collapse waves until T has issued ten
+// times the tree's initial node count, the tree drifting up slowly,
+// checking the cell invariants after every wave and the full trace oracle
+// whenever the ID map reallocates and at the end. Cells in use must equal
+// the live nodes throughout, and the table must never hold more cells
+// than the tree ever had live nodes: freed cells are reused, not
+// abandoned as IDs are.
 func TestSlotTableGrowth(t *testing.T) {
 	ring := semiring.NewMod(1_000_003)
 	src := prng.New(77)
 	tr := tree.Generate(ring, src, 64, tree.ShapeRandom)
 	c := New(tr, 78, nil)
-	initial := len(c.slots)
-
-	regrowths, lastCap := 0, cap(c.slots)
-	for wave := 0; regrowths < 3 || len(tr.Nodes) < 4*initial; wave++ {
-		if wave > 5000 {
-			t.Fatalf("no progress: %d node IDs, %d reallocations", len(tr.Nodes), regrowths)
+	initial := len(tr.Nodes)
+	peak := tr.Len()
+	check := func(wave int, what string) {
+		t.Helper()
+		if err := c.Validate(); err != nil {
+			t.Fatalf("wave %d %s: %v", wave, what, err)
 		}
+		peak = max(peak, tr.Len())
+		if inUse := len(c.cells) - len(c.free); inUse != tr.Len() {
+			t.Fatalf("wave %d %s: %d cells in use for %d live nodes", wave, what, inUse, tr.Len())
+		}
+		if len(c.cells) > peak {
+			t.Fatalf("wave %d %s: %d cells, peak live count %d", wave, what, len(c.cells), peak)
+		}
+	}
+
+	regrowths, lastCap := 0, cap(c.cellOf)
+	for wave := 0; len(tr.Nodes) < 10*initial; wave++ {
 		leaves := tr.Leaves()
 		k := 1 + src.Intn(4)
 		ops := make([]AddOp, 0, k)
@@ -142,14 +156,12 @@ func TestSlotTableGrowth(t *testing.T) {
 				LeftVal: int64(src.Intn(1000)), RightVal: int64(src.Intn(1000))})
 		}
 		pairs := c.AddLeaves(ops)
-		if err := c.Validate(); err != nil {
-			t.Fatalf("wave %d grow: %v", wave, err)
-		}
-		if cap(c.slots) != lastCap {
+		check(wave, "grow")
+		if cap(c.cellOf) != lastCap {
 			regrowths++
-			lastCap = cap(c.slots)
+			lastCap = cap(c.cellOf)
 			if err := c.validateTrace(); err != nil {
-				t.Fatalf("wave %d, table reallocated to %d: %v", wave, lastCap, err)
+				t.Fatalf("wave %d, ID map reallocated to %d: %v", wave, lastCap, err)
 			}
 		}
 		// Collapse what was grown (every second wave leaves one cherry
@@ -162,29 +174,35 @@ func TestSlotTableGrowth(t *testing.T) {
 			rm = append(rm, RemoveOp{Node: p[0].Parent, NewValue: int64(src.Intn(1000))})
 		}
 		c.RemoveLeaves(rm)
-		if err := c.Validate(); err != nil {
-			t.Fatalf("wave %d collapse: %v", wave, err)
-		}
+		check(wave, "collapse")
 		if got, want := c.RootValue(), tr.Eval(); got != want {
 			t.Fatalf("wave %d: root %d want %d", wave, got, want)
 		}
 	}
-	if len(c.slots) != len(tr.Nodes) || cap(c.slots) > cap(tr.Nodes) {
-		t.Fatalf("table len %d cap %d, T.Nodes len %d cap %d",
-			len(c.slots), cap(c.slots), len(tr.Nodes), cap(tr.Nodes))
+	if regrowths < 3 {
+		t.Fatalf("the ID map reallocated %d times, want at least 3", regrowths)
+	}
+	if len(c.cellOf) != len(tr.Nodes) || cap(c.cellOf) > cap(tr.Nodes) {
+		t.Fatalf("ID map len %d cap %d, T.Nodes len %d cap %d",
+			len(c.cellOf), cap(c.cellOf), len(tr.Nodes), cap(tr.Nodes))
 	}
 	if err := c.validateTrace(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestTraceStateSizes pins the per-ID slot at 16 bytes (it is paid for
-// every ID ever issued), a record at 128 and a PT node at 64, and checks
-// that neither a slot nor a record holds a pointer: the collector then
-// never scans the slot table or the record arena.
+// TestTraceStateSizes pins a cell at 64 bytes at most (it is paid for
+// every live node, and a participant of a re-executed record is one cache
+// line), the ID map at 4 bytes per ID (it is paid for every ID ever
+// issued), a record at 128 and a PT node at 64, and checks that neither a
+// cell nor a record holds a pointer: the collector then never scans the
+// cell table or the record arena.
 func TestTraceStateSizes(t *testing.T) {
-	if got := unsafe.Sizeof(nodeSlot{}); got != 16 {
-		t.Errorf("nodeSlot is %d bytes, want 16", got)
+	if got := unsafe.Sizeof(cell{}); got > 64 {
+		t.Errorf("cell is %d bytes, want at most 64", got)
+	}
+	if got := unsafe.Sizeof(cellRef(0)); got != 4 {
+		t.Errorf("the ID map holds %d bytes per ID, want 4", got)
 	}
 	if got := unsafe.Sizeof(Record{}); got > 128 {
 		t.Errorf("Record is %d bytes, want at most 128", got)
@@ -192,7 +210,7 @@ func TestTraceStateSizes(t *testing.T) {
 	if got := unsafe.Sizeof(ptNode{}); got > 64 {
 		t.Errorf("PT node is %d bytes, want at most 64", got)
 	}
-	for _, v := range []any{nodeSlot{}, Record{}} {
+	for _, v := range []any{cell{}, Record{}} {
 		if path := pointerField(reflect.TypeOf(v), ""); path != "" {
 			t.Errorf("%T holds a pointer at %s", v, path)
 		}
@@ -222,13 +240,15 @@ func pointerField(typ reflect.Type, path string) string {
 }
 
 // TestSimulateAllocs: re-simulating a warm contraction rewrites the arena
-// in place, allocating only its three scratch arrays — not a record per
-// gap.
+// in place, allocating only its scratch arrays (the overlay and the
+// sorted gaps) — not a record per gap.
 func TestSimulateAllocs(t *testing.T) {
 	tr := tree.Generate(testRing, prng.New(9), 4096, tree.ShapeRandom)
 	c := New(tr, 10, nil)
 	root := c.RootValue()
-	if allocs := testing.AllocsPerRun(5, c.simulate); allocs > 4 {
+	allocs := testing.AllocsPerRun(5, c.simulate)
+	t.Logf("warm simulate: %.0f allocations", allocs)
+	if allocs > 4 {
 		t.Fatalf("simulate made %.0f allocations, want at most 4", allocs)
 	}
 	if c.RootValue() != root {
@@ -241,8 +261,7 @@ func TestSimulateAllocs(t *testing.T) {
 
 // TestSteadyWaveAllocs: once warm, a k = 16 grow+collapse pair on a
 // 4 096-leaf contraction allocates only the 32 new tree nodes, AddLeaves'
-// returned slice and the occasional growth of T.Nodes and the slot
-// table: PT nodes, shortcut lists, records and every per-wave list are
+// returned slice and the occasional growth of T.Nodes and the ID map: PT nodes, shortcut lists, records and every per-wave list are
 // reused. Before PT nodes went by value the pair made ≈3 100.
 func TestSteadyWaveAllocs(t *testing.T) {
 	const n, k = 4096, 16

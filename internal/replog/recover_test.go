@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"dyntc/internal/faults"
@@ -417,42 +419,109 @@ func TestSnapshotEpochRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzWALRecover: RecoverWAL over arbitrary file bytes never errors on a
-// writable file; the waves it returns verify and are contiguous; the file
-// shrinks by exactly the bytes it reports dropped; a second recovery
-// returns the same waves and drops nothing; and ReadWAL then accepts the
-// file, reading the same waves.
-func FuzzWALRecover(f *testing.F) {
-	// Binary seeds: three waves (a grow among them), then the same file
-	// with its tail torn, its last record's checksum broken, and its
-	// header cut.
+// walRecoverSeeds are FuzzWALRecover's seed inputs: three binary waves
+// (a grow among them), then the same file with its tail torn, its last
+// record's checksum broken and its header cut, and a JSONL file an older
+// build wrote.
+func walRecoverSeeds(tb testing.TB) [][]byte {
 	var wal []byte
 	wal = append(wal, walMagic...)
 	wal = append(wal, frameOf(mkWave(1, 2))...)
 	wal = append(wal, frameOf(growWave(2))...)
 	wal = append(wal, frameOf(mkWave(3, 1))...)
-	f.Add(wal)
-	f.Add(wal[:len(wal)-4])
 	bad := bytes.Clone(wal)
 	bad[len(bad)-1] ^= 1
-	f.Add(bad)
-	f.Add(wal[:2])
-	f.Add(readFixture(f, "wal-legacy.jsonl"))
+	return [][]byte{wal, wal[:len(wal)-4], bad, wal[:2], readFixture(tb, "wal-legacy.jsonl")}
+}
+
+// committedCorpus reads the inputs committed under testdata/fuzz/<name>:
+// files of the form "go test fuzz v1" then one []byte("...") line.
+func committedCorpus(t *testing.T, name string) [][]byte {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", name, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]byte
+	for _, path := range files {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		if len(lines) != 2 || lines[0] != "go test fuzz v1" ||
+			!strings.HasPrefix(lines[1], "[]byte(") || !strings.HasSuffix(lines[1], ")") {
+			t.Fatalf("%s: not a one-[]byte corpus file", path)
+		}
+		data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		out = append(out, []byte(data))
+	}
+	return out
+}
+
+// FuzzWALRecover fuzzes scanWAL, the reader under both RecoverWAL and
+// ReadWAL, on arbitrary file bytes, in memory: the waves it returns
+// verify and are contiguous, its valid prefix lies within the data and
+// ends at the data's end exactly when it reports no error, and the prefix
+// scans again to the same waves, whole and without error — which is what
+// makes RecoverWAL's truncation land on a file it and ReadWAL accept.
+// RecoverWAL's own file round trip, which writes and fsyncs a file per
+// input, is TestRecoverWALRoundTrip's, over the seeds and the committed
+// corpus.
+func FuzzWALRecover(f *testing.F) {
+	for _, seed := range walRecoverSeeds(f) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		waves, good, err := scanWAL(data)
+		for i := range waves {
+			if !waves[i].Verify() {
+				t.Fatalf("scanned wave %d (seq %d) does not verify", i, waves[i].Seq)
+			}
+			if i > 0 && waves[i].Seq != waves[i-1].Seq+1 {
+				t.Fatalf("scanned waves not contiguous: seq %d then %d", waves[i-1].Seq, waves[i].Seq)
+			}
+		}
+		if good < 0 || good > int64(len(data)) {
+			t.Fatalf("valid prefix of %d bytes in %d", good, len(data))
+		}
+		if (err == nil) != (good == int64(len(data))) {
+			t.Fatalf("valid prefix %d of %d bytes, err %v", good, len(data), err)
+		}
+		again, good2, err := scanWAL(data[:good])
+		if err != nil || good2 != good || !reflect.DeepEqual(again, waves) {
+			t.Fatalf("rescanning the %d-byte prefix: %d waves (want %d), %d bytes, err %v",
+				good, len(again), len(waves), good2, err)
+		}
+	})
+}
+
+// TestRecoverWALRoundTrip runs RecoverWAL on a file per FuzzWALRecover
+// seed and committed corpus input: it never errors on a writable file;
+// the waves it returns verify and are contiguous; the file shrinks by
+// exactly the bytes it reports dropped; a second recovery returns the
+// same waves and drops nothing; and ReadWAL then accepts the file,
+// reading the same waves.
+func TestRecoverWALRoundTrip(t *testing.T) {
+	inputs := append(walRecoverSeeds(t), committedCorpus(t, "FuzzWALRecover")...)
+	for i, data := range inputs {
 		path := filepath.Join(t.TempDir(), "tree.wal")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		waves, dropped, err := RecoverWAL(path)
 		if err != nil {
-			t.Fatalf("recover: %v", err)
+			t.Fatalf("input %d: recover: %v", i, err)
 		}
-		for i := range waves {
-			if !waves[i].Verify() {
-				t.Fatalf("recovered wave %d (seq %d) does not verify", i, waves[i].Seq)
+		for j := range waves {
+			if !waves[j].Verify() {
+				t.Fatalf("input %d: recovered wave %d (seq %d) does not verify", i, j, waves[j].Seq)
 			}
-			if i > 0 && waves[i].Seq != waves[i-1].Seq+1 {
-				t.Fatalf("recovered waves not contiguous: seq %d then %d", waves[i-1].Seq, waves[i].Seq)
+			if j > 0 && waves[j].Seq != waves[j-1].Seq+1 {
+				t.Fatalf("input %d: recovered waves not contiguous: seq %d then %d", i, waves[j-1].Seq, waves[j].Seq)
 			}
 		}
 		st, err := os.Stat(path)
@@ -460,20 +529,20 @@ func FuzzWALRecover(f *testing.F) {
 			t.Fatal(err)
 		}
 		if shrunk := int64(len(data)) - st.Size(); shrunk != dropped {
-			t.Fatalf("file shrank by %d bytes, recover reported %d dropped", shrunk, dropped)
+			t.Fatalf("input %d: file shrank by %d bytes, recover reported %d dropped", i, shrunk, dropped)
 		}
 		again, dropped, err := RecoverWAL(path)
 		if err != nil || dropped != 0 || !reflect.DeepEqual(again, waves) {
-			t.Fatalf("second recover: %d waves (want %d), %d dropped, err %v", len(again), len(waves), dropped, err)
+			t.Fatalf("input %d: second recover: %d waves (want %d), %d dropped, err %v", i, len(again), len(waves), dropped, err)
 		}
 		read, err := ReadWAL(path)
 		if err != nil {
-			t.Fatalf("ReadWAL after recover: %v", err)
+			t.Fatalf("input %d: ReadWAL after recover: %v", i, err)
 		}
 		if !reflect.DeepEqual(read, waves) {
-			t.Fatalf("ReadWAL read %d waves, recover returned %d", len(read), len(waves))
+			t.Fatalf("input %d: ReadWAL read %d waves, recover returned %d", i, len(read), len(waves))
 		}
-	})
+	}
 }
 
 // TestAppendCrashLeavesRingUnchanged: a crash inside the WAL write (the
