@@ -457,11 +457,6 @@ func (f *follower) observeApply(wv dyntc.Wave, fetched time.Time) {
 	applyLag := time.Now().UnixNano() - fetchedNS
 	f.s.inst.repl.AppendedFetched.Observe(fetchLag)
 	f.s.inst.repl.FetchedApplied.Observe(applyLag)
-	// Replication-lag stages feed the flight recorder: a leader whose WAL
-	// or network stalls shows up as a replica.fetch anomaly, a replica
-	// whose verified replay slows down as replica.apply.
-	f.s.obs.Anomaly().Observe(sigReplicaFetch, fetchLag)
-	f.s.obs.Anomaly().Observe(sigReplicaApply, applyLag)
 	if wv.TraceID == 0 {
 		return
 	}

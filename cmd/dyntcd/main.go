@@ -123,9 +123,6 @@ func main() {
 		slowWave    = flag.Duration("slow-wave", 0, "log a structured trace of every wave flush at least this long (0 = off)")
 		accessLog   = flag.Bool("access-log", false, "log every HTTP request: method, path, status, bytes, duration")
 		traceSample = flag.Int("trace-sample", 0, "record every Nth wave flush as spans on GET /v1/spans (0 = default 16)")
-		spanLog     = flag.String("span-log", "", "mirror every recorded span to this append-only JSONL file ('' = off)")
-		spanLogMax  = flag.Int64("span-log-max-bytes", 0, "rotate the -span-log file before it exceeds this size (0 = no rotation)")
-		spanLogKeep = flag.Int("span-log-keep", 3, "rotated -span-log generations to keep (<file>.1 .. <file>.N)")
 		eventLog    = flag.String("event-log", "", "mirror every lifecycle event to this append-only JSONL file ('' = off)")
 
 		logFormat = flag.String("log-format", "text", "structured log format: text or json")
@@ -144,14 +141,13 @@ func main() {
 
 	// One observability hub per process; every engine, the wave logs and
 	// the query planner report into it (GET /metrics, /v1/spans,
-	// /v1/events, /v1/hot).
+	// /v1/events, /v1/debug/bundle).
 	proc := "leader"
 	if *follow != "" {
 		proc = "follower"
 	}
 	hub, err := dyntc.NewObs(dyntc.ObsConfig{
 		Proc: proc, TraceSample: *traceSample,
-		SpanPath: *spanLog, SpanMaxBytes: *spanLogMax, SpanKeep: *spanLogKeep,
 		EventPath: *eventLog, SlowWave: *slowWave,
 	})
 	if err != nil {

@@ -2,9 +2,8 @@ package main
 
 // Observability wiring: the server's hub (dyntc.Obs) owns the metrics
 // registry, the span log whose sampled engine.flush spans are the wave
-// traces, the event journal, the anomaly flight recorder and the hot-spot
-// sketches. This file serves them (GET /metrics in Prometheus text
-// format, /v1/spans, /v1/events, /v1/hot, /v1/debug/bundle), registers
+// traces, and the event journal. This file serves them (GET /metrics in
+// Prometheus text format, /v1/spans, /v1/events, /v1/debug/bundle), registers
 // the serving layer's own families and the cross-layer gauges (lag,
 // applied sequence) that need to see engines, logs and the poll loop side
 // by side, and adds an opt-in access log and an optional pprof listener.
@@ -28,17 +27,6 @@ import (
 	"dyntc/internal/engine"
 	"dyntc/internal/obs"
 	"dyntc/internal/replog"
-)
-
-// Anomaly detector signal names: each is one windowed latency stream the
-// flight recorder watches. Leader processes feed the first two (the hub
-// itself feeds engine.flush from every flush record); the
-// replication-lag pair is follower-side.
-const (
-	sigWALAppend    = "wal.append"
-	sigQueryJoin    = "query.join"
-	sigReplicaFetch = "replica.fetch"
-	sigReplicaApply = "replica.apply"
 )
 
 // instruments are the serving layer's own families, registered on the
@@ -128,7 +116,7 @@ func (s *server) handleSpans(w http.ResponseWriter, r *http.Request) {
 
 // handleEvents serves the lifecycle event journal, oldest first.
 // ?type=X filters to one event type (a trailing dot matches the prefix:
-// type=anomaly. returns every anomaly signal), ?since=SEQ returns events
+// type=follower.degraded. returns both edges), ?since=SEQ returns events
 // after that journal sequence number, ?n=N caps the result to the most
 // recent N (lastN).
 func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
@@ -157,35 +145,23 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleHot serves the hub's hot-spot attribution.
-func (s *server) handleHot(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.obs.Hot())
-}
-
 // handleBundle serves the one-shot debug bundle: everything a first
 // responder pastes into an incident channel — build and process info,
 // the full metrics text, recent lifecycle events, recent spans (sampled
-// flushes among them), hot-spot attribution, the flight recorder's state,
-// and the serving role's live stats (engine aggregate, or follower
-// health) — as one JSON document.
+// flushes among them) and the serving role's live stats (engine
+// aggregate, or follower health) — as one JSON document.
 func (s *server) handleBundle(w http.ResponseWriter, r *http.Request) {
 	var metrics strings.Builder
 	_, _ = s.obs.Registry().WriteTo(&metrics)
 	bundle := map[string]any{
-		"generated_at": time.Now().UTC().Format(time.RFC3339Nano),
-		"proc":         s.obs.Proc(),
-		"pid":          os.Getpid(),
-		"go":           runtime.Version(),
-		"goroutines":   runtime.NumGoroutine(),
-		"args":         os.Args,
-		"events":       s.obs.Events().Last(256),
-		"spans":        s.obs.Spans().Last(256),
-		"hot":          s.obs.Hot(),
-		"anomaly": map[string]any{
-			"trips":          s.obs.Anomaly().Trips(),
-			"active":         s.obs.Anomaly().Active(),
-			"boost_deadline": s.obs.Boost().Deadline(),
-		},
+		"generated_at":    time.Now().UTC().Format(time.RFC3339Nano),
+		"proc":            s.obs.Proc(),
+		"pid":             os.Getpid(),
+		"go":              runtime.Version(),
+		"goroutines":      runtime.NumGoroutine(),
+		"args":            os.Args,
+		"events":          s.obs.Events().Last(256),
+		"spans":           s.obs.Spans().Last(256),
 		"metrics":         metrics.String(),
 		"role":            "leader",
 		"trees":           s.forest.Len(),
@@ -244,23 +220,6 @@ func (s *server) observe() {
 	}
 	s.stats = &statsCache{fn: s.forest.Stats, ttl: 250 * time.Millisecond}
 	engine.RegisterStatsFuncs(reg, s.stats.get)
-	// Anomaly events carry a snapshot of the engine aggregate at trip
-	// time, plus the poll loop's health while following.
-	s.obs.Anomaly().SetSnapshot(func() map[string]any {
-		st := s.stats.get()
-		m := map[string]any{
-			"queue_depth":  st.QueueDepth,
-			"flushes":      st.Flushes,
-			"waves":        st.Waves,
-			"shed":         st.Shed,
-			"flush_p50_us": st.FlushP50US,
-			"flush_p99_us": st.FlushP99US,
-		}
-		if f := s.following.Load(); f != nil {
-			f.healthFields(m)
-		}
-		return m
-	})
 	reg.GaugeFunc("dyntc_replog_applied_seq",
 		"sum over trees of the wave change-log position (leader: last logged wave, follower: last applied wave)",
 		func() float64 {

@@ -29,7 +29,6 @@ package main
 
 import (
 	"net/http"
-	"time"
 
 	"dyntc/internal/query"
 )
@@ -128,12 +127,8 @@ func writeQueryResult(w http.ResponseWriter, res query.Result, detail bool) {
 
 // handleQuery parses the wire spec, scatters it over the forest's
 // engines — a follower's are its replicas, the read-offload path — and
-// renders the result. The whole scatter-gather's wall time feeds the
-// flight recorder's query.join signal.
+// renders the result.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	defer func(t0 time.Time) {
-		s.obs.Anomaly().Observe(sigQueryJoin, int64(time.Since(t0)))
-	}(time.Now())
 	var req queryReq
 	if err := decode(w, r, &req); err != nil {
 		writeErr(w, err)

@@ -5,7 +5,7 @@ package main
 // carries every instrumented layer's families, /v1/spans holds sampled
 // flush records and answers for an explicitly traced batch, both follower-side lag stages
 // fill once a wave has replicated, and the self-diagnosis surface
-// (/v1/events, /v1/hot, /v1/debug/bundle) returns well-formed JSON on
+// (/v1/events, /v1/debug/bundle) returns well-formed JSON on
 // both roles. CI's scrape smoke only curls the same endpoints of two
 // real processes; the validation lives here.
 
@@ -133,10 +133,6 @@ var requiredLeaderFamilies = []string{
 	"dyntc_repl_stage_seconds",
 	"dyntc_query_join_seconds",
 	"dyntc_events_total",
-	"dyntc_hot_tree_id",
-	"dyntc_hot_tree_weight",
-	"dyntc_anomaly_trips_total",
-	"dyntc_anomaly_active",
 	"dyntc_go_goroutines",
 	"dyntc_go_heap_alloc_bytes",
 	"dyntc_go_gc_pause_seconds",
@@ -152,8 +148,6 @@ var requiredFollowerFamilies = []string{
 	"dyntc_repl_stage_seconds",
 	"dyntc_epoch",
 	"dyntc_events_total",
-	"dyntc_anomaly_trips_total",
-	"dyntc_anomaly_active",
 	"dyntc_go_goroutines",
 	"dyntc_go_heap_alloc_bytes",
 	"dyntc_build_info",
@@ -326,7 +320,7 @@ func scrapeLeader(t *testing.T, base string, ops int) {
 	if sampled == 0 {
 		t.Fatalf("spans: no sampled flush record after %d ops", ops)
 	}
-	checkObsEndpoints(t, base, "leader", true)
+	checkObsEndpoints(t, base, "leader")
 }
 
 // scrapeFollower validates a follower at base tailing the leader at
@@ -385,16 +379,13 @@ func scrapeFollower(t *testing.T, leaderURL, base string) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	checkFamilyGolden(t, "follower", string(getBytes(t, base+"/metrics", http.StatusOK)))
-	checkObsEndpoints(t, base, "follower", false)
+	checkObsEndpoints(t, base, "follower")
 }
 
 // checkObsEndpoints validates the self-diagnosis surface both roles
-// serve: the lifecycle event journal, the hot-tree attribution and the
-// one-shot debug bundle. wantRole pins the bundle's role field; wantHot
-// additionally requires the hot-tree cost dimension to have absorbed
-// traffic (true on a leader that just served load, false on a follower,
-// whose engines only replay).
-func checkObsEndpoints(t *testing.T, base, wantRole string, wantHot bool) {
+// serve: the lifecycle event journal and the one-shot debug bundle.
+// wantRole pins the bundle's role field.
+func checkObsEndpoints(t *testing.T, base, wantRole string) {
 	t.Helper()
 	var ev struct {
 		Total  uint64      `json:"total"`
@@ -410,26 +401,10 @@ func checkObsEndpoints(t *testing.T, base, wantRole string, wantHot bool) {
 		}
 	}
 
-	var hot map[string]struct {
-		Total uint64         `json:"total"`
-		Trees []obs.TopKItem `json:"trees"`
-	}
-	call(t, "GET", base+"/v1/hot", nil, http.StatusOK, &hot)
-	for _, dim := range []string{"cost", "reqs", "shed"} {
-		if _, ok := hot[dim]; !ok {
-			t.Fatalf("%s hot: missing dimension %q", wantRole, dim)
-		}
-	}
-	if wantHot && (hot["cost"].Total == 0 || len(hot["cost"].Trees) == 0) {
-		t.Fatalf("%s hot: cost dimension empty after load", wantRole)
-	}
-
 	var bundle struct {
-		Role    string          `json:"role"`
-		Metrics string          `json:"metrics"`
-		Events  []obs.Event     `json:"events"`
-		Anomaly map[string]any  `json:"anomaly"`
-		Hot     json.RawMessage `json:"hot"`
+		Role    string      `json:"role"`
+		Metrics string      `json:"metrics"`
+		Events  []obs.Event `json:"events"`
 	}
 	call(t, "GET", base+"/v1/debug/bundle", nil, http.StatusOK, &bundle)
 	if bundle.Role != wantRole {
@@ -438,10 +413,7 @@ func checkObsEndpoints(t *testing.T, base, wantRole string, wantHot bool) {
 	if !strings.Contains(bundle.Metrics, "dyntc_events_total") {
 		t.Fatalf("%s debug bundle: embedded metrics snapshot missing dyntc_events_total", wantRole)
 	}
-	if len(bundle.Events) == 0 || len(bundle.Hot) == 0 {
-		t.Fatalf("%s debug bundle: missing events or hot sections", wantRole)
-	}
-	if _, ok := bundle.Anomaly["trips"]; !ok {
-		t.Fatalf("%s debug bundle: anomaly section missing trips: %v", wantRole, bundle.Anomaly)
+	if len(bundle.Events) == 0 {
+		t.Fatalf("%s debug bundle: missing events section", wantRole)
 	}
 }

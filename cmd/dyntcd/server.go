@@ -72,8 +72,7 @@ type server struct {
 
 	// obs is the process's observability hub, shared with every engine
 	// (BatchOptions.Obs), wave log (SetObs) and the query planner; it
-	// backs GET /metrics, /v1/spans, /v1/events, /v1/hot and
-	// /v1/debug/bundle. inst holds the serving layer's own instruments and
+	// backs GET /metrics, /v1/spans, /v1/events and /v1/debug/bundle. inst holds the serving layer's own instruments and
 	// stats the cached forest aggregate the scrape and bundle read
 	// (observe).
 	obs   *dyntc.Obs
@@ -214,7 +213,6 @@ func (s *server) routes() *http.ServeMux {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /v1/spans", s.handleSpans)
 	mux.HandleFunc("GET /v1/events", s.handleEvents)
-	mux.HandleFunc("GET /v1/hot", s.handleHot)
 	mux.HandleFunc("GET /v1/debug/bundle", s.handleBundle)
 	return mux
 }
@@ -925,7 +923,6 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		body["ok"] = false
 		body["fenced_at_epoch"] = ep
 	}
-	body["anomaly_active"] = s.obs.Anomaly().Active()
 	if ev, ok := s.obs.Events().LastEvent(); ok {
 		body["last_event"] = ev
 	}

@@ -149,14 +149,9 @@ func (st *store) adopt(id dyntc.TreeID, en *dyntc.Engine, supersede bool) error 
 		go st.compactLoop(id, en, e)
 	}
 	en.SetWaveTap(func(w dyntc.Wave) {
-		t0 := time.Now()
 		if err := wl.Append(w); err != nil {
 			slog.Error("wave log append failed", "tree", id, "seq", w.Seq, "err", err)
 		}
-		// The append's wall time feeds the flight recorder: a stalling
-		// disk shows up as a wal.append anomaly before it backs the
-		// executor up far enough to shed.
-		st.obs.Anomaly().Observe(sigWALAppend, int64(time.Since(t0)))
 		// Kick the compactor every compactEvery waves; the send is
 		// non-blocking (the tap runs on the executor) and coalesces.
 		if e.kick != nil && w.Seq%uint64(st.compactEvery) == 0 {

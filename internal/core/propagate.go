@@ -207,49 +207,51 @@ func (pp *propPass) occupant(p cellRef, left bool, at *Record) cellRef {
 	return 0
 }
 
-// chained reports whether r is actually linked into u's touch chain (a
-// record orphaned by someone else's surgery still stores u as a
-// participant but must not splice the chain again). The prev.W check
-// matters: a stale backpointer can reference a record that has moved to
-// another chain, and splicing through it would cross the chains.
-func (pp *propPass) chained(r *Record, u cellRef) bool {
-	prev := pp.c.prevIn(r, u)
-	if prev != nil {
-		return prev.W == u && prev.Next == r.id
-	}
-	return pp.c.cell(u).firstTouch == r.id
-}
-
 // touches reports whether u is a stored participant of m.
 func touches(m *Record, u cellRef) bool {
 	return m.V == u || m.P == u || m.W == u
 }
 
-// unchain removes r from the forward chains of all stored participants
-// and eagerly repairs the successors' backward links. The repair is
-// load-bearing: a stale backpointer would let chained() route a later
-// splice through a record that already left the chain, leaving that
-// record physically linked while its fields get rewritten — an alien
-// entry in a foreign chain.
+// splice removes r from u's touch chain and eagerly repairs the
+// successor's backward link, fetching r's predecessor and successor once
+// each. It returns the successor, or nil when r was last or was not
+// actually linked into the chain: a record orphaned by someone else's
+// surgery still stores u as a participant but must not splice the chain
+// again. The prev.W check matters: a stale backpointer can reference a
+// record that has moved to another chain, and splicing through it would
+// cross the chains. The backward repair is load-bearing too: a stale
+// backpointer would let a later splice route through a record that
+// already left the chain, leaving that record physically linked while
+// its fields get rewritten — an alien entry in a foreign chain.
+func (pp *propPass) splice(r *Record, u cellRef) *Record {
+	c := pp.c
+	prev := c.prevIn(r, u)
+	if prev != nil {
+		if prev.W != u || prev.Next != r.id {
+			return nil
+		}
+	} else if c.cell(u).firstTouch != r.id {
+		return nil
+	}
+	next := c.nextIn(r, u)
+	if prev != nil {
+		prev.Next = ref(next)
+	} else {
+		c.cell(u).firstTouch = ref(next)
+	}
+	if next != nil && touches(next, u) {
+		setPrevIn(next, u, prev)
+	}
+	return next
+}
+
+// unchain removes r from the forward chains of all stored participants.
 func (pp *propPass) unchain(r *Record) {
 	if r.P == 0 {
 		return // never executed: in no chain
 	}
-	c := pp.c
 	for _, u := range [3]cellRef{r.V, r.P, r.W} {
-		if !pp.chained(r, u) {
-			continue
-		}
-		prev := c.prevIn(r, u)
-		next := c.nextIn(r, u)
-		if prev != nil {
-			prev.Next = ref(next)
-		} else {
-			c.cell(u).firstTouch = ref(next)
-		}
-		if next != nil && touches(next, u) {
-			setPrevIn(next, u, prev)
-		}
+		pp.splice(r, u)
 	}
 }
 
@@ -262,20 +264,7 @@ func (pp *propPass) kill(r *Record) {
 	c.recs.Release(r.id)
 	if r.P != 0 {
 		for _, u := range [3]cellRef{r.V, r.P, r.W} {
-			if !pp.chained(r, u) {
-				continue
-			}
-			prev := c.prevIn(r, u)
-			next := c.nextIn(r, u)
-			if prev != nil {
-				prev.Next = ref(next)
-			} else {
-				c.cell(u).firstTouch = ref(next)
-			}
-			if next != nil {
-				if touches(next, u) {
-					setPrevIn(next, u, prev)
-				}
+			if next := pp.splice(r, u); next != nil {
 				pp.enqueue(next, true)
 			}
 		}

@@ -80,13 +80,11 @@ type Options struct {
 	// Obs, when set, is the process's observability hub. The engine
 	// registers its histogram families (flush, coalesce wait, per-stage,
 	// heal records) on the hub's registry, times every flush, samples
-	// flushes into the hub's span log — at the hub's period, while its
-	// anomaly boost is active, and whenever a flush carries an explicitly
-	// traced request — and hands every flush record to the hub (hot-spot
-	// sketches, flush anomaly detector, slow-wave log) on the executor.
-	// Sheds are reported to the hub on the shedding submitter, and shed
-	// bursts (at most one event per second per engine) are journaled.
-	// Nil costs one bool check per flush.
+	// flushes into the hub's span log — at the hub's period, and whenever
+	// a flush carries an explicitly traced request — and hands every flush
+	// record to the hub (slow-wave log) on the executor. Shed bursts (at
+	// most one event per second per engine) are journaled on the shedding
+	// submitter. Nil costs one bool check per flush.
 	Obs *obs.Hub
 	// Faults, when set, is the deterministic fault-injection schedule:
 	// site "engine.wave" is checked once per executed wave on the
@@ -280,7 +278,6 @@ func (e *Engine) submit(f *Future) *Future {
 			e.queuedOps.Add(-size)
 			e.stats.shed(int(size))
 			if h := e.opts.Obs; h != nil {
-				h.Shed(e.traceID.Load(), int(size))
 				e.noteShedBurst(h.Events())
 			}
 			f.resolve(ErrOverloaded)
@@ -357,7 +354,7 @@ func (e *Engine) run() {
 
 // noteShedBurst journals that the engine is shedding, rate-limited to
 // one event per second per engine: individual rejections are counted by
-// stats and the hub's shed sketch; the journal records that a burst is
+// stats (dyntc_engine_shed_total); the journal records that a burst is
 // happening at all, with the running total for scale.
 func (e *Engine) noteShedBurst(j *obs.Journal) {
 	now := time.Now().UnixNano()

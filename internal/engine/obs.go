@@ -128,18 +128,17 @@ func RegisterStatsFuncs(r *obs.Registry, stats func() Stats) {
 func (e *Engine) SetTraceID(id uint64) { e.traceID.Store(id) }
 
 // beginFlushSpan decides, at flush start, whether this flush is recorded
-// into the hub's span log: a flush the hub samples (its cadence, or its
-// anomaly boost while active), or any flush carrying a request with an
-// explicit trace context (the first such request's trace is adopted, so
-// an X-Dyntc-Trace header forces end-to-end tracing). The unsampled path
-// is allocation-free: one counter compare, one atomic boost load, plus
-// one span field compare per request.
+// into the hub's span log: a flush the hub samples by cadence, or any
+// flush carrying a request with an explicit trace context (the first such
+// request's trace is adopted, so an X-Dyntc-Trace header forces
+// end-to-end tracing). The unsampled path is allocation-free: one counter
+// compare plus one span field compare per request.
 func (e *Engine) beginFlushSpan(flush []*Future, flushStart time.Time) {
 	sc := &e.sc
 	sc.spanActive = false
 	sc.spanTrace, sc.spanParent, sc.spanFlush = 0, 0, 0
 	sc.flushT0 = flushStart
-	sampled := e.opts.Obs.Sampled(e.flushSeq, flushStart.UnixNano())
+	sampled := e.opts.Obs.Sampled(e.flushSeq)
 	for _, f := range flush {
 		if f.span.Valid() {
 			sc.spanTrace, sc.spanParent = f.span.Trace, f.span.Span

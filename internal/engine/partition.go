@@ -174,7 +174,7 @@ type scratch struct {
 
 	// Per-flush distributed-trace state (engines with Options.Obs):
 	// spanActive marks a flush sampled into the hub's span log — by the
-	// hub's cadence or boost, or because it carries an explicitly traced
+	// hub's cadence, or because it carries an explicitly traced
 	// request. spanTrace/spanParent are the adopted trace and ingest-span
 	// parent; spanFlush is the flush span's own ID (parent of stage and
 	// wave spans). flushT0 anchors span timestamps; stageStart holds each

@@ -9,8 +9,7 @@ import (
 
 // newSpanEngine builds an in-package engine with an observability hub
 // attached whose sampling period is large enough that no flush is
-// cadence-sampled; the hub's (never-triggered) anomaly boost keeps the
-// boost check inside the zero-alloc guard.
+// cadence-sampled.
 func newSpanEngine(t testing.TB) *Engine {
 	t.Helper()
 	h, err := obs.NewHub(obs.HubConfig{Proc: "test", TraceSample: 1 << 30})
@@ -71,37 +70,6 @@ func TestBeginFlushSpanAdoptsHeaderTrace(t *testing.T) {
 	en.beginFlushSpan([]*Future{{}}, time.Now())
 	if !en.sc.spanActive || en.sc.spanTrace == 0 || en.sc.spanParent != 0 {
 		t.Fatalf("cadence-sampled flush state = %+v", en.sc)
-	}
-}
-
-// TestBeginFlushSpanBoostSamples checks the flight-recorder override: an
-// active TraceBoost forces span sampling on a cadence-missed flush, and
-// an expired boost decays back to the unsampled (still zero-alloc) path.
-func TestBeginFlushSpanBoostSamples(t *testing.T) {
-	en := newSpanEngine(t)
-	en.flushSeq = 5 // cadence miss
-	futs := []*Future{{}, {}}
-
-	en.opts.Obs.Boost().Trigger(time.Hour)
-	en.beginFlushSpan(futs, time.Now())
-	if !en.sc.spanActive {
-		t.Fatal("flush during an active boost not sampled")
-	}
-	if en.sc.spanTrace == 0 || en.sc.spanFlush == 0 {
-		t.Fatalf("boost-sampled flush state = %+v", en.sc)
-	}
-
-	// Decay: a flush timestamped past the boost deadline is unsampled
-	// again — and allocation-free, boost present or not.
-	past := time.Unix(0, en.opts.Obs.Boost().Deadline()+1)
-	allocs := testing.AllocsPerRun(200, func() {
-		en.beginFlushSpan(futs, past)
-	})
-	if en.sc.spanActive {
-		t.Fatal("flush past the boost deadline still sampled")
-	}
-	if allocs != 0 {
-		t.Fatalf("beginFlushSpan allocated %v with an expired boost, want 0", allocs)
 	}
 }
 

@@ -2,7 +2,7 @@
 // aggregate and spans sample, the journal records the rare, discrete
 // state transitions an operator asks about first — who promoted, when a
 // follower went degraded, why the WAL was truncated — as structured
-// events in a bounded ring (ring.go) with an optional JSONL sink.
+// events in a bounded ring (ring.go) with an optional JSONL file mirror.
 // Every subsystem emits into one shared Journal; the server serves it at
 // GET /v1/events and counts emissions per type in /metrics
 // (dyntc_events_total{type=...}).
@@ -10,6 +10,8 @@ package obs
 
 import (
 	"encoding/json"
+	"log/slog"
+	"os"
 	"strings"
 	"sync"
 	"time"
@@ -44,18 +46,12 @@ const (
 	// EvShedBurst marks a burst of load-shedded requests (rate-limited to
 	// at most one event per second per engine).
 	EvShedBurst = "engine.shed.burst"
-	// EvAnomaly marks an anomaly detector tripping; the concrete type is
-	// EvAnomaly + "." + signal name (e.g. "anomaly.engine.flush").
-	EvAnomaly = "anomaly"
-	// EvTraceBoost marks the flight recorder boosting trace sampling.
-	EvTraceBoost = "trace.boost"
 )
 
 // Event is one recorded lifecycle transition. Time is UnixNano so events
 // from different processes order on a shared axis; Seq orders events
 // within one journal. Fields carries type-specific detail (sequence
-// numbers, epochs, measured values) and, on anomaly events, the flight
-// recorder's stats snapshot.
+// numbers, epochs, measured values).
 type Event struct {
 	Seq    uint64         `json:"seq"`
 	Time   int64          `json:"time"`
@@ -72,7 +68,7 @@ type Event struct {
 const DefaultJournalCap = 1024
 
 // Journal is the bounded lifecycle event ring plus an optional JSONL
-// sink. All methods are safe for concurrent use and nil-safe: emitting
+// file mirror. All methods are safe for concurrent use and nil-safe: emitting
 // into a nil journal is a no-op, so subsystems thread an optional
 // *Journal without guarding every call site.
 type Journal struct {
@@ -80,7 +76,11 @@ type Journal struct {
 	ring ring[Event]
 	proc string
 
-	sink *rotatingFile
+	// sink mirrors every event to an append-only JSONL file, one write
+	// per event, so a killed process loses none it journaled. sinkFailing
+	// holds while its writes fail, so a run of failures logs one warning.
+	sink        *os.File
+	sinkFailing bool
 
 	reg      *Registry
 	counters map[string]*Counter
@@ -93,7 +93,7 @@ type Journal struct {
 func NewJournal(capacity int, proc, path string) (*Journal, error) {
 	j := &Journal{ring: newRing[Event](capacity, DefaultJournalCap), proc: proc}
 	if path != "" {
-		sink, err := openRotatingFile(path, 0, 1)
+		sink, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, err
 		}
@@ -141,12 +141,23 @@ func (j *Journal) Record(e Event) {
 		c.Inc()
 	}
 	if j.sink != nil {
-		if b, err := json.Marshal(e); err == nil {
-			j.sink.Write(append(b, '\n'))
-			j.sink.Flush() // events are rare and precious: push each one down
-		}
+		j.mirror(e)
 	}
 	j.mu.Unlock()
+}
+
+// mirror appends e to the JSONL file as one line. The ring and the
+// counters already hold the event; a failed write is logged once per run
+// of failures.
+func (j *Journal) mirror(e Event) {
+	b, err := json.Marshal(e)
+	if err == nil {
+		_, err = j.sink.Write(append(b, '\n'))
+	}
+	if err != nil && !j.sinkFailing {
+		slog.Warn("event log write failed", "path", j.sink.Name(), "err", err)
+	}
+	j.sinkFailing = err != nil
 }
 
 // Emit journals one event of the given type.
@@ -172,7 +183,7 @@ func (j *Journal) Last(n int) []Event {
 
 // Query returns up to n retained events with Seq > since, oldest first,
 // filtered to the given type when typ is non-empty. A typ ending in "."
-// matches as a prefix, so typ="anomaly." selects every anomaly signal.
+// matches as a prefix, so typ="follower.degraded." selects both edges.
 // n <= 0 means no count limit.
 func (j *Journal) Query(typ string, since uint64, n int) []Event {
 	if j == nil {
@@ -218,7 +229,7 @@ func (j *Journal) Total() uint64 {
 	return j.ring.total()
 }
 
-// Close flushes and closes the JSONL sink, if any.
+// Close closes the JSONL file mirror, if any.
 func (j *Journal) Close() error {
 	if j == nil {
 		return nil

@@ -2,8 +2,10 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -58,11 +60,11 @@ func TestJournalPrefixQueryAndCounters(t *testing.T) {
 	}
 	r := NewRegistry()
 	j.Observe(r)
-	j.Emit(EvAnomaly+".engine.flush", "", nil)
-	j.Emit(EvAnomaly+".wal.append", "", nil)
+	j.Emit(EvDegradedEnter, "", nil)
+	j.Emit(EvDegradedExit, "", nil)
 	j.Emit(EvWALCompact, "", nil)
-	if got := j.Query(EvAnomaly+".", 0, 0); len(got) != 2 {
-		t.Fatalf("anomaly prefix query = %+v", got)
+	if got := j.Query("follower.degraded.", 0, 0); len(got) != 2 {
+		t.Fatalf("degraded prefix query = %+v", got)
 	}
 	var sb strings.Builder
 	if _, err := r.WriteTo(&sb); err != nil {
@@ -70,7 +72,7 @@ func TestJournalPrefixQueryAndCounters(t *testing.T) {
 	}
 	text := sb.String()
 	for _, want := range []string{
-		`dyntc_events_total{type="anomaly.engine.flush"} 1`,
+		`dyntc_events_total{type="follower.degraded.enter"} 1`,
 		`dyntc_events_total{type="wal.compact"} 1`,
 	} {
 		if !strings.Contains(text, want) {
@@ -94,35 +96,69 @@ func TestJournalNilSafe(t *testing.T) {
 	}
 }
 
+// TestJournalJSONLSink mirrors events to a file, and then to a file that
+// was closed under the journal: every event stays in the ring and the
+// counters, and a run of failed writes logs one warning naming the path.
 func TestJournalJSONLSink(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "events.jsonl")
-	j, err := NewJournal(8, "follower", path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.EmitTree(EvShedBurst, 7, "queue full", map[string]any{"shed": 12})
-	j.Emit(EvWALTorn, "truncated", nil)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var evs []Event
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		var e Event
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
+	prev := slog.Default()
+	defer slog.SetDefault(prev)
+	for _, broken := range []bool{false, true} {
+		path := filepath.Join(t.TempDir(), "events.jsonl")
+		j, err := NewJournal(8, "follower", path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		evs = append(evs, e)
-	}
-	if len(evs) != 2 || evs[0].Type != EvShedBurst || evs[0].Tree != 7 || evs[1].Type != EvWALTorn {
-		t.Fatalf("sink contents: %+v", evs)
-	}
-	if evs[0].Proc != "follower" || evs[0].Time == 0 {
-		t.Fatalf("event not stamped: %+v", evs[0])
+		r := NewRegistry()
+		j.Observe(r)
+		var logged bytes.Buffer
+		slog.SetDefault(slog.New(slog.NewTextHandler(&logged, nil)))
+		if broken {
+			j.sink.Close()
+		}
+		j.EmitTree(EvShedBurst, 7, "queue full", map[string]any{"shed": 12})
+		j.Emit(EvWALTorn, "truncated", nil)
+		j.Close()
+		slog.SetDefault(prev)
+
+		if last := j.Last(0); len(last) != 2 || last[0].Type != EvShedBurst || last[1].Type != EvWALTorn {
+			t.Fatalf("broken=%v: ring holds %+v", broken, last)
+		}
+		var sb strings.Builder
+		if _, err := r.WriteTo(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(sb.String(), `dyntc_events_total{type="wal.recover.torn"} 1`) {
+			t.Fatalf("broken=%v: counter missing in:\n%s", broken, sb.String())
+		}
+		warnings := strings.Count(logged.String(), "event log write failed")
+		if broken {
+			if warnings != 1 || !strings.Contains(logged.String(), path) {
+				t.Fatalf("closed sink: %d warnings, want 1 naming %s; log:\n%s", warnings, path, logged.String())
+			}
+			continue
+		}
+		if warnings != 0 {
+			t.Fatalf("healthy sink logged: %s", logged.String())
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var evs []Event
+		sc := bufio.NewScanner(f)
+		for sc.Scan() {
+			var e Event
+			if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+				t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
+			}
+			evs = append(evs, e)
+		}
+		f.Close()
+		if len(evs) != 2 || evs[0].Type != EvShedBurst || evs[0].Tree != 7 || evs[1].Type != EvWALTorn {
+			t.Fatalf("sink contents: %+v", evs)
+		}
+		if evs[0].Proc != "follower" || evs[0].Time == 0 {
+			t.Fatalf("event not stamped: %+v", evs[0])
+		}
 	}
 }

@@ -210,10 +210,7 @@ func TestTraceRingEviction(t *testing.T) {
 // TestTraceRingConcurrent hammers both ring owners — the span log and
 // the event journal, each locking its own ring — for the race detector.
 func TestTraceRingConcurrent(t *testing.T) {
-	spans, err := NewSpanLog(32, "leader", "", 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spans := NewSpanLog(32, "leader")
 	events, err := NewJournal(32, "leader", "")
 	if err != nil {
 		t.Fatal(err)

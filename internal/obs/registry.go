@@ -2,8 +2,8 @@
 // lock-cheap metrics registry (atomic counters, scrape-time gauge
 // functions, fixed-bucket histograms with an Observe(ns) fast path) plus
 // the span log and event journal (span.go, events.go), both bounded rings
-// (ring.go), and the Hub (hub.go) that bundles them, the anomaly flight
-// recorder and the hot-spot sketches into one handle per process.
+// (ring.go), and the Hub (hub.go) that bundles them with the slow-wave
+// log into one handle per process.
 // Instruments are created once at wiring time and cached by their
 // callers; the hot path is one or two atomic adds with no map lookups and
 // no locks. The registry renders itself in the Prometheus text exposition

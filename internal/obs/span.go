@@ -7,14 +7,12 @@
 // (epoch, seq), so the follower's spans parent onto the leader's wave
 // span and one trace ID covers both processes.
 //
-// The exporter is a SpanLog: a bounded ring (ring.go) plus an optional
-// buffered JSONL file, the same shape as the event journal. Spans are
-// only materialised for sampled flushes (or requests that carry an
+// The exporter is a SpanLog: a bounded ring (ring.go) served at
+// /v1/spans. Spans are only materialised for sampled flushes (or requests that carry an
 // explicit trace header), so the unsampled hot path never allocates.
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
@@ -201,39 +199,24 @@ type WaveTrace struct {
 // spans per sampled flush plus one per wave.
 const DefaultSpanCap = 4096
 
-// SpanLog collects finished spans: a bounded ring for the /v1/spans
-// endpoint plus an optional buffered JSONL file. Add is mutex-guarded —
-// spans are emitted once per sampled flush/wave, never per request, so
-// the lock is off the hot path.
+// SpanLog collects finished spans in a bounded ring for the /v1/spans
+// endpoint. Add is mutex-guarded — spans are emitted once per sampled
+// flush/wave, never per request, so the lock is off the hot path.
 type SpanLog struct {
 	mu   sync.Mutex
 	ring ring[Span]
 	proc string
-
-	sink *rotatingFile
 }
 
 // NewSpanLog creates a span log retaining up to capacity spans
 // (DefaultSpanCap when <= 0). proc is stamped on every span recorded
 // here ("leader", "follower", ...), identifying the process in merged
-// traces. A non-empty path mirrors every span to an append-only JSONL
-// file; once the file would exceed maxBytes it is rotated aside (path.1 …
-// path.keep, oldest dropped) and a fresh file continues the stream.
-// maxBytes <= 0 disables rotation.
-func NewSpanLog(capacity int, proc, path string, maxBytes int64, keep int) (*SpanLog, error) {
-	l := &SpanLog{ring: newRing[Span](capacity, DefaultSpanCap), proc: proc}
-	if path != "" {
-		sink, err := openRotatingFile(path, maxBytes, keep)
-		if err != nil {
-			return nil, err
-		}
-		l.sink = sink
-	}
-	return l, nil
+// traces.
+func NewSpanLog(capacity int, proc string) *SpanLog {
+	return &SpanLog{ring: newRing[Span](capacity, DefaultSpanCap), proc: proc}
 }
 
-// Add records a finished span, stamping the log's process label. The
-// JSONL mirror is buffered; Flush or Close pushes it down.
+// Add records a finished span, stamping the log's process label.
 func (l *SpanLog) Add(s Span) {
 	if l == nil {
 		return
@@ -244,11 +227,6 @@ func (l *SpanLog) Add(s Span) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.ring.add(s)
-	if l.sink != nil {
-		if b, err := json.Marshal(s); err == nil {
-			l.sink.Write(append(b, '\n'))
-		}
-	}
 }
 
 // Total returns the number of spans ever recorded (including evicted).
@@ -308,34 +286,6 @@ func (l *SpanLog) BySeq(seq uint64) []Span {
 		return nil
 	}
 	return l.filter(func(s Span) bool { return s.Seq == seq })
-}
-
-// Flush forces buffered JSONL output to the file.
-func (l *SpanLog) Flush() error {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.sink == nil {
-		return nil
-	}
-	return l.sink.Flush()
-}
-
-// Close flushes and closes the JSONL file, if any.
-func (l *SpanLog) Close() error {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.sink == nil {
-		return nil
-	}
-	err := l.sink.Close()
-	l.sink = nil
-	return err
 }
 
 // FormatTraceHeader renders a SpanContext for the X-Dyntc-Trace header:

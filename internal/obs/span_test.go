@@ -2,8 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -87,10 +85,7 @@ func TestTraceHeaderRoundTrip(t *testing.T) {
 }
 
 func TestSpanLogRingAndFilters(t *testing.T) {
-	l, err := NewSpanLog(4, "leader", "", 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := NewSpanLog(4, "leader")
 	tr := NewTraceID()
 	for i := 1; i <= 6; i++ {
 		s := Span{Trace: NewTraceID(), Span: NewSpanID(), Name: "n", Seq: uint64(i)}
@@ -127,124 +122,6 @@ func TestSpanLogRingAndFilters(t *testing.T) {
 	nilLog.Add(Span{})
 	if nilLog.Total() != 0 || nilLog.Last(1) != nil {
 		t.Fatal("nil SpanLog not inert")
-	}
-}
-
-func TestSpanLogJSONLFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "spans.jsonl")
-	l, err := NewSpanLog(8, "leader", path, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Span{Trace: 0xaa, Span: 0xbb, Name: "engine.flush", Seq: 7, Start: 123, Dur: 456}
-	l.Add(want)
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) != 1 {
-		t.Fatalf("lines = %d, want 1", len(lines))
-	}
-	var got Span
-	if err := json.Unmarshal([]byte(lines[0]), &got); err != nil {
-		t.Fatal(err)
-	}
-	want.Proc = "leader"
-	if got != want {
-		t.Fatalf("decoded %+v, want %+v", got, want)
-	}
-}
-
-func TestSpanLogRotation(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "spans.jsonl")
-	// Each span record is ~120 bytes; a 1 KiB cap forces rotations fast.
-	l, err := NewSpanLog(8, "leader", path, 1024, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		l.Add(Span{Trace: SpanID(i + 1), Span: SpanID(i + 1), Name: "engine.flush", Start: int64(i), Dur: 1})
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Size() > 1024 {
-		t.Fatalf("current file %d bytes, cap 1024", st.Size())
-	}
-	// keep=2: at most two rotated files survive, and no third generation.
-	for _, rotated := range []string{path + ".1", path + ".2"} {
-		rst, err := os.Stat(rotated)
-		if err != nil {
-			t.Fatalf("rotated file %s missing: %v", rotated, err)
-		}
-		if rst.Size() > 1024+256 {
-			t.Fatalf("rotated file %s is %d bytes", rotated, rst.Size())
-		}
-	}
-	if _, err := os.Stat(path + ".3"); err == nil {
-		t.Fatal("keep=2 left a third rotated file behind")
-	}
-	// Every surviving file must still be valid JSONL — rotation never
-	// splits a record.
-	for _, p := range []string{path + ".2", path + ".1", path} {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-			var s Span
-			if err := json.Unmarshal([]byte(line), &s); err != nil {
-				t.Fatalf("%s: bad line %q: %v", p, line, err)
-			}
-		}
-	}
-}
-
-// TestSpanLogRotationFailureKeepsSink blocks rotation (path.1 is a
-// non-empty directory, so the rename fails) and checks that the sink
-// survives: every span lands in the current file and Flush succeeds.
-func TestSpanLogRotationFailureKeepsSink(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "spans.jsonl")
-	if err := os.MkdirAll(filepath.Join(path+".1", "blocker"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	l, err := NewSpanLog(8, "leader", path, 200, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 50
-	for i := 0; i < n; i++ {
-		l.Add(Span{Trace: SpanID(i + 1), Span: SpanID(i + 1), Name: "engine.flush", Start: int64(i), Dur: 1})
-	}
-	if err := l.Flush(); err != nil {
-		t.Fatalf("Flush after a failed rotation: %v", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) != n {
-		t.Fatalf("%d spans in %s (%d bytes), want all %d", len(lines), path, len(data), n)
-	}
-	for i, line := range lines {
-		var s Span
-		if err := json.Unmarshal([]byte(line), &s); err != nil || s.Start != int64(i) {
-			t.Fatalf("line %d = %q (%v), want span %d", i, line, err, i)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
 	}
 }
 

@@ -5,24 +5,22 @@ import "dyntc/internal/obs"
 // This file is the public face of internal/obs: one observability handle
 // per process. Pass it as BatchOptions.Obs and every layer reports into
 // it — engines (flush histograms, sampled flush spans, per-flush records,
-// sheds, lifecycle events), the forest's cross-tree query planner and,
+// lifecycle events), the forest's cross-tree query planner and,
 // through WaveLog.SetObs, the wave logs. Without one the engine pays one
 // boolean check per flush.
 
 // Obs is a process's observability hub: the metrics registry (rendered
 // in Prometheus text format by Registry().WriteTo), the span log and its
-// flush sampling period, the lifecycle event journal, the anomaly flight
-// recorder with its trace-sampling boost, and per-tree hot-spot sketches
-// of flush cost, requests and sheds. Share one hub across every engine,
-// forest and log of a process.
+// flush sampling period, the lifecycle event journal and the slow-wave
+// log. Share one hub across every engine, forest and log of a process.
 type Obs = obs.Hub
 
 // ObsConfig configures NewObs. The zero value is an in-memory hub: no
-// JSONL mirrors, every 16th flush span-sampled, no slow-wave log.
+// event-log mirror, every 16th flush span-sampled, no slow-wave log.
 type ObsConfig = obs.HubConfig
 
 // NewObs builds an observability hub. It fails only when a configured
-// span or event JSONL mirror cannot be opened.
+// event-log mirror cannot be opened.
 func NewObs(cfg ObsConfig) (*Obs, error) { return obs.NewHub(cfg) }
 
 // TraceContext is the propagated half of a distributed trace: the trace

@@ -76,15 +76,14 @@ type BatchOptions struct {
 	// Obs, when set, is the process's observability hub (NewObs), shared
 	// by every engine it is passed to and by a forest's query planner. It
 	// turns on wave pipeline timing: flush, coalesce-wait and per-stage
-	// histograms; span-sampled flushes (at the hub's period, while its
-	// anomaly boost is active, and whenever a flush carries a request
-	// submitted to Engine.Apply with a trace context), each recorded as a
-	// flush span carrying the flush record, with per-stage child spans and
-	// a deterministic wave anchor span per sealed wave that WAL appends and
-	// replica replays stitch to by (epoch, seq); every flush record and
-	// every shed handed to the hub; shed bursts journaled. Nil keeps all
-	// of it off: the engine pays one boolean check per flush and nothing
-	// else.
+	// histograms; span-sampled flushes (at the hub's period, and whenever
+	// a flush carries a request submitted to Engine.Apply with a trace
+	// context), each recorded as a flush span carrying the flush record,
+	// with per-stage child spans and a deterministic wave anchor span per
+	// sealed wave that WAL appends and replica replays stitch to by
+	// (epoch, seq); every flush record handed to the hub; shed bursts
+	// journaled. Nil keeps all of it off: the engine pays one boolean
+	// check per flush and nothing else.
 	Obs *Obs
 }
 
