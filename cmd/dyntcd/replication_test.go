@@ -7,6 +7,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -21,6 +22,7 @@ import (
 	"time"
 
 	"dyntc"
+	"dyntc/internal/obs"
 	"dyntc/internal/replog"
 )
 
@@ -386,69 +388,104 @@ func TestWALPersistsAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestRecoverLegacySnapshotAnchor: a -wal-dir whose tree-N.snap is a
-// version-2 JSON snapshot, written before the binary codec, plus the WAL
-// continuing it, recovers to the state it was shut down in and is
-// re-anchored on a current snapshot. A JSON PUT body is upgraded before it
-// is persisted.
+// TestRecoverLegacySnapshotAnchor: startup recovery refuses a tree it
+// cannot read, a JSON anchor (version 2, written before the binary
+// codec) or a current anchor whose WAL is a JSONL one, and keeps its
+// files aside byte for byte instead of serving the anchor alone. A later
+// tree under the same id, by create or PUT, leaves the kept files as they
+// are, and a JSON PUT body answers 400 and writes no anchor.
 func TestRecoverLegacySnapshotAnchor(t *testing.T) {
-	v2, err := os.ReadFile(filepath.Join("..", "..", "internal", "replog", "testdata", "snapshot-v2.json"))
-	if err != nil {
-		t.Fatal(err)
+	fixture := func(name string) []byte {
+		data, err := os.ReadFile(filepath.Join("..", "..", "internal", "replog", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
-	snap, err := replog.Decode(v2)
-	if err != nil {
-		t.Fatal(err)
+	put := func(h http.Handler, id int, body []byte) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("PUT", fmt.Sprintf("/v1/trees/%d/snapshot", id), bytes.NewReader(body)))
+		return rec.Code
 	}
-	leaf := -1
-	for _, n := range snap.Nodes {
-		if n.Left == -1 {
-			leaf = n.ID
-			break
+	// recoverDir starts a server on dir, checks that recovery served no
+	// tree and journaled one refusal for tree id, and returns the handler.
+	recoverDir := func(t *testing.T, dir string, id int) http.Handler {
+		s := newServerWAL(dyntc.BatchOptions{}, dir, 0)
+		if err := s.store.recover(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.close)
+		h := s.routes()
+		if _, body := serveLocal(t, h, "GET", "/v1/trees", nil); !bytes.Contains(body, []byte(`"trees":[]`)) {
+			t.Fatalf("recovery served a tree it cannot read: %s", body)
+		}
+		if evs := s.obs.Events().Query(obs.EvRecoverRefused, 0, 0); len(evs) != 1 || evs[0].Tree != uint64(id) {
+			t.Fatalf("refusal events: %+v, want one for tree %d", evs, id)
+		}
+		return h
+	}
+	// keptAs checks that file name of dir is kept aside, once, as want.
+	keptAs := func(t *testing.T, dir, name string, want []byte) {
+		t.Helper()
+		kept, _ := filepath.Glob(filepath.Join(dir, name+".*.old"))
+		if len(kept) != 1 {
+			t.Fatalf("%s kept aside as %v, want one file (dir: %v)", name, kept, dirNames(t, dir))
+		}
+		if got, err := os.ReadFile(kept[0]); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: kept file changed (%d bytes, want %d; err %v)", kept[0], len(got), len(want), err)
 		}
 	}
 
-	dir := t.TempDir()
-	anchor := filepath.Join(dir, "tree-5.snap")
-	s := newServerWAL(dyntc.BatchOptions{}, dir, 0)
-	ts := httptest.NewServer(s.routes())
-	var restored struct {
-		Seq uint64 `json:"seq"`
-	}
-	putBytes(t, ts.URL+"/v1/trees/5/snapshot", v2, 201, &restored)
-	if restored.Seq != snap.Seq {
-		t.Fatalf("restored at seq %d, fixture is at %d", restored.Seq, snap.Seq)
-	}
-	if data, err := os.ReadFile(anchor); err != nil || !replog.IsCurrent(data) {
-		t.Fatalf("PUT of a v2 body persisted a non-current anchor (err %v)", err)
-	}
-	base := ts.URL + "/v1/trees/5"
-	growSome(t, base, 3, leaf)
-	final := getBytes(t, base+"/snapshot", 200)
-	ts.Close()
-	s.forest.Close()
-	s.store.close()
-
-	// Put the v2 bytes back as the anchor: the WAL continues from its seq.
-	if err := os.WriteFile(anchor, v2, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s2 := newServerWAL(dyntc.BatchOptions{}, dir, 0)
-	if err := s2.store.recover(); err != nil {
-		t.Fatal(err)
-	}
-	ts2 := httptest.NewServer(s2.routes())
-	t.Cleanup(func() {
-		ts2.Close()
-		s2.forest.Close()
-		s2.store.close()
+	t.Run("json-anchor", func(t *testing.T) {
+		v2 := fixture("snapshot-v2.json")
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "tree-5.snap"), v2, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		h := recoverDir(t, dir, 5)
+		keptAs(t, dir, "tree-5.snap", v2)
+		for id := 1; id <= 5; id++ {
+			if status, body := serveLocal(t, h, "POST", "/v1/trees", map[string]any{"root": id}); status != 201 {
+				t.Fatalf("create %d: status %d: %s", id, status, body)
+			}
+		}
+		if _, err := os.Stat(filepath.Join(dir, "tree-5.snap")); err != nil {
+			t.Fatalf("the new tree 5 has no anchor: %v", err)
+		}
+		keptAs(t, dir, "tree-5.snap", v2)
+		if status := put(h, 6, v2); status != 400 {
+			t.Fatalf("PUT of a JSON snapshot: status %d, want 400", status)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "tree-6.snap")); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("a refused PUT left an anchor (stat err %v)", err)
+		}
 	})
-	if got := getBytes(t, ts2.URL+"/v1/trees/5/snapshot", 200); !bytes.Equal(got, final) {
-		t.Fatal("recovery from a v2 anchor did not reproduce the pre-shutdown state")
-	}
-	if data, err := os.ReadFile(anchor); err != nil || !replog.IsCurrent(data) {
-		t.Fatalf("recovery did not re-anchor on a current snapshot (err %v)", err)
-	}
+
+	t.Run("jsonl-wal", func(t *testing.T) {
+		dir := t.TempDir()
+		s := newServerWAL(dyntc.BatchOptions{}, dir, 0)
+		ts := httptest.NewServer(s.routes())
+		call(t, "POST", ts.URL+"/v1/trees", map[string]any{"root": 1}, 201, nil)
+		growSome(t, ts.URL+"/v1/trees/1", 3, 0)
+		ts.Close()
+		s.close()
+		anchor, err := os.ReadFile(filepath.Join(dir, "tree-1.snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jsonl := fixture("wal-legacy.jsonl")
+		if err := os.WriteFile(filepath.Join(dir, "tree-1.wal"), jsonl, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		h := recoverDir(t, dir, 1)
+		keptAs(t, dir, "tree-1.snap", anchor)
+		keptAs(t, dir, "tree-1.wal", jsonl)
+		if status := put(h, 1, anchor); status != 201 {
+			t.Fatalf("PUT under the refused id: status %d, want 201", status)
+		}
+		keptAs(t, dir, "tree-1.snap", anchor)
+		keptAs(t, dir, "tree-1.wal", jsonl)
+	})
 }
 
 // TestFollowerRestartResumesFromWAL: a -wal-dir follower that stopped —

@@ -46,8 +46,8 @@ import (
 //	GET    /v1/healthz                  -> per-engine liveness + applied seq
 //	GET    /v1/trees/{id}/snapshot      -> versioned binary snapshot (tree + seed + seq),
 //	                                       application/octet-stream
-//	PUT    /v1/trees/{id}/snapshot      restore a tree under this id (any version
-//	                                       replog.Decode reads)
+//	PUT    /v1/trees/{id}/snapshot      restore a tree under this id from a binary
+//	                                       snapshot (a JSON one answers 400)
 //	GET    /v1/trees/{id}/log?since=SEQ -> waves after SEQ (410 = truncated,
 //	                                       re-bootstrap from a snapshot)
 //	POST   /v1/promote                  following only: lead a new term
@@ -773,8 +773,6 @@ func (s *server) handlePutSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, apiError{http.StatusBadRequest, "restore: " + err.Error()})
 		return
 	}
-	// The anchor is the restored tree re-encoded, so a body an older build
-	// wrote is persisted in the current codec.
 	if err := s.store.adopt(id, en, false); err != nil {
 		s.forest.Drop(id)
 		writeErr(w, err)

@@ -40,6 +40,11 @@ import (
 //     files the new anchor supersedes — all of them replayed, or the
 //     replica re-bootstrapped — are deleted; any other non-empty one is
 //     kept aside as tree-<id>.wal[.prev].<nanos>.old.
+//   - Refused, never destroyed: a tree whose anchor does not restore, or
+//     one of whose WAL files is not a binary WAL, is not served, and its
+//     files are kept aside as tree-<id>.<suffix>.<nanos>.old, so neither
+//     recovery nor a later tree under its id truncates or overwrites
+//     what this build cannot read.
 type store struct {
 	forest *dyntc.Forest
 	dir    string // "" = in-memory rings only
@@ -96,16 +101,6 @@ func (st *store) remove(id dyntc.TreeID, suffixes ...string) {
 	}
 }
 
-// keepAside renames path, if it exists, to path.<nanos>.old, as NewLog
-// does with a non-empty WAL: its waves are not covered by the anchor.
-func keepAside(path string) error {
-	err := os.Rename(path, fmt.Sprintf("%s.%d.old", path, time.Now().UnixNano()))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	return err
-}
-
 // get returns tree id's entry, nil if it has none.
 func (st *store) get(id dyntc.TreeID) *entry {
 	v, _ := st.trees.Load(id)
@@ -129,7 +124,7 @@ func (st *store) adopt(id dyntc.TreeID, en *dyntc.Engine, supersede bool) error 
 		if supersede {
 			// The anchor is durable and covers every wave the WAL held.
 			st.remove(id, ".wal.prev", ".wal")
-		} else if err := keepAside(st.file(id, ".wal.prev")); err != nil {
+		} else if _, err := replog.KeepAside(st.file(id, ".wal.prev")); err != nil {
 			slog.Error("keep aside unreplayed wal failed", "tree", id, "err", err)
 		}
 		// NewLog keeps any other non-empty WAL aside as .old.
@@ -387,7 +382,8 @@ func writeFileSync(path string, data []byte) error {
 // restore tree-<id>.snap, replay the WAL past its sequence (truncating a
 // torn tail instead of refusing to start), then adopt the recovered state
 // under a fresh anchor and log, which form a consistent pair even if the
-// replayed tail was torn. Call before serving traffic.
+// replayed tail was torn. A tree it cannot read is refused. Call before
+// serving traffic.
 func (st *store) recover() error {
 	if st.dir == "" {
 		return nil
@@ -420,11 +416,20 @@ func (st *store) recover() error {
 		}
 		en, _, err := st.forest.Restore(id, data)
 		if err != nil {
-			slog.Error("restore snapshot failed, skipping tree", "tree", id, "err", err)
+			if err := st.refuse(id, err); err != nil {
+				return err
+			}
 			continue
 		}
 		snapEpoch := en.Epoch()
-		replayed := st.replay(id, en)
+		replayed, err := st.replay(id, en)
+		if err != nil {
+			st.forest.Drop(id)
+			if err := st.refuse(id, err); err != nil {
+				return err
+			}
+			continue
+		}
 		if !replayed {
 			slog.Warn("wal not fully replayed, kept aside", "tree", id, "kept", st.file(id, ".wal.*.old"))
 		}
@@ -449,21 +454,39 @@ func (st *store) recover() error {
 	return nil
 }
 
+// refuse keeps tree id's files aside, unserved, because recovery cannot
+// read them (why). It fails only when a file cannot be kept aside: then
+// recovery must not go on to serve, and let a new tree overwrite, its id.
+func (st *store) refuse(id dyntc.TreeID, why error) error {
+	kept, err := replog.KeepAside(st.file(id, ".snap"), st.file(id, ".wal.prev"), st.file(id, ".wal"))
+	if err != nil {
+		return fmt.Errorf("tree %d: keep aside unreadable files: %w (after %v)", id, err, why)
+	}
+	slog.Error("tree not recovered, files kept aside", "tree", id, "kept", kept, "err", why)
+	st.obs.Events().EmitTree(obs.EvRecoverRefused, id, "recovery kept aside files it cannot read",
+		map[string]any{"kept": kept, "err": why.Error()})
+	return nil
+}
+
 // replay applies tree id's WAL files, tree-<id>.wal.prev and then
 // tree-<id>.wal, past en's sequence through the verified apply path
 // (waves the anchor covers are skipped). The engine is untapped here, so
 // the replayed waves are not re-logged: the new anchor covers them. It
 // reports whether the replay consumed both files, a truncated torn tail
-// included.
-func (st *store) replay(id dyntc.TreeID, en *dyntc.Engine) bool {
+// included, and fails, wrapping replog.ErrNotWAL, on a file that is not
+// a binary WAL.
+func (st *store) replay(id dyntc.TreeID, en *dyntc.Engine) (bool, error) {
 	for _, path := range []string{st.file(id, ".wal.prev"), st.file(id, ".wal")} {
 		if _, err := os.Stat(path); err != nil {
 			continue
 		}
 		waves, dropped, err := dyntc.RecoverWaveLog(path)
+		if errors.Is(err, replog.ErrNotWAL) {
+			return false, fmt.Errorf("%s: %w", path, err)
+		}
 		if err != nil {
 			slog.Error("wal recover failed, serving snapshot state", "tree", id, "wal", path, "err", err)
-			return false
+			return false, nil
 		}
 		if dropped > 0 {
 			slog.Warn("wal recover truncated torn tail", "tree", id, "wal", path, "bytes", dropped)
@@ -488,8 +511,8 @@ func (st *store) replay(id dyntc.TreeID, en *dyntc.Engine) bool {
 				map[string]any{"bytes": dropped, "recovered_to": en.AppliedSeq()})
 		}
 		if !replayed {
-			return false
+			return false, nil
 		}
 	}
-	return true
+	return true, nil
 }

@@ -108,19 +108,6 @@ func Isomorphic(a, b *tree.Node) bool {
 	return AHU(a) == AHU(b)
 }
 
-// CanonicalOrder returns the node's children in canonical (AHU-sorted)
-// order, giving an explicit canonical form of the whole tree.
-func CanonicalOrder(n *tree.Node) (first, second *tree.Node) {
-	if n.IsLeaf() {
-		return nil, nil
-	}
-	a, b := AHU(n.Left), AHU(n.Right)
-	if a <= b {
-		return n.Left, n.Right
-	}
-	return n.Right, n.Left
-}
-
 // AllShapes enumerates the AHU forms of every distinct unordered binary
 // tree shape with exactly leaves leaves (the Wedderburn–Etherington
 // enumeration), used by tests to measure collision behaviour.

@@ -41,6 +41,9 @@ const (
 	EvRebootstrap = "follower.rebootstrap"
 	// EvWALTorn marks startup recovery truncating a torn WAL tail.
 	EvWALTorn = "wal.recover.torn"
+	// EvRecoverRefused marks startup recovery keeping aside the files of
+	// a tree it cannot read, which it does not serve.
+	EvRecoverRefused = "recover.refused"
 	// EvWALCompact marks a WAL compaction pass.
 	EvWALCompact = "wal.compact"
 	// EvShedBurst marks a burst of load-shedded requests (rate-limited to

@@ -508,8 +508,6 @@ func (t *Tree[P, S]) executePlans(m *pram.Machine, rep *Report[P, S]) {
 				t.setShortcuts(a, stack)
 			}
 		}
-		t.rebuildEpoch++
-
 		rep.Rebuilt = append(rep.Rebuilt, f)
 		rep.RebuildLeaves += len(merged)
 		rebuildWork += int64(2 * len(merged))

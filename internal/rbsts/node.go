@@ -132,9 +132,6 @@ func (n *Node[P, S]) Sum() S { return n.sum }
 // Next returns the next leaf in left-to-right order (nil at the tail).
 func (n *Node[P, S]) Next() *Node[P, S] { return n.t.Node(n.next) }
 
-// Prev returns the previous leaf in left-to-right order (nil at the head).
-func (n *Node[P, S]) Prev() *Node[P, S] { return n.t.Node(n.prev) }
-
 // GapLeaf returns, for an internal node, the leaf immediately left of the
 // node's gap (the rightmost leaf of its left subtree).
 func (n *Node[P, S]) GapLeaf() *Node[P, S] { return n.t.Node(n.gapLeaf) }

@@ -32,10 +32,6 @@ type Tree[P, S any] struct {
 	head, tail int32
 	count      int
 
-	// rebuildEpoch increments every time any subtree is rebuilt; used by
-	// clients to detect staleness and by tests.
-	rebuildEpoch int64
-
 	// nodes holds every node. A node the current call released is
 	// recycled, and so reused, only at the next insertion or deletion.
 	nodes arena.Arena[Node[P, S], int32]
@@ -91,9 +87,6 @@ func (t *Tree[P, S]) Head() *Node[P, S] { return t.Node(t.head) }
 
 // Tail returns the last leaf (nil when empty).
 func (t *Tree[P, S]) Tail() *Node[P, S] { return t.Node(t.tail) }
-
-// RebuildEpoch returns a counter incremented on every subtree rebuild.
-func (t *Tree[P, S]) RebuildEpoch() int64 { return t.rebuildEpoch }
 
 // Leaves returns all leaves in order.
 func (t *Tree[P, S]) Leaves() []*Node[P, S] {
@@ -164,7 +157,6 @@ func (t *Tree[P, S]) rebuildAll(leaves []int32) {
 	}
 	t.count = len(leaves)
 	t.shortcutMinHeight = threshold(t.count)
-	t.rebuildEpoch++
 	if len(leaves) == 0 {
 		t.root, t.head, t.tail = 0, 0, 0
 		return
@@ -406,16 +398,16 @@ func (t *Tree[P, S]) BatchUpdate(m *pram.Machine, leaves []*Node[P, S], payloads
 	})
 	if t.mergeFn != nil {
 		act := t.Activate(m, leaves)
-		t.RecomputeSums(m, act)
+		t.recomputeSums(m, act)
 		act.Release(m)
 	}
 	end := m.Metrics()
 	return pram.Metrics{Steps: end.Steps - start.Steps, Work: end.Work - start.Work, MaxProcs: end.MaxProcs}
 }
 
-// RecomputeSums recomputes aggregation sums bottom-up over an activated
+// recomputeSums recomputes aggregation sums bottom-up over an activated
 // parse tree, one parallel round per height level.
-func (t *Tree[P, S]) RecomputeSums(m *pram.Machine, act *Activation[P, S]) {
+func (t *Tree[P, S]) recomputeSums(m *pram.Machine, act *Activation[P, S]) {
 	if t.mergeFn == nil {
 		return
 	}

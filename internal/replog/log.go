@@ -3,10 +3,8 @@ package replog
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -31,6 +29,10 @@ var (
 	// already accepted — a late write from a demoted leader, rejected by
 	// the fence.
 	ErrStaleEpoch = errors.New("replog: wave epoch below current epoch")
+	// ErrNotWAL reports a file that is not a wave file: it neither opens
+	// with walMagic nor is cut inside it. A JSONL WAL an older build wrote
+	// is one. RecoverWAL leaves such a file as it is.
+	ErrNotWAL = errors.New("replog: not a binary wal")
 )
 
 // Log is the wave change-log: a bounded in-memory ring of the most recent
@@ -111,15 +113,15 @@ const DefaultLogCapacity = 4096
 
 // walMagic opens every WAL file a Log writes; each wave's record follows
 // it, prefixed by its length as a uvarint. The last byte is the format
-// version. Its first byte is not valid UTF-8, so no JSONL WAL starts with
-// it: ReadWAL and RecoverWAL still read the JSONL files older builds
-// wrote, one JSON-encoded Wave per line, and nothing writes them any more.
+// version. Its first byte is not valid UTF-8, so no JSONL WAL an older
+// build wrote starts with it: ReadWAL and RecoverWAL refuse those files
+// with ErrNotWAL.
 var walMagic = []byte("\x89DTW\x01")
 
 // NewLog creates a wave log retaining up to capacity waves in memory
 // (DefaultLogCapacity if <= 0). A non-empty path additionally opens an
 // append-only WAL file that mirrors every append. A pre-existing
-// non-empty file at path is rotated aside (path.<unix-nanos>.old) first:
+// non-empty file at path is kept aside (KeepAside) first:
 // this Log's wave stream starts at its own base sequence, and appending
 // it after an older process's stream would leave a non-contiguous,
 // unreplayable file. The rotated file remains replayable with ReadWAL
@@ -134,8 +136,7 @@ func NewLog(capacity int, path string) (*Log, error) {
 	l := &Log{ring: make([][]byte, capacity)}
 	if path != "" {
 		if st, err := os.Stat(path); err == nil && st.Size() > 0 {
-			rotated := fmt.Sprintf("%s.%d.old", path, time.Now().UnixNano())
-			if err := os.Rename(path, rotated); err != nil {
+			if _, err := KeepAside(path); err != nil {
 				return nil, fmt.Errorf("replog: rotate stale wal: %w", err)
 			}
 		}
@@ -320,6 +321,25 @@ func (l *Log) cut(aside string) error {
 	return nil
 }
 
+// KeepAside renames each of paths that exists to <path>.<unix-nanos>.old,
+// one stamp for the call, and returns the new names: a file no anchor
+// covers, or one this build cannot read, is kept for the operator instead
+// of being overwritten or truncated. A missing path is skipped.
+func KeepAside(paths ...string) ([]string, error) {
+	stamp := time.Now().UnixNano()
+	var kept []string
+	for _, path := range paths {
+		old := fmt.Sprintf("%s.%d.old", path, stamp)
+		if err := os.Rename(path, old); errors.Is(err, os.ErrNotExist) {
+			continue
+		} else if err != nil {
+			return kept, err
+		}
+		kept = append(kept, old)
+	}
+	return kept, nil
+}
+
 // SyncDir fsyncs a directory, making renames within it durable. Shared
 // with the callers that persist a snapshot next to the WAL.
 func SyncDir(dir string) error {
@@ -444,9 +464,9 @@ func (l *Log) Close() error {
 	return err
 }
 
-// ReadWAL replays an append-only wave file written by a Log, or a JSONL
-// one an older build wrote: every wave in order, checksum-verified and
-// contiguity-checked.
+// ReadWAL replays an append-only wave file written by a Log: every wave
+// in order, checksum-verified and contiguity-checked. Any other file is
+// ErrNotWAL.
 func ReadWAL(path string) ([]Wave, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -469,14 +489,20 @@ func ReadWAL(path string) ([]Wave, error) {
 // its unacknowledged tail and restarts from the last durable wave instead
 // of refusing to boot. A file whose header is torn recovers empty.
 //
-// Only genuine I/O failures (read, truncate, fsync) return an error.
-// dropped == 0 means the file was fully valid and untouched.
+// A file that is not a wave file at all returns ErrNotWAL and is left
+// byte for byte as it is: it is no torn tail, and truncating it would
+// destroy what this build cannot read. Otherwise only genuine I/O
+// failures (read, truncate, fsync) return an error. dropped == 0 means
+// the file was fully valid and untouched.
 func RecoverWAL(path string) (waves []Wave, dropped int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, fmt.Errorf("replog: open wal: %w", err)
 	}
-	waves, good, _ := scanWAL(data)
+	waves, good, err := scanWAL(data)
+	if errors.Is(err, ErrNotWAL) {
+		return nil, 0, err
+	}
 	dropped = int64(len(data)) - good
 	if dropped == 0 {
 		return waves, 0, nil
@@ -500,14 +526,14 @@ func RecoverWAL(path string) (waves []Wave, dropped int64, err error) {
 
 // scanWAL reads a wave file's valid prefix: its waves and its length in
 // bytes. err says why the prefix ends before the file does (nil when it
-// does not). A file that opens with walMagic, or is cut inside it, is
-// binary; any other is read as JSONL.
+// does not). A file that neither opens with walMagic nor is cut inside it
+// is ErrNotWAL, with an empty prefix.
 func scanWAL(data []byte) (waves []Wave, good int64, err error) {
 	switch {
 	case len(data) == 0:
 		return nil, 0, nil
 	case !bytes.HasPrefix(data, walMagic) && !bytes.HasPrefix(walMagic, data):
-		return scanJSONL(data)
+		return nil, 0, ErrNotWAL
 	case len(data) < len(walMagic):
 		return nil, 0, fmt.Errorf("%w: torn wal header", errRecord)
 	}
@@ -529,31 +555,6 @@ func scanWAL(data []byte) (waves []Wave, good int64, err error) {
 		good += int64(n) + int64(size)
 	}
 	return waves, good, nil
-}
-
-// scanJSONL is scanWAL for the JSONL files older builds wrote.
-func scanJSONL(data []byte) (waves []Wave, good int64, err error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	for {
-		var w Wave
-		if err := dec.Decode(&w); err != nil {
-			// InputOffset after a Decode sits on the closing brace, so a
-			// fully-valid file would still count its final newline as
-			// dropped; a clean EOF means keep the whole file instead.
-			if errors.Is(err, io.EOF) {
-				return waves, int64(len(data)), nil
-			}
-			return waves, good, fmt.Errorf("replog: wal decode (after seq %d): %w", lastSeqOf(waves), err)
-		}
-		if !w.Verify() {
-			return waves, good, fmt.Errorf("%w (seq %d)", ErrCorrupt, w.Seq)
-		}
-		if err := follows(waves, &w); err != nil {
-			return waves, good, err
-		}
-		good = dec.InputOffset()
-		waves = append(waves, w)
-	}
 }
 
 // follows checks that w continues waves' sequence.

@@ -3,8 +3,6 @@ package replog
 import (
 	"bytes"
 	"encoding/binary"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -97,69 +95,6 @@ func TestWaveRecordIsCanonical(t *testing.T) {
 	}
 	if _, err := parseRecord(whole); err == nil {
 		t.Fatal("an op in its whole form decodes though its logged form holds it")
-	}
-}
-
-// TestLegacyWALFixture: testdata/wal-legacy.jsonl, written by the last
-// build that wrote JSONL (pre-epoch waves, every op kind, a traced wave
-// and an empty one), reads and recovers untouched, its sums are the ones
-// it was written with, and its waves survive a binary Log unchanged.
-func TestLegacyWALFixture(t *testing.T) {
-	sums := []uint64{
-		0x520481851baecc06, 0xf09a9ae9ec79bf12, 0xf4c7e00886359b0a, 0x541349cf7459f2ff,
-		0x33d0a989795f7ec3, 0x91ed51fe818e45f1, 0x541a1f5af9a9f2eb, 0xe9b116f7a9645bca,
-	}
-	data := readFixture(t, "wal-legacy.jsonl")
-	path := filepath.Join(t.TempDir(), "tree.wal")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ws, err := ReadWAL(path)
-	if err != nil || len(ws) != len(sums) {
-		t.Fatalf("ReadWAL: %d waves, err %v", len(ws), err)
-	}
-	for i := range ws {
-		if ws[i].Seq != uint64(i+1) || ws[i].Sum != sums[i] || ws[i].Checksum() != sums[i] {
-			t.Fatalf("wave %d: seq %d sum %#x checksum %#x, want %#x", i, ws[i].Seq, ws[i].Sum, ws[i].Checksum(), sums[i])
-		}
-	}
-	if ws[6].TraceID == 0 || ws[6].SealedAt == 0 || ws[6].AppendedAt == 0 {
-		t.Fatalf("the traced wave lost its clocks: %+v", ws[6])
-	}
-	rec, dropped, err := RecoverWAL(path)
-	if err != nil || dropped != 0 || !reflect.DeepEqual(rec, ws) {
-		t.Fatalf("RecoverWAL: %d waves, %d dropped, err %v", len(rec), dropped, err)
-	}
-
-	// Through a binary Log: the ring and the new file give the same waves
-	// (AppendedAt is restamped only for waves that carry SealedAt).
-	out := filepath.Join(t.TempDir(), "binary.wal")
-	l, err := NewLog(0, out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range ws {
-		if err := l.Append(w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ring, err := l.Since(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	file, err := ReadWAL(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws[6].AppendedAt = ring[6].AppendedAt
-	if !reflect.DeepEqual(ring, ws) || !reflect.DeepEqual(file, ws) {
-		t.Fatal("the fixture's waves changed through a binary Log")
-	}
-	if raw, _ := os.ReadFile(out); !bytes.HasPrefix(raw, walMagic) {
-		t.Fatal("the Log wrote no binary header")
 	}
 }
 

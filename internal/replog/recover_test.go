@@ -3,7 +3,6 @@ package replog
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -28,23 +27,6 @@ func writeWAL(t *testing.T, path string, n int) {
 		}
 	}
 	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// writeLegacyWAL writes n sealed waves to path as an older build did: one
-// JSON-encoded wave per line.
-func writeLegacyWAL(t *testing.T, path string, n int) {
-	t.Helper()
-	var raw bytes.Buffer
-	enc := json.NewEncoder(&raw)
-	for seq := uint64(1); seq <= uint64(n); seq++ {
-		w := mkWave(seq, 2)
-		if err := enc.Encode(&w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.WriteFile(path, raw.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -85,19 +67,9 @@ func TestRecoverWALCleanFileUntouched(t *testing.T) {
 	}
 }
 
-// TestRecoverWALTornTail: crash mid-append leaves a partial JSON record
-// in a JSONL WAL an older build wrote; recovery truncates to the last
+// TestRecoverBinaryWALTornTail: a crash mid-append tears the last
+// record's length prefix, or its payload; recovery truncates to the last
 // valid wave and the file replays clean.
-func TestRecoverWALTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tree.wal")
-	writeLegacyWAL(t, path, 4)
-	// Tear the tail: append half of a record, as a crash mid-write would.
-	appendFile(t, path, []byte(`{"seq":5,"ops":[{"kind":3,"no`))
-	checkTornTail(t, path)
-}
-
-// TestRecoverBinaryWALTornTail is TestRecoverWALTornTail's binary twin:
-// the crash tears the last record's length prefix, or its payload.
 func TestRecoverBinaryWALTornTail(t *testing.T) {
 	// 60 ops make a record longer than 127 bytes: a two-byte length.
 	frame := frameOf(mkWave(5, 60))
@@ -144,26 +116,9 @@ func checkTornTail(t *testing.T, path string) {
 	}
 }
 
-// TestRecoverWALTornFirstRecord: the whole JSONL file is one partial
-// record — recovery truncates to empty rather than failing.
-func TestRecoverWALTornFirstRecord(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tree.wal")
-	if err := os.WriteFile(path, []byte(`{"seq":1,"ops"`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ws, dropped, err := RecoverWAL(path)
-	if err != nil || len(ws) != 0 || dropped == 0 {
-		t.Fatalf("recover: %d waves, %d dropped, err %v", len(ws), dropped, err)
-	}
-	if st, _ := os.Stat(path); st.Size() != 0 {
-		t.Fatalf("file not truncated to empty: %d bytes", st.Size())
-	}
-}
-
-// TestRecoverBinaryWALTornHeader is TestRecoverWALTornFirstRecord's
-// binary twin: a crash inside the first write of a fresh WAL tears its
-// header, and the file recovers as an empty log. A whole header with a
-// torn first record keeps the header.
+// TestRecoverBinaryWALTornHeader: a crash inside the first write of a
+// fresh WAL tears its header, and the file recovers as an empty log. A
+// whole header with a torn first record keeps the header.
 func TestRecoverBinaryWALTornHeader(t *testing.T) {
 	for _, tc := range []struct {
 		data []byte
@@ -189,28 +144,9 @@ func TestRecoverBinaryWALTornHeader(t *testing.T) {
 	}
 }
 
-// TestRecoverWALCorruptChecksumTail: a decodable JSONL record whose
-// checksum fails (bit rot, or a write interleaved across a crash) is
-// dropped with everything after it.
-func TestRecoverWALCorruptChecksumTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tree.wal")
-	writeLegacyWAL(t, path, 3)
-	enc := []byte(`{"seq":4,"ops":[],"root":999,"sum":1}` + "\n")
-	appendFile(t, path, enc)
-	// Dropped covers the corrupt record plus the newline that preceded it
-	// (truncation lands exactly after the last valid record's brace).
-	ws, dropped, err := RecoverWAL(path)
-	if err != nil || len(ws) != 3 || dropped < int64(len(enc)) {
-		t.Fatalf("recover: %d waves, %d dropped (want >= %d), err %v", len(ws), dropped, len(enc), err)
-	}
-	if ws, err = ReadWAL(path); err != nil || len(ws) != 3 {
-		t.Fatalf("post-recovery ReadWAL: %d waves, err %v", len(ws), err)
-	}
-}
-
-// TestRecoverBinaryWALCorruptChecksumTail is
-// TestRecoverWALCorruptChecksumTail's binary twin: a whole record whose
-// Sum does not match its content ends the valid prefix.
+// TestRecoverBinaryWALCorruptChecksumTail: a whole record whose Sum does
+// not match its content (bit rot, or a write interleaved across a crash)
+// ends the valid prefix and is dropped with everything after it.
 func TestRecoverBinaryWALCorruptChecksumTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tree.wal")
 	writeWAL(t, path, 3)
@@ -365,9 +301,8 @@ func TestAppendRejectsStaleEpoch(t *testing.T) {
 	}
 }
 
-// TestSnapshotEpochRoundTrip: snapshots carry the epoch; the checksum
-// covers it; version-1 bytes (no epoch) still decode and default to
-// epoch 1.
+// TestSnapshotEpochRoundTrip: snapshots carry the epoch, and the
+// checksum covers it.
 func TestSnapshotEpochRoundTrip(t *testing.T) {
 	leaf := []SnapNode{{ID: 0, Parent: -1, Left: -1, Right: -1, Value: 3}}
 	s := &Snapshot{Ring: RingSpec{Kind: "minplus"}, Seq: 9, Epoch: 4, Slots: 1, Nodes: leaf}
@@ -405,24 +340,13 @@ func TestSnapshotEpochRoundTrip(t *testing.T) {
 	if _, err := Decode(tampered); !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Fatalf("tampered epoch decode err = %v", err)
 	}
-	// Version-1 layout: no epoch field, checksum without it — so an epoch
-	// slipped into v1 bytes is unverified and ignored.
-	v1 := readFixture(t, "snapshot-v1.json")
-	for _, data := range [][]byte{v1, bytes.Replace(v1, []byte(`"seq":3,`), []byte(`"seq":3,"epoch":7,`), 1)} {
-		dec1, err := Decode(data)
-		if err != nil {
-			t.Fatalf("v1 decode: %v", err)
-		}
-		if dec1.Version != 1 || dec1.Epoch != 0 || dec1.EpochOrDefault() != 1 {
-			t.Fatalf("v1: version %d, epoch %d, default epoch %d", dec1.Version, dec1.Epoch, dec1.EpochOrDefault())
-		}
-	}
 }
 
 // walRecoverSeeds are FuzzWALRecover's seed inputs: three binary waves
 // (a grow among them), then the same file with its tail torn, its last
-// record's checksum broken and its header cut, and a JSONL file an older
-// build wrote.
+// record's checksum broken and its header cut; and two files that are not
+// WALs: a JSONL file an older build wrote, and one whose magic has a
+// damaged byte.
 func walRecoverSeeds(tb testing.TB) [][]byte {
 	var wal []byte
 	wal = append(wal, walMagic...)
@@ -431,7 +355,14 @@ func walRecoverSeeds(tb testing.TB) [][]byte {
 	wal = append(wal, frameOf(mkWave(3, 1))...)
 	bad := bytes.Clone(wal)
 	bad[len(bad)-1] ^= 1
-	return [][]byte{wal, wal[:len(wal)-4], bad, wal[:2], readFixture(tb, "wal-legacy.jsonl")}
+	damaged := append([]byte("\x89DTX\x01"), bytes.Repeat([]byte{0x2a}, 100)...)
+	return [][]byte{wal, wal[:len(wal)-4], bad, wal[:2], readFixture(tb, "wal-legacy.jsonl"), damaged}
+}
+
+// notWAL reports whether data is a file scanWAL refuses whole: non-empty,
+// neither opening with walMagic nor cut inside it.
+func notWAL(data []byte) bool {
+	return len(data) > 0 && !bytes.HasPrefix(data, walMagic) && !bytes.HasPrefix(walMagic, data)
 }
 
 // committedCorpus reads the inputs committed under testdata/fuzz/<name>:
@@ -463,8 +394,9 @@ func committedCorpus(t *testing.T, name string) [][]byte {
 }
 
 // FuzzWALRecover fuzzes scanWAL, the reader under both RecoverWAL and
-// ReadWAL, on arbitrary file bytes, in memory: the waves it returns
-// verify and are contiguous, its valid prefix lies within the data and
+// ReadWAL, on arbitrary file bytes, in memory: bytes that are not a WAL
+// are ErrNotWAL with an empty prefix; the waves it returns verify and are
+// contiguous, its valid prefix lies within the data and
 // ends at the data's end exactly when it reports no error, and the prefix
 // scans again to the same waves, whole and without error — which is what
 // makes RecoverWAL's truncation land on a file it and ReadWAL accept.
@@ -477,6 +409,9 @@ func FuzzWALRecover(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		waves, good, err := scanWAL(data)
+		if notWAL(data) != errors.Is(err, ErrNotWAL) || notWAL(data) && (good != 0 || waves != nil) {
+			t.Fatalf("%d bytes, not a wal %v: %d waves, prefix %d, err %v", len(data), notWAL(data), len(waves), good, err)
+		}
 		for i := range waves {
 			if !waves[i].Verify() {
 				t.Fatalf("scanned wave %d (seq %d) does not verify", i, waves[i].Seq)
@@ -500,8 +435,10 @@ func FuzzWALRecover(f *testing.F) {
 }
 
 // TestRecoverWALRoundTrip runs RecoverWAL on a file per FuzzWALRecover
-// seed and committed corpus input: it never errors on a writable file;
-// the waves it returns verify and are contiguous; the file shrinks by
+// seed and committed corpus input. A file that is not a WAL is refused
+// with ErrNotWAL, by RecoverWAL and ReadWAL, and left byte for byte as it
+// was. On any other writable file RecoverWAL never errors; the waves it
+// returns verify and are contiguous; the file shrinks by
 // exactly the bytes it reports dropped; a second recovery returns the
 // same waves and drops nothing; and ReadWAL then accepts the file,
 // reading the same waves.
@@ -513,6 +450,15 @@ func TestRecoverWALRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		waves, dropped, err := RecoverWAL(path)
+		if notWAL(data) {
+			_, rerr := ReadWAL(path)
+			after, _ := os.ReadFile(path)
+			if !errors.Is(err, ErrNotWAL) || !errors.Is(rerr, ErrNotWAL) || waves != nil || dropped != 0 || !bytes.Equal(after, data) {
+				t.Fatalf("input %d, not a wal: recover %d waves, %d dropped, err %v; read err %v; file %d -> %d bytes",
+					i, len(waves), dropped, err, rerr, len(data), len(after))
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("input %d: recover: %v", i, err)
 		}

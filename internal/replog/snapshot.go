@@ -3,7 +3,6 @@ package replog
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -12,11 +11,10 @@ import (
 	"dyntc/internal/tree"
 )
 
-// SnapshotVersion is the snapshot codec version Encode writes: the binary
-// layout below. Decode also reads the JSON layouts of versions 1 and 2, so
-// snapshots already on disk or sent by an older leader still restore;
-// nothing writes those any more. Version 2 added the leadership Epoch
-// (absent in version 1, which decodes as epoch 0 = default epoch 1).
+// SnapshotVersion is the one snapshot codec version this build writes and
+// reads: the binary layout below. The JSON layouts of versions 1 and 2
+// are refused (ErrVersion); a build from before this cut-off that reads
+// them can re-anchor such a snapshot in this layout.
 //
 // The version-3 layout. Unsigned integers are uvarints and signed ones
 // zigzag varints, both as encoding/binary writes them:
@@ -37,8 +35,9 @@ import (
 // it cannot read is ErrVersion.
 const SnapshotVersion = 3
 
-// snapMagic opens every binary snapshot. Its first byte is not valid
-// UTF-8, so no JSON snapshot starts with it.
+// snapMagic opens every snapshot. Its first byte is not valid UTF-8, so
+// a JSON snapshot of versions 1 and 2, which opens with '{', is told
+// apart and refused by name.
 var snapMagic = []byte("\x89DTS")
 
 // minNodeBytes is the smallest encoding of one node (ID delta, three
@@ -65,8 +64,8 @@ var (
 // as the dyntcd create API (mod|minplus|maxplus|bool|maxmin); Mod is the
 // modulus for Kind "mod".
 type RingSpec struct {
-	Kind string `json:"kind"`
-	Mod  int64  `json:"mod,omitempty"`
+	Kind string
+	Mod  int64
 }
 
 // SpecOfRing returns the wire spec of a ring.
@@ -108,16 +107,9 @@ func (s RingSpec) Ring() (semiring.Ring, error) {
 
 // SnapNode is one live node of a snapshot. Links are node IDs; -1 means
 // none. Internal nodes carry the operation coefficients, leaves the value.
-// The JSON tags are the version-1/2 layout's.
 type SnapNode struct {
-	ID     int   `json:"id"`
-	Parent int   `json:"parent"`
-	Left   int   `json:"left"`
-	Right  int   `json:"right"`
-	A      int64 `json:"a,omitempty"`
-	B      int64 `json:"b,omitempty"`
-	C      int64 `json:"c,omitempty"`
-	Value  int64 `json:"value,omitempty"`
+	ID, Parent, Left, Right int
+	A, B, C, Value          int64
 }
 
 // Snapshot is a full serialized expression tree plus the replication
@@ -130,16 +122,13 @@ type SnapNode struct {
 // every field has one encoding, so two equal tree states always encode to
 // identical bytes — the property the replication tests pin.
 type Snapshot struct {
-	// Version is the codec version the snapshot was decoded from; Capture
-	// sets SnapshotVersion, and Encode always writes SnapshotVersion.
-	Version int
-	Ring    RingSpec
-	Seed    uint64
-	Tour    bool
-	Seq     uint64
+	Ring RingSpec
+	Seed uint64
+	Tour bool
+	Seq  uint64
 	// Epoch is the leadership term the captured state was produced under;
 	// a follower restored from this snapshot rejects waves from older
-	// epochs. Zero (version-1 snapshots) reads as the initial epoch 1.
+	// epochs. Zero reads as the initial epoch 1.
 	Epoch uint64
 	// Slots is len(tree.Nodes) including deleted (nil) slots: restoring it
 	// exactly keeps future grow ID assignment identical to the leader's.
@@ -157,14 +146,13 @@ func Capture(t *tree.Tree, seed uint64, tour bool, seq, epoch uint64) (*Snapshot
 		return nil, err
 	}
 	s := &Snapshot{
-		Version: SnapshotVersion,
-		Ring:    spec,
-		Seed:    seed,
-		Tour:    tour,
-		Seq:     seq,
-		Epoch:   epoch,
-		Slots:   len(t.Nodes),
-		Nodes:   make([]SnapNode, 0, t.Len()),
+		Ring:  spec,
+		Seed:  seed,
+		Tour:  tour,
+		Seq:   seq,
+		Epoch: epoch,
+		Slots: len(t.Nodes),
+		Nodes: make([]SnapNode, 0, t.Len()),
 	}
 	id := func(n *tree.Node) int {
 		if n == nil {
@@ -225,8 +213,7 @@ func fnv1a(b []byte) uint64 {
 	return h.Sum64()
 }
 
-// Encode marshals the snapshot to its canonical byte form, the current
-// binary version.
+// Encode marshals the snapshot to its canonical byte form.
 func (s *Snapshot) Encode() ([]byte, error) {
 	if err := s.check(); err != nil {
 		return nil, err
@@ -266,22 +253,19 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	return binary.LittleEndian.AppendUint64(b, fnv1a(b)), nil
 }
 
-// Decode parses and verifies a snapshot of any version this build reads:
-// the binary layout when the bytes open with its magic, JSON (versions 1
-// and 2) when they open with an object.
+// Decode parses and verifies a snapshot in the layout Encode writes. A
+// JSON snapshot (versions 1 and 2, which opens with an object) is
+// ErrVersion, and any other bytes without the magic ErrSnapshotCorrupt.
 func Decode(data []byte) (*Snapshot, error) {
 	if bytes.HasPrefix(data, snapMagic) {
 		return decodeBinary(data)
 	}
 	if rest := bytes.TrimLeft(data, " \t\r\n"); len(rest) > 0 && rest[0] == '{' {
-		return decodeJSON(data)
+		return nil, fmt.Errorf("%w: a JSON snapshot (versions 1 and 2); this build reads only version %d, "+
+			"so re-anchor it with a build that still reads JSON", ErrVersion, SnapshotVersion)
 	}
-	return nil, fmt.Errorf("%w: neither a binary nor a JSON snapshot", ErrSnapshotCorrupt)
+	return nil, fmt.Errorf("%w: not a snapshot", ErrSnapshotCorrupt)
 }
-
-// IsCurrent reports whether snapshot bytes that Decode accepted are in the
-// layout Encode writes, as opposed to an older JSON version.
-func IsCurrent(data []byte) bool { return bytes.HasPrefix(data, snapMagic) }
 
 // snapReader consumes the binary layouts: a snapshot's, and a wave
 // record's (record.go). The first malformed field sets err, wrapping bad,
@@ -351,7 +335,7 @@ func decodeBinary(data []byte) (*Snapshot, error) {
 	if v := r.uvarint("version"); r.err == nil && v != SnapshotVersion {
 		return nil, fmt.Errorf("%w: binary version %d (this build reads %d)", ErrVersion, v, SnapshotVersion)
 	}
-	s := &Snapshot{Version: SnapshotVersion}
+	s := &Snapshot{}
 	if k := r.uvarint("ring kind"); k <= uint64(len(r.b)) {
 		s.Ring.Kind = string(r.b[:k])
 		r.b = r.b[k:]
@@ -403,103 +387,8 @@ func decodeBinary(data []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// legacySnapshot is the JSON layout of versions 1 and 2. Its Sum hashes
-// the decoded fields (checksum), not the bytes.
-type legacySnapshot struct {
-	Version int        `json:"version"`
-	Ring    RingSpec   `json:"ring"`
-	Seed    uint64     `json:"seed"`
-	Tour    bool       `json:"tour,omitempty"`
-	Seq     uint64     `json:"seq"`
-	Epoch   uint64     `json:"epoch,omitempty"`
-	Slots   int        `json:"slots"`
-	Nodes   []SnapNode `json:"nodes"`
-	Sum     uint64     `json:"sum"`
-}
-
-// checksum is the FNV-1a 64-bit hash of everything except Sum.
-func (s *legacySnapshot) checksum() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	i64 := func(v int64) { u64(uint64(v)) }
-	u64(uint64(s.Version))
-	h.Write([]byte(s.Ring.Kind))
-	i64(s.Ring.Mod)
-	u64(s.Seed)
-	if s.Tour {
-		u64(1)
-	} else {
-		u64(0)
-	}
-	u64(s.Seq)
-	if s.Version >= 2 {
-		// Version 1 predates epochs; hashing the field there would break
-		// verification of archived v1 snapshots.
-		u64(s.Epoch)
-	}
-	i64(int64(s.Slots))
-	u64(uint64(len(s.Nodes)))
-	for i := range s.Nodes {
-		n := &s.Nodes[i]
-		i64(int64(n.ID))
-		i64(int64(n.Parent))
-		i64(int64(n.Left))
-		i64(int64(n.Right))
-		i64(n.A)
-		i64(n.B)
-		i64(n.C)
-		i64(n.Value)
-	}
-	return h.Sum64()
-}
-
-func decodeJSON(data []byte) (*Snapshot, error) {
-	var l legacySnapshot
-	if err := json.Unmarshal(data, &l); err != nil {
-		return nil, fmt.Errorf("replog: decode JSON snapshot: %w", err)
-	}
-	if l.Version < 1 || l.Version > 2 {
-		return nil, fmt.Errorf("%w: JSON version %d (JSON is versions 1 and 2)", ErrVersion, l.Version)
-	}
-	if l.Sum != l.checksum() {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrSnapshotCorrupt)
-	}
-	if l.Version == 1 {
-		l.Epoch = 0 // not covered by a version-1 checksum
-	}
-	// JSON let a leaf carry coefficients and an internal node a value, and
-	// nothing reads them. Clear them, so that re-encoding in the binary
-	// layout, which stores only what is read, keeps the snapshot equal.
-	for i := range l.Nodes {
-		n := &l.Nodes[i]
-		if n.Left == -1 {
-			n.A, n.B, n.C = 0, 0, 0
-		} else {
-			n.Value = 0
-		}
-	}
-	s := &Snapshot{
-		Version: l.Version,
-		Ring:    l.Ring,
-		Seed:    l.Seed,
-		Tour:    l.Tour,
-		Seq:     l.Seq,
-		Epoch:   l.Epoch,
-		Slots:   l.Slots,
-		Nodes:   l.Nodes,
-	}
-	if err := s.check(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// EpochOrDefault returns the snapshot's epoch, mapping the zero value
-// (a version-1 snapshot) to the initial epoch 1.
+// EpochOrDefault returns the snapshot's epoch, mapping the zero value to
+// the initial epoch 1.
 func (s *Snapshot) EpochOrDefault() uint64 {
 	if s.Epoch == 0 {
 		return 1

@@ -3,16 +3,19 @@ package replog
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
 	"testing"
+
+	"dyntc/internal/prng"
+	"dyntc/internal/semiring"
+	"dyntc/internal/tree"
 )
 
-// readFixture returns a committed snapshot from testdata.
+// readFixture returns a committed file from testdata.
 func readFixture(t testing.TB, name string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", name))
@@ -22,44 +25,28 @@ func readFixture(t testing.TB, name string) []byte {
 	return data
 }
 
-// reseal gives edited snapshot bytes a valid checksum again, so a test or
-// the fuzzer reaches the parser behind it: a binary snapshot gets a fresh
-// trailer, a JSON one a fresh field checksum. Anything else comes back
-// unchanged.
+// reseal gives edited snapshot bytes a valid trailer again, so a test or
+// the fuzzer reaches the parser behind it. Bytes without the magic come
+// back unchanged.
 func reseal(data []byte) []byte {
-	if bytes.HasPrefix(data, snapMagic) && len(data) >= len(snapMagic)+8 {
-		body := bytes.Clone(data[:len(data)-8])
-		return binary.LittleEndian.AppendUint64(body, fnv1a(body))
-	}
-	var l legacySnapshot
-	if json.Unmarshal(data, &l) != nil {
+	if !bytes.HasPrefix(data, snapMagic) || len(data) < len(snapMagic)+8 {
 		return data
 	}
-	l.Sum = l.checksum()
-	out, err := json.Marshal(&l)
-	if err != nil {
-		return data
-	}
-	return out
+	body := bytes.Clone(data[:len(data)-8])
+	return binary.LittleEndian.AppendUint64(body, fnv1a(body))
 }
 
 // TestSnapshotSlotLimit: a snapshot declaring 2^32 or more ID slots is
-// refused at decode, before anything allocates per slot — in either
-// layout, with a valid checksum. 2^36 slots once made Tree ask for 512 GB
-// and killed the process.
+// refused at decode, before anything allocates per slot, with a valid
+// checksum. 2^36 slots once made Tree ask for 512 GB and killed the
+// process.
 func TestSnapshotSlotLimit(t *testing.T) {
 	leaf := []SnapNode{{ID: 0, Parent: -1, Left: -1, Right: -1, Value: 1}}
 	for _, slots := range []int{1 << 32, 1 << 36} {
-		l := legacySnapshot{Version: 2, Ring: RingSpec{Kind: "mod", Mod: 97}, Epoch: 1, Slots: slots, Nodes: leaf}
-		l.Sum = l.checksum()
-		js, _ := json.Marshal(&l)
-		if _, err := Decode(js); !errors.Is(err, ErrSnapshotCorrupt) {
-			t.Fatalf("v2 with %d slots: err = %v, want ErrSnapshotCorrupt", slots, err)
-		}
 		if _, err := Decode(binarySnapshot(uint64(slots))); !errors.Is(err, ErrSnapshotCorrupt) {
-			t.Fatalf("v3 with %d slots: err = %v, want ErrSnapshotCorrupt", slots, err)
+			t.Fatalf("%d slots: err = %v, want ErrSnapshotCorrupt", slots, err)
 		}
-		s := &Snapshot{Ring: l.Ring, Slots: slots, Nodes: leaf}
+		s := &Snapshot{Ring: RingSpec{Kind: "mod", Mod: 97}, Slots: slots, Nodes: leaf}
 		if _, err := s.Encode(); !errors.Is(err, ErrSnapshotCorrupt) {
 			t.Fatalf("encode with %d slots: err = %v", slots, err)
 		}
@@ -119,12 +106,25 @@ func TestSnapshotLayout(t *testing.T) {
 }
 
 // fuzzSeeds are the inputs FuzzSnapshotDecode starts from besides its
-// committed corpus: both fixtures in every version, and halves of each.
+// committed corpus: the JSON fixtures, which it must refuse, two encoded
+// trees (one with deleted slots and a tour), and halves of each.
 func fuzzSeeds(t testing.TB) [][]byte {
 	var seeds [][]byte
 	for _, name := range []string{"snapshot-v1.json", "snapshot-v2.json"} {
 		js := readFixture(t, name)
-		s, err := Decode(js)
+		seeds = append(seeds, js, js[:len(js)/2])
+	}
+	for i, shape := range []tree.Shape{tree.ShapeRandom, tree.ShapeBalanced} {
+		tr := tree.Generate(semiring.NewMod(97), prng.New(uint64(i+1)), 20, shape)
+		if i == 0 {
+			for _, n := range tr.Nodes {
+				if n != nil && !n.IsLeaf() && n.Left.IsLeaf() && n.Right.IsLeaf() {
+					tr.DeleteChildren(n, 5)
+					break
+				}
+			}
+		}
+		s, err := Capture(tr, uint64(i), i == 0, 3, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,16 +132,17 @@ func fuzzSeeds(t testing.TB) [][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seeds = append(seeds, js, v3, js[:len(js)/2], v3[:len(v3)/2])
+		seeds = append(seeds, v3, v3[:len(v3)/2])
 	}
 	return seeds
 }
 
-// FuzzSnapshotDecode: Decode never panics; whatever it accepts re-encodes
-// in the binary layout and decodes back to the same header and nodes; and
-// on trees of up to 2^20 slots, Tree either fails or returns a valid tree.
-// Each input is also tried with its checksum repaired, or mutations would
-// rarely get past the checksum to the parser.
+// FuzzSnapshotDecode: Decode never panics; it refuses a JSON snapshot as
+// ErrVersion; whatever it accepts re-encodes and decodes back to the same
+// header and nodes; and on trees of up to 2^20 slots, Tree either fails
+// or returns a valid tree. Each input is also tried with its checksum
+// repaired, or mutations would rarely get past the checksum to the
+// parser.
 func FuzzSnapshotDecode(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
@@ -154,6 +155,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 
 func checkDecoded(t *testing.T, data []byte) {
 	s, err := Decode(data)
+	if rest := bytes.TrimLeft(data, " \t\r\n"); len(rest) > 0 && rest[0] == '{' && !errors.Is(err, ErrVersion) {
+		t.Fatalf("JSON snapshot: err = %v, want ErrVersion", err)
+	}
 	if err != nil {
 		return
 	}
@@ -165,11 +169,8 @@ func checkDecoded(t *testing.T, data []byte) {
 	if err != nil {
 		t.Fatalf("re-encoded snapshot does not decode: %v", err)
 	}
-	if back.Version != SnapshotVersion {
-		t.Fatalf("re-encoded as version %d", back.Version)
-	}
 	h1, h2 := *s, *back
-	h1.Version, h1.Nodes, h2.Version, h2.Nodes = 0, nil, 0, nil
+	h1.Nodes, h2.Nodes = nil, nil
 	if !reflect.DeepEqual(h1, h2) {
 		t.Fatalf("header %+v re-decodes as %+v", h1, h2)
 	}

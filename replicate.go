@@ -49,9 +49,9 @@ var ErrStaleEpoch = replog.ErrStaleEpoch
 
 // NewWaveLog creates a wave change-log retaining up to capacity waves in
 // memory (a default when <= 0); a non-empty path mirrors every append to
-// an append-only binary WAL file. RecoverWaveLog also reads the JSONL
-// files older builds wrote. Attach it to an engine with
-// Engine.SetWaveTap(log.Append-wrapper) or BatchOptions.WaveTap.
+// an append-only binary WAL file, the one WAL encoding. Attach it to an
+// engine with Engine.SetWaveTap(log.Append-wrapper) or
+// BatchOptions.WaveTap.
 func NewWaveLog(capacity int, path string) (*WaveLog, error) {
 	return replog.NewLog(capacity, path)
 }
@@ -61,7 +61,9 @@ func NewWaveLog(capacity int, path string) (*WaveLog, error) {
 // the last valid wave. It returns the surviving waves and how many bytes
 // were dropped; the truncation is durable, so a later strict read accepts
 // the file. Use it on the startup path, where refusing a torn record
-// would turn one crash into an unbootable store.
+// would turn one crash into an unbootable store. A file that is not a
+// binary WAL (a JSONL one an older build wrote) is refused with an error
+// and left untouched.
 func RecoverWaveLog(path string) ([]Wave, int64, error) { return replog.RecoverWAL(path) }
 
 // Snapshot serializes the expression — structure, labels, PRNG seed,
