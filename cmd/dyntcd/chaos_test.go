@@ -300,15 +300,11 @@ func TestChaosFailover(t *testing.T) {
 			for i, id := range ids {
 				base := fmt.Sprintf("%s/v1/trees/%d", foSrv.URL, id)
 				call(t, "POST", base+"/set-leaf", map[string]any{"leaf": leafs[id], "value": 999 + i}, 200, nil)
-				var tail struct {
-					Waves   []dyntc.Wave `json:"waves"`
-					LastSeq uint64       `json:"last_seq"`
+				waves, last := getLog(t, fmt.Sprintf("%s/log?since=%d", base, S[id]), 200)
+				if last != S[id]+1 || len(waves) != 1 {
+					t.Fatalf("tree %d: post-failover log last_seq=%d waves=%d, want %d/1", id, last, len(waves), S[id]+1)
 				}
-				call(t, "GET", fmt.Sprintf("%s/log?since=%d", base, S[id]), nil, 200, &tail)
-				if tail.LastSeq != S[id]+1 || len(tail.Waves) != 1 {
-					t.Fatalf("tree %d: post-failover log last_seq=%d waves=%d, want %d/1", id, tail.LastSeq, len(tail.Waves), S[id]+1)
-				}
-				if ep := tail.Waves[0].EpochOrDefault(); ep != 2 {
+				if ep := waves[0].EpochOrDefault(); ep != 2 {
 					t.Fatalf("tree %d: post-failover wave at epoch %d, want 2", id, ep)
 				}
 			}
@@ -444,12 +440,8 @@ func TestChaosLeaderStartupRecovery(t *testing.T) {
 	// sequence where the tear left it.
 	call(t, "POST", fmt.Sprintf("%s/v1/trees/%d/set-leaf", ts2.URL, created.Tree),
 		map[string]any{"leaf": leaf9, "value": 42}, 200, nil)
-	var tail struct {
-		LastSeq uint64 `json:"last_seq"`
-	}
-	call(t, "GET", fmt.Sprintf("%s/v1/trees/%d/log?since=9", ts2.URL, created.Tree), nil, 200, &tail)
-	if tail.LastSeq != 10 {
-		t.Fatalf("post-recovery write logged at %d, want 10", tail.LastSeq)
+	if _, last := getLog(t, fmt.Sprintf("%s/v1/trees/%d/log?since=9", ts2.URL, created.Tree), 200); last != 10 {
+		t.Fatalf("post-recovery write logged at %d, want 10", last)
 	}
 }
 

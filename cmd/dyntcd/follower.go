@@ -5,15 +5,16 @@ package main
 // forest and an entry in its store, born through store.adopt like a
 // leader's tree: it bootstraps from GET /v1/trees/{id}/snapshot, which
 // becomes its anchor, and then tails GET /v1/trees/{id}/log?since=SEQ,
-// applying shipped waves in order through Engine.ApplyWave, the verified
-// replay of internal/replog (recorded grow IDs and post-wave roots are
-// checked on every wave). Each applied wave reaches the replica's own log
-// first — its ring, which another follower can tail, and with -wal-dir
-// its WAL — so a restarted follower recovers its replicas from disk and
-// resumes the log tail where it stopped. A replica that falls behind the
-// leader's log ring (410 Gone) or diverges re-bootstraps from a fresh
-// snapshot, swapped in atomically. Reads, queries, healthz and metrics
-// are the leader's handlers; writes get 403.
+// reading each tail, WAL bytes, with the WAL's decoder and applying its
+// waves in order through Engine.ApplyWave, the verified replay of
+// internal/replog (recorded grow IDs and post-wave roots are checked on
+// every wave). Each applied wave reaches the replica's own log first —
+// its ring, which another follower can tail, and with -wal-dir its WAL —
+// so a restarted follower recovers its replicas from disk and resumes
+// the log tail where it stopped. A replica behind the leader's log ring
+// or ahead of its log (410 Gone), or one that diverges, re-bootstraps
+// from a fresh snapshot, swapped in atomically. Reads, queries, healthz
+// and metrics are the leader's handlers; writes get 403.
 //
 // Failover: POST /v1/promote flips the server to leading in place (see
 // handlePromote). An unreachable leader does not take the follower down:
@@ -36,6 +37,7 @@ import (
 	"dyntc"
 	"dyntc/internal/obs"
 	"dyntc/internal/prng"
+	"dyntc/internal/replog"
 )
 
 // degradedErrThreshold is how many consecutive failed leader polls flip
@@ -81,7 +83,7 @@ type follower struct {
 // replica is one followed tree's poll bookkeeping.
 type replica struct {
 	mu        sync.Mutex
-	leaderSeq uint64 // last_seq reported by the leader's log endpoint
+	leaderSeq uint64 // X-Dyntc-Last-Seq of the leader's last log tail
 	lastErr   string
 	applied   uint64 // waves applied by this process (catch-up throughput)
 }
@@ -334,7 +336,7 @@ func (f *follower) bootstrap(id dyntc.TreeID) (*dyntc.Engine, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("snapshot: %s", resp.Status)
 	}
-	data, err := readSnapshotBody(resp.Body)
+	data, err := readBody(resp.Body)
 	if err != nil {
 		return nil, err
 	}
@@ -369,10 +371,6 @@ func (f *follower) syncTree(id dyntc.TreeID) {
 	}
 	rep := f.replica(id)
 
-	var tail struct {
-		Waves   []dyntc.Wave `json:"waves"`
-		LastSeq uint64       `json:"last_seq"`
-	}
 	path := fmt.Sprintf("/v1/trees/%d/log?since=%d", id, en.AppliedSeq())
 	req, err := http.NewRequest(http.MethodGet, f.leader+path, nil)
 	if err != nil {
@@ -389,11 +387,21 @@ func (f *follower) syncTree(id dyntc.TreeID) {
 		return
 	}
 	defer resp.Body.Close()
+	var waves []dyntc.Wave
+	var last uint64
 	switch resp.StatusCode {
 	case http.StatusOK:
-		err = json.NewDecoder(resp.Body).Decode(&tail)
+		var data []byte
+		if data, err = readBody(resp.Body); err == nil {
+			waves, err = replog.DecodeWAL(data)
+		}
+		if err == nil {
+			if last, err = strconv.ParseUint(resp.Header.Get("X-Dyntc-Last-Seq"), 10, 64); err != nil {
+				err = fmt.Errorf("%s: bad X-Dyntc-Last-Seq: %w", path, err)
+			}
+		}
 	case http.StatusGone:
-		// Fell behind the leader's ring: re-bootstrap from a snapshot.
+		// Behind the leader's ring or ahead of its log: re-bootstrap.
 		slog.Warn("follower: log truncated, re-bootstrapping", "tree", id)
 		if _, err := f.bootstrap(id); err != nil {
 			slog.Error("follower: re-bootstrap failed", "tree", id, "err", err)
@@ -409,14 +417,14 @@ func (f *follower) syncTree(id dyntc.TreeID) {
 		return
 	}
 	rep.mu.Lock()
-	rep.leaderSeq = tail.LastSeq
+	rep.leaderSeq = last
 	rep.mu.Unlock()
 	// Apply wave by wave so every replicated wave's lag is attributed to
 	// its stages — appended→fetched against the leader's WAL timestamp,
 	// fetched→applied against the verified replay — and its follower-side
 	// spans land in the span log as each wave completes.
 	fetched := time.Now()
-	for _, wv := range tail.Waves {
+	for _, wv := range waves {
 		if err := en.ApplyWave(wv); err != nil {
 			// Divergence is unrecoverable by replay: rebuild from a snapshot.
 			slog.Error("follower: apply failed, re-bootstrapping", "tree", id, "seq", wv.Seq, "err", err)

@@ -28,8 +28,8 @@
 // Durability & replication (internal/replog): every tree's engine taps
 // its executed mutating waves into a change log — an in-memory ring of
 // -log-cap waves serving GET /v1/trees/{id}/log?since=SEQ, plus, with
-// -wal-dir set, an append-only <dir>/tree-<id>.wal file. Snapshots
-// (GET/PUT /v1/trees/{id}/snapshot) capture a tree's exact state through
+// -wal-dir set, an append-only <dir>/tree-<id>.wal file; the log tail is
+// that file's bytes for the waves after SEQ. Snapshots (GET/PUT /v1/trees/{id}/snapshot) capture a tree's exact state through
 // an engine barrier. In -follow mode the same server serves read-only
 // replicas of every leader tree as engines in its forest, each a store
 // entry like a leader's tree: snapshot bootstrap (the replica's anchor),
@@ -79,7 +79,7 @@
 //	curl -X POST localhost:8080/v1/trees/1/grow -d '{"leaf":0,"op":"add","left":3,"right":4}'
 //	curl localhost:8080/v1/trees/1/value
 //	curl -o tree-1.snap localhost:8080/v1/trees/1/snapshot   # binary
-//	curl 'localhost:8080/v1/trees/1/log?since=0'
+//	curl -D - -o tail.wal 'localhost:8080/v1/trees/1/log?since=0'   # WAL bytes; X-Dyntc-Last-Seq header
 //	curl localhost:8080/v1/healthz
 package main
 

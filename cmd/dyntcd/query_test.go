@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"dyntc"
-	"dyntc/internal/replog"
 )
 
 // readFileOrNil returns the file's bytes, or nil when unreadable.
@@ -184,7 +183,7 @@ func TestCompactionKeepsFollowerTailing(t *testing.T) {
 		}
 		leaf = growSome(t, base, 2, leaf)
 		seq = 5*c + 2
-		ws, err := replog.ReadWAL(walPath)
+		ws, err := readWAL(walPath)
 		if err != nil || len(ws) != 2 || ws[0].Seq != uint64(5*c+1) {
 			t.Fatalf("compaction %d: wal holds %d waves (err %v), want %d..%d", c, len(ws), err, 5*c+1, seq)
 		}

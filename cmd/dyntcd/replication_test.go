@@ -15,6 +15,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -96,6 +98,51 @@ func getBytes(t *testing.T, url string, wantStatus int) []byte {
 	return data
 }
 
+// getLog GETs a log tail from url and checks its status. A 200 tail must
+// be application/octet-stream WAL bytes with an X-Dyntc-Last-Seq header:
+// getLog returns its waves and that sequence. Any other status returns
+// no waves and 0.
+func getLog(t *testing.T, url string, status int) ([]dyntc.Wave, uint64) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != status {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("GET %s: status %d (want %d): %s", url, resp.StatusCode, status, body)
+	}
+	if status != http.StatusOK {
+		return nil, 0
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+		t.Fatalf("GET %s: Content-Type %q, want application/octet-stream", url, ct)
+	}
+	last, err := strconv.ParseUint(resp.Header.Get("X-Dyntc-Last-Seq"), 10, 64)
+	if err != nil {
+		t.Fatalf("GET %s: X-Dyntc-Last-Seq: %v", url, err)
+	}
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waves, err := replog.DecodeWAL(data)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	return waves, last
+}
+
+// readWAL decodes the WAL file at path.
+func readWAL(path string) ([]dyntc.Wave, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return replog.DecodeWAL(data)
+}
+
 // putBytes PUTs a raw body, as `curl --data-binary` does, and decodes
 // the JSON response into out.
 func putBytes(t *testing.T, url string, body []byte, wantStatus int, out any) {
@@ -134,22 +181,17 @@ func TestSnapshotLogEndpoints(t *testing.T) {
 	lastLeaf := growSome(t, base, 8, 0)
 
 	// Wave log: 8 grows = 8 mutating waves (sequential client).
-	var tail struct {
-		Waves   []dyntc.Wave `json:"waves"`
-		LastSeq uint64       `json:"last_seq"`
+	waves, last := getLog(t, base+"/log?since=0", 200)
+	if last != 8 || len(waves) != 8 {
+		t.Fatalf("log: last_seq=%d waves=%d, want 8/8", last, len(waves))
 	}
-	call(t, "GET", base+"/log?since=0", nil, 200, &tail)
-	if tail.LastSeq != 8 || len(tail.Waves) != 8 {
-		t.Fatalf("log: last_seq=%d waves=%d, want 8/8", tail.LastSeq, len(tail.Waves))
-	}
-	for i, w := range tail.Waves {
+	for i, w := range waves {
 		if w.Seq != uint64(i+1) || !w.Verify() {
 			t.Fatalf("wave %d: seq=%d verify=%v", i, w.Seq, w.Verify())
 		}
 	}
-	call(t, "GET", base+"/log?since=6", nil, 200, &tail)
-	if len(tail.Waves) != 2 {
-		t.Fatalf("log since=6: %d waves, want 2", len(tail.Waves))
+	if waves, _ = getLog(t, base+"/log?since=6", 200); len(waves) != 2 {
+		t.Fatalf("log since=6: %d waves, want 2", len(waves))
 	}
 
 	// Snapshot → restore under a fresh id → equal state.
@@ -181,12 +223,8 @@ func TestSnapshotLogEndpoints(t *testing.T) {
 	// The restored tree serves writes and logs them from its own seq (its
 	// node IDs are the leader's, so the leader's last leaf id works).
 	growSome(t, ts.URL+"/v1/trees/77", 1, lastLeaf)
-	var tail77 struct {
-		LastSeq uint64 `json:"last_seq"`
-	}
-	call(t, "GET", ts.URL+"/v1/trees/77/log?since=8", nil, 200, &tail77)
-	if tail77.LastSeq != 9 {
-		t.Fatalf("restored tree log at %d, want 9", tail77.LastSeq)
+	if _, last77 := getLog(t, ts.URL+"/v1/trees/77/log?since=8", 200); last77 != 9 {
+		t.Fatalf("restored tree log at %d, want 9", last77)
 	}
 	// Restoring over a live id conflicts.
 	putBytes(t, ts.URL+"/v1/trees/77/snapshot", snap, 409, nil)
@@ -244,6 +282,187 @@ func TestLogTruncationGone(t *testing.T) {
 	call(t, "GET", base+"/log?since=0", nil, 410, &gone)
 	if gone.BaseSeq != 7 {
 		t.Fatalf("base_seq = %d, want 7 (10 waves, ring 4)", gone.BaseSeq)
+	}
+}
+
+// TestLogTailIsWAL: a log tail is the bytes of a WAL file holding its
+// waves. From 0 it equals the leader's tree-<id>.wal byte for byte, and
+// at the last sequence it is the WAL header alone. A tail cut by its byte
+// bound holds whole frames, and the next tail continues after them.
+func TestLogTailIsWAL(t *testing.T) {
+	s := newServerWAL(dyntc.BatchOptions{}, t.TempDir(), 0)
+	ts := httptest.NewServer(s.routes())
+	t.Cleanup(func() { ts.Close(); s.close() })
+	var created struct {
+		Tree dyntc.TreeID `json:"tree"`
+	}
+	call(t, "POST", ts.URL+"/v1/trees", map[string]any{"root": 1, "seed": 5}, 201, &created)
+	base := fmt.Sprintf("%s/v1/trees/%d", ts.URL, created.Tree)
+	leaf := growSome(t, base, 6, 0)
+	for i := 0; i < 4; i++ {
+		call(t, "POST", base+"/set-leaf", map[string]any{"leaf": leaf, "value": i}, 200, nil)
+	}
+
+	wal, err := os.ReadFile(s.store.file(created.Tree, ".wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tail := getBytes(t, base+"/log?since=0", 200); !bytes.Equal(tail, wal) {
+		t.Fatalf("the tail from 0 (%d bytes) is not the WAL file (%d bytes)", len(tail), len(wal))
+	}
+	if tail := getBytes(t, base+"/log?since=10", 200); string(tail) != "\x89DTW\x01" {
+		t.Fatalf("the tail at the last wave is %q, want the WAL header alone", tail)
+	}
+	want, err := replog.DecodeWAL(wal)
+	if err != nil || len(want) != 10 {
+		t.Fatalf("the WAL holds %d waves (err %v), want 10", len(want), err)
+	}
+
+	wl := s.store.get(created.Tree).log
+	limit := len(wal) / 3
+	var got []dyntc.Wave
+	calls := 0
+	for seq := uint64(0); seq < 10; calls++ {
+		data, last, err := wl.Tail(seq, limit)
+		if err != nil || last != 10 {
+			t.Fatalf("Tail(%d, %d): last %d, err %v", seq, limit, last, err)
+		}
+		waves, err := replog.DecodeWAL(data)
+		if err != nil || len(waves) == 0 || waves[0].Seq != seq+1 {
+			t.Fatalf("Tail(%d, %d): %d waves, err %v; want whole frames from %d", seq, limit, len(waves), err, seq+1)
+		}
+		if len(data) > limit && len(waves) > 1 {
+			t.Fatalf("Tail(%d, %d) is %d bytes with %d waves", seq, limit, len(data), len(waves))
+		}
+		got = append(got, waves...)
+		seq = waves[len(waves)-1].Seq
+	}
+	if calls < 3 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%d bounded tails read %d waves, want the WAL's 10 over at least 3 tails", calls, len(got))
+	}
+}
+
+// TestFollowerAheadRebootstraps: a leader whose WAL mirror failed at
+// wave 4 kept shipping waves 4–6 from its ring, and its follower applied
+// them. Restarted, the leader recovers to wave 3 and takes two new
+// waves. The follower, at 6 on history the leader no longer has, gets
+// 410 and re-bootstraps through one snapshot, ending byte-identical to
+// the leader, instead of staying at 6 with a lag of 0.
+func TestFollowerAheadRebootstraps(t *testing.T) {
+	dirL := t.TempDir()
+	leader := newServerWAL(dyntc.BatchOptions{}, dirL, 0)
+	in, err := dyntc.FaultInjectorFromSpec(1, "wal.append:after=3:err=disk:times=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader.setFaults(in, 1)
+	var serving atomic.Pointer[server]
+	serving.Store(leader)
+	var snapshots atomic.Int64
+	counted := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/snapshot") {
+			snapshots.Add(1)
+		}
+		serving.Load().routes().ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		counted.Close()
+		serving.Load().close()
+		leader.close()
+	})
+	var created struct {
+		Tree dyntc.TreeID `json:"tree"`
+	}
+	call(t, "POST", counted.URL+"/v1/trees", map[string]any{"root": 1, "seed": 13}, 201, &created)
+	base := fmt.Sprintf("%s/v1/trees/%d", counted.URL, created.Tree)
+
+	fo := newServer(dyntc.BatchOptions{})
+	t.Cleanup(fo.close)
+	f := fo.follow(counted.URL, time.Millisecond)
+	if !f.syncOnce() { // bootstrap at seq 0
+		t.Fatal("bootstrap round failed")
+	}
+	growSome(t, base, 6, 0)
+	if !f.syncOnce() {
+		t.Fatal("catch-up round failed")
+	}
+	en, ok := fo.forest.Get(created.Tree)
+	if !ok || en.AppliedSeq() != 6 {
+		t.Fatal("follower did not catch up to seq 6")
+	}
+	if leader.store.get(created.Tree).log.Err() == nil {
+		t.Fatal("the injected append failure did not disable the leader's WAL mirror")
+	}
+
+	// Abandon the leader and recover its directory: the WAL holds 3 waves.
+	l2 := newServerWAL(dyntc.BatchOptions{}, dirL, 0)
+	if err := l2.store.recover(); err != nil {
+		t.Fatal(err)
+	}
+	serving.Store(l2)
+	if ln, ok := l2.forest.Get(created.Tree); !ok || ln.AppliedSeq() != 3 {
+		t.Fatal("the restarted leader did not recover to seq 3")
+	}
+	growSome(t, base, 2, 5)
+
+	snapshots.Store(0)
+	if !f.syncOnce() {
+		t.Fatal("round after the leader restart failed")
+	}
+	if got := snapshots.Load(); got != 1 {
+		t.Fatalf("the follower fetched %d snapshots, want 1", got)
+	}
+	en, _ = fo.forest.Get(created.Tree)
+	fsnap, err := en.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lsnap := getBytes(t, base+"/snapshot", 200); !bytes.Equal(lsnap, fsnap) {
+		t.Fatal("the follower's snapshot differs from the restarted leader's")
+	}
+}
+
+// TestFollowerRefusesJSONTail: a follower whose leader answers the log
+// tail as JSON, as builds before the WAL-bytes tail did, applies nothing,
+// reports the tail as not a WAL in its healthz last_error and keeps
+// polling, without fetching another snapshot.
+func TestFollowerRefusesJSONTail(t *testing.T) {
+	leader := newServer(dyntc.BatchOptions{})
+	ls := httptest.NewServer(leader.routes())
+	var snapshots atomic.Int64
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case strings.HasSuffix(r.URL.Path, "/log"):
+			writeJSON(w, http.StatusOK, map[string]any{"waves": []dyntc.Wave{}, "last_seq": 2, "applied_seq": 2})
+			return
+		case strings.HasSuffix(r.URL.Path, "/snapshot"):
+			snapshots.Add(1)
+		}
+		leader.routes().ServeHTTP(w, r)
+	}))
+	fo := newServer(dyntc.BatchOptions{})
+	foSrv := httptest.NewServer(fo.routes())
+	t.Cleanup(func() { foSrv.Close(); fo.close(); old.Close(); ls.Close(); leader.close() })
+	call(t, "POST", ls.URL+"/v1/trees", map[string]any{"root": 1}, 201, nil)
+	growSome(t, ls.URL+"/v1/trees/1", 2, 0)
+
+	f := fo.follow(old.URL, time.Millisecond)
+	for i := 0; i < 3; i++ {
+		f.syncOnce()
+	}
+	var health struct {
+		Trees []struct {
+			AppliedSeq uint64 `json:"applied_seq"`
+			LastError  string `json:"last_error"`
+		} `json:"trees"`
+	}
+	call(t, "GET", foSrv.URL+"/v1/healthz", nil, 200, &health)
+	if len(health.Trees) != 1 || health.Trees[0].AppliedSeq != 2 ||
+		!strings.Contains(health.Trees[0].LastError, replog.ErrNotWAL.Error()) {
+		t.Fatalf("follower of a JSON-tail leader: %+v, want applied_seq 2 and last_error %q", health.Trees, replog.ErrNotWAL)
+	}
+	if got := snapshots.Load(); got != 1 {
+		t.Fatalf("the follower fetched %d snapshots, want the bootstrap's 1", got)
 	}
 }
 
@@ -365,7 +584,7 @@ func TestWALPersistsAcrossRestart(t *testing.T) {
 	s.forest.Close()
 	s.store.close() // graceful shutdown flushes the WAL
 
-	waves, err := replog.ReadWAL(fmt.Sprintf("%s/tree-%d.wal", dir, created.Tree))
+	waves, err := readWAL(fmt.Sprintf("%s/tree-%d.wal", dir, created.Tree))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,8 +48,8 @@ import (
 //	                                       application/octet-stream
 //	PUT    /v1/trees/{id}/snapshot      restore a tree under this id from a binary
 //	                                       snapshot (a JSON one answers 400)
-//	GET    /v1/trees/{id}/log?since=SEQ -> waves after SEQ (410 = truncated,
-//	                                       re-bootstrap from a snapshot)
+//	GET    /v1/trees/{id}/log?since=SEQ -> WAL bytes of the waves after SEQ, last seq
+//	                                       in X-Dyntc-Last-Seq (410 = re-bootstrap)
 //	POST   /v1/promote                  following only: lead a new term
 //	POST   /v1/demote                   {epoch}: leading only: fence writes
 //
@@ -718,20 +718,21 @@ func (s *server) handleTreeStats(w http.ResponseWriter, r *http.Request, en *dyn
 
 // --- durability & replication ---
 
-// maxSnapshotBody bounds snapshot transfers (PUT bodies, follower
-// bootstrap downloads).
+// maxSnapshotBody bounds binary transfers: snapshots (PUT bodies,
+// follower bootstrap downloads) and the log tails a leader ships.
 const maxSnapshotBody = 256 << 20
 
-// readSnapshotBody reads an entire snapshot, failing loudly on oversize
-// instead of silently truncating (a truncated snapshot never decodes, and
-// a silent cut would turn one oversized tree into a retry loop).
-func readSnapshotBody(r io.Reader) ([]byte, error) {
+// readBody reads an entire snapshot or log tail, failing loudly on
+// oversize instead of silently truncating (a truncated body never
+// decodes, and a silent cut would turn one oversized tree into a retry
+// loop).
+func readBody(r io.Reader) ([]byte, error) {
 	data, err := io.ReadAll(io.LimitReader(r, maxSnapshotBody+1))
 	if err != nil {
 		return nil, err
 	}
 	if len(data) > maxSnapshotBody {
-		return nil, fmt.Errorf("snapshot exceeds %d bytes", maxSnapshotBody)
+		return nil, fmt.Errorf("body exceeds %d bytes", maxSnapshotBody)
 	}
 	return data, nil
 }
@@ -757,7 +758,7 @@ func (s *server) handlePutSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, apiError{http.StatusBadRequest, "bad tree id"})
 		return
 	}
-	body, err := readSnapshotBody(r.Body)
+	body, err := readBody(r.Body)
 	if err != nil {
 		writeErr(w, apiError{http.StatusBadRequest, "read snapshot body: " + err.Error()})
 		return
@@ -781,8 +782,9 @@ func (s *server) handlePutSnapshot(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, map[string]any{"tree": id, "seq": seq})
 }
 
-// handleLog ships the tree's wave change-log after ?since=SEQ. A follower
-// that is too far behind the in-memory ring gets 410 Gone and must
+// handleLog ships the tree's wave change-log after ?since=SEQ as WAL
+// bytes (replog.Log.Tail), the last sequence in X-Dyntc-Last-Seq. A
+// follower behind the ring or past its last wave gets 410 Gone and must
 // re-bootstrap from a snapshot.
 func (s *server) handleLog(w http.ResponseWriter, r *http.Request, en *dyntc.Engine) {
 	id, _ := strconv.ParseUint(r.PathValue("id"), 10, 64)
@@ -811,26 +813,17 @@ func (s *server) handleLog(w http.ResponseWriter, r *http.Request, en *dyntc.Eng
 			return
 		}
 	}
-	waves, err := wl.Since(since)
-	if err != nil {
-		if errors.Is(err, replog.ErrTruncated) {
-			writeJSON(w, http.StatusGone, map[string]any{
-				"error":    err.Error(),
-				"base_seq": wl.BaseSeq(),
-			})
-			return
-		}
-		writeErr(w, err)
+	data, last, err := wl.Tail(since, maxSnapshotBody)
+	if err != nil { // replog.ErrTruncated, Tail's only error
+		writeJSON(w, http.StatusGone, map[string]any{
+			"error":    err.Error(),
+			"base_seq": wl.BaseSeq(),
+		})
 		return
 	}
-	if waves == nil {
-		waves = []dyntc.Wave{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"waves":       waves,
-		"last_seq":    wl.LastSeq(),
-		"applied_seq": en.AppliedSeq(),
-	})
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("X-Dyntc-Last-Seq", strconv.FormatUint(last, 10))
+	_, _ = w.Write(data)
 }
 
 // handleDemote tells this leader a newer leadership term exists — the

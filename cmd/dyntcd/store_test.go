@@ -221,14 +221,13 @@ func sweepProgram(t *testing.T, n int) ([]sweepOp, []byte, []dyntc.Wave) {
 		}
 		prog[i] = op
 	}
-	var tail struct {
-		Waves []dyntc.Wave `json:"waves"`
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	waves, _ := getLog(t, ts.URL+"/v1/trees/1/log?since=0", 200)
+	if len(waves) != n {
+		t.Fatalf("program log: %d waves; want %d", len(waves), n)
 	}
-	_, body := serveLocal(t, h, "GET", "/v1/trees/1/log?since=0", nil)
-	if err := json.Unmarshal(body, &tail); err != nil || len(tail.Waves) != n {
-		t.Fatalf("program log: %d waves, err %v; want %d", len(tail.Waves), err, n)
-	}
-	return prog, genesis, tail.Waves
+	return prog, genesis, waves
 }
 
 // TestCrashPointSweep crashes the WAL append of wave N+1 for every N in
@@ -308,12 +307,11 @@ func TestCrashPointSweep(t *testing.T) {
 					t.Fatalf("every=%d crash after %d: program op %d status %d: %s", every, crashAt, i, status, body)
 				}
 				if i == acked {
-					var tail struct {
-						LastSeq uint64 `json:"last_seq"`
-					}
-					_, body := serveLocal(t, h2, "GET", fmt.Sprintf("/v1/trees/1/log?since=%d", acked), nil)
-					if err := json.Unmarshal(body, &tail); err != nil || tail.LastSeq != uint64(acked)+1 {
-						t.Fatalf("every=%d crash after %d: next write logged at %d, want %d", every, crashAt, tail.LastSeq, acked+1)
+					ts := httptest.NewServer(h2)
+					_, last := getLog(t, fmt.Sprintf("%s/v1/trees/1/log?since=%d", ts.URL, acked), 200)
+					ts.Close()
+					if last != uint64(acked)+1 {
+						t.Fatalf("every=%d crash after %d: next write logged at %d, want %d", every, crashAt, last, acked+1)
 					}
 				}
 				if every > 0 && (i+1)%every == 0 {
@@ -393,7 +391,7 @@ func TestCutWindowRecovers(t *testing.T) {
 			if after, err := os.ReadFile(prev); err != nil || !bytes.Equal(after, before) {
 				t.Fatalf("the second barrier replaced tree-1.wal.prev (err %v)", err)
 			}
-			if ws, err := replog.ReadWAL(s.store.file(1, ".wal")); err != nil || len(ws) != 3 || ws[0].Seq != 7 {
+			if ws, err := readWAL(s.store.file(1, ".wal")); err != nil || len(ws) != 3 || ws[0].Seq != 7 {
 				t.Fatalf("tree-1.wal after the second barrier: %d waves (err %v), want 7..9", len(ws), err)
 			}
 			return 9
@@ -412,7 +410,7 @@ func TestCutWindowRecovers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ws, err := replog.ReadWAL(s.store.file(1, ".wal.prev")); err != nil || len(ws) != 6 || ws[0].Seq != 1 {
+			if ws, err := readWAL(s.store.file(1, ".wal.prev")); err != nil || len(ws) != 6 || ws[0].Seq != 1 {
 				t.Fatalf("tree-1.wal.prev after the cut: %d waves (err %v), want 1..6", len(ws), err)
 			}
 			runProgram(t, h, prog[tc.window(t, s, anchor):])
@@ -460,7 +458,7 @@ func TestGappedReplayKeepsBothWALsAside(t *testing.T) {
 	s.store.close()
 	// Rewrite tree-1.wal.prev without its first wave.
 	prev := filepath.Join(dir, "tree-1.wal.prev")
-	waves, err := replog.ReadWAL(prev)
+	waves, err := readWAL(prev)
 	if err != nil || len(waves) < 2 {
 		t.Fatalf("pre-cut wal: %d waves, err %v", len(waves), err)
 	}
@@ -540,7 +538,7 @@ func TestCompactionUnderConcurrentWrites(t *testing.T) {
 		applied := en.AppliedSeq()
 		var waves []dyntc.Wave
 		for _, suffix := range []string{".wal.prev", ".wal"} {
-			ws, err := replog.ReadWAL(s.store.file(1, suffix))
+			ws, err := readWAL(s.store.file(1, suffix))
 			if err != nil && !errors.Is(err, os.ErrNotExist) {
 				return err
 			}
@@ -797,13 +795,9 @@ func TestPromotedTreeStaysLogged(t *testing.T) {
 	}
 	base := fmt.Sprintf("%s/v1/trees/%d", foSrv.URL, created.Tree)
 	call(t, "POST", base+"/set-leaf", map[string]any{"leaf": leaf, "value": 5}, 200, nil)
-	var tail struct {
-		Waves   []dyntc.Wave `json:"waves"`
-		LastSeq uint64       `json:"last_seq"`
-	}
-	call(t, "GET", base+"/log?since=3", nil, 200, &tail)
-	if tail.LastSeq != 4 || len(tail.Waves) != 1 || tail.Waves[0].EpochOrDefault() != 2 {
-		t.Fatalf("acknowledged new-term write not logged: last_seq %d, %d waves", tail.LastSeq, len(tail.Waves))
+	waves, last := getLog(t, base+"/log?since=3", 200)
+	if last != 4 || len(waves) != 1 || waves[0].EpochOrDefault() != 2 {
+		t.Fatalf("acknowledged new-term write not logged: last_seq %d, %d waves", last, len(waves))
 	}
 }
 

@@ -69,7 +69,7 @@ func TestConcurrentWavesQueriesAndReplay(t *testing.T) {
 		followers[id] = fo
 	}
 	catchUp := func(id TreeID) error {
-		waves, err := logs[id].Since(followers[id].AppliedSeq())
+		waves, err := logSince(logs[id], followers[id].AppliedSeq())
 		if err != nil {
 			return err
 		}

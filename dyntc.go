@@ -245,12 +245,10 @@ func (e *Expr) SetOps(ns []*Node, ops []Op) {
 	}
 }
 
-// Stats returns the cost of the most recent dynamic operation.
+// Stats returns the cost of the most recent dynamic operation. A serving
+// engine reads it after every mutating call and folds it into its
+// counters and traces.
 func (e *Expr) Stats() HealStats { return e.con.LastHeal() }
-
-// LastHeal is Stats under the name the serving engine's heal-reporting
-// capability expects; the engine folds it into its counters and traces.
-func (e *Expr) LastHeal() HealStats { return e.con.LastHeal() }
 
 // PRAM returns the accumulated machine metrics.
 func (e *Expr) PRAM() Metrics { return e.mach.Metrics() }

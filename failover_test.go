@@ -26,7 +26,7 @@ func TestWaveEpochStamping(t *testing.T) {
 	prog := newReplicaProgram(101, ring, leader.Tree().Root)
 	prog.runLive(t, en, 40)
 	en.Close()
-	waves, err := log.Since(0)
+	waves, err := logSince(log, 0)
 	if err != nil || len(waves) == 0 {
 		t.Fatalf("no waves (%v)", err)
 	}
@@ -59,7 +59,7 @@ func TestPromoteFailover(t *testing.T) {
 	prog.runLive(t, en, 80)
 
 	// A replica catches up fully, then the leader "dies".
-	waves, err := log.Since(0)
+	waves, err := logSince(log, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -163,7 +163,7 @@ type Engine struct {
 // healReporter is the optional host capability exposing the contraction
 // core's per-wave heal cost (records touched, re-simulation fallbacks),
 // folded into Stats, the flush records and the heal histograms.
-type healReporter interface{ LastHeal() HealStats }
+type healReporter interface{ Stats() HealStats }
 
 // New starts an engine (and its executor goroutine) over host.
 func New(host Host, opts Options) *Engine {

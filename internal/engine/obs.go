@@ -260,7 +260,7 @@ func (e *Engine) noteHeal(k replog.OpKind, n int) {
 	if e.healer == nil || n == 0 {
 		return
 	}
-	hs := e.healer.LastHeal()
+	hs := e.healer.Stats()
 	e.stats.healRecords.Add(uint64(hs.WoundRecords))
 	if hs.Resimulated {
 		e.stats.resims.Add(1)

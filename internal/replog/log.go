@@ -17,8 +17,9 @@ import (
 
 // Log errors.
 var (
-	// ErrTruncated reports a Since position older than the ring retains;
-	// the caller must re-bootstrap from a snapshot.
+	// ErrTruncated reports a Tail position the log cannot continue from:
+	// older than the ring retains, or past the last appended wave. The
+	// caller must re-bootstrap from a snapshot.
 	ErrTruncated = errors.New("replog: log truncated before requested sequence")
 	// ErrGap reports an append whose sequence number is not the successor
 	// of the last appended wave.
@@ -41,7 +42,7 @@ var (
 // executor (via its wave tap); reads come from replication handlers — all
 // methods are safe for concurrent use.
 //
-// The ring bounds memory: once it wraps, Since calls older than the
+// The ring bounds memory: once it wraps, Tail calls older than the
 // retained window return ErrTruncated and the follower must re-bootstrap
 // from a snapshot. The file, when configured, retains every wave appended
 // since the log opened or was last Cut; each record is handed to the OS
@@ -111,12 +112,18 @@ func (l *Log) SetFaults(in *faults.Injector) {
 // DefaultLogCapacity is the ring size used when NewLog gets capacity <= 0.
 const DefaultLogCapacity = 4096
 
-// walMagic opens every WAL file a Log writes; each wave's record follows
-// it, prefixed by its length as a uvarint. The last byte is the format
-// version. Its first byte is not valid UTF-8, so no JSONL WAL an older
-// build wrote starts with it: ReadWAL and RecoverWAL refuse those files
-// with ErrNotWAL.
+// walMagic opens every WAL file a Log writes and every Tail; each wave's
+// record follows it in a frame (appendFrame). The last byte is the format
+// version. Its first byte is not valid UTF-8, so no JSONL WAL and no JSON
+// log tail an older build wrote starts with it: DecodeWAL and RecoverWAL
+// refuse those bytes with ErrNotWAL.
 var walMagic = []byte("\x89DTW\x01")
+
+// appendFrame appends rec to dst as the WAL frames a record: its length
+// as a uvarint, then its bytes.
+func appendFrame(dst, rec []byte) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(rec))), rec...)
+}
 
 // NewLog creates a wave log retaining up to capacity waves in memory
 // (DefaultLogCapacity if <= 0). A non-empty path additionally opens an
@@ -124,8 +131,8 @@ var walMagic = []byte("\x89DTW\x01")
 // non-empty file at path is kept aside (KeepAside) first:
 // this Log's wave stream starts at its own base sequence, and appending
 // it after an older process's stream would leave a non-contiguous,
-// unreplayable file. The rotated file remains replayable with ReadWAL
-// against the snapshot that anchors it. dyntcd's startup recovery
+// unreplayable file. The rotated file remains readable with DecodeWAL
+// and replayable against the snapshot that anchors it. dyntcd's startup recovery
 // replays a tree's WAL into its engine and deletes it once a fresh
 // snapshot covers every wave, so this rotation keeps only a WAL whose
 // replay stopped early.
@@ -151,7 +158,7 @@ func NewLog(capacity int, path string) (*Log, error) {
 
 // Resume starts an empty log at seq, the sequence of the snapshot its
 // tree starts from: LastSeq reports seq, the first append must carry
-// seq+1, and Since below seq answers ErrTruncated, since only that
+// seq+1, and Tail below seq answers ErrTruncated, since only that
 // snapshot covers the waves before it. It is a no-op once the log holds
 // a wave.
 func (l *Log) Resume(seq uint64) {
@@ -253,8 +260,7 @@ func (l *Log) mirror(seq uint64) error {
 	if l.fresh {
 		l.frame = append(l.frame, walMagic...)
 	}
-	l.frame = binary.AppendUvarint(l.frame, uint64(len(l.rec)))
-	l.frame = append(l.frame, l.rec...)
+	l.frame = appendFrame(l.frame, l.rec)
 	// The one write hands the record to the OS now (no fsync): a killed
 	// process loses at most the record the kernel was mid-write on — the
 	// torn tail RecoverWAL truncates. Waves are already coalesced
@@ -365,34 +371,28 @@ func (l *Log) Err() error {
 	return l.appendErr
 }
 
-// Since decodes every retained wave with Seq > seq, in order. It returns
-// ErrTruncated when the ring no longer retains wave seq+1 — the caller is
-// too far behind and must re-bootstrap from a snapshot.
-func (l *Log) Since(seq uint64) ([]Wave, error) {
+// Tail copies the retained waves after seq out as the bytes of a WAL file
+// holding them, at most max bytes but at least the first wave, and
+// returns the newest appended sequence with them. It returns ErrTruncated
+// when the ring no longer retains wave seq+1, or when seq is past last:
+// the log lost waves the caller applied, as a restart does that recovers
+// a WAL whose mirror had failed. Either way the caller must re-bootstrap
+// from a snapshot.
+func (l *Log) Tail(seq uint64, max int) (data []byte, last uint64, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.n == 0 {
-		if l.last != 0 && seq < l.last {
-			return nil, ErrTruncated
+	if seq > l.last || seq < l.last && (l.n == 0 || seq+1 < l.base) {
+		return nil, l.last, ErrTruncated
+	}
+	data = append(data, walMagic...)
+	for s := seq + 1; s <= l.last; s++ {
+		n := len(data)
+		data = appendFrame(data, l.ring[(l.start+int(s-l.base))%len(l.ring)])
+		if len(data) > max && s > seq+1 {
+			return data[:n], l.last, nil
 		}
-		return nil, nil
 	}
-	if seq >= l.last {
-		return nil, nil
-	}
-	if seq+1 < l.base {
-		return nil, ErrTruncated
-	}
-	skip := int(seq + 1 - l.base)
-	out := make([]Wave, l.n-skip)
-	for i := range out {
-		w, err := decodeRecord(l.ring[(l.start+skip+i)%len(l.ring)])
-		if err != nil {
-			return nil, err // the ring holds only what appendRecord wrote
-		}
-		out[i] = w
-	}
-	return out, nil
+	return data, l.last, nil
 }
 
 // LastSeq returns the newest appended sequence number (0 if none).
@@ -464,22 +464,17 @@ func (l *Log) Close() error {
 	return err
 }
 
-// ReadWAL replays an append-only wave file written by a Log: every wave
-// in order, checksum-verified and contiguity-checked. Any other file is
-// ErrNotWAL.
-func ReadWAL(path string) ([]Wave, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("replog: open wal: %w", err)
-	}
+// DecodeWAL reads the bytes of a WAL file or of a Tail: every wave in
+// order, checksum-verified and contiguity-checked. Bytes past the last
+// whole wave are an error (returned with the waves before them), and
+// bytes that are not a WAL are ErrNotWAL. RecoverWAL shares its reader,
+// so one reader takes every wave that enters a process.
+func DecodeWAL(data []byte) ([]Wave, error) {
 	waves, _, err := scanWAL(data)
-	if err != nil {
-		return nil, err
-	}
-	return waves, nil
+	return waves, err
 }
 
-// RecoverWAL replays a wave file like ReadWAL, but treats a bad tail —
+// RecoverWAL reads a wave file like DecodeWAL, but treats a bad tail —
 // a torn header, length or record, a record that fails to decode or its
 // checksum, or one that breaks sequence contiguity — as the debris of a
 // crash mid-append rather than a fatal error: the file is truncated in

@@ -125,8 +125,8 @@ func TestAppendAllocs(t *testing.T) {
 }
 
 // TestSinceOwnsItsWaves: the ring keeps a wave's record, not the caller's
-// Ops, so changing them after Append, or changing what Since returned,
-// does not change what Since returns next.
+// Ops, and Tail copies records out, so changing the Ops after Append, or
+// changing what was read from a Tail, does not change the next Tail.
 func TestSinceOwnsItsWaves(t *testing.T) {
 	l, err := NewLog(8, "")
 	if err != nil {
@@ -138,14 +138,14 @@ func TestSinceOwnsItsWaves(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Ops[0].Value = 99
-	got, err := l.Since(0)
+	got, err := since(l, 0)
 	if err != nil || len(got) != 1 || !reflect.DeepEqual(got[0], want) {
-		t.Fatalf("Since after the caller's change: %+v, err %v", got, err)
+		t.Fatalf("Tail after the caller's change: %+v, err %v", got, err)
 	}
 	got[0].Ops[1].Node = 42
-	again, err := l.Since(0)
+	again, err := since(l, 0)
 	if err != nil || !reflect.DeepEqual(again[0], want) {
-		t.Fatalf("Since after a change to its last result: %+v, err %v", again, err)
+		t.Fatalf("Tail after a change to its last result: %+v, err %v", again, err)
 	}
 }
 

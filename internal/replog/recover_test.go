@@ -2,8 +2,9 @@ package replog
 
 import (
 	"bytes"
-	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -34,8 +35,7 @@ func writeWAL(t *testing.T, path string, n int) {
 // frameOf returns w as a Log writes it after the WAL header: its record's
 // length, then the record.
 func frameOf(w Wave) []byte {
-	rec := appendRecord(nil, &w)
-	return append(binary.AppendUvarint(nil, uint64(len(rec))), rec...)
+	return appendFrame(nil, appendRecord(nil, &w))
 }
 
 // appendFile appends raw bytes to the file at path.
@@ -92,8 +92,8 @@ func checkTornTail(t *testing.T, path string) {
 	t.Helper()
 	// The strict reader refuses the file — this is the "aborts startup"
 	// behaviour recovery exists to replace.
-	if _, err := ReadWAL(path); err == nil {
-		t.Fatal("ReadWAL accepted a torn tail")
+	if _, err := readWAL(path); err == nil {
+		t.Fatal("DecodeWAL accepted a torn tail")
 	}
 
 	ws, dropped, err := RecoverWAL(path)
@@ -108,8 +108,8 @@ func checkTornTail(t *testing.T, path string) {
 	}
 	// Truncation is durable: the strict reader accepts the file now, and
 	// a second recovery is a no-op.
-	if ws, err = ReadWAL(path); err != nil || len(ws) != 4 {
-		t.Fatalf("post-recovery ReadWAL: %d waves, err %v", len(ws), err)
+	if ws, err = readWAL(path); err != nil || len(ws) != 4 {
+		t.Fatalf("post-recovery DecodeWAL: %d waves, err %v", len(ws), err)
 	}
 	if _, dropped, err = RecoverWAL(path); err != nil || dropped != 0 {
 		t.Fatalf("second recovery dropped %d, err %v", dropped, err)
@@ -138,8 +138,8 @@ func TestRecoverBinaryWALTornHeader(t *testing.T) {
 		if st, _ := os.Stat(path); st.Size() != tc.keep {
 			t.Fatalf("recover %q: %d bytes left, want %d", tc.data, st.Size(), tc.keep)
 		}
-		if ws, err := ReadWAL(path); err != nil || len(ws) != 0 {
-			t.Fatalf("post-recovery ReadWAL: %d waves, err %v", len(ws), err)
+		if ws, err := readWAL(path); err != nil || len(ws) != 0 {
+			t.Fatalf("post-recovery DecodeWAL: %d waves, err %v", len(ws), err)
 		}
 	}
 }
@@ -154,15 +154,15 @@ func TestRecoverBinaryWALCorruptChecksumTail(t *testing.T) {
 	bad.Sum++
 	frame := frameOf(bad)
 	appendFile(t, path, frame)
-	if _, err := ReadWAL(path); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("ReadWAL err = %v, want ErrCorrupt", err)
+	if _, err := readWAL(path); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("DecodeWAL err = %v, want ErrCorrupt", err)
 	}
 	ws, dropped, err := RecoverWAL(path)
 	if err != nil || len(ws) != 3 || dropped != int64(len(frame)) {
 		t.Fatalf("recover: %d waves, %d dropped (want %d), err %v", len(ws), dropped, len(frame), err)
 	}
-	if ws, err = ReadWAL(path); err != nil || len(ws) != 3 {
-		t.Fatalf("post-recovery ReadWAL: %d waves, err %v", len(ws), err)
+	if ws, err = readWAL(path); err != nil || len(ws) != 3 {
+		t.Fatalf("post-recovery DecodeWAL: %d waves, err %v", len(ws), err)
 	}
 }
 
@@ -224,7 +224,7 @@ func TestCutStartsANewFile(t *testing.T) {
 	}
 	span := func(path string) (first, last uint64) {
 		t.Helper()
-		ws, err := ReadWAL(path)
+		ws, err := readWAL(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +244,7 @@ func TestCutStartsANewFile(t *testing.T) {
 	if f, la := span(path); f != 6 || la != 8 {
 		t.Fatalf("wal after the cut: %d..%d, want 6..8", f, la)
 	}
-	if ws, err := l.Since(0); err != nil || len(ws) != 8 || l.BaseSeq() != 1 {
+	if ws, err := since(l, 0); err != nil || len(ws) != 8 || l.BaseSeq() != 1 {
 		t.Fatalf("ring after the cut: %d waves from %d (err %v), want 8 from 1", len(ws), l.BaseSeq(), err)
 	}
 
@@ -344,9 +344,10 @@ func TestSnapshotEpochRoundTrip(t *testing.T) {
 
 // walRecoverSeeds are FuzzWALRecover's seed inputs: three binary waves
 // (a grow among them), then the same file with its tail torn, its last
-// record's checksum broken and its header cut; and two files that are not
-// WALs: a JSONL file an older build wrote, and one whose magic has a
-// damaged byte.
+// record's checksum broken and its header cut; a log's Tail after the
+// first wave, as a follower receives it; and three inputs that are not
+// WALs: a JSONL file an older build wrote, one whose magic has a damaged
+// byte, and the JSON log tail an older leader answered.
 func walRecoverSeeds(tb testing.TB) [][]byte {
 	var wal []byte
 	wal = append(wal, walMagic...)
@@ -356,7 +357,26 @@ func walRecoverSeeds(tb testing.TB) [][]byte {
 	bad := bytes.Clone(wal)
 	bad[len(bad)-1] ^= 1
 	damaged := append([]byte("\x89DTX\x01"), bytes.Repeat([]byte{0x2a}, 100)...)
-	return [][]byte{wal, wal[:len(wal)-4], bad, wal[:2], readFixture(tb, "wal-legacy.jsonl"), damaged}
+	l, err := NewLog(8, "")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	logged := []Wave{mkWave(1, 2), mkWave(2, 1), growWave(3)}
+	for _, w := range logged {
+		if err := l.Append(w); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	tail, _, err := l.Tail(1, math.MaxInt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	jsonTail, err := json.Marshal(map[string]any{"waves": logged[1:], "last_seq": 3, "applied_seq": 3})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return [][]byte{wal, wal[:len(wal)-4], bad, wal[:2], tail,
+		readFixture(tb, "wal-legacy.jsonl"), damaged, jsonTail}
 }
 
 // notWAL reports whether data is a file scanWAL refuses whole: non-empty,
@@ -394,12 +414,13 @@ func committedCorpus(t *testing.T, name string) [][]byte {
 }
 
 // FuzzWALRecover fuzzes scanWAL, the reader under both RecoverWAL and
-// ReadWAL, on arbitrary file bytes, in memory: bytes that are not a WAL
+// DecodeWAL (which also reads a follower's log tails), on arbitrary
+// bytes, in memory: bytes that are not a WAL
 // are ErrNotWAL with an empty prefix; the waves it returns verify and are
 // contiguous, its valid prefix lies within the data and
 // ends at the data's end exactly when it reports no error, and the prefix
 // scans again to the same waves, whole and without error — which is what
-// makes RecoverWAL's truncation land on a file it and ReadWAL accept.
+// makes RecoverWAL's truncation land on a file it and DecodeWAL accept.
 // RecoverWAL's own file round trip, which writes and fsyncs a file per
 // input, is TestRecoverWALRoundTrip's, over the seeds and the committed
 // corpus.
@@ -436,11 +457,11 @@ func FuzzWALRecover(f *testing.F) {
 
 // TestRecoverWALRoundTrip runs RecoverWAL on a file per FuzzWALRecover
 // seed and committed corpus input. A file that is not a WAL is refused
-// with ErrNotWAL, by RecoverWAL and ReadWAL, and left byte for byte as it
+// with ErrNotWAL, by RecoverWAL and DecodeWAL, and left byte for byte as it
 // was. On any other writable file RecoverWAL never errors; the waves it
 // returns verify and are contiguous; the file shrinks by
 // exactly the bytes it reports dropped; a second recovery returns the
-// same waves and drops nothing; and ReadWAL then accepts the file,
+// same waves and drops nothing; and DecodeWAL then accepts the file,
 // reading the same waves.
 func TestRecoverWALRoundTrip(t *testing.T) {
 	inputs := append(walRecoverSeeds(t), committedCorpus(t, "FuzzWALRecover")...)
@@ -451,7 +472,7 @@ func TestRecoverWALRoundTrip(t *testing.T) {
 		}
 		waves, dropped, err := RecoverWAL(path)
 		if notWAL(data) {
-			_, rerr := ReadWAL(path)
+			_, rerr := readWAL(path)
 			after, _ := os.ReadFile(path)
 			if !errors.Is(err, ErrNotWAL) || !errors.Is(rerr, ErrNotWAL) || waves != nil || dropped != 0 || !bytes.Equal(after, data) {
 				t.Fatalf("input %d, not a wal: recover %d waves, %d dropped, err %v; read err %v; file %d -> %d bytes",
@@ -481,12 +502,12 @@ func TestRecoverWALRoundTrip(t *testing.T) {
 		if err != nil || dropped != 0 || !reflect.DeepEqual(again, waves) {
 			t.Fatalf("input %d: second recover: %d waves (want %d), %d dropped, err %v", i, len(again), len(waves), dropped, err)
 		}
-		read, err := ReadWAL(path)
+		read, err := readWAL(path)
 		if err != nil {
-			t.Fatalf("input %d: ReadWAL after recover: %v", i, err)
+			t.Fatalf("input %d: DecodeWAL after recover: %v", i, err)
 		}
 		if !reflect.DeepEqual(read, waves) {
-			t.Fatalf("input %d: ReadWAL read %d waves, recover returned %d", i, len(read), len(waves))
+			t.Fatalf("input %d: DecodeWAL read %d waves, recover returned %d", i, len(read), len(waves))
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -77,7 +78,7 @@ func TestPreEpochWaveChecksumCompat(t *testing.T) {
 // TestWALMixedEpochUpgrade: a WAL whose prefix predates epochs (zero
 // epoch, old checksum formula) followed by epoch-stamped records — the
 // shape of a log that lives across the upgrade — reads cleanly with
-// ReadWAL and recovers with zero bytes dropped.
+// DecodeWAL and recovers with zero bytes dropped.
 func TestWALMixedEpochUpgrade(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tree.wal")
 	raw := bytes.Clone(walMagic)
@@ -92,17 +93,36 @@ func TestWALMixedEpochUpgrade(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ws, err := ReadWAL(path)
+	ws, err := readWAL(path)
 	if err != nil {
 		t.Fatalf("mixed-version wal: %v", err)
 	}
 	if len(ws) != 6 {
-		t.Fatalf("ReadWAL returned %d waves, want 6", len(ws))
+		t.Fatalf("DecodeWAL returned %d waves, want 6", len(ws))
 	}
 	ws2, dropped, err := RecoverWAL(path)
 	if err != nil || dropped != 0 || len(ws2) != 6 {
 		t.Fatalf("RecoverWAL: %d waves, %d dropped, err %v; want 6, 0, nil", len(ws2), dropped, err)
 	}
+}
+
+// since decodes every wave l retains after seq as a follower reads them:
+// l's Tail through DecodeWAL.
+func since(l *Log, seq uint64) ([]Wave, error) {
+	data, _, err := l.Tail(seq, math.MaxInt)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeWAL(data)
+}
+
+// readWAL decodes the WAL file at path.
+func readWAL(path string) ([]Wave, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeWAL(data)
 }
 
 func TestLogRingSinceAndTruncation(t *testing.T) {
@@ -121,23 +141,27 @@ func TestLogRingSinceAndTruncation(t *testing.T) {
 	if got := l.BaseSeq(); got != 7 {
 		t.Fatalf("BaseSeq = %d, want 7 (capacity 4)", got)
 	}
-	ws, err := l.Since(8)
+	ws, err := since(l, 8)
 	if err != nil {
-		t.Fatalf("Since(8): %v", err)
+		t.Fatalf("Tail(8): %v", err)
 	}
 	if len(ws) != 2 || ws[0].Seq != 9 || ws[1].Seq != 10 {
-		t.Fatalf("Since(8) = %v", ws)
+		t.Fatalf("Tail(8) = %v", ws)
 	}
 	// Exactly at the retention boundary: wave 7 is the oldest retained, so
-	// Since(6) must work and Since(5) must report truncation.
-	if ws, err = l.Since(6); err != nil || len(ws) != 4 {
-		t.Fatalf("Since(6) = %d waves, err %v; want 4, nil", len(ws), err)
+	// Tail(6) must work and Tail(5) must report truncation.
+	if ws, err = since(l, 6); err != nil || len(ws) != 4 {
+		t.Fatalf("Tail(6) = %d waves, err %v; want 4, nil", len(ws), err)
 	}
-	if _, err = l.Since(5); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("Since(5) err = %v, want ErrTruncated", err)
+	if _, err = since(l, 5); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("Tail(5) err = %v, want ErrTruncated", err)
 	}
-	if ws, err = l.Since(10); err != nil || len(ws) != 0 {
-		t.Fatalf("Since(10) = %v, %v; want empty", ws, err)
+	if ws, err = since(l, 10); err != nil || len(ws) != 0 {
+		t.Fatalf("Tail(10) = %v, %v; want empty", ws, err)
+	}
+	// Past the last wave the caller holds history this log does not.
+	if _, err = since(l, 11); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("Tail(11) err = %v, want ErrTruncated", err)
 	}
 	// Gap and corruption rejection.
 	if err := l.Append(mkWave(12, 1)); !errors.Is(err, ErrGap) {
@@ -159,11 +183,11 @@ func TestLogMidStreamBase(t *testing.T) {
 	if err := l.Append(mkWave(42, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if ws, err := l.Since(40); err != nil || len(ws) != 2 {
-		t.Fatalf("Since(40) = %d waves, err %v", len(ws), err)
+	if ws, err := since(l, 40); err != nil || len(ws) != 2 {
+		t.Fatalf("Tail(40) = %d waves, err %v", len(ws), err)
 	}
-	if _, err := l.Since(39); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("Since(39) err = %v, want ErrTruncated", err)
+	if _, err := since(l, 39); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("Tail(39) err = %v, want ErrTruncated", err)
 	}
 }
 
@@ -181,12 +205,12 @@ func TestWALFileRoundTrip(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ws, err := ReadWAL(path)
+	ws, err := readWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ws) != 6 {
-		t.Fatalf("ReadWAL returned %d waves, want 6", len(ws))
+		t.Fatalf("DecodeWAL returned %d waves, want 6", len(ws))
 	}
 	for i, w := range ws {
 		if w.Seq != uint64(i+1) || !w.Verify() {
@@ -222,7 +246,7 @@ func TestWALRotatesStaleFile(t *testing.T) {
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ws, err := ReadWAL(path)
+	ws, err := readWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +257,7 @@ func TestWALRotatesStaleFile(t *testing.T) {
 	if err != nil || len(old) != 1 {
 		t.Fatalf("rotated files: %v (%v)", old, err)
 	}
-	if ws, err = ReadWAL(old[0]); err != nil || len(ws) != 3 {
+	if ws, err = readWAL(old[0]); err != nil || len(ws) != 3 {
 		t.Fatalf("rotated wal: %d waves, err %v; want 3, nil", len(ws), err)
 	}
 }
@@ -264,9 +288,9 @@ func TestMirrorFailureKeepsRingLive(t *testing.T) {
 	if err := l.Append(mkWave(3, 1)); err != nil {
 		t.Fatalf("ring append after mirror failure: %v", err)
 	}
-	ws, err := l.Since(0)
+	ws, err := since(l, 0)
 	if err != nil || len(ws) != 3 {
-		t.Fatalf("Since(0) after mirror failure: %d waves, err %v", len(ws), err)
+		t.Fatalf("Tail(0) after mirror failure: %d waves, err %v", len(ws), err)
 	}
 }
 

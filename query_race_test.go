@@ -9,11 +9,13 @@ package dyntc_test
 // replication machinery, across multiple seeds, under the race detector.
 
 import (
+	"math"
 	"sync"
 	"testing"
 
 	"dyntc"
 	"dyntc/internal/prng"
+	"dyntc/internal/replog"
 )
 
 // queryMutator drives one tree with a stack-shaped grow/collapse/set
@@ -140,7 +142,11 @@ func TestRaceForestQueryOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ws, err := logs[i].Since(0)
+				tail, _, err := logs[i].Tail(0, math.MaxInt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ws, err := replog.DecodeWAL(tail)
 				if err != nil {
 					t.Fatal(err)
 				}

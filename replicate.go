@@ -33,7 +33,8 @@ type WaveOp = replog.Op
 
 // WaveLog is a bounded in-memory ring of recent waves with an optional
 // append-only file mirror (see NewWaveLog). Both hold each wave as one
-// compact binary record; Since decodes the waves it returns.
+// compact binary record; Tail copies the records after a sequence out in
+// the WAL file's framing, the bytes a leader ships to its followers.
 type WaveLog = replog.Log
 
 // ErrWaveGap reports a wave applied out of order (sequence skipped).

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"os"
 	"sync"
 	"testing"
@@ -17,6 +18,16 @@ import (
 	"dyntc/internal/prng"
 	"dyntc/internal/replog"
 )
+
+// logSince decodes every wave l retains after seq as a follower reads
+// them: l's Tail through the WAL decoder.
+func logSince(l *WaveLog, seq uint64) ([]Wave, error) {
+	data, _, err := l.Tail(seq, math.MaxInt)
+	if err != nil {
+		return nil, err
+	}
+	return replog.DecodeWAL(data)
+}
 
 // replicaProgram is a deterministic mixed-op workload over its own region
 // of the tree (the subtree under base): grow / collapse / set-leaf /
@@ -223,7 +234,7 @@ func TestSnapshotReplayByteIdentical(t *testing.T) {
 		}
 
 		// Replica: initial snapshot + full log.
-		waves, err := log.Since(0)
+		waves, err := logSince(log, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +286,7 @@ func TestFollowerMeteringDeterministic(t *testing.T) {
 	prog.runLive(t, en, 300)
 	en.Close()
 
-	waves, err := log.Since(0)
+	waves, err := logSince(log, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +384,7 @@ func TestRaceSnapshotMidTraffic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("snapshot %d: %v", i, err)
 		}
-		waves, err := log.Since(seq)
+		waves, err := logSince(log, seq)
 		if err != nil {
 			t.Fatalf("snapshot %d (seq %d): %v", i, seq, err)
 		}
@@ -435,7 +446,7 @@ func TestFollowerGapAndDivergence(t *testing.T) {
 	prog.runLive(t, en, 60)
 	en.Close()
 
-	waves, err := log.Since(0)
+	waves, err := logSince(log, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
