@@ -46,16 +46,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	ts, _ := startObsServer(t)
 
 	// Drive enough traffic for every engine family to move.
-	var created struct {
-		Tree uint64 `json:"tree"`
-	}
-	call(t, "POST", ts.URL+"/v1/trees", map[string]any{"root": 1}, http.StatusCreated, &created)
-	var grown struct{ Left, Right int }
-	call(t, "POST", tsTree(ts, created.Tree)+"/grow",
-		map[string]any{"leaf": 0, "op": "add", "left": 3, "right": 4}, http.StatusOK, &grown)
+	const id = 1
+	leaves := restoreWide(t, ts, id)
+	growAll(t, ts, id, leaves[1:])
 	for i := 0; i < 50; i++ {
-		call(t, "POST", tsTree(ts, created.Tree)+"/set-leaf",
-			map[string]any{"leaf": grown.Left, "value": int64(i)}, http.StatusOK, nil)
+		call(t, "POST", tsTree(ts, id)+"/set-leaf",
+			map[string]any{"leaf": leaves[0], "value": int64(i)}, http.StatusOK, nil)
 	}
 	call(t, "POST", ts.URL+"/v1/query", map[string]any{"read": "root"}, http.StatusOK, nil)
 
@@ -102,8 +98,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("query joins = %v, want 1", samples["dyntc_query_join_seconds_count"])
 	}
 
-	// The grow of a one-leaf tree is below the propagation floor: the one
-	// fallback of this run, and every surface names the same reason.
+	// The wide grow is the one re-simulation of this run, and every surface
+	// names the same reason.
 	var stats struct {
 		Engine struct {
 			ResimReasons map[string]uint64 `json:"resim_reasons"`
@@ -112,13 +108,13 @@ func TestMetricsEndpoint(t *testing.T) {
 			ResimReason string `json:"resim_reason"`
 		} `json:"last_heal"`
 	}
-	call(t, "GET", tsTree(ts, created.Tree)+"/stats", nil, http.StatusOK, &stats)
+	call(t, "GET", tsTree(ts, id)+"/stats", nil, http.StatusOK, &stats)
 	if len(stats.Engine.ResimReasons) != 1 {
 		t.Fatalf("resim_reasons = %v, want one reason", stats.Engine.ResimReasons)
 	}
 	for reason, n := range stats.Engine.ResimReasons {
-		if n != 1 || (reason != "tiny" && reason != "full_rebuild") {
-			t.Fatalf("resim_reasons = %v, want one tiny or full_rebuild", stats.Engine.ResimReasons)
+		if n != 1 || reason != "budget" {
+			t.Fatalf("resim_reasons = %v, want one budget", stats.Engine.ResimReasons)
 		}
 		if got := samples[`dyntc_resimulations_total{reason="`+reason+`"}`]; got != 1 {
 			t.Fatalf("dyntc_resimulations_total{reason=%q} = %v, want 1\n%s", reason, got, body)
@@ -132,17 +128,15 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestTraceEndpoint reads the sampled flush records off /v1/spans: with
 // every flush sampled, each engine.flush span names its tree, lasts a
 // positive time, parents its stage spans, and carries a re-simulation
-// fallback (with its reason) only on the grow wave.
+// (with its reason) only on the wide grow wave.
 func TestTraceEndpoint(t *testing.T) {
 	ts, _ := startObsServer(t)
 
-	var created struct {
-		Tree uint64 `json:"tree"`
-	}
-	call(t, "POST", ts.URL+"/v1/trees", map[string]any{"root": 1}, http.StatusCreated, &created)
+	const id = 1
+	leaves := restoreWide(t, ts, id)
 	for i := 0; i < 30; i++ {
-		call(t, "POST", tsTree(ts, created.Tree)+"/set-leaf",
-			map[string]any{"leaf": 0, "value": int64(i)}, http.StatusOK, nil)
+		call(t, "POST", tsTree(ts, id)+"/set-leaf",
+			map[string]any{"leaf": leaves[0], "value": int64(i)}, http.StatusOK, nil)
 	}
 
 	// A flush records its spans after acking its requests, so the last
@@ -164,8 +158,8 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 	fl := flushes(30)
 	for _, sp := range fl {
-		if sp.Tree != created.Tree {
-			t.Fatalf("flush span tree = %d, want %d", sp.Tree, created.Tree)
+		if sp.Tree != id {
+			t.Fatalf("flush span tree = %d, want %d", sp.Tree, id)
 		}
 		if sp.Dur <= 0 || sp.Reqs < 1 || sp.Waves < 1 {
 			t.Fatalf("flush span dur_ns %d reqs %d waves %d, want all > 0", sp.Dur, sp.Reqs, sp.Waves)
@@ -178,14 +172,13 @@ func TestTraceEndpoint(t *testing.T) {
 		t.Fatalf("set-leaf flush: stage spans %+v, want one stage.set-leaf child of %s", stages.Spans, last.Span)
 	}
 
-	// A wave that fell back to re-simulation says why: growing a one-leaf
-	// tree is below the propagation floor.
-	call(t, "POST", tsTree(ts, created.Tree)+"/grow",
-		map[string]any{"leaf": 0, "op": "add", "left": 3, "right": 4}, http.StatusOK, nil)
+	// A wave that re-simulated says why: growing all but one leaf of the
+	// tree queues more than half the trace.
+	growAll(t, ts, id, leaves[1:])
 	fl = flushes(len(fl) + 1)
 	grow := fl[len(fl)-1] // oldest first
-	if grow.Resims != 1 || (grow.ResimReason != "tiny" && grow.ResimReason != "full_rebuild") {
-		t.Fatalf("grow wave: resims %d reason %q, want 1 tiny or full_rebuild", grow.Resims, grow.ResimReason)
+	if grow.Resims != 1 || grow.ResimReason != "budget" {
+		t.Fatalf("grow wave: resims %d reason %q, want 1 budget", grow.Resims, grow.ResimReason)
 	}
 	if grow.TraceRecords <= 0 {
 		t.Fatalf("grow wave: trace_records %d, want > 0", grow.TraceRecords)
@@ -289,18 +282,15 @@ func TestSlowWaveLog(t *testing.T) {
 			Proc: "leader", TraceSample: 1 << 30, SlowWave: threshold,
 		})})
 		ts := httptest.NewServer(s.routes())
-		var created struct {
-			Tree uint64 `json:"tree"`
-		}
-		call(t, "POST", ts.URL+"/v1/trees", map[string]any{"root": 1}, http.StatusCreated, &created)
-		call(t, "POST", tsTree(ts, created.Tree)+"/grow",
-			map[string]any{"leaf": 0, "op": "add", "left": 3, "right": 4}, http.StatusOK, nil)
+		const id = 1
+		leaves := restoreWide(t, ts, id)
+		growAll(t, ts, id, leaves[1:])
 		for i := 0; i < 4; i++ {
-			call(t, "POST", tsTree(ts, created.Tree)+"/set-leaf",
-				map[string]any{"leaf": 1, "value": int64(i)}, http.StatusOK, nil)
+			call(t, "POST", tsTree(ts, id)+"/set-leaf",
+				map[string]any{"leaf": leaves[0], "value": int64(i)}, http.StatusOK, nil)
 		}
 		ts.Close()
-		en, _ := s.forest.Get(dyntc.TreeID(created.Tree))
+		en, _ := s.forest.Get(dyntc.TreeID(id))
 		s.forest.Close() // drains the executors: every flush hook has run
 		slog.SetDefault(old)
 		flushes := en.Stats().Flushes
@@ -323,13 +313,13 @@ func TestSlowWaveLog(t *testing.T) {
 					t.Fatalf("slow wave line missing %q: %v", key, l)
 				}
 			}
-			if l["tree"].Uint64() != created.Tree || l["flush_ns"].Int64() <= 0 {
+			if l["tree"].Uint64() != id || l["flush_ns"].Int64() <= 0 {
 				t.Fatalf("slow wave line tree %v flush_ns %v", l["tree"], l["flush_ns"])
 			}
 			if l["grow_ns"].Int64() > 0 {
 				grows++
-				if l["resims"].Int64() != 1 || l["resim_reason"].String() == "" {
-					t.Fatalf("grow flush line: resims %v reason %v, want one with a reason", l["resims"], l["resim_reason"])
+				if l["resims"].Int64() != 1 || l["resim_reason"].String() != "budget" {
+					t.Fatalf("grow flush line: resims %v reason %v, want one budget", l["resims"], l["resim_reason"])
 				}
 				if l["trace_records"].Int64() <= 0 {
 					t.Fatalf("grow flush line: trace_records %v, want > 0", l["trace_records"])
@@ -377,4 +367,39 @@ func TestAccessLog(t *testing.T) {
 
 func tsTree(ts *httptest.Server, id uint64) string {
 	return ts.URL + "/v1/trees/" + strconv.FormatUint(id, 10)
+}
+
+// restoreWide PUTs a snapshot of a 256-leaf tree as tree id and returns
+// its leaves' node IDs.
+func restoreWide(t *testing.T, ts *httptest.Server, id uint64) []int {
+	t.Helper()
+	ring := dyntc.ModRing(1_000_000_007)
+	e := dyntc.NewExpr(ring, 1)
+	leaves := []*dyntc.Node{e.Tree().Root}
+	for len(leaves) < 256 {
+		l, r := e.Grow(leaves[0], dyntc.OpAdd(ring), 1, 1)
+		leaves = append(leaves[1:], l, r)
+	}
+	snap, err := e.Snapshot(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	putBytes(t, tsTree(ts, id)+"/snapshot", snap, http.StatusCreated, nil)
+	ids := make([]int, len(leaves))
+	for i, l := range leaves {
+		ids[i] = l.ID
+	}
+	return ids
+}
+
+// growAll grows every given leaf in one /batch. On restoreWide's tree,
+// with all but one of its leaves, that is one wave whose frontier holds
+// more than half the trace: it re-simulates as budget.
+func growAll(t *testing.T, ts *httptest.Server, id uint64, leaves []int) {
+	t.Helper()
+	ops := make([]map[string]any, len(leaves))
+	for i, l := range leaves {
+		ops[i] = map[string]any{"kind": "grow", "node": l, "op": "add", "left": 3, "right": 4}
+	}
+	call(t, "POST", tsTree(ts, id)+"/batch", map[string]any{"ops": ops}, http.StatusOK, nil)
 }

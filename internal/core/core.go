@@ -39,10 +39,12 @@
 //     structurally — against the versioned per-node touch chains. The
 //     extended abstract defers this schedule repair to the never-published
 //     full paper; the scheme here follows the change-propagation
-//     formulation of Acar et al. (arXiv:2002.05129). A full re-simulation
-//     remains as the fallback (gate off, full PT rebuilds, oversized
-//     wounds), each one attributed by HealStats.ResimReason; see README
-//     "Change propagation" for the design note.
+//     formulation of Acar et al. (arXiv:2002.05129). One rule, checked
+//     once before any record re-executes, sends a wave to a full
+//     re-simulation instead: its frontier holds more than half the trace.
+//     A broken invariant (and the tests' gate) re-simulates too; each is
+//     attributed by HealStats.ResimReason. See README "Change
+//     propagation" for the design note.
 //   - Value queries at arbitrary nodes replay the expansion lazily:
 //     val(n) = op_n applied to the values merged into n's two children at
 //     the record that removed n, a well-founded recursion over strict
@@ -252,8 +254,9 @@ type HealStats struct {
 	// TotalRecords is the trace size (leaves-1) after the operation, the
 	// denominator for the records-touched ratio.
 	TotalRecords int
-	// Resimulated reports that the whole trace was rebuilt (the structural
-	// fallback path: gate off, full PT rebuild, or oversized wound).
+	// Resimulated reports that the whole trace was rebuilt instead of
+	// propagated: the wave's frontier held more than half the trace, an
+	// invariant failed, or the gate is off.
 	Resimulated bool
 	// ResimReason names why, one of ResimReasons; empty when the wave did
 	// not re-simulate.
@@ -263,19 +266,18 @@ type HealStats struct {
 	RebuildLeaves int
 }
 
-// The reasons a structural wave falls back to a full re-simulation.
+// The reasons a structural wave re-simulates. budget is the one size rule;
+// order and sanity are invariant failures; gate is the tests' twin.
 const (
-	ResimGate        = "gate"         // change propagation switched off (tests only)
-	ResimFullRebuild = "full_rebuild" // PT rebuilt from its root
-	ResimTiny        = "tiny"         // fewer than minPropagateLeaves leaves
-	ResimOrder       = "order"        // a record popped before one already executed
-	ResimBudget      = "budget"       // the wound stopped being local
-	ResimSanity      = "sanity"       // a touch chain contradicted itself
+	ResimGate   = "gate"   // change propagation switched off (tests only)
+	ResimOrder  = "order"  // a record popped before one already executed
+	ResimBudget = "budget" // the frontier held more than half the trace
+	ResimSanity = "sanity" // a touch chain contradicted itself or looped
 )
 
 // ResimReasons lists every value HealStats.ResimReason takes on a
 // re-simulated wave.
-var ResimReasons = [...]string{ResimGate, ResimFullRebuild, ResimTiny, ResimOrder, ResimBudget, ResimSanity}
+var ResimReasons = [...]string{ResimGate, ResimOrder, ResimBudget, ResimSanity}
 
 // New builds a Contraction over the given expression tree. The seed drives
 // all of PT's randomness. The machine (nil = sequential) meters every

@@ -15,6 +15,12 @@ var fuzzRings = append(append([]semiring.Ring(nil), twinRings...), semiring.Bool
 // maxFuzzWaves bounds the waves one FuzzWaves input runs.
 const maxFuzzWaves = 64
 
+// maxFuzzLeaves caps the trees FuzzWaves grows. A wave's frontier holds at
+// most the trace's leaves−1 records, which passes the size rule (half the
+// leaves plus 64) only past 130 leaves, so on these trees no wave may
+// re-simulate.
+const maxFuzzLeaves = 128
+
 // fuzzBytes reads a FuzzWaves input: every read past the end is zero,
 // so every input decodes.
 type fuzzBytes struct {
@@ -82,10 +88,9 @@ func pickTargets(in *fuzzBytes, from []*tree.Node, k int) []*tree.Node {
 // the cell table must mirror T and the trace must hold its invariants
 // (Validate) and equal, field by field, the trace a full re-simulation
 // builds (validateTrace), the root must equal tree.Eval, sampled
-// ValuesBatch reads
-// must equal EvalAt, and no wave may fall back to re-simulation because
-// propagation found its worklist out of order or a touch chain
-// contradicting itself.
+// ValuesBatch reads must equal EvalAt, and no wave may re-simulate, for
+// any reason: grows stop at maxFuzzLeaves, below the size rule's reach,
+// and order and sanity are invariant failures.
 func FuzzWaves(f *testing.F) {
 	// The twin oracle's cases, in this format: the case's ring, size
 	// (capped at 64 leaves) and shape, and a wave stream from its
@@ -129,7 +134,7 @@ func FuzzWaves(f *testing.F) {
 			switch kind {
 			case 0:
 				var ops []AddOp
-				for _, l := range pickTargets(in, leaves, k) {
+				for _, l := range pickTargets(in, leaves, min(k, maxFuzzLeaves-len(leaves))) {
 					ops = append(ops, AddOp{Leaf: l, Op: fuzzOp(ring, in.next()),
 						LeftVal: ring.Normalize(int64(in.next())), RightVal: ring.Normalize(int64(in.next()))})
 				}
@@ -155,8 +160,8 @@ func FuzzWaves(f *testing.F) {
 				}
 				c.SetOps(ns, ops)
 			}
-			if r := c.LastHeal().ResimReason; r == ResimOrder || r == ResimSanity {
-				t.Fatalf("wave %d (kind %d, k %d): propagation fell back for %q", wave, kind, k, r)
+			if hs := c.LastHeal(); hs.Resimulated {
+				t.Fatalf("wave %d (kind %d, k %d): re-simulated for %q", wave, kind, k, hs.ResimReason)
 			}
 			if err := c.Validate(); err != nil {
 				t.Fatalf("wave %d (kind %d, k %d): %v", wave, kind, k, err)

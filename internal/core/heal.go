@@ -157,9 +157,9 @@ func (c *Contraction) SetOps(nodes []*tree.Node, ops []semiring.Op) {
 // in (round, ID) order, so all producers of a record are final before it
 // runs. One parallel step is charged per distinct wound round. It is the
 // structural pass's drain loop (propPass.run) with nothing marked for
-// structural re-execution and no budget.
+// structural re-execution.
 func (c *Contraction) heal() {
-	if reason := c.pass.run(0); reason != "" {
+	if reason := c.pass.run(); reason != "" {
 		panic("core: label heal abandoned: " + reason)
 	}
 	c.lastHeal.TotalRecords = c.records
@@ -188,10 +188,8 @@ type waveScratch struct {
 	deleted, relabeled []cellRef
 	// diff is the rebuild diff both PT mutations reported, in report
 	// order, copied out before the second mutation reuses the storage of
-	// the first one's report; fullRebuild is set when either rebuilt all
-	// of PT.
-	diff        []ptSeed
-	fullRebuild bool
+	// the first one's report.
+	diff []ptSeed
 }
 
 // ptSeed is one entry of a PT rebuild diff: the PT node ID of a rebuilt
@@ -206,12 +204,10 @@ type ptSeed struct {
 func (s *waveScratch) begin() {
 	s.insOps, s.payloads, s.oldLeaves = s.insOps[:0], s.payloads[:0], s.oldLeaves[:0]
 	s.deleted, s.relabeled, s.diff = s.deleted[:0], s.relabeled[:0], s.diff[:0]
-	s.fullRebuild = false
 }
 
 // note copies a PT mutation's rebuild diff out of its report.
 func (s *waveScratch) note(rep rbsts.Report[cellRef, struct{}]) {
-	s.fullRebuild = s.fullRebuild || rep.FullRebuild
 	for _, x := range rep.Rebuilt {
 		s.diff = append(s.diff, ptSeed{x.ID(), true})
 	}
@@ -226,9 +222,9 @@ func (s *waveScratch) note(rep rbsts.Report[cellRef, struct{}]) {
 // AddLeaves applies a batch of leaf expansions: T mutates, PT replaces each
 // expanded leaf by the two new leaves using the randomized-rebuild
 // insert/delete of Theorems 2.2/2.3, and the rake trace is repaired by
-// change propagation seeded from the rebuild diff (propagate.go), falling
-// back to a full re-simulation when the gate is off or the wound is not
-// local. It returns the new (left, right) leaf pairs in batch order.
+// change propagation seeded from the rebuild diff (propagate.go), or
+// re-simulated when the gate is off or the wave's frontier holds more than
+// half the trace. It returns the new (left, right) leaf pairs in batch order.
 func (c *Contraction) AddLeaves(ops []AddOp) [][2]*tree.Node {
 	c.lastHeal = HealStats{}
 	if len(ops) == 0 {

@@ -35,10 +35,15 @@ package core
 // record whose chain-predecessor link moved. The result is bit-identical
 // to simulate() while touching O(wound) records instead of Θ(n).
 //
-// Full re-simulation remains the fallback: full PT rebuilds, tiny trees,
-// blown budgets and any detected chain inconsistency all divert to
-// simulate() and say which in HealStats.ResimReason (the tests' noPropagate
-// twin takes it on purpose). simulate() clears every cell's trace fields and
+// One rule decides re-simulation, once, before any record runs: a wave
+// whose frontier (the live records queued once the PT diff is seeded, the
+// departed gaps are killed and the flipped labels are woken) exceeds half
+// the trace plus a constant re-simulates as ResimBudget; every other wave
+// propagates to completion, whatever the tree's size or how much of PT was
+// rebuilt. A detected chain inconsistency (ResimOrder, ResimSanity) is an
+// invariant failure, not a size decision: it also diverts to simulate(),
+// and so does the tests' noPropagate twin (ResimGate), each saying which in
+// HealStats.ResimReason. simulate() clears every cell's trace fields and
 // rewrites the record arena from scratch, so it is always safe to run
 // mid-repair.
 //
@@ -52,11 +57,6 @@ package core
 // typed heap keyed by the packed schedule time) and the seed scratch
 // belong to the Contraction and are reused from wave to wave.
 
-// minPropagateLeaves is the PT size below which structural waves simply
-// re-simulate: the trace is so small that propagation bookkeeping costs
-// more than it saves.
-const minPropagateLeaves = 8
-
 // propPass is the state of one pass over the trace, label-only or
 // structural. The Contraction owns the one instance and beginPass resets
 // it, so the storage of h, toSeed and toWake carries over.
@@ -64,12 +64,6 @@ type propPass struct {
 	c *Contraction
 	h worklist
 
-	// steps counts chain-walk and occupant-walk steps; processed counts
-	// executed records. Both are budgeted: a wound that stops looking
-	// local falls back to full re-simulation.
-	steps     int
-	maxSteps  int
-	processed int
 	// failed names why the pass must be abandoned (a ResimReason), empty
 	// while it is sound.
 	failed string
@@ -86,7 +80,7 @@ func (c *Contraction) beginPass() *propPass {
 	clear(pp.toSeed)
 	clear(pp.toWake)
 	pp.toSeed, pp.toWake = pp.toSeed[:0], pp.toWake[:0]
-	pp.steps, pp.maxSteps, pp.processed, pp.failed = 0, 0, 0, ""
+	pp.failed = ""
 	return pp
 }
 
@@ -97,14 +91,15 @@ func (pp *propPass) fail(reason string) {
 	}
 }
 
-// step charges one chain-walk step against the pass's budget and reports
-// whether the walk may go on.
-func (pp *propPass) step() bool {
-	pp.steps++
-	if pp.maxSteps > 0 && pp.steps > pp.maxSteps {
-		pp.fail(ResimBudget)
+// looping reports whether a walk of n steps along one chain has gone on
+// longer than the trace has records, failing the pass as ResimSanity if
+// so: no sound chain is that long, so the walk has met a cycle, and the
+// executor re-simulates instead of spinning on it.
+func (pp *propPass) looping(n int) bool {
+	if n <= pp.c.records {
 		return false
 	}
+	pp.fail(ResimSanity)
 	return true
 }
 
@@ -154,6 +149,19 @@ func (pp *propPass) enqueue(r *Record, structural bool) {
 	}
 }
 
+// frontier counts the live records queued on the worklist. enqueue queues
+// a record at most once until it is popped, so before the first pop these
+// are distinct; a record killed after it was queued does not count.
+func (pp *propPass) frontier() int {
+	n := 0
+	for _, it := range pp.h {
+		if !it.r.dead {
+			n++
+		}
+	}
+	return n
+}
+
 // findPos locates the neighbors of time position `at` in u's touch
 // chain, skipping the record `skip` (the one being repositioned): prev
 // is the last toucher strictly before at, next the first at or after.
@@ -173,8 +181,8 @@ func (pp *propPass) findPos(u cellRef, at, skip *Record) (prev, next *Record) {
 	if cur == nil || !timeLess(cur, at) {
 		return nil, cur
 	}
-	for {
-		if !pp.step() {
+	for n := 1; ; n++ {
+		if pp.looping(n) {
 			return nil, nil
 		}
 		nxt := step(cur)
@@ -194,8 +202,8 @@ func (pp *propPass) occupant(p cellRef, left bool, at *Record) cellRef {
 	if left {
 		n = c.cell(p).left
 	}
-	for n != 0 {
-		if !pp.step() {
+	for steps := 1; n != 0; steps++ {
+		if pp.looping(steps) {
 			return 0
 		}
 		rb := c.recs.Get(c.cell(n).removedBy)
@@ -278,30 +286,14 @@ func (pp *propPass) kill(r *Record) {
 	}
 }
 
-// wakeTail wakes every stale toucher of u orphaned when a relink
-// truncated u's chain at the record before m: m and everything its
-// forward links still reach within u's old chain must re-resolve.
-func (pp *propPass) wakeTail(m *Record, u cellRef) {
-	for m != nil {
-		if !pp.step() {
-			return
-		}
-		pp.enqueue(m, true)
-		if m.W != u {
-			return // a V- or P-touch ends the chain
-		}
-		m = pp.c.recs.Get(m.Next)
-	}
-}
-
 // enqueueGReader wakes the consumer of r's splice-parent metadata: the
 // first record after r in r.W's chain that touches that node as raked
 // leaf or removed parent (those re-resolve its overlay parent through
 // the last W-toucher's G).
 func (pp *propPass) enqueueGReader(r *Record) {
 	z := pp.c.recs.Get(r.Next)
-	for z != nil && z.W == r.W {
-		if !pp.step() {
+	for n := 1; z != nil && z.W == r.W; n++ {
+		if pp.looping(n) {
 			return
 		}
 		z = pp.c.recs.Get(z.Next)
@@ -323,7 +315,7 @@ func (pp *propPass) reexec(r *Record) {
 	pp.unchain(r)
 
 	v := r.V
-	vPrev, vNext := pp.findPos(v, r, r)
+	vPrev, _ := pp.findPos(v, r, r)
 	var p cellRef
 	var vLeft bool
 	if vPrev != nil {
@@ -349,7 +341,7 @@ func (pp *propPass) reexec(r *Record) {
 		pp.fail(ResimSanity)
 		return
 	}
-	pPrev, pNext := pp.findPos(p, r, r)
+	pPrev, _ := pp.findPos(p, r, r)
 	wPrev, wNext := pp.findPos(w, r, r)
 	if pPrev != nil && pPrev.W != p {
 		pp.fail(ResimSanity)
@@ -386,22 +378,25 @@ func (pp *propPass) reexec(r *Record) {
 	lpOut := r.LpIn.Compose(c.ring, xp.op.Partial(c.ring, r.Lv.B))
 	r.LwOut = lpOut.Compose(c.ring, r.LwIn)
 
-	// Relink. r ends v's and p's chains; a chained toucher after either
-	// position is stale and re-resolves away once woken.
+	// Relink. r ends v's and p's chains. A toucher left after either
+	// position is stale but needs no wake here: it removes the parent the
+	// node had just before it, which is p (the displaced removedBy
+	// claimant woken below) or g (the G-reader wakes below), unless the
+	// node's last earlier toucher moved its G, and that toucher's
+	// re-execution woke the old G's remover. Each woken toucher that moves
+	// wakes its old successor, so the rest of the tail follows.
 	r.VPrev = ref(vPrev)
 	if vPrev != nil {
 		vPrev.Next = r.id
 	} else {
 		c.cell(v).firstTouch = r.id
 	}
-	pp.wakeTail(vNext, v)
 	r.PPrev = ref(pPrev)
 	if pPrev != nil {
 		pPrev.Next = r.id
 	} else {
 		xp.firstTouch = r.id
 	}
-	pp.wakeTail(pNext, p)
 	// r touches w as survivor, carrying the chain through Next.
 	r.WPrev = ref(wPrev)
 	if wPrev != nil {
@@ -500,11 +495,10 @@ func (pp *propPass) healLabels(r *Record) {
 
 // run drains the worklist in schedule order, label wounds and structural
 // re-executions alike. It returns "" when the wound is healed, else the
-// reason the pass must be abandoned (inconsistency or blown budget); a
-// structural caller then falls back to a full re-simulation, which
-// rebuilds all state and is safe after a partial repair. budget 0 means
-// none.
-func (pp *propPass) run(budget int) string {
+// reason the pass must be abandoned (an invariant failed); a structural
+// caller then falls back to a full re-simulation, which rebuilds all state
+// and is safe after a partial repair.
+func (pp *propPass) run() string {
 	c := pp.c
 	var lastKey uint64
 	lastRound := int32(-1)
@@ -529,7 +523,6 @@ func (pp *propPass) run(budget int) string {
 		}
 		c.machine.ChargeSpan(0, 1, 1)
 		c.lastHeal.WoundRecords++
-		pp.processed++
 		if r.structDirty {
 			r.structDirty = false
 			c.lastHeal.StructRecords++
@@ -539,9 +532,6 @@ func (pp *propPass) run(budget int) string {
 		}
 		if pp.failed != "" {
 			return pp.failed
-		}
-		if budget > 0 && (pp.processed > budget || pp.steps > 16*budget) {
-			return ResimBudget // wound is not local; re-simulate instead
 		}
 	}
 	c.lastHeal.WoundRounds = roundCount
@@ -612,16 +602,8 @@ func (pp *propPass) seedSubtree(x *ptNode) {
 // nodes whose initial label changed because they flipped between leaf
 // and internal (their first touchers re-read it).
 func (c *Contraction) propagateStructural(deleted, relabeled []cellRef) {
-	if c.wave.fullRebuild {
-		c.resimulate(ResimFullRebuild)
-		return
-	}
 	if c.noPropagate {
 		c.resimulate(ResimGate)
-		return
-	}
-	if c.pt.Len() < minPropagateLeaves {
-		c.resimulate(ResimTiny)
 		return
 	}
 
@@ -668,9 +650,14 @@ func (c *Contraction) propagateStructural(deleted, relabeled []cellRef) {
 		pp.enqueue(c.recs.Get(c.cell(u).firstTouch), true)
 	}
 
-	budget := c.pt.Len()/2 + 64
-	pp.maxSteps = 16*budget + 4096
-	if reason := pp.run(budget); reason != "" {
+	// The one size rule, decided before the first pop: a frontier holding
+	// more than half the trace is not a local wound, and re-simulating
+	// costs less than propagating it.
+	if pp.frontier() > c.pt.Len()/2+64 {
+		c.resimulate(ResimBudget)
+		return
+	}
+	if reason := pp.run(); reason != "" {
 		c.resimulate(reason)
 		return
 	}

@@ -208,14 +208,9 @@ func TestPropagationTwinOracle(t *testing.T) {
 						caseProp++
 					}
 					// The gate-off twin re-simulates every structural wave,
-					// for the gate unless PT was rebuilt from its root, which
-					// the reason check meets first — on both twins alike.
-					hA, hB := cA.LastHeal(), cB.LastHeal()
-					if !hB.Resimulated || (hB.ResimReason != ResimGate && hB.ResimReason != ResimFullRebuild) {
+					// for the gate.
+					if hB := cB.LastHeal(); !hB.Resimulated || hB.ResimReason != ResimGate {
 						t.Fatalf("step %d: gate-off twin must re-simulate for reason %q, got %+v", step, ResimGate, hB)
-					}
-					if (hA.ResimReason == ResimFullRebuild) != (hB.ResimReason == ResimFullRebuild) {
-						t.Fatalf("step %d: twins disagree on a full rebuild: %+v vs %+v", step, hA, hB)
 					}
 				}
 				if hA := cA.LastHeal(); hA.Resimulated != slices.Contains(ResimReasons[:], hA.ResimReason) ||
@@ -256,33 +251,89 @@ func TestPropagationTwinOracle(t *testing.T) {
 	t.Logf("%d/%d structural waves propagated", propagated, structural)
 }
 
-// TestResimReasons pins the attribution of the fallbacks a test can
-// provoke directly: a tree under the propagation floor (where PT may
-// also rebuild from its root) and the gate. order, budget and sanity
-// need a wound that goes wrong.
+// TestResimReasons pins the one size rule and the gate, the
+// re-simulations a test can provoke directly. Waves on trees of 1–8
+// leaves propagate, and so do waves growing every leaf of a tree of up to
+// 32, however much of PT they rebuild. A wave growing every leaf of a
+// 257-leaf tree queues more than half the trace and re-simulates as
+// budget before it re-executes a record, while a k = 1 wave on that tree
+// propagates. order and sanity need a wound that goes wrong.
 func TestResimReasons(t *testing.T) {
 	ring := semiring.MaxPlus{}
-	grow := func(c *Contraction, leaf *tree.Node) HealStats {
-		c.AddLeaves([]AddOp{{Leaf: leaf, Op: semiring.OpAdd(ring), LeftVal: 1, RightVal: 2}})
+	check := func(c *Contraction) HealStats {
+		t.Helper()
 		if err := c.Validate(); err != nil {
 			t.Fatal(err)
 		}
+		if err := c.validateTrace(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := c.RootValue(), c.T.Eval(); got != want {
+			t.Fatalf("root %d, tree evaluates to %d", got, want)
+		}
 		return c.LastHeal()
 	}
+	grow := func(c *Contraction, leaves ...*tree.Node) HealStats {
+		t.Helper()
+		ops := make([]AddOp, len(leaves))
+		for i, l := range leaves {
+			ops[i] = AddOp{Leaf: l, Op: semiring.OpAdd(ring), LeftVal: 1, RightVal: int64(i)}
+		}
+		c.AddLeaves(ops)
+		return check(c)
+	}
 
+	// 1 → 8 leaves one grow at a time, back to 1 one collapse at a time,
+	// then 1 → 64 growing every leaf at once.
 	tr := tree.New(ring, 1)
 	c := New(tr, 3, nil)
-	for tr.LeafCount() < minPropagateLeaves-1 {
-		hs := grow(c, tr.Leaves()[0])
-		if !hs.Resimulated || (hs.ResimReason != ResimTiny && hs.ResimReason != ResimFullRebuild) {
-			t.Fatalf("%d leaves: %+v", tr.LeafCount(), hs)
+	for tr.LeafCount() < 8 {
+		n := tr.LeafCount()
+		if hs := grow(c, tr.Leaves()[n/2]); hs.Resimulated || hs.ResimReason != "" || hs.StructRecords == 0 {
+			t.Fatalf("grow at %d leaves: %+v", n, hs)
+		}
+	}
+	for tr.LeafCount() > 1 {
+		n := tr.LeafCount()
+		for _, x := range tr.Nodes {
+			if x != nil && !x.IsLeaf() && x.Left.IsLeaf() && x.Right.IsLeaf() {
+				c.RemoveLeaves([]RemoveOp{{Node: x, NewValue: int64(n)}})
+				break
+			}
+		}
+		if hs := check(c); hs.Resimulated || hs.ResimReason != "" {
+			t.Fatalf("collapse at %d leaves: %+v", n, hs)
+		}
+	}
+	for tr.LeafCount() < 64 {
+		n := tr.LeafCount()
+		if hs := grow(c, tr.Leaves()...); hs.Resimulated || hs.ResimReason != "" {
+			t.Fatalf("growing all %d leaves: %+v", n, hs)
 		}
 	}
 
+	// The gate-off twin takes the same waves: a budget wave that
+	// re-simulates before any record runs charges the PRAM exactly what
+	// the twin's re-simulation does.
 	big := tree.Generate(ring, prng.New(5), 256, tree.ShapeRandom)
 	c = New(big, 7, nil)
+	twinTree := tree.Generate(ring, prng.New(5), 256, tree.ShapeRandom)
+	twin := New(twinTree, 7, nil)
+	twin.noPropagate = true
 	if hs := grow(c, big.Leaves()[17]); hs.Resimulated || hs.ResimReason != "" {
 		t.Fatalf("k=1 wave on 256 leaves fell back: %+v", hs)
+	}
+	grow(twin, twinTree.Leaves()[17])
+	before, twinBefore := c.Machine().Metrics(), twin.Machine().Metrics()
+	if hs := grow(c, big.Leaves()...); !hs.Resimulated || hs.ResimReason != ResimBudget {
+		t.Fatalf("growing all 257 leaves: %+v, want a budget re-simulation", hs)
+	}
+	grow(twin, twinTree.Leaves()...)
+	after, twinAfter := c.Machine().Metrics(), twin.Machine().Metrics()
+	if steps, work := after.Steps-before.Steps, after.Work-before.Work; steps != twinAfter.Steps-twinBefore.Steps ||
+		work != twinAfter.Work-twinBefore.Work {
+		t.Fatalf("budget wave charged %d steps, %d work; the gate's re-simulation %d, %d",
+			steps, work, twinAfter.Steps-twinBefore.Steps, twinAfter.Work-twinBefore.Work)
 	}
 	c.noPropagate = true
 	if hs := grow(c, big.Leaves()[40]); hs.ResimReason != ResimGate {

@@ -184,9 +184,9 @@ type WaveTrace struct {
 	Barrier  int64
 
 	// Heal cost of the flush's mutating waves: trace records re-executed
-	// (the change-propagation work), waves that fell back to a full
-	// re-simulation and why the last of them did (gate, full_rebuild,
-	// tiny, order, budget or sanity), and the contraction's trace size
+	// (the change-propagation work), waves that re-simulated instead and
+	// why the last of them did (gate, order, budget or sanity), and the
+	// contraction's trace size
 	// after the last mutating wave (so records/size ratios read straight
 	// off the trace).
 	HealRecords  int64

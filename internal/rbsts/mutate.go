@@ -31,9 +31,6 @@ type Report[P, S any] struct {
 	// the paper's random variable S of Theorem 2.2, whose expectation is
 	// O(|U| log n).
 	RebuildLeaves int
-	// FullRebuild reports that the entire tree was rebuilt (threshold
-	// drift or emptied tree).
-	FullRebuild bool
 	// NewLeaves holds the leaf nodes created for inserted payloads, in
 	// batch order (ops[0].Payloads[0], ops[0].Payloads[1], ...). Empty for
 	// deletions.
@@ -245,7 +242,6 @@ func (t *Tree[P, S]) BatchInsert(m *pram.Machine, ops []InsertOp[P]) Report[P, S
 		t.rebuildAll(leaves)
 		rep.Rebuilt = append(rep.Rebuilt, t.at(t.root))
 		rep.RebuildLeaves = len(leaves)
-		rep.FullRebuild = true
 		return *rep
 	}
 
@@ -340,7 +336,6 @@ func (t *Tree[P, S]) BatchDelete(m *pram.Machine, leaves []*Node[P, S]) Report[P
 		if z.id == t.root {
 			// Deleting the only leaf empties the tree.
 			t.clear()
-			rep.FullRebuild = true
 			return *rep
 		}
 		// Join an enclosing scheduled rebuild when one exists.
@@ -375,7 +370,6 @@ func (t *Tree[P, S]) BatchDelete(m *pram.Machine, leaves []*Node[P, S]) Report[P
 	for _, p := range pl.plans {
 		if !p.dead && p.node == t.root && p.removals == t.count && len(p.items) == 0 {
 			t.clear()
-			rep.FullRebuild = true
 			return *rep
 		}
 	}
@@ -545,7 +539,6 @@ func (t *Tree[P, S]) maybeRethreshold(rep *Report[P, S]) {
 	t.rebuildAll(leaves)
 	rep.Rebuilt = append(rep.Rebuilt[:0], t.at(t.root))
 	rep.RebuildLeaves = t.count
-	rep.FullRebuild = true
 }
 
 // InsertAfter inserts payloads immediately after the given leaf (or at the

@@ -361,11 +361,17 @@ func TestBatchInsertMultipleGaps(t *testing.T) {
 	}
 }
 
+// fullRebuild reports whether a mutation's report rebuilt all of the tree:
+// its one rebuilt subtree is the root and spans every leaf.
+func fullRebuild(tr *Tree[int64, int64], rep Report[int64, int64]) bool {
+	return len(rep.Rebuilt) == 1 && rep.Rebuilt[0] == tr.Root() && rep.RebuildLeaves == tr.Len()
+}
+
 func TestInsertIntoEmpty(t *testing.T) {
 	tr := newIntTree(37, 0)
 	rep := tr.BatchInsert(nil, []InsertOp[int64]{{Gap: 0, Payloads: []int64{1, 2, 3}}})
-	if !rep.FullRebuild {
-		t.Fatal("expected full rebuild")
+	if !fullRebuild(tr, rep) {
+		t.Fatalf("expected full rebuild: rebuilt %d roots over %d leaves", len(rep.Rebuilt), rep.RebuildLeaves)
 	}
 	if fmt.Sprint(payloadsOf(tr)) != fmt.Sprint([]int64{1, 2, 3}) {
 		t.Fatalf("got %v", payloadsOf(tr))
@@ -715,7 +721,7 @@ func TestPTArenaBounded(t *testing.T) {
 		for i := range ops {
 			ops[i] = InsertOp[int64]{Gap: src.Intn(tr.Len() + 1), Payloads: []int64{int64(i)}}
 		}
-		if tr.BatchInsert(nil, ops).FullRebuild {
+		if fullRebuild(tr, tr.BatchInsert(nil, ops)) {
 			full++
 		}
 	}
@@ -732,7 +738,7 @@ func TestPTArenaBounded(t *testing.T) {
 			break
 		}
 		for tr.Len() > small {
-			if tr.BatchDelete(nil, pickDistinct(src, tr, min(k, tr.Len()-small))).FullRebuild {
+			if fullRebuild(tr, tr.BatchDelete(nil, pickDistinct(src, tr, min(k, tr.Len()-small)))) {
 				full++
 			}
 			check("shrink")

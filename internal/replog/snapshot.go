@@ -397,7 +397,8 @@ func (s *Snapshot) EpochOrDefault() uint64 {
 }
 
 // Tree materializes the snapshot's expression tree: exact node IDs, exact
-// slot count (holes included), validated structure.
+// slot count (holes included), validated structure, and every value and
+// coefficient reduced into the ring (tree.Restore).
 func (s *Snapshot) Tree() (*tree.Tree, error) {
 	if err := s.check(); err != nil {
 		return nil, err

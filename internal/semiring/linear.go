@@ -47,6 +47,12 @@ type Op struct {
 	A, B, C int64
 }
 
+// Normalize reduces each coefficient of q into r, as a value entering a
+// tree is reduced.
+func (q Op) Normalize(r Ring) Op {
+	return Op{A: r.Normalize(q.A), B: r.Normalize(q.B), C: r.Normalize(q.C)}
+}
+
 // OpAdd returns the addition operation x + y of r.
 func OpAdd(r Ring) Op { return Op{A: r.Zero(), B: r.One(), C: r.Zero()} }
 

@@ -82,8 +82,8 @@ func (t *Tree) LeafCount() int { return (t.liveCount + 1) / 2 }
 
 // AddChildren grows leaf into an internal node with operation op and two
 // new leaf children holding the given values (the paper's "add two new
-// children below a current leaf"). It returns the new left and right
-// leaves.
+// children below a current leaf"). The values and op's coefficients are
+// reduced into the ring. It returns the new left and right leaves.
 func (t *Tree) AddChildren(leaf *Node, op semiring.Op, leftVal, rightVal int64) (l, r *Node) {
 	if !leaf.IsLeaf() {
 		panic("tree: AddChildren on an internal node")
@@ -93,7 +93,7 @@ func (t *Tree) AddChildren(leaf *Node, op semiring.Op, leftVal, rightVal int64) 
 	r.Value = t.Ring.Normalize(rightVal)
 	l.Parent, r.Parent = leaf, leaf
 	leaf.Left, leaf.Right = l, r
-	leaf.Op = op
+	leaf.Op = op.Normalize(t.Ring)
 	leaf.Value = 0
 	return l, r
 }
@@ -122,12 +122,13 @@ func (t *Tree) SetValue(leaf *Node, v int64) {
 	leaf.Value = t.Ring.Normalize(v)
 }
 
-// SetOp updates an internal node's operation.
+// SetOp updates an internal node's operation, its coefficients reduced
+// into the ring.
 func (t *Tree) SetOp(n *Node, op semiring.Op) {
 	if n.IsLeaf() {
 		panic("tree: SetOp on a leaf")
 	}
-	n.Op = op
+	n.Op = op.Normalize(t.Ring)
 }
 
 // RestoreNode describes one live node for Restore. Links are node IDs;
@@ -141,8 +142,10 @@ type RestoreNode struct {
 // Restore reconstructs a tree from a serialized description: slots is the
 // historical length of the Nodes index (deleted slots included — restoring
 // it exactly keeps future ID assignment identical to the source tree), and
-// nodes lists every live node. The result is validated; values are stored
-// as given (they were normalized when first set).
+// nodes lists every live node. The result is validated, and its values and
+// operation coefficients are reduced into r as every mutation reduces
+// them: a description read from outside the program need not hold reduced
+// ones.
 func Restore(r semiring.Ring, slots int, nodes []RestoreNode) (*Tree, error) {
 	if slots < len(nodes) || len(nodes) == 0 {
 		return nil, fmt.Errorf("tree: restore with %d nodes in %d slots", len(nodes), slots)
@@ -182,9 +185,9 @@ func Restore(r semiring.Ring, slots int, nodes []RestoreNode) (*Tree, error) {
 			return nil, fmt.Errorf("tree: restore half-internal node %d", rn.ID)
 		}
 		if n.IsLeaf() {
-			n.Value = rn.Value
+			n.Value = r.Normalize(rn.Value)
 		} else {
-			n.Op = rn.Op
+			n.Op = rn.Op.Normalize(r)
 		}
 		if n.Parent == nil {
 			if t.Root != nil {

@@ -235,13 +235,13 @@ func (o oracleObs) golden() oracleGolden {
 func TestOracleGolden(t *testing.T) {
 	want := map[uint64]oracleGolden{
 		3: {answers: 693, answerHash: 0xa2e09fceb4c163be, grows: 180, growHash: 0x6ab586057f9c77a3,
-			root: 359186484, metrics: Metrics{Steps: 3195, Work: 19149, MaxProcs: 114},
+			root: 359186484, metrics: Metrics{Steps: 3195, Work: 19147, MaxProcs: 114},
 			applied: 25, waveBytes: 25025, waveHash: 0x7521081669592823},
 		17: {answers: 717, answerHash: 0xd05b66c31c9d1cb5, grows: 203, growHash: 0xb4329ac7357b7060,
-			root: 478682711, metrics: Metrics{Steps: 3075, Work: 18571, MaxProcs: 178},
+			root: 478682711, metrics: Metrics{Steps: 3075, Work: 18420, MaxProcs: 178},
 			applied: 25, waveBytes: 26629, waveHash: 0xcfca0dd9791c7f22},
 		1009: {answers: 713, answerHash: 0x384ba3b31358a1d5, grows: 179, growHash: 0x361ece5ad1793df9,
-			root: 626921170, metrics: Metrics{Steps: 3197, Work: 18924, MaxProcs: 126},
+			root: 626921170, metrics: Metrics{Steps: 3197, Work: 18923, MaxProcs: 126},
 			applied: 25, waveBytes: 25514, waveHash: 0x52017e8fa91cb15e},
 	}
 	for _, seed := range []uint64{3, 17, 1009} {

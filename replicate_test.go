@@ -562,6 +562,62 @@ func TestForestReplaceUnderReads(t *testing.T) {
 	}
 }
 
+// TestRestoreNormalizes restores a mod-7 snapshot whose leaf reads −12
+// and whose root multiplies with coefficients outside [0, 7): the
+// restored tree holds them reduced, as a live mutation would, so the
+// restored root lies in the ring and equals the tree's own evaluation.
+// A live grow with those coefficients reduces them the same way, so the
+// expression and its restored copy agree on the root and re-snapshot to
+// the same bytes.
+func TestRestoreNormalizes(t *testing.T) {
+	snap := &replog.Snapshot{
+		Ring:  replog.RingSpec{Kind: "mod", Mod: 7},
+		Seed:  1,
+		Slots: 3,
+		Nodes: []replog.SnapNode{
+			{ID: 0, Parent: -1, Left: 1, Right: 2, A: 8, B: -7, C: 14}, // x·y
+			{ID: 1, Parent: 0, Left: -1, Right: -1, Value: -12},
+			{ID: 2, Parent: 0, Left: -1, Right: -1, Value: 3},
+		},
+	}
+	data, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _, err := RestoreExpr(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := snap.Tree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := e.Root(), tr.Eval(); got != want || got < 0 || got >= 7 {
+		t.Fatalf("restored root %d, tree evaluates to %d, want equal and in [0, 7)", got, want)
+	}
+	if got := e.Root(); got != 6 { // (−12 mod 7) · 3 = 2 · 3
+		t.Fatalf("restored root %d, want 6", got)
+	}
+
+	live := NewExpr(ModRing(7), 1)
+	live.Grow(live.Tree().Root, Op{A: 8, B: -7, C: 14}, -12, 3)
+	snapLive, err := live.Snapshot(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, _, err := RestoreExpr(snapLive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := back.Snapshot(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live.Root() != 6 || back.Root() != 6 || !bytes.Equal(again, snapLive) {
+		t.Fatalf("live root %d, restored %d, want 6; re-snapshot identical: %v", live.Root(), back.Root(), bytes.Equal(again, snapLive))
+	}
+}
+
 // FuzzRestoreExpr drives RestoreExpr, the body of PUT
 // /v1/trees/{id}/snapshot, which decodes, rebuilds the tree and
 // contracts it: it never panics, refuses what Decode refuses (the JSON
