@@ -15,11 +15,10 @@ var fuzzRings = append(append([]semiring.Ring(nil), twinRings...), semiring.Bool
 // maxFuzzWaves bounds the waves one FuzzWaves input runs.
 const maxFuzzWaves = 64
 
-// maxFuzzLeaves caps the trees FuzzWaves grows. A wave's frontier holds at
-// most the trace's leaves−1 records, which passes the size rule (half the
-// leaves plus 64) only past 130 leaves, so on these trees no wave may
-// re-simulate.
-const maxFuzzLeaves = 128
+// ruleReach is the largest tree, in leaves, on which the size rule cannot
+// fire: a wave's frontier holds at most the trace's leaves−1 records,
+// which passes half the leaves plus 64 only past 130 leaves.
+const ruleReach = 130
 
 // fuzzBytes reads a FuzzWaves input: every read past the end is zero,
 // so every input decodes.
@@ -89,8 +88,9 @@ func pickTargets(in *fuzzBytes, from []*tree.Node, k int) []*tree.Node {
 // (Validate) and equal, field by field, the trace a full re-simulation
 // builds (validateTrace), the root must equal tree.Eval, sampled
 // ValuesBatch reads must equal EvalAt, and no wave may re-simulate, for
-// any reason: grows stop at maxFuzzLeaves, below the size rule's reach,
-// and order and sanity are invariant failures.
+// any reason, except for budget on a tree grown past ruleReach leaves:
+// order and sanity are invariant failures, and below ruleReach no
+// frontier can pass the size rule.
 func FuzzWaves(f *testing.F) {
 	// The twin oracle's cases, in this format: the case's ring, size
 	// (capped at 64 leaves) and shape, and a wave stream from its
@@ -134,7 +134,7 @@ func FuzzWaves(f *testing.F) {
 			switch kind {
 			case 0:
 				var ops []AddOp
-				for _, l := range pickTargets(in, leaves, min(k, maxFuzzLeaves-len(leaves))) {
+				for _, l := range pickTargets(in, leaves, k) {
 					ops = append(ops, AddOp{Leaf: l, Op: fuzzOp(ring, in.next()),
 						LeftVal: ring.Normalize(int64(in.next())), RightVal: ring.Normalize(int64(in.next()))})
 				}
@@ -160,7 +160,7 @@ func FuzzWaves(f *testing.F) {
 				}
 				c.SetOps(ns, ops)
 			}
-			if hs := c.LastHeal(); hs.Resimulated {
+			if hs := c.LastHeal(); hs.Resimulated && (hs.ResimReason != ResimBudget || tr.LeafCount() <= ruleReach) {
 				t.Fatalf("wave %d (kind %d, k %d): re-simulated for %q", wave, kind, k, hs.ResimReason)
 			}
 			if err := c.Validate(); err != nil {

@@ -382,40 +382,53 @@ func TestPropagationDeterminism(t *testing.T) {
 
 // TestSmallWavePropagatesOnLargeTree is the headline bound: a k=1
 // structural update on a 64k-leaf tree must propagate (not re-simulate)
-// and touch O(log n) records, not Θ(n).
+// and touch O(log n) records, not Θ(n). It holds on random trees and on
+// both combs, whose touch chains are the longest: 24 single-leaf grows,
+// then 24 collapses of the cherries they made.
 func TestSmallWavePropagatesOnLargeTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large tree")
 	}
-	ring := semiring.MaxPlus{}
-	src := prng.New(23)
-	tr := tree.Generate(ring, src, 1<<16, tree.ShapeRandom)
-	c := New(tr, 31, nil)
+	const n = 1 << 16
+	logN := math.Log2(n)
+	for _, shape := range []tree.Shape{tree.ShapeRandom, tree.ShapeLeftComb, tree.ShapeRightComb} {
+		ring := semiring.MaxPlus{}
+		src := prng.New(23)
+		tr := tree.Generate(ring, src, n, shape)
+		c := New(tr, 31, nil)
 
-	logN := math.Log2(float64(1 << 16))
-	maxTouched := 0
-	for i := 0; i < 24; i++ {
-		leaves := tr.Leaves()
-		leaf := leaves[src.Intn(len(leaves))]
-		c.AddLeaves([]AddOp{{Leaf: leaf, Op: semiring.OpAdd(ring),
-			LeftVal: src.Int63() % 1000, RightVal: src.Int63() % 1000}})
-		hs := c.LastHeal()
-		if hs.Resimulated {
-			t.Fatalf("update %d: k=1 wave re-simulated on %d-leaf tree", i, 1<<16)
+		maxTouched := 0
+		check := func(what string, i int) {
+			hs := c.LastHeal()
+			if hs.Resimulated {
+				t.Fatalf("shape %d, %s %d: k=1 wave re-simulated on %d-leaf tree", shape, what, i, n)
+			}
+			maxTouched = max(maxTouched, hs.WoundRecords)
+			if got, want := c.RootValue(), tr.Eval(); got != want {
+				t.Fatalf("shape %d, %s %d: root %d want %d", shape, what, i, got, want)
+			}
 		}
-		if hs.WoundRecords > maxTouched {
-			maxTouched = hs.WoundRecords
+		var grown []*tree.Node
+		for i := 0; i < 24; i++ {
+			leaves := tr.Leaves()
+			leaf := leaves[src.Intn(len(leaves))]
+			c.AddLeaves([]AddOp{{Leaf: leaf, Op: semiring.OpAdd(ring),
+				LeftVal: src.Int63() % 1000, RightVal: src.Int63() % 1000}})
+			grown = append(grown, leaf)
+			check("grow", i)
 		}
-		if got, want := c.RootValue(), tr.Eval(); got != want {
-			t.Fatalf("update %d: root %d want %d", i, got, want)
+		for i := len(grown) - 1; i >= 0; i-- {
+			c.RemoveLeaves([]RemoveOp{{Node: grown[i], NewValue: src.Int63() % 1000}})
+			check("collapse", i)
 		}
-	}
-	// O(log n) with a generous constant: far below any Θ(n) regression.
-	if bound := int(64 * logN); maxTouched > bound {
-		t.Fatalf("k=1 wave touched %d records, want <= %d (~64 log n)", maxTouched, bound)
-	}
-	if frac := float64(maxTouched) / float64(c.Records()); frac > 0.05 {
-		t.Fatalf("k=1 wave touched %.2f%% of records, want <= 5%%", 100*frac)
+		// O(log n) with a generous constant: far below any Θ(n) regression.
+		if bound := int(64 * logN); maxTouched > bound {
+			t.Fatalf("shape %d: k=1 wave touched %d records, want <= %d (~64 log n)", shape, maxTouched, bound)
+		}
+		if frac := float64(maxTouched) / float64(c.Records()); frac > 0.05 {
+			t.Fatalf("shape %d: k=1 wave touched %.2f%% of records, want <= 5%%", shape, 100*frac)
+		}
+		t.Logf("shape %d: max %d records touched by a k=1 wave", shape, maxTouched)
 	}
 }
 
